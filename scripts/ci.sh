@@ -130,16 +130,16 @@ print(f"emit-path smoke ok (sha256 "
       f"inline + pool)")
 PY
 
-echo "== backend matrix smoke (inline / pool / queue byte-identical) =="
+echo "== backend matrix smoke (inline w=1 / pool w=1 / pool w=2 byte-identical) =="
 python - <<'PY'
 import repro
 
 config = repro.ScenarioConfig(scale=1 / 80000, seed=7, hash_scale=0.004)
 digests = {
-    name: repro.generate(
-        config, backend=name, workers=2 if name == "pool" else 1
+    f"{name} w={workers}": repro.generate(
+        config, backend=name, workers=workers
     ).store.content_digest()
-    for name in ("inline", "pool", "queue")
+    for name, workers in (("inline", 1), ("pool", 1), ("pool", 2))
 }
 if len(set(digests.values())) != 1:
     raise SystemExit(f"backend matrix diverged: {digests}")

@@ -10,8 +10,9 @@ Entry points (the stable ``repro.api`` façade):
 >>> dataset = repro.generate(repro.ScenarioConfig(scale=1/4000))
 >>> print(repro.report(dataset))
 
-``generate`` accepts ``backend="inline" | "pool" | "queue"`` (all
-byte-identical; see :mod:`repro.sched`) and ``workers=N``;
+``generate`` accepts ``backend="inline" | "pool"`` (byte-identical; see
+:mod:`repro.sched`; the default is inline for one worker, the pool for
+more) and ``workers=N``;
 ``repro.load(path)`` wraps an existing trace.  ``generate_dataset`` is
 the deprecated pre-façade spelling.
 """

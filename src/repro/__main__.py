@@ -57,21 +57,12 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                              "Default: $REPRO_WORKERS if set, else the "
                              "single-pass serial generator")
     parser.add_argument("--backend", default=None,
-                        choices=("serial", "inline", "pool", "queue"),
+                        choices=("serial", "inline", "pool"),
                         help="execution backend for generation (see "
                              "repro.sched; sharded backends are "
                              "byte-identical). Default: derived from "
                              "--workers — serial without workers, inline "
                              "for 1, pool otherwise")
-    parser.add_argument("--trace-file", default=None, metavar="PATH",
-                        help="work-trace JSONL for sharded backends: "
-                             "replayed when PATH exists, recorded there "
-                             "otherwise")
-    parser.add_argument("--queue-root", default=None, metavar="DIR",
-                        help="with --backend queue, spool tasks under DIR "
-                             "so external 'python -m repro.sched.node DIR' "
-                             "workers can service them (default: a fresh "
-                             "temporary spool)")
     parser.add_argument("--metrics", nargs="?", const="-", default=None,
                         metavar="PATH",
                         help="after the command, print the pipeline stage "
@@ -129,10 +120,11 @@ def _config(args):
 def _run_options(args):
     """The :class:`repro.api.RunOptions` for a scenario subcommand.
 
-    The backend defaults from the worker count the way the pre-façade CLI
-    behaved: no workers -> the serial single-pass generator, one worker ->
-    inline, more -> the multiprocess pool.  ``--workers`` falls back to
-    ``$REPRO_WORKERS`` (the same contract the benchmarks honour).
+    Without ``--backend`` and without a worker count the CLI runs the
+    serial single-pass generator; with a worker count the backend is left
+    to :class:`~repro.api.RunOptions` (inline for one worker, the pool
+    for more).  ``--workers`` falls back to ``$REPRO_WORKERS`` (the same
+    contract the benchmarks honour).
     """
     import os
 
@@ -144,15 +136,12 @@ def _run_options(args):
         raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
         workers = int(raw) if raw else None
     backend = getattr(args, "backend", None)
-    if backend is None:
-        backend = "serial" if workers is None else \
-            ("inline" if workers == 1 else "pool")
+    if backend is None and workers is None:
+        backend = "serial"
     return RunOptions(
         backend=backend,
         workers=workers,
         cache=resolve_cache_dir(getattr(args, "cache_dir", None)),
-        trace_file=getattr(args, "trace_file", None),
-        queue_root=getattr(args, "queue_root", None),
     )
 
 

@@ -5,7 +5,7 @@ Five PRs of organic growth scattered entry points across
 ``workload.shards.generate_sharded`` (hard-wired pool) and ad-hoc CLI
 plumbing.  This module is the consolidation: one frozen
 :class:`RunOptions` value describes *how* to run (backend, workers,
-cache, work-trace replay), and three functions do the work:
+cache), and three functions do the work:
 
 >>> import repro
 >>> dataset = repro.generate(repro.ScenarioConfig(scale=1/4000))
@@ -13,9 +13,9 @@ cache, work-trace replay), and three functions do the work:
 
 The old entry points keep working as thin shims that emit
 ``DeprecationWarning``.  Everything here routes through
-:mod:`repro.sched`, so the backend seam (``inline`` / ``pool`` /
-``queue``) is the stable contract — stores are byte-identical whichever
-backend runs the shards.
+:mod:`repro.sched`, so the backend seam (``inline`` / ``pool``) is the
+stable contract — stores are byte-identical whichever backend runs the
+shards.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ PathLike = Union[str, Path]
 #: original single-pass generator (a distinct, equally valid trace whose
 #: draw order predates sharding); the rest are :mod:`repro.sched`
 #: execution backends over the sharded pipeline.
-GENERATE_BACKENDS = ("serial", "inline", "pool", "queue")
+GENERATE_BACKENDS = ("serial", "inline", "pool")
 
 #: Environment variable supplying a default worker count.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
@@ -45,24 +45,21 @@ class RunOptions:
     with :func:`dataclasses.replace`.  ``workers=None`` defers to the
     ``REPRO_WORKERS`` environment variable (unset: 1 — except for the
     ``serial`` backend, which is single-pass by construction).
+    ``backend=None`` picks from the resolved worker count: ``inline``
+    for one worker, ``pool`` for more.
     """
 
-    #: Execution backend: one of :data:`GENERATE_BACKENDS`.
-    backend: str = "pool"
+    #: Execution backend: one of :data:`GENERATE_BACKENDS` (None: from
+    #: the worker count).
+    backend: Optional[str] = None
     #: Worker processes (None: ``$REPRO_WORKERS``, else 1).
     workers: Optional[int] = None
     #: Dataset cache directory or :class:`~repro.workload.cache.DatasetCache`.
     cache: Optional[object] = None
-    #: Work-trace JSONL to replay (or record, when absent) — sharded
-    #: backends only.
-    trace_file: Optional[PathLike] = None
-    #: Poisson arrival rate for a freshly built work trace (None: default).
-    arrival_rate: Optional[float] = None
-    #: Spool directory for the ``queue`` backend (None: a private tempdir).
-    queue_root: Optional[PathLike] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in GENERATE_BACKENDS:
+        if self.backend is not None and \
+                self.backend not in GENERATE_BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r} "
                 f"(expected one of {', '.join(GENERATE_BACKENDS)})"
@@ -77,17 +74,24 @@ class RunOptions:
         raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
         return max(1, int(raw)) if raw else 1
 
+    def resolved_backend(self) -> str:
+        """The effective backend: explicit, else from the worker count."""
+        if self.backend is not None:
+            return self.backend
+        from repro.sched.backends import default_backend
 
-def generate(config=None, *, backend: str = "pool",
+        return default_backend(self.resolved_workers())
+
+
+def generate(config=None, *, backend: Optional[str] = None,
              workers: Optional[int] = None, cache=None,
-             options: Optional[RunOptions] = None, **extra):
+             options: Optional[RunOptions] = None):
     """Generate one synthetic honeyfarm trace (the stable entry point).
 
     Either pass ``options`` (a :class:`RunOptions`) or the individual
-    keywords — ``backend``, ``workers``, ``cache``, plus any other
-    :class:`RunOptions` field by name.  The output depends only on the
-    config and the pipeline family (``serial`` vs sharded): every sharded
-    backend and worker count yields byte-identical stores.
+    keywords — ``backend``, ``workers``, ``cache``.  The output depends
+    only on the config and the pipeline family (``serial`` vs sharded):
+    every sharded backend and worker count yields byte-identical stores.
 
     Returns a :class:`~repro.workload.dataset.HoneyfarmDataset`.
     """
@@ -95,10 +99,8 @@ def generate(config=None, *, backend: str = "pool",
 
     config = config or ScenarioConfig()
     if options is None:
-        options = RunOptions(backend=backend, workers=workers, cache=cache,
-                             **extra)
-    elif workers is not None or cache is not None or extra or \
-            backend != "pool":
+        options = RunOptions(backend=backend, workers=workers, cache=cache)
+    elif workers is not None or cache is not None or backend is not None:
         raise TypeError("pass either options= or individual keywords, "
                         "not both")
 
@@ -108,13 +110,15 @@ def generate(config=None, *, backend: str = "pool",
     # The run ledger (when armed via ``use_ledger`` / ``--ledger``) pins
     # the run's logical identity here: the config fingerprint keys the
     # pipeline *family*, so workers=1 and workers=8 ledgers strip equal.
-    family_workers = None if options.backend == "serial" else 1
+    backend = options.resolved_backend()
+    workers = options.resolved_workers()
+    family_workers = None if backend == "serial" else 1
     fingerprint = dataset_fingerprint(config, workers=family_workers)
     ledger = get_ledger()
     if ledger is not None:
         ledger.begin_run(
             "generate", config=config, fingerprint=fingerprint,
-            backend=options.backend, workers=options.resolved_workers(),
+            backend=backend, workers=workers,
         )
 
     cache_obj = None
@@ -131,23 +135,15 @@ def generate(config=None, *, backend: str = "pool",
                                     len(cached.store), cache_hit=True)
             return cached
 
-    if options.backend == "serial":
+    if backend == "serial":
         from repro.workload.generator import TraceGenerator
 
         dataset = TraceGenerator(config).run()
     else:
-        from repro.sched.backends import make_backend
         from repro.sched.scheduler import generate_scheduled
 
-        resolved = options.resolved_workers()
-        dataset = generate_scheduled(
-            config,
-            backend=make_backend(options.backend, workers=resolved,
-                                 queue_root=options.queue_root),
-            workers=resolved,
-            trace_file=options.trace_file,
-            arrival_rate=options.arrival_rate,
-        )
+        dataset = generate_scheduled(config, backend=backend,
+                                     workers=workers)
 
     if cache_obj is not None:
         cache_obj.store(fingerprint, dataset)

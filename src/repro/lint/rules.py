@@ -945,10 +945,8 @@ class RngLineageRule(ProjectRule):
 class WorkerBoundaryRule(ProjectRule):
     """What crosses a scheduler worker boundary must be safe to ship.
 
-    Worker entry points are the targets of ``Process(target=...)`` plus
-    the spool-node entries (:data:`EXTRA_ENTRIES` — they run in external
-    node processes).  Everything reachable from them executes in a
-    worker, where:
+    Worker entry points are the targets of ``Process(target=...)``.
+    Everything reachable from them executes in a worker, where:
 
     * module-level mutable state diverges per process — mutations there
       are lost or doubled depending on worker count.  Names ending in
@@ -972,10 +970,6 @@ class WorkerBoundaryRule(ProjectRule):
             "worker function (or a *_CACHE per-process memo); never "
             "block an async path")
 
-    EXTRA_ENTRIES: Tuple[str, ...] = (
-        "repro.sched.node:run_claimed",
-        "repro.sched.node:service_pending",
-    )
     EXEMPT_LAYERS: Tuple[str, ...] = ("obs/", "lint/")
     CACHE_SUFFIXES: Tuple[str, ...] = ("_CACHE", "_MEMO")
 
@@ -999,8 +993,7 @@ class WorkerBoundaryRule(ProjectRule):
     # -- worker entries ----------------------------------------------------
 
     def _worker_entries(self, graph: ProjectGraph) -> List[str]:
-        entries = [fid for fid in self.EXTRA_ENTRIES
-                   if fid in graph.functions]
+        entries: List[str] = []
         for fn in graph.functions.values():
             module = graph.modules[fn.module]
             for call in ast.walk(fn.node):

@@ -194,14 +194,12 @@ class RunLedger:
 
     # -- recording -------------------------------------------------------------
 
-    def record_sched(self, *, backend: str, workers: int, tasks: int,
-                     lam: float, makespan_virtual: float) -> None:
-        """The scheduler context: trace size + arrival model + executor."""
+    def record_sched(self, *, backend: str, workers: int,
+                     tasks: int) -> None:
+        """The scheduler context: task count + executor."""
         self._sched = {
             "record": "sched",
             "tasks": int(tasks),
-            "lam": float(lam),
-            "makespan_virtual": float(makespan_virtual),
             "backend": str(backend),
             "workers": int(workers),
         }
@@ -209,11 +207,11 @@ class RunLedger:
     def record_task(self, task, *, sessions: int, attempt: int, worker: str,
                     run_seconds: float, queue_seconds: float,
                     telemetry: Optional[Dict[str, Any]] = None) -> None:
-        """One completed :class:`~repro.sched.trace.ShardTask` attempt.
+        """One completed :class:`~repro.sched.backends.ShardTask` attempt.
 
-        Keyed by task index — a straggler duplicate or retry overwrites
-        the earlier row, so exactly one row per task survives and rows
-        assemble in index order regardless of completion order.
+        Keyed by task index — a retry overwrites the earlier row, so
+        exactly one row per task survives and rows assemble in index
+        order regardless of completion order.
         """
         row: Dict[str, Any] = {
             "record": "task",

@@ -60,15 +60,11 @@ COUNTERS: Tuple[str, ...] = (
     "context.*",          # per-property hit/miss + aggregate hits/misses
     "farm.alerts.*",      # per alert kind
     # Scheduler accounting (repro.sched).  Physical-scheduling counters:
-    # retries, stragglers and pool resizes legitimately vary with the
-    # backend and worker count — only task totals are invariant.
+    # retries legitimately vary with the backend and worker count — only
+    # task totals are invariant.
     "sched.tasks_submitted",
     "sched.tasks_completed",
     "sched.tasks_retried",
-    "sched.duplicates_dropped",
-    "sched.stragglers_requeued",
-    "sched.workers_grown",
-    "sched.workers_shrunk",
     # Streaming sketch analytics (repro.analytics).
     "sketch.sessions_observed",
     "sketch.events_consumed",
@@ -95,9 +91,6 @@ GAUGES: Tuple[str, ...] = (
     "shards.queue_wait_seconds",
     "store.npz_save_bytes_per_second",
     "store.npz_load_bytes_per_second",
-    "sched.arrival_rate",
-    "sched.trace_makespan_virtual",
-    "sched.workers_peak",
     "sched.backlog_peak",
     "sched.heartbeat.rss_kb_peak",
     "sketch.unique.*",  # streaming cardinality estimates (clients, hashes)
@@ -133,7 +126,6 @@ SPANS: Tuple[str, ...] = (
     "background",
     "freeze",
     "shard/*",  # per shard kind (worker-side)
-    "sched/trace",
     "cache/load",
     "cache/save",
     "store/save_npz",
@@ -232,10 +224,6 @@ DESCRIPTIONS = {
         "sched.tasks_submitted": "task attempts submitted to a backend",
         "sched.tasks_completed": "task attempts completed successfully",
         "sched.tasks_retried": "task attempts re-queued after an error",
-        "sched.duplicates_dropped": "late duplicate task results dropped",
-        "sched.stragglers_requeued": "straggling tasks duplicated",
-        "sched.workers_grown": "elastic pool grow operations",
-        "sched.workers_shrunk": "elastic pool shrink operations",
         "sketch.sessions_observed": "sessions folded into the sketches",
         "sketch.events_consumed": "trace events consumed by the sketches",
         "sketch.store_sessions_ingested": "store rows ingested by the sketches",
@@ -254,9 +242,6 @@ DESCRIPTIONS = {
         "shards.queue_wait_seconds": "estimated shard queue-wait wall seconds",
         "store.npz_save_bytes_per_second": "npz save throughput",
         "store.npz_load_bytes_per_second": "npz load throughput",
-        "sched.arrival_rate": "work-trace Poisson arrival rate (tasks/s)",
-        "sched.trace_makespan_virtual": "virtual makespan of the work trace",
-        "sched.workers_peak": "peak live worker count",
         "sched.backlog_peak": "peak outstanding task count",
         "sched.heartbeat.rss_kb_peak": "peak worker RSS reported by heartbeats",
         "sketch.unique.*": "streaming cardinality estimates",
@@ -285,7 +270,6 @@ DESCRIPTIONS = {
         "background": "background traffic stage",
         "freeze": "store freeze stage",
         "shard/*": "worker-side per-shard emission",
-        "sched/trace": "work-trace build/replay stage",
         "cache/load": "dataset cache load stage",
         "cache/save": "dataset cache store stage",
         "store/save_npz": "npz persistence stage",
@@ -302,7 +286,7 @@ DESCRIPTIONS = {
         "generator.block": "bulk emission block boundary",
         "generate.merged": "final store merge completed",
         "shard.emit": "one shard emitted by a worker",
-        "sched.trace.built": "work trace built or replayed",
+        "sched.trace.built": "shard task list built from the plan",
         "sched.task.submit": "task attempt submitted to the backend",
         "sched.task.done": "task attempt completed",
         "sched.task.retry": "task attempt re-queued after an error",

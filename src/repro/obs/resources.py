@@ -6,7 +6,7 @@ window, for what each machine did and which were healthy while it ran.
 This module is the in-process half of that story, stdlib-only:
 
 * :class:`ResourceSampler` — a context manager each scheduler worker
-  wraps around one :class:`~repro.sched.trace.ShardTask`: CPU time
+  wraps around one :class:`~repro.sched.backends.ShardTask`: CPU time
   (``resource.getrusage`` deltas), peak RSS, GC collections and the
   wall time spent inside them (``gc.callbacks``), and optionally
   ``tracemalloc`` peaks.  The resulting dict rides home on
@@ -14,8 +14,8 @@ This module is the in-process half of that story, stdlib-only:
   run ledger (:mod:`repro.obs.ledger`) and the ``resource.*``
   histograms.
 * :func:`worker_heartbeat` — the periodic liveness payload a worker
-  ships through its existing result pipe (pool queue message, spool
-  file) so the scheduler can surface a stuck worker *before* the stall
+  ships through its existing result pipe (a pool queue message) so the
+  scheduler can surface a stuck worker *before* the stall
   guard fires, and ``python -m repro top`` can draw per-worker rows.
 
 Everything here reads physical clocks and kernel accounting, which is
@@ -55,8 +55,8 @@ TELEMETRY_FIELDS = (
 )
 
 #: Keys of a :func:`worker_heartbeat` payload.  ``beat`` is a per-worker
-#: monotonic counter — receivers dedupe on it, so re-reading a spool
-#: heartbeat file or re-draining a queue never double-counts.
+#: monotonic counter — receivers dedupe on it, so a repeated payload
+#: never double-counts.
 HEARTBEAT_FIELDS = (
     "worker",
     "beat",

@@ -1,23 +1,20 @@
-"""Task-trace shard scheduling with pluggable execution backends.
+"""Shard scheduling over two execution backends.
 
 The generation call path used to hard-wire a ``multiprocessing.Pool``
-inside :mod:`repro.workload.shards`.  This package generalises it into
-three seams:
+inside :mod:`repro.workload.shards`.  This package splits it into two
+seams:
 
-* :mod:`repro.sched.trace` — the :class:`WorkTrace`: every shard becomes
-  a :class:`ShardTask` with a deterministic, config-seeded exponential
-  inter-arrival offset (Poisson arrivals, the load model of the paper's
-  fifteen-month farm);
-* :mod:`repro.sched.backends` — where tasks run: :class:`InlineBackend`
-  (in-process golden path), :class:`PoolBackend` (elastic self-healing
-  multiprocess pool), :class:`QueueBackend` (file-queue multi-node stub);
+* :mod:`repro.sched.backends` — where a :class:`ShardTask` runs:
+  :class:`InlineBackend` (the in-process golden path) or
+  :class:`PoolBackend` (a self-healing multiprocess pool that keeps
+  ``workers`` processes from open to close);
 * :mod:`repro.sched.scheduler` — the :class:`Scheduler` policy loop
-  (elastic grow/shrink, bounded retry with backoff, straggler re-queue)
-  and :func:`generate_scheduled`, the backend-parametrised generation
-  entry point.
+  (index-order submission, bounded retry with backoff, heartbeats with
+  stale-worker alerts, the stall guard) and :func:`generate_scheduled`,
+  the backend-parametrised generation entry point.
 
 Scheduling never changes the output: stores are byte-identical across
-backends, worker counts and arrival orders (``tests/test_sched.py``).
+backends, worker counts and submission orders (``tests/test_sched.py``).
 """
 
 from repro.sched.backends import (
@@ -26,8 +23,9 @@ from repro.sched.backends import (
     BackendError,
     InlineBackend,
     PoolBackend,
-    QueueBackend,
+    ShardTask,
     TaskOutcome,
+    default_backend,
     make_backend,
 )
 from repro.sched.dashboard import TopDashboard, WorkerRow
@@ -37,32 +35,21 @@ from repro.sched.scheduler import (
     SchedulerError,
     generate_scheduled,
 )
-from repro.sched.trace import (
-    DEFAULT_ARRIVAL_RATE,
-    ShardTask,
-    WorkTrace,
-    build_trace,
-    matches_plan,
-)
 
 __all__ = [
     "BACKEND_NAMES",
     "Backend",
     "BackendError",
-    "DEFAULT_ARRIVAL_RATE",
     "InlineBackend",
     "PoolBackend",
-    "QueueBackend",
     "Scheduler",
     "SchedulerConfig",
     "SchedulerError",
     "ShardTask",
     "TaskOutcome",
     "TopDashboard",
-    "WorkTrace",
     "WorkerRow",
-    "build_trace",
+    "default_backend",
     "generate_scheduled",
     "make_backend",
-    "matches_plan",
 ]

@@ -1,35 +1,27 @@
-"""Execution backends: where a :class:`~repro.sched.trace.ShardTask` runs.
+"""Execution backends: where a :class:`ShardTask` runs.
 
-Three conformance-tested implementations of one contract:
+Two conformance-tested implementations of one contract:
 
 * :class:`InlineBackend` — in-process, synchronous.  The debugging and
-  golden path: every other backend must produce byte-identical stores.
-* :class:`PoolBackend` — a self-healing multiprocess pool.  Workers are
-  long-lived processes fed from a task queue; the pool grows and shrinks
-  on :meth:`Backend.resize`, detects worker death, and resubmission is
-  the scheduler's call (the dead worker's task comes back as an error
-  outcome).
-* :class:`QueueBackend` — a file-queue multi-node stub: tasks serialise
-  to a spool directory, a node loop (:mod:`repro.sched.node`) claims and
-  runs them, and result bundles (npz store + JSON metrics/trace) merge
-  back.  This is the seam for real scale-out — point N machines at the
-  same spool and delete the in-process service call.
+  golden path: the pool must produce byte-identical stores.
+* :class:`PoolBackend` — a self-healing multiprocess pool of a fixed
+  ``workers`` processes.  Workers are long-lived processes fed from a
+  task queue; the pool detects worker death and respawns a replacement,
+  and resubmission is the scheduler's call (the dead worker's task comes
+  back as an error outcome).
 
 The contract is deliberately narrow — ``open`` / ``submit`` / ``collect``
-/ ``resize`` / ``close`` — so the :class:`~repro.sched.scheduler.Scheduler`
-owns every policy decision (elasticity, retry, stragglers) and backends
-own only execution.  All timing uses :func:`repro.obs.stopwatch`; backends
-never read the clock directly.
+/ ``close`` — so the :class:`~repro.sched.scheduler.Scheduler` owns every
+policy decision (retry, the stall guard, stale-worker alerts) and
+backends own only execution.  All timing uses :func:`repro.obs.stopwatch`;
+backends never read the clock directly.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import queue
-import shutil
-import tempfile
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -38,7 +30,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import stopwatch
 from repro.obs.resources import ResourceSampler, worker_heartbeat
-from repro.sched.trace import ShardTask
 
 #: Env var naming a task index whose first execution attempt must crash
 #: the worker (fault injection for the retry-path tests).  The companion
@@ -46,6 +37,26 @@ from repro.sched.trace import ShardTask
 #: files so the crash happens exactly once.
 FAIL_TASK_ENV = "REPRO_SCHED_FAIL_TASK"
 FAIL_ONCE_DIR_ENV = "REPRO_SCHED_FAIL_ONCE_DIR"
+
+
+@dataclass(frozen=True)
+class ShardTask:
+    """One schedulable unit of work: a shard of the plan.
+
+    ``index`` is the shard's position in the plan enumeration — the merge
+    order, and therefore the only ordering that affects the output.
+    """
+
+    index: int
+    kind: str
+    key: str
+    start: int
+    stop: int
+
+    @property
+    def trace_id(self) -> str:
+        """The stable flight-recorder id shared with the shard's events."""
+        return f"sched:{self.kind}:{self.key}:{self.start}"
 
 
 @dataclass
@@ -84,16 +95,14 @@ class BackendError(RuntimeError):
 class Backend(ABC):
     """The execution contract the scheduler drives.
 
-    Lifecycle: ``open`` once, then interleaved ``submit``/``collect``
-    (and optional ``resize``), then ``close``.  ``collect`` returns every
-    finished outcome it can without blocking longer than ``timeout``
-    seconds; a backend with nothing in flight returns immediately.
+    Lifecycle: ``open`` once, then interleaved ``submit``/``collect``,
+    then ``close``.  ``collect`` returns every finished outcome it can
+    without blocking longer than ``timeout`` seconds; a backend with
+    nothing in flight returns immediately.
     """
 
     #: Human name, also the CLI spelling (``--backend pool``).
     name: str = "?"
-    #: Whether :meth:`resize` can actually change capacity.
-    elastic: bool = False
 
     @abstractmethod
     def open(self, config, want_trace: bool) -> None:
@@ -106,10 +115,6 @@ class Backend(ABC):
     @abstractmethod
     def collect(self, timeout: float = 0.25) -> List[TaskOutcome]:
         """Finished outcomes, blocking at most ``timeout`` s for the first."""
-
-    def resize(self, workers: int) -> int:
-        """Request a capacity change; returns the size actually in effect."""
-        return self.workers
 
     def heartbeats(self) -> List[Dict]:
         """Worker heartbeat payloads observed since the last call.
@@ -146,7 +151,7 @@ def _emit_task(config, index: int, want_trace: bool):
 
 def _run_task(config, index: int, want_trace: bool):
     """One shard task under a resource sampler: (store, metrics, events,
-    telemetry).  The shared executor body of all three backends."""
+    telemetry).  The shared executor body of both backends."""
     with ResourceSampler() as sampler:
         store, metrics, events = _emit_task(config, index, want_trace)
     return store, metrics, events, sampler.to_dict()
@@ -245,12 +250,11 @@ def _pool_worker_main(worker_id, config, want_trace, task_queue,
     """Worker loop: pull task indexes off a private queue, emit shards,
     ship result batches back on the shared (buffered) result queue.
 
-    Messages are ``("batch", worker_id, [outcome, ...])``, a final
-    ``("exit", worker_id, [outcome, ...])`` acknowledging the
-    shrink/close sentinel, and ``("heartbeat", worker_id, payload)``
-    liveness beats sent on each task pickup — the existing result pipe
-    doubles as the liveness channel, so a stuck worker is one the parent
-    stops hearing from, with its last-known task on record.  Each
+    Messages are ``("batch", worker_id, [outcome, ...])`` and
+    ``("heartbeat", worker_id, payload)`` liveness beats sent on each
+    task pickup — the existing result pipe doubles as the liveness
+    channel, so a stuck worker is one the parent stops hearing from,
+    with its last-known task on record.  Each
     outcome in a batch is ``("done", index, attempt, payload)`` or
     ``("error", index, attempt, message)``; a done payload is ``(store,
     metrics, events, run_seconds, telemetry)`` with the telemetry dict
@@ -271,18 +275,20 @@ def _pool_worker_main(worker_id, config, want_trace, task_queue,
     while True:
         if not local:
             item = task_queue.get()
-            if item is None:
-                result_queue.put(("exit", worker_id, out))
+            if item is None:  # the close sentinel
                 return
             local.extend(item)
             continue
         index, attempt = local.popleft()
+        # Crash before this task's heartbeat is queued: a process that
+        # exits while its feeder thread holds the shared result-queue
+        # lock wedges every other worker's put.
+        _maybe_fail_once(index)
         beat += 1
         result_queue.put(("heartbeat", worker_id, worker_heartbeat(
             f"pool-{worker_id}", beat=beat, state="run", last_index=index,
             tasks_done=done, sessions_done=sessions_done,
         )))
-        _maybe_fail_once(index)
         watch = stopwatch()
         try:
             store, metrics, events, telemetry = _run_task(
@@ -309,11 +315,10 @@ class _Worker:
     proc: multiprocessing.Process
     task_queue: Any                     # private SimpleQueue, parent -> worker
     assigned: "OrderedDict[int, int]"   # index -> attempt, dispatch order
-    retiring: bool = False
 
 
 class PoolBackend(Backend):
-    """A self-healing elastic pool of worker processes.
+    """A self-healing pool of a fixed number of worker processes.
 
     Workers inherit the parent's shard plan copy-on-write under the fork
     start method (spawn-started workers rebuild it, identically, on their
@@ -324,11 +329,10 @@ class PoolBackend(Backend):
     unread in its pipe are silently recovered and re-dispatched (they
     never started), the task it was actually executing comes back as an
     error outcome (the scheduler decides on retry), and a replacement
-    worker is spawned so capacity holds.
+    worker is spawned so capacity stays at ``workers`` until ``close``.
     """
 
     name = "pool"
-    elastic = True
 
     #: Tasks dispatched ahead to one worker, in pipe messages of at most
     #: ``_BATCH``.  Deep enough that a worker flushing results mid-batch
@@ -339,7 +343,7 @@ class PoolBackend(Backend):
     depth = 8
 
     def __init__(self, workers: int = 1, start_method: Optional[str] = None):
-        self._target = max(1, int(workers))
+        self._size = max(1, int(workers))
         self._start_method = start_method
         self._workers: Dict[int, _Worker] = {}
         self._backlog: deque = deque()  # (index, attempt) not yet dispatched
@@ -368,7 +372,7 @@ class PoolBackend(Backend):
         self._config = config
         self._want_trace = want_trace
         self._results = self._context().Queue()
-        for _ in range(self._target):
+        for _ in range(self._size):
             self._spawn()
 
     def _spawn(self) -> None:
@@ -389,7 +393,7 @@ class PoolBackend(Backend):
 
     @property
     def workers(self) -> int:
-        return sum(1 for w in self._workers.values() if not w.retiring)
+        return len(self._workers)
 
     def submit(self, task: ShardTask, attempt: int = 1) -> None:
         if self._results is None:
@@ -408,7 +412,7 @@ class PoolBackend(Backend):
         while self._backlog:
             eligible = [
                 (len(w.assigned), wid) for wid, w in self._workers.items()
-                if not w.retiring and len(w.assigned) < self.depth
+                if len(w.assigned) < self.depth
             ]
             if not eligible:
                 break
@@ -421,24 +425,6 @@ class PoolBackend(Backend):
             q = self._workers[worker_id].task_queue
             for lo in range(0, len(batch), _BATCH):
                 q.put(batch[lo:lo + _BATCH])
-
-    def resize(self, workers: int) -> int:
-        workers = max(1, int(workers))
-        while self.workers < workers:
-            self._spawn()
-        for _ in range(self.workers - workers):
-            # Shrink cooperatively: the chosen worker drains what it
-            # already holds, takes the sentinel, and exits.
-            idle_first = min(
-                (len(w.assigned), wid)
-                for wid, w in self._workers.items() if not w.retiring
-            )
-            worker = self._workers[idle_first[1]]
-            worker.retiring = True
-            worker.task_queue.put(None)
-        self._target = workers
-        self._dispatch()
-        return self.workers
 
     def collect(self, timeout: float = 0.25) -> List[TaskOutcome]:
         outcomes: List[TaskOutcome] = []
@@ -483,10 +469,6 @@ class PoolBackend(Backend):
                 store=store, metrics=metrics, events=events,
                 run_seconds=run_seconds, telemetry=telemetry,
             ))
-        if tag == "exit":
-            if worker is not None:
-                del self._workers[worker_id]
-                worker.proc.join(timeout=5.0)
         return outcomes
 
     def _reap_dead(self) -> List[TaskOutcome]:
@@ -523,14 +505,12 @@ class PoolBackend(Backend):
                     error=f"worker {worker_id} died "
                           f"(exitcode {proc.exitcode})",
                 ))
-            if not worker.retiring:
-                self._spawn()  # heal: keep capacity at the requested size
+            self._spawn()  # heal: keep capacity at the requested size
         return outcomes
 
     def close(self) -> None:
         for worker in self._workers.values():
-            if not worker.retiring:
-                worker.task_queue.put(None)
+            worker.task_queue.put(None)
         for worker in self._workers.values():
             worker.proc.join(timeout=5.0)
             if worker.proc.is_alive():
@@ -543,135 +523,24 @@ class PoolBackend(Backend):
             self._results = None
 
 
-# -- file-queue (multi-node stub) ----------------------------------------------
-
-
-class QueueBackend(Backend):
-    """File-queue execution: the multi-node scale-out seam, stubbed.
-
-    ``submit`` serialises tasks into ``<root>/tasks/``; any number of
-    node processes (:func:`repro.sched.node.service_pending`, or
-    ``python -m repro.sched.node <root>``) claim task files by atomic
-    rename and write result bundles — the shard store as npz plus a JSON
-    sidecar of metrics/trace events — into ``<root>/results/``.
-    ``collect`` merges whatever bundles have landed.
-
-    As a stub, ``collect`` also services the spool in-process when no
-    external node has: the contract (serialise → execute elsewhere →
-    merge returned bundles) is exercised end-to-end on one machine.
-    """
-
-    name = "queue"
-
-    def __init__(self, root: Optional[Path] = None, service_batch: int = 1,
-                 service_inline: bool = True):
-        #: Spool directory (None: a private temp dir, removed on close).
-        self.root = Path(root) if root is not None else None
-        #: Tasks the stub services per ``collect`` (0 = all pending).
-        self.service_batch = service_batch
-        #: With False the stub never executes; only external nodes do.
-        self.service_inline = service_inline
-        self._owned = False
-        self._seen: set = set()
-        self._tasks: Dict[int, ShardTask] = {}
-        self._submitted = 0
-        #: Heartbeat counters for the inline servicing this backend does;
-        #: owning the ledger keeps worker beat sequences monotonic across
-        #: ``collect`` calls without module-level state in the node code.
-        self._ledger: Any = None
-
-    def open(self, config, want_trace: bool) -> None:
-        from repro.sched import node as _node
-
-        if self.root is None:
-            self.root = Path(tempfile.mkdtemp(prefix="repro-sched-queue-"))
-            self._owned = True
-        else:
-            self.root = Path(self.root)
-        self._ledger = _node.HeartbeatLedger()
-        _node.init_spool(self.root, config, want_trace)
-
-    def submit(self, task: ShardTask, attempt: int = 1) -> None:
-        from repro.sched import node as _node
-
-        self._tasks[task.index] = task
-        _node.enqueue_task(self.root, task, attempt)
-        self._submitted += 1
-
-    def collect(self, timeout: float = 0.25) -> List[TaskOutcome]:
-        from repro.sched import node as _node
-
-        if self.service_inline:
-            _node.service_pending(self.root, limit=self.service_batch or None,
-                                  ledger=self._ledger)
-        outcomes: List[TaskOutcome] = []
-        for index, attempt, payload in _node.read_results(
-                self.root, skip=self._seen):
-            self._seen.add((index, attempt))
-            task = self._tasks.get(index)
-            if task is None:
-                # A stale bundle from an earlier run against this spool.
-                continue
-            if payload.get("error"):
-                outcomes.append(TaskOutcome(
-                    task=task, attempt=attempt,
-                    worker=str(payload.get("worker", "node")),
-                    error=str(payload["error"]),
-                ))
-                continue
-            outcomes.append(TaskOutcome(
-                task=task, attempt=attempt,
-                worker=str(payload.get("worker", "node")),
-                store=payload["store"], metrics=payload.get("metrics"),
-                events=payload.get("events"),
-                run_seconds=float(payload.get("run_seconds", 0.0)),
-                telemetry=payload.get("telemetry"),
-            ))
-        return outcomes
-
-    def heartbeats(self) -> List[Dict]:
-        from repro.sched import node as _node
-
-        if self.root is None:
-            return []
-        # Nodes overwrite one heartbeat file per worker; re-reads repeat
-        # the latest beat and the scheduler's per-worker dedupe drops it.
-        return _node.read_heartbeats(self.root)
-
-    def resize(self, workers: int) -> int:
-        from repro.sched import node as _node
-
-        # The stub has no live nodes to scale; record the request so a
-        # real node fleet (or an operator) can act on it.
-        _node.write_desired_nodes(self.root, max(1, int(workers)))
-        return self.workers
-
-    @property
-    def workers(self) -> int:
-        return 1
-
-    def close(self) -> None:
-        if self._owned and self.root is not None:
-            shutil.rmtree(self.root, ignore_errors=True)
-            self.root = None
-            self._owned = False
-
-
 # -- factory -------------------------------------------------------------------
 
 #: CLI/API backend spellings -> constructor.
-BACKEND_NAMES = ("inline", "pool", "queue")
+BACKEND_NAMES = ("inline", "pool")
 
 
-def make_backend(name: str, workers: int = 1,
-                 queue_root: Optional[Path] = None) -> Backend:
+def default_backend(workers: int) -> str:
+    """The backend a run gets when none is named: inline for one worker
+    (no fork, no IPC), the pool for more."""
+    return "inline" if workers <= 1 else "pool"
+
+
+def make_backend(name: str, workers: int = 1) -> Backend:
     """A backend instance from its CLI spelling."""
     if name == "inline":
         return InlineBackend()
     if name == "pool":
         return PoolBackend(workers=workers)
-    if name == "queue":
-        return QueueBackend(root=queue_root)
     raise ValueError(
         f"unknown backend {name!r} (expected one of {', '.join(BACKEND_NAMES)})"
     )

@@ -2,7 +2,7 @@
 
 Where ``repro monitor`` watches *farm health* (pots, sessions, drift),
 ``top`` watches the *run itself*: per-worker heartbeat rows (state,
-current shard, throughput, RSS), stage progress against the work trace,
+current shard, throughput, RSS), stage progress against the task count,
 and the recent operational alert tail.  It consumes exactly the stream
 ``repro monitor`` tails — flight-recorder JSONL events — so a recorded
 ``--trace`` file replays in CI (``--once``) and a live sink can be

@@ -1,17 +1,17 @@
-"""The shard scheduler: drain a work trace through an execution backend.
+"""The shard scheduler: drain the plan's shard tasks through a backend.
 
 The :class:`Scheduler` owns every policy decision the backends do not:
 
-* **feeding** — tasks are submitted in (virtual) arrival order, windowed
-  so the backend queue stays short enough to react to;
-* **elasticity** — the worker pool grows when the backlog outruns it and
-  shrinks when the trace tail no longer needs it;
-* **retry** — a task that comes back as an error (worker death, node
-  crash) is re-queued with attempt+1 after a backoff measured in collect
-  cycles, up to ``max_attempts``;
-* **stragglers** — optionally, a task in flight far beyond the median
-  completion time is duplicated; the first result wins and late
-  duplicates are dropped.
+* **feeding** — tasks are submitted in the order given (plan index
+  order from :func:`generate_scheduled`), windowed so the backend queue
+  stays short enough to react to;
+* **retry** — a task that comes back as an error (a task exception or a
+  worker death) is re-queued with attempt+1 after a backoff measured in
+  collect cycles, up to ``max_attempts``;
+* **liveness** — worker heartbeats are folded in every round, a worker
+  silent past ``heartbeat_stale_seconds`` raises a stale-worker alert,
+  and the stall guard fails the run after ``stall_collects`` empty
+  rounds with work outstanding.
 
 None of this can change the output: every task's payload is a pure
 function of (config, shard key) via named rng streams, and the merge in
@@ -23,48 +23,39 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import get_metrics, stopwatch
 from repro.obs import trace as _trace
 from repro.obs.ledger import get_ledger
-from repro.sched.backends import Backend, TaskOutcome, make_backend
-from repro.sched.trace import (
+from repro.sched.backends import (
+    Backend,
     ShardTask,
-    WorkTrace,
-    build_trace,
-    matches_plan,
+    TaskOutcome,
+    default_backend,
+    make_backend,
 )
 
 
 class SchedulerError(RuntimeError):
-    """The trace could not be drained (exhausted retries or a stall)."""
+    """The tasks could not be drained (exhausted retries or a stall)."""
 
 
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Policy knobs for one scheduler run (all output-neutral)."""
 
-    #: Initial worker-pool size.
+    #: Worker-pool size; the pool keeps it from ``open`` to ``close``.
     workers: int = 1
-    #: Elastic floor/ceiling (``max_workers=0`` pins the pool at
-    #: ``workers`` — elasticity off).
-    min_workers: int = 1
-    max_workers: int = 0
     #: Attempts per task before the run fails (1 = no retry).
     max_attempts: int = 3
     #: Collect cycles to wait before re-queuing attempt ``n`` (doubles
     #: per failed attempt — the bounded backoff).
     retry_backoff_collects: int = 2
-    #: Grow when backlog exceeds this multiple of the current pool.
-    grow_backlog: float = 2.0
-    #: Duplicate a task in flight longer than this multiple of the median
-    #: completion time (0 = stragglers off).
-    straggler_factor: float = 0.0
     #: Longest single wait for results (seconds, passed to collect()).
     collect_timeout: float = 0.25
-    #: In-flight ceiling; 0 derives ``8 * max(workers, max_workers)`` —
-    #: enough to keep every pool worker's dispatch pipe full.
+    #: In-flight ceiling; 0 derives ``8 * workers`` — enough to keep
+    #: every pool worker's dispatch pipe full.
     feed_window: int = 0
     #: Abort after this many consecutive empty collects with work
     #: outstanding (a dead backend; ~10 min at the default timeout).
@@ -76,20 +67,17 @@ class SchedulerConfig:
     #: channel can name it.
     heartbeat_stale_seconds: float = 30.0
 
-    def resolved_max_workers(self) -> int:
-        return self.max_workers if self.max_workers > 0 else self.workers
-
     def resolved_feed_window(self) -> int:
         if self.feed_window > 0:
             return self.feed_window
-        return 8 * max(self.workers, self.resolved_max_workers())
+        return 8 * self.workers
 
 
 class _HeartbeatMonitor:
     """Parent-side view of worker liveness, fed from backend heartbeats.
 
-    Dedupes on each worker's monotonic ``beat`` counter (spool files and
-    re-drained queues may repeat a beat), keeps the freshest payload per
+    Dedupes on each worker's monotonic ``beat`` counter (a backend may
+    report the same beat twice), keeps the freshest payload per
     worker, and tracks silence: a worker unheard from for longer than
     ``stale_after`` while work is in flight is reported exactly once per
     silent episode (a fresh beat re-arms it).  Everything here is
@@ -145,47 +133,46 @@ class _HeartbeatMonitor:
 
 
 class Scheduler:
-    """Drains one :class:`WorkTrace` through one :class:`Backend`."""
+    """Drains one run's :class:`ShardTask` list through one :class:`Backend`."""
 
     def __init__(self, backend: Backend,
                  config: Optional[SchedulerConfig] = None):
         self.backend = backend
         self.config = config or SchedulerConfig()
 
-    def run(self, trace: WorkTrace, scenario_config,
+    def run(self, tasks: Sequence[ShardTask], scenario_config,
             want_trace: bool = False) -> List[TaskOutcome]:
         """Execute every task; outcomes returned in task-index order.
 
-        Raises :class:`SchedulerError` when a task exhausts its attempts
-        or the backend stalls.  The backend is opened and closed here.
+        ``tasks`` are submitted in the order given.  Raises
+        :class:`SchedulerError` when a task exhausts its attempts or the
+        backend stalls.  The backend is opened and closed here.
         """
         metrics = get_metrics()
         backend = self.backend
         backend.open(scenario_config, want_trace)
         try:
-            return self._drain(trace, metrics)
+            return self._drain(tasks, metrics)
         finally:
             backend.close()
 
     # -- the drain loop --------------------------------------------------------
 
-    def _drain(self, trace: WorkTrace, metrics) -> List[TaskOutcome]:
+    def _drain(self, tasks: Sequence[ShardTask],
+               metrics) -> List[TaskOutcome]:
         cfg = self.config
         backend = self.backend
         pending: Deque[Tuple[ShardTask, int]] = deque(
-            (task, 1) for task in trace.in_arrival_order()
+            (task, 1) for task in tasks
         )
-        by_index: Dict[int, ShardTask] = {t.index: t for t in trace.tasks}
         delayed: List[Tuple[int, ShardTask, int]] = []  # (eligible_cycle, ...)
         results: Dict[int, TaskOutcome] = {}
         watches: Dict[int, object] = {}   # index -> Stopwatch since submit
-        duplicated: set = set()
         inflight = 0
         cycle = 0
         idle_collects = 0
-        n_tasks = len(trace)
+        n_tasks = len(tasks)
         feed_window = cfg.resolved_feed_window()
-        max_workers = cfg.resolved_max_workers()
         heartbeats = _HeartbeatMonitor(cfg.heartbeat_stale_seconds)
         ledger = get_ledger()
 
@@ -222,24 +209,16 @@ class Scheduler:
 
             for outcome in outcomes:
                 inflight -= 1
-                index = outcome.task.index
-                if index in results:
-                    metrics.inc("sched.duplicates_dropped")
-                    continue
                 if outcome.ok:
                     self._complete(outcome, metrics, watches)
-                    results[index] = outcome
+                    results[outcome.task.index] = outcome
                 else:
                     delayed = self._retry(outcome, cycle, delayed, metrics)
 
-            inflight += self._requeue_stragglers(
-                by_index, results, watches, duplicated, metrics
-            )
-            outstanding = len(pending) + len(delayed) + inflight
-            self._rebalance(outstanding, max_workers, metrics)
-            metrics.gauge_max("sched.backlog_peak", outstanding)
+            metrics.gauge_max("sched.backlog_peak",
+                              len(pending) + len(delayed) + inflight)
 
-        return [results[i] for i in range(n_tasks)]
+        return [results[index] for index in sorted(results)]
 
     # -- steps -----------------------------------------------------------------
 
@@ -323,78 +302,23 @@ class Scheduler:
         )
         return delayed + [(cycle + backoff, task, attempt + 1)]
 
-    def _requeue_stragglers(self, by_index: Dict, results: Dict,
-                            watches: Dict, duplicated: set, metrics) -> int:
-        """Duplicate tasks stuck far beyond the median; returns # added.
-
-        Duplicates race the original attempt; payloads are identical by
-        construction, so the first result wins and the loser is dropped by
-        the dedupe in :meth:`_drain`.
-        """
-        cfg = self.config
-        if cfg.straggler_factor <= 0 or len(results) < 4:
-            return 0
-        elapsed = sorted(watches[i].elapsed() for i in results)
-        median = elapsed[len(elapsed) // 2]
-        threshold = cfg.straggler_factor * max(median, 1e-6)
-        added = 0
-        for index, watch in watches.items():
-            if index in results or index in duplicated:
-                continue
-            if watch.elapsed() > threshold:
-                duplicated.add(index)
-                # Same attempt number: this is the same work, raced.
-                self.backend.submit(by_index[index], 1)
-                metrics.inc("sched.stragglers_requeued")
-                metrics.inc("sched.tasks_submitted")
-                added += 1
-        return added
-
-    def _rebalance(self, outstanding: int, max_workers: int,
-                   metrics) -> None:
-        """Grow when outstanding work outruns the pool, shrink at the tail.
-
-        ``outstanding`` counts everything not yet completed (queued,
-        delayed for retry, in flight) — capacity has to track total work
-        remaining, not just the unsubmitted backlog, or a wide feed
-        window would hide the queue from the policy.
-        """
-        backend = self.backend
-        if not backend.elastic:
-            return
-        cfg = self.config
-        current = backend.workers
-        metrics.gauge_max("sched.workers_peak", current)
-        if outstanding > cfg.grow_backlog * current \
-                and current < max_workers:
-            backend.resize(current + 1)
-            metrics.inc("sched.workers_grown")
-        elif outstanding < current and current > cfg.min_workers:
-            backend.resize(current - 1)
-            metrics.inc("sched.workers_shrunk")
-
-
 # -- scheduled generation ------------------------------------------------------
 
 
 def generate_scheduled(
     config=None,
     *,
-    backend: Union[str, Backend] = "pool",
+    backend: Union[str, Backend, None] = None,
     workers: int = 1,
-    trace_file=None,
-    arrival_rate: Optional[float] = None,
     sched: Optional[SchedulerConfig] = None,
-    work_trace: Optional[WorkTrace] = None,
 ):
-    """Generate the sharded trace by draining a work trace through a backend.
+    """Generate the sharded trace by draining the plan's shards through a
+    backend.
 
-    The store is byte-identical for every backend, worker count and
-    arrival order: shards draw from named rng streams and merge in task
-    index order.  ``backend`` is a name (``inline`` / ``pool`` /
-    ``queue``) or a :class:`Backend` instance; ``trace_file`` replays an
-    existing work-trace JSONL (it must name this plan's shards) or, if
-    the path does not exist, records the built trace there.
+    The store is byte-identical for every backend and worker count:
+    shards draw from named rng streams and merge in task index order.
+    ``backend`` is a name (``inline`` / ``pool``), a :class:`Backend`
+    instance, or None for inline at one worker and the pool above that.
     """
     from repro.workload.config import ScenarioConfig
     from repro.workload.shards import _plan_for
@@ -402,10 +326,7 @@ def generate_scheduled(
     config = config or ScenarioConfig()
     workers = max(1, int(workers))
     backend_obj = backend if isinstance(backend, Backend) \
-        else make_backend(backend, workers=workers)
-    # Default policy: a fixed-size pool (max_workers=0 pins capacity at
-    # ``workers``, matching the pre-scheduler pool); elasticity is opt-in
-    # through an explicit SchedulerConfig.
+        else make_backend(backend or default_backend(workers), workers=workers)
     sched_cfg = sched or SchedulerConfig(workers=workers)
 
     metrics = get_metrics()
@@ -413,31 +334,26 @@ def generate_scheduled(
         with metrics.span("plan"):
             plan = _plan_for(config)
         shards = plan.shards
-        with metrics.span("sched/trace"):
-            trace = _resolve_trace(
-                plan, config, trace_file, arrival_rate, work_trace
-            )
+        tasks = [
+            ShardTask(index=i, kind=shard.kind, key=shard.key,
+                      start=shard.start, stop=shard.stop)
+            for i, shard in enumerate(shards)
+        ]
         metrics.gauge_set("shards.count", len(shards))
         metrics.gauge_set("shards.workers", workers)
-        metrics.gauge_set("sched.arrival_rate", trace.lam)
-        metrics.gauge_set("sched.trace_makespan_virtual",
-                          trace.makespan_virtual)
         # No backend name in the event data: the combined trace must be
         # identical whichever backend (and worker count) executed it.
-        _trace.emit("sched.trace.built", tasks=len(trace), lam=trace.lam)
+        _trace.emit("sched.trace.built", tasks=len(tasks))
         ledger = get_ledger()
         if ledger is not None:
-            ledger.record_sched(
-                backend=backend_obj.name, workers=workers,
-                tasks=len(trace), lam=trace.lam,
-                makespan_virtual=trace.makespan_virtual,
-            )
+            ledger.record_sched(backend=backend_obj.name, workers=workers,
+                                tasks=len(tasks))
         tracer = _trace.get_tracer()
         want_trace = tracer is not None
         emit_watch = stopwatch()
         with metrics.span("emit"):
             outcomes = Scheduler(backend_obj, sched_cfg).run(
-                trace, config, want_trace
+                tasks, config, want_trace
             )
         emit_wall = emit_watch.elapsed()
         # Fold worker-side metrics and trace events in task-index order —
@@ -473,28 +389,3 @@ def generate_scheduled(
         _trace.emit("generate.merged", shards=len(shards),
                     workers=workers, sessions=len(merged))
     return plan.gen._finalize(merged)
-
-
-def _resolve_trace(plan, config, trace_file, arrival_rate,
-                   work_trace) -> WorkTrace:
-    """The trace to drain: given > replayed from file > freshly built."""
-    if work_trace is not None:
-        trace = work_trace
-    elif trace_file is not None and _exists(trace_file):
-        trace = WorkTrace.load_jsonl(trace_file)
-        if not matches_plan(trace, plan):
-            raise ValueError(
-                f"{trace_file}: work trace does not match this config's "
-                f"shard plan (regenerate it, or drop --trace-file)"
-            )
-    else:
-        trace = build_trace(plan, config, lam=arrival_rate)
-        if trace_file is not None:
-            trace.save_jsonl(trace_file)
-    return trace
-
-
-def _exists(path) -> bool:
-    from pathlib import Path
-
-    return Path(path).exists()

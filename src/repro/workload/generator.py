@@ -976,8 +976,8 @@ def generate_dataset(
     memoises the result on disk exactly as before.
 
     New code should call :func:`repro.generate`, which exposes the
-    scheduler's backend seam (``inline`` / ``pool`` / ``queue``) instead
-    of a bare process count.
+    scheduler's backend seam (``inline`` / ``pool``) instead of a bare
+    process count.
     """
     import warnings
 
@@ -989,10 +989,5 @@ def generate_dataset(
     from repro.api import generate
 
     if workers is None:
-        backend = "serial"
-        workers_opt = None
-    else:
-        backend = "inline" if int(workers) == 1 else "pool"
-        workers_opt = max(1, int(workers))
-    return generate(config, backend=backend, workers=workers_opt,
-                    cache=cache)
+        return generate(config, backend="serial", cache=cache)
+    return generate(config, workers=max(1, int(workers)), cache=cache)

@@ -208,27 +208,6 @@ class ShardPlan:
                 shards.append(Shard(cat, cat, lo, n_days))
         return shards
 
-    def shard_cost(self, shard: Shard) -> float:
-        """Planned session count for one shard — the scheduler's relative
-        cost signal (estimated, not authoritative: emission may dedupe)."""
-        if shard.kind == "campaign":
-            campaign = self.campaigns_by_id[shard.key]
-            days = sorted(campaign.schedule)
-            return float(sum(
-                campaign.schedule[day]
-                for day in days[shard.start:shard.stop]
-            ))
-        if shard.kind == "campaign_group":
-            return float(sum(
-                r.total_sessions
-                for r in self.gen.realized[shard.start:shard.stop]
-            ))
-        if shard.kind == "singletons":
-            # One session per writer is the plan's floor; close enough to
-            # rank singleton shards against each other.
-            return float(shard.stop - shard.start)
-        return float(self.budgets[shard.kind][shard.start:shard.stop].sum())
-
 
 def emit_shard(plan: ShardPlan, shard: Shard) -> SessionStore:
     """Emit one shard into a frozen store with tables forked from the plan."""
@@ -354,11 +333,9 @@ def generate_sharded(
     :func:`repro.sched.scheduler.generate_scheduled` — ``workers == 1``
     runs the in-process :class:`~repro.sched.backends.InlineBackend`,
     anything larger the multiprocess pool (the pool this module used to
-    hard-wire).  Pick other backends through :func:`repro.api.generate`.
+    hard-wire).  Pick the backend explicitly through
+    :func:`repro.api.generate`.
     """
     from repro.sched.scheduler import generate_scheduled
 
-    config = config or ScenarioConfig()
-    workers = max(1, int(workers))
-    backend = "inline" if workers == 1 else "pool"
-    return generate_scheduled(config, backend=backend, workers=workers)
+    return generate_scheduled(config, workers=workers)

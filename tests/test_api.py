@@ -16,11 +16,11 @@ class TestRunOptions:
     def test_frozen(self):
         options = RunOptions()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            options.backend = "queue"
+            options.backend = "pool"
 
     def test_defaults(self):
         options = RunOptions()
-        assert options.backend == "pool"
+        assert options.backend is None
         assert options.workers is None
         assert options.cache is None
 
@@ -42,11 +42,19 @@ class TestRunOptions:
         monkeypatch.delenv(WORKERS_ENV_VAR)
         assert RunOptions().resolved_workers() == 1
 
+    def test_default_backend_follows_resolved_workers(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        assert RunOptions().resolved_backend() == "inline"
+        assert RunOptions(workers=2).resolved_backend() == "pool"
+        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
+        assert RunOptions().resolved_backend() == "pool"
+        assert RunOptions(backend="serial").resolved_backend() == "serial"
+
     def test_derivable_with_replace(self):
         base = RunOptions()
-        variant = dataclasses.replace(base, backend="queue", workers=2)
-        assert (variant.backend, variant.workers) == ("queue", 2)
-        assert base.backend == "pool"
+        variant = dataclasses.replace(base, backend="pool", workers=2)
+        assert (variant.backend, variant.workers) == ("pool", 2)
+        assert base.backend is None
 
 
 class TestGenerate:

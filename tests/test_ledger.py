@@ -26,12 +26,11 @@ from repro.obs import (
     validate_ledger,
 )
 from repro.obs.ledger import LEDGER_VERSION, RECORD_TYPES, VOLATILE_FIELDS
-from repro.sched.trace import ShardTask
+from repro.sched.backends import ShardTask
 
 
 def _task(index: int, key: str = "k") -> ShardTask:
-    return ShardTask(index=index, kind="bg", key=key, start=0, stop=10,
-                     est_cost=10.0, arrival=float(index))
+    return ShardTask(index=index, kind="bg", key=key, start=0, stop=10)
 
 
 def _record_task(ledger: RunLedger, index: int, **kw) -> None:
@@ -51,8 +50,7 @@ class TestAssembly:
         with use_metrics():
             ledger = RunLedger()
             ledger.begin_run("generate")
-            ledger.record_sched(backend="pool", workers=2, tasks=2,
-                                lam=0.5, makespan_virtual=4.0)
+            ledger.record_sched(backend="pool", workers=2, tasks=2)
             _record_task(ledger, 1)
             _record_task(ledger, 0)
             ledger.record_heartbeat({"worker": "w", "beat": 1})
@@ -68,7 +66,7 @@ class TestAssembly:
         assert kinds == ["ledger", "run", "env", "sched", "stage",
                         "task", "task", "heartbeat", "alert",
                         "artifact", "final"]
-        # arrival order was 1 then 0; assembly is index order
+        # recording order was 1 then 0; assembly is index order
         assert [r["index"] for r in records if r["record"] == "task"] \
             == [0, 1]
         assert validate_ledger(records) == []

@@ -10,6 +10,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.lint import load_baseline, render_text, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -18,8 +20,21 @@ BASELINE = REPO_ROOT / "lint_baseline.json"
 TRAJECTORY = REPO_ROOT / "BENCH_trajectory.json"
 
 
-def test_src_tree_is_lint_clean():
+def _trajectory_digest() -> str:
+    return hashlib.sha256(TRAJECTORY.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def lint_run():
+    """One whole-program lint of ``src/``, shared by the tests below,
+    with the trajectory digest taken before and after it."""
+    before = _trajectory_digest()
     result = run_lint([SRC], baseline=BASELINE)
+    return result, before, _trajectory_digest()
+
+
+def test_src_tree_is_lint_clean(lint_run):
+    result, _, _ = lint_run
     assert result.files > 0
     assert result.findings == [], "\n" + render_text(result.findings)
 
@@ -30,10 +45,8 @@ def test_checked_in_baseline_is_empty():
     assert load_baseline(BASELINE) == {}
 
 
-def test_lint_run_does_not_touch_benchmark_trajectory():
-    before = hashlib.sha256(TRAJECTORY.read_bytes()).hexdigest()
-    run_lint([SRC], baseline=BASELINE)
-    after = hashlib.sha256(TRAJECTORY.read_bytes()).hexdigest()
+def test_lint_run_does_not_touch_benchmark_trajectory(lint_run):
+    _, before, after = lint_run
     assert before == after
     # and it still parses — a lint run must never corrupt artifacts
     json.loads(TRAJECTORY.read_text())

@@ -435,16 +435,15 @@ class TestWorkerMetricsMerge:
     @staticmethod
     def _invariant_counters(metrics: Metrics):
         # Excluded: engine/honeypot profiling (script-profile caches are
-        # per-process) and the scheduler's physical accounting (pool
-        # resizes, retries, straggler duplicates and worker heartbeats
-        # vary with the backend).  sched.tasks_submitted/completed stay
-        # in: one attempt per shard whatever the worker count.
+        # per-process) and the scheduler's physical accounting (retries
+        # and worker heartbeats vary with the backend).
+        # sched.tasks_submitted/completed stay in: one attempt per shard
+        # whatever the worker count.
         return {
             name: value for name, value in metrics.counters.items()
             if not name.startswith((
-                "engine.", "honeypot.", "sched.workers_",
-                "sched.tasks_retried", "sched.stragglers",
-                "sched.duplicates", "sched.heartbeat.",
+                "engine.", "honeypot.", "sched.tasks_retried",
+                "sched.heartbeat.",
             ))
         }
 

@@ -2,15 +2,10 @@
 
 The contract under test: scheduling is output-neutral.  Whatever backend
 runs the shards, however many workers it uses, in whatever order tasks
-arrive, and however many attempts a task needs, the merged store is
+are submitted, and however many attempts a task needs, the merged store is
 byte-identical to the in-process golden path (sha256 over the persisted
 npz content, the same identity PRs 3/5 checked for worker counts).
 """
-
-import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,26 +15,18 @@ import repro.workload.shards as shards
 from repro.sched import (
     InlineBackend,
     PoolBackend,
-    QueueBackend,
     Scheduler,
     SchedulerConfig,
     SchedulerError,
     ShardTask,
     TaskOutcome,
-    WorkTrace,
-    build_trace,
     generate_scheduled,
     make_backend,
-    matches_plan,
 )
 from repro.workload.config import ScenarioConfig
-from repro.workload.generator import TraceGenerator
 from repro.workload.shards import ShardPlan
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-#: Small enough to generate in a couple of seconds, large enough for a
-#: three-figure shard count (real scheduling pressure).
+#: Small enough to generate in a couple of seconds; 22 shards at 1/80000.
 CONFIG = ScenarioConfig(scale=1 / 80000, seed=7, hash_scale=0.004)
 
 
@@ -56,95 +43,12 @@ def reference_digest() -> str:
     return dataset.store.content_digest()
 
 
-# -- the work trace ------------------------------------------------------------
-
-
-class TestWorkTrace:
-    def test_deterministic_for_a_config(self, plan):
-        assert build_trace(plan, CONFIG) == build_trace(plan, CONFIG)
-
-    def test_seed_changes_arrivals_not_tasks(self, plan):
-        base = build_trace(plan, CONFIG)
-        other_config = ScenarioConfig(
-            scale=CONFIG.scale, seed=CONFIG.seed + 1,
-            hash_scale=CONFIG.hash_scale,
-        )
-        other = build_trace(plan, other_config)
-        assert [t.key for t in base.tasks] == [t.key for t in other.tasks]
-        assert [t.arrival for t in base.tasks] != \
-            [t.arrival for t in other.tasks]
-
-    def test_first_arrival_is_zero_and_offsets_increase(self, plan):
-        trace = build_trace(plan, CONFIG)
-        arrivals = [t.arrival for t in trace.tasks]
-        assert arrivals[0] == 0.0
-        assert arrivals == sorted(arrivals)
-        assert trace.makespan_virtual == arrivals[-1]
-
-    def test_est_cost_covers_planned_sessions(self, plan):
-        trace = build_trace(plan, CONFIG)
-        assert all(t.est_cost >= 0 for t in trace.tasks)
-        assert trace.total_cost > 0
-
-    def test_matches_plan(self, plan):
-        trace = build_trace(plan, CONFIG)
-        assert matches_plan(trace, plan)
-        truncated = WorkTrace(tasks=trace.tasks[:-1], lam=trace.lam,
-                              seed=trace.seed)
-        assert not matches_plan(truncated, plan)
-
-    def test_jsonl_roundtrip(self, plan, tmp_path):
-        trace = build_trace(plan, CONFIG, lam=8.0)
-        path = tmp_path / "trace.jsonl"
-        trace.save_jsonl(path)
-        assert WorkTrace.load_jsonl(path) == trace
-
-    def test_load_rejects_bad_version(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps({"version": 99, "n_tasks": 0}) + "\n")
-        with pytest.raises(ValueError, match="version"):
-            WorkTrace.load_jsonl(path)
-
-    def test_with_arrival_order_is_a_permutation(self, plan):
-        trace = build_trace(plan, CONFIG)
-        reordered = trace.with_arrival_order(
-            list(range(len(trace)))[::-1]
-        )
-        assert sorted(t.arrival for t in reordered.tasks) == \
-            sorted(t.arrival for t in trace.tasks)
-        assert [t.key for t in reordered.tasks] == \
-            [t.key for t in trace.tasks]
-        first = reordered.in_arrival_order()[0]
-        assert first.index == len(trace) - 1
-
-    def test_replayed_trace_must_match_plan(self, plan, tmp_path):
-        trace = build_trace(plan, CONFIG)
-        stale = WorkTrace(tasks=trace.tasks[:10], lam=trace.lam,
-                          seed=trace.seed)
-        path = tmp_path / "stale.jsonl"
-        stale.save_jsonl(path)
-        with pytest.raises(ValueError, match="does not match"):
-            generate_scheduled(CONFIG, backend="inline", workers=1,
-                               trace_file=path)
-
-    def test_trace_file_records_then_replays(self, tmp_path,
-                                             reference_digest):
-        path = tmp_path / "run.jsonl"
-        first = generate_scheduled(CONFIG, backend="inline",
-                                   trace_file=path)
-        assert path.exists()
-        replayed = generate_scheduled(CONFIG, backend="inline",
-                                      trace_file=path)
-        assert first.store.content_digest() == reference_digest
-        assert replayed.store.content_digest() == reference_digest
-
-
 # -- backend conformance: byte-identical stores --------------------------------
 
 
 class TestBackendConformance:
     @pytest.mark.parametrize("backend,workers", [
-        ("pool", 1), ("pool", 2), ("pool", 4), ("queue", 1),
+        ("pool", 1), ("pool", 2), ("pool", 4),
     ])
     def test_store_byte_identical_to_inline(self, backend, workers,
                                             reference_digest):
@@ -155,43 +59,30 @@ class TestBackendConformance:
     def test_make_backend_spellings(self):
         assert isinstance(make_backend("inline"), InlineBackend)
         assert isinstance(make_backend("pool", workers=3), PoolBackend)
-        assert isinstance(make_backend("queue"), QueueBackend)
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("carrier-pigeon")
 
-    def test_queue_backend_serves_external_nodes(self, plan, tmp_path,
-                                                 reference_digest):
-        """The multi-node seam end-to-end: tasks spooled to disk, drained
-        by ``python -m repro.sched.node`` in a separate process, bundles
-        merged back — still byte-identical."""
-        backend = QueueBackend(root=tmp_path / "spool",
-                               service_inline=False)
-        trace = build_trace(plan, CONFIG)
-        backend.open(CONFIG, want_trace=False)
-        for task in trace.tasks:
-            backend.submit(task)
-        import os
+    def test_pool_keeps_its_capacity_until_close(self, reference_digest):
+        class CountingPool(PoolBackend):
+            """Records the live worker count each round and at close."""
 
-        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.sched.node",
-             str(tmp_path / "spool"), "--worker", "test-node"],
-            capture_output=True, text=True, cwd=REPO_ROOT, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert f"serviced {len(trace)} task(s)" in proc.stderr
-        outcomes = backend.collect(timeout=0.0)
-        backend.close()
-        assert sorted(o.task.index for o in outcomes) == \
-            list(range(len(trace)))
-        assert {o.worker for o in outcomes} == {"test-node"}
-        merged = plan.gen.builder.fork_tables()
-        for outcome in sorted(outcomes, key=lambda o: o.task.index):
-            merged.adopt_store(outcome.store)
-        assert merged.build().content_digest() == reference_digest
+            sizes: set = set()
+
+            def collect(self, timeout: float = 0.25):
+                self.sizes.add(self.workers)
+                return super().collect(timeout)
+
+            def close(self):
+                self.sizes.add(self.workers)
+                super().close()
+
+        backend = CountingPool(workers=2)
+        dataset = generate_scheduled(CONFIG, backend=backend, workers=2)
+        assert dataset.store.content_digest() == reference_digest
+        assert backend.sizes == {2}
 
 
-# -- scheduler policy: elasticity, retry, stragglers ---------------------------
+# -- scheduler policy: retry, stall guard --------------------------------------
 
 
 class FlakyBackend(InlineBackend):
@@ -214,41 +105,7 @@ class FlakyBackend(InlineBackend):
         return super().collect(timeout)
 
 
-class BlackHoleBackend(InlineBackend):
-    """Inline execution that swallows one task's first submission —
-    a hung worker, as seen from the scheduler."""
-
-    name = "black-hole"
-
-    def __init__(self, hold_index: int):
-        super().__init__()
-        self.hold_index = hold_index
-        self.held = False
-
-    def collect(self, timeout: float = 0.25):
-        if self._pending and not self.held \
-                and self._pending[0][0].index == self.hold_index:
-            self._pending.pop(0)
-            self.held = True
-            return []
-        return super().collect(timeout)
-
-
 class TestSchedulerPolicy:
-    def test_elastic_pool_grows_and_shrinks_mid_trace(self,
-                                                      reference_digest):
-        from repro.obs import use_metrics
-
-        sched = SchedulerConfig(workers=1, min_workers=1, max_workers=3,
-                                grow_backlog=2.0)
-        with use_metrics() as metrics:
-            dataset = generate_scheduled(CONFIG, backend="pool",
-                                         workers=1, sched=sched)
-        assert dataset.store.content_digest() == reference_digest
-        assert metrics.counter("sched.workers_grown") >= 2
-        assert metrics.counter("sched.workers_shrunk") >= 1
-        assert metrics.gauges["sched.workers_peak"] == 3
-
     def test_retry_recovers_from_task_error(self, reference_digest):
         from repro.obs import use_metrics
 
@@ -267,18 +124,6 @@ class TestSchedulerPolicy:
                 CONFIG, backend=FlakyBackend(fail_index=2, fail_times=99),
                 sched=sched,
             )
-
-    def test_straggler_requeue_completes_around_hung_task(
-            self, reference_digest):
-        from repro.obs import use_metrics
-
-        sched = SchedulerConfig(straggler_factor=1e-6)
-        with use_metrics() as metrics:
-            dataset = generate_scheduled(
-                CONFIG, backend=BlackHoleBackend(hold_index=5), sched=sched,
-            )
-        assert dataset.store.content_digest() == reference_digest
-        assert metrics.counter("sched.stragglers_requeued") >= 1
 
     def test_pool_worker_death_is_retried(self, tmp_path, monkeypatch,
                                           reference_digest):
@@ -310,22 +155,26 @@ class TestSchedulerPolicy:
         n = len(plan.shards)
         assert metrics.counter("sched.tasks_submitted") == n
         assert metrics.counter("sched.tasks_completed") == n
-        assert metrics.gauges["sched.arrival_rate"] > 0
 
 
-# -- arrival-order invariance (property) ---------------------------------------
+# -- submission-order invariance (property) ------------------------------------
 
 
-class TestArrivalOrderInvariance:
+class TestSubmissionOrderInvariance:
     @settings(max_examples=5, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_permuting_inter_arrivals_never_changes_store(
+    def test_permuted_submission_never_changes_store(
             self, data, plan, reference_digest):
-        trace = build_trace(plan, CONFIG)
-        order = data.draw(st.permutations(list(range(len(trace)))))
-        dataset = generate_scheduled(
-            CONFIG, backend="inline",
-            work_trace=trace.with_arrival_order(order),
-        )
-        assert dataset.store.content_digest() == reference_digest
+        tasks = [
+            ShardTask(index=i, kind=shard.kind, key=shard.key,
+                      start=shard.start, stop=shard.stop)
+            for i, shard in enumerate(plan.shards)
+        ]
+        order = data.draw(st.permutations(tasks))
+        outcomes = Scheduler(InlineBackend()).run(order, CONFIG)
+        assert [o.task.index for o in outcomes] == list(range(len(tasks)))
+        builder = plan.gen.builder.fork_tables()
+        for outcome in outcomes:
+            builder.adopt_store(outcome.store)
+        assert builder.build().content_digest() == reference_digest
