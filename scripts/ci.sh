@@ -76,12 +76,12 @@ else
     echo "pytest-cov not installed; skipping (pip install -e '.[dev]' to enable)"
 fi
 
-echo "== streaming-vs-batch smoke (exact aggregates must match bit for bit) =="
+echo "== streaming-vs-batch smoke (exact aggregates bit for bit; store == event intake) =="
 python - <<'PY'
 import numpy as np
 
 import repro
-from repro.analytics import StreamingAnalytics
+from repro.analytics import StreamingAnalytics, replay_store_events
 from repro.core.classify import CATEGORIES, classify_store
 from repro.core.timeseries import daily_totals
 
@@ -102,8 +102,14 @@ for code, category in enumerate(CATEGORIES):
 batch_daily = daily_totals(store)
 if not np.array_equal(analytics.sessions_per_day(len(batch_daily)), batch_daily):
     raise SystemExit("sessions-per-day diverged between streaming and batch")
+# __eq__ compares every sketch: HLL registers, count-min tables, top-k.
+by_events = StreamingAnalytics()
+by_events.feed_many(replay_store_events(store))
+if by_events != analytics:
+    raise SystemExit("ingest_store and feed_many(replay_store_events) "
+                     "left different StreamingAnalytics state")
 print(f"streaming-vs-batch ok ({analytics.session_count():,} sessions, "
-      f"mix + daily totals exact)")
+      f"mix + daily totals exact, store intake == event intake)")
 PY
 
 echo "== scalar-vs-block emit-path smoke (stores byte-identical) =="

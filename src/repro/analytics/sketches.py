@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
@@ -68,9 +69,14 @@ Key = TypeVar("Key", int, str)
 KeyLike = Union[int, str]
 
 _U64 = np.uint64
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# SplitMix64 constants as Python ints (scalar path) and uint64 (batch path).
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MIX_1_INT = 0xBF58476D1CE4E5B9
+_MIX_2_INT = 0x94D049BB133111EB
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_MIX_1 = np.uint64(_MIX_1_INT)
+_MIX_2 = np.uint64(_MIX_2_INT)
+_GOLDEN = np.uint64(_GOLDEN_INT)
 
 
 def _mix64(values: np.ndarray, seed: int) -> np.ndarray:
@@ -79,7 +85,7 @@ def _mix64(values: np.ndarray, seed: int) -> np.ndarray:
     Vectorised and branch-free; numpy uint64 arithmetic wraps modulo
     2**64, which is exactly the splitmix semantics.
     """
-    x = np.asarray(values, dtype=_U64) + (_U64(seed & 0xFFFFFFFFFFFFFFFF) ^ _GOLDEN)
+    x = np.asarray(values, dtype=_U64) + (_U64(seed & _MASK64) ^ _GOLDEN)
     x = (x ^ (x >> _U64(30))) * _MIX_1
     x = (x ^ (x >> _U64(27))) * _MIX_2
     return x ^ (x >> _U64(31))
@@ -94,19 +100,46 @@ def _hash_str(value: str, seed: int) -> int:
 
 
 def hash_key(value: KeyLike, seed: int) -> int:
-    """Seeded 64-bit hash of an int or str key."""
+    """Seeded 64-bit hash of one int or str key, in plain Python ints.
+
+    Strings take the seeded blake2b path of :func:`hash_keys`.  Ints run
+    the same SplitMix64 finalizer as :func:`_mix64`, with every step
+    masked to 64 bits, so ``hash_key(v, s) == int(hash_keys([v], s)[0])``
+    without building a one-element array.  Ints outside ``[0, 2**64)``
+    raise ``OverflowError``, as the uint64 conversion of the batch path
+    does.
+    """
     if isinstance(value, str):
         return _hash_str(value, seed)
-    return int(_mix64(np.asarray([value], dtype=_U64), seed)[0])
+    x = operator.index(value)
+    if not 0 <= x <= _MASK64:
+        raise OverflowError(f"hash key {x} out of bounds for uint64")
+    x = (x + ((seed & _MASK64) ^ _GOLDEN_INT)) & _MASK64
+    x = ((x ^ (x >> 30)) * _MIX_1_INT) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX_2_INT) & _MASK64
+    return x ^ (x >> 31)
 
 
 def hash_keys(values: Sequence[KeyLike], seed: int) -> np.ndarray:
-    """Seeded 64-bit hashes for a sequence of keys (uint64 array)."""
+    """Seeded 64-bit hashes for a sequence of keys (uint64 array).
+
+    All keys must be of one kind: a mix of str and int keys raises
+    ``TypeError`` (an int hashed as its decimal string would disagree
+    with :func:`hash_key`).
+    """
     if len(values) == 0:
         return np.empty(0, dtype=_U64)
-    if isinstance(values[0], str):
+    kinds = [
+        issubclass(kind, str) for kind in dict.fromkeys(map(type, values))
+    ]
+    if all(kinds):
         return np.asarray(
             [_hash_str(v, seed) for v in values], dtype=_U64
+        )
+    if any(kinds):
+        raise TypeError(
+            "hash_keys got a mix of str and non-str keys; "
+            "hash each kind in its own call"
         )
     return _mix64(np.asarray(values, dtype=_U64), seed)
 
@@ -161,7 +194,19 @@ class HyperLogLog:
         return 1.04 / math.sqrt(self.m)
 
     def add(self, value: KeyLike) -> None:
-        self.add_hashes(hash_keys([value], self.seed))
+        self.add_hash(hash_key(value, self.seed))
+
+    def add_hash(self, h: int) -> None:
+        """Fold one pre-hashed value (from :func:`hash_key`) in.
+
+        The scalar twin of :meth:`add_hashes`, in plain ints: the same
+        register index and the same capped rank, bit for bit.
+        """
+        p = self.p
+        idx = h >> (64 - p)
+        rank = min(65 - ((h << p) & _MASK64).bit_length(), 65 - p)
+        if rank > self.registers[idx]:
+            self.registers[idx] = rank
 
     def add_many(self, values: Sequence[KeyLike]) -> None:
         self.add_hashes(hash_keys(values, self.seed))
@@ -268,7 +313,12 @@ class CountMinSketch:
         ]
 
     def add(self, value: KeyLike, count: int = 1) -> None:
-        self.add_many([value], [count])
+        """Add ``count`` to one key; same cells as :meth:`add_many`."""
+        count = int(count)
+        width = self.width
+        for row, row_seed in enumerate(self.row_seeds):
+            self.table[row, hash_key(value, row_seed) % width] += count
+        self.total += count
 
     def add_many(
         self, values: Sequence[KeyLike], counts: Optional[Sequence[int]] = None
@@ -286,8 +336,10 @@ class CountMinSketch:
 
     def estimate(self, value: KeyLike) -> int:
         """Point estimate for one key (min over rows; overestimate)."""
-        idx = self._indices([value])
-        return int(min(self.table[row][i[0]] for row, i in enumerate(idx)))
+        return int(min(
+            self.table[row, hash_key(value, row_seed) % self.width]
+            for row, row_seed in enumerate(self.row_seeds)
+        ))
 
     def error_bound(self) -> float:
         """``epsilon * total``: the additive slack at confidence 1-delta."""

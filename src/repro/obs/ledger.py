@@ -321,14 +321,26 @@ class RunLedger:
         return records
 
     def write_jsonl(self, path) -> int:
-        """Write the manifest as JSON lines; returns the record count."""
+        """Write the manifest as JSON lines; returns the record count.
+
+        The write is atomic: records go to a sibling staging file that
+        replaces ``path`` only once complete, so a failure mid-write
+        leaves any previous ledger at ``path`` untouched and no staging
+        file behind.
+        """
         records = self.to_records()
         target = Path(path)
         if target.parent != Path(""):
             target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        staging = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            with open(staging, "w", encoding="utf-8") as fh:
+                for record in records:
+                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+            os.replace(staging, target)
+        finally:
+            if staging.exists():
+                staging.unlink()
         get_metrics().inc("ledger.writes")
         get_metrics().inc("ledger.records", len(records))
         return len(records)

@@ -12,7 +12,9 @@ inputs those guarantees are *not* made for.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -71,6 +73,145 @@ class TestHashing:
 
     def test_empty_input(self):
         assert len(hash_keys([], 1)) == 0
+
+    @pytest.mark.parametrize("value", [-1, 2**64])
+    def test_hash_key_rejects_ints_outside_uint64(self, value):
+        with pytest.raises(OverflowError):
+            hash_key(value, 123)
+        with pytest.raises(OverflowError):
+            hash_keys([value], 123)
+
+    @pytest.mark.parametrize("values", [["a", 1], [1, "a"], [0, 1, "x", 2]])
+    def test_hash_keys_rejects_mixed_str_and_int(self, values):
+        with pytest.raises(TypeError, match="str"):
+            hash_keys(values, 123)
+        with pytest.raises(TypeError):
+            HyperLogLog(SEED, "t", 8).add_many(values)
+        with pytest.raises(TypeError):
+            CountMinSketch(SEED, "c", 64, 3).add_many(values)
+
+    def test_hash_keys_accepts_int_arrays(self):
+        values = np.array([0, 7, 2**40], dtype=np.int64)
+        assert [int(v) for v in hash_keys(values, 5)] == \
+            [hash_key(int(v), 5) for v in values]
+
+
+u64_keys = st.integers(min_value=0, max_value=2**64 - 1)
+scalar_key_lists = st.one_of(
+    st.lists(st.one_of(u64_keys, st.sampled_from([0, 2**64 - 1])), max_size=60),
+    st.lists(st.text(max_size=12), max_size=60),
+)
+
+
+class TestScalarPathEqualsBatchPath:
+    """One-by-one ``add`` must leave exactly the state the batch paths do."""
+
+    @given(values=scalar_key_lists)
+    @settings(max_examples=60)
+    def test_hll_add_equals_add_many_and_add_hashes(self, values):
+        for p in (4, 12, 18):
+            scalar = HyperLogLog(SEED, "t", p)
+            for value in values:
+                scalar.add(value)
+            batch = HyperLogLog(SEED, "t", p)
+            batch.add_many(values)
+            hashed = HyperLogLog(SEED, "t", p)
+            hashed.add_hashes(hash_keys(values, hashed.seed))
+            assert np.array_equal(scalar.registers, batch.registers)
+            assert np.array_equal(scalar.registers, hashed.registers)
+
+    @given(values=scalar_key_lists, data=st.data())
+    @settings(max_examples=60)
+    def test_cms_add_equals_weighted_add_many(self, values, data):
+        counts = data.draw(st.lists(
+            st.integers(min_value=0, max_value=5),
+            min_size=len(values), max_size=len(values),
+        ))
+        scalar = CountMinSketch(SEED, "c", 97, 4)
+        for value, count in zip(values, counts):
+            scalar.add(value, count)
+        batch = CountMinSketch(SEED, "c", 97, 4)
+        batch.add_many(values, counts)
+        assert np.array_equal(scalar.table, batch.table)
+        assert scalar.total == batch.total
+        for value in values:
+            assert scalar.estimate(value) == int(min(
+                batch.table[row, int(hash_keys([value], s)[0]) % 97]
+                for row, s in enumerate(batch.row_seeds)
+            ))
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_hll_add_hash_equals_add_hashes(self, data):
+        # Crafted hashes reach the rank cap (an all-zero tail) and every
+        # leading-zero count, which hashed keys essentially never do.
+        for p in (4, 12, 18):
+            tail_bits = 64 - p
+            tails = st.one_of(
+                st.just(0),
+                st.integers(0, tail_bits - 1).map(lambda b: 1 << b),
+                st.integers(0, (1 << tail_bits) - 1),
+            )
+            hashes = data.draw(st.lists(
+                st.tuples(st.integers(0, (1 << p) - 1), tails).map(
+                    lambda it: (it[0] << tail_bits) | it[1]
+                ),
+                max_size=40,
+            ))
+            scalar = HyperLogLog(SEED, "t", p)
+            for h in hashes:
+                scalar.add_hash(h)
+            batch = HyperLogLog(SEED, "t", p)
+            batch.add_hashes(np.array(hashes, dtype=np.uint64))
+            assert np.array_equal(scalar.registers, batch.registers)
+
+    def test_hll_rank_cap(self):
+        for p in (4, 12, 18):
+            h = HyperLogLog(SEED, "t", p)
+            h.add_hash(5 << (64 - p))
+            assert h.registers[5] == 65 - p
+            h.add_hash(1)
+            assert h.registers[0] == 64 - p
+
+    def test_hash_key_equals_batch_hash_at_the_uint64_edges(self):
+        values = [0, 1, 2**32, 2**63, 2**64 - 1]
+        for seed in (0, 1, 2**64 - 1, SEED):
+            assert [hash_key(v, seed) for v in values] == \
+                [int(h) for h in hash_keys(values, seed)]
+
+
+# sha256 digests of sketches built one key at a time from a fixed stream:
+# 5k ints from random.Random(1).getrandbits(32), then 1k "sha{i}" strings.
+# Any change to hashing, register ranks or row indexing moves them.
+GOLDEN_HLL = {
+    4: "2a52808077601cedb5b4919e6a38694cf3ba6369a56408a8b0fcb23efba50808",
+    12: "aca6603f6cc1cec6bbeccf0de28cc57895b1a75ff4436b47cf675fefb6d1edea",
+    18: "25c018a4edd64c1fa871b8a2818da9095eb25d00d79cd9b69b4985f8a52a7bda",
+}
+GOLDEN_CMS = "e95fd1dd60887fc98618bfa7cfccd4d7992d6ea56ea32bb4c0a7b5f2f30237a6"
+
+
+def _golden_stream():
+    rng = random.Random(1)
+    return [rng.getrandbits(32) for _ in range(5000)] + \
+        [f"sha{i}" for i in range(1000)]
+
+
+class TestPinnedGoldens:
+    @pytest.mark.parametrize("p", sorted(GOLDEN_HLL))
+    def test_hll_registers(self, p):
+        h = HyperLogLog(2023, "golden.hll", p)
+        for key in _golden_stream():
+            h.add(key)
+        assert hashlib.sha256(h.registers.tobytes()).hexdigest() == GOLDEN_HLL[p]
+
+    def test_cms_table_and_total(self):
+        c = CountMinSketch(2023, "golden.cms", 2048, 4)
+        for i, key in enumerate(_golden_stream()):
+            c.add(key, 1 + i % 3)
+        assert c.total == 12000
+        payload = c.table.astype("<i8").tobytes() + str(c.total).encode()
+        assert hashlib.sha256(payload).hexdigest() == GOLDEN_CMS
 
 
 class TestHyperLogLog:

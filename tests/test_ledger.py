@@ -265,6 +265,39 @@ class TestRoundTrip:
         assert metrics.counter("ledger.writes") == 1
         assert metrics.counter("ledger.records") == 2
 
+    @pytest.mark.parametrize("fail_at", [1, 2, 4])
+    def test_failed_write_keeps_previous_ledger(
+        self, tmp_path, monkeypatch, fail_at
+    ):
+        target = tmp_path / "ledger.jsonl"
+        with use_metrics():
+            first = RunLedger()
+            first.begin_run("generate", fingerprint="old")
+            first.finish("ok")
+            first.write_jsonl(target)
+            before = target.read_bytes()
+
+            second = RunLedger()
+            second.begin_run("generate", fingerprint="new")
+            _record_task(second, 0)
+            second.finish("ok")
+            assert len(second.to_records()) >= fail_at
+            real_dumps = json.dumps
+            calls = []
+
+            def flaky_dumps(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == fail_at:
+                    raise RuntimeError("injected serialisation fault")
+                return real_dumps(*args, **kwargs)
+
+            monkeypatch.setattr(json, "dumps", flaky_dumps)
+            with pytest.raises(RuntimeError, match="injected"):
+                second.write_jsonl(target)
+            monkeypatch.undo()
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.jsonl"]
+
     def test_sha256_file_matches_hashlib(self, tmp_path):
         import hashlib
 
