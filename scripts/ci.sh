@@ -136,7 +136,7 @@ print(f"emit-path smoke ok (sha256 "
       f"inline + pool)")
 PY
 
-echo "== backend matrix smoke (inline w=1 / pool w=1 / pool w=2 byte-identical) =="
+echo "== backend matrix smoke (inline w=1 / pool w=1 / w=2 / w=4 byte-identical) =="
 python - <<'PY'
 import repro
 
@@ -145,11 +145,11 @@ digests = {
     f"{name} w={workers}": repro.generate(
         config, backend=name, workers=workers
     ).store.content_digest()
-    for name, workers in (("inline", 1), ("pool", 1), ("pool", 2))
+    for name, workers in (("inline", 1), ("pool", 1), ("pool", 2), ("pool", 4))
 }
 if len(set(digests.values())) != 1:
     raise SystemExit(f"backend matrix diverged: {digests}")
-print(f"backend matrix ok (sha256 {next(iter(digests.values()))[:16]}... x3)")
+print(f"backend matrix ok (sha256 {next(iter(digests.values()))[:16]}... x4)")
 PY
 
 echo "== run-ledger determinism (inline w=1 vs pool w=2, strip-identical) =="

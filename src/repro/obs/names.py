@@ -72,7 +72,6 @@ COUNTERS: Tuple[str, ...] = (
     "sketch.merges",
     # Block session engine (repro.workload.blocks).
     "emit.block.buffered_blocks",
-    "emit.block.buffered_rows",
     "emit.block.flushes",
     "emit.block.rows",
     # Worker heartbeats (repro.sched + repro.obs.resources).  Heartbeat
@@ -229,7 +228,6 @@ DESCRIPTIONS = {
         "sketch.store_sessions_ingested": "store rows ingested by the sketches",
         "sketch.merges": "sketch registries merged",
         "emit.block.buffered_blocks": "session blocks buffered before flush",
-        "emit.block.buffered_rows": "session rows buffered before flush",
         "emit.block.flushes": "block-engine flushes to the store",
         "emit.block.rows": "session rows written by the block engine",
         "sched.heartbeat.*": "worker heartbeats received / stale episodes",

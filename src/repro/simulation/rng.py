@@ -153,14 +153,8 @@ class RngStream:
         return self._rng.random(size)
 
     def randint_array(self, low, high) -> np.ndarray:
-        """Uniform integers in ``[low, high)``; ``high`` may be an array.
-
-        numpy's bounded-integer sampler consumes the bit stream element by
-        element exactly as a loop of scalar :meth:`randint` calls with the
-        same per-element bounds would, so replacing such a loop with one
-        batched call is draw-for-draw identical — the property the block
-        emission path's vectorised locality redirects rely on.
-        """
+        """Uniform integers in ``[low, high)``; ``high`` may be an array
+        of per-element bounds (one draw per element)."""
         return self._rng.integers(low, high)
 
     def choice(self, seq: Sequence[T], p: Optional[Sequence[float]] = None) -> T:

@@ -12,8 +12,10 @@ exact.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Union
+from typing import IO, Iterator, Union
 
 import numpy as np
 
@@ -83,13 +85,34 @@ def store_digest(store: SessionStore) -> str:
     return digest.hexdigest()
 
 
+@contextmanager
+def staged_file(path: PathLike, mode: str = "wb") -> Iterator[IO]:
+    """Open a sibling staging file that replaces ``path`` on a clean exit.
+
+    If the block raises, the staging file is removed and whatever was at
+    ``path`` before is left untouched.
+    """
+    path = Path(path)
+    staging = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(staging, mode,
+                  encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(staging, path)
+    finally:
+        if staging.exists():
+            staging.unlink()
+
+
 def save_npz(store: SessionStore, path: PathLike) -> None:
-    """Save a store to ``path`` (.npz)."""
+    """Save a store to exactly ``path`` (.npz), atomically."""
     watch = stopwatch()
     arrays = _store_arrays(store)
     path = Path(path)
-    with get_metrics().span("store/save_npz"):
-        np.savez_compressed(path, **arrays)
+    # Through a file object: given a path without the .npz suffix,
+    # savez_compressed would append one and write elsewhere.
+    with get_metrics().span("store/save_npz"), staged_file(path) as fh:
+        np.savez_compressed(fh, **arrays)
     metrics = get_metrics()
     metrics.inc("store.npz_saves")
     metrics.inc("store.npz_saved_sessions", len(store))

@@ -227,6 +227,17 @@ class HashBlockCsr:
         self.values = np.asarray(values, dtype=np.int64)
         self.lengths = np.asarray(lengths, dtype=np.int64)
 
+    def take(self, rows: np.ndarray) -> "HashBlockCsr":
+        """The block whose row ``k`` is this block's row ``rows[k]``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = np.cumsum(self.lengths) - self.lengths
+        lengths = self.lengths[rows]
+        # Position j of output row k reads values[starts[rows[k]] + j].
+        out_starts = np.cumsum(lengths) - lengths
+        gather = (np.repeat(starts[rows] - out_starts, lengths)
+                  + np.arange(int(lengths.sum())))
+        return HashBlockCsr(self.values[gather], lengths)
+
 
 #: Per-row hash ids accepted by the block-append path: ``None`` (no row has
 #: hashes), one tuple (every row shares it), a per-row sequence, or a

@@ -1,10 +1,8 @@
 """Vectorized block session engine.
 
-The scalar emission path hands every per-day session block straight to the
-store builder: correct, but thousands of small day-blocks mean thousands of
-small column extends and hash conversions.  The block engine buffers those
-blocks (and the stray scalar rows from singleton writers) in emission order
-and flushes them as ONE ``append_block`` per builder — one concatenate per
+The scalar emission path hands every session block straight to the store
+builder.  The block engine buffers those blocks in emission order and
+flushes them as ONE ``append_block`` per builder — one concatenate per
 column, one CSR hash adoption — without touching interning order or any RNG
 stream, so the frozen store is byte-identical to the scalar path.
 
@@ -56,11 +54,11 @@ def emit_path() -> str:
     return path
 
 
-def make_emitter(builder: StoreBuilder, rng: RngStream) -> SessionEmitter:
+def make_emitter(builder: StoreBuilder) -> SessionEmitter:
     """The emitter for the configured path (callers must flush() at the end)."""
     if emit_path() == "block":
-        return BlockEmitter(builder, rng)
-    return SessionEmitter(builder, rng)
+        return BlockEmitter(builder)
+    return SessionEmitter(builder)
 
 
 class TransitionTable:
@@ -116,48 +114,25 @@ def _hash_piece(hash_ids: HashIdsArg, n: int) -> Tuple[np.ndarray, Optional[np.n
     return lengths, values
 
 
-class _RowRun:
-    """Consecutive ``append_row`` calls buffered as per-column lists."""
-
-    __slots__ = ("cols", "hash_lists", "n")
-
-    def __init__(self) -> None:
-        self.cols: Dict[str, list] = {name: [] for name in _COLUMNS}
-        self.hash_lists: List[Tuple[int, ...]] = []
-        self.n = 0
-
-
 class BlockEmitter(SessionEmitter):
     """Session emitter that defers builder writes until :meth:`flush`.
 
-    Day-blocks and scalar rows are buffered in emission order — each column
-    keeps its own list of per-piece arrays, so flush is one concatenate per
-    column plus one CSR hash block, regardless of how many day-blocks were
-    emitted.  Interning and RNG consumption happen at exactly the same
-    points as the scalar path, so the built store is byte-identical.
+    Blocks are buffered in emission order — each column keeps its own list
+    of per-piece arrays, so flush is one concatenate per column plus one
+    CSR hash block, regardless of how many blocks were emitted.  Interning
+    and RNG consumption happen at exactly the same points as the scalar
+    path, so the built store is byte-identical.
     """
 
-    def __init__(self, builder: StoreBuilder, rng: RngStream):
-        super().__init__(builder, rng)
+    def __init__(self, builder: StoreBuilder):
+        super().__init__(builder)
         # Per-column lists of buffered array pieces, all aligned in
         # emission order; hash specs ride alongside as (spec, n) pairs.
         self._col_parts: Dict[str, List] = {name: [] for name in _COLUMNS}
         self._hash_specs: List[Tuple[HashIdsArg, int]] = []
-        self._run: Optional[_RowRun] = None
         self._pending_rows = 0
 
     # -- buffering -------------------------------------------------------------
-
-    def _close_run(self) -> None:
-        """Materialise the open scalar-row run into the column part lists."""
-        run = self._run
-        if run is None:
-            return
-        self._run = None
-        cols = self._col_parts
-        for name in _COLUMNS:
-            cols[name].append(run.cols[name])
-        self._hash_specs.append((run.hash_lists, run.n))
 
     def append_block(
         self,
@@ -180,7 +155,6 @@ class BlockEmitter(SessionEmitter):
         n = len(start_time)
         if not n:
             return
-        self._close_run()
         cols = self._col_parts
         cols["start_time"].append(start_time)
         cols["duration"].append(duration)
@@ -200,26 +174,10 @@ class BlockEmitter(SessionEmitter):
         self._pending_rows += n
         _metric_inc("emit.block.buffered_blocks")
 
-    def append_row(self, **kwargs) -> None:  # type: ignore[override]
-        run = self._run
-        if run is None:
-            run = self._run = _RowRun()
-        cols = run.cols
-        for name in _COLUMNS:
-            if name in kwargs:
-                cols[name].append(kwargs[name])
-            else:
-                cols[name].append(_ROW_DEFAULTS[name])
-        run.hash_lists.append(tuple(kwargs.get("hash_ids", ())))
-        run.n += 1
-        self._pending_rows += 1
-        _metric_inc("emit.block.buffered_rows")
-
     # -- flush -----------------------------------------------------------------
 
     def flush(self) -> None:
         """Write every buffered piece to the builder as one block."""
-        self._close_run()
         if not self._pending_rows:
             return
         with get_metrics().span("emit.block.flush"):
@@ -271,12 +229,4 @@ _INTERNAL_COLUMN = {
     "honeypot_id": "honeypot",
     "client_country_id": "client_country",
     "close_reason_id": "close_reason",
-}
-
-_ROW_DEFAULTS = {
-    "script_id": -1,
-    "password_id": -1,
-    "username_id": -1,
-    "close_reason_id": 0,
-    "version_id": -1,
 }

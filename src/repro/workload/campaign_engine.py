@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.agents.campaigns import CampaignSpec
 from repro.agents.population import ClientPopulation, ClientRole
 from repro.agents.scripts import ScriptKind, build_script
-from repro.geo.continents import continent_of
 from repro.intel.database import IntelDatabase
 from repro.obs import inc as _metric_inc
 from repro.obs.trace import emit_block as _trace_block
@@ -26,7 +25,14 @@ from repro.workload.config import ScenarioConfig
 from repro.workload.emit import SessionEmitter
 from repro.workload.samplers import cmd_fields, protocol_array
 from repro.workload.script_runner import ScriptProfile, ScriptRunner
-from repro.workload.targets import TargetSet, build_subset, subset_selector
+from repro.workload.targets import (
+    TargetSet,
+    build_subset,
+    locality_codes,
+    locality_pools,
+    redirect_local,
+    subset_selector,
+)
 
 SECONDS_PER_DAY = 86_400
 
@@ -86,13 +92,11 @@ class CampaignEngine:
         self.hash_weights = hash_weights
         self.session_weights = session_weights
         self.pot_countries = pot_countries
-        self.pot_continents = [continent_of(cc) for cc in pot_countries]
         self.n_pots = len(pot_countries)
         self._group_subsets: Dict[str, np.ndarray] = {}
         self._shared_pools: Dict[str, np.ndarray] = {}
-        self._locality_cache: Dict[
-            str, Tuple[Dict[object, np.ndarray], Dict[str, np.ndarray]]
-        ] = {}
+        self._locality_codes = locality_codes(
+            pot_countries, population.country_codes)
         self._locality_csr: Dict[str, Tuple[np.ndarray, ...]] = {}
 
     # -- realisation ------------------------------------------------------------
@@ -289,52 +293,67 @@ class CampaignEngine:
 
     # -- emission ----------------------------------------------------------------
 
+    def stream_for(self, campaign: RealizedCampaign,
+                   start: Optional[int] = None) -> RngStream:
+        """The emission stream of a whole campaign, or of the part of it
+        that begins at schedule position ``start`` (split shards)."""
+        name = f"emit.{campaign.spec.campaign_id}"
+        if start is not None:
+            name += f".p{start}"
+        return self.rng.child(name)
+
     def emit(self, campaign: RealizedCampaign) -> int:
         """Emit all sessions for one realised campaign. Returns the count."""
-        rng = self.rng.child(f"emit.{campaign.spec.campaign_id}")
-        emitted = 0
-        for day, n in sorted(campaign.schedule.items()):
-            emitted += self.emit_day(campaign, day, n, rng)
-        return emitted
+        return self.emit_range(campaign, sorted(campaign.schedule),
+                               self.stream_for(campaign))
 
-    def emit_campaign_day(
-        self, campaign: RealizedCampaign, day: int, n: int
+    def emit_range(
+        self, campaign: RealizedCampaign, days: Sequence[int], rng: RngStream
     ) -> int:
-        """Sharded-path emission of one campaign day from its own stream."""
-        rng = self.rng.child(f"emit.{campaign.spec.campaign_id}.d{day}")
-        return self.emit_day(campaign, day, n, rng)
+        """Emit ``days`` of a campaign as one block. Returns the session count.
 
-    def emit_day(
-        self, campaign: RealizedCampaign, day: int, n: int, rng: RngStream
-    ) -> int:
-        """Emit one day of a campaign. Returns the session count (== ``n``)."""
-        pop = self.population
-        is_uri = campaign.spec.kind in URI_KINDS
+        Each day's sessions are spread over that day's active members (one
+        multinomial per day); every other column is one draw over the whole
+        range.  Rows stay in day order, then client runs.
+        """
         pool = campaign.pool
-
-        members = campaign.members_by_day.get(day)
-        if members is None or len(members) == 0:
-            members = np.arange(len(pool))
-        weights = campaign.pool_weights[members]
-        counts = rng.multinomial(n, weights / weights.sum())
-        active = np.nonzero(counts)[0]
-        clients = np.repeat(pool[members[active]], counts[active])
-        m = len(clients)
-        if m == 0:
+        weights_all = campaign.pool_weights
+        runs: List[np.ndarray] = []
+        run_days: List[int] = []
+        counts: List[int] = []
+        cid = campaign.spec.campaign_id
+        for day in days:
+            members = campaign.members_by_day.get(day)
+            if members is None or len(members) == 0:
+                members = np.arange(len(pool))
+            per_member = rng.multinomial(campaign.schedule[day],
+                                         weights_all[members])
+            active = np.nonzero(per_member)[0]
+            clients = np.repeat(pool[members[active]], per_member[active])
+            if not len(clients):
+                continue
+            runs.append(clients)
+            run_days.append(day)
+            counts.append(len(clients))
+            _metric_inc("generator.campaign_days")
+            _trace_block(f"emit.{cid}", day, len(clients), campaign=cid,
+                         session_kind=campaign.category)
+        if not runs:
             return 0
+        clients = np.concatenate(runs)
+        day_of = np.repeat(np.asarray(run_days, dtype=np.float64), counts)
+        m = len(clients)
+        pop = self.population
 
-        start = day * SECONDS_PER_DAY + rng.uniform_array(0, SECONDS_PER_DAY, m)
+        start = day_of * SECONDS_PER_DAY + rng.uniform_array(0, SECONDS_PER_DAY, m)
         protocol = protocol_array(rng, m, campaign.spec.ssh_share)
         exec_seconds = np.full(m, campaign.profile.exec_seconds)
         duration, close, attempts = cmd_fields(rng, m, exec_seconds)
-
-        pots = self._choose_pots(rng, campaign, clients, m, is_uri)
-
+        pots = self._choose_pots(rng, campaign, clients, campaign.spec.kind in URI_KINDS)
         if campaign.password_id >= 0:
             password = np.full(m, campaign.password_id, dtype=np.int32)
         else:
             password = self.emitter.success_passwords(rng, m)
-        username = np.full(m, self.emitter.root_id, dtype=np.int32)
         versions = self.emitter.client_versions(rng, m, protocol)
 
         self.emitter.append_block(
@@ -349,89 +368,27 @@ class CampaignEngine:
             login_success=np.ones(m, dtype=bool),
             script_id=np.full(m, campaign.script_id, dtype=np.int32),
             password_id=password,
-            username_id=username,
+            username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
             hash_ids=campaign.hash_ids,
             close_reason=close,
             version_id=versions,
         )
         _metric_inc(f"generator.sessions.{campaign.category}", m)
-        _metric_inc("generator.campaign_days")
         _metric_inc("generator.campaign_sessions", m)
-        _trace_block(f"emit.{campaign.spec.campaign_id}", day, m,
-                     campaign=campaign.spec.campaign_id,
-                     session_kind=campaign.category)
         return m
 
-    def _locality_subsets(
-        self, campaign: RealizedCampaign
-    ) -> Tuple[Dict[object, np.ndarray], Dict[str, np.ndarray]]:
-        """Campaign pot subset grouped by continent and country (cached).
+    def locality_pools(self, subset: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """:func:`~repro.workload.targets.locality_pools` of a pot subset,
+        keyed by *population* country index."""
+        return locality_pools(subset, *self._locality_codes)
 
-        The grouping is a pure function of the campaign's fixed pot subset,
-        so computing it once per campaign instead of once per emitted day
-        consumes no extra randomness.
-        """
-        cached = self._locality_cache.get(campaign.spec.campaign_id)
-        if cached is not None:
-            return cached
-        by_continent: Dict[object, np.ndarray] = {}
-        # dict.fromkeys dedups in first-occurrence order — set iteration
-        # order here would leak the hash seed into dict insertion order.
-        for continent in dict.fromkeys(self.pot_continents):
-            by_continent[continent] = np.array(
-                [p for p in campaign.pot_subset
-                 if self.pot_continents[p] is continent],
-                dtype=np.int32,
-            )
-        by_country: Dict[str, np.ndarray] = {}
-        for country in dict.fromkeys(self.pot_countries):
-            by_country[country] = np.array(
-                [p for p in campaign.pot_subset
-                 if self.pot_countries[p] == country],
-                dtype=np.int32,
-            )
-        cached = (by_continent, by_country)
-        self._locality_cache[campaign.spec.campaign_id] = cached
-        return cached
-
-    def _locality_pools(self, campaign: RealizedCampaign) -> Tuple[np.ndarray, ...]:
-        """CSR locality pools per *population* country index.
-
-        ``(flat, c_off, c_len, k_off, k_len)``: for a client from country
-        index ``i``, the campaign subset's same-country pots are
-        ``flat[c_off[i]:c_off[i]+c_len[i]]`` and its same-continent pots
-        ``flat[k_off[i]:k_off[i]+k_len[i]]``.  Derived purely from the
-        cached :meth:`_locality_subsets` grouping — consumes no RNG.
-        """
-        cached = self._locality_csr.get(campaign.spec.campaign_id)
-        if cached is not None:
-            return cached
-        by_continent, by_country = self._locality_subsets(campaign)
-        codes = self.population.country_codes
-        n = len(codes)
-        flat_parts = []
-        c_off = np.zeros(n, np.int64)
-        c_len = np.zeros(n, np.int64)
-        k_off = np.zeros(n, np.int64)
-        k_len = np.zeros(n, np.int64)
-        pos = 0
-        for i, cc in enumerate(codes):
-            pool = by_country.get(cc)
-            if pool is not None and len(pool):
-                c_off[i] = pos
-                c_len[i] = len(pool)
-                flat_parts.append(pool)
-                pos += len(pool)
-        for i, cc in enumerate(codes):
-            pool = by_continent.get(continent_of(cc))
-            if pool is not None and len(pool):
-                k_off[i] = pos
-                k_len[i] = len(pool)
-                flat_parts.append(pool)
-                pos += len(pool)
-        flat = np.concatenate(flat_parts) if flat_parts else np.zeros(0, np.int32)
-        cached = (flat, c_off, c_len, k_off, k_len)
-        self._locality_csr[campaign.spec.campaign_id] = cached
+    def _campaign_locality(self, campaign: RealizedCampaign) -> Tuple[np.ndarray, ...]:
+        """The campaign subset's locality pools (cached per campaign)."""
+        cid = campaign.spec.campaign_id
+        cached = self._locality_csr.get(cid)
+        if cached is None:
+            cached = self._locality_csr[cid] = self.locality_pools(
+                campaign.pot_subset)
         return cached
 
     def _choose_pots(
@@ -439,35 +396,20 @@ class CampaignEngine:
         rng: RngStream,
         campaign: RealizedCampaign,
         clients: np.ndarray,
-        m: int,
         locality_bias: bool,
     ) -> np.ndarray:
         """Per-session pot selection, with a locality bias for URI kinds.
 
         CMD+URI sessions originate markedly closer to their targets in the
-        paper (Fig 16b); with probability 0.45 a URI session is redirected
-        to a pot on the client's own continent when the campaign's subset
-        has one.
+        paper (Fig 16b); with probability ``uri_locality_bias`` a URI
+        session is redirected to a pot in the client's own country (when
+        the campaign's subset has one) or on its continent.
         """
-        u = rng.random_array(m)
-        pots = campaign.selector.choose_many(u).astype(np.int32, copy=True)
-        bias = self.config.uri_locality_bias
-        if not locality_bias or bias <= 0:
-            return pots
-        redirect = rng.random_array(m)
-        hit = np.flatnonzero(redirect < bias)
-        if hit.size == 0:
-            return pots
-        # One batched varying-bound draw covers every redirected session;
-        # numpy's bounded-integer sampler makes it bit-identical to the
-        # scalar per-session randint loop this replaced.
-        flat, c_off, c_len, k_off, k_len = self._locality_pools(campaign)
-        ci = self.population.country[clients[hit]].astype(np.int64)
-        use_country = (redirect[hit] < 0.4 * bias) & (c_len[ci] > 0)
-        bounds = np.where(use_country, c_len[ci], k_len[ci])
-        offs = np.where(use_country, c_off[ci], k_off[ci])
-        drawable = bounds > 0
-        if drawable.any():
-            picks = rng.randint_array(0, bounds[drawable])
-            pots[hit[drawable]] = flat[offs[drawable] + picks]
+        m = len(clients)
+        pots = campaign.selector.choose_many(rng.random_array(m)).astype(
+            np.int32, copy=True)
+        if locality_bias:
+            redirect_local(rng, pots, self.population.country[clients],
+                           self.config.uri_locality_bias,
+                           self._campaign_locality(campaign))
         return pots

@@ -1,7 +1,7 @@
 """Session emission helpers shared by background and campaign generation.
 
 Wraps the store builder with pre-interned credential / version / country
-tables so the per-day emission loops only shuffle integer ids around.
+tables so the emission code only shuffles integer ids around.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from repro.store.store import HashIdsArg, StoreBuilder
 class SessionEmitter:
     """Holds the builder plus interned lookup tables for fast emission."""
 
-    def __init__(self, builder: StoreBuilder, rng: RngStream):
+    def __init__(self, builder: StoreBuilder):
         self.builder = builder
-        self.rng = rng
 
         self.success_pw_ids = np.array(
             [builder.passwords.intern(p) for p, _ in SUCCESSFUL_PASSWORDS],
@@ -132,48 +131,6 @@ class SessionEmitter:
             username_id=username_id,
             hash_ids=hash_ids,
             close_reason_id=close_reason,
-            version_id=version_id,
-        )
-
-    def append_row(
-        self,
-        start_time: float,
-        duration: float,
-        honeypot_id: int,
-        protocol: int,
-        client_ip: int,
-        client_asn: int,
-        client_country_id: int,
-        n_attempts: int,
-        login_success: bool,
-        script_id: int = -1,
-        password_id: int = -1,
-        username_id: int = -1,
-        hash_ids: Tuple[int, ...] = (),
-        close_reason_id: int = 0,
-        version_id: int = -1,
-    ) -> None:
-        """One pre-interned scalar row (the singleton-writer path).
-
-        The scalar emitter forwards straight to the builder; the block
-        emitter overrides this to buffer the row into its pending block so
-        singleton sessions ride the same single flush as everything else.
-        """
-        self.builder.append_interned(
-            start_time=start_time,
-            duration=duration,
-            honeypot_id=honeypot_id,
-            protocol=protocol,
-            client_ip=client_ip,
-            client_asn=client_asn,
-            client_country_id=client_country_id,
-            n_attempts=n_attempts,
-            login_success=login_success,
-            script_id=script_id,
-            password_id=password_id,
-            username_id=username_id,
-            hash_ids=hash_ids,
-            close_reason_id=close_reason_id,
             version_id=version_id,
         )
 

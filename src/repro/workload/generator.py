@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.agents.campaigns import marquee_campaigns, midtail_campaigns
 from repro.agents.population import (
-    ClientPopulation,
     ClientRole,
     PopulationConfig,
     build_population,
@@ -37,9 +36,9 @@ from repro.obs import get_metrics, inc as _metric_inc
 from repro.obs import trace as _trace
 from repro.obs.trace import emit_block as _trace_block
 from repro.simulation.rng import RngStream
-from repro.store.store import StoreBuilder
+from repro.store.store import HashBlockCsr, StoreBuilder
 from repro.workload.blocks import make_emitter
-from repro.workload.campaign_engine import CampaignEngine, RealizedCampaign, URI_KINDS
+from repro.workload.campaign_engine import CampaignEngine, RealizedCampaign
 from repro.workload.config import SSH_SHARE, ScenarioConfig
 from repro.workload.dataset import CampaignRuntime, HoneyfarmDataset
 from repro.workload.samplers import (
@@ -50,7 +49,7 @@ from repro.workload.samplers import (
     protocol_array,
 )
 from repro.workload.script_runner import ScriptRunner
-from repro.workload.targets import TargetIndex, TargetSet
+from repro.workload.targets import TargetIndex, TargetSet, TargetTable, redirect_local
 from repro.workload.temporal import (
     build_envelopes,
     honeypot_weight_vectors,
@@ -59,6 +58,10 @@ from repro.workload.temporal import (
 )
 
 SECONDS_PER_DAY = 86_400
+
+#: Background categories in emission order.  Each name is also the
+#: category's stream name and its shard kind.
+BACKGROUND = ("bg_cmd", "bg_uri", "no_cred", "fail_log", "no_cmd")
 
 _ROLE_CATEGORY = [
     (ClientRole.SCAN, "NO_CRED"),
@@ -72,8 +75,11 @@ _ROLE_CATEGORY = [
 def _rescale_schedule(schedule: Dict[int, int], factor: float) -> Dict[int, int]:
     """Scale a campaign's per-day session counts by ``factor``.
 
-    Days that round to zero are dropped, but the campaign keeps at least
-    its start day with one session, so realised campaigns never vanish.
+    The result sums to ``max(1, round(total * factor))``.  When that is no
+    more than the number of days, the earliest days keep one session each
+    and the rest are dropped, so realised campaigns never vanish; otherwise
+    every day keeps at least one session and the floors' deficit is handed
+    out by largest remainder, as :func:`_daily_budgets` does.
     """
     if factor >= 1.0:
         return schedule
@@ -81,9 +87,15 @@ def _rescale_schedule(schedule: Dict[int, int], factor: float) -> Dict[int, int]
     days = sorted(schedule)
     if new_total <= len(days):
         return {day: 1 for day in days[:new_total]}
-    scaled = {day: int(schedule[day] * factor) for day in days}
-    out = {day: max(1, count) for day, count in scaled.items()}
-    # Trim rounding surplus from the largest days.
+    raw = {day: schedule[day] * factor for day in days}
+    out = {day: max(1, int(raw[day])) for day in days}
+    deficit = new_total - sum(out.values())
+    if deficit > 0:
+        by_remainder = sorted(days, key=lambda d: (-(raw[d] - int(raw[d])), d))
+        for day in by_remainder[:deficit]:
+            out[day] += 1
+    # Days floored up to one session can leave a surplus: trim it from the
+    # largest days.
     surplus = sum(out.values()) - new_total
     for day in sorted(out, key=lambda d: -out[d]):
         if surplus <= 0:
@@ -103,6 +115,44 @@ def _daily_budgets(total: int, envelope: np.ndarray) -> np.ndarray:
         order = np.argsort(-(raw - floors))
         floors[order[:remainder]] += 1
     return floors
+
+
+class _DayRuns:
+    """One range's per-day session runs, joined once for the vector draws.
+
+    ``add`` keeps a day's client runs (empty runs are dropped) with an
+    optional flag marking a special run (FAIL_LOG spike, NO_CMD Russian
+    prefix); ``arrays`` returns every session's client and day in order.
+    """
+
+    __slots__ = ("clients", "days", "counts", "flagged")
+
+    def __init__(self) -> None:
+        self.clients: List[np.ndarray] = []
+        self.days: List[int] = []
+        self.counts: List[int] = []
+        self.flagged: List[bool] = []
+
+    def add(self, day: int, clients: np.ndarray, flag: bool = False) -> bool:
+        if not len(clients):
+            return False
+        self.clients.append(clients)
+        self.days.append(day)
+        self.counts.append(len(clients))
+        self.flagged.append(flag)
+        return True
+
+    def __bool__(self) -> bool:
+        return bool(self.counts)
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(client index per session, day per session as float)."""
+        day_of = np.repeat(np.asarray(self.days, dtype=np.float64), self.counts)
+        return np.concatenate(self.clients), day_of
+
+    def flags(self) -> np.ndarray:
+        """Per-session flag of the run each session belongs to."""
+        return np.repeat(np.asarray(self.flagged, dtype=bool), self.counts)
 
 
 class _RuPrefixClients:
@@ -150,7 +200,7 @@ class TraceGenerator:
         for code in self.population.country_codes:
             self.builder.countries.intern(code)
 
-        self.emitter = make_emitter(self.builder, self.rng.child("emitter"))
+        self.emitter = make_emitter(self.builder)
         session_w, client_w, hash_w = honeypot_weight_vectors(
             self.rng.child("potweights"), self.n_pots
         )
@@ -163,11 +213,12 @@ class TraceGenerator:
         self.client_weights = client_w
         self.hash_weights = hash_w
         self.target_index = TargetIndex(
-            self.rng.child("targets"), client_w, session_w, self.pot_countries
+            self.rng.child("targets"), client_w, session_w
         )
         self.targets: List[TargetSet] = self.target_index.build_for(
             self.population.breadth
         )
+        self.target_table = TargetTable(self.targets)
 
         self.runner = ScriptRunner()
         self.intel = IntelDatabase()
@@ -185,7 +236,8 @@ class TraceGenerator:
         )
 
         self._day_buckets: Dict[str, List[List[int]]] = {}
-        self._campaign_sessions = {"CMD": 0, "CMD_URI": 0}
+        #: Background daily budgets and setups (:meth:`_plan_background`).
+        self.budgets: Dict[str, np.ndarray] = {}
         self.realized: List[RealizedCampaign] = []
         self._locality_cache: Optional[Tuple[np.ndarray, ...]] = None
 
@@ -226,65 +278,75 @@ class TraceGenerator:
 
     # -- shared emission helpers ------------------------------------------------
 
-    def _expand_day(
-        self, rng: RngStream, clients: np.ndarray, n_sessions: int
+    def _day_sessions(
+        self, category: str, rng: RngStream, day: int, n: int
     ) -> np.ndarray:
-        """Distribute a day's sessions over its active clients by rate."""
-        rates = self.population.rate[clients].astype(np.float64)
-        counts = rng.multinomial(n_sessions, rates)
+        """One day's ``n`` sessions spread over its active clients by rate,
+        as contiguous runs of each client's index."""
+        clients = self._active_clients(category, day, rng)
+        if len(clients) == 0:
+            return clients
+        counts = rng.multinomial(n, self.population.rate[clients])
         nz = np.nonzero(counts)[0]
         return np.repeat(clients[nz], counts[nz])
 
     def _pots_for(self, rng: RngStream, session_clients: np.ndarray) -> np.ndarray:
-        m = len(session_clients)
-        u = rng.random_array(m)
-        if m == 0:
-            return np.zeros(0, dtype=np.int32)
-        # ``_expand_day`` emits contiguous runs per client (np.repeat), so
-        # one vectorised searchsorted per run covers the whole day; the
-        # draws are the exact same uniforms the scalar path consumed.
-        out = np.empty(m, dtype=np.int32)
-        targets = self.targets
-        boundaries = np.flatnonzero(np.diff(session_clients)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [m]))
-        for s, e in zip(starts, ends):
-            out[s:e] = targets[int(session_clients[s])].choose_many(u[s:e])
-        return out
+        """Each session's pot, chosen within its client's target set."""
+        u = rng.random_array(len(session_clients))
+        return self.target_table.choose(session_clients, u)
 
-    def _start_times(self, rng: RngStream, day: int, n: int) -> np.ndarray:
-        return day * SECONDS_PER_DAY + rng.uniform_array(0, SECONDS_PER_DAY, n)
+    def _start_times(self, rng: RngStream, day_of: np.ndarray) -> np.ndarray:
+        """Uniform start times within each session's day."""
+        return day_of * SECONDS_PER_DAY + rng.uniform_array(
+            0, SECONDS_PER_DAY, len(day_of))
+
+    def _population_block(
+        self, idx: np.ndarray, day_of: np.ndarray, rng: RngStream, **columns
+    ) -> None:
+        """Append population clients ``idx``' sessions with start times
+        drawn in their days; ``columns`` carry the remaining fields."""
+        pop = self.population
+        self.emitter.append_block(
+            start_time=self._start_times(rng, day_of),
+            client_ip=pop.ip[idx],
+            client_asn=pop.asn[idx],
+            client_country=pop.country[idx].astype(np.int32),
+            **columns,
+        )
 
     # -- category emitters ---------------------------------------------------------
+    #
+    # Each ``_*_range`` emits the days ``[start, stop)`` of one category as
+    # ONE block from one stream: the per-day loop only assigns the day's
+    # sessions to clients (and emits the per-day trace event and counter);
+    # every other column is drawn once over the whole range.  The serial
+    # generator calls them over the whole window with the category stream,
+    # the sharded pipeline per shard with ``<category>.r<start>``.
 
-    def _emit_no_cred(self) -> None:
-        budget = self.config.sessions_for("NO_CRED")
-        budgets = _daily_budgets(budget, self.envelopes["NO_CRED"])
-        rng = self.rng.child("no_cred")
-        for day in range(self.config.n_days):
+    def _no_cred_range(
+        self, rng: RngStream, start: int, stop: int, budgets: np.ndarray
+    ) -> None:
+        runs = _DayRuns()
+        for day in range(start, stop):
             n = int(budgets[day])
             if n <= 0:
                 continue
-            self._no_cred_day(rng, day, n)
-
-    def _no_cred_day(self, rng: RngStream, day: int, n: int) -> None:
-        pop = self.population
-        clients = self._active_clients("NO_CRED", day, rng)
-        if len(clients) == 0:
+            idx = self._day_sessions("NO_CRED", rng, day, n)
+            if runs.add(day, idx):
+                _metric_inc("generator.days.NO_CRED")
+                _trace_block("no_cred", day, len(idx))
+        if not runs:
             return
-        idx = self._expand_day(rng, clients, n)
+        idx, day_of = runs.arrays()
         m = len(idx)
         duration, close = no_cred_fields(rng, m)
         protocol = protocol_array(rng, m, SSH_SHARE["NO_CRED"])
         neg = np.full(m, -1, dtype=np.int32)
-        self.emitter.append_block(
-            start_time=self._start_times(rng, day, m),
+        self._population_block(
+            idx, day_of, rng,
             duration=duration,
             honeypot=self._pots_for(rng, idx),
             protocol=protocol,
-            client_ip=pop.ip[idx],
-            client_asn=pop.asn[idx],
-            client_country=pop.country[idx].astype(np.int32),
             n_attempts=np.zeros(m, dtype=np.uint16),
             login_success=np.zeros(m, dtype=bool),
             script_id=neg,
@@ -295,12 +357,8 @@ class TraceGenerator:
             version_id=self.emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.NO_CRED", m)
-        _metric_inc("generator.days.NO_CRED")
-        _trace_block("no_cred", day, m)
 
-    def _fail_log_setup(
-        self, rng: RngStream
-    ) -> Tuple[set, np.ndarray, np.ndarray]:
+    def _fail_log_setup(self) -> Tuple[set, np.ndarray, np.ndarray]:
         """Fixed spike configuration: days, source clients, target pots.
 
         The big FAIL_LOG spikes (2022-09-05, 2022-11-05) are driven by a
@@ -311,7 +369,7 @@ class TraceGenerator:
         from repro.workload.temporal import DAY_SPIKE_NOV5, DAY_SPIKE_SEP5
         spike_days = {DAY_SPIKE_SEP5, DAY_SPIKE_SEP5 + 1, DAY_SPIKE_NOV5}
         scout_clients = self.population.with_role(ClientRole.SCOUT)
-        spike_rng = rng.child("spikes")
+        spike_rng = self.rng.child("fail_log.spikes")
         if len(scout_clients):
             picked = spike_rng.choice_indices(
                 len(scout_clients), size=min(3, len(scout_clients)),
@@ -322,55 +380,53 @@ class TraceGenerator:
         spike_pots = np.argsort(self.session_weights)[::-1][:3].astype(np.int64)
         return spike_days, spike_client_idx, spike_pots
 
-    def _emit_fail_log(self) -> None:
-        budget = self.config.sessions_for("FAIL_LOG")
-        budgets = _daily_budgets(budget, self.envelopes["FAIL_LOG"])
-        # Explicit sequential handoff: this stream is passed to the
-        # sampler/emit helpers, which draw on its behalf in one fixed
-        # order inside one task — not shared cross-module state.
-        rng = self.rng.child("fail_log")  # repro: lint-ok[rng-lineage]
-        baseline = float(np.median(budgets[budgets > 0])) if (budgets > 0).any() else 0.0
-        spike = self._fail_log_setup(rng)
-
-        for day in range(self.config.n_days):
+    def _fail_log_range(
+        self, rng: RngStream, start: int, stop: int, budgets: np.ndarray
+    ) -> None:
+        """FAIL_LOG days ``[start, stop)``; on spike days the surplus over
+        the median day comes first, from a few clients against a few pots
+        (paper Fig 9)."""
+        spike_days, spike_clients, spike_pots = self.fail_log_spike
+        positive = budgets[budgets > 0]
+        baseline = float(np.median(positive)) if len(positive) else 0.0
+        runs = _DayRuns()
+        for day in range(start, stop):
             n = int(budgets[day])
             if n <= 0:
                 continue
-            self._fail_log_day(rng, day, n, baseline, spike)
-
-    def _fail_log_day(
-        self,
-        rng: RngStream,
-        day: int,
-        n: int,
-        baseline: float,
-        spike: Tuple[set, np.ndarray, np.ndarray],
-    ) -> None:
-        spike_days, spike_client_idx, spike_pots = spike
-        pop = self.population
-        if day in spike_days and len(spike_client_idx) and n > baseline:
-            surplus = int(n - baseline)
-            self._emit_fail_log_spike(rng, day, surplus,
-                                      spike_client_idx, spike_pots)
-            n -= surplus
-            if n <= 0:
-                return
-        clients = self._active_clients("FAIL_LOG", day, rng)
-        if len(clients) == 0:
+            if day in spike_days and len(spike_clients) and n > baseline:
+                surplus = int(n - baseline)
+                counts = rng.multinomial(surplus, np.ones(len(spike_clients)))
+                nz = np.nonzero(counts)[0]
+                idx = np.repeat(spike_clients[nz], counts[nz])
+                if runs.add(day, idx, flag=True):
+                    _metric_inc("generator.spike_sessions.FAIL_LOG", len(idx))
+                    _trace_block("fail_log", day, len(idx), spike=True)
+                n -= surplus
+                if n <= 0:
+                    continue
+            idx = self._day_sessions("FAIL_LOG", rng, day, n)
+            if runs.add(day, idx):
+                _metric_inc("generator.days.FAIL_LOG")
+                _trace_block("fail_log", day, len(idx))
+        if not runs:
             return
-        idx = self._expand_day(rng, clients, n)
+        idx, day_of = runs.arrays()
+        is_spike = runs.flags()
         m = len(idx)
         protocol = protocol_array(rng, m, SSH_SHARE["FAIL_LOG"])
         duration, close, attempts = fail_log_fields(rng, m, protocol == 0)
         users, passwords = self.emitter.fail_credentials(rng, m)
-        self.emitter.append_block(
-            start_time=self._start_times(rng, day, m),
+        u = rng.random_array(m)
+        pots = np.empty(m, dtype=np.int32)
+        regular = ~is_spike
+        pots[regular] = self.target_table.choose(idx[regular], u[regular])
+        pots[is_spike] = spike_pots[(u[is_spike] * len(spike_pots)).astype(np.int64)]
+        self._population_block(
+            idx, day_of, rng,
             duration=duration,
-            honeypot=self._pots_for(rng, idx),
+            honeypot=pots,
             protocol=protocol,
-            client_ip=pop.ip[idx],
-            client_asn=pop.asn[idx],
-            client_country=pop.country[idx].astype(np.int32),
             n_attempts=attempts,
             login_success=np.zeros(m, dtype=bool),
             script_id=np.full(m, -1, dtype=np.int32),
@@ -381,139 +437,78 @@ class TraceGenerator:
             version_id=self.emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.FAIL_LOG", m)
-        _metric_inc("generator.days.FAIL_LOG")
-        _trace_block("fail_log", day, m)
 
-    def _emit_fail_log_spike(
-        self,
-        rng: RngStream,
-        day: int,
-        n: int,
-        spike_clients: np.ndarray,
-        spike_pots: np.ndarray,
-    ) -> None:
-        """Emit a FAIL_LOG burst from few clients against few pots."""
-        pop = self.population
-        counts = rng.multinomial(n, np.ones(len(spike_clients)))
-        nz = np.nonzero(counts)[0]
-        idx = np.repeat(spike_clients[nz], counts[nz])
-        m = len(idx)
-        if m == 0:
-            return
-        protocol = protocol_array(rng, m, SSH_SHARE["FAIL_LOG"])
-        duration, close, attempts = fail_log_fields(rng, m, protocol == 0)
-        users, passwords = self.emitter.fail_credentials(rng, m)
-        pot_pick = rng.choice_indices(len(spike_pots), size=m)
-        self.emitter.append_block(
-            start_time=self._start_times(rng, day, m),
-            duration=duration,
-            honeypot=spike_pots[np.asarray(pot_pick)],
-            protocol=protocol,
-            client_ip=pop.ip[idx],
-            client_asn=pop.asn[idx],
-            client_country=pop.country[idx].astype(np.int32),
-            n_attempts=attempts,
-            login_success=np.zeros(m, dtype=bool),
-            script_id=np.full(m, -1, dtype=np.int32),
-            password_id=passwords,
-            username_id=users,
-            hash_ids=None,
-            close_reason=close,
-            version_id=self.emitter.client_versions(rng, m, protocol),
-        )
-        _metric_inc("generator.sessions.FAIL_LOG", m)
-        _metric_inc("generator.spike_sessions.FAIL_LOG", m)
-        _trace_block("fail_log", day, m, spike=True)
-
-    def _no_cmd_setup(self, rng: RngStream) -> Tuple[_RuPrefixClients, np.ndarray]:
+    def _no_cmd_setup(self) -> Tuple[_RuPrefixClients, np.ndarray]:
         ru_count = max(8, int(48 * self.config.ip_scale * 10))
         ru_index = self.population.country_codes.index("RU")
-        ru = _RuPrefixClients(self.registry, rng.child("ru"), ru_count, ru_index)
+        ru = _RuPrefixClients(self.registry, self.rng.child("no_cmd.ru"),
+                              ru_count, ru_index)
         # The RU prefix targets a broad, fixed slice of the farm.
         ru_pots = np.arange(self.n_pots, dtype=np.int32)
         return ru, ru_pots
 
-    def _emit_no_cmd(self) -> None:
-        budget = self.config.sessions_for("NO_CMD")
-        budgets = _daily_budgets(budget, self.envelopes["NO_CMD"])
-        # Explicit sequential handoff, as in _emit_fail_log above.
-        rng = self.rng.child("no_cmd")  # repro: lint-ok[rng-lineage]
-        ru, ru_pots = self._no_cmd_setup(rng)
-
-        for day in range(self.config.n_days):
+    def _no_cmd_range(
+        self, rng: RngStream, start: int, stop: int, budgets: np.ndarray
+    ) -> None:
+        """NO_CMD days ``[start, stop)``: each day's Russian-prefix share
+        (indices into ``self.ru``) first, then the regular population
+        clients."""
+        ru, ru_pots = self.ru, self.ru_pots
+        runs = _DayRuns()
+        for day in range(start, stop):
             n = int(budgets[day])
             if n <= 0:
                 continue
-            self._no_cmd_day(rng, day, n, ru, ru_pots)
-
-    def _no_cmd_day(
-        self,
-        rng: RngStream,
-        day: int,
-        n: int,
-        ru: _RuPrefixClients,
-        ru_pots: np.ndarray,
-    ) -> None:
+            n_ru = int(round(n * ru_edge_weight(day)))
+            if n_ru > 0:
+                counts = rng.multinomial(n_ru, ru.rates)
+                nz = np.nonzero(counts)[0]
+                ru_idx = np.repeat(nz, counts[nz])
+                if runs.add(day, ru_idx, flag=True):
+                    _trace_block("no_cmd", day, len(ru_idx), ru=True)
+            if n - n_ru > 0:
+                idx = self._day_sessions("NO_CMD", rng, day, n - n_ru)
+                if runs.add(day, idx):
+                    _trace_block("no_cmd", day, len(idx))
+            _metric_inc("generator.days.NO_CMD")
+        if not runs:
+            return
+        idx, day_of = runs.arrays()
+        is_ru = runs.flags()
+        m = len(idx)
+        duration, close, attempts = no_cmd_fields(rng, m)
+        protocol = protocol_array(rng, m, SSH_SHARE["NO_CMD"])
+        u = rng.random_array(m)
+        regular = ~is_ru
         pop = self.population
-        n_ru = int(round(n * ru_edge_weight(day)))
-        n_regular = n - n_ru
-
-        if n_ru > 0:
-            counts = rng.multinomial(n_ru, ru.rates)
-            nz = np.nonzero(counts)[0]
-            ips = np.repeat(ru.ips[nz], counts[nz])
-            m = len(ips)
-            duration, close, attempts = no_cmd_fields(rng, m)
-            protocol = protocol_array(rng, m, SSH_SHARE["NO_CMD"])
-            pot_pick = rng.choice_indices(len(ru_pots), size=m)
-            self.emitter.append_block(
-                start_time=self._start_times(rng, day, m),
-                duration=duration,
-                honeypot=ru_pots[np.asarray(pot_pick)],
-                protocol=protocol,
-                client_ip=ips,
-                client_asn=np.full(m, ru.asn, dtype=np.int32),
-                client_country=np.full(m, ru.country_index, dtype=np.int32),
-                n_attempts=attempts,
-                login_success=np.ones(m, dtype=bool),
-                script_id=np.full(m, -1, dtype=np.int32),
-                password_id=self.emitter.success_passwords(rng, m),
-                username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
-                hash_ids=None,
-                close_reason=close,
-                version_id=self.emitter.client_versions(rng, m, protocol),
-            )
-            _metric_inc("generator.sessions.NO_CMD", m)
-            _trace_block("no_cmd", day, m, ru=True)
-
-        if n_regular > 0:
-            clients = self._active_clients("NO_CMD", day, rng)
-            if len(clients) == 0:
-                return
-            idx = self._expand_day(rng, clients, n_regular)
-            m = len(idx)
-            duration, close, attempts = no_cmd_fields(rng, m)
-            protocol = protocol_array(rng, m, SSH_SHARE["NO_CMD"])
-            self.emitter.append_block(
-                start_time=self._start_times(rng, day, m),
-                duration=duration,
-                honeypot=self._pots_for(rng, idx),
-                protocol=protocol,
-                client_ip=pop.ip[idx],
-                client_asn=pop.asn[idx],
-                client_country=pop.country[idx].astype(np.int32),
-                n_attempts=attempts,
-                login_success=np.ones(m, dtype=bool),
-                script_id=np.full(m, -1, dtype=np.int32),
-                password_id=self.emitter.success_passwords(rng, m),
-                username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
-                hash_ids=None,
-                close_reason=close,
-                version_id=self.emitter.client_versions(rng, m, protocol),
-            )
-            _metric_inc("generator.sessions.NO_CMD", m)
-            _trace_block("no_cmd", day, m)
-        _metric_inc("generator.days.NO_CMD")
+        pots = np.empty(m, dtype=np.int32)
+        pots[regular] = self.target_table.choose(idx[regular], u[regular])
+        pots[is_ru] = ru_pots[(u[is_ru] * len(ru_pots)).astype(np.int64)]
+        client_ip = np.empty(m, dtype=np.uint32)
+        client_ip[regular] = pop.ip[idx[regular]]
+        client_ip[is_ru] = ru.ips[idx[is_ru]]
+        client_asn = np.full(m, ru.asn, dtype=np.int64)
+        client_asn[regular] = pop.asn[idx[regular]]
+        client_country = np.full(m, ru.country_index, dtype=np.int32)
+        client_country[regular] = pop.country[idx[regular]]
+        self.emitter.append_block(
+            start_time=self._start_times(rng, day_of),
+            duration=duration,
+            honeypot=pots,
+            protocol=protocol,
+            client_ip=client_ip,
+            client_asn=client_asn,
+            client_country=client_country,
+            n_attempts=attempts,
+            login_success=np.ones(m, dtype=bool),
+            script_id=np.full(m, -1, dtype=np.int32),
+            password_id=self.emitter.success_passwords(rng, m),
+            username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
+            hash_ids=None,
+            close_reason=close,
+            version_id=self.emitter.client_versions(rng, m, protocol),
+        )
+        _metric_inc("generator.sessions.NO_CMD", m)
 
     def _realize_campaigns(self) -> None:
         """Realise and rescale all campaigns without emitting any sessions."""
@@ -542,80 +537,19 @@ class TraceGenerator:
     def _emit_campaigns(self) -> None:
         self._realize_campaigns()
         for r in self.realized:
-            emitted = self.engine.emit(r)
-            self._campaign_sessions[r.category] += emitted
+            self.engine.emit(r)
 
-    def _emit_singleton_writers(self) -> None:
-        """Background intruders whose one-off files give singleton hashes.
-
-        Each writer runs a personal FILE_TOKEN script against a single
-        honeypot — these are the >60% of all hashes the paper finds at
-        exactly one honeypot.
-        """
-        rng = self.rng.child("singletons")
-        pop = self.population
-        cmd_clients = pop.with_role(ClientRole.CMD)
-        n_writers = min(self.config.n_singleton_hashes, len(cmd_clients))
-        if n_writers == 0:
-            return
-        picked = rng.choice_indices(len(cmd_clients), size=n_writers, replace=False)
-        writers = cmd_clients[np.asarray(picked)]
-        emitted = 0
-        for w in writers:
-            w = int(w)
-            token = f"bg-{w}-{int(pop.ip[w])}"
-            profile = self.runner.profile(build_script(ScriptKind.FILE_TOKEN, token=token))
-            script_id = self.builder.intern_script(profile.commands, profile.uris)
-            hash_ids = tuple(self.builder.hashes.intern(h) for h in profile.hashes)
-            # A singleton file surfaces wherever its writer happened to
-            # intrude; spreading them uniformly over the writer's targets
-            # keeps the top pots' unique-hash coverage small (the paper's
-            # strongest diversity argument: the best pot sees <5%).
-            target_pots = self.targets[w].pots
-            pot = int(target_pots[rng.randint(0, len(target_pots))])
-            n_sessions = 1 + rng.randint(0, 3)
-            day0 = int(pop.first_day[w])
-            for s in range(n_sessions):
-                day = min(day0 + rng.randint(0, max(1, int(pop.n_days[w]))),
-                          self.config.n_days - 1)
-                start = day * SECONDS_PER_DAY + rng.uniform(0, SECONDS_PER_DAY)
-                duration, close, attempts = cmd_fields(
-                    rng, 1, np.array([profile.exec_seconds])
-                )
-                protocol = protocol_array(rng, 1, SSH_SHARE["CMD"])
-                self.emitter.append_row(
-                    start_time=float(start),
-                    duration=float(duration[0]),
-                    honeypot_id=pot,
-                    protocol=int(protocol[0]),
-                    client_ip=int(pop.ip[w]),
-                    client_asn=int(pop.asn[w]),
-                    client_country_id=int(pop.country[w]),
-                    n_attempts=int(attempts[0]),
-                    login_success=True,
-                    script_id=script_id,
-                    password_id=int(self.emitter.success_passwords(rng, 1)[0]),
-                    username_id=self.emitter.root_id,
-                    hash_ids=hash_ids,
-                    close_reason_id=int(close[0]),
-                    version_id=-1,
-                )
-                emitted += 1
-        self._campaign_sessions["CMD"] += emitted  # counts against CMD budget
-        _metric_inc("generator.sessions.singletons", emitted)
-        _trace.emit("generator.block", trace_id="singletons",
-                    category="singletons", sessions=emitted)
-
-    # -- singleton writers, sharded path --------------------------------------
+    # -- singleton writers ---------------------------------------------------------
     #
-    # The sharded pipeline gives every writer its own named rng stream so a
-    # writer's sessions are identical no matter which worker emits them.
-    # Selection reuses the first draw of the serial path's stream, so both
-    # paths pick the same writers.
+    # Background intruders whose one-off files give singleton hashes.  Each
+    # writer runs a personal FILE_TOKEN script against a single honeypot —
+    # these are the >60% of all hashes the paper finds at exactly one
+    # honeypot.  Selection, the per-writer plan and the per-session columns
+    # are three steps so the sharded pipeline can plan all writers once and
+    # emit them in slices.
 
-    def _singleton_writers(self) -> np.ndarray:
-        """Deterministic singleton-writer selection (population indices)."""
-        rng = self.rng.child("singletons")
+    def _singleton_writers(self, rng: RngStream) -> np.ndarray:
+        """Singleton-writer selection (population indices)."""
         cmd_clients = self.population.with_role(ClientRole.CMD)
         n_writers = min(self.config.n_singleton_hashes, len(cmd_clients))
         if n_writers == 0:
@@ -623,69 +557,126 @@ class TraceGenerator:
         picked = rng.choice_indices(len(cmd_clients), size=n_writers, replace=False)
         return cmd_clients[np.asarray(picked)]
 
-    def _singleton_writer_rng(self, w: int) -> RngStream:
-        # Composed-name construction: identical stream (and draws) to
-        # .child("singletons").child(f"w{w}") at half the derivations.
-        return RngStream(self.rng.master_seed, f"{self.rng.name}.singletons.w{w}")
+    def _singleton_plan(
+        self, rng: RngStream, writers: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(target pot, session count) per writer: two vector draws.
 
-    def _singleton_writer_plan(self, wrng: RngStream, w: int) -> Tuple[int, int]:
-        """(target pot, session count) for one writer — first draws on its stream."""
-        target_pots = self.targets[w].pots
-        pot = int(target_pots[wrng.randint(0, len(target_pots))])
-        n_sessions = 1 + wrng.randint(0, 3)
-        return pot, n_sessions
+        A singleton file surfaces wherever its writer happened to intrude;
+        spreading them uniformly over the writer's targets keeps the top
+        pots' unique-hash coverage small (the paper's strongest diversity
+        argument: the best pot sees <5%).
+        """
+        table = self.target_table
+        lo = table.offsets[writers]
+        pick = rng.randint_array(0, table.offsets[writers + 1] - lo)
+        pots = table.pots[lo + pick]
+        n_sessions = 1 + rng.randint_array(0, np.full(len(writers), 3))
+        return pots, n_sessions
 
-    def _singleton_session_total(self, writers: np.ndarray) -> int:
-        """Total sessions the writers will emit (re-derivable in any worker)."""
-        total = 0
-        for w in writers:
-            w = int(w)
-            _pot, n_sessions = self._singleton_writer_plan(
-                self._singleton_writer_rng(w), w
-            )
-            total += n_sessions
-        return total
-
-    def _singleton_writer_emit(self, w: int) -> None:
-        """Emit one writer's sessions into ``self.builder`` (sharded path)."""
+    def _singletons_range(
+        self,
+        rng: RngStream,
+        writers: np.ndarray,
+        pots: np.ndarray,
+        n_sessions: np.ndarray,
+    ) -> int:
+        """Emit the writers' sessions as one block (writer order, then
+        sessions). Returns the session count."""
         pop = self.population
-        w = int(w)
-        wrng = self._singleton_writer_rng(w)
-        pot, n_sessions = self._singleton_writer_plan(wrng, w)
-        token = f"bg-{w}-{int(pop.ip[w])}"
-        profile = self.runner.profile(build_script(ScriptKind.FILE_TOKEN, token=token))
-        script_id = self.builder.intern_script(profile.commands, profile.uris)
-        hash_ids = tuple(self.builder.hashes.intern(h) for h in profile.hashes)
-        day0 = int(pop.first_day[w])
-        for _s in range(n_sessions):
-            day = min(day0 + wrng.randint(0, max(1, int(pop.n_days[w]))),
-                      self.config.n_days - 1)
-            start = day * SECONDS_PER_DAY + wrng.uniform(0, SECONDS_PER_DAY)
-            duration, close, attempts = cmd_fields(
-                wrng, 1, np.array([profile.exec_seconds])
-            )
-            protocol = protocol_array(wrng, 1, SSH_SHARE["CMD"])
-            self.emitter.append_row(
-                start_time=float(start),
-                duration=float(duration[0]),
-                honeypot_id=pot,
-                protocol=int(protocol[0]),
-                client_ip=int(pop.ip[w]),
-                client_asn=int(pop.asn[w]),
-                client_country_id=int(pop.country[w]),
-                n_attempts=int(attempts[0]),
-                login_success=True,
-                script_id=script_id,
-                password_id=int(self.emitter.success_passwords(wrng, 1)[0]),
-                username_id=self.emitter.root_id,
-                hash_ids=hash_ids,
-                close_reason_id=int(close[0]),
-                version_id=-1,
-            )
-        _metric_inc("generator.sessions.singletons", n_sessions)
-        _trace.emit("generator.block", trace_id=f"singletons.w{w}",
-                    sim_time=day0 * 86400.0, category="singletons",
-                    writer=w, sessions=n_sessions)
+        script_ids = np.empty(len(writers), dtype=np.int32)
+        exec_secs = np.empty(len(writers))
+        hash_values: List[int] = []
+        hash_lengths = np.empty(len(writers), dtype=np.int64)
+        for k, w in enumerate(writers.tolist()):
+            token = f"bg-{w}-{int(pop.ip[w])}"
+            profile = self.runner.profile(build_script(ScriptKind.FILE_TOKEN, token=token))
+            script_ids[k] = self.builder.intern_script(profile.commands, profile.uris)
+            hash_values.extend(self.builder.hashes.intern(h) for h in profile.hashes)
+            hash_lengths[k] = len(profile.hashes)
+            exec_secs[k] = profile.exec_seconds
+            _trace.emit("generator.block", trace_id=f"singletons.w{w}",
+                        sim_time=int(pop.first_day[w]) * 86400.0,
+                        category="singletons", writer=w,
+                        sessions=int(n_sessions[k]))
+        m = int(n_sessions.sum())
+        if m == 0:
+            return 0
+        row = np.repeat(np.arange(len(writers)), n_sessions)
+        idx = writers[row]
+        offset = rng.randint_array(0, np.maximum(1, pop.n_days[idx]))
+        day_of = np.minimum(pop.first_day[idx] + offset, self.config.n_days - 1)
+        duration, close, attempts = cmd_fields(rng, m, exec_secs[row])
+        protocol = protocol_array(rng, m, SSH_SHARE["CMD"])
+        self._population_block(
+            idx, day_of.astype(np.float64), rng,
+            duration=duration,
+            honeypot=pots[row],
+            protocol=protocol,
+            n_attempts=attempts,
+            login_success=np.ones(m, dtype=bool),
+            script_id=script_ids[row],
+            password_id=self.emitter.success_passwords(rng, m),
+            username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
+            hash_ids=HashBlockCsr(hash_values, hash_lengths).take(row),
+            close_reason=close,
+            version_id=np.full(m, -1, dtype=np.int32),
+        )
+        _metric_inc("generator.sessions.singletons", m)
+        return m
+
+    def _emit_singleton_writers(self) -> int:
+        """Serial path: select, plan and emit every writer from one stream.
+        Returns the session count."""
+        # Explicit sequential handoff: this stream is passed to the
+        # sampler/emit helpers, which draw on its behalf in one fixed
+        # order inside one task — not shared cross-module state.
+        rng = self.rng.child("singletons")  # repro: lint-ok[rng-lineage]
+        writers = self._singleton_writers(rng)
+        pots, n_sessions = self._singleton_plan(rng, writers)
+        return self._singletons_range(rng, writers, pots, n_sessions)
+
+    # -- background planning ---------------------------------------------------------
+
+    def _plan_background(self, singleton_sessions: int) -> None:
+        """Daily budgets and fixed setups of the background categories.
+
+        CMD and CMD+URI background traffic fills what the realised
+        campaigns (and, for CMD, the ``singleton_sessions``) leave of each
+        category's share.  Draws only from the setups' own named streams.
+        """
+        cfg = self.config
+        planned = {"CMD": singleton_sessions, "CMD_URI": 0}
+        for r in self.realized:
+            planned[r.category] += r.total_sessions
+        self.budgets = {
+            "bg_cmd": _daily_budgets(
+                max(0, cfg.sessions_for("CMD") - planned["CMD"]),
+                self.envelopes["CMD"]),
+            "bg_uri": self._bg_uri_budgets(
+                max(0, cfg.sessions_for("CMD_URI") - planned["CMD_URI"])),
+        }
+        for kind, category in (("no_cred", "NO_CRED"), ("fail_log", "FAIL_LOG"),
+                               ("no_cmd", "NO_CMD")):
+            self.budgets[kind] = _daily_budgets(
+                cfg.sessions_for(category), self.envelopes[category])
+        self.fail_log_spike = self._fail_log_setup()
+        self.ru, self.ru_pots = self._no_cmd_setup()
+
+    def _background_range(
+        self, kind: str, rng: RngStream, start: int, stop: int
+    ) -> None:
+        """Emit days ``[start, stop)`` of background category ``kind``."""
+        emit = {
+            "bg_cmd": self._bg_cmd_range,
+            "bg_uri": self._bg_uri_range,
+            "no_cred": self._no_cred_range,
+            "fail_log": self._fail_log_range,
+            "no_cmd": self._no_cmd_range,
+        }[kind]
+        emit(rng, start, stop, self.budgets[kind])
+
+    # -- background CMD / CMD+URI ----------------------------------------------------
 
     def _bg_cmd_profiles(self) -> Tuple[int, np.ndarray, np.ndarray]:
         """Intern the fixed recon/fileless script set into ``self.builder``."""
@@ -700,48 +691,33 @@ class TraceGenerator:
         exec_secs = np.array([p.exec_seconds for p in profiles])
         return len(profiles), script_ids, exec_secs
 
-    def _emit_background_cmd(self) -> None:
-        """Recon-only CMD sessions (no file writes, no URIs)."""
-        budget = self.config.sessions_for("CMD") - self._campaign_sessions["CMD"]
-        if budget <= 0:
-            return
-        rng = self.rng.child("bg_cmd")
-        pack = self._bg_cmd_profiles()
-
-        budgets = _daily_budgets(budget, self.envelopes["CMD"])
-        for day in range(self.config.n_days):
+    def _bg_cmd_range(
+        self, rng: RngStream, start: int, stop: int, budgets: np.ndarray
+    ) -> None:
+        runs = _DayRuns()
+        for day in range(start, stop):
             n = int(budgets[day])
             if n <= 0:
                 continue
-            self._bg_cmd_day(rng, day, n, pack)
-
-    def _bg_cmd_day(
-        self,
-        rng: RngStream,
-        day: int,
-        n: int,
-        pack: Tuple[int, np.ndarray, np.ndarray],
-    ) -> None:
-        n_profiles, script_ids, exec_secs = pack
-        pop = self.population
-        clients = self._active_clients("CMD", day, rng)
-        if len(clients) == 0:
+            idx = self._day_sessions("CMD", rng, day, n)
+            if runs.add(day, idx):
+                _metric_inc("generator.days.CMD")
+                _trace_block("bg_cmd", day, len(idx))
+        if not runs:
             return
-        idx = self._expand_day(rng, clients, n)
+        n_profiles, script_ids, exec_secs = self._bg_cmd_profiles()
+        idx, day_of = runs.arrays()
         m = len(idx)
         # Clients keep using the same tooling: script choice is stable
         # in the client index.
         prof_idx = idx % n_profiles
         duration, close, attempts = cmd_fields(rng, m, exec_secs[prof_idx])
         protocol = protocol_array(rng, m, SSH_SHARE["CMD"])
-        self.emitter.append_block(
-            start_time=self._start_times(rng, day, m),
+        self._population_block(
+            idx, day_of, rng,
             duration=duration,
             honeypot=self._pots_for(rng, idx),
             protocol=protocol,
-            client_ip=pop.ip[idx],
-            client_asn=pop.asn[idx],
-            client_country=pop.country[idx].astype(np.int32),
             n_attempts=attempts,
             login_success=np.ones(m, dtype=bool),
             script_id=script_ids[prof_idx],
@@ -752,11 +728,13 @@ class TraceGenerator:
             version_id=self.emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.CMD", m)
-        _metric_inc("generator.days.CMD")
-        _trace_block("bg_cmd", day, m)
 
-    def _bg_uri_profiles(self) -> Tuple[int, np.ndarray, List[Tuple[int, ...]], np.ndarray]:
-        """Intern the uncatalogued dropper script set into ``self.builder``."""
+    def _bg_uri_profiles(self) -> Tuple[int, np.ndarray, HashBlockCsr, np.ndarray]:
+        """Intern the uncatalogued dropper script set into ``self.builder``.
+
+        Returns ``(n_profiles, script_ids, hashes, exec_secs)`` with each
+        profile's hash ids as one row of the CSR ``hashes``.
+        """
         n_profiles = max(12, int(self.config.n_hashes_target * 0.03))
         profiles = [
             self.runner.profile(
@@ -772,11 +750,12 @@ class TraceGenerator:
             [self.builder.intern_script(p.commands, p.uris) for p in profiles],
             dtype=np.int64,
         )
-        hash_tuples = [
-            tuple(self.builder.hashes.intern(h) for h in p.hashes) for p in profiles
-        ]
+        hashes = HashBlockCsr(
+            values=[self.builder.hashes.intern(h) for p in profiles for h in p.hashes],
+            lengths=[len(p.hashes) for p in profiles],
+        )
         exec_secs = np.array([p.exec_seconds for p in profiles])
-        return len(profiles), script_ids, hash_tuples, exec_secs
+        return len(profiles), script_ids, hashes, exec_secs
 
     def _bg_uri_budgets(self, budget: int) -> np.ndarray:
         # Concentrate the URI budget on days where URI-capable clients are
@@ -790,128 +769,53 @@ class TraceGenerator:
         envelope = envelope / envelope.sum()
         return _daily_budgets(budget, envelope)
 
-    def _emit_background_uri(self) -> None:
-        """Uncatalogued dropper sessions filling the CMD+URI budget."""
-        budget = self.config.sessions_for("CMD_URI") - self._campaign_sessions["CMD_URI"]
-        if budget <= 0:
-            return
-        rng = self.rng.child("bg_uri")
-        pack = self._bg_uri_profiles()
-
-        budgets = self._bg_uri_budgets(budget)
-        for day in range(self.config.n_days):
+    def _bg_uri_range(
+        self, rng: RngStream, start: int, stop: int, budgets: np.ndarray
+    ) -> None:
+        runs = _DayRuns()
+        for day in range(start, stop):
             n = int(budgets[day])
             if n <= 0:
                 continue
-            self._bg_uri_day(rng, day, n, pack)
-
-    def _bg_uri_day(
-        self,
-        rng: RngStream,
-        day: int,
-        n: int,
-        pack: Tuple[int, np.ndarray, List[Tuple[int, ...]], np.ndarray],
-    ) -> None:
-        n_profiles, script_ids, hash_tuples, exec_secs = pack
-        pop = self.population
-        clients = self._active_clients("CMD_URI", day, rng)
-        if len(clients) == 0:
+            idx = self._day_sessions("CMD_URI", rng, day, n)
+            if runs.add(day, idx):
+                _metric_inc("generator.days.CMD_URI")
+                _trace_block("bg_uri", day, len(idx))
+        if not runs:
             return
-        idx = self._expand_day(rng, clients, n)
+        n_profiles, script_ids, hashes, exec_secs = self._bg_uri_profiles()
+        idx, day_of = runs.arrays()
         m = len(idx)
         prof_idx = idx % n_profiles
         duration, close, attempts = cmd_fields(rng, m, exec_secs[prof_idx])
         protocol = protocol_array(rng, m, SSH_SHARE["CMD_URI"])
-        pots = self._local_biased_pots(rng, idx)
-        self.emitter.append_block(
-            start_time=self._start_times(rng, day, m),
+        # CMD+URI attackers pick closer targets (Fig 16b).
+        pots = self._pots_for(rng, idx)
+        redirect_local(rng, pots, self.population.country[idx],
+                       self.config.uri_locality_bias, self._locality_tables())
+        self._population_block(
+            idx, day_of, rng,
             duration=duration,
             honeypot=pots,
             protocol=protocol,
-            client_ip=pop.ip[idx],
-            client_asn=pop.asn[idx],
-            client_country=pop.country[idx].astype(np.int32),
             n_attempts=attempts,
             login_success=np.ones(m, dtype=bool),
             script_id=script_ids[prof_idx],
             password_id=self.emitter.success_passwords(rng, m),
             username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
-            hash_ids=[hash_tuples[int(i)] for i in prof_idx],
+            hash_ids=hashes.take(prof_idx),
             close_reason=close,
             version_id=self.emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.CMD_URI", m)
-        _metric_inc("generator.days.CMD_URI")
-        _trace_block("bg_uri", day, m)
 
-    def _locality_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                        np.ndarray, np.ndarray]:
-        """CSR pot pools per population country index.
-
-        ``(flat, c_off, c_len, k_off, k_len)``: country ``i``'s same-country
-        pots are ``flat[c_off[i]:c_off[i]+c_len[i]]``, its same-continent
-        pots ``flat[k_off[i]:k_off[i]+k_len[i]]``.  Pure function of the
-        deployment and population — consumes no RNG.
-        """
-        cache = self._locality_cache
-        if cache is None:
-            from repro.geo.continents import continent_of
-
-            codes = self.population.country_codes
-            n = len(codes)
-            flat_parts: List[np.ndarray] = []
-            c_off = np.zeros(n, np.int64)
-            c_len = np.zeros(n, np.int64)
-            k_off = np.zeros(n, np.int64)
-            k_len = np.zeros(n, np.int64)
-            pos = 0
-            for i, cc in enumerate(codes):
-                pool = self.target_index.pots_in_country(cc)
-                c_off[i] = pos
-                c_len[i] = len(pool)
-                if len(pool):
-                    flat_parts.append(pool)
-                    pos += len(pool)
-            for i, cc in enumerate(codes):
-                pool = self.target_index.pots_on_continent(continent_of(cc))
-                k_off[i] = pos
-                k_len[i] = len(pool)
-                if len(pool):
-                    flat_parts.append(pool)
-                    pos += len(pool)
-            flat = (np.concatenate(flat_parts) if flat_parts
-                    else np.zeros(0, np.int32))
-            cache = self._locality_cache = (flat, c_off, c_len, k_off, k_len)
-        return cache
-
-    def _local_biased_pots(self, rng: RngStream, idx: np.ndarray) -> np.ndarray:
-        """Target choice with the CMD+URI locality bias (Fig 16b).
-
-        URI attackers pick closer targets: a share of their sessions is
-        redirected to a honeypot in the client's own country when the farm
-        has one, else to one on its continent.  One batched varying-bound
-        ``randint_array`` covers every redirected session; the draws are
-        bit-identical to the scalar per-session loop it replaced
-        (``RngStream.randint_array``).
-        """
-        pots = self._pots_for(rng, idx)
-        bias = self.config.uri_locality_bias
-        if bias <= 0:
-            return pots
-        u = rng.random_array(len(idx))
-        hit = np.flatnonzero(u < bias)
-        if hit.size == 0:
-            return pots
-        flat, c_off, c_len, k_off, k_len = self._locality_tables()
-        ci = self.population.country[idx[hit]].astype(np.int64)
-        use_country = (u[hit] < 0.4 * bias) & (c_len[ci] > 0)
-        bounds = np.where(use_country, c_len[ci], k_len[ci])
-        offs = np.where(use_country, c_off[ci], k_off[ci])
-        drawable = bounds > 0
-        if drawable.any():
-            picks = rng.randint_array(0, bounds[drawable])
-            pots[hit[drawable]] = flat[offs[drawable] + picks]
-        return pots
+    def _locality_tables(self) -> Tuple[np.ndarray, ...]:
+        """Locality pools over the whole farm (see
+        :func:`~repro.workload.targets.locality_pools`), built once."""
+        if self._locality_cache is None:
+            self._locality_cache = self.engine.locality_pools(
+                np.arange(self.n_pots, dtype=np.int32))
+        return self._locality_cache
 
     # -- orchestration ---------------------------------------------------------------
 
@@ -949,13 +853,12 @@ class TraceGenerator:
             with metrics.span("campaigns"):
                 self._emit_campaigns()
             with metrics.span("singletons"):
-                self._emit_singleton_writers()
+                singleton_sessions = self._emit_singleton_writers()
             with metrics.span("background"):
-                self._emit_background_cmd()
-                self._emit_background_uri()
-                self._emit_no_cred()
-                self._emit_fail_log()
-                self._emit_no_cmd()
+                self._plan_background(singleton_sessions)
+                for kind in BACKGROUND:
+                    self._background_range(kind, self.rng.child(kind),
+                                           0, self.config.n_days)
             with metrics.span("freeze"):
                 self.emitter.flush()
                 store = self.builder.build()

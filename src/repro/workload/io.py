@@ -21,7 +21,7 @@ from repro.farm.deployment import DeploymentPlan, HoneypotSite
 from repro.geo.registry import GeoRegistry, NetworkType
 from repro.intel.database import IntelDatabase
 from repro.intel.tags import ThreatTag
-from repro.store.npz import load_npz, save_npz
+from repro.store.npz import load_npz, save_npz, staged_file
 from repro.workload.config import ScenarioConfig
 from repro.workload.dataset import CampaignRuntime, HoneyfarmDataset
 
@@ -32,11 +32,14 @@ _META_FILE = "dataset.json"
 
 
 def save_dataset(dataset: HoneyfarmDataset, directory: PathLike) -> None:
-    """Save a dataset bundle into ``directory`` (created if needed)."""
+    """Save a dataset bundle into ``directory`` (created if needed).
+
+    Each file is staged beside its target and renamed into place, the
+    store first, then the metadata; a failure part way leaves the previous
+    bundle untouched and no staging file behind.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_npz(dataset.store, directory / _STORE_FILE)
-
     meta = {
         "config": dataclasses.asdict(dataset.config),
         "sites": [
@@ -75,8 +78,9 @@ def save_dataset(dataset: HoneyfarmDataset, directory: PathLike) -> None:
         ],
         "envelopes": {k: v.tolist() for k, v in dataset.envelopes.items()},
     }
-    with open(directory / _META_FILE, "w", encoding="utf-8") as fh:
+    with staged_file(directory / _META_FILE, "w") as fh:
         json.dump(meta, fh)
+        save_npz(dataset.store, directory / _STORE_FILE)
 
 
 def load_dataset(directory: PathLike) -> HoneyfarmDataset:

@@ -1,14 +1,18 @@
 """Sharded, multiprocess trace generation.
 
-The scenario is partitioned into shards keyed by (traffic unit, day-range):
-each realised campaign, the singleton-writer pool, and every background
-category is cut into fixed-size day (or writer) chunks. Every per-day and
-per-writer draw comes from a named child :class:`~repro.simulation.rng.RngStream`
-(``no_cred.d17``, ``emit.<campaign>.d42``, ``singletons.w1031``), so a
-shard's output depends only on its key — never on which worker runs it or
-in what order. Workers emit into builders forked from the plan's base
-tables (:meth:`StoreBuilder.fork_tables`) and return frozen stores; the
-parent adopts them back in shard order (:meth:`StoreBuilder.adopt_store`),
+The scenario is partitioned into shards keyed by (traffic unit, range):
+realised campaigns (grouped when small, split at day positions when large),
+slices of the singleton-writer pool, and day ranges of every background
+category.  Each shard draws from ONE named
+:class:`~repro.simulation.rng.RngStream` derived from its key
+(``no_cred.r17``, ``campaigns.emit.<cid>`` per campaign of a group,
+``campaigns.emit.<cid>.p<start>``, ``singletons.r<start>``), drawing each
+column once over the whole shard, so a shard's output depends only on its
+key — never on which worker runs it or in what order.  The shard list is a
+pure function of the config; see DESIGN §6h for the stream layout.
+Workers emit into builders forked from the plan's base tables
+(:meth:`StoreBuilder.fork_tables`) and return frozen stores; the parent
+adopts them back in shard order (:meth:`StoreBuilder.adopt_store`),
 remapping any ids a shard interned beyond the shared prefix. The merged
 store is therefore bit-identical for every worker count.
 """
@@ -16,9 +20,7 @@ store is therefore bit-identical for every worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from repro.obs import get_metrics, use_metrics
 from repro.obs import trace as _trace
@@ -26,14 +28,7 @@ from repro.store.store import SessionStore
 from repro.workload.blocks import make_emitter
 from repro.workload.config import ScenarioConfig
 from repro.workload.dataset import HoneyfarmDataset
-from repro.workload.generator import TraceGenerator, _daily_budgets
-
-#: Days per background/campaign shard. Fixed — never derived from the
-#: worker count — so the shard list is a pure function of the config.
-DAY_CHUNK = 32
-
-#: Singleton writers per shard.
-WRITER_CHUNK = 64
+from repro.workload.generator import BACKGROUND, TraceGenerator
 
 #: Bounds for the adaptive per-shard session target: coarse enough that
 #: per-shard fork/merge overhead stays invisible, fine enough that a pool
@@ -43,10 +38,6 @@ WRITER_CHUNK = 64
 _MIN_SHARD_SESSIONS = 256
 _MAX_SHARD_SESSIONS = 1 << 18
 _TARGET_SHARDS = 48
-
-#: Background categories in their serial emission order; values are the
-#: rng-stream names (which double as shard keys).
-_BACKGROUND = ("bg_cmd", "bg_uri", "no_cred", "fail_log", "no_cmd")
 
 
 @dataclass(frozen=True)
@@ -66,7 +57,8 @@ class Shard:
 
 
 class ShardPlan:
-    """Everything shared by all shards: realised campaigns, budgets, rng roots.
+    """Everything shared by all shards: realised campaigns, the singleton
+    writers' plan and the generator's background budgets.
 
     Built once per config in the parent process; under a fork start method
     workers inherit it copy-on-write, under spawn each worker rebuilds it
@@ -79,38 +71,10 @@ class ShardPlan:
         gen._realize_campaigns()
         self.campaigns_by_id = {r.spec.campaign_id: r for r in gen.realized}
 
-        self.writers = gen._singleton_writers()
-        singleton_total = gen._singleton_session_total(self.writers)
-        campaign_totals = {"CMD": 0, "CMD_URI": 0}
-        for r in gen.realized:
-            campaign_totals[r.category] += r.total_sessions
-
-        cfg = gen.config
-        bg_cmd_budget = max(
-            0, cfg.sessions_for("CMD") - campaign_totals["CMD"] - singleton_total
-        )
-        bg_uri_budget = max(
-            0, cfg.sessions_for("CMD_URI") - campaign_totals["CMD_URI"]
-        )
-        self.budgets: Dict[str, np.ndarray] = {
-            "bg_cmd": _daily_budgets(bg_cmd_budget, gen.envelopes["CMD"]),
-            "bg_uri": gen._bg_uri_budgets(bg_uri_budget),
-            "no_cred": _daily_budgets(
-                cfg.sessions_for("NO_CRED"), gen.envelopes["NO_CRED"]
-            ),
-            "fail_log": _daily_budgets(
-                cfg.sessions_for("FAIL_LOG"), gen.envelopes["FAIL_LOG"]
-            ),
-            "no_cmd": _daily_budgets(
-                cfg.sessions_for("NO_CMD"), gen.envelopes["NO_CMD"]
-            ),
-        }
-        fl = self.budgets["fail_log"]
-        self.fail_log_baseline = (
-            float(np.median(fl[fl > 0])) if (fl > 0).any() else 0.0
-        )
-        self.fail_log_spike = gen._fail_log_setup(gen.rng.child("fail_log"))
-        self.ru, self.ru_pots = gen._no_cmd_setup(gen.rng.child("no_cmd"))
+        self.writers = gen._singleton_writers(gen.rng.child("singletons"))
+        self.writer_pots, self.writer_sessions = gen._singleton_plan(
+            gen.rng.child("singletons.plan"), self.writers)
+        gen._plan_background(int(self.writer_sessions.sum()))
         self.shards = self._enumerate()
 
     def _shard_target(self) -> int:
@@ -121,22 +85,22 @@ class ShardPlan:
         """
         total = sum(r.total_sessions for r in self.gen.realized)
         total += len(self.writers)  # one-session floor per writer
-        total += int(sum(int(b.sum()) for b in self.budgets.values()))
+        total += int(sum(int(b.sum()) for b in self.gen.budgets.values()))
         return min(max(total // _TARGET_SHARDS, _MIN_SHARD_SESSIONS),
                    _MAX_SHARD_SESSIONS)
 
     def _enumerate(self) -> List[Shard]:
         """Shards in serial emission order, coarsened to ``_shard_target``.
 
-        Every per-day / per-writer draw already comes from its own named
-        rng stream, so shard boundaries never change drawn values — only
-        how much fork/merge bookkeeping the run pays.  Consecutive small
+        Every shard draws from one stream named by its key, so the
+        boundaries chosen here are part of the draw order: they depend on
+        the config alone, never on the worker count.  Consecutive small
         campaigns collapse into ``campaign_group`` shards (a realized-list
-        index range); large campaigns split at day positions where the
-        accumulated schedule crosses the target; background categories use
-        greedy day ranges over their daily budgets.  Merge order equals
-        enumeration order equals the serial emission order, so the merged
-        store is byte-identical at any granularity.
+        index range, one stream per campaign); large campaigns split at
+        day positions where the accumulated schedule crosses the target;
+        background categories use greedy day ranges over their daily
+        budgets.  Merge order equals enumeration order, so the merged
+        store is byte-identical for every backend and worker count.
         """
         target = self._shard_target()
         shards: List[Shard] = []
@@ -189,8 +153,8 @@ class ShardPlan:
             ))
 
         n_days = self.gen.config.n_days
-        for cat in _BACKGROUND:
-            budgets = self.budgets[cat]
+        for cat in BACKGROUND:
+            budgets = self.gen.budgets[cat]
             lo = None
             acc = 0
             for day in range(n_days):
@@ -223,53 +187,34 @@ def emit_shard(plan: ShardPlan, shard: Shard) -> SessionStore:
 def _emit_shard_body(plan: ShardPlan, shard: Shard) -> SessionStore:
     gen = plan.gen
     fork = gen.builder.fork_tables()
-    emitter = make_emitter(fork, gen.rng.child("emitter"))
+    emitter = make_emitter(fork)
     saved = (gen.builder, gen.emitter, gen.engine.emitter)
     gen.builder = fork
     gen.emitter = emitter
     gen.engine.emitter = emitter
     try:
-        if shard.kind == "campaign":
+        kind, start, stop = shard.kind, shard.start, shard.stop
+        if kind == "campaign":
             campaign = plan.campaigns_by_id[shard.key]
-            days = sorted(campaign.schedule)
-            for day in days[shard.start:shard.stop]:
-                gen.engine.emit_campaign_day(
-                    campaign, day, campaign.schedule[day]
-                )
-        elif shard.kind == "campaign_group":
-            for r in plan.gen.realized[shard.start:shard.stop]:
-                for day in sorted(r.schedule):
-                    gen.engine.emit_campaign_day(r, day, r.schedule[day])
-        elif shard.kind == "singletons":
-            for w in plan.writers[shard.start:shard.stop]:
-                gen._singleton_writer_emit(int(w))
+            gen.engine.emit_range(
+                campaign, sorted(campaign.schedule)[start:stop],
+                gen.engine.stream_for(campaign, start),
+            )
+        elif kind == "campaign_group":
+            for r in gen.realized[start:stop]:
+                gen.engine.emit(r)
+        elif kind == "singletons":
+            gen._singletons_range(
+                gen.rng.child(f"singletons.r{start}"),
+                plan.writers[start:stop],
+                plan.writer_pots[start:stop],
+                plan.writer_sessions[start:stop],
+            )
+        elif kind in BACKGROUND:
+            gen._background_range(kind, gen.rng.child(f"{kind}.r{start}"),
+                                  start, stop)
         else:
-            budgets = plan.budgets[shard.kind]
-            base = gen.rng.child(shard.kind)
-            pack = None
-            for day in range(shard.start, shard.stop):
-                n = int(budgets[day])
-                if n <= 0:
-                    continue
-                rng = base.child(f"d{day}")
-                if shard.kind == "no_cred":
-                    gen._no_cred_day(rng, day, n)
-                elif shard.kind == "fail_log":
-                    gen._fail_log_day(
-                        rng, day, n, plan.fail_log_baseline, plan.fail_log_spike
-                    )
-                elif shard.kind == "no_cmd":
-                    gen._no_cmd_day(rng, day, n, plan.ru, plan.ru_pots)
-                elif shard.kind == "bg_cmd":
-                    if pack is None:
-                        pack = gen._bg_cmd_profiles()
-                    gen._bg_cmd_day(rng, day, n, pack)
-                elif shard.kind == "bg_uri":
-                    if pack is None:
-                        pack = gen._bg_uri_profiles()
-                    gen._bg_uri_day(rng, day, n, pack)
-                else:
-                    raise ValueError(f"unknown shard kind: {shard.kind}")
+            raise ValueError(f"unknown shard kind: {kind}")
     finally:
         gen.builder, gen.emitter, gen.engine.emitter = saved
     emitter.flush()
@@ -325,9 +270,9 @@ def generate_sharded(
 ) -> HoneyfarmDataset:
     """Generate the sharded trace with ``workers`` processes.
 
-    The output is bit-identical for every ``workers`` value: shards are
-    emitted from named rng streams and merged in enumeration order, so
-    scheduling cannot influence the result.
+    The output is bit-identical for every ``workers`` value: each shard
+    draws from its own named rng stream and shards merge in enumeration
+    order, so scheduling cannot influence the result.
 
     Since the :mod:`repro.sched` redesign this is a thin wrapper over
     :func:`repro.sched.scheduler.generate_scheduled` — ``workers == 1``

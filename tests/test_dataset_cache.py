@@ -9,6 +9,7 @@ import pytest
 
 from repro.obs import get_metrics
 from repro.workload import ScenarioConfig, generate_dataset
+from repro.workload import cache as cache_module
 from repro.workload.cache import (
     DatasetCache,
     dataset_fingerprint,
@@ -50,6 +51,28 @@ class TestFingerprint:
         w8 = dataset_fingerprint(tiny_config, workers=8)
         assert w1 == w8  # sharded output is worker-count independent
         assert serial != w1  # serial and sharded are distinct traces
+
+
+    def test_draw_order_version_keys_the_fingerprint(self, tiny_config,
+                                                     monkeypatch):
+        base = dataset_fingerprint(tiny_config, workers=1)
+        monkeypatch.setattr(cache_module, "DRAW_ORDER_VERSION",
+                            cache_module.DRAW_ORDER_VERSION + 1)
+        assert dataset_fingerprint(tiny_config, workers=1) != base
+
+    def test_entry_from_an_older_draw_order_is_a_miss(self, tiny_config,
+                                                      tmp_path, monkeypatch):
+        # An entry filled by code with the previous draw order must never
+        # be served as a trace of the current one.
+        dataset = generate_dataset(tiny_config, workers=1)
+        cache = DatasetCache(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "DRAW_ORDER_VERSION",
+                          cache_module.DRAW_ORDER_VERSION - 1)
+            cache.store(dataset_fingerprint(tiny_config, workers=1), dataset)
+        snap = get_metrics().to_dict()
+        assert cache.load(dataset_fingerprint(tiny_config, workers=1)) is None
+        assert _cache_counters(snap).get("cache.misses") == 1
 
 
 class TestResolveCacheDir:

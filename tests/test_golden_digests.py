@@ -15,11 +15,14 @@ from repro.workload.config import ScenarioConfig
 #: (denominator, seed, hash_scale) -> sha256 of ``store.content_digest()``.
 GOLDEN = {
     (80000, 7, 0.004):
-        "35be041f8b28ac598d94b6a5077c99f3c36e8294b959663d350b65e484477c23",
+        "d51d49259d014ae5c7282866760eb1aa3de14330c8125716afae6ab90b5cceed",
     (40000, 7, 0.004):
-        "f9ff1bb7504e8b7af8ce32d2e9fb06e3b449eab2bdb54c4ca36cc86a3ae5c6ae",
+        "335b1072c3b9a880a11ff517affc3cd3f83284ba6e4bc5997b3e8c53cd67a740",
     (20000, 99, 0.008):
-        "e81e4b6476c77bfcfba8ff05ed03604661b447d08bab19d696c48c5376901ea6",
+        "8092f97e1efa5996971ab64765e2c0140c2497c0c7961c58187b8c82c649e033",
+    # The gen-10k-w1 benchmark config (default hash_scale at 1/40000).
+    (40000, 2023, 0.002):
+        "6c64ecda2c1d371d48e527ebf6e78260042992fd2c9570bef4ee93f2f628e748",
 }
 
 

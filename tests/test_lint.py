@@ -286,8 +286,8 @@ def test_every_block_engine_instrument_is_declared():
     # The block emission engine's instrument names (repro.workload.blocks)
     # must stay in sync with the obs.names registry, same contract as the
     # sketch families above.
-    for name in ("emit.block.buffered_blocks", "emit.block.buffered_rows",
-                 "emit.block.flushes", "emit.block.rows"):
+    for name in ("emit.block.buffered_blocks", "emit.block.flushes",
+                 "emit.block.rows"):
         assert obs_names.is_declared(name, obs_names.COUNTERS), name
     assert obs_names.is_declared("emit.block.flush", obs_names.SPANS)
 

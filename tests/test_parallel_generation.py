@@ -77,6 +77,53 @@ def test_shards_cover_scenario_exactly_once(sharded_config):
             seen.add(key)
 
 
+def _record_stream_names(monkeypatch) -> list:
+    """Patch RngStream construction to log every stream name it mints."""
+    from repro.simulation.rng import RngStream
+
+    names: list = []
+    original = RngStream.__init__
+
+    def recording(self, master_seed, name="root"):
+        names.append(name)
+        original(self, master_seed, name)
+
+    monkeypatch.setattr(RngStream, "__init__", recording)
+    return names
+
+
+def test_no_two_shards_share_an_rng_stream(monkeypatch):
+    """Shard boundaries decide bytes: every shard owns its streams."""
+    from repro.workload.generator import TraceGenerator
+    from repro.workload.shards import emit_shard
+
+    # 1/20000 is the smallest scale whose plan has every shard kind,
+    # split campaigns included.
+    config = ScenarioConfig.from_denominator(20000, seed=7)
+    names = _record_stream_names(monkeypatch)
+    plan = ShardPlan(TraceGenerator(config))
+    assert {s.kind for s in plan.shards} == {
+        "campaign", "campaign_group", "singletons", "bg_cmd", "bg_uri",
+        "no_cred", "fail_log", "no_cmd"}
+    owner = {name: "plan" for name in names}
+    for shard in plan.shards:
+        del names[:]
+        emit_shard(plan, shard)
+        assert names, shard
+        for name in names:
+            assert owner.setdefault(name, shard) == shard, (name, shard)
+
+
+def test_fresh_plans_enumerate_equal_shards(sharded_config):
+    from repro.workload.generator import TraceGenerator
+
+    first = ShardPlan(TraceGenerator(sharded_config))
+    second = ShardPlan(TraceGenerator(sharded_config))
+    assert first.shards == second.shards
+    assert np.array_equal(first.writer_pots, second.writer_pots)
+    assert np.array_equal(first.writer_sessions, second.writer_sessions)
+
+
 def _record(i: int, honeypot: str, country: str, **kw) -> SessionRecord:
     defaults = dict(
         start_time=float(i * 600), duration=10.0, honeypot_id=honeypot,

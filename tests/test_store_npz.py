@@ -75,3 +75,35 @@ class TestNpzRoundtrip:
         np.savez_compressed(path, **data)
         with pytest.raises(ValueError):
             load_npz(path)
+
+
+def _small_store(n: int):
+    builder = StoreBuilder()
+    for i in range(n):
+        builder.append(make_record(client_ip=i, start_time=i * 60.0))
+    return builder.build()
+
+
+def _write_half_then_fail(file, **arrays):
+    """A savez_compressed stand-in that dies part way through the write."""
+    file.write(b"PK\x03\x04 partial zip member")
+    raise OSError("disk full")
+
+
+class TestAtomicSave:
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        # np.savez_compressed alone would append ".npz" to this name.
+        path = tmp_path / "trace"
+        save_npz(_small_store(3), path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace"]
+        assert len(load_npz(path)) == 3
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.npz"
+        save_npz(_small_store(4), path)
+        before = path.read_bytes()
+        monkeypatch.setattr(np, "savez_compressed", _write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_npz(_small_store(9), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.npz"]

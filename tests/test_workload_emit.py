@@ -11,7 +11,7 @@ from repro.workload.emit import SessionEmitter
 
 @pytest.fixture
 def emitter():
-    return SessionEmitter(StoreBuilder(), RngStream(41, "emit"))
+    return SessionEmitter(StoreBuilder())
 
 
 class TestSamplers:

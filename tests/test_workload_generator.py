@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.classify import Category, category_shares
 from repro.workload.config import CATEGORY_MIX, SSH_SHARE, ScenarioConfig
@@ -65,6 +67,27 @@ class TestHelpers:
     def test_rescale_never_empty(self):
         out = _rescale_schedule({5: 100}, 0.0001)
         assert out == {5: 1}
+
+    def test_rescale_hands_out_the_floor_deficit(self):
+        # Floors give 1+1+1+30 = 33; the two missing sessions go to the
+        # largest remainders (0.8 each on days 1 and 2).
+        out = _rescale_schedule({1: 3, 2: 3, 3: 3, 4: 50}, 0.6)
+        assert out == {1: 2, 2: 2, 3: 1, 4: 30}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 400), min_size=1, max_size=40),
+        factor=st.floats(0.001, 0.999),
+    )
+    def test_rescale_sums_to_its_target(self, counts, factor):
+        schedule = {3 * i + 1: c for i, c in enumerate(counts)}
+        target = max(1, int(round(sum(counts) * factor)))
+        out = _rescale_schedule(schedule, factor)
+        assert set(out) <= set(schedule)
+        assert all(v >= 1 for v in out.values())
+        if target > len(schedule):
+            assert sum(out.values()) == target
+            assert set(out) == set(schedule)
 
 
 class TestGeneratedDataset:

@@ -52,3 +52,20 @@ class TestDatasetRoundtrip:
         from repro.core.report import full_report
         report = full_report(reloaded)
         assert report["table4"][0].hash_label == "H1"
+
+
+class TestAtomicSaveDataset:
+    def test_failed_save_keeps_previous_bundle(self, small_dataset, tmp_path,
+                                               monkeypatch):
+        save_dataset(small_dataset, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def write_half_then_fail(file, **arrays):
+            file.write(b"PK\x03\x04 partial zip member")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(small_dataset, tmp_path)
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert after == before  # same files, same bytes, no staging left
