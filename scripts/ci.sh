@@ -200,6 +200,20 @@ echo "== sharded generation smoke (validate, 2 workers, with metrics + trace) ==
 python -m repro validate --scale 40000 --workers 2 \
     --metrics "$SCRATCH/ci_metrics.json" --trace "$SCRATCH/ci_trace.jsonl" \
     2> /dev/null
+python - "$SCRATCH/ci_metrics.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    spans = json.load(fh)["spans"]
+stages = ("population", "targets", "calendar", "campaigns", "writers")
+missing = [s for s in stages if f"generate/plan/{s}" not in spans]
+if missing:
+    raise SystemExit(f"plan stage spans missing: {missing}")
+print("plan stages (wall ms):")
+for path in ["generate/plan"] + [f"generate/plan/{s}" for s in stages]:
+    print(f"  {path:28s} {spans[path]['wall'] * 1000:8.1f}")
+PY
 
 echo "== benchmark trajectory (append + 20% throughput regression gate) =="
 # workers=2 routes through the scheduler's pool backend, so this entry

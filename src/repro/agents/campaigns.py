@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.agents.scripts import ScriptKind
 from repro.intel.tags import ThreatTag
 from repro.simulation.clock import OBSERVATION_DAYS
-from repro.simulation.rng import RngStream
+from repro.simulation.rng import RngStream, weight_cdf
 
 
 @dataclass
@@ -187,6 +187,11 @@ _MIDTAIL_KINDS = [
     (ScriptKind.CHPASSWD, 0.10),
 ]
 
+_TAGS = [t for t, _ in _MIDTAIL_TAGS]
+_TAG_CDF = weight_cdf([w for _, w in _MIDTAIL_TAGS])
+_KINDS = [k for k, _ in _MIDTAIL_KINDS]
+_KIND_CDF = weight_cdf([w for _, w in _MIDTAIL_KINDS])
+
 
 def midtail_campaigns(
     count: int,
@@ -202,17 +207,13 @@ def midtail_campaigns(
     hashes).
     """
     specs: List[CampaignSpec] = []
-    tags = [t for t, _ in _MIDTAIL_TAGS]
-    tag_weights = [w for _, w in _MIDTAIL_TAGS]
-    kinds = [k for k, _ in _MIDTAIL_KINDS]
-    kind_weights = [w for _, w in _MIDTAIL_KINDS]
     # A few "variant flood" days: malware build farms push dozens of fresh
     # variants at once, producing the unique-hash spikes of Figure 17.
     flood_days = [rng.randint(20, OBSERVATION_DAYS - 5) for _ in range(6)]
 
     for i in range(count):
-        tag = rng.choice(tags, p=tag_weights)
-        kind = rng.choice(kinds, p=kind_weights)
+        tag = rng.choice(_TAGS, cdf=_TAG_CDF)
+        kind = rng.choice(_KINDS, cdf=_KIND_CDF)
         n_days = _sample_duration(rng, tag)
         n_clients = _sample_clients(rng)
         is_flood = rng.bernoulli(0.12)

@@ -27,7 +27,7 @@ from repro.geo.continents import COUNTRY_CONTINENT
 from repro.geo.registry import GeoRegistry, NetworkType
 from repro.net.pools import AddressPool
 from repro.simulation.clock import OBSERVATION_DAYS
-from repro.simulation.rng import RngStream
+from repro.simulation.rng import RngStream, choice_weights, weight_cdf
 
 
 class ClientRole(enum.IntFlag):
@@ -137,13 +137,23 @@ class ClientPopulation:
     country_codes: List[str]
     registry: GeoRegistry
     config: PopulationConfig
+    _by_role: Dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _tilts: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.ip)
 
     def with_role(self, role: ClientRole) -> np.ndarray:
-        """Indices of clients holding ``role``."""
-        return np.nonzero((self.roles & int(role)) != 0)[0]
+        """Indices of clients holding ``role`` (memoised, read-only)."""
+        key = int(role)
+        found = self._by_role.get(key)
+        if found is None:
+            found = np.nonzero((self.roles & key) != 0)[0]
+            found.flags.writeable = False
+            self._by_role[key] = found
+        return found
 
     def country_code(self, client_index: int) -> str:
         return self.country_codes[int(self.country[client_index])]
@@ -170,16 +180,29 @@ class ClientPopulation:
         count = min(count, len(candidates))
         if countries is None:
             picked = rng.choice_indices(len(candidates), size=count, replace=False)
-            return candidates[np.asarray(picked)]
-        weight_by_code = {cc: w for cc, w in countries}
-        weights = np.full(len(candidates), 0.05, dtype=float)
-        for pos, idx in enumerate(candidates):
-            code = self.country_codes[int(self.country[idx])]
-            if code in weight_by_code:
-                weights[pos] = weight_by_code[code] + 0.05
-        weights /= weights.sum()
-        picked = rng.choice_indices(len(candidates), size=count, p=weights, replace=False)
-        return candidates[np.asarray(picked)]
+            return candidates[picked]
+        p, cdf = self._tilt(role, tuple(countries))
+        picked = rng.choice_indices(len(candidates), size=count, p=p,
+                                    replace=False, cdf=cdf)
+        return candidates[picked]
+
+    def _tilt(self, role: ClientRole, countries: Tuple[Tuple[str, float], ...]
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Country-tilted weights over ``with_role(role)`` and their cdf,
+        memoised: campaigns share a handful of country mixes."""
+        key = (int(role), countries)
+        found = self._tilts.get(key)
+        if found is None:
+            weight_by_code = {cc: w for cc, w in countries}
+            by_country = np.full(len(self.country_codes), 0.05)
+            for i, code in enumerate(self.country_codes):
+                if code in weight_by_code:
+                    by_country[i] = weight_by_code[code] + 0.05
+            weights = by_country[self.country[self.with_role(role)]]
+            weights /= weights.sum()
+            p = choice_weights(weights, len(weights))
+            found = self._tilts[key] = (p, weight_cdf(p))
+        return found
 
 
 def _normalised_mix(pairs: Sequence[Tuple[str, float]]) -> Tuple[List[str], np.ndarray]:
@@ -199,17 +222,19 @@ def build_client_ases(
     n_ases = max(len(codes), n_clients // max(clients_per_as, 1))
     type_values = [t for t, _ in _CLIENT_AS_TYPES]
     type_weights = [w for _, w in _CLIENT_AS_TYPES]
+    counts = [max(1, int(round(weight * n_ases))) for weight in weights]
+    # One weighted scalar choice per AS, drawn back to back: the same
+    # doubles as one vector draw.
+    types = iter(rng.choice_indices(len(type_values), size=sum(counts),
+                                    p=type_weights).tolist())
     per_country: Dict[str, List] = {}
-    for code, weight in zip(codes, weights):
-        count = max(1, int(round(weight * n_ases)))
-        records = []
-        for _ in range(count):
-            ntype = rng.choice(type_values, p=type_weights)
-            records.append(
-                registry.register_as(country=code, network_type=ntype,
-                                     name=f"CLIENT-{code}")
-            )
-        per_country[code] = records
+    for code, count in zip(codes, counts):
+        per_country[code] = [
+            registry.register_as(country=code,
+                                 network_type=type_values[next(types)],
+                                 name=f"CLIENT-{code}")
+            for _ in range(count)
+        ]
     return per_country
 
 
@@ -229,24 +254,23 @@ def build_population(
         dtype=np.uint8,
     )
 
-    # Countries: overall mix modulated by per-role tilts.
+    # Countries: overall mix modulated by per-role tilts.  A weighted
+    # scalar choice is one double inverted over the weights' cdf, so one
+    # vector of doubles inverted per role mask draws the same countries.
     codes, base_weights = _normalised_mix(OVERALL_COUNTRY_MIX)
     code_index = {cc: i for i, cc in enumerate(codes)}
     country = np.zeros(n, dtype=np.int16)
-    tilt_cache: Dict[int, np.ndarray] = {}
-    for i in range(n):
-        mask = int(roles[i])
-        weights = tilt_cache.get(mask)
-        if weights is None:
-            weights = base_weights.copy()
-            for role_bit, tilt in ROLE_COUNTRY_TILT.items():
-                if mask & role_bit:
-                    for cc, factor in tilt.items():
-                        if cc in code_index:
-                            weights[code_index[cc]] *= factor
-            weights = weights / weights.sum()
-            tilt_cache[mask] = weights
-        country[i] = rng.choice_index(len(codes), p=weights)
+    country_u = rng.random_array(n)
+    for mask in np.unique(roles).tolist():
+        weights = base_weights.copy()
+        for role_bit, tilt in ROLE_COUNTRY_TILT.items():
+            if mask & role_bit:
+                for cc, factor in tilt.items():
+                    if cc in code_index:
+                        weights[code_index[cc]] *= factor
+        rows = roles == mask
+        country[rows] = weight_cdf(weights / weights.sum()).searchsorted(
+            country_u[rows], side="right")
 
     # ASes and IPs.
     per_country_ases = build_client_ases(registry, rng, n, config.clients_per_as)
@@ -287,10 +311,7 @@ def build_population(
         n_days[i] = int(OBSERVATION_DAYS * always.uniform(0.92, 1.0)) - first_day[i]
 
     # Session-rate weights: heavy-tailed, so a few IPs dominate volume.
-    rate = np.zeros(n, dtype=np.float32)
-    rate_rng = rng.child("rate-values")
-    for i in range(n):
-        rate[i] = rate_rng.lognormal(0.0, 1.3)
+    rate = rng.child("rate-values").lognormal_array(0.0, 1.3, n).astype(np.float32)
 
     # Targeting breadth (Figure 12): >40% one pot, 18% >10, 2% >110.
     # The heaviest-rate clients sweep broadly (mass scanners touch most of

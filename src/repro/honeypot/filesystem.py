@@ -11,9 +11,10 @@ presents (busybox-ish /bin, /proc pseudo-files with plausible content).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import posixpath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 
@@ -22,7 +23,7 @@ def hash_content(content: bytes) -> str:
     return hashlib.sha256(content).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileEntry:
     path: str
     content: bytes = b""
@@ -91,19 +92,28 @@ DEFAULT_DIRS = [
 ]
 
 
+def _default_tree() -> Dict[str, FileEntry]:
+    entries: Dict[str, FileEntry] = {}
+    for d in DEFAULT_DIRS:
+        entries[d] = FileEntry(path=d, is_dir=True, mode=0o755)
+    for path, content in DEFAULT_LAYOUT.items():
+        mode = 0o755 if path.startswith("/bin") else 0o644
+        entries[path] = FileEntry(path=path, content=content, mode=mode)
+    entries["/root"] = FileEntry(path="/root", is_dir=True, mode=0o700)
+    return entries
+
+
+#: The default tree, built once.  Entries are immutable, so every
+#: filesystem starts from a shallow copy of this dict.
+_DEFAULT_TREE = _default_tree()
+
+
 class FakeFilesystem:
     """A path -> :class:`FileEntry` store with Unix path semantics."""
 
     def __init__(self, populate: bool = True):
-        self._entries: Dict[str, FileEntry] = {}
+        self._entries: Dict[str, FileEntry] = dict(_DEFAULT_TREE) if populate else {}
         self.cwd = "/root"
-        if populate:
-            for d in DEFAULT_DIRS:
-                self._entries[d] = FileEntry(path=d, is_dir=True, mode=0o755)
-            for path, content in DEFAULT_LAYOUT.items():
-                mode = 0o755 if path.startswith("/bin") else 0o644
-                self._entries[path] = FileEntry(path=path, content=content, mode=mode)
-            self._entries["/root"] = FileEntry(path="/root", is_dir=True, mode=0o700)
 
     # -- path handling -----------------------------------------------------
 
@@ -196,10 +206,11 @@ class FakeFilesystem:
         return entry, created
 
     def chmod(self, path: str, mode: int) -> bool:
-        entry = self._entries.get(self.resolve(path))
+        full = self.resolve(path)
+        entry = self._entries.get(full)
         if entry is None:
             return False
-        entry.mode = mode
+        self._entries[full] = dataclasses.replace(entry, mode=mode)
         return True
 
     def remove(self, path: str) -> bool:

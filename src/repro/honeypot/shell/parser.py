@@ -10,6 +10,7 @@ redirection.
 
 from __future__ import annotations
 
+import re
 import shlex
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -30,46 +31,67 @@ class SimpleCommand:
 
 
 _SEPARATORS = (";", "&&", "||", "|")
+_QUOTES = ("'", '"', "`")
+
+#: One scan of a line: a quoted span (to its closing quote, or to the end
+#: of the line when unclosed), a top-level separator (group 1), or a lone
+#: background ``&``.  Alternation order gives ``&&`` / ``||`` precedence
+#: over the single-character forms, as a left-to-right character scan does.
+_TOP_LEVEL = re.compile(r"""'[^']*'?|"[^"]*"?|`[^`]*`?|(&&|\|\||[;|\n])|&""")
 
 
 def _split_top_level(line: str) -> List[str]:
-    """Split a line at top-level separators, respecting quotes."""
+    """Split a line at top-level separators, respecting quotes.
+
+    Quoted spans are kept verbatim; a trailing background ``&`` is dropped
+    and its command kept.
+    """
     parts: List[str] = []
     buf: List[str] = []
-    quote: Optional[str] = None
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if quote:
-            buf.append(ch)
-            if ch == quote:
-                quote = None
-            i += 1
+    pos = 0
+    for match in _TOP_LEVEL.finditer(line):
+        start, end = match.span()
+        if line[start] in _QUOTES:
             continue
-        if ch in ("'", '"', "`"):
-            quote = ch
-            buf.append(ch)
-            i += 1
-            continue
-        if line.startswith("&&", i) or line.startswith("||", i):
+        buf.append(line[pos:start])
+        pos = end
+        if match.group(1) is not None:
             parts.append("".join(buf))
             buf = []
-            i += 2
-            continue
-        if ch in (";", "|", "\n"):
-            parts.append("".join(buf))
-            buf = []
-            i += 1
-            continue
-        if ch == "&" and not line.startswith("&&", i):
-            # trailing background '&': drop the ampersand, keep the command
-            i += 1
-            continue
-        buf.append(ch)
-        i += 1
+    buf.append(line[pos:])
     parts.append("".join(buf))
     return [p.strip() for p in parts if p.strip()]
+
+
+#: A word of plain characters and complete quoted spans, and the scan
+#: that finds a quote left unclosed, for :func:`_split_words`.
+_WORD = re.compile(r"""(?:[^ \t\r\n'"]|"[^"]*"|'[^']*')+""")
+_UNCLOSED = re.compile(r""""[^"]*"|'[^']*'|(["'])""")
+_QUOTED = re.compile(r""""([^"]*)"|'([^']*)'""")
+
+
+def _unquote(match: re.Match) -> str:
+    inner = match.group(1)
+    return match.group(2) if inner is None else inner
+
+
+def _split_words(body: str) -> List[str]:
+    """``shlex.split(body, posix=True)``, or whitespace splitting where
+    shlex has nothing to do or raises.
+
+    Without backslashes, posix shlex only joins quoted spans into their
+    word and drops the quote characters, which two regexes do directly;
+    bodies with backslashes or an unclosed quote go through shlex.
+    """
+    if "\\" not in body:
+        if "'" not in body and '"' not in body:
+            return body.split()
+        if not any(m.group(1) for m in _UNCLOSED.finditer(body)):
+            return [_QUOTED.sub(_unquote, word) for word in _WORD.findall(body)]
+    try:
+        return shlex.split(body, posix=True)
+    except ValueError:
+        return body.split()
 
 
 def _parse_simple(text: str) -> SimpleCommand:
@@ -84,7 +106,7 @@ def _parse_simple(text: str) -> SimpleCommand:
             if ch == quote:
                 quote = None
             continue
-        if ch in ("'", '"', "`"):
+        if ch in _QUOTES:
             quote = ch
         elif ch == ">":
             redir_idx = i
@@ -98,18 +120,9 @@ def _parse_simple(text: str) -> SimpleCommand:
         else:
             target = target[1:]
         redirect_path = target.strip().split()[0] if target.strip() else None
-    if "'" not in body and '"' not in body and "\\" not in body:
-        # No quoting or escapes: posix shlex with whitespace_split reduces
-        # to plain whitespace splitting, so skip the tokenizer machinery.
-        argv = body.split()
-    else:
-        try:
-            argv = shlex.split(body, posix=True)
-        except ValueError:
-            argv = body.split()
     return SimpleCommand(
         text=text.strip(),
-        argv=argv,
+        argv=_split_words(body),
         redirect_path=redirect_path,
         redirect_append=redirect_append,
     )

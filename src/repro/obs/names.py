@@ -117,6 +117,11 @@ HISTOGRAMS: Tuple[str, ...] = (
 SPANS: Tuple[str, ...] = (
     "generate",
     "plan",
+    # Plan stages: generate/plan/<stage> (TraceGenerator init, ShardPlan).
+    "population",
+    "targets",
+    "calendar",
+    "writers",
     "emit",
     "merge",
     "day_buckets",
@@ -260,6 +265,10 @@ DESCRIPTIONS = {
     "span": {
         "generate": "whole-generation stage",
         "plan": "shard planning stage",
+        "population": "plan: client population build",
+        "targets": "plan: per-client honeypot target sets",
+        "calendar": "plan: per-category client day buckets",
+        "writers": "plan: singleton-writer selection and plan",
         "emit": "shard emission stage",
         "merge": "shard store merge stage",
         "day_buckets": "per-day session bucketing stage",

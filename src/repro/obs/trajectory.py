@@ -23,6 +23,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.store.npz import staged_file
+
 #: Span paths whose wall seconds are persisted per record (with any of
 #: their direct children); everything else is noise at trajectory scale.
 STAGE_ROOTS = ("generate", "report", "validate", "tables", "sketch")
@@ -118,7 +120,8 @@ def append_record(
         record["context"] = dict(context)
     records = load_trajectory(path)
     records.append(record)
-    with open(path, "w", encoding="utf-8") as fh:
+    # Stage and rename: an interrupted dump leaves the old history whole.
+    with staged_file(path, "w") as fh:
         json.dump(records, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return record

@@ -10,7 +10,7 @@ property that keeps calibrated traces stable as the codebase grows.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Optional, Sequence, TypeVar
+from typing import Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -31,10 +31,6 @@ def derive_stream_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# Backwards-compatible alias (predates the public spelling).
-_derive_seed = derive_stream_seed
-
-
 def weight_cdf(p) -> np.ndarray:
     """Normalised cumulative distribution over weight vector ``p``.
 
@@ -53,13 +49,76 @@ def weight_cdf(p) -> np.ndarray:
     return cdf
 
 
+#: ``Generator.choice`` rejects weights summing further than this from 1.
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def choice_weights(p, n: int) -> np.ndarray:
+    """``p`` as ``Generator.choice(n, replace=False, p=p)`` accepts it.
+
+    Raises what numpy raises for a wrong length, NaN, negative entries or
+    a sum off 1.  A positive sum further than numpy's tolerance from 1 is
+    renormalised first (numpy would reject it); sums within it are left
+    alone, since an unconditional divide would change the bits of every
+    already-normalised caller.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1 or p.size != n:
+        raise ValueError(f"weight vector has {p.size} entries for pool of {n}")
+    total = float(np.add.reduce(p))
+    if total <= 0.0:
+        raise ValueError("choice weights must sum to a positive value")
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        p = p / total
+        total = float(np.add.reduce(p))
+    if total != total:
+        raise ValueError("Probabilities contain NaN")
+    if p.min() < 0.0:
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        raise ValueError("Probabilities do not sum to 1")
+    return p
+
+
+def _weighted_sample(gen: np.random.Generator, p: np.ndarray, size: int,
+                     cdf: np.ndarray) -> np.ndarray:
+    """numpy's weighted sampling without replacement, minus its overhead.
+
+    Each round draws one uniform per index still missing, inverts them
+    over the cdf of the weight not yet drawn, and keeps each new index's
+    first occurrence in draw order; drawn weights are zeroed before the
+    next round.  This is ``Generator.choice(replace=False, p=p)``'s loop
+    step for step (``np.unique`` + sort of the first indices is the order
+    of first occurrence), so it consumes the same doubles and returns the
+    same indices.  ``cdf`` is the first round's cumulative of ``p``.
+    """
+    new = cdf.searchsorted(gen.random(size), side="right")
+    if size == 1:
+        return new
+    found = list(dict.fromkeys(new.tolist()))
+    if len(found) == size:
+        return new
+    left = p.copy()
+    while True:
+        # numpy re-zeroes every index found so far; zeroing each round's
+        # draws on a running copy leaves the same weights.
+        left[new] = 0.0
+        cdf = left.cumsum()
+        cdf /= cdf[-1]
+        new = cdf.searchsorted(gen.random(size - len(found)), side="right")
+        found.extend(dict.fromkeys(new.tolist()))
+        if len(found) == size:
+            return np.fromiter(found, dtype=np.int64, count=size)
+
+
 class RngStream:
     """A named, deterministic random stream backed by numpy's PCG64."""
 
     def __init__(self, master_seed: int, name: str = "root"):
         self.master_seed = int(master_seed)
         self.name = name
-        self._gen = np.random.Generator(np.random.PCG64(_derive_seed(master_seed, name)))
+        self._gen = np.random.Generator(
+            np.random.PCG64(derive_stream_seed(master_seed, name)))
         _metric_inc("rng.streams_created")
 
     @property
@@ -143,6 +202,11 @@ class RngStream:
     def lognormal_array(self, mean: float, sigma: float, size: int) -> np.ndarray:
         return self._rng.lognormal(mean, sigma, size=size)
 
+    def normal_array(self, size: int) -> np.ndarray:
+        """Standard normals; the same values as ``size`` calls to
+        :meth:`normal`."""
+        return self._rng.normal(0.0, 1.0, size=size)
+
     def exponential_array(self, mean: float, size: int) -> np.ndarray:
         return self._rng.exponential(mean, size=size)
 
@@ -157,12 +221,19 @@ class RngStream:
         of per-element bounds (one draw per element)."""
         return self._rng.integers(low, high)
 
-    def choice(self, seq: Sequence[T], p: Optional[Sequence[float]] = None) -> T:
+    def choice(self, seq: Sequence[T], p: Optional[Sequence[float]] = None,
+               cdf: Optional[np.ndarray] = None) -> T:
+        """One element, optionally weighted by ``p``.
+
+        ``cdf`` is :func:`weight_cdf` of ``p``, precomputed: a weighted
+        scalar choice is one double inverted over it, so this draws what
+        ``Generator.choice(len(seq), p=p)`` would, without its per-call
+        checks.
+        """
+        if cdf is not None:
+            return seq[int(cdf.searchsorted(self._rng.random(), side="right"))]
         idx = int(self._rng.choice(len(seq), p=p))
         return seq[idx]
-
-    def choice_index(self, n: int, p: Optional[Sequence[float]] = None) -> int:
-        return int(self._rng.choice(n, p=p))
 
     def choice_indices(
         self,
@@ -180,11 +251,18 @@ class RngStream:
         argument validation.  The draw sequence is identical; this wrapper
         sits under every emitted session block.
 
+        Weighted draws without replacement run numpy's own algorithm
+        (:func:`_weighted_sample`) with the same checks, so indices and the
+        generator state afterwards equal ``Generator.choice(n, size,
+        replace=False, p=p)``.
+
         ``cdf`` is the precomputed normalised cumulative of ``p`` (see
         :func:`weight_cdf`); passing it skips the per-call cumsum while
-        drawing the exact same values.  ``size=0`` returns an empty array
-        without touching generator state, matching what numpy's size-0
-        draws do.
+        drawing the exact same values.  Without replacement the weight
+        checks are hoisted with it: ``p`` must then be the output of
+        :func:`choice_weights`, which makes them once.  ``size=0`` returns
+        an empty array without touching generator state, matching what
+        numpy's size-0 draws do.
         """
         if size == 0:
             # numpy's own size-0 draws leave the bit generator untouched,
@@ -199,20 +277,21 @@ class RngStream:
             if p is None:
                 return gen.integers(0, n, size=size)
             return weight_cdf(p).searchsorted(gen.random(size), side="right")
-        if p is not None:
-            p = np.asarray(p, dtype=np.float64)
-            if p.size != n:
-                raise ValueError(f"weight vector has {p.size} entries for pool of {n}")
-            total = p.sum()
-            if total <= 0.0:
-                raise ValueError("choice weights must sum to a positive value")
-            # Generator.choice(replace=False) rejects weight sums more
-            # than sqrt(eps) from 1.0.  Renormalise only those (previously
-            # a crash): an unconditional divide would change the bits of
-            # every already-normalised caller.
-            if abs(total - 1.0) > float(np.sqrt(np.finfo(np.float64).eps)):
-                p = p / total
-        return gen.choice(n, size=size, p=p, replace=replace)
+        if p is None:
+            return gen.choice(n, size=size, replace=False)
+        if cdf is None:
+            p = choice_weights(p, n)
+            cdf = weight_cdf(p)
+        elif len(p) != n:
+            raise ValueError(f"weight vector has {len(p)} entries for pool of {n}")
+        if size > n:
+            raise ValueError("Cannot take a larger sample than population "
+                             "when replace is False")
+        # With no negative weights and a positive sum, one draw always
+        # finds a non-zero entry.
+        if size > 1 and np.count_nonzero(p) < size:
+            raise ValueError("Fewer non-zero entries in p than size")
+        return _weighted_sample(gen, p, size, cdf)
 
     def sample(self, seq: Sequence[T], k: int) -> list:
         """Sample ``k`` distinct elements (k is clamped to ``len(seq)``)."""
@@ -229,7 +308,3 @@ class RngStream:
         w = np.asarray(weights, dtype=float)
         p = w / w.sum()
         return self._rng.choice(len(w), size=size, p=p)
-
-    def iter_uniform(self, low: float, high: float) -> Iterator[float]:
-        while True:
-            yield self.uniform(low, high)

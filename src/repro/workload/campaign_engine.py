@@ -32,6 +32,7 @@ from repro.workload.targets import (
     locality_pools,
     redirect_local,
     subset_selector,
+    subset_weights,
 )
 
 SECONDS_PER_DAY = 86_400
@@ -90,6 +91,7 @@ class CampaignEngine:
         self.runner = runner
         self.intel = intel
         self.hash_weights = hash_weights
+        self._subset_p, self._subset_cdf = subset_weights(hash_weights)
         self.session_weights = session_weights
         self.pot_countries = pot_countries
         self.n_pots = len(pot_countries)
@@ -122,9 +124,7 @@ class CampaignEngine:
         pool = self._recruit_pool(spec, rng, n_clients)
         if len(pool) == 0:
             return None
-        pool_weights = np.array(
-            [rng.lognormal(0.0, 1.0) for _ in range(len(pool))], dtype=float
-        )
+        pool_weights = rng.lognormal_array(0.0, 1.0, len(pool))
 
         pot_subset = self._pot_subset(spec, rng)
         selector = subset_selector(pot_subset, self.session_weights)
@@ -151,7 +151,7 @@ class CampaignEngine:
         schedule = self._schedule(rng, active_days, n_sessions)
         if self.config.rotate_campaign_members:
             members_by_day = self._rotate_members(
-                rng.child("rotation"), sorted(schedule), len(pool)
+                rng, sorted(schedule), len(pool)
             )
         else:
             everyone = np.arange(len(pool))
@@ -184,11 +184,13 @@ class CampaignEngine:
 
         Small pools (or short campaigns) keep every member active every
         day — the few-IP long-lived campaigns of Table 6 really do use the
-        same addresses for months.
+        same addresses for months.  Bursts draw from the campaign stream's
+        ``rotation`` child, created only when there are bursts to draw.
         """
         if pool_size <= 6 or len(days) <= 3:
             everyone = np.arange(pool_size)
             return {day: everyone for day in days}
+        rng = rng.child("rotation")
         members_by_day: Dict[int, List[int]] = {day: [] for day in days}
         for member in range(pool_size):
             burst = min(len(days), rng.geometric(0.45))
@@ -269,11 +271,12 @@ class CampaignEngine:
                 group = build_subset(
                     rng.child("pots"), self.n_pots,
                     max(size, len(group) if group is not None else 0),
-                    self.hash_weights,
+                    self._subset_p, self._subset_cdf,
                 )
                 self._group_subsets[spec.pot_group] = group
             return group[:size]
-        return build_subset(rng.child("pots"), self.n_pots, size, self.hash_weights)
+        return build_subset(rng.child("pots"), self.n_pots, size,
+                            self._subset_p, self._subset_cdf)
 
     def _schedule(
         self, rng: RngStream, active_days: List[int], n_sessions: int
@@ -285,10 +288,8 @@ class CampaignEngine:
         counts = np.ones(n_days, dtype=np.int64)
         remainder = n_sessions - n_days
         if remainder > 0:
-            weights = np.array(
-                [rng.lognormal(0.0, 0.8) for _ in range(n_days)], dtype=float
-            )
-            counts += rng.multinomial(remainder, weights)
+            counts += rng.multinomial(remainder,
+                                      rng.lognormal_array(0.0, 0.8, n_days))
         return {day: int(count) for day, count in zip(active_days, counts)}
 
     # -- emission ----------------------------------------------------------------

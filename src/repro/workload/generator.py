@@ -190,12 +190,14 @@ class TraceGenerator:
             self.builder.honeypots.intern(site.honeypot_id)
 
         self.envelopes = build_envelopes(self.rng.child("envelopes"), config.n_days)
-        self.population = build_population(
-            PopulationConfig(n_clients=config.n_clients,
-                             n_always_on=max(4, int(120 * config.ip_scale))),
-            self.registry,
-            self.rng.child("population"),
-        )
+        metrics = get_metrics()
+        with metrics.span("population"):
+            self.population = build_population(
+                PopulationConfig(n_clients=config.n_clients,
+                                 n_always_on=max(4, int(120 * config.ip_scale))),
+                self.registry,
+                self.rng.child("population"),
+            )
         # Intern client countries so store ids == population country indices.
         for code in self.population.country_codes:
             self.builder.countries.intern(code)
@@ -212,13 +214,14 @@ class TraceGenerator:
         self.session_weights = session_w
         self.client_weights = client_w
         self.hash_weights = hash_w
-        self.target_index = TargetIndex(
-            self.rng.child("targets"), client_w, session_w
-        )
-        self.targets: List[TargetSet] = self.target_index.build_for(
-            self.population.breadth
-        )
-        self.target_table = TargetTable(self.targets)
+        with metrics.span("targets"):
+            self.target_index = TargetIndex(
+                self.rng.child("targets"), client_w, session_w
+            )
+            self.targets: List[TargetSet] = self.target_index.build_for(
+                self.population.breadth
+            )
+            self.target_table = TargetTable(self.targets)
 
         self.runner = ScriptRunner()
         self.intel = IntelDatabase()
@@ -235,7 +238,7 @@ class TraceGenerator:
             pot_countries=self.pot_countries,
         )
 
-        self._day_buckets: Dict[str, List[List[int]]] = {}
+        self._day_buckets: Dict[str, List[np.ndarray]] = {}
         #: Background daily budgets and setups (:meth:`_plan_background`).
         self.budgets: Dict[str, np.ndarray] = {}
         self.realized: List[RealizedCampaign] = []
@@ -244,30 +247,47 @@ class TraceGenerator:
     # -- client activity calendar --------------------------------------------
 
     def _build_day_buckets(self) -> None:
+        """Per category and day, the active clients holding its role.
+
+        Each client's active days (:func:`sample_active_days`, drawn in
+        client order) become (client, day) pairs, sorted by day and then
+        client: each day lists its clients in client order.  Single-day
+        clients draw nothing, so only the others call the sampler.
+        """
         n_days = self.config.n_days
-        buckets: Dict[str, List[List[int]]] = {
-            cat: [[] for _ in range(n_days)] for _, cat in _ROLE_CATEGORY
-        }
         rng = self.rng.child("calendar")
         pop = self.population
         scan_env = self.envelopes["NO_CRED"]
-        for i in range(len(pop)):
-            days = sample_active_days(
-                rng, int(pop.first_day[i]), int(pop.n_days[i]), scan_env
-            )
-            mask = int(pop.roles[i])
-            for role, cat in _ROLE_CATEGORY:
-                if mask & int(role):
-                    cat_buckets = buckets[cat]
-                    for d in days:
-                        if d < n_days:
-                            cat_buckets[d].append(i)
+        single = np.flatnonzero(pop.n_days <= 1)
+        multi = np.flatnonzero(pop.n_days > 1)
+        spans = [
+            sample_active_days(rng, first, n_active, scan_env)
+            for first, n_active in zip(pop.first_day[multi].tolist(),
+                                       pop.n_days[multi].tolist())
+        ]
+        client = np.concatenate(
+            [single, np.repeat(multi, [len(days) for days in spans])])
+        day = np.concatenate(
+            [np.minimum(pop.first_day[single], len(scan_env) - 1), *spans])
+        keep = day < n_days
+        client, day = client[keep], day[keep]
+        order = np.lexsort((client, day))
+        client, day = client[order], day[order]
+        roles = pop.roles[client]
+        every_day = np.arange(n_days + 1)
+        buckets: Dict[str, List[np.ndarray]] = {}
+        for role, cat in _ROLE_CATEGORY:
+            holds = (roles & int(role)) != 0
+            cat_clients = client[holds]
+            bounds = np.searchsorted(day[holds], every_day).tolist()
+            buckets[cat] = [cat_clients[bounds[d]:bounds[d + 1]]
+                            for d in range(n_days)]
         self._day_buckets = buckets
 
     def _active_clients(self, category: str, day: int, rng: RngStream) -> np.ndarray:
         bucket = self._day_buckets[category][day]
-        if bucket:
-            return np.asarray(bucket, dtype=np.int64)
+        if len(bucket):
+            return bucket
         role = next(r for r, cat in _ROLE_CATEGORY if cat == category)
         candidates = self.population.with_role(role)
         if len(candidates) == 0:

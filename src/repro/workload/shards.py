@@ -19,8 +19,11 @@ store is therefore bit-identical for every worker count.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.obs import get_metrics, use_metrics
 from repro.obs import trace as _trace
@@ -67,13 +70,17 @@ class ShardPlan:
 
     def __init__(self, gen: TraceGenerator):
         self.gen = gen
-        gen._build_day_buckets()
-        gen._realize_campaigns()
+        metrics = get_metrics()
+        with metrics.span("calendar"):
+            gen._build_day_buckets()
+        with metrics.span("campaigns"):
+            gen._realize_campaigns()
         self.campaigns_by_id = {r.spec.campaign_id: r for r in gen.realized}
 
-        self.writers = gen._singleton_writers(gen.rng.child("singletons"))
-        self.writer_pots, self.writer_sessions = gen._singleton_plan(
-            gen.rng.child("singletons.plan"), self.writers)
+        with metrics.span("writers"):
+            self.writers = gen._singleton_writers(gen.rng.child("singletons"))
+            self.writer_pots, self.writer_sessions = gen._singleton_plan(
+                gen.rng.child("singletons.plan"), self.writers)
         gen._plan_background(int(self.writer_sessions.sum()))
         self.shards = self._enumerate()
 
@@ -171,6 +178,57 @@ class ShardPlan:
             if lo is not None and acc > 0:
                 shards.append(Shard(cat, cat, lo, n_days))
         return shards
+
+
+def plan_digest(plan: ShardPlan) -> str:
+    """sha256 over everything a plan hands to emission.
+
+    Covers the population columns, the target-table CSR, the client AS
+    registry, the per-category day buckets, each realised campaign's
+    pool, pool weights, pot subset, schedule, members by day and script
+    id, the singleton writers' plan and the background budgets.  Equal digests mean equal plans; a store
+    digest that moves while this one holds points at emission, not at the
+    plan.
+    """
+    h = hashlib.sha256()
+
+    def put(tag: str, a) -> None:
+        a = np.ascontiguousarray(a)
+        h.update(f"{tag}:{a.dtype.str}:{a.shape}:".encode())
+        h.update(a.tobytes())
+
+    gen = plan.gen
+    pop = gen.population
+    for col in ("ip", "country", "asn", "roles", "first_day", "n_days",
+                "rate", "breadth"):
+        put(f"pop.{col}", getattr(pop, col))
+    table = gen.target_table
+    for col in ("pots", "offsets", "keys"):
+        put(f"targets.{col}", getattr(table, col))
+    for record in gen.registry.records():
+        h.update(repr((record.asn, record.country, record.network_type.value,
+                       record.name, [str(p) for p in record.prefixes])).encode())
+    for cat in sorted(gen._day_buckets):
+        for day, bucket in enumerate(gen._day_buckets[cat]):
+            put(f"day.{cat}.{day}", np.asarray(bucket, dtype=np.int64))
+    for r in gen.realized:
+        cid = r.spec.campaign_id
+        put(f"c.{cid}.pool", r.pool)
+        put(f"c.{cid}.pool_weights", r.pool_weights)
+        put(f"c.{cid}.pot_subset", r.pot_subset)
+        days = sorted(r.schedule)
+        put(f"c.{cid}.schedule", np.array(
+            [(d, r.schedule[d]) for d in days], dtype=np.int64))
+        for day in sorted(r.members_by_day):
+            put(f"c.{cid}.members.{day}",
+                np.asarray(r.members_by_day[day], dtype=np.int64))
+        put(f"c.{cid}.script_id", np.int64(r.script_id))
+    put("writers", plan.writers)
+    put("writer_pots", plan.writer_pots)
+    put("writer_sessions", plan.writer_sessions)
+    for kind in sorted(gen.budgets):
+        put(f"budget.{kind}", gen.budgets[kind])
+    return h.hexdigest()
 
 
 def emit_shard(plan: ShardPlan, shard: Shard) -> SessionStore:

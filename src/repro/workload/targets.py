@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geo.continents import Continent, continent_of
-from repro.simulation.rng import RngStream
+from repro.simulation.rng import RngStream, choice_weights, weight_cdf
 
 
 @dataclass
@@ -179,32 +179,40 @@ class TargetIndex:
         session_weights: np.ndarray,
     ):
         self.rng = rng
-        self.client_weights = client_weights / client_weights.sum()
-        self.session_weights = session_weights
         self.n_pots = len(client_weights)
+        self.client_weights = choice_weights(
+            client_weights / client_weights.sum(), self.n_pots)
+        self._client_cdf = weight_cdf(self.client_weights)
+        self.session_weights = session_weights
         self._sets: List[Optional[TargetSet]] = []
 
     def build_for(self, breadths: np.ndarray) -> List[TargetSet]:
-        """Build a target set per client (indexed like ``breadths``)."""
-        sets: List[TargetSet] = []
-        for breadth in breadths:
-            sets.append(self._sample_set(int(breadth)))
+        """Build a target set per client (indexed like ``breadths``).
+
+        Pots are drawn client by client, in order; the in-set cumulative
+        weights are then computed for all clients of one breadth at once
+        (:func:`in_set_cumulative` is row-wise exact).
+        """
+        breadths = np.clip(breadths, 1, self.n_pots)
+        pots = [self._sample_pots(breadth) for breadth in breadths.tolist()]
+        cumulative: List[Optional[np.ndarray]] = [None] * len(pots)
+        for breadth in np.unique(breadths).tolist():
+            rows = np.flatnonzero(breadths == breadth).tolist()
+            block = in_set_cumulative(np.stack([pots[i] for i in rows]),
+                                      self.session_weights)
+            for i, row in zip(rows, block):
+                cumulative[i] = row
+        sets = [TargetSet(pots=p, cumulative=c) for p, c in zip(pots, cumulative)]
         self._sets = sets
         return sets
 
-    def _sample_set(self, breadth: int) -> TargetSet:
-        breadth = max(1, min(breadth, self.n_pots))
+    def _sample_pots(self, breadth: int) -> np.ndarray:
         if breadth == self.n_pots:
-            pots = np.arange(self.n_pots, dtype=np.int32)
-        else:
-            picked = self.rng.choice_indices(
-                self.n_pots, size=breadth, p=self.client_weights, replace=False
-            )
-            pots = np.asarray(picked, dtype=np.int32)
-        weights = self.session_weights[pots].astype(np.float64)
-        cumulative = np.cumsum(weights / weights.sum())
-        cumulative[-1] = 1.0
-        return TargetSet(pots=pots, cumulative=cumulative)
+            return np.arange(self.n_pots, dtype=np.int32)
+        return self.rng.choice_indices(
+            self.n_pots, size=breadth, p=self.client_weights,
+            replace=False, cdf=self._client_cdf,
+        ).astype(np.int32)
 
 
 def build_subset(
@@ -212,19 +220,45 @@ def build_subset(
     n_pots_total: int,
     size: int,
     weights: np.ndarray,
+    cdf: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """A weighted, replacement-free honeypot subset (for campaigns)."""
+    """A weighted, replacement-free honeypot subset (for campaigns).
+
+    ``weights`` are normalised here, unless ``cdf`` is given: then they
+    are the normalised weights ``cdf`` was built from (see
+    :func:`subset_weights`), hoisted by a caller that draws many subsets.
+    """
     size = max(1, min(size, n_pots_total))
     if size == n_pots_total:
         return np.arange(n_pots_total, dtype=np.int32)
-    p = weights / weights.sum()
-    picked = rng.choice_indices(n_pots_total, size=size, p=p, replace=False)
-    return np.sort(np.asarray(picked, dtype=np.int32))
+    if cdf is None:
+        weights = weights / weights.sum()
+    picked = rng.choice_indices(n_pots_total, size=size, p=weights,
+                                replace=False, cdf=cdf)
+    return np.sort(picked.astype(np.int32))
+
+
+def subset_weights(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(p, cdf)`` that :func:`build_subset` derives from ``weights`` on
+    every call, computed once."""
+    p = choice_weights(weights / weights.sum(), len(weights))
+    return p, weight_cdf(p)
+
+
+def in_set_cumulative(pots: np.ndarray, session_weights: np.ndarray) -> np.ndarray:
+    """Normalised cumulative session weight of ``pots`` along its last axis.
+
+    The last entry is pinned to 1.0.  A 2-D ``pots`` holds one pot set per
+    row; each row comes out bit-identical to the 1-D call on that row,
+    since numpy sums and accumulates a contiguous row the same way either
+    way (a test holds numpy to this).
+    """
+    weights = session_weights[pots].astype(np.float64, copy=False)
+    cumulative = np.cumsum(weights / weights.sum(axis=-1, keepdims=True), axis=-1)
+    cumulative[..., -1] = 1.0
+    return cumulative
 
 
 def subset_selector(pots: np.ndarray, session_weights: np.ndarray) -> TargetSet:
     """Session-choice structure over a fixed pot subset."""
-    weights = session_weights[pots].astype(np.float64)
-    cumulative = np.cumsum(weights / weights.sum())
-    cumulative[-1] = 1.0
-    return TargetSet(pots=pots, cumulative=cumulative)
+    return TargetSet(pots=pots, cumulative=in_set_cumulative(pots, session_weights))

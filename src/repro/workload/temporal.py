@@ -139,10 +139,11 @@ def sample_active_days(
         total = weights.sum()
     weights = weights / total
     picked = rng.choice_indices(len(window), size=n_active, p=weights, replace=False)
-    days = window[np.sort(np.asarray(picked))]
-    # The client's first day is always active.
+    days = window[np.sort(picked)].astype(np.int32)
+    # The client's first day is always active.  Distinct picks keep the
+    # days strictly increasing, so this needs no re-sort or dedup.
     days[0] = first_day
-    return np.unique(days).astype(np.int32)
+    return days
 
 
 def honeypot_weight_vectors(
@@ -165,9 +166,7 @@ def honeypot_weight_vectors(
     )
 
     def one(stream: RngStream, top10_share: float, sigma: float) -> np.ndarray:
-        tail = np.exp(sigma * np.asarray(
-            [stream.normal() for _ in range(n_honeypots)]
-        ))
+        tail = np.exp(sigma * stream.normal_array(n_honeypots))
         weights = tail.copy()
         if n_honeypots <= len(ladder_shape):
             return weights / weights.sum()

@@ -38,6 +38,18 @@ class TestLayout:
         fs = FakeFilesystem(populate=False)
         assert not fs.exists("/etc/passwd")
 
+    def test_filesystems_share_no_mutable_state(self):
+        # Every filesystem starts from one shared default tree; changes
+        # to one must never show in another.
+        self.fs.chmod("/bin/busybox", 0o700)
+        self.fs.write("/etc/passwd", b"x", append=True)
+        self.fs.remove("/tmp")
+        fresh = FakeFilesystem()
+        assert self.fs.get("/bin/busybox").mode == 0o700
+        assert fresh.get("/bin/busybox").mode == 0o755
+        assert fresh.read("/etc/passwd").endswith(b"nologin\n")
+        assert fresh.is_dir("/tmp")
+
 
 class TestPaths:
     def setup_method(self):

@@ -86,6 +86,15 @@ class TestEngineReferenceInvariants:
         for stage in ("campaigns", "singletons", "background", "freeze"):
             assert metrics.spans[f"generate/{stage}"]["count"] == 1
 
+    def test_plan_stage_spans_recorded(self):
+        import repro
+
+        with use_metrics() as metrics:
+            repro.generate(TINY, backend="inline", workers=1)
+        for stage in ("population", "targets", "calendar", "campaigns",
+                      "writers"):
+            assert metrics.spans[f"generate/plan/{stage}"]["count"] == 1
+
     def test_rng_draws_counted(self, generation):
         _, metrics = generation
         assert metrics.counter("rng.draws") > 0

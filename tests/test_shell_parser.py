@@ -1,6 +1,15 @@
 """Tests for shell command-line parsing."""
 
-from repro.honeypot.shell.parser import split_command_line
+import shlex
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.honeypot.shell.parser import (
+    _split_top_level,
+    _split_words,
+    split_command_line,
+)
 
 
 class TestSplitting:
@@ -81,3 +90,69 @@ class TestRedirection:
     def test_redirect_without_target(self):
         cmd = split_command_line("echo x >")[0]
         assert cmd.redirect_path is None
+
+
+def _scan_top_level(line):
+    """Reference splitter: a character-by-character scan."""
+    parts, buf, quote, i = [], [], None, 0
+    while i < len(line):
+        ch = line[i]
+        if quote:
+            buf.append(ch)
+            if ch == quote:
+                quote = None
+            i += 1
+        elif ch in ("'", '"', "`"):
+            quote = ch
+            buf.append(ch)
+            i += 1
+        elif line.startswith("&&", i) or line.startswith("||", i):
+            parts.append("".join(buf))
+            buf = []
+            i += 2
+        elif ch in (";", "|", "\n"):
+            parts.append("".join(buf))
+            buf = []
+            i += 1
+        elif ch == "&":
+            i += 1
+        else:
+            buf.append(ch)
+            i += 1
+    parts.append("".join(buf))
+    return [p.strip() for p in parts if p.strip()]
+
+
+def _reference_words(body):
+    """Reference word splitter: posix shlex, whitespace split on error or
+    when there is nothing to unquote."""
+    if "'" not in body and '"' not in body and "\\" not in body:
+        return body.split()
+    try:
+        return shlex.split(body, posix=True)
+    except ValueError:
+        return body.split()
+
+
+_SHELL_TEXT = st.text(
+    alphabet=st.sampled_from(list("ab xy\t'\"`|;&>$()\\\n") + ["\x0b", "\xa0"]),
+    max_size=24,
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=600, deadline=None)
+    @given(_SHELL_TEXT)
+    def test_top_level_split_matches_a_character_scan(self, line):
+        assert _split_top_level(line) == _scan_top_level(line)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_SHELL_TEXT)
+    def test_word_split_matches_shlex(self, body):
+        assert _split_words(body) == _reference_words(body)
+
+    def test_cached_parse_returns_fresh_copies(self):
+        first = split_command_line("echo 'a b' > /tmp/x")
+        first[0].argv.append("mutated")
+        again = split_command_line("echo 'a b' > /tmp/x")
+        assert again[0].argv == ["echo", "a b"]

@@ -677,3 +677,20 @@ class TestTrajectory:
                       context=dict(ctx, emit_path="scalar"))
         message = check_regression(load_trajectory(path), threshold=0.2)
         assert message is not None and "regressed" in message
+
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        from repro.obs import trajectory
+
+        path = tmp_path / "traj.json"
+        trajectory.append_record(path, self._metrics(), commit="a")
+        before = path.read_bytes()
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('[{"commit": "half-written"')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trajectory.json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            trajectory.append_record(path, self._metrics(), commit="b")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["traj.json"]
