@@ -243,5 +243,31 @@ WARM_METRICS="$(python -m repro report --scale 40000 --cache-dir "$CACHE_DIR" \
 echo "$WARM_METRICS" | grep "cache.hits" \
     || { echo "warm run did not hit the cache"; exit 1; }
 
+echo "== npz v2 smoke (pickle-free members, digest survives save + load) =="
+python -m repro generate --scale 40000 --out "$SCRATCH/v2.npz" \
+    --ledger "$SCRATCH/v2_ledger.jsonl" > /dev/null 2> /dev/null
+python - "$SCRATCH/v2.npz" "$SCRATCH/v2_ledger.jsonl" <<'PY'
+import sys
+
+import numpy as np
+
+import repro
+from repro.obs import read_ledger_jsonl
+
+path, ledger_path = sys.argv[1:]
+with np.load(path, allow_pickle=False) as data:
+    members = {name: data[name] for name in data.files}
+if int(members["format_version"][0]) != 2:
+    raise SystemExit(f"{path}: format_version {members['format_version']}")
+final = next(r for r in read_ledger_jsonl(ledger_path) if r["record"] == "final")
+loaded = repro.load(path).store.content_digest()
+if loaded != final["store_sha256"]:
+    raise SystemExit(f"digest moved across save + load: generated "
+                     f"{final['store_sha256'][:16]}..., loaded {loaded[:16]}...")
+print(f"npz v2 ok ({len(members)} members, none pickled, "
+      f"sha256 {loaded[:16]}... generated == loaded)")
+PY
+python -m repro report --scale 40000 --load "$SCRATCH/v2.npz" > /dev/null
+
 echo "== generation benchmark (quick) =="
 REPRO_BENCH_GEN_SCALE=40000 python -m pytest benchmarks/bench_generation.py -q

@@ -19,8 +19,9 @@ from repro.honeypot.session import CloseReason, SessionSummary
 #: Canonical fixed-dtype store columns, in builder/persistence order.
 #: One place defines the on-disk and in-memory layout; the chunked
 #: :class:`~repro.store.store.StoreBuilder` accumulates exactly these and
-#: ``repro.store.npz`` persists them verbatim (plus the derived
-#: ``n_commands`` / ``has_uri`` script columns and the CSR hash column).
+#: ``repro.store.npz`` persists them (plus the derived ``n_commands`` /
+#: ``has_uri`` script columns and the CSR hash column), narrowed on disk
+#: and widened back to these dtypes on load.
 STORE_COLUMN_DTYPES = {
     "start_time": np.float64,
     "duration": np.float32,

@@ -79,7 +79,8 @@ def save_dataset(dataset: HoneyfarmDataset, directory: PathLike) -> None:
         "envelopes": {k: v.tolist() for k, v in dataset.envelopes.items()},
     }
     with staged_file(directory / _META_FILE, "w") as fh:
-        json.dump(meta, fh)
+        # One dumps call: json.dump encodes in many small chunks.
+        fh.write(json.dumps(meta, separators=(",", ":")))
         save_npz(dataset.store, directory / _STORE_FILE)
 
 

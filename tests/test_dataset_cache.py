@@ -121,6 +121,20 @@ class TestCacheRoundTrip:
         entries = [p for p in tmp_path.iterdir() if p.is_dir()]
         assert len(entries) == 2
 
+    def test_v1_store_entry_is_a_miss(self, tiny_config, tmp_path):
+        from tests.test_store_npz import write_v1_store
+
+        cold = generate_dataset(tiny_config, cache=tmp_path)
+        entry = DatasetCache(tmp_path).entry_dir(dataset_fingerprint(tiny_config))
+        write_v1_store(cold.store, entry / "store.npz")
+
+        snap = get_metrics().to_dict()
+        regenerated = generate_dataset(tiny_config, cache=tmp_path)
+        counters = _cache_counters(snap)
+        assert counters.get("cache.corrupt_entries") == 1
+        assert counters.get("cache.misses") == 1
+        assert regenerated.store.content_digest() == cold.store.content_digest()
+
     def test_corrupt_store_regenerates(self, tiny_config, tmp_path):
         cold = generate_dataset(tiny_config, cache=tmp_path)
         entry = DatasetCache(tmp_path).entry_dir(dataset_fingerprint(tiny_config))

@@ -1,5 +1,7 @@
 """Tests for whole-dataset persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -54,17 +56,32 @@ class TestDatasetRoundtrip:
         assert report["table4"][0].hash_label == "H1"
 
 
+class TestMetadataJson:
+    def test_written_compact_and_read_in_either_form(self, small_dataset,
+                                                     tmp_path):
+        save_dataset(small_dataset, tmp_path)
+        meta_path = tmp_path / "dataset.json"
+        compact = meta_path.read_text(encoding="utf-8")
+        meta = json.loads(compact)
+        assert compact == json.dumps(meta, separators=(",", ":"))
+
+        meta_path.write_text(json.dumps(meta, indent=2), encoding="utf-8")
+        reloaded = load_dataset(tmp_path)
+        assert reloaded.config == small_dataset.config
+        assert len(reloaded.campaigns) == len(small_dataset.campaigns)
+
+
 class TestAtomicSaveDataset:
     def test_failed_save_keeps_previous_bundle(self, small_dataset, tmp_path,
                                                monkeypatch):
         save_dataset(small_dataset, tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-        def write_half_then_fail(file, **arrays):
-            file.write(b"PK\x03\x04 partial zip member")
+        def write_half_then_fail(fp, array, **kwargs):
+            fp.write(b"\x93NUMPY partial member")
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", write_half_then_fail)
+        monkeypatch.setattr(np.lib.format, "write_array", write_half_then_fail)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(small_dataset, tmp_path)
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
