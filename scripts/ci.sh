@@ -269,5 +269,34 @@ print(f"npz v2 ok ({len(members)} members, none pickled, "
 PY
 python -m repro report --scale 40000 --load "$SCRATCH/v2.npz" > /dev/null
 
+echo "== report metamorphic smoke (store == row-permuted == 3-way split + merge) =="
+python - <<'PY'
+from dataclasses import replace
+
+import numpy as np
+
+import repro
+from repro.core.context import AnalysisContext
+from tests.report_digest import report_digest, split_and_merge, take_rows
+
+dataset = repro.generate(repro.ScenarioConfig.from_denominator(40000, seed=2023),
+                         backend="inline", workers=1)
+store = dataset.store
+rows = np.random.default_rng(2023).permutation(len(store))
+digests = {
+    "store": report_digest(dataset),
+    "row-permuted": report_digest(replace(dataset, store=take_rows(store, rows))),
+    "split+merge": report_digest(replace(dataset, store=split_and_merge(store))),
+}
+if len(set(digests.values())) != 1:
+    raise SystemExit(f"report + validate digests diverged: {digests}")
+ctx = AnalysisContext.from_dataset(dataset)
+tables = {"client_pot": ctx.client_pots(), "client_day": ctx.client_days()}
+print(f"report metamorphic ok (sha256 {digests['store'][:16]}... x3; "
+      f"{len(store):,} sessions, {len(ctx.client_table.ips):,} clients, "
+      + ", ".join(f"{name} {len(t.keys):,} rows / {t.keys.nbytes:,} B"
+                  for name, t in tables.items()) + ")")
+PY
+
 echo "== generation benchmark (quick) =="
 REPRO_BENCH_GEN_SCALE=40000 python -m pytest benchmarks/bench_generation.py -q

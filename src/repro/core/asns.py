@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.classify import CATEGORIES
-from repro.core.context import StoreOrContext, as_context, as_store
+from repro.core.clients import unique_as_count
+from repro.core.context import DistinctTuples, StoreOrContext, as_context, as_store
 from repro.core.hashes import HashOccurrences
 from repro.geo.registry import GeoRegistry, NetworkType
 from repro.store.store import SessionStore
@@ -24,12 +25,8 @@ from repro.store.store import SessionStore
 def as_counts_by_category(store: StoreOrContext) -> Dict[str, int]:
     """Unique client ASes per session category."""
     ctx = as_context(store)
-    store = ctx.store
-    out: Dict[str, int] = {}
-    for i, cat in enumerate(CATEGORIES):
-        asns = store.client_asn[ctx.category_mask(i)]
-        out[cat.value] = len(np.unique(asns[asns >= 0]))
-    return out
+    return {cat.value: unique_as_count(ctx, ctx.category_mask(i))
+            for i, cat in enumerate(CATEGORIES)}
 
 
 def ips_per_as(
@@ -37,27 +34,21 @@ def ips_per_as(
 ) -> Dict[int, int]:
     """Unique client IPs per origin AS (anonymised AS disclosure)."""
     store = as_store(store)
-    ips = store.client_ip if mask is None else store.client_ip[mask]
-    asns = store.client_asn if mask is None else store.client_asn[mask]
-    valid = asns >= 0
-    key = (asns[valid].astype(np.uint64) << np.uint64(32)) | ips[valid].astype(np.uint64)
-    unique_pairs = np.unique(key)
-    pair_asn = (unique_pairs >> np.uint64(32)).astype(np.int64)
-    asn_ids, counts = np.unique(pair_asn, return_counts=True)
-    return {int(a): int(c) for a, c in zip(asn_ids, counts)}
+    rows = slice(None) if mask is None else mask
+    return _distinct_per_as(store.client_asn[rows], store.client_ip[rows])
 
 
 def hashes_per_as(occ: HashOccurrences) -> Dict[int, int]:
     """Unique file hashes produced from each origin AS."""
-    store = occ.store
-    asns = store.client_asn[occ.session_idx]
+    return _distinct_per_as(occ.store.client_asn[occ.session_idx], occ.hash_id)
+
+
+def _distinct_per_as(asns: np.ndarray, other: np.ndarray) -> Dict[int, int]:
+    """Distinct ``other`` values per origin AS (sessions without one skipped)."""
     valid = asns >= 0
-    key = (asns[valid].astype(np.uint64) << np.uint64(32)) | \
-        occ.hash_id[valid].astype(np.uint64)
-    unique_pairs = np.unique(key)
-    pair_asn = (unique_pairs >> np.uint64(32)).astype(np.int64)
-    asn_ids, counts = np.unique(pair_asn, return_counts=True)
-    return {int(a): int(c) for a, c in zip(asn_ids, counts)}
+    pairs = DistinctTuples(asn=(asns[valid], 32), other=(other[valid], 32))
+    first, counts = pairs.groups(pairs.keys, "asn")
+    return {int(a): int(c) for a, c in zip(pairs.field("asn", first), counts)}
 
 
 @dataclass

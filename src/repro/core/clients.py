@@ -9,19 +9,39 @@ clients-per-honeypot curves, and the daily category-combination counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.classify import CATEGORIES
-from repro.core.context import StoreOrContext, as_context, as_store
+from repro.core.context import AnalysisContext, DistinctTuples, StoreOrContext
+from repro.core.context import as_context, as_store
 from repro.core.ecdf import Ecdf
 
 
+def _per_client(table: DistinctTuples, field: str,
+                category: Optional[int] = None) -> np.ndarray:
+    """Distinct ``field`` values per client, in client-IP order."""
+    return table.groups(table.distinct(field, category), "client")[1]
+
+
+def _per_client_ecdfs(table: DistinctTuples, field: str) -> Dict[str, Ecdf]:
+    """ECDFs of :func:`_per_client`, overall ("ALL") and per category."""
+    names = [("ALL", None)] + [(cat.value, i) for i, cat in enumerate(CATEGORIES)]
+    return {name: Ecdf(_per_client(table, field, i)) for name, i in names}
+
+
+def _clients_per(table: DistinctTuples, field: str, n: int,
+                 category: Optional[int] = None) -> np.ndarray:
+    """Distinct clients per ``field`` value ``0 .. n - 1``."""
+    return np.bincount(table.field(field, table.distinct(field, category)),
+                       minlength=n)
+
+
 def unique_clients(store: StoreOrContext, mask: Optional[np.ndarray] = None) -> np.ndarray:
-    store = as_store(store)
-    ips = store.client_ip if mask is None else store.client_ip[mask]
-    return np.unique(ips)
+    ctx = as_context(store)
+    table = ctx.client_pots(mask)
+    return ctx.client_table.ips[table.field("client", table.distinct("client"))]
 
 
 def unique_client_count(store: StoreOrContext, mask: Optional[np.ndarray] = None) -> int:
@@ -34,109 +54,71 @@ def unique_as_count(store: StoreOrContext, mask: Optional[np.ndarray] = None) ->
     return len(np.unique(asns[asns >= 0]))
 
 
+def _by_country(ctx: AnalysisContext, table: DistinctTuples,
+                category: Optional[int] = None) -> Dict[str, int]:
+    client = table.field("client", table.distinct("client", category))
+    counts = np.bincount(ctx.client_table.country[client],
+                         minlength=len(ctx.store.countries))
+    return {ctx.store.countries.value_of(i): int(c)
+            for i, c in enumerate(counts) if c > 0}
+
+
 def clients_per_country(
     store: StoreOrContext, mask: Optional[np.ndarray] = None
 ) -> Dict[str, int]:
-    """Unique client IPs per country (Figure 10 / 23)."""
-    store = as_store(store)
-    ips = store.client_ip if mask is None else store.client_ip[mask]
-    countries = store.client_country if mask is None else store.client_country[mask]
-    # Unique (ip, country) pairs; an IP has a single country by construction.
-    key = ips.astype(np.uint64) << np.uint64(16)
-    key |= countries.astype(np.uint64)
-    unique_keys = np.unique(key)
-    country_ids = (unique_keys & np.uint64(0xFFFF)).astype(np.int64)
-    counts = np.bincount(country_ids, minlength=len(store.countries))
-    return {
-        store.countries.value_of(i): int(c)
-        for i, c in enumerate(counts)
-        if c > 0
-    }
+    """Unique client IPs per country (Figure 10 / 23).
+
+    An IP has a single country by construction (its first session's).
+    """
+    ctx = as_context(store)
+    return _by_country(ctx, ctx.client_pots(mask))
 
 
 def clients_per_country_by_category(store: StoreOrContext) -> Dict[str, Dict[str, int]]:
     """Figure 23: per-category country distribution of client IPs."""
     ctx = as_context(store)
-    out: Dict[str, Dict[str, int]] = {}
-    for i, cat in enumerate(CATEGORIES):
-        out[cat.value] = clients_per_country(ctx.store, ctx.category_mask(i))
-    return out
+    return {cat.value: _by_country(ctx, ctx.client_pots(), i)
+            for i, cat in enumerate(CATEGORIES)}
 
 
 def daily_unique_ips(store: StoreOrContext) -> Dict[str, np.ndarray]:
     """Figure 11: unique client IPs per day per category."""
     ctx = as_context(store)
-    store = ctx.store
-    n_days = store.n_days
-    out: Dict[str, np.ndarray] = {}
-    for i, cat in enumerate(CATEGORIES):
-        mask = ctx.category_mask(i)
-        days = store.day[mask].astype(np.uint64)
-        ips = store.client_ip[mask].astype(np.uint64)
-        key = (ips << np.uint64(16)) | days
-        unique_keys = np.unique(key)
-        day_of_key = (unique_keys & np.uint64(0xFFFF)).astype(np.int64)
-        out[cat.value] = np.bincount(day_of_key, minlength=n_days)
-    return out
+    table = ctx.client_days()
+    return {cat.value: _clients_per(table, "day", ctx.store.n_days, i)
+            for i, cat in enumerate(CATEGORIES)}
 
 
 def honeypots_per_client(
     store: StoreOrContext, mask: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Distinct honeypots contacted per client IP (Figure 12 sample)."""
-    store = as_store(store)
-    ips = store.client_ip if mask is None else store.client_ip[mask]
-    pots = store.honeypot if mask is None else store.honeypot[mask]
-    key = (ips.astype(np.uint64) << np.uint64(16)) | pots.astype(np.uint64)
-    unique_pairs = np.unique(key)
-    pair_ips = (unique_pairs >> np.uint64(16))
-    _, counts = np.unique(pair_ips, return_counts=True)
-    return counts
+    return _per_client(as_context(store).client_pots(mask), "pot")
 
 
 def honeypots_per_client_ecdfs(store: StoreOrContext) -> Dict[str, Ecdf]:
     """Figure 12: ECDF of pots contacted per client, overall + per category."""
-    ctx = as_context(store)
-    out = {"ALL": Ecdf(ctx.pots_per_client)}
-    for i, cat in enumerate(CATEGORIES):
-        out[cat.value] = Ecdf(honeypots_per_client(ctx.store, ctx.category_mask(i)))
-    return out
+    return _per_client_ecdfs(as_context(store).client_pots(), "pot")
 
 
 def days_per_client(
     store: StoreOrContext, mask: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Distinct active days per client IP (Figure 13 sample)."""
-    store = as_store(store)
-    ips = store.client_ip if mask is None else store.client_ip[mask]
-    days = store.day if mask is None else store.day[mask]
-    key = (ips.astype(np.uint64) << np.uint64(16)) | days.astype(np.uint64)
-    unique_pairs = np.unique(key)
-    pair_ips = unique_pairs >> np.uint64(16)
-    _, counts = np.unique(pair_ips, return_counts=True)
-    return counts
+    return _per_client(as_context(store).client_days(mask), "day")
 
 
 def days_per_client_ecdfs(store: StoreOrContext) -> Dict[str, Ecdf]:
     """Figure 13: ECDF of active days per client, overall + per category."""
-    ctx = as_context(store)
-    out = {"ALL": Ecdf(ctx.days_per_client)}
-    for i, cat in enumerate(CATEGORIES):
-        out[cat.value] = Ecdf(days_per_client(ctx.store, ctx.category_mask(i)))
-    return out
+    return _per_client_ecdfs(as_context(store).client_days(), "day")
 
 
 def clients_per_honeypot(
     store: StoreOrContext, mask: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Unique client IPs per honeypot (Figure 14)."""
-    store = as_store(store)
-    ips = store.client_ip if mask is None else store.client_ip[mask]
-    pots = store.honeypot if mask is None else store.honeypot[mask]
-    key = (ips.astype(np.uint64) << np.uint64(16)) | pots.astype(np.uint64)
-    unique_pairs = np.unique(key)
-    pair_pots = (unique_pairs & np.uint64(0xFFFF)).astype(np.int64)
-    return np.bincount(pair_pots, minlength=store.n_honeypots)
+    ctx = as_context(store)
+    return _clients_per(ctx.client_pots(mask), "pot", ctx.store.n_honeypots)
 
 
 @dataclass
@@ -155,30 +137,23 @@ class ClientsPerHoneypot:
 
 def clients_per_honeypot_report(store: StoreOrContext) -> ClientsPerHoneypot:
     ctx = as_context(store)
-    store = ctx.store
-    per_category = {
-        cat.value: clients_per_honeypot(store, ctx.category_mask(i))
-        for i, cat in enumerate(CATEGORIES)
-    }
+    store, table = ctx.store, ctx.client_pots()
     return ClientsPerHoneypot(
-        overall=clients_per_honeypot(store),
-        per_category=per_category,
+        overall=_clients_per(table, "pot", store.n_honeypots),
+        per_category={cat.value: _clients_per(table, "pot", store.n_honeypots, i)
+                      for i, cat in enumerate(CATEGORIES)},
         sessions=np.bincount(store.honeypot, minlength=store.n_honeypots),
     )
 
 
 def multi_category_share(store: StoreOrContext) -> float:
     """Fraction of client IPs appearing in more than one category."""
-    ctx = as_context(store)
-    store = ctx.store
-    codes = ctx.category_codes
-    key = (store.client_ip.astype(np.uint64) << np.uint64(8)) | codes.astype(np.uint64)
-    unique_pairs = np.unique(key)
-    pair_ips = unique_pairs >> np.uint64(8)
-    _, counts = np.unique(pair_ips, return_counts=True)
-    if len(counts) == 0:
+    table = as_context(store).client_pots()
+    if not len(table.keys):
         return 0.0
-    return float((counts > 1).mean())
+    bits = np.left_shift(1, table.field("category", table.keys))
+    seen = np.bitwise_or.reduceat(bits, table.runs(table.keys, "client"))
+    return float((seen & (seen - 1) != 0).mean())
 
 
 #: The category combinations Figure 15 tracks (over NO_CRED/FAIL_LOG/CMD).
@@ -196,42 +171,24 @@ def daily_category_combinations(store: StoreOrContext) -> Dict[Tuple[str, ...], 
     NO_CRED, FAIL_LOG, CMD) they participated in that day.
     """
     ctx = as_context(store)
-    store = ctx.store
+    table = ctx.client_days()
     tracked = {"NO_CRED": 1, "FAIL_LOG": 2, "CMD": 4}
-    bit = np.zeros(len(store), dtype=np.uint64)
-    for i, cat in enumerate(CATEGORIES):
-        if cat.value in tracked:
-            bit[ctx.category_mask(i)] = tracked[cat.value]
-    mask = bit > 0
-    key = (
-        (store.client_ip[mask].astype(np.uint64) << np.uint64(16))
-        | store.day[mask].astype(np.uint64)
-    )
-    order = np.argsort(key)
-    sorted_key = key[order]
-    sorted_bits = bit[mask][order]
-    # OR the bits within each (ip, day) group.
-    group_start = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
-    group_ids = np.cumsum(group_start) - 1
-    n_groups = group_ids[-1] + 1 if len(group_ids) else 0
-    combo = np.zeros(n_groups, dtype=np.uint64)
-    np.bitwise_or.at(combo, group_ids, sorted_bits)
-    group_day = (sorted_key[group_start] & np.uint64(0xFFFF)).astype(np.int64)
-
-    n_days = store.n_days
-    out: Dict[Tuple[str, ...], np.ndarray] = {}
-    for combo_names in FIG15_COMBOS:
-        combo_bits = np.uint64(sum(tracked[c] for c in combo_names))
-        member = combo == combo_bits
-        out[combo_names] = np.bincount(group_day[member], minlength=n_days)
-    return out
+    bit_of = np.array([tracked.get(cat.value, 0) for cat in CATEGORIES])
+    bits = bit_of[table.field("category", table.keys)]
+    keys, bits = table.keys[bits > 0], bits[bits > 0]
+    starts = table.runs(keys, "day")
+    combo = np.bitwise_or.reduceat(bits, starts) if len(keys) else bits
+    day = table.field("day", keys[starts])
+    return {names: np.bincount(day[combo == sum(tracked[c] for c in names)],
+                               minlength=ctx.store.n_days)
+            for names in FIG15_COMBOS}
 
 
 def clients_overall_summary(store: StoreOrContext) -> Dict[str, float]:
     """Headline client numbers from Section 7."""
     ctx = as_context(store)
     store = ctx.store
-    total = unique_client_count(store)
+    total = unique_client_count(ctx)
     pots_counts = ctx.pots_per_client
     days_counts = ctx.days_per_client
     n_pots = store.n_honeypots

@@ -10,12 +10,12 @@ continent, while CMD+URI clients show markedly more locality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.classify import CATEGORIES
-from repro.core.context import StoreOrContext, as_context, as_store
+from repro.core.context import DistinctTuples, StoreOrContext, as_context, as_store
 from repro.geo.continents import COUNTRY_CONTINENT, Continent
 
 #: Relation bits aggregated per (client, day).
@@ -56,13 +56,8 @@ def session_relations(
     gathers — no per-session Python work.
     """
     store = as_store(store)
-    if mask is None:
-        client_country_ids = store.client_country
-        pots = store.honeypot
-    else:
-        idx = np.nonzero(mask)[0]
-        client_country_ids = store.client_country[idx]
-        pots = store.honeypot[idx]
+    rows = slice(None) if mask is None else mask
+    client_country_ids, pots = store.client_country[rows], store.honeypot[rows]
 
     table_cont = _continent_codes(store.countries.values())
     pot_list = list(pot_countries)
@@ -96,10 +91,7 @@ class DiversityReport:
 
     def share_of(self, combo: int) -> float:
         """Overall share of client-days in a combination class."""
-        total = sum(int(v.sum()) for v in self.daily_combos.values())
-        if total == 0:
-            return 0.0
-        return int(self.daily_combos.get(combo, np.zeros(1)).sum()) / total
+        return self._share(lambda bits: bits == combo)
 
     @property
     def out_only_share(self) -> float:
@@ -108,22 +100,33 @@ class DiversityReport:
     @property
     def any_local_share(self) -> float:
         """Share of client-days touching at least one same-country pot."""
-        return self._share_with_bit(BIT_SAME_COUNTRY)
+        return self._share(lambda bits: bits & BIT_SAME_COUNTRY)
 
     @property
     def any_out_share(self) -> float:
         """Share of client-days touching at least one off-continent pot."""
-        return self._share_with_bit(BIT_OUT_CONTINENT)
+        return self._share(lambda bits: bits & BIT_OUT_CONTINENT)
 
-    def _share_with_bit(self, bit: int) -> float:
+    def _share(self, keep) -> float:
         total = sum(int(v.sum()) for v in self.daily_combos.values())
-        if total == 0:
-            return 0.0
-        matching = sum(
-            int(v.sum()) for combo, v in self.daily_combos.items()
-            if combo & bit
-        )
-        return matching / total
+        matching = sum(int(v.sum()) for bits, v in self.daily_combos.items()
+                       if keep(bits))
+        return matching / total if total else 0.0
+
+
+def _diversity(table: DistinctTuples, n_days: int,
+               category: Optional[int] = None) -> DiversityReport:
+    """OR the relation bits of each (client, day) into its combo class."""
+    keys = table.rows(category)
+    if not len(keys):
+        return DiversityReport(daily_combos={}, daily_clients=np.zeros(n_days))
+    starts = table.runs(keys, "day")
+    combo = np.bitwise_or.reduceat(table.field("relation", keys), starts)
+    group_day = table.field("day", keys[starts])
+    daily_combos = {bits: np.bincount(group_day[combo == bits], minlength=n_days)
+                    for bits in COMBO_NAMES}
+    return DiversityReport(daily_combos=daily_combos,
+                           daily_clients=np.bincount(group_day, minlength=n_days))
 
 
 def regional_diversity(
@@ -132,34 +135,8 @@ def regional_diversity(
     mask: Optional[np.ndarray] = None,
 ) -> DiversityReport:
     """Aggregate session relations per (client, day) into combo classes."""
-    store = as_store(store)
-    idx_mask = np.ones(len(store), dtype=bool) if mask is None else mask
-    relation = session_relations(store, pot_countries, idx_mask)
-    idx = np.nonzero(idx_mask)[0]
-    key = (
-        (store.client_ip[idx].astype(np.uint64) << np.uint64(16))
-        | store.day[idx].astype(np.uint64)
-    )
-    order = np.argsort(key)
-    sorted_key = key[order]
-    sorted_rel = relation[order]
-    group_start = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])) \
-        if len(sorted_key) else np.zeros(0, dtype=bool)
-    if not len(sorted_key):
-        return DiversityReport(daily_combos={}, daily_clients=np.zeros(store.n_days))
-    group_ids = np.cumsum(group_start) - 1
-    n_groups = int(group_ids[-1]) + 1
-    combo = np.zeros(n_groups, dtype=np.uint8)
-    np.bitwise_or.at(combo, group_ids, sorted_rel)
-    group_day = (sorted_key[group_start] & np.uint64(0xFFFF)).astype(np.int64)
-
-    n_days = store.n_days
-    daily_combos: Dict[int, np.ndarray] = {}
-    for bits in COMBO_NAMES:
-        member = combo == bits
-        daily_combos[bits] = np.bincount(group_day[member], minlength=n_days)
-    daily_clients = np.bincount(group_day, minlength=n_days)
-    return DiversityReport(daily_combos=daily_combos, daily_clients=daily_clients)
+    ctx = as_context(store)
+    return _diversity(ctx.client_days(mask, pot_countries), ctx.store.n_days)
 
 
 def diversity_by_category(
@@ -167,9 +144,6 @@ def diversity_by_category(
 ) -> Dict[str, DiversityReport]:
     """Figure 24: a diversity report per session category."""
     ctx = as_context(store)
-    out: Dict[str, DiversityReport] = {}
-    for i, cat in enumerate(CATEGORIES):
-        out[cat.value] = regional_diversity(
-            ctx.store, pot_countries, ctx.category_mask(i)
-        )
-    return out
+    table = ctx.client_days(pot_countries=pot_countries)
+    return {cat.value: _diversity(table, ctx.store.n_days, i)
+            for i, cat in enumerate(CATEGORIES)}

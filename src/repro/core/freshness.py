@@ -13,6 +13,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core.context import DistinctTuples
 from repro.core.hashes import HashOccurrences
 
 
@@ -31,27 +32,21 @@ class FreshnessReport:
         return fresh / safe
 
 
-def _hash_day_pairs(occ: HashOccurrences) -> np.ndarray:
-    """Sorted unique (hash, day) keys."""
-    days = occ.store.day[occ.session_idx].astype(np.uint64)
-    key = (occ.hash_id.astype(np.uint64) << np.uint64(16)) | days
-    return np.unique(key)
-
-
 def freshness_report(occ: HashOccurrences, windows=(7, 30)) -> FreshnessReport:
     n_days = occ.store.n_days
-    pairs = _hash_day_pairs(occ)
-    if len(pairs) == 0:
+    pairs = DistinctTuples(hash=(occ.hash_id, 32),
+                           day=(occ.store.day[occ.session_idx], 32))
+    if len(pairs.keys) == 0:
         zero = np.zeros(n_days, dtype=np.int64)
         return FreshnessReport(zero, zero.copy(), {w: zero.copy() for w in windows})
-    pair_hash = (pairs >> np.uint64(16)).astype(np.int64)
-    pair_day = (pairs & np.uint64(0xFFFF)).astype(np.int64)
+    pair_day = pairs.field("day", pairs.keys)
 
     unique_per_day = np.bincount(pair_day, minlength=n_days)
 
     # First-ever appearance per hash: pairs are sorted by (hash, day), so a
     # hash's first pair starts each hash group.
-    first_of_hash = np.concatenate(([True], pair_hash[1:] != pair_hash[:-1]))
+    first_of_hash = np.zeros(len(pair_day), dtype=bool)
+    first_of_hash[pairs.runs(pairs.keys, "hash")] = True
     fresh_all = np.bincount(pair_day[first_of_hash], minlength=n_days)
 
     # Window freshness: a (hash, day) is fresh for window w when the

@@ -10,10 +10,11 @@ per-client long-tail views.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.context import DistinctTuples
 from repro.core.ecdf import Ecdf
 from repro.intel.database import IntelDatabase
 from repro.intel.tags import ThreatTag
@@ -84,14 +85,10 @@ class HashStats:
         return order[:k]
 
 
-def _unique_pair_counts(
-    hash_id: np.ndarray, other: np.ndarray, n_hashes: int
-) -> np.ndarray:
-    """Count distinct ``other`` values per hash id."""
-    key = (hash_id.astype(np.uint64) << np.uint64(34)) | other.astype(np.uint64)
-    unique_pairs = np.unique(key)
-    pair_hash = (unique_pairs >> np.uint64(34)).astype(np.int64)
-    return np.bincount(pair_hash, minlength=n_hashes)
+def _distinct_per(group: np.ndarray, other: np.ndarray, n: int) -> np.ndarray:
+    """Distinct ``other`` values per ``group`` value ``0 .. n - 1`` (both < 2**32)."""
+    pairs = DistinctTuples(group=(group, 32), other=(other, 32))
+    return np.bincount(pairs.field("group", pairs.keys), minlength=n)
 
 
 def compute_hash_stats(occ: HashOccurrences) -> HashStats:
@@ -99,14 +96,9 @@ def compute_hash_stats(occ: HashOccurrences) -> HashStats:
     n_hashes = len(store.hashes)
     sessions = np.bincount(occ.hash_id, minlength=n_hashes)
 
-    ips = store.client_ip[occ.session_idx].astype(np.uint64)
-    clients = _unique_pair_counts(occ.hash_id, ips, n_hashes)
-
-    days = store.day[occ.session_idx].astype(np.uint64)
-    day_counts = _unique_pair_counts(occ.hash_id, days, n_hashes)
-
-    pots = store.honeypot[occ.session_idx].astype(np.uint64)
-    pot_counts = _unique_pair_counts(occ.hash_id, pots, n_hashes)
+    clients, day_counts, pot_counts = (
+        _distinct_per(occ.hash_id, column[occ.session_idx], n_hashes)
+        for column in (store.client_ip, store.day, store.honeypot))
 
     first_day = np.full(n_hashes, np.iinfo(np.int32).max, dtype=np.int64)
     np.minimum.at(first_day, occ.hash_id, store.day[occ.session_idx])
@@ -126,23 +118,15 @@ def compute_hash_stats(occ: HashOccurrences) -> HashStats:
 
 def hashes_per_honeypot(occ: HashOccurrences) -> np.ndarray:
     """Unique hashes recorded per honeypot (Figures 18/19)."""
-    store = occ.store
-    pots = store.honeypot[occ.session_idx].astype(np.uint64)
-    key = (pots << np.uint64(34)) | occ.hash_id.astype(np.uint64)
-    unique_pairs = np.unique(key)
-    pair_pot = (unique_pairs >> np.uint64(34)).astype(np.int64)
-    return np.bincount(pair_pot, minlength=store.n_honeypots)
+    pots = occ.store.honeypot[occ.session_idx]
+    return _distinct_per(pots, occ.hash_id, occ.store.n_honeypots)
 
 
 def hashes_per_client(occ: HashOccurrences) -> np.ndarray:
     """Unique hashes per client IP, descending (Figure 21 curve)."""
-    store = occ.store
-    ips = store.client_ip[occ.session_idx].astype(np.uint64)
-    key = (ips << np.uint64(34)) | occ.hash_id.astype(np.uint64)
-    unique_pairs = np.unique(key)
-    pair_ip = unique_pairs >> np.uint64(34)
-    _, counts = np.unique(pair_ip, return_counts=True)
-    return np.sort(counts)[::-1]
+    pairs = DistinctTuples(ip=(occ.store.client_ip[occ.session_idx], 32),
+                           hash=(occ.hash_id, 32))
+    return np.sort(pairs.groups(pairs.keys, "ip")[1])[::-1]
 
 
 def clients_per_hash_curve(stats: HashStats) -> np.ndarray:

@@ -111,7 +111,7 @@ def full_report(
         timed("fig9_bands_by_category_top",
               lambda: timeseries.category_bands(ctx, 0.05))
         timed("fig10_clients_by_country",
-              lambda: clients.clients_per_country(store))
+              lambda: clients.clients_per_country(ctx))
         timed("fig11_daily_ips", lambda: clients.daily_unique_ips(ctx))
         timed("fig12_pots_per_client",
               lambda: clients.honeypots_per_client_ecdfs(ctx))
@@ -121,7 +121,7 @@ def full_report(
               lambda: clients.clients_per_honeypot_report(ctx))
         timed("fig15_combos", lambda: clients.daily_category_combinations(ctx))
         timed("fig16_diversity",
-              lambda: diversity.regional_diversity(store, pot_countries))
+              lambda: diversity.regional_diversity(ctx, pot_countries))
         timed("fig17_freshness", lambda: freshness.freshness_report(occ))
         timed("fig18_hashes_per_pot", lambda: hashes_per_honeypot(occ))
         timed("fig19_sessions_per_pot",

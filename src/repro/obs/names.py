@@ -57,7 +57,7 @@ COUNTERS: Tuple[str, ...] = (
     "generator.campaign_sessions",
     "shards.emitted",
     "shards.sessions.*",  # per shard kind
-    "context.*",          # per-property hit/miss + aggregate hits/misses
+    "context.*",          # per-value hit/miss (incl. tables) + aggregate hits/misses
     "farm.alerts.*",      # per alert kind
     # Scheduler accounting (repro.sched).  Physical-scheduling counters:
     # retries legitimately vary with the backend and worker count — only
@@ -141,6 +141,10 @@ SPANS: Tuple[str, ...] = (
     "tables_4_5_6",
     "sketch/ingest",
     "emit.block.flush",
+    # Analysis-context distinct-tuple table builds (repro.core.context).
+    "core/ctx/client_table",
+    "core/ctx/client_pot",
+    "core/ctx/client_day",
 )
 
 #: Flight-recorder event kinds (``repro.obs.trace.emit`` and
@@ -288,6 +292,9 @@ DESCRIPTIONS = {
         "tables_4_5_6": "hash table computation stage",
         "sketch/ingest": "streaming sketch ingest stage",
         "emit.block.flush": "block-engine flush stage",
+        "core/ctx/client_table": "analysis context client-IP table build",
+        "core/ctx/client_pot": "distinct (client, pot, category) table build",
+        "core/ctx/client_day": "distinct (client, day, relation, category) build",
     },
     "trace": {
         "generator.block": "bulk emission block boundary",

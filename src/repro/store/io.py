@@ -8,10 +8,12 @@ generator, the analysis library, and external tooling.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
+from repro.store.npz import staged_file
 from repro.store.records import SessionRecord
 from repro.store.store import SessionStore, StoreBuilder
 
@@ -68,23 +70,48 @@ def record_from_dict(data: dict) -> SessionRecord:
 
 
 def write_jsonl(records: Iterable[SessionRecord], path: PathLike) -> int:
-    """Write records to a JSONL (or .jsonl.gz) file. Returns row count."""
+    """Write records to a JSONL (or .jsonl.gz) file. Returns row count.
+
+    The file is staged beside ``path`` and renamed over it only once every
+    record is written, so a failed write leaves the previous file intact.
+    """
+    path = Path(path)
     count = 0
-    with _open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_dict(record), separators=(",", ":")))
-            fh.write("\n")
-            count += 1
+    with staged_file(path) as raw:
+        binary = (gzip.GzipFile(path.name, "wb", fileobj=raw)
+                  if path.suffix == ".gz" else raw)
+        with io.TextIOWrapper(binary, encoding="utf-8") as fh:
+            for record in records:
+                fh.write(json.dumps(record_to_dict(record), separators=(",", ":")))
+                fh.write("\n")
+                count += 1
     return count
 
 
 def iter_jsonl(path: PathLike) -> Iterator[SessionRecord]:
-    """Stream records from a JSONL (or .jsonl.gz) file."""
+    """Stream records from a JSONL (or .jsonl.gz) file.
+
+    A line cut mid-record, or a gzip stream that ends early, raises
+    ``ValueError`` naming the path and line.  A plain ``.jsonl`` cut
+    exactly at a line boundary reads as a shorter, valid trace: the format
+    carries no record count or trailer to detect that by.
+    """
+    lineno = 0
     with _open(path, "r") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield record_from_dict(json.loads(line))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    data = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise ValueError(f"{path}:{lineno}: truncated or corrupt "
+                                     f"record ({err.msg})") from err
+                yield record_from_dict(data)
+        except EOFError as err:
+            raise ValueError(
+                f"{path}:{lineno + 1}: compressed stream ends early") from err
 
 
 def read_jsonl(path: PathLike) -> SessionStore:

@@ -39,6 +39,10 @@ class HoneyfarmDataset:
     intel: IntelDatabase
     campaigns: List[CampaignRuntime] = field(default_factory=list)
     envelopes: Dict[str, np.ndarray] = field(default_factory=dict)
+    #: The analysis context over ``store`` that
+    #: ``AnalysisContext.from_dataset`` built (not copied by ``replace``).
+    _analysis_context: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def n_sessions(self) -> int:

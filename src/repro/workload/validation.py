@@ -138,7 +138,7 @@ def _run_checks(dataset: HoneyfarmDataset) -> CalibrationReport:
 
     # Regional diversity (Fig 16).
     pot_countries = [site.country for site in dataset.deployment.sites]
-    div = diversity.regional_diversity(store, pot_countries)
+    div = diversity.regional_diversity(ctx, pot_countries)
     checks.append(CalibrationCheck(
         "out-of-continent-only client-days", 0.40, div.out_only_share,
         CheckKind.AT_LEAST))

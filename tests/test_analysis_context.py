@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import classify, clients, durations, hashes, tables, timeseries
 from repro.core.context import AnalysisContext, as_context, as_store
 from repro.core.report import full_report
+from repro.obs import use_metrics
+from repro.workload.validation import validate
 
 
 def test_as_context_passthrough_and_wrap(small_store):
@@ -63,8 +67,8 @@ def test_full_report_accepts_prebuilt_context(small_dataset):
         tables.table1_categories(small_dataset.store).overall
 
 
-def test_full_report_computes_each_intermediate_once(small_dataset, monkeypatch):
-    """One report = one classification pass and one occurrence build."""
+def _count_intermediates(monkeypatch):
+    """Count classification passes and occurrence builds from here on."""
     calls = {"classify": 0, "occurrences": 0}
 
     real_classify = classify.classify_store
@@ -80,9 +84,42 @@ def test_full_report_computes_each_intermediate_once(small_dataset, monkeypatch)
 
     monkeypatch.setattr(classify, "classify_store", counting_classify)
     monkeypatch.setattr(hashes.HashOccurrences, "build", counting_build)
+    return calls
 
-    full_report(small_dataset)
+
+def test_full_report_computes_each_intermediate_once(small_dataset, monkeypatch):
+    """One report = one classification pass and one occurrence build."""
+    calls = _count_intermediates(monkeypatch)
+    # A fresh dataset: the shared fixture's context may already be warm.
+    full_report(replace(small_dataset))
     assert calls == {"classify": 1, "occurrences": 1}
+
+
+def test_report_and_validate_share_one_context(small_dataset, monkeypatch):
+    """full_report + validate on one dataset: every table built once."""
+    dataset = replace(small_dataset)
+    calls = _count_intermediates(monkeypatch)
+    with use_metrics() as metrics:
+        full_report(dataset)
+        validate(dataset)
+    assert calls == {"classify": 1, "occurrences": 1}
+    for table in ("client_table", "client_pot", "client_day"):
+        assert metrics.counter(f"context.{table}.miss") == 1, table
+        assert metrics.counter(f"context.{table}.hit") > 0, table
+        builds = [cell["count"] for path, cell in metrics.spans.items()
+                  if path.endswith(f"core/ctx/{table}")]
+        assert builds == [1], table
+    assert AnalysisContext.from_dataset(dataset) is \
+        AnalysisContext.from_dataset(dataset)
+
+
+def test_context_follows_the_dataset_store(small_dataset):
+    dataset = replace(small_dataset)
+    first = AnalysisContext.from_dataset(dataset)
+    assert first.pot_countries == tuple(
+        site.country for site in dataset.deployment.sites)
+    dataset.store = dataset.store.filter(np.ones(len(dataset.store), dtype=bool))
+    assert AnalysisContext.from_dataset(dataset) is not first
 
 
 def test_hash_tables_supports_attribute_and_key_access(small_dataset):

@@ -7,10 +7,13 @@ fails here even when every backend shifts the same way.  Re-pin only on a
 deliberate byte-changing event, and record old -> new in CHANGES.md.
 """
 
+from dataclasses import replace
+
 import pytest
 
 import repro
 from repro.workload.config import ScenarioConfig
+from tests.report_digest import report_digest
 
 #: (denominator, seed, hash_scale) -> sha256 of ``store.content_digest()``.
 GOLDEN = {
@@ -34,3 +37,27 @@ def test_store_digest_is_pinned(key, backend, workers):
         denominator, seed=seed, hash_scale=hash_scale)
     dataset = repro.generate(config, backend=backend, workers=workers)
     assert dataset.store.content_digest() == GOLDEN[key]
+
+
+#: sha256 of the normalised ``full_report`` artifacts, ``print_summary``
+#: text and ``validate`` checks (``tests.report_digest.report_digest``).
+#: Pinned before the analysis context's distinct-tuple tables replaced the
+#: per-figure groupbys, so a change in any figure's numbers fails here.
+REPORT_GOLDEN = {
+    "small_dataset":
+        "f207f12513ce34e0309e29221aec25c78bd3b1c3988fb87dd3e7d503d254bd0d",
+    "d40000-s2023":
+        "f7108b27effacf79877f6242f17146ad2060747a52dcb6c64779c7ccff39a498",
+}
+
+
+def test_report_digest_small_dataset_is_pinned(small_dataset):
+    # A copy, so the digest never reads analysis state other tests cached.
+    fresh = replace(small_dataset)
+    assert report_digest(fresh) == REPORT_GOLDEN["small_dataset"]
+
+
+def test_report_digest_gen_10k_config_is_pinned():
+    config = ScenarioConfig.from_denominator(40000, seed=2023)
+    dataset = repro.generate(config, backend="inline", workers=1)
+    assert report_digest(dataset) == REPORT_GOLDEN["d40000-s2023"]

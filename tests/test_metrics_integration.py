@@ -10,6 +10,7 @@ caches, and the CLI surfaces it all.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -105,7 +106,8 @@ class TestAnalysisInvariants:
     def test_validate_hits_the_context_cache(self, generation):
         dataset, _ = generation
         with use_metrics() as metrics:
-            report = validate(dataset)
+            # A copy: the dataset's own analysis context may already be warm.
+            report = validate(replace(dataset))
         assert report.passed, report.render()
         assert metrics.counter("context.hits") > 0
         assert metrics.counter("context.misses") > 0
@@ -114,7 +116,7 @@ class TestAnalysisInvariants:
     def test_report_reuses_shared_intermediates(self, generation):
         dataset, _ = generation
         with use_metrics() as metrics:
-            full_report(dataset)
+            full_report(replace(dataset))
         # A full report touches ~30 analyses over <10 intermediates: the
         # shared context must serve far more hits than misses.
         assert metrics.counter("context.hits") > metrics.counter("context.misses")

@@ -222,3 +222,48 @@ class TestJsonl:
         record = next(iter_jsonl(path))
         assert record.client_asn == -1
         assert record.commands == ()
+
+    @pytest.mark.parametrize("name", ["t.jsonl", "t.jsonl.gz"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, name):
+        from repro.store.io import read_jsonl, write_jsonl
+        path = tmp_path / name
+        write_jsonl([make_record(client_ip=i) for i in range(3)], path)
+        before = path.read_bytes()
+
+        def failing():
+            yield make_record(client_ip=7)
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError):
+            write_jsonl(failing(), path)
+        assert path.read_bytes() == before
+        assert len(read_jsonl(path)) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+    def test_line_cut_mid_record_names_path_and_line(self, tmp_path):
+        from repro.store.io import iter_jsonl, write_jsonl
+        path = tmp_path / "t.jsonl"
+        write_jsonl([make_record(client_ip=i) for i in range(3)], path)
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) - 20])
+        with pytest.raises(ValueError, match=r"t\.jsonl:3: truncated"):
+            list(iter_jsonl(path))
+
+    def test_gzip_stream_ended_early_names_path(self, tmp_path):
+        from repro.store.io import iter_jsonl, write_jsonl
+        path = tmp_path / "t.jsonl.gz"
+        write_jsonl([make_record(client_ip=i) for i in range(50)], path)
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(ValueError, match=r"t\.jsonl\.gz:\d+: "):
+            list(iter_jsonl(path))
+
+    def test_cut_at_line_boundary_is_undetectable(self, tmp_path):
+        # Documented limit: without a record count or trailer, a plain
+        # JSONL file cut between records is a valid, shorter trace.
+        from repro.store.io import read_jsonl, write_jsonl
+        path = tmp_path / "t.jsonl"
+        write_jsonl([make_record(client_ip=i) for i in range(3)], path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]))
+        assert len(read_jsonl(path)) == 2
