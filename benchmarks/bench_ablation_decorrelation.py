@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from common import echo, heading
 
+import repro
 from repro.core.activity import sessions_per_honeypot
 from repro.core.clients import clients_per_honeypot
 from repro.core.hashes import HashOccurrences, hashes_per_honeypot
-from repro.workload import ScenarioConfig, generate_dataset
+from repro.workload import ScenarioConfig
 
 ABLATION_SCALE = 1 / 8000
 
@@ -30,7 +31,7 @@ def _top10_overlaps(dataset):
 
 @pytest.fixture(scope="module")
 def ablated():
-    return generate_dataset(ScenarioConfig(
+    return repro.generate(ScenarioConfig(
         scale=ABLATION_SCALE, seed=555, hash_scale=0.01,
         decorrelate_pot_weights=False,
     ))
@@ -38,7 +39,7 @@ def ablated():
 
 @pytest.fixture(scope="module")
 def baseline():
-    return generate_dataset(ScenarioConfig(
+    return repro.generate(ScenarioConfig(
         scale=ABLATION_SCALE, seed=555, hash_scale=0.01,
     ))
 

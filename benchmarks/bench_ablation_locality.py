@@ -9,9 +9,10 @@ result is produced by attacker behaviour, not by farm layout.
 import pytest
 from common import echo, heading
 
+import repro
 from repro.core.classify import classify_store
 from repro.core.diversity import regional_diversity
-from repro.workload import ScenarioConfig, generate_dataset
+from repro.workload import ScenarioConfig
 
 ABLATION_SCALE = 1 / 8000
 
@@ -26,7 +27,7 @@ def _uri_local_share(dataset):
 
 @pytest.fixture(scope="module")
 def ablated():
-    return generate_dataset(ScenarioConfig(
+    return repro.generate(ScenarioConfig(
         scale=ABLATION_SCALE, seed=556, hash_scale=0.01,
         uri_locality_bias=0.0,
     ))
@@ -34,7 +35,7 @@ def ablated():
 
 @pytest.fixture(scope="module")
 def baseline():
-    return generate_dataset(ScenarioConfig(
+    return repro.generate(ScenarioConfig(
         scale=ABLATION_SCALE, seed=556, hash_scale=0.01,
     ))
 

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from common import echo, heading
 
+import repro
 from repro.core.classify import classify_store
 from repro.core.clients import days_per_client
-from repro.workload import ScenarioConfig, generate_dataset
+from repro.workload import ScenarioConfig
 
 ABLATION_SCALE = 1 / 8000
 
@@ -32,7 +33,7 @@ def _cmd_heavy_days(dataset):
 
 @pytest.fixture(scope="module")
 def ablated():
-    return generate_dataset(ScenarioConfig(
+    return repro.generate(ScenarioConfig(
         scale=ABLATION_SCALE, seed=557, hash_scale=0.01,
         rotate_campaign_members=False,
     ))
@@ -40,7 +41,7 @@ def ablated():
 
 @pytest.fixture(scope="module")
 def baseline():
-    return generate_dataset(ScenarioConfig(
+    return repro.generate(ScenarioConfig(
         scale=ABLATION_SCALE, seed=557, hash_scale=0.01,
     ))
 

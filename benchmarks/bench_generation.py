@@ -35,7 +35,7 @@ def gen_config() -> ScenarioConfig:
 
 @pytest.fixture(scope="module")
 def gen_dataset():
-    return repro.generate(gen_config(), backend="serial")
+    return repro.generate(gen_config(), backend="inline")
 
 
 def _run(benchmark, fn, rounds: int = 3):
@@ -61,15 +61,15 @@ def _run(benchmark, fn, rounds: int = 3):
 
 
 def test_generation_throughput(benchmark):
-    """Sessions/second of the full serial generation pipeline."""
+    """Sessions/second of the full generation pipeline (inline backend)."""
     result, seconds = _run(
-        benchmark, lambda: repro.generate(gen_config(), backend="serial")
+        benchmark, lambda: repro.generate(gen_config(), backend="inline")
     )
     rate = len(result.store) / seconds
     benchmark.extra_info["sessions"] = len(result.store)
     benchmark.extra_info["sessions_per_second"] = round(rate)
     heading("generation throughput",
-            f"1/{GEN_DENOMINATOR} scale, serial pipeline")
+            f"1/{GEN_DENOMINATOR} scale, inline backend")
     echo(f"  {len(result.store):,} sessions at {rate:,.0f} sessions/s")
 
 
@@ -116,7 +116,7 @@ def test_scheduled_pool_throughput(benchmark):
     """Sessions/second of the scheduler's multiprocess pool backend.
 
     Worker count comes from ``REPRO_WORKERS`` (default 2) so the same
-    harness measures any pool size; compare against the serial number
+    harness measures any pool size; compare against the inline number
     above to see the scheduling + IPC overhead and parallel speedup.
     """
     workers = workers_from_env() or 2
@@ -205,12 +205,12 @@ def test_cache_warm_vs_cold(benchmark, tmp_path_factory):
 
     t0 = time.perf_counter()
     # miss: generate + store
-    cold = repro.generate(config, backend="serial", cache=cache)
+    cold = repro.generate(config, backend="inline", cache=cache)
     cold_seconds = time.perf_counter() - t0
 
     warm, warm_seconds = _run(
         benchmark,
-        lambda: repro.generate(config, backend="serial", cache=cache),
+        lambda: repro.generate(config, backend="inline", cache=cache),
     )
     assert len(warm.store) == len(cold.store)
     assert cache.entry_dir(dataset_fingerprint(config)).is_dir()

@@ -16,8 +16,7 @@ import numpy as np
 def workers_from_env() -> Optional[int]:
     """Worker count for dataset generation, from ``REPRO_WORKERS``.
 
-    Unset or empty means the serial single-pass generator; any positive
-    integer selects the sharded generator with that many processes.
+    Unset or empty means None, leaving the count to the caller.
     """
     raw = os.environ.get("REPRO_WORKERS", "").strip()
     return int(raw) if raw else None

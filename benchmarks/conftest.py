@@ -4,7 +4,7 @@ One scaled trace is generated per pytest session and shared by every
 benchmark.  Scale is controlled by ``REPRO_BENCH_SCALE`` (the downscale
 denominator vs the paper's 402M sessions; default 1000 -> ~402k sessions,
 all 221 honeypots, all 486 days).  Set ``REPRO_WORKERS=N`` to generate the
-trace with the sharded multiprocess generator instead of the serial one.
+trace with N worker processes (the trace is the same for every N).
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import os
 import pytest
 
 from repro.core.hashes import HashOccurrences, compute_hash_stats
-from repro.workload import ScenarioConfig, generate_dataset
+import repro
+from repro.workload import ScenarioConfig
 
 DEFAULT_DENOMINATOR = 1000
 
@@ -104,16 +105,9 @@ def dataset():
     set, repeated benchmark runs at the same scale/seed load the trace
     from the fingerprint cache instead of regenerating it.
     """
-    import common
-
     from repro.workload.cache import resolve_cache_dir
 
-    config = bench_config()
-    return generate_dataset(
-        config,
-        workers=common.workers_from_env(),
-        cache=resolve_cache_dir(),
-    )
+    return repro.generate(bench_config(), cache=resolve_cache_dir())
 
 
 @pytest.fixture(scope="session")

@@ -11,14 +11,15 @@ Run:  python examples/abuse_notifications.py
 
 from collections import Counter
 
+import repro
 from repro.core.notify import build_abuse_reports
-from repro.workload import ScenarioConfig, generate_dataset
+from repro.workload import ScenarioConfig
 
 
 def main() -> None:
     config = ScenarioConfig(scale=1 / 8000, seed=33, hash_scale=0.01)
     print(f"Generating {config.total_sessions:,} sessions ...")
-    dataset = generate_dataset(config)
+    dataset = repro.generate(config)
 
     reports = build_abuse_reports(
         dataset.store, dataset.intel, min_sessions=25, top_k_ases=40

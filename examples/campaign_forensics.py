@@ -9,15 +9,16 @@ easy to neutralise (a handful of client IPs) from botnet-driven ones.
 Run:  python examples/campaign_forensics.py
 """
 
+import repro
 from repro.core.hashes import HashOccurrences, compute_hash_stats, top_hash_table
 from repro.core.tables import format_table
-from repro.workload import ScenarioConfig, generate_dataset
+from repro.workload import ScenarioConfig
 
 
 def main() -> None:
     config = ScenarioConfig(scale=1 / 4000, seed=42, hash_scale=0.02)
     print(f"Generating {config.total_sessions:,} sessions ...")
-    dataset = generate_dataset(config)
+    dataset = repro.generate(config)
     store = dataset.store
 
     occ = HashOccurrences.build(store)

@@ -9,17 +9,18 @@ detection latency, and the marginal value of farm size.
 Run:  python examples/federation_value.py
 """
 
+import repro
 from repro.core.blocking import blockable_campaigns
 from repro.core.federation import coverage_by_farm_size, federation_report
 from repro.core.hashes import HashOccurrences, compute_hash_stats
 from repro.simulation.rng import RngStream
-from repro.workload import ScenarioConfig, generate_dataset
+from repro.workload import ScenarioConfig
 
 
 def main() -> None:
     config = ScenarioConfig(scale=1 / 4000, seed=21, hash_scale=0.02)
     print(f"Generating {config.total_sessions:,} sessions ...")
-    dataset = generate_dataset(config)
+    dataset = repro.generate(config)
     occ = HashOccurrences.build(dataset.store)
 
     print(f"\nThe full farm observed {occ.n_hashes:,} unique file hashes.")

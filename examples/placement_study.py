@@ -13,18 +13,19 @@ Run:  python examples/placement_study.py
 
 import numpy as np
 
+import repro
 from repro.core import activity
 from repro.core.clients import clients_per_honeypot
 from repro.core.freshness import fresh_hashes_per_honeypot
 from repro.core.hashes import HashOccurrences, hashes_per_honeypot
 from repro.core.tables import format_table
-from repro.workload import ScenarioConfig, generate_dataset
+from repro.workload import ScenarioConfig
 
 
 def main() -> None:
     config = ScenarioConfig(scale=1 / 4000, seed=7, hash_scale=0.02)
     print(f"Generating {config.total_sessions:,} sessions ...")
-    dataset = generate_dataset(config)
+    dataset = repro.generate(config)
     store = dataset.store
 
     sessions = activity.sessions_per_honeypot(store)

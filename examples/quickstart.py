@@ -12,9 +12,10 @@ sessions, a few seconds.)
 
 import argparse
 
+import repro
 from repro.core.report import print_summary
 from repro.core.tables import format_table, table1_categories, table2_passwords
-from repro.workload import ScenarioConfig, generate_dataset
+from repro.workload import ScenarioConfig
 
 
 def main() -> None:
@@ -28,7 +29,7 @@ def main() -> None:
                             hash_scale=min(0.08, 80.0 / args.scale))
     print(f"Generating {config.total_sessions:,} sessions "
           f"across {config.n_honeypots} honeypots / {config.n_days} days ...")
-    dataset = generate_dataset(config)
+    dataset = repro.generate(config)
     print(f"Done: {dataset.n_sessions:,} sessions, "
           f"{len(dataset.store.hashes):,} unique file hashes, "
           f"{len(dataset.campaigns):,} campaigns.\n")

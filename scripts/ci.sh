@@ -136,8 +136,12 @@ print(f"emit-path smoke ok (sha256 "
       f"inline + pool)")
 PY
 
-echo "== backend matrix smoke (inline w=1 / pool w=1 / w=2 / w=4 byte-identical) =="
-python - <<'PY'
+echo "== backend matrix smoke (CLI default / inline w=1 / pool w=1 / w=2 / w=4 byte-identical) =="
+env -u REPRO_WORKERS python -m repro generate --scale 80000 --hash-scale 0.004 \
+    --seed 7 --out "$SCRATCH/cli_default.npz" > /dev/null 2> /dev/null
+python - "$SCRATCH/cli_default.npz" <<'PY'
+import sys
+
 import repro
 
 config = repro.ScenarioConfig(scale=1 / 80000, seed=7, hash_scale=0.004)
@@ -147,9 +151,11 @@ digests = {
     ).store.content_digest()
     for name, workers in (("inline", 1), ("pool", 1), ("pool", 2), ("pool", 4))
 }
+digests["CLI default"] = repro.load(sys.argv[1], config).store.content_digest()
 if len(set(digests.values())) != 1:
     raise SystemExit(f"backend matrix diverged: {digests}")
-print(f"backend matrix ok (sha256 {next(iter(digests.values()))[:16]}... x4)")
+print(f"backend matrix ok (sha256 {next(iter(digests.values()))[:16]}... "
+      f"x{len(digests)})")
 PY
 
 echo "== run-ledger determinism (inline w=1 vs pool w=2, strip-identical) =="

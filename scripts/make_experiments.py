@@ -13,10 +13,11 @@ from contextlib import redirect_stdout
 
 import numpy as np
 
+import repro
 from repro.core import activity
 from repro.core.classify import classify_store
 from repro.core.report import full_report
-from repro.workload import ScenarioConfig, generate_dataset
+from repro.workload import ScenarioConfig
 
 
 def fmt_pct(x):
@@ -32,7 +33,7 @@ def main() -> None:
 
     config = ScenarioConfig(scale=1.0 / args.scale, seed=args.seed,
                             hash_scale=min(0.08, 80.0 / args.scale))
-    dataset = generate_dataset(config)
+    dataset = repro.generate(config)
     report = full_report(dataset)
     store = dataset.store
 

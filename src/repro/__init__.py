@@ -12,13 +12,12 @@ Entry points (the stable ``repro.api`` façade):
 
 ``generate`` accepts ``backend="inline" | "pool"`` (byte-identical; see
 :mod:`repro.sched`; the default is inline for one worker, the pool for
-more) and ``workers=N``;
-``repro.load(path)`` wraps an existing trace.  ``generate_dataset`` is
-the deprecated pre-façade spelling.
+more) and ``workers=N``; every choice writes the same trace for a config.
+``repro.load(path)`` wraps an existing trace.
 """
 
 from repro.api import GENERATE_BACKENDS, RunOptions, generate, load, report
-from repro.workload import ScenarioConfig, HoneyfarmDataset, generate_dataset
+from repro.workload import ScenarioConfig, HoneyfarmDataset
 
 __version__ = "1.1.0"
 
@@ -28,7 +27,6 @@ __all__ = [
     "RunOptions",
     "ScenarioConfig",
     "generate",
-    "generate_dataset",
     "load",
     "report",
     "__version__",

@@ -11,58 +11,42 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 
 def _scale(value: str) -> float:
-    """Parse ``--scale``: canonically a denominator ("4000").
-
-    The fraction spellings left over from the first CLI ("1/4000",
-    "0.00025") still parse — both spellings of the same scale produce the
-    same config — but are deprecated aliases: the canonical flag is the
-    downscale denominator vs the paper's 402 M sessions, and the alias
-    prints a note pointing at it.
-    """
+    """Parse ``--scale``: the downscale denominator vs the paper's 402 M
+    sessions, a finite number >= 1 ("4000" generates 1/4000 of them)."""
     try:
-        if "/" in value:
-            num, _, den = value.partition("/")
-            parsed = float(num) / float(den)
-        else:
-            parsed = float(value)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError("--scale denominator must be nonzero")
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError("--scale must be positive")
-    if "/" in value or parsed < 1:
-        denominator = 1.0 / parsed
-        spelled = (f"{denominator:g}" if denominator == int(denominator)
-                   else f"{denominator!r}")
-        print(f"note: fractional --scale {value!r} is deprecated; "
-              f"pass the denominator (--scale {spelled})", file=sys.stderr)
-    return parsed
+        denominator = float(value)
+    except ValueError:
+        denominator = math.nan
+    if not (math.isfinite(denominator) and denominator >= 1):
+        raise argparse.ArgumentTypeError(
+            f"--scale takes the downscale denominator, a finite number >= 1 "
+            f"(e.g. 4000 for 1/4000 of the paper's sessions), not {value!r}")
+    return denominator
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=_scale, default=4000.0,
                         help="downscale denominator vs the paper's 402M "
-                             "sessions (e.g. 4000), or the fraction itself "
-                             "(0.00025 or 1/4000); default 4000")
+                             "sessions, a finite number >= 1 (e.g. 4000); "
+                             "default 4000")
     parser.add_argument("--seed", type=int, default=2023)
     parser.add_argument("--hash-scale", type=float, default=None,
                         help="unique-hash budget vs the paper's 64k "
                              "(default: derived from --scale)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="generate with N worker processes (sharded "
-                             "mode; output is identical for every N). "
-                             "Default: $REPRO_WORKERS if set, else the "
-                             "single-pass serial generator")
+                        help="generate with N worker processes (output "
+                             "is identical for every N). Default: "
+                             "$REPRO_WORKERS if set, else 1")
     parser.add_argument("--backend", default=None,
-                        choices=("serial", "inline", "pool"),
+                        choices=("inline", "pool"),
                         help="execution backend for generation (see "
-                             "repro.sched; sharded backends are "
-                             "byte-identical). Default: derived from "
-                             "--workers — serial without workers, inline "
-                             "for 1, pool otherwise")
+                             "repro.sched; backends are byte-identical). "
+                             "Default: inline for one worker, pool for more")
     parser.add_argument("--metrics", nargs="?", const="-", default=None,
                         metavar="PATH",
                         help="after the command, print the pipeline stage "
@@ -108,39 +92,25 @@ def _add_load_arg(parser: argparse.ArgumentParser) -> None:
 def _config(args):
     from repro.workload import ScenarioConfig
 
-    denominator = args.scale if args.scale > 1 else 1.0 / args.scale
     extra = {}
     if args.hash_scale is not None:
         extra["hash_scale"] = args.hash_scale
-    return ScenarioConfig.from_denominator(
-        denominator, seed=args.seed, **extra
-    )
+    return ScenarioConfig.from_denominator(args.scale, seed=args.seed, **extra)
 
 
 def _run_options(args):
     """The :class:`repro.api.RunOptions` for a scenario subcommand.
 
-    Without ``--backend`` and without a worker count the CLI runs the
-    serial single-pass generator; with a worker count the backend is left
-    to :class:`~repro.api.RunOptions` (inline for one worker, the pool
-    for more).  ``--workers`` falls back to ``$REPRO_WORKERS`` (the same
-    contract the benchmarks honour).
+    Unset ``--workers`` and ``--backend`` are left to
+    :class:`~repro.api.RunOptions`: ``$REPRO_WORKERS`` else one worker,
+    inline for one worker and the pool for more.
     """
-    import os
-
-    from repro.api import RunOptions, WORKERS_ENV_VAR
+    from repro.api import RunOptions
     from repro.workload.cache import resolve_cache_dir
 
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        workers = int(raw) if raw else None
-    backend = getattr(args, "backend", None)
-    if backend is None and workers is None:
-        backend = "serial"
     return RunOptions(
-        backend=backend,
-        workers=workers,
+        backend=getattr(args, "backend", None),
+        workers=getattr(args, "workers", None),
         cache=resolve_cache_dir(getattr(args, "cache_dir", None)),
     )
 

@@ -1,21 +1,15 @@
 """The stable public surface: ``repro.generate`` / ``report`` / ``load``.
 
-Five PRs of organic growth scattered entry points across
-``workload.generator.generate_dataset`` (kwarg sprawl),
-``workload.shards.generate_sharded`` (hard-wired pool) and ad-hoc CLI
-plumbing.  This module is the consolidation: one frozen
-:class:`RunOptions` value describes *how* to run (backend, workers,
-cache), and three functions do the work:
+One frozen :class:`RunOptions` value describes *how* to run (backend,
+workers, cache), and three functions do the work:
 
 >>> import repro
 >>> dataset = repro.generate(repro.ScenarioConfig(scale=1/4000))
 >>> print(repro.report(dataset))
 
-The old entry points keep working as thin shims that emit
-``DeprecationWarning``.  Everything here routes through
-:mod:`repro.sched`, so the backend seam (``inline`` / ``pool``) is the
-stable contract — stores are byte-identical whichever backend runs the
-shards.
+Generation routes through :mod:`repro.sched`, so the backend seam
+(``inline`` / ``pool``) is the stable contract — stores are byte-identical
+whichever backend and worker count run the shards.
 """
 
 from __future__ import annotations
@@ -27,11 +21,9 @@ from typing import Optional, Union
 
 PathLike = Union[str, Path]
 
-#: ``backend`` spellings :func:`generate` accepts.  ``serial`` is the
-#: original single-pass generator (a distinct, equally valid trace whose
-#: draw order predates sharding); the rest are :mod:`repro.sched`
-#: execution backends over the sharded pipeline.
-GENERATE_BACKENDS = ("serial", "inline", "pool")
+#: ``backend`` spellings :func:`generate` accepts: the :mod:`repro.sched`
+#: execution backends, which all produce the same trace.
+GENERATE_BACKENDS = ("inline", "pool")
 
 #: Environment variable supplying a default worker count.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
@@ -43,8 +35,7 @@ class RunOptions:
 
     Frozen so a value can be shared, compared and logged; derive variants
     with :func:`dataclasses.replace`.  ``workers=None`` defers to the
-    ``REPRO_WORKERS`` environment variable (unset: 1 — except for the
-    ``serial`` backend, which is single-pass by construction).
+    ``REPRO_WORKERS`` environment variable (unset: 1).
     ``backend=None`` picks from the resolved worker count: ``inline``
     for one worker, ``pool`` for more.
     """
@@ -90,8 +81,8 @@ def generate(config=None, *, backend: Optional[str] = None,
 
     Either pass ``options`` (a :class:`RunOptions`) or the individual
     keywords — ``backend``, ``workers``, ``cache``.  The output depends
-    only on the config and the pipeline family (``serial`` vs sharded):
-    every sharded backend and worker count yields byte-identical stores.
+    only on the config: every backend and worker count yields
+    byte-identical stores.
 
     Returns a :class:`~repro.workload.dataset.HoneyfarmDataset`.
     """
@@ -108,12 +99,11 @@ def generate(config=None, *, backend: Optional[str] = None,
     from repro.workload.cache import dataset_fingerprint
 
     # The run ledger (when armed via ``use_ledger`` / ``--ledger``) pins
-    # the run's logical identity here: the config fingerprint keys the
-    # pipeline *family*, so workers=1 and workers=8 ledgers strip equal.
+    # the run's logical identity here: the fingerprint keys the config
+    # alone, so workers=1 and workers=8 ledgers strip equal.
     backend = options.resolved_backend()
     workers = options.resolved_workers()
-    family_workers = None if backend == "serial" else 1
-    fingerprint = dataset_fingerprint(config, workers=family_workers)
+    fingerprint = dataset_fingerprint(config)
     ledger = get_ledger()
     if ledger is not None:
         ledger.begin_run(
@@ -126,8 +116,8 @@ def generate(config=None, *, backend: Optional[str] = None,
         from repro.workload.cache import as_cache
 
         cache_obj = as_cache(options.cache)
-        # Only the pipeline family keys the cache: all sharded backends
-        # and worker counts produce the same bytes, so they share entries.
+        # All backends and worker counts produce the same bytes, so they
+        # share entries.
         cached = cache_obj.load(fingerprint)
         if cached is not None:
             if ledger is not None:
@@ -135,15 +125,9 @@ def generate(config=None, *, backend: Optional[str] = None,
                                     len(cached.store), cache_hit=True)
             return cached
 
-    if backend == "serial":
-        from repro.workload.generator import TraceGenerator
+    from repro.sched.scheduler import generate_scheduled
 
-        dataset = TraceGenerator(config).run()
-    else:
-        from repro.sched.scheduler import generate_scheduled
-
-        dataset = generate_scheduled(config, backend=backend,
-                                     workers=workers)
+    dataset = generate_scheduled(config, backend=backend, workers=workers)
 
     if cache_obj is not None:
         cache_obj.store(fingerprint, dataset)

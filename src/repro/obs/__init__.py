@@ -1,7 +1,7 @@
 """Pipeline observability: metrics registry, stage spans, exporters.
 
 Zero-dependency instrumentation threaded through the hot paths of the
-pipeline — trace generation (serial and sharded), the discrete-event
+pipeline — sharded trace generation, the discrete-event
 engine, honeypot sessions, the analysis context cache and the report
 orchestrator.  Collection is always on (the instruments are dict
 increments and a pair of clock reads per stage, well under the 3%%
@@ -11,7 +11,8 @@ stderr summary tree plus an optional JSON dump.
 
 Workers in the sharded generator record into their own registry and ship
 its dict form back with each shard; the parent merges them in shard
-order, so counters from a ``--workers N`` run sum to the serial totals.
+order, so counters from a ``--workers N`` run sum to the one-worker
+totals.
 
 The flight recorder (:mod:`repro.obs.trace`) is the registry's
 event-stream counterpart: ring-buffered structured trace events with

@@ -216,7 +216,7 @@ class Metrics:
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
-        #: span path ("generate/campaigns") -> {count, wall, cpu}
+        #: span path ("generate/plan/campaigns") -> {count, wall, cpu}
         self.spans: Dict[str, Dict[str, float]] = {}
         self._stack: List[str] = []
 

@@ -121,14 +121,10 @@ SPANS: Tuple[str, ...] = (
     "population",
     "targets",
     "calendar",
+    "campaigns",
     "writers",
     "emit",
     "merge",
-    "day_buckets",
-    "campaigns",
-    "singletons",
-    "background",
-    "freeze",
     "shard/*",  # per shard kind (worker-side)
     "cache/load",
     "cache/save",
@@ -272,14 +268,10 @@ DESCRIPTIONS = {
         "population": "plan: client population build",
         "targets": "plan: per-client honeypot target sets",
         "calendar": "plan: per-category client day buckets",
+        "campaigns": "plan: campaign realisation",
         "writers": "plan: singleton-writer selection and plan",
         "emit": "shard emission stage",
         "merge": "shard store merge stage",
-        "day_buckets": "per-day session bucketing stage",
-        "campaigns": "campaign realisation stage",
-        "singletons": "singleton session stage",
-        "background": "background traffic stage",
-        "freeze": "store freeze stage",
         "shard/*": "worker-side per-shard emission",
         "cache/load": "dataset cache load stage",
         "cache/save": "dataset cache store stage",

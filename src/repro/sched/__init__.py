@@ -1,8 +1,8 @@
 """Shard scheduling over two execution backends.
 
-The generation call path used to hard-wire a ``multiprocessing.Pool``
-inside :mod:`repro.workload.shards`.  This package splits it into two
-seams:
+Every generation — :func:`repro.generate` and the CLI alike — drains
+the shards of :mod:`repro.workload.shards` through this package, which
+splits the work into two seams:
 
 * :mod:`repro.sched.backends` — where a :class:`ShardTask` runs:
   :class:`InlineBackend` (the in-process golden path) or

@@ -14,6 +14,4 @@ Two generation paths share the honeypot implementation:
 
 from repro.workload.config import ScenarioConfig
 from repro.workload.dataset import HoneyfarmDataset
-from repro.workload.generator import generate_dataset
-
-__all__ = ["ScenarioConfig", "HoneyfarmDataset", "generate_dataset"]
+__all__ = ["ScenarioConfig", "HoneyfarmDataset"]

@@ -7,8 +7,8 @@ column, one CSR hash adoption — without touching interning order or any RNG
 stream, so the frozen store is byte-identical to the scalar path.
 
 Selection is by environment: ``REPRO_EMIT_PATH=block`` (the default) or
-``scalar``.  :func:`make_emitter` is the single construction seam used by
-the serial generator and the shard workers alike.
+``scalar``.  :func:`make_emitter` is the single construction seam: each
+shard builds one over its forked builder.
 """
 
 from __future__ import annotations

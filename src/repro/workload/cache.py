@@ -1,7 +1,8 @@
 """Fingerprinted on-disk cache for generated datasets.
 
 Generation is deterministic: the same :class:`ScenarioConfig` (seed
-included), pipeline choice and store format always yield the same trace.
+included), draw order and store format always yield the same trace,
+whichever backend and worker count ran it.
 That makes a generated dataset a pure function of its inputs, and a pure
 function can be memoised on disk.  This module computes a stable
 fingerprint of those inputs and keys a cache directory with it; each entry
@@ -43,20 +44,16 @@ CACHE_ENV_VAR = "REPRO_CACHE"
 DRAW_ORDER_VERSION = 2
 
 
-def dataset_fingerprint(config: ScenarioConfig, workers: Optional[int] = None) -> str:
+def dataset_fingerprint(config: ScenarioConfig) -> str:
     """Stable hex fingerprint of everything that determines a trace.
 
-    Covers every config field (seed included), the pipeline family, the
-    draw-order version and the on-disk store format version.  The sharded
-    pipeline produces the same trace for every worker count, so only the
-    family — serial vs sharded — enters the key: ``workers=2`` and
-    ``workers=8`` share an entry, while serial and sharded runs (distinct
-    draw orders) do not.
+    Covers every config field (seed included), the draw-order version and
+    the on-disk store format version.  Backend and worker count never move
+    the bytes, so they stay out of the key and every run shares one entry.
     """
     payload = {
         "store_format_version": STORE_FORMAT_VERSION,
         "draw_order": DRAW_ORDER_VERSION,
-        "pipeline": "serial" if workers is None else "sharded",
         "config": dataclasses.asdict(config),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -21,6 +21,7 @@ from repro.intel.database import IntelDatabase
 from repro.obs import inc as _metric_inc
 from repro.obs.trace import emit_block as _trace_block
 from repro.simulation.rng import RngStream
+from repro.store.store import StoreBuilder
 from repro.workload.config import ScenarioConfig
 from repro.workload.emit import SessionEmitter
 from repro.workload.samplers import cmd_fields, protocol_array
@@ -70,14 +71,15 @@ class RealizedCampaign:
 
 
 class CampaignEngine:
-    """Realises and emits campaigns against the shared builder."""
+    """Realises campaigns against the plan's builder and emits them through
+    a caller's emitter."""
 
     def __init__(
         self,
         config: ScenarioConfig,
         rng: RngStream,
         population: ClientPopulation,
-        emitter: SessionEmitter,
+        builder: StoreBuilder,
         runner: ScriptRunner,
         intel: IntelDatabase,
         hash_weights: np.ndarray,
@@ -87,7 +89,7 @@ class CampaignEngine:
         self.config = config
         self.rng = rng
         self.population = population
-        self.emitter = emitter
+        self.builder = builder
         self.runner = runner
         self.intel = intel
         self.hash_weights = hash_weights
@@ -137,8 +139,8 @@ class CampaignEngine:
                 dropper_host=f"198.51.100.{host_octet}",
             )
         )
-        script_id = self.emitter.builder.intern_script(profile.commands, profile.uris)
-        hash_ids = tuple(self.emitter.builder.hashes.intern(h) for h in profile.hashes)
+        script_id = self.builder.intern_script(profile.commands, profile.uris)
+        hash_ids = tuple(self.builder.hashes.intern(h) for h in profile.hashes)
 
         if spec.in_intel_db:
             for h in profile.hashes:
@@ -157,7 +159,7 @@ class CampaignEngine:
             everyone = np.arange(len(pool))
             members_by_day = {day: everyone for day in schedule}
         password_id = (
-            self.emitter.builder.passwords.intern(spec.password)
+            self.builder.passwords.intern(spec.password)
             if spec.password
             else -1
         )
@@ -303,15 +305,16 @@ class CampaignEngine:
             name += f".p{start}"
         return self.rng.child(name)
 
-    def emit(self, campaign: RealizedCampaign) -> int:
-        """Emit all sessions for one realised campaign. Returns the count."""
-        return self.emit_range(campaign, sorted(campaign.schedule),
-                               self.stream_for(campaign))
+    def emit(self, campaign: RealizedCampaign, emitter: SessionEmitter) -> None:
+        """Emit all sessions for one realised campaign."""
+        self.emit_range(campaign, sorted(campaign.schedule),
+                        self.stream_for(campaign), emitter)
 
     def emit_range(
-        self, campaign: RealizedCampaign, days: Sequence[int], rng: RngStream
-    ) -> int:
-        """Emit ``days`` of a campaign as one block. Returns the session count.
+        self, campaign: RealizedCampaign, days: Sequence[int], rng: RngStream,
+        emitter: SessionEmitter,
+    ) -> None:
+        """Emit ``days`` of a campaign as one block through ``emitter``.
 
         Each day's sessions are spread over that day's active members (one
         multinomial per day); every other column is one draw over the whole
@@ -340,7 +343,7 @@ class CampaignEngine:
             _trace_block(f"emit.{cid}", day, len(clients), campaign=cid,
                          session_kind=campaign.category)
         if not runs:
-            return 0
+            return
         clients = np.concatenate(runs)
         day_of = np.repeat(np.asarray(run_days, dtype=np.float64), counts)
         m = len(clients)
@@ -354,10 +357,10 @@ class CampaignEngine:
         if campaign.password_id >= 0:
             password = np.full(m, campaign.password_id, dtype=np.int32)
         else:
-            password = self.emitter.success_passwords(rng, m)
-        versions = self.emitter.client_versions(rng, m, protocol)
+            password = emitter.success_passwords(rng, m)
+        versions = emitter.client_versions(rng, m, protocol)
 
-        self.emitter.append_block(
+        emitter.append_block(
             start_time=start,
             duration=duration,
             honeypot=pots,
@@ -369,14 +372,13 @@ class CampaignEngine:
             login_success=np.ones(m, dtype=bool),
             script_id=np.full(m, campaign.script_id, dtype=np.int32),
             password_id=password,
-            username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
+            username_id=np.full(m, emitter.root_id, dtype=np.int32),
             hash_ids=campaign.hash_ids,
             close_reason=close,
             version_id=versions,
         )
         _metric_inc(f"generator.sessions.{campaign.category}", m)
         _metric_inc("generator.campaign_sessions", m)
-        return m
 
     def locality_pools(self, subset: np.ndarray) -> Tuple[np.ndarray, ...]:
         """:func:`~repro.workload.targets.locality_pools` of a pot subset,

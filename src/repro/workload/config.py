@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -73,8 +74,10 @@ class ScenarioConfig:
     rotate_campaign_members: bool = True
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be positive and finite")
+        if not math.isfinite(self.hash_scale):
+            raise ValueError("hash_scale must be finite")
         if not self.n_clients:
             derived = int(FULL_SCALE_CLIENTS * self.scale * 4)
             self.n_clients = max(1_500, min(derived, FULL_SCALE_CLIENTS))

@@ -1,19 +1,23 @@
 """The 15-month trace generator.
 
-Orchestrates deployment, population, campaigns and background traffic into
-one :class:`~repro.workload.dataset.HoneyfarmDataset`:
+Plans the scenario behind one :class:`~repro.workload.dataset.HoneyfarmDataset`
+and emits it range by range:
 
 1. build the farm (221 pots / 55 countries / 65 ASes) and the synthetic geo
    registry;
 2. build the client population (roles, lifetimes, breadth, country mix) and
    per-client honeypot target sets;
 3. realise the attack campaigns (marquee + mid-tail), profiling each script
-   through the real honeypot shell, and emit their sessions;
-4. emit background traffic per category (scanning, scouting, NO_CMD
-   including the Russian-datacenter prefix, recon-only CMD, uncatalogued
-   CMD+URI droppers and singleton file writers) following the calibrated
-   daily envelopes;
-5. freeze the columnar store.
+   through the real honeypot shell;
+4. plan the singleton writers and the daily budgets of the background
+   categories (scanning, scouting, NO_CMD including the Russian-datacenter
+   prefix, recon-only CMD, uncatalogued CMD+URI droppers);
+5. emit any range of campaign days, writers or background days through a
+   caller's emitter.
+
+The sharded pipeline (:mod:`repro.workload.shards`, driven by
+:mod:`repro.sched`) plans once, emits per shard and wraps the merged store
+with :meth:`TraceGenerator._finalize`.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ from repro.obs import trace as _trace
 from repro.obs.trace import emit_block as _trace_block
 from repro.simulation.rng import RngStream
 from repro.store.store import HashBlockCsr, StoreBuilder
-from repro.workload.blocks import make_emitter
 from repro.workload.campaign_engine import CampaignEngine, RealizedCampaign
 from repro.workload.config import SSH_SHARE, ScenarioConfig
 from repro.workload.dataset import CampaignRuntime, HoneyfarmDataset
+from repro.workload.emit import SessionEmitter
 from repro.workload.samplers import (
     cmd_fields,
     fail_log_fields,
@@ -202,7 +206,9 @@ class TraceGenerator:
         for code in self.population.country_codes:
             self.builder.countries.intern(code)
 
-        self.emitter = make_emitter(self.builder)
+        # Intern the credential and version tables before the plan interns
+        # anything else, so every shard's emitter finds them at the same ids.
+        SessionEmitter(self.builder)
         session_w, client_w, hash_w = honeypot_weight_vectors(
             self.rng.child("potweights"), self.n_pots
         )
@@ -230,7 +236,7 @@ class TraceGenerator:
             config=config,
             rng=self.rng.child("campaigns"),
             population=self.population,
-            emitter=self.emitter,
+            builder=self.builder,
             runner=self.runner,
             intel=self.intel,
             hash_weights=self.campaign_hash_weights,
@@ -321,12 +327,13 @@ class TraceGenerator:
             0, SECONDS_PER_DAY, len(day_of))
 
     def _population_block(
-        self, idx: np.ndarray, day_of: np.ndarray, rng: RngStream, **columns
+        self, emitter: SessionEmitter, idx: np.ndarray, day_of: np.ndarray,
+        rng: RngStream, **columns
     ) -> None:
         """Append population clients ``idx``' sessions with start times
         drawn in their days; ``columns`` carry the remaining fields."""
         pop = self.population
-        self.emitter.append_block(
+        emitter.append_block(
             start_time=self._start_times(rng, day_of),
             client_ip=pop.ip[idx],
             client_asn=pop.asn[idx],
@@ -337,14 +344,14 @@ class TraceGenerator:
     # -- category emitters ---------------------------------------------------------
     #
     # Each ``_*_range`` emits the days ``[start, stop)`` of one category as
-    # ONE block from one stream: the per-day loop only assigns the day's
+    # ONE block from one stream (``<category>.r<start>``, one per shard)
+    # through the shard's emitter: the per-day loop only assigns the day's
     # sessions to clients (and emits the per-day trace event and counter);
-    # every other column is drawn once over the whole range.  The serial
-    # generator calls them over the whole window with the category stream,
-    # the sharded pipeline per shard with ``<category>.r<start>``.
+    # every other column is drawn once over the whole range.
 
     def _no_cred_range(
-        self, rng: RngStream, start: int, stop: int, budgets: np.ndarray
+        self, emitter: SessionEmitter, rng: RngStream, start: int, stop: int,
+        budgets: np.ndarray,
     ) -> None:
         runs = _DayRuns()
         for day in range(start, stop):
@@ -363,7 +370,7 @@ class TraceGenerator:
         protocol = protocol_array(rng, m, SSH_SHARE["NO_CRED"])
         neg = np.full(m, -1, dtype=np.int32)
         self._population_block(
-            idx, day_of, rng,
+            emitter, idx, day_of, rng,
             duration=duration,
             honeypot=self._pots_for(rng, idx),
             protocol=protocol,
@@ -374,7 +381,7 @@ class TraceGenerator:
             username_id=neg,
             hash_ids=None,
             close_reason=close,
-            version_id=self.emitter.client_versions(rng, m, protocol),
+            version_id=emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.NO_CRED", m)
 
@@ -401,7 +408,8 @@ class TraceGenerator:
         return spike_days, spike_client_idx, spike_pots
 
     def _fail_log_range(
-        self, rng: RngStream, start: int, stop: int, budgets: np.ndarray
+        self, emitter: SessionEmitter, rng: RngStream, start: int, stop: int,
+        budgets: np.ndarray,
     ) -> None:
         """FAIL_LOG days ``[start, stop)``; on spike days the surplus over
         the median day comes first, from a few clients against a few pots
@@ -436,14 +444,14 @@ class TraceGenerator:
         m = len(idx)
         protocol = protocol_array(rng, m, SSH_SHARE["FAIL_LOG"])
         duration, close, attempts = fail_log_fields(rng, m, protocol == 0)
-        users, passwords = self.emitter.fail_credentials(rng, m)
+        users, passwords = emitter.fail_credentials(rng, m)
         u = rng.random_array(m)
         pots = np.empty(m, dtype=np.int32)
         regular = ~is_spike
         pots[regular] = self.target_table.choose(idx[regular], u[regular])
         pots[is_spike] = spike_pots[(u[is_spike] * len(spike_pots)).astype(np.int64)]
         self._population_block(
-            idx, day_of, rng,
+            emitter, idx, day_of, rng,
             duration=duration,
             honeypot=pots,
             protocol=protocol,
@@ -454,7 +462,7 @@ class TraceGenerator:
             username_id=users,
             hash_ids=None,
             close_reason=close,
-            version_id=self.emitter.client_versions(rng, m, protocol),
+            version_id=emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.FAIL_LOG", m)
 
@@ -468,7 +476,8 @@ class TraceGenerator:
         return ru, ru_pots
 
     def _no_cmd_range(
-        self, rng: RngStream, start: int, stop: int, budgets: np.ndarray
+        self, emitter: SessionEmitter, rng: RngStream, start: int, stop: int,
+        budgets: np.ndarray,
     ) -> None:
         """NO_CMD days ``[start, stop)``: each day's Russian-prefix share
         (indices into ``self.ru``) first, then the regular population
@@ -511,7 +520,7 @@ class TraceGenerator:
         client_asn[regular] = pop.asn[idx[regular]]
         client_country = np.full(m, ru.country_index, dtype=np.int32)
         client_country[regular] = pop.country[idx[regular]]
-        self.emitter.append_block(
+        emitter.append_block(
             start_time=self._start_times(rng, day_of),
             duration=duration,
             honeypot=pots,
@@ -522,11 +531,11 @@ class TraceGenerator:
             n_attempts=attempts,
             login_success=np.ones(m, dtype=bool),
             script_id=np.full(m, -1, dtype=np.int32),
-            password_id=self.emitter.success_passwords(rng, m),
-            username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
+            password_id=emitter.success_passwords(rng, m),
+            username_id=np.full(m, emitter.root_id, dtype=np.int32),
             hash_ids=None,
             close_reason=close,
-            version_id=self.emitter.client_versions(rng, m, protocol),
+            version_id=emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.NO_CMD", m)
 
@@ -554,19 +563,13 @@ class TraceGenerator:
                     if r.category == category:
                         r.schedule = _rescale_schedule(r.schedule, factor)
 
-    def _emit_campaigns(self) -> None:
-        self._realize_campaigns()
-        for r in self.realized:
-            self.engine.emit(r)
-
     # -- singleton writers ---------------------------------------------------------
     #
     # Background intruders whose one-off files give singleton hashes.  Each
     # writer runs a personal FILE_TOKEN script against a single honeypot —
     # these are the >60% of all hashes the paper finds at exactly one
-    # honeypot.  Selection, the per-writer plan and the per-session columns
-    # are three steps so the sharded pipeline can plan all writers once and
-    # emit them in slices.
+    # honeypot.  Selection and the per-writer plan happen once in the plan;
+    # shards emit the per-session columns for slices of the writers.
 
     def _singleton_writers(self, rng: RngStream) -> np.ndarray:
         """Singleton-writer selection (population indices)."""
@@ -596,14 +599,16 @@ class TraceGenerator:
 
     def _singletons_range(
         self,
+        emitter: SessionEmitter,
         rng: RngStream,
         writers: np.ndarray,
         pots: np.ndarray,
         n_sessions: np.ndarray,
-    ) -> int:
+    ) -> None:
         """Emit the writers' sessions as one block (writer order, then
-        sessions). Returns the session count."""
+        sessions) through ``emitter``."""
         pop = self.population
+        builder = emitter.builder
         script_ids = np.empty(len(writers), dtype=np.int32)
         exec_secs = np.empty(len(writers))
         hash_values: List[int] = []
@@ -611,8 +616,8 @@ class TraceGenerator:
         for k, w in enumerate(writers.tolist()):
             token = f"bg-{w}-{int(pop.ip[w])}"
             profile = self.runner.profile(build_script(ScriptKind.FILE_TOKEN, token=token))
-            script_ids[k] = self.builder.intern_script(profile.commands, profile.uris)
-            hash_values.extend(self.builder.hashes.intern(h) for h in profile.hashes)
+            script_ids[k] = builder.intern_script(profile.commands, profile.uris)
+            hash_values.extend(builder.hashes.intern(h) for h in profile.hashes)
             hash_lengths[k] = len(profile.hashes)
             exec_secs[k] = profile.exec_seconds
             _trace.emit("generator.block", trace_id=f"singletons.w{w}",
@@ -621,7 +626,7 @@ class TraceGenerator:
                         sessions=int(n_sessions[k]))
         m = int(n_sessions.sum())
         if m == 0:
-            return 0
+            return
         row = np.repeat(np.arange(len(writers)), n_sessions)
         idx = writers[row]
         offset = rng.randint_array(0, np.maximum(1, pop.n_days[idx]))
@@ -629,32 +634,20 @@ class TraceGenerator:
         duration, close, attempts = cmd_fields(rng, m, exec_secs[row])
         protocol = protocol_array(rng, m, SSH_SHARE["CMD"])
         self._population_block(
-            idx, day_of.astype(np.float64), rng,
+            emitter, idx, day_of.astype(np.float64), rng,
             duration=duration,
             honeypot=pots[row],
             protocol=protocol,
             n_attempts=attempts,
             login_success=np.ones(m, dtype=bool),
             script_id=script_ids[row],
-            password_id=self.emitter.success_passwords(rng, m),
-            username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
+            password_id=emitter.success_passwords(rng, m),
+            username_id=np.full(m, emitter.root_id, dtype=np.int32),
             hash_ids=HashBlockCsr(hash_values, hash_lengths).take(row),
             close_reason=close,
             version_id=np.full(m, -1, dtype=np.int32),
         )
         _metric_inc("generator.sessions.singletons", m)
-        return m
-
-    def _emit_singleton_writers(self) -> int:
-        """Serial path: select, plan and emit every writer from one stream.
-        Returns the session count."""
-        # Explicit sequential handoff: this stream is passed to the
-        # sampler/emit helpers, which draw on its behalf in one fixed
-        # order inside one task — not shared cross-module state.
-        rng = self.rng.child("singletons")  # repro: lint-ok[rng-lineage]
-        writers = self._singleton_writers(rng)
-        pots, n_sessions = self._singleton_plan(rng, writers)
-        return self._singletons_range(rng, writers, pots, n_sessions)
 
     # -- background planning ---------------------------------------------------------
 
@@ -684,7 +677,8 @@ class TraceGenerator:
         self.ru, self.ru_pots = self._no_cmd_setup()
 
     def _background_range(
-        self, kind: str, rng: RngStream, start: int, stop: int
+        self, kind: str, emitter: SessionEmitter, rng: RngStream, start: int,
+        stop: int,
     ) -> None:
         """Emit days ``[start, stop)`` of background category ``kind``."""
         emit = {
@@ -694,25 +688,28 @@ class TraceGenerator:
             "fail_log": self._fail_log_range,
             "no_cmd": self._no_cmd_range,
         }[kind]
-        emit(rng, start, stop, self.budgets[kind])
+        emit(emitter, rng, start, stop, self.budgets[kind])
 
     # -- background CMD / CMD+URI ----------------------------------------------------
 
-    def _bg_cmd_profiles(self) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Intern the fixed recon/fileless script set into ``self.builder``."""
+    def _bg_cmd_profiles(
+        self, builder: StoreBuilder
+    ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Intern the fixed recon/fileless script set into ``builder``."""
         profiles = []
         for i in range(16):
             kind = ScriptKind.RECON if i % 3 else ScriptKind.FILELESS
             profiles.append(self.runner.profile(build_script(kind, token=f"recon{i}")))
         script_ids = np.array(
-            [self.builder.intern_script(p.commands, p.uris) for p in profiles],
+            [builder.intern_script(p.commands, p.uris) for p in profiles],
             dtype=np.int64,
         )
         exec_secs = np.array([p.exec_seconds for p in profiles])
         return len(profiles), script_ids, exec_secs
 
     def _bg_cmd_range(
-        self, rng: RngStream, start: int, stop: int, budgets: np.ndarray
+        self, emitter: SessionEmitter, rng: RngStream, start: int, stop: int,
+        budgets: np.ndarray,
     ) -> None:
         runs = _DayRuns()
         for day in range(start, stop):
@@ -725,7 +722,7 @@ class TraceGenerator:
                 _trace_block("bg_cmd", day, len(idx))
         if not runs:
             return
-        n_profiles, script_ids, exec_secs = self._bg_cmd_profiles()
+        n_profiles, script_ids, exec_secs = self._bg_cmd_profiles(emitter.builder)
         idx, day_of = runs.arrays()
         m = len(idx)
         # Clients keep using the same tooling: script choice is stable
@@ -734,23 +731,25 @@ class TraceGenerator:
         duration, close, attempts = cmd_fields(rng, m, exec_secs[prof_idx])
         protocol = protocol_array(rng, m, SSH_SHARE["CMD"])
         self._population_block(
-            idx, day_of, rng,
+            emitter, idx, day_of, rng,
             duration=duration,
             honeypot=self._pots_for(rng, idx),
             protocol=protocol,
             n_attempts=attempts,
             login_success=np.ones(m, dtype=bool),
             script_id=script_ids[prof_idx],
-            password_id=self.emitter.success_passwords(rng, m),
-            username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
+            password_id=emitter.success_passwords(rng, m),
+            username_id=np.full(m, emitter.root_id, dtype=np.int32),
             hash_ids=None,
             close_reason=close,
-            version_id=self.emitter.client_versions(rng, m, protocol),
+            version_id=emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.CMD", m)
 
-    def _bg_uri_profiles(self) -> Tuple[int, np.ndarray, HashBlockCsr, np.ndarray]:
-        """Intern the uncatalogued dropper script set into ``self.builder``.
+    def _bg_uri_profiles(
+        self, builder: StoreBuilder
+    ) -> Tuple[int, np.ndarray, HashBlockCsr, np.ndarray]:
+        """Intern the uncatalogued dropper script set into ``builder``.
 
         Returns ``(n_profiles, script_ids, hashes, exec_secs)`` with each
         profile's hash ids as one row of the CSR ``hashes``.
@@ -767,11 +766,11 @@ class TraceGenerator:
             for i in range(n_profiles)
         ]
         script_ids = np.array(
-            [self.builder.intern_script(p.commands, p.uris) for p in profiles],
+            [builder.intern_script(p.commands, p.uris) for p in profiles],
             dtype=np.int64,
         )
         hashes = HashBlockCsr(
-            values=[self.builder.hashes.intern(h) for p in profiles for h in p.hashes],
+            values=[builder.hashes.intern(h) for p in profiles for h in p.hashes],
             lengths=[len(p.hashes) for p in profiles],
         )
         exec_secs = np.array([p.exec_seconds for p in profiles])
@@ -790,7 +789,8 @@ class TraceGenerator:
         return _daily_budgets(budget, envelope)
 
     def _bg_uri_range(
-        self, rng: RngStream, start: int, stop: int, budgets: np.ndarray
+        self, emitter: SessionEmitter, rng: RngStream, start: int, stop: int,
+        budgets: np.ndarray,
     ) -> None:
         runs = _DayRuns()
         for day in range(start, stop):
@@ -803,7 +803,8 @@ class TraceGenerator:
                 _trace_block("bg_uri", day, len(idx))
         if not runs:
             return
-        n_profiles, script_ids, hashes, exec_secs = self._bg_uri_profiles()
+        n_profiles, script_ids, hashes, exec_secs = self._bg_uri_profiles(
+            emitter.builder)
         idx, day_of = runs.arrays()
         m = len(idx)
         prof_idx = idx % n_profiles
@@ -814,18 +815,18 @@ class TraceGenerator:
         redirect_local(rng, pots, self.population.country[idx],
                        self.config.uri_locality_bias, self._locality_tables())
         self._population_block(
-            idx, day_of, rng,
+            emitter, idx, day_of, rng,
             duration=duration,
             honeypot=pots,
             protocol=protocol,
             n_attempts=attempts,
             login_success=np.ones(m, dtype=bool),
             script_id=script_ids[prof_idx],
-            password_id=self.emitter.success_passwords(rng, m),
-            username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
+            password_id=emitter.success_passwords(rng, m),
+            username_id=np.full(m, emitter.root_id, dtype=np.int32),
             hash_ids=hashes.take(prof_idx),
             close_reason=close,
-            version_id=self.emitter.client_versions(rng, m, protocol),
+            version_id=emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.CMD_URI", m)
 
@@ -837,7 +838,7 @@ class TraceGenerator:
                 np.arange(self.n_pots, dtype=np.int32))
         return self._locality_cache
 
-    # -- orchestration ---------------------------------------------------------------
+    # -- dataset assembly ------------------------------------------------------------
 
     def _campaign_runtimes(self) -> List[CampaignRuntime]:
         return [
@@ -864,53 +865,3 @@ class TraceGenerator:
             campaigns=self._campaign_runtimes(),
             envelopes=self.envelopes,
         )
-
-    def run(self) -> HoneyfarmDataset:
-        metrics = get_metrics()
-        with metrics.span("generate"):
-            with metrics.span("day_buckets"):
-                self._build_day_buckets()
-            with metrics.span("campaigns"):
-                self._emit_campaigns()
-            with metrics.span("singletons"):
-                singleton_sessions = self._emit_singleton_writers()
-            with metrics.span("background"):
-                self._plan_background(singleton_sessions)
-                for kind in BACKGROUND:
-                    self._background_range(kind, self.rng.child(kind),
-                                           0, self.config.n_days)
-            with metrics.span("freeze"):
-                self.emitter.flush()
-                store = self.builder.build()
-        return self._finalize(store)
-
-
-def generate_dataset(
-    config: Optional[ScenarioConfig] = None,
-    workers: Optional[int] = None,
-    cache=None,
-) -> HoneyfarmDataset:
-    """Deprecated shim over :func:`repro.api.generate`.
-
-    ``workers=None`` runs the original single-pass generator (the
-    ``serial`` backend — a distinct, equally valid trace whose draw order
-    predates sharding); any integer ``workers >= 1`` selects the sharded
-    pipeline, whose output is identical for every worker count.  ``cache``
-    memoises the result on disk exactly as before.
-
-    New code should call :func:`repro.generate`, which exposes the
-    scheduler's backend seam (``inline`` / ``pool``) instead of a bare
-    process count.
-    """
-    import warnings
-
-    warnings.warn(
-        "generate_dataset() is deprecated; use repro.generate(config, "
-        "backend=..., workers=...) (see repro.api)",
-        DeprecationWarning, stacklevel=2,
-    )
-    from repro.api import generate
-
-    if workers is None:
-        return generate(config, backend="serial", cache=cache)
-    return generate(config, workers=max(1, int(workers)), cache=cache)

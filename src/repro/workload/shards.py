@@ -30,7 +30,6 @@ from repro.obs import trace as _trace
 from repro.store.store import SessionStore
 from repro.workload.blocks import make_emitter
 from repro.workload.config import ScenarioConfig
-from repro.workload.dataset import HoneyfarmDataset
 from repro.workload.generator import BACKGROUND, TraceGenerator
 
 #: Bounds for the adaptive per-shard session target: coarse enough that
@@ -97,7 +96,7 @@ class ShardPlan:
                    _MAX_SHARD_SESSIONS)
 
     def _enumerate(self) -> List[Shard]:
-        """Shards in serial emission order, coarsened to ``_shard_target``.
+        """Shards in emission order, coarsened to ``_shard_target``.
 
         Every shard draws from one stream named by its key, so the
         boundaries chosen here are part of the draw order: they depend on
@@ -244,39 +243,33 @@ def emit_shard(plan: ShardPlan, shard: Shard) -> SessionStore:
 
 def _emit_shard_body(plan: ShardPlan, shard: Shard) -> SessionStore:
     gen = plan.gen
-    fork = gen.builder.fork_tables()
-    emitter = make_emitter(fork)
-    saved = (gen.builder, gen.emitter, gen.engine.emitter)
-    gen.builder = fork
-    gen.emitter = emitter
-    gen.engine.emitter = emitter
-    try:
-        kind, start, stop = shard.kind, shard.start, shard.stop
-        if kind == "campaign":
-            campaign = plan.campaigns_by_id[shard.key]
-            gen.engine.emit_range(
-                campaign, sorted(campaign.schedule)[start:stop],
-                gen.engine.stream_for(campaign, start),
-            )
-        elif kind == "campaign_group":
-            for r in gen.realized[start:stop]:
-                gen.engine.emit(r)
-        elif kind == "singletons":
-            gen._singletons_range(
-                gen.rng.child(f"singletons.r{start}"),
-                plan.writers[start:stop],
-                plan.writer_pots[start:stop],
-                plan.writer_sessions[start:stop],
-            )
-        elif kind in BACKGROUND:
-            gen._background_range(kind, gen.rng.child(f"{kind}.r{start}"),
-                                  start, stop)
-        else:
-            raise ValueError(f"unknown shard kind: {kind}")
-    finally:
-        gen.builder, gen.emitter, gen.engine.emitter = saved
+    builder = gen.builder.fork_tables()
+    emitter = make_emitter(builder)
+    kind, start, stop = shard.kind, shard.start, shard.stop
+    if kind == "campaign":
+        campaign = plan.campaigns_by_id[shard.key]
+        gen.engine.emit_range(
+            campaign, sorted(campaign.schedule)[start:stop],
+            gen.engine.stream_for(campaign, start), emitter,
+        )
+    elif kind == "campaign_group":
+        for r in gen.realized[start:stop]:
+            gen.engine.emit(r, emitter)
+    elif kind == "singletons":
+        gen._singletons_range(
+            emitter,
+            gen.rng.child(f"singletons.r{start}"),
+            plan.writers[start:stop],
+            plan.writer_pots[start:stop],
+            plan.writer_sessions[start:stop],
+        )
+    elif kind in BACKGROUND:
+        gen._background_range(kind, emitter,
+                              gen.rng.child(f"{kind}.r{start}"), start, stop)
+    else:
+        raise ValueError(f"unknown shard kind: {kind}")
     emitter.flush()
-    return fork.build()
+    return builder.build()
 
 
 # One plan per process, keyed by config. Set in the parent before the pool
@@ -321,24 +314,3 @@ def _emit_indexed(task: Tuple[ScenarioConfig, int, bool]):
             store = emit_shard(plan, shard)
             events = None
     return store, metrics.to_dict(), events
-
-
-def generate_sharded(
-    config: Optional[ScenarioConfig] = None, workers: int = 1
-) -> HoneyfarmDataset:
-    """Generate the sharded trace with ``workers`` processes.
-
-    The output is bit-identical for every ``workers`` value: each shard
-    draws from its own named rng stream and shards merge in enumeration
-    order, so scheduling cannot influence the result.
-
-    Since the :mod:`repro.sched` redesign this is a thin wrapper over
-    :func:`repro.sched.scheduler.generate_scheduled` — ``workers == 1``
-    runs the in-process :class:`~repro.sched.backends.InlineBackend`,
-    anything larger the multiprocess pool (the pool this module used to
-    hard-wire).  Pick the backend explicitly through
-    :func:`repro.api.generate`.
-    """
-    from repro.sched.scheduler import generate_scheduled
-
-    return generate_scheduled(config, workers=workers)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workload import ScenarioConfig, generate_dataset
+import repro
+from repro.workload import ScenarioConfig
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +22,7 @@ def small_config() -> ScenarioConfig:
 
 @pytest.fixture(scope="session")
 def small_dataset(small_config):
-    return generate_dataset(small_config)
+    return repro.generate(small_config)
 
 
 @pytest.fixture(scope="session")

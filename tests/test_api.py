@@ -1,4 +1,4 @@
-"""Tests for the stable public surface (repro.api) and its shims."""
+"""Tests for the stable public surface (repro.api)."""
 
 import dataclasses
 import warnings
@@ -48,7 +48,6 @@ class TestRunOptions:
         assert RunOptions(workers=2).resolved_backend() == "pool"
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
         assert RunOptions().resolved_backend() == "pool"
-        assert RunOptions(backend="serial").resolved_backend() == "serial"
 
     def test_derivable_with_replace(self):
         base = RunOptions()
@@ -63,19 +62,17 @@ class TestGenerate:
         return repro.generate(CONFIG, backend="inline")
 
     def test_matches_sharded_pipeline(self, inline_dataset):
-        from repro.workload.shards import generate_sharded
+        from repro.sched.scheduler import generate_scheduled
 
-        expected = generate_sharded(CONFIG, workers=1)
+        expected = generate_scheduled(CONFIG, workers=1)
         assert inline_dataset.store.content_digest() == \
             expected.store.content_digest()
 
-    def test_serial_backend_matches_legacy_serial(self):
-        from repro.workload.generator import TraceGenerator
-
-        serial = repro.generate(CONFIG, backend="serial")
-        legacy = TraceGenerator(CONFIG).run()
-        assert serial.store.content_digest() == \
-            legacy.store.content_digest()
+    def test_serial_backend_is_rejected(self):
+        # One draw order: the retired serial generator is not a backend.
+        retired = "serial"
+        with pytest.raises(ValueError, match=f"unknown backend '{retired}'"):
+            repro.generate(CONFIG, backend=retired)
 
     def test_options_value_routes_the_run(self, inline_dataset):
         dataset = repro.generate(
@@ -104,14 +101,6 @@ class TestGenerate:
         assert warm.counter("cache.hits") == 1
         assert hit.store.content_digest() == \
             inline_dataset.store.content_digest()
-
-    def test_serial_and_sharded_cache_separately(self, tmp_path):
-        repro.generate(CONFIG, backend="serial", cache=tmp_path)
-        from repro.obs import use_metrics
-
-        with use_metrics() as metrics:
-            repro.generate(CONFIG, backend="inline", cache=tmp_path)
-        assert metrics.counter("cache.misses") == 1
 
 
 class TestReportAndLoad:
@@ -149,20 +138,6 @@ class TestReportAndLoad:
 
 
 class TestDeprecationShims:
-    def test_generate_dataset_warns_and_matches(self):
-        with pytest.deprecated_call(match="repro.generate"):
-            shimmed = repro.generate_dataset(CONFIG, workers=1)
-        direct = repro.generate(CONFIG, backend="inline")
-        assert shimmed.store.content_digest() == \
-            direct.store.content_digest()
-
-    def test_generate_dataset_serial_path_warns(self):
-        with pytest.deprecated_call():
-            shimmed = repro.generate_dataset(CONFIG)
-        serial = repro.generate(CONFIG, backend="serial")
-        assert shimmed.store.content_digest() == \
-            serial.store.content_digest()
-
     def test_facade_emits_no_deprecation_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -176,11 +151,10 @@ class TestPublicSurface:
 
     def test_facade_is_exported(self):
         for name in ("generate", "report", "load", "RunOptions",
-                     "GENERATE_BACKENDS", "generate_dataset"):
+                     "GENERATE_BACKENDS"):
             assert name in repro.__all__
 
     def test_backend_spellings_cover_sched(self):
         from repro.sched import BACKEND_NAMES
 
-        assert set(BACKEND_NAMES) < set(GENERATE_BACKENDS)
-        assert "serial" in GENERATE_BACKENDS
+        assert set(BACKEND_NAMES) == set(GENERATE_BACKENDS)

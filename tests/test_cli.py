@@ -87,10 +87,11 @@ class TestCli:
         assert "SSH share" in out
 
     def test_tables_load_dataset_dir(self, tmp_path, capsys):
-        from repro.workload import ScenarioConfig, generate_dataset
+        import repro
+        from repro.workload import ScenarioConfig
         from repro.workload.io import save_dataset
 
-        dataset = generate_dataset(
+        dataset = repro.generate(
             ScenarioConfig(scale=1 / 80000, seed=3, hash_scale=0.005))
         save_dataset(dataset, tmp_path / "bundle")
         assert main(["tables", "--scale", "80000", "--seed", "3",
@@ -103,3 +104,50 @@ class TestCli:
         bogus.write_text("nope")
         with pytest.raises(SystemExit):
             main(["report", "--scale", "80000", "--load", str(bogus)])
+
+    def test_default_generate_writes_the_pinned_store(self, tmp_path,
+                                                       monkeypatch):
+        # No --workers and no --backend: the one sharded draw order, on
+        # the bytes the store goldens pin.
+        from repro.store.npz import load_npz
+        from tests.test_golden_digests import GOLDEN
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        out_path = tmp_path / "trace.npz"
+        assert main(["generate", "--scale", "40000", "--seed", "2023",
+                     "--out", str(out_path)]) == 0
+        assert load_npz(out_path).content_digest() == \
+            GOLDEN[(40000, 2023, 0.002)]
+
+    def test_serial_backend_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--backend", "serial", "--out", "x.npz"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'serial'" in capsys.readouterr().err
+
+
+class TestScaleFlag:
+    @pytest.mark.parametrize("value", [
+        "nan", "inf", "-inf", "0.5", "0", "-4000", "1/4000", "0.00025",
+        "four",
+    ])
+    def test_rejects_anything_but_a_finite_denominator(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", f"--scale={value}", "--out", "x.npz"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--scale takes the downscale denominator" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value, denominator", [
+        ("4000", 4000.0), ("1", 1.0), ("2.5e4", 25000.0),
+    ])
+    def test_accepts_a_finite_denominator(self, value, denominator):
+        import argparse
+
+        from repro.__main__ import _config, _scale
+
+        assert _scale(value) == denominator
+        args = argparse.Namespace(scale=_scale(value), seed=1,
+                                  hash_scale=None)
+        assert _config(args).scale == 1.0 / denominator

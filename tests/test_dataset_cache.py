@@ -7,8 +7,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro
 from repro.obs import get_metrics
-from repro.workload import ScenarioConfig, generate_dataset
+from repro.workload import ScenarioConfig
 from repro.workload import cache as cache_module
 from repro.workload.cache import (
     DatasetCache,
@@ -46,32 +47,32 @@ class TestFingerprint:
             assert dataset_fingerprint(other) != base, change
 
     def test_pipeline_family_not_worker_count(self, tiny_config):
-        serial = dataset_fingerprint(tiny_config, workers=None)
-        w1 = dataset_fingerprint(tiny_config, workers=1)
-        w8 = dataset_fingerprint(tiny_config, workers=8)
-        assert w1 == w8  # sharded output is worker-count independent
-        assert serial != w1  # serial and sharded are distinct traces
-
+        # One draw order for every backend and worker count: the config
+        # alone keys an entry, so run options cannot enter the key.
+        with pytest.raises(TypeError):
+            dataset_fingerprint(tiny_config, workers=1)
+        assert dataset_fingerprint(tiny_config) == \
+            dataset_fingerprint(dataclasses.replace(tiny_config))
 
     def test_draw_order_version_keys_the_fingerprint(self, tiny_config,
                                                      monkeypatch):
-        base = dataset_fingerprint(tiny_config, workers=1)
+        base = dataset_fingerprint(tiny_config)
         monkeypatch.setattr(cache_module, "DRAW_ORDER_VERSION",
                             cache_module.DRAW_ORDER_VERSION + 1)
-        assert dataset_fingerprint(tiny_config, workers=1) != base
+        assert dataset_fingerprint(tiny_config) != base
 
     def test_entry_from_an_older_draw_order_is_a_miss(self, tiny_config,
                                                       tmp_path, monkeypatch):
         # An entry filled by code with the previous draw order must never
         # be served as a trace of the current one.
-        dataset = generate_dataset(tiny_config, workers=1)
+        dataset = repro.generate(tiny_config)
         cache = DatasetCache(tmp_path)
         with monkeypatch.context() as patch:
             patch.setattr(cache_module, "DRAW_ORDER_VERSION",
                           cache_module.DRAW_ORDER_VERSION - 1)
-            cache.store(dataset_fingerprint(tiny_config, workers=1), dataset)
+            cache.store(dataset_fingerprint(tiny_config), dataset)
         snap = get_metrics().to_dict()
-        assert cache.load(dataset_fingerprint(tiny_config, workers=1)) is None
+        assert cache.load(dataset_fingerprint(tiny_config)) is None
         assert _cache_counters(snap).get("cache.misses") == 1
 
 
@@ -92,13 +93,13 @@ class TestResolveCacheDir:
 class TestCacheRoundTrip:
     def test_miss_then_hit_returns_equal_dataset(self, tiny_config, tmp_path):
         snap = get_metrics().to_dict()
-        cold = generate_dataset(tiny_config, cache=tmp_path)
+        cold = repro.generate(tiny_config, cache=tmp_path)
         counters = _cache_counters(snap)
         assert counters.get("cache.misses") == 1
         assert counters.get("cache.stores") == 1
 
         snap = get_metrics().to_dict()
-        warm = generate_dataset(tiny_config, cache=tmp_path)
+        warm = repro.generate(tiny_config, cache=tmp_path)
         counters = _cache_counters(snap)
         assert counters.get("cache.hits") == 1
         assert "cache.misses" not in counters
@@ -113,10 +114,10 @@ class TestCacheRoundTrip:
         )
 
     def test_config_change_misses(self, tiny_config, tmp_path):
-        generate_dataset(tiny_config, cache=tmp_path)
+        repro.generate(tiny_config, cache=tmp_path)
         other = dataclasses.replace(tiny_config, seed=8)
         snap = get_metrics().to_dict()
-        generate_dataset(other, cache=tmp_path)
+        repro.generate(other, cache=tmp_path)
         assert _cache_counters(snap).get("cache.misses") == 1
         entries = [p for p in tmp_path.iterdir() if p.is_dir()]
         assert len(entries) == 2
@@ -124,24 +125,24 @@ class TestCacheRoundTrip:
     def test_v1_store_entry_is_a_miss(self, tiny_config, tmp_path):
         from tests.test_store_npz import write_v1_store
 
-        cold = generate_dataset(tiny_config, cache=tmp_path)
+        cold = repro.generate(tiny_config, cache=tmp_path)
         entry = DatasetCache(tmp_path).entry_dir(dataset_fingerprint(tiny_config))
         write_v1_store(cold.store, entry / "store.npz")
 
         snap = get_metrics().to_dict()
-        regenerated = generate_dataset(tiny_config, cache=tmp_path)
+        regenerated = repro.generate(tiny_config, cache=tmp_path)
         counters = _cache_counters(snap)
         assert counters.get("cache.corrupt_entries") == 1
         assert counters.get("cache.misses") == 1
         assert regenerated.store.content_digest() == cold.store.content_digest()
 
     def test_corrupt_store_regenerates(self, tiny_config, tmp_path):
-        cold = generate_dataset(tiny_config, cache=tmp_path)
+        cold = repro.generate(tiny_config, cache=tmp_path)
         entry = DatasetCache(tmp_path).entry_dir(dataset_fingerprint(tiny_config))
         (entry / "store.npz").write_bytes(b"not a zipfile")
 
         snap = get_metrics().to_dict()
-        regenerated = generate_dataset(tiny_config, cache=tmp_path)
+        regenerated = repro.generate(tiny_config, cache=tmp_path)
         counters = _cache_counters(snap)
         assert counters.get("cache.corrupt_entries") == 1
         assert counters.get("cache.misses") == 1
@@ -150,19 +151,19 @@ class TestCacheRoundTrip:
 
         # The rewritten entry is healthy again.
         snap = get_metrics().to_dict()
-        generate_dataset(tiny_config, cache=tmp_path)
+        repro.generate(tiny_config, cache=tmp_path)
         assert _cache_counters(snap).get("cache.hits") == 1
 
     def test_missing_sidecar_regenerates(self, tiny_config, tmp_path):
-        generate_dataset(tiny_config, cache=tmp_path)
+        repro.generate(tiny_config, cache=tmp_path)
         entry = DatasetCache(tmp_path).entry_dir(dataset_fingerprint(tiny_config))
         (entry / "dataset.json").unlink()
         snap = get_metrics().to_dict()
-        dataset = generate_dataset(tiny_config, cache=tmp_path)
+        dataset = repro.generate(tiny_config, cache=tmp_path)
         counters = _cache_counters(snap)
         assert counters.get("cache.misses") == 1
         assert len(dataset.store) > 0
 
     def test_no_temp_dirs_left_behind(self, tiny_config, tmp_path):
-        generate_dataset(tiny_config, cache=tmp_path)
+        repro.generate(tiny_config, cache=tmp_path)
         assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]

@@ -110,13 +110,6 @@ def test_scale_4000_smoke_byte_identical():
     assert scalar.content_digest() == block.content_digest()
 
 
-def test_serial_backend_byte_identical():
-    # The serial single-pass generator flushes through the same seam.
-    scalar = generate_store(TINY, "scalar", backend="serial")
-    block = generate_store(TINY, "block", backend="serial")
-    assert scalar.content_digest() == block.content_digest()
-
-
 # -- per-category counts and streaming state ---------------------------------
 
 

@@ -14,9 +14,10 @@ from repro.workload.temporal import (
 @pytest.fixture(scope="module")
 def mid_dataset():
     """A mid-sized trace where the temporal dynamics are measurable."""
-    from repro.workload import ScenarioConfig, generate_dataset
-    return generate_dataset(ScenarioConfig(scale=1 / 2000, seed=4,
-                                           hash_scale=0.015))
+    import repro
+    from repro.workload import ScenarioConfig
+    return repro.generate(ScenarioConfig(scale=1 / 2000, seed=4,
+                                         hash_scale=0.015))
 
 
 class TestRuPrefix:

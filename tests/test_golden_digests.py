@@ -45,13 +45,14 @@ def test_store_digest_is_pinned(key, backend, workers):
 #: per-figure groupbys, so a change in any figure's numbers fails here.
 REPORT_GOLDEN = {
     "small_dataset":
-        "f207f12513ce34e0309e29221aec25c78bd3b1c3988fb87dd3e7d503d254bd0d",
+        "a17cfe3a3ad092926b0e0ce68b4bdb2ec73de2c49bcd45c169fc72d79a509379",
     "d40000-s2023":
         "f7108b27effacf79877f6242f17146ad2060747a52dcb6c64779c7ccff39a498",
 }
 
 
 def test_report_digest_small_dataset_is_pinned(small_dataset):
+    assert small_dataset.store.content_digest() == GOLDEN[(20000, 99, 0.008)]
     # A copy, so the digest never reads analysis state other tests cached.
     fresh = replace(small_dataset)
     assert report_digest(fresh) == REPORT_GOLDEN["small_dataset"]

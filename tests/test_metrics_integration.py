@@ -14,9 +14,10 @@ from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.core.report import full_report
 from repro.obs import Metrics, use_metrics
-from repro.workload import ScenarioConfig, generate_dataset
+from repro.workload import ScenarioConfig
 from repro.workload.validation import validate
 
 TINY = ScenarioConfig(scale=1 / 40000, seed=11, hash_scale=0.004)
@@ -26,7 +27,7 @@ TINY = ScenarioConfig(scale=1 / 40000, seed=11, hash_scale=0.004)
 def generation():
     """(dataset, metrics recorded while generating it)."""
     with use_metrics() as metrics:
-        dataset = generate_dataset(TINY)
+        dataset = repro.generate(TINY)
     return dataset, metrics
 
 
@@ -82,14 +83,27 @@ class TestEngineReferenceInvariants:
         assert metrics.counter("honeypot.auth_attempts") >= accepted
 
     def test_generation_stage_spans_recorded(self, generation):
+        from collections import Counter
+
+        from repro.workload.shards import _plan_for
+
         _, metrics = generation
         assert metrics.spans["generate"]["count"] == 1
-        for stage in ("campaigns", "singletons", "background", "freeze"):
+        for stage in ("plan", "emit", "merge"):
             assert metrics.spans[f"generate/{stage}"]["count"] == 1
+        # One worker-side span per shard, folded under generate/emit.
+        per_kind = Counter(shard.kind for shard in _plan_for(TINY).shards)
+        assert {path: cell["count"] for path, cell in metrics.spans.items()
+                if path.startswith("generate/emit/shard/")
+                and path.count("/") == 3} == {
+            f"generate/emit/shard/{kind}": n for kind, n in per_kind.items()}
 
-    def test_plan_stage_spans_recorded(self):
-        import repro
+    def test_plan_stage_spans_recorded(self, monkeypatch):
+        import repro.workload.shards as shards
 
+        # The plan is cached per process: drop it so this run builds one,
+        # whatever generated TINY before.
+        monkeypatch.setattr(shards, "_PLAN", None)
         with use_metrics() as metrics:
             repro.generate(TINY, backend="inline", workers=1)
         for stage in ("population", "targets", "calendar", "campaigns",

@@ -418,17 +418,17 @@ class TestWorkerMetricsMerge:
 
     @pytest.fixture(scope="class")
     def runs(self):
+        import repro
         import repro.workload.shards as shards
         from repro.obs import use_metrics
         from repro.workload import ScenarioConfig
-        from repro.workload.shards import generate_sharded
 
         config = ScenarioConfig(scale=1 / 40000, seed=7, hash_scale=0.004)
         out = {}
         for workers in (1, 2):
             shards._PLAN = None  # both runs pay plan construction
             with use_metrics() as metrics:
-                dataset = generate_sharded(config, workers=workers)
+                dataset = repro.generate(config, workers=workers)
             out[workers] = (dataset, metrics)
         return out
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.store.records import SessionRecord
 from repro.store.store import SessionStore, StoreBuilder
-from repro.workload import ScenarioConfig, generate_dataset
-from repro.workload.shards import ShardPlan, generate_sharded
+from repro.workload import ScenarioConfig
+from repro.workload.shards import ShardPlan
 
 
 def fingerprint(store: SessionStore) -> tuple:
@@ -44,24 +45,17 @@ def sharded_config() -> ScenarioConfig:
 
 
 def test_worker_count_does_not_change_output(sharded_config):
-    serial = generate_sharded(sharded_config, workers=1)
-    parallel = generate_dataset(sharded_config, workers=4)
-    assert fingerprint(serial.store) == fingerprint(parallel.store)
-    assert [c.campaign_id for c in serial.campaigns] == \
+    single = repro.generate(sharded_config, workers=1)
+    parallel = repro.generate(sharded_config, workers=4)
+    assert fingerprint(single.store) == fingerprint(parallel.store)
+    assert [c.campaign_id for c in single.campaigns] == \
         [c.campaign_id for c in parallel.campaigns]
-
-
-def test_sharded_volume_matches_legacy(sharded_config):
-    """Shard budgets are coupled to the serial plan: same session count."""
-    legacy = generate_dataset(sharded_config)  # workers=None -> serial path
-    sharded = generate_dataset(sharded_config, workers=1)
-    assert len(sharded.store) == len(legacy.store)
 
 
 def test_repeated_sharded_runs_are_identical(sharded_config):
     """The cached shard plan must not accumulate state between runs."""
-    first = generate_sharded(sharded_config, workers=1)
-    second = generate_sharded(sharded_config, workers=1)
+    first = repro.generate(sharded_config, workers=1)
+    second = repro.generate(sharded_config, workers=1)
     assert fingerprint(first.store) == fingerprint(second.store)
 
 

@@ -466,10 +466,10 @@ class TestWorkerCountInvariance:
 
     @pytest.fixture(scope="class")
     def traces(self):
+        import repro
         import repro.workload.shards as shards
         from repro.obs import use_metrics
         from repro.workload import ScenarioConfig
-        from repro.workload.shards import generate_sharded
 
         config = ScenarioConfig(scale=1 / 40000, seed=7, hash_scale=0.004)
         out = {}
@@ -477,7 +477,7 @@ class TestWorkerCountInvariance:
             shards._PLAN = None
             tracer = Tracer(capacity=1 << 20)
             with use_metrics(), use_tracer(tracer):
-                generate_sharded(config, workers=workers)
+                repro.generate(config, workers=workers)
             out[workers] = tracer.to_list()
         return out
 

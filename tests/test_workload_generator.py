@@ -19,6 +19,13 @@ class TestScenarioConfig:
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
             ScenarioConfig(scale=0)
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="scale"):
+                ScenarioConfig(scale=bad)
+            with pytest.raises(ValueError, match="hash_scale"):
+                ScenarioConfig(hash_scale=bad)
+            with pytest.raises(ValueError, match="scale|denominator"):
+                ScenarioConfig.from_denominator(bad)
 
     def test_category_mix_sums_to_one(self):
         assert sum(CATEGORY_MIX.values()) == pytest.approx(1.0)
@@ -157,10 +164,15 @@ class TestGeneratedDataset:
         h1 = small_dataset.campaign("H1")
         assert h1.primary_hash in store.hashes
 
-    def test_deterministic(self, small_config):
-        from repro.workload import generate_dataset
-        a = generate_dataset(small_config)
-        b = generate_dataset(small_config)
+    def test_deterministic(self, small_config, monkeypatch):
+        import repro
+        import repro.workload.shards as shards
+
+        # A fresh plan per run, so nothing cached carries between them.
+        monkeypatch.setattr(shards, "_PLAN", None)
+        a = repro.generate(small_config)
+        monkeypatch.setattr(shards, "_PLAN", None)
+        b = repro.generate(small_config)
         assert len(a.store) == len(b.store)
         assert np.array_equal(a.store.client_ip, b.store.client_ip)
         assert np.array_equal(a.store.start_time, b.store.start_time)
