@@ -73,45 +73,6 @@ def test_generation_throughput(benchmark):
     echo(f"  {len(result.store):,} sessions at {rate:,.0f} sessions/s")
 
 
-def test_block_emit_throughput(benchmark):
-    """Sessions/second of the vectorized block emit path (inline backend).
-
-    Pins ``REPRO_EMIT_PATH=block`` for the measured rounds and times one
-    scalar-path reference run alongside, so the printed comparison shows
-    the buffering win at this scale.  The generation this test performs
-    is what the CI trajectory gate records (``emit_path=block`` context)
-    when ``REPRO_BENCH_TRAJECTORY`` is set.
-    """
-    saved = os.environ.get("REPRO_EMIT_PATH")
-    os.environ["REPRO_EMIT_PATH"] = "block"
-    try:
-        result, seconds = _run(
-            benchmark,
-            lambda: repro.generate(gen_config(), backend="inline", workers=1),
-        )
-        os.environ["REPRO_EMIT_PATH"] = "scalar"
-        t0 = time.perf_counter()
-        scalar_result = repro.generate(gen_config(), backend="inline", workers=1)
-        scalar_seconds = time.perf_counter() - t0
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_EMIT_PATH", None)
-        else:
-            os.environ["REPRO_EMIT_PATH"] = saved
-    assert scalar_result.store.content_digest() == result.store.content_digest()
-    rate = len(result.store) / seconds
-    scalar_rate = len(scalar_result.store) / scalar_seconds
-    benchmark.extra_info["sessions"] = len(result.store)
-    benchmark.extra_info["sessions_per_second"] = round(rate)
-    benchmark.extra_info["scalar_sessions_per_second"] = round(scalar_rate)
-    benchmark.extra_info["emit_path"] = "block"
-    heading("block emit throughput",
-            f"1/{GEN_DENOMINATOR} scale, inline backend, block vs scalar path")
-    echo(f"  block  {len(result.store):,} sessions at {rate:,.0f} sessions/s")
-    echo(f"  scalar reference at {scalar_rate:,.0f} sessions/s "
-         f"({rate / scalar_rate:.2f}x, stores byte-identical)")
-
-
 def test_scheduled_pool_throughput(benchmark):
     """Sessions/second of the scheduler's multiprocess pool backend.
 

@@ -112,30 +112,6 @@ print(f"streaming-vs-batch ok ({analytics.session_count():,} sessions, "
       f"mix + daily totals exact, store intake == event intake)")
 PY
 
-echo "== scalar-vs-block emit-path smoke (stores byte-identical) =="
-python - <<'PY'
-import os
-import repro
-
-config = repro.ScenarioConfig(scale=1 / 80000, seed=7, hash_scale=0.004)
-digests = {}
-for path in ("scalar", "block"):
-    os.environ["REPRO_EMIT_PATH"] = path
-    digests[path] = {
-        backend: repro.generate(
-            config, backend=backend, workers=2 if backend == "pool" else 1
-        ).store.content_digest()
-        for backend in ("inline", "pool")
-    }
-os.environ.pop("REPRO_EMIT_PATH", None)
-if digests["scalar"] != digests["block"] \
-        or len(set(digests["scalar"].values())) != 1:
-    raise SystemExit(f"emit paths diverged: {digests}")
-print(f"emit-path smoke ok (sha256 "
-      f"{next(iter(digests['block'].values()))[:16]}... scalar == block, "
-      f"inline + pool)")
-PY
-
 echo "== backend matrix smoke (CLI default / inline w=1 / pool w=1 / w=2 / w=4 byte-identical) =="
 env -u REPRO_WORKERS python -m repro generate --scale 80000 --hash-scale 0.004 \
     --seed 7 --out "$SCRATCH/cli_default.npz" > /dev/null 2> /dev/null
@@ -224,10 +200,11 @@ PY
 echo "== benchmark trajectory (append + 20% throughput regression gate) =="
 # workers=2 routes through the scheduler's pool backend, so this entry
 # tracks the scheduled path; the gate compares against the previous run.
+# emit_path stays the literal "block" so the comparison series continues.
 python -m repro.obs.trajectory --metrics "$SCRATCH/ci_metrics.json" \
     --out BENCH_trajectory.json --fail-threshold 0.2 \
     --context scale=40000 --context workers=2 --context backend=pool \
-    --context emit_path="${REPRO_EMIT_PATH:-block}" --context source=ci
+    --context emit_path=block --context source=ci
 
 echo "== flight-recorder smoke (schema-validate the traced run's JSONL) =="
 python -m repro monitor --input "$SCRATCH/ci_trace.jsonl" --validate \

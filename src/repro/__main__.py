@@ -29,16 +29,43 @@ def _scale(value: str) -> float:
     return denominator
 
 
+def _hash_scale(value: str) -> float:
+    """Parse ``--hash-scale``: the unique-hash budget vs the paper's 64k,
+    a finite number > 0."""
+    try:
+        share = float(value)
+    except ValueError:
+        share = math.nan
+    if not (math.isfinite(share) and share > 0):
+        raise argparse.ArgumentTypeError(
+            f"--hash-scale takes the unique-hash budget vs the paper's 64k, "
+            f"a finite number > 0 (e.g. 0.02), not {value!r}")
+    return share
+
+
+def _workers(value: str) -> int:
+    """Parse ``--workers``: a worker-process count, an integer >= 1."""
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"--workers takes a worker-process count, an integer >= 1, "
+            f"not {value!r}")
+    return count
+
+
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=_scale, default=4000.0,
                         help="downscale denominator vs the paper's 402M "
                              "sessions, a finite number >= 1 (e.g. 4000); "
                              "default 4000")
     parser.add_argument("--seed", type=int, default=2023)
-    parser.add_argument("--hash-scale", type=float, default=None,
+    parser.add_argument("--hash-scale", type=_hash_scale, default=None,
                         help="unique-hash budget vs the paper's 64k "
                              "(default: derived from --scale)")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=_workers, default=None,
                         help="generate with N worker processes (output "
                              "is identical for every N). Default: "
                              "$REPRO_WORKERS if set, else 1")
@@ -630,7 +657,7 @@ def main(argv=None) -> int:
                        help="with --follow, seconds between repaints")
     p_top.add_argument("--seed", type=int, default=7,
                        help="demo-mode scenario seed")
-    p_top.add_argument("--workers", type=int, default=2,
+    p_top.add_argument("--workers", type=_workers, default=2,
                        help="demo-mode pool worker count")
     p_top.set_defaults(func=cmd_top)
 

@@ -70,7 +70,7 @@ COUNTERS: Tuple[str, ...] = (
     "sketch.events_consumed",
     "sketch.store_sessions_ingested",
     "sketch.merges",
-    # Block session engine (repro.workload.blocks).
+    # Buffered session emitter (repro.workload.emit).
     "emit.block.buffered_blocks",
     "emit.block.flushes",
     "emit.block.rows",
@@ -233,8 +233,8 @@ DESCRIPTIONS = {
         "sketch.store_sessions_ingested": "store rows ingested by the sketches",
         "sketch.merges": "sketch registries merged",
         "emit.block.buffered_blocks": "session blocks buffered before flush",
-        "emit.block.flushes": "block-engine flushes to the store",
-        "emit.block.rows": "session rows written by the block engine",
+        "emit.block.flushes": "session-emitter flushes to the store",
+        "emit.block.rows": "session rows written by the session emitter",
         "sched.heartbeat.*": "worker heartbeats received / stale episodes",
         "ledger.*": "run-ledger rows, alerts and files recorded",
     },
@@ -283,7 +283,7 @@ DESCRIPTIONS = {
         "intermediates": "intermediate table stage",
         "tables_4_5_6": "hash table computation stage",
         "sketch/ingest": "streaming sketch ingest stage",
-        "emit.block.flush": "block-engine flush stage",
+        "emit.block.flush": "session-emitter flush stage",
         "core/ctx/client_table": "analysis context client-IP table build",
         "core/ctx/client_pot": "distinct (client, pot, category) table build",
         "core/ctx/client_day": "distinct (client, day, relation, category) build",

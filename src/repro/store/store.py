@@ -246,6 +246,38 @@ HashIdsArg = Union[
     None, Tuple[int, ...], Sequence[Tuple[int, ...]], HashBlockCsr
 ]
 
+
+def hash_csr(
+    hash_ids: HashIdsArg, n: int
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(lengths, values)`` of an ``n``-row :data:`HashIdsArg`.
+
+    ``lengths`` holds each row's hash count; ``values`` is the flattened
+    ids, or None when no row carries a hash.
+    """
+    if hash_ids is None:
+        return np.zeros(n, np.int64), None
+    if isinstance(hash_ids, HashBlockCsr):
+        if len(hash_ids.lengths) != n:
+            raise ValueError("append_block sequences must share one length")
+        return hash_ids.lengths, (hash_ids.values if len(hash_ids.values) else None)
+    if isinstance(hash_ids, tuple):
+        # One tuple shared by every row of the block.
+        k = len(hash_ids)
+        if not k:
+            return np.zeros(n, np.int64), None
+        return np.full(n, k, np.int64), np.tile(np.asarray(hash_ids, np.int64), n)
+    if len(hash_ids) != n:
+        raise ValueError("append_block sequences must share one length")
+    if not any(hash_ids):
+        return np.zeros(n, np.int64), None
+    lengths = np.fromiter((len(t) for t in hash_ids), np.int64, count=n)
+    values = np.fromiter(
+        (h for t in hash_ids for h in t), np.int64, count=int(lengths.sum())
+    )
+    return lengths, values
+
+
 _ID_COLUMNS_WITH_SENTINEL = {
     "script_id": "script",
     "password_id": "password",
@@ -451,45 +483,13 @@ class StoreBuilder:
         cols["username_id"].extend(username_id)
         cols["close_reason"].extend(close_reason_id)
         cols["version_id"].extend(version_id)
-        self._append_block_hashes(hash_ids, n)
+        lengths, values = hash_csr(hash_ids, n)
+        self._hash_lengths.extend(lengths)
+        if values is not None:
+            self._hash_values.extend(values)
         self._n_rows += n
         _metric_inc("store.sessions_appended", n)
         _metric_inc("store.blocks_appended")
-
-    def _append_block_hashes(self, hash_ids: HashIdsArg, n: int) -> None:
-        if hash_ids is None:
-            self._hash_lengths.extend(np.zeros(n, np.int64))
-            return
-        if isinstance(hash_ids, HashBlockCsr):
-            if len(hash_ids.lengths) != n:
-                raise ValueError("append_block sequences must share one length")
-            self._hash_lengths.extend(hash_ids.lengths)
-            if len(hash_ids.values):
-                self._hash_values.extend(hash_ids.values)
-            return
-        if isinstance(hash_ids, tuple):
-            # One tuple shared by every row of the block.
-            k = len(hash_ids)
-            self._hash_lengths.extend(np.full(n, k, np.int64))
-            if k:
-                self._hash_values.extend(
-                    np.tile(np.asarray(hash_ids, np.int64), n)
-                )
-            return
-        if len(hash_ids) != n:
-            raise ValueError("append_block sequences must share one length")
-        if not any(hash_ids):
-            self._hash_lengths.extend(np.zeros(n, np.int64))
-            return
-        lengths = np.fromiter((len(t) for t in hash_ids), np.int64, count=n)
-        self._hash_lengths.extend(lengths)
-        self._hash_values.extend(
-            np.fromiter(
-                (h for t in hash_ids for h in t),
-                np.int64,
-                count=int(lengths.sum()),
-            )
-        )
 
     # -- shard / merge support -------------------------------------------------
 

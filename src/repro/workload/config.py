@@ -76,8 +76,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be positive and finite")
-        if not math.isfinite(self.hash_scale):
-            raise ValueError("hash_scale must be finite")
+        if not (math.isfinite(self.hash_scale) and self.hash_scale > 0):
+            raise ValueError("hash_scale must be positive and finite")
         if not self.n_clients:
             derived = int(FULL_SCALE_CLIENTS * self.scale * 4)
             self.n_clients = max(1_500, min(derived, FULL_SCALE_CLIENTS))

@@ -9,18 +9,20 @@ shaped to reproduce the paper's Figure 7 (session-duration ECDFs):
 * CMD sessions mix client closes with a substantial idle-timeout share;
 * CMD+URI sessions inherit download transfer time and can cross the
   three-minute line (the timeout resets while a download is in flight).
+
+Fixed categorical rows, such as the login-attempt counts, are
+:class:`TransitionTable` objects that precompute their CDF once at import.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.honeypot.session import CloseReason
 from repro.store.store import _CLOSE_REASON_IDS
-from repro.simulation.rng import RngStream
-from repro.workload.blocks import TransitionTable
+from repro.simulation.rng import RngStream, weight_cdf
 
 CLOSE_CLIENT = _CLOSE_REASON_IDS[CloseReason.CLIENT_DISCONNECT.value]
 CLOSE_AUTH_TIMEOUT = _CLOSE_REASON_IDS[CloseReason.AUTH_TIMEOUT.value]
@@ -30,6 +32,29 @@ CLOSE_EXIT = _CLOSE_REASON_IDS[CloseReason.CLIENT_EXIT.value]
 
 NO_LOGIN_TIMEOUT = 120.0
 IDLE_TIMEOUT = 180.0
+
+
+class TransitionTable:
+    """A categorical state-transition row with its CDF precomputed.
+
+    Wraps a fixed weight vector (e.g. the auth-outcome or close-reason
+    distribution of a session phase) so batched draws skip the per-call
+    cumsum.  ``sample`` draws the exact same values as
+    ``rng.choice_indices(n, size, p=weights)`` — the CDF spelling is a
+    pure precomputation, not a different distribution.
+    """
+
+    __slots__ = ("weights", "cdf", "n")
+
+    def __init__(self, weights: Sequence[float]):
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.cdf = weight_cdf(self.weights)
+        self.n = int(self.weights.size)
+
+    def sample(self, rng: RngStream, size: int) -> np.ndarray:
+        """``size`` next-state indices in ``[0, n)``."""
+        return np.asarray(rng.choice_indices(self.n, size=size, cdf=self.cdf))
+
 
 # Auth-phase attempt-count transition rows (P[1, 2, 3 attempts]), with
 # their CDFs built once at import: batched draws through TransitionTable

@@ -3,7 +3,7 @@
 The trace generator stamps millions of sessions, but the *content* of every
 distinct interaction — recorded command strings, URIs, file hashes, and
 execution timing — comes from actually running the script through the
-honeypot's session state machine exactly once.  The resulting
+honeypot's emulated shell exactly once.  The resulting
 :class:`ScriptProfile` is then reused for every session of that campaign.
 """
 
@@ -14,14 +14,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.agents.scripts import ScriptKind, ScriptTemplate
 from repro.honeypot.filesystem import FakeFilesystem
-from repro.honeypot.honeypot import Honeypot, HoneypotConfig
-from repro.honeypot.protocol import Protocol
-from repro.honeypot.session import SessionConfig
 from repro.honeypot.shell.context import ShellContext
 from repro.honeypot.shell.resolver import StaticPayloadResolver
 from repro.honeypot.shell.shell import EmulatedShell
 from repro.obs.trace import use_tracer
-from repro.simulation.engine import Event, SimulationEngine
 
 #: Seconds of "typing time" charged per input line when profiling.
 THINK_TIME_PER_LINE = 2.5
@@ -49,54 +45,39 @@ class ScriptProfile:
 
 
 class ScriptRunner:
-    """Profiles scripts through a dedicated reference honeypot."""
+    """Profiles scripts through the emulated shell, one run per script."""
 
     def __init__(self) -> None:
         self.resolver = StaticPayloadResolver()
-        self._honeypot = Honeypot(
-            HoneypotConfig(
-                honeypot_id="profiler",
-                ip=0x7F000001,
-                country="US",
-                asn=0,
-                session_config=SessionConfig(),
-            ),
-            resolver=self.resolver,
-        )
         self._cache: Dict[Tuple, ScriptProfile] = {}
 
     def profile(self, template: ScriptTemplate) -> ScriptProfile:
         """Run ``template`` once (cached) and return its profile.
 
-        Profiling runs with the flight recorder silenced: the reference
-        honeypot session is a per-process measurement detail (cached, so a
-        second worker legitimately re-profiles), and its events would make
-        the workload trace worker-count-variant.
-
-        This is the fast path: the script runs straight through the
-        emulated shell, skipping the event engine and session state
-        machine, which only wrap the shell with fixed timestamps during
-        profiling.  :meth:`profile_via_engine` keeps the full-machinery
-        reference; a differential test holds the two identical.
+        Profiling runs with the flight recorder silenced: the profiling run
+        is a per-process measurement detail (cached, so a second worker
+        legitimately re-profiles), and its events would make the workload
+        trace worker-count-variant.
         """
         key = (template.kind, template.token, tuple(template.lines))
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         with use_tracer(None):
-            profile = self._profile_fast(template)
+            profile = self._run(template)
         self._cache[key] = profile
         return profile
 
-    def _profile_fast(self, template: ScriptTemplate) -> ScriptProfile:
-        """Profile by driving the emulated shell directly.
+    def _run(self, template: ScriptTemplate) -> ScriptProfile:
+        """Drive the emulated shell through ``template``.
 
-        Replays exactly what the engine-driven reference does to the
-        shell: login at t=1, one input line every ``THINK_TIME_PER_LINE``
-        seconds starting at t=2, stop when a line requests exit.  Command
-        records, URI ordering, hash ordering and download durations are
-        identical because the shell is the only machinery that produces
-        them.
+        The script runs as a logged-in session would type it: one input
+        line every ``THINK_TIME_PER_LINE`` seconds starting at t=2, stopping
+        when a line requests exit.  The shell alone produces the command
+        records, URI and hash ordering and download durations, so the
+        session state machine and event engine are not needed here;
+        ``PROFILE_GOLDEN`` in ``tests/test_golden_digests.py`` pins the
+        profile of every script kind.
         """
         if template.dropper_uri and template.payload is not None:
             self._register_payload_uris(template)
@@ -131,80 +112,6 @@ class ScriptRunner:
             token=template.token,
             commands=tuple(commands),
             uris=tuple(uris),
-            hashes=tuple(unique_hashes),
-            exec_seconds=len(template.lines) * THINK_TIME_PER_LINE + download_seconds,
-            download_seconds=download_seconds,
-        )
-
-    def profile_via_engine(self, template: ScriptTemplate) -> ScriptProfile:
-        """Reference profile through the full session/event machinery.
-
-        Uncached and an order of magnitude slower than :meth:`profile`;
-        kept as the differential oracle for the fast path.
-        """
-        with use_tracer(None):
-            return self._profile_uncached(template)
-
-    def _profile_uncached(self, template: ScriptTemplate) -> ScriptProfile:
-        if template.dropper_uri and template.payload is not None:
-            self._register_payload_uris(template)
-
-        # Drive the reference session through the event engine rather than
-        # with sequential calls. The profiler is the one honeypot
-        # interaction every bulk run performs, so this keeps the event loop
-        # on the pure-generation path too; timestamps are identical to the
-        # old sequential schedule, so profiles are unchanged.
-        engine = SimulationEngine()
-        session = self._honeypot.accept(
-            client_ip=0x7F000002, client_port=40000, dst_port=22, now=0.0
-        )
-        end = 2.0 + len(template.lines) * THINK_TIME_PER_LINE
-        line_events: List[Event] = []
-
-        def feed(index: int, line: str, when: float):
-            def action() -> None:
-                if session.is_closed:
-                    # Script self-terminated (e.g. an `exit` line): the
-                    # rest of the typed input never arrives.
-                    for pending in line_events[index + 1:]:
-                        pending.cancel()
-                    disconnect_event.cancel()
-                    return
-                session.input_line(line, now=when)
-            return action
-
-        def disconnect() -> None:
-            if not session.is_closed:
-                session.client_disconnect(end)
-
-        engine.schedule_at(
-            1.0,
-            lambda: session.try_login("root", "profiling-pass", now=1.0),
-            label="login",
-        )
-        when = 2.0
-        for index, line in enumerate(template.lines):
-            line_events.append(
-                engine.schedule_at(when, feed(index, line, when), label="input")
-            )
-            when += THINK_TIME_PER_LINE
-        disconnect_event = engine.schedule_at(end, disconnect, label="disconnect")
-        engine.run()
-        summary = session.summary()
-        self._honeypot.reap(end + 1.0)
-
-        unique_hashes: List[str] = []
-        for h in summary.file_hashes:
-            if h not in unique_hashes:
-                unique_hashes.append(h)
-        download_seconds = sum(
-            d.duration for d in session.shell_context.downloads if d.success
-        )
-        return ScriptProfile(
-            kind=template.kind,
-            token=template.token,
-            commands=tuple(summary.commands),
-            uris=tuple(summary.uris),
             hashes=tuple(unique_hashes),
             exec_seconds=len(template.lines) * THINK_TIME_PER_LINE + download_seconds,
             download_seconds=download_seconds,

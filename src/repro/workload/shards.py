@@ -28,8 +28,8 @@ import numpy as np
 from repro.obs import get_metrics, use_metrics
 from repro.obs import trace as _trace
 from repro.store.store import SessionStore
-from repro.workload.blocks import make_emitter
 from repro.workload.config import ScenarioConfig
+from repro.workload.emit import SessionEmitter
 from repro.workload.generator import BACKGROUND, TraceGenerator
 
 #: Bounds for the adaptive per-shard session target: coarse enough that
@@ -244,7 +244,7 @@ def emit_shard(plan: ShardPlan, shard: Shard) -> SessionStore:
 def _emit_shard_body(plan: ShardPlan, shard: Shard) -> SessionStore:
     gen = plan.gen
     builder = gen.builder.fork_tables()
-    emitter = make_emitter(builder)
+    emitter = SessionEmitter(builder)
     kind, start, stop = shard.kind, shard.start, shard.stop
     if kind == "campaign":
         campaign = plan.campaigns_by_id[shard.key]

@@ -151,3 +151,21 @@ class TestScaleFlag:
         args = argparse.Namespace(scale=_scale(value), seed=1,
                                   hash_scale=None)
         assert _config(args).scale == 1.0 / denominator
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "x"])
+    def test_rejects_a_bad_hash_scale(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", f"--hash-scale={value}", "--out", "x.npz"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--hash-scale takes the unique-hash budget" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5", "two"])
+    def test_rejects_a_bad_worker_count(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", f"--workers={value}", "--out", "x.npz"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers takes a worker-process count" in err
+        assert "Traceback" not in err

@@ -1,18 +1,22 @@
-"""Pinned store digests: the sharded pipeline checked against fixed bytes.
+"""Pinned digests: stores, reports and script profiles against fixed bytes.
 
-The conformance suites compare the code with itself (inline vs pool,
-scalar vs block).  These digests come from outside it: they were computed
-once and pinned, so a change that shifts any draw, column or merge order
-fails here even when every backend shifts the same way.  Re-pin only on a
-deliberate byte-changing event, and record old -> new in CHANGES.md.
+The conformance suites compare the code with itself (inline vs pool).
+These digests come from outside it: they were computed once and pinned,
+so a change that shifts any draw, column or merge order fails here even
+when every backend shifts the same way.  Re-pin only on a deliberate
+byte-changing event, and record old -> new in CHANGES.md.
 """
 
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
 import repro
+from repro.agents.scripts import ScriptKind, build_script
 from repro.workload.config import ScenarioConfig
+from repro.workload.script_runner import ScriptRunner
 from tests.report_digest import report_digest
 
 #: (denominator, seed, hash_scale) -> sha256 of ``store.content_digest()``.
@@ -26,6 +30,9 @@ GOLDEN = {
     # The gen-10k-w1 benchmark config (default hash_scale at 1/40000).
     (40000, 2023, 0.002):
         "6c64ecda2c1d371d48e527ebf6e78260042992fd2c9570bef4ee93f2f628e748",
+    # The gen-100k-w1 benchmark config (default hash_scale at 1/4000).
+    (4000, 2023, 0.02):
+        "ac5bb1ebcc63fd2e53f1f2ec52d4e072aca753695b913985de46898a1594ac0f",
 }
 
 
@@ -62,3 +69,32 @@ def test_report_digest_gen_10k_config_is_pinned():
     config = ScenarioConfig.from_denominator(40000, seed=2023)
     dataset = repro.generate(config, backend="inline", workers=1)
     assert report_digest(dataset) == REPORT_GOLDEN["d40000-s2023"]
+
+
+#: sha256 over every field of ``ScriptRunner().profile`` for each script
+#: kind and token in ``PROFILE_TOKENS``.  Pinned while the engine-driven
+#: reference profiler still existed and agreed on every one of them.
+PROFILE_GOLDEN = (
+    "9304943b51a0cea817de0b2becadf884efcbd7fdd7a5706624487fa6f7b2d107"
+)
+PROFILE_TOKENS = ("golden-a", "golden-b")
+
+
+def profile_digest() -> str:
+    """sha256 of a JSON serialisation (floats as hex) of each profile."""
+    runner = ScriptRunner()
+    rows = []
+    for kind in ScriptKind:
+        for token in PROFILE_TOKENS:
+            p = runner.profile(build_script(kind, token=token))
+            rows.append([
+                p.kind.value, p.token, list(p.commands), list(p.uris),
+                list(p.hashes), float(p.exec_seconds).hex(),
+                float(p.download_seconds).hex(),
+            ])
+    blob = json.dumps(rows, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_script_profile_digest_is_pinned():
+    assert profile_digest() == PROFILE_GOLDEN

@@ -283,9 +283,9 @@ def test_every_sketch_instrument_is_declared():
 
 
 def test_every_block_engine_instrument_is_declared():
-    # The block emission engine's instrument names (repro.workload.blocks)
-    # must stay in sync with the obs.names registry, same contract as the
-    # sketch families above.
+    # The session emitter's buffered-block instrument names
+    # (repro.workload.emit) must stay in sync with the obs.names registry,
+    # same contract as the sketch families above.
     for name in ("emit.block.buffered_blocks", "emit.block.flushes",
                  "emit.block.rows"):
         assert obs_names.is_declared(name, obs_names.COUNTERS), name

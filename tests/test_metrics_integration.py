@@ -15,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 import repro
+from repro.agents.scripts import ScriptKind, build_script
 from repro.core.report import full_report
 from repro.obs import Metrics, use_metrics
 from repro.workload import ScenarioConfig
@@ -42,45 +43,11 @@ class TestGenerationInvariants:
         assert per_category == len(dataset.store)
 
     def test_fast_profiler_skips_the_engine(self, generation):
-        # The fast profiler drives the emulated shell directly (DESIGN
+        # The script profiler drives the emulated shell directly (DESIGN
         # 6h), so pure generation schedules no engine events at all.
         _, metrics = generation
         assert metrics.counter("engine.events_scheduled") == 0
         assert metrics.counter("engine.events_dispatched") == 0
-
-
-class TestEngineReferenceInvariants:
-    """The engine/session invariants, held by the profiler's oracle path."""
-
-    @pytest.fixture(scope="class")
-    def engine_profiling(self):
-        from repro.agents.scripts import ScriptKind, build_script
-        from repro.workload.script_runner import ScriptRunner
-
-        with use_metrics() as metrics:
-            runner = ScriptRunner()
-            for kind in ScriptKind:
-                runner.profile_via_engine(build_script(kind, token="ref"))
-        return metrics
-
-    def test_engine_drops_no_events(self, engine_profiling):
-        metrics = engine_profiling
-        scheduled = metrics.counter("engine.events_scheduled")
-        dispatched = metrics.counter("engine.events_dispatched")
-        cancelled = metrics.counter("engine.events_cancelled")
-        assert dispatched > 0
-        assert scheduled == dispatched + cancelled
-
-    def test_profiler_sessions_are_categorised(self, engine_profiling):
-        metrics = engine_profiling
-        accepted = metrics.counter("honeypot.sessions_accepted")
-        closed = sum(
-            value for name, value in metrics.counters.items()
-            if name.startswith("honeypot.sessions.")
-        )
-        assert accepted > 0
-        assert closed == accepted
-        assert metrics.counter("honeypot.auth_attempts") >= accepted
 
     def test_generation_stage_spans_recorded(self, generation):
         from collections import Counter
@@ -143,6 +110,8 @@ class TestAnalysisInvariants:
 
 
 class TestLiveFarmInvariants:
+    """The engine and session invariants, held through the live farm."""
+
     def test_live_sessions_balance(self):
         from repro.farm.live import IntrusionBehavior, LiveFarm, ScanBehavior
 
@@ -162,6 +131,29 @@ class TestLiveFarmInvariants:
         closed = sum(value for name, value in metrics.counters.items()
                      if name.startswith("honeypot.sessions."))
         assert closed == 2
+
+    @pytest.mark.parametrize("kind", list(ScriptKind), ids=lambda k: k.value)
+    def test_every_script_kind_balances(self, kind):
+        from repro.farm.live import IntrusionBehavior, LiveFarm
+
+        lines = tuple(build_script(kind).lines)
+        with use_metrics() as metrics:
+            farm = LiveFarm(seed=5, n_honeypots=3)
+            farm.launch(0x0A000003, 2, IntrusionBehavior(lines=lines), at=1.0)
+            farm.run()
+            store = farm.harvest()
+        assert len(store) == 1
+        scheduled = metrics.counter("engine.events_scheduled")
+        dispatched = metrics.counter("engine.events_dispatched")
+        cancelled = metrics.counter("engine.events_cancelled")
+        assert dispatched > 0
+        assert scheduled == dispatched + cancelled
+        accepted = metrics.counter("honeypot.sessions_accepted")
+        closed = sum(value for name, value in metrics.counters.items()
+                     if name.startswith("honeypot.sessions."))
+        assert accepted == 1
+        assert closed == accepted
+        assert metrics.counter("honeypot.auth_attempts") >= accepted
 
 
 class TestCliSurface:

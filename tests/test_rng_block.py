@@ -1,12 +1,12 @@
-"""Batched-draw edge cases surfaced by the block emission engine.
+"""Batched-draw edge cases surfaced by vectorised session emission.
 
-The vectorized block path replaces per-session scalar draws with whole
-day-bucket batches, which makes three RNG edge cases load-bearing: zero-size
-draws (empty day buckets must not perturb the stream), single-element pools
-(one-honeypot campaigns), and weight vectors that do not sum to exactly 1.0
-after float arithmetic.  The properties here pin each of them, plus the
-split-vs-batch equivalences every vectorised call site relies on for byte
-identity with the scalar reference path.
+Emission draws whole day-bucket batches instead of per-session scalars,
+which makes three RNG edge cases load-bearing: zero-size draws (empty day
+buckets must not perturb the stream), single-element pools (one-honeypot
+campaigns), and weight vectors that do not sum to exactly 1.0 after float
+arithmetic.  The properties here pin each of them, plus the split-vs-batch
+equivalences every vectorised call site relies on to draw the same values
+as a scalar loop.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.agents.scripts import ScriptKind, build_script
 from repro.simulation.rng import RngStream, weight_cdf
-from repro.workload.blocks import TransitionTable
-from repro.workload.script_runner import ScriptRunner
+from repro.workload.samplers import TransitionTable
 from repro.workload.targets import TargetSet
 
 
@@ -204,16 +202,3 @@ def test_choose_many_matches_scalar_choose(data):
         st.integers(min_value=0, max_value=32)))
     assert np.array_equal(ts.choose_many(u),
                           np.array([ts.choose(x) for x in u], dtype=ts.pots.dtype))
-
-
-# -- fast-vs-engine profiler differential ------------------------------------
-
-
-@pytest.mark.parametrize("kind", list(ScriptKind))
-def test_fast_profiler_matches_engine_reference(kind):
-    # The fast path drives the emulated shell directly; the engine path
-    # wraps the same shell in the session state machine and event loop.
-    # Every profile field must agree for every script kind.
-    runner = ScriptRunner()
-    template = build_script(kind, token="diff-tok")
-    assert runner.profile(template) == runner.profile_via_engine(template)

@@ -1,11 +1,14 @@
-"""Tests for the session emitter's credential/version samplers."""
+"""Tests for the session emitter: samplers and buffered block writes."""
 
 import numpy as np
 import pytest
 
+import repro
 from repro.honeypot.auth import AuthPolicy
+from repro.obs import get_metrics
 from repro.simulation.rng import RngStream
 from repro.store.store import StoreBuilder
+from repro.workload import ScenarioConfig
 from repro.workload.emit import SessionEmitter
 
 
@@ -72,9 +75,32 @@ class TestSamplers:
             close_reason=np.zeros(n, dtype=np.uint8),
             version_id=np.full(n, -1, dtype=np.int32),
         )
+        emitter.flush()
         store = emitter.builder.build()
         assert len(store) == 3
         assert store.record(2).client_ip == 3
+
+
+class TestBuffering:
+    def test_flush_on_empty_emitter_is_a_noop(self, emitter):
+        before = get_metrics().to_dict()["counters"].get("emit.block.flushes", 0)
+        emitter.flush()
+        after = get_metrics().to_dict()["counters"].get("emit.block.flushes", 0)
+        assert after == before
+        assert len(emitter.builder.build()) == 0
+
+    def test_block_metrics_account_for_every_session(self):
+        config = ScenarioConfig(scale=1 / 80000, seed=7, hash_scale=0.004)
+        before = get_metrics().to_dict()["counters"]
+        store = repro.generate(config, backend="inline", workers=1).store
+        after = get_metrics().to_dict()["counters"]
+
+        def moved(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert moved("emit.block.rows") == len(store)
+        assert moved("emit.block.flushes") >= 1
+        assert moved("emit.block.buffered_blocks") > 0
 
 
 class TestProtocolConstants:

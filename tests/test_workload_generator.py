@@ -26,6 +26,11 @@ class TestScenarioConfig:
                 ScenarioConfig(hash_scale=bad)
             with pytest.raises(ValueError, match="scale|denominator"):
                 ScenarioConfig.from_denominator(bad)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="hash_scale"):
+                ScenarioConfig(hash_scale=bad)
+            with pytest.raises(ValueError, match="hash_scale"):
+                ScenarioConfig.from_denominator(4000, hash_scale=bad)
 
     def test_category_mix_sums_to_one(self):
         assert sum(CATEGORY_MIX.values()) == pytest.approx(1.0)
