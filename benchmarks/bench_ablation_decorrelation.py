@@ -44,9 +44,8 @@ def baseline():
     ))
 
 
-def test_ablation_decorrelation(benchmark, baseline, ablated):
-    base_overlaps = benchmark.pedantic(_top10_overlaps, args=(baseline,),
-                                       rounds=1, iterations=1)
+def test_ablation_decorrelation(baseline, ablated):
+    base_overlaps = _top10_overlaps(baseline)
     ablated_overlaps = _top10_overlaps(ablated)
     heading("Ablation — shared vs decorrelated pot weights",
             "paper: session-top, client-top and hash-top pots differ; a "

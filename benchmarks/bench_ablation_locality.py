@@ -40,9 +40,8 @@ def baseline():
     ))
 
 
-def test_ablation_locality(benchmark, baseline, ablated):
-    base_local = benchmark.pedantic(_uri_local_share, args=(baseline,),
-                                    rounds=1, iterations=1)
+def test_ablation_locality(baseline, ablated):
+    base_local = _uri_local_share(baseline)
     ablated_local = _uri_local_share(ablated)
     heading("Ablation — CMD+URI locality bias",
             "paper Fig 16b: URI sessions show much more geographic "

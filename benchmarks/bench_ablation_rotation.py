@@ -46,9 +46,8 @@ def baseline():
     ))
 
 
-def test_ablation_rotation(benchmark, baseline, ablated):
-    base_days = benchmark.pedantic(_cmd_heavy_days, args=(baseline,),
-                                   rounds=1, iterations=1)
+def test_ablation_rotation(baseline, ablated):
+    base_days = _cmd_heavy_days(baseline)
     ablated_days = _cmd_heavy_days(ablated)
     heading("Ablation — campaign member rotation",
             "paper Fig 13: intrusion IPs are short-lived; without rotating "

@@ -5,10 +5,8 @@ from common import echo, heading
 from repro.core.blocking import blockable_campaigns, blocklist_sweep
 
 
-def test_blocking(benchmark, store, dataset, hash_stats):
-    campaigns = benchmark.pedantic(
-        blockable_campaigns, args=(hash_stats, store, dataset.intel, 5, 30),
-        rounds=1, iterations=1)
+def test_blocking(store, dataset, hash_stats):
+    campaigns = blockable_campaigns(hash_stats, store, dataset.intel, 5, 30)
     heading("Discussion — blockable campaigns",
             "long-lasting campaigns from a handful of IPs persist for "
             "months with no takedown; botnet campaigns cannot be IP-blocked")

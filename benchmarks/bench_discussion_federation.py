@@ -6,10 +6,8 @@ from repro.core.federation import coverage_by_farm_size, federation_report
 from repro.simulation.rng import RngStream
 
 
-def test_federation(benchmark, occurrences):
-    report = benchmark.pedantic(
-        federation_report, args=(occurrences, 4, RngStream(11, "fed")),
-        rounds=1, iterations=1)
+def test_federation(occurrences):
+    report = federation_report(occurrences, 4, RngStream(11, "fed"))
     heading("Discussion — federated honeyfarms",
             "even the best honeypots see a small fraction of all hashes; "
             "sharing data across farms improves visibility and latency")

@@ -11,9 +11,8 @@ from common import echo, heading
 from repro.core.campaign_detect import detect_campaigns, validate_against_hashes
 
 
-def test_detection(benchmark, store):
-    campaigns = benchmark.pedantic(detect_campaigns, args=(store, 0.7),
-                                   rounds=1, iterations=1)
+def test_detection(store):
+    campaigns = detect_campaigns(store, 0.7)
     heading("Extension — behaviour-based campaign detection",
             "clusters of similar interaction scripts should align with the "
             "hash-identified campaigns")

@@ -5,8 +5,8 @@ from common import echo, heading, print_top
 from repro.farm.deployment import build_default_deployment
 
 
-def test_fig01(benchmark, dataset):
-    plan = benchmark.pedantic(build_default_deployment, rounds=3, iterations=1)
+def test_fig01(dataset):
+    plan = build_default_deployment()
     heading("Figure 1 — honeypot deployment",
             "221 honeypots in 55 countries and 65 ASes; most countries "
             "host one pot, the US and Singapore host several")

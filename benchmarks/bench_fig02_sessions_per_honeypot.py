@@ -6,9 +6,8 @@ from common import echo, heading
 from repro.core.activity import ActivitySummary, sorted_activity
 
 
-def test_fig02(benchmark, store):
-    counts = benchmark.pedantic(sorted_activity, args=(store,),
-                                rounds=3, iterations=1)
+def test_fig02(store):
+    counts = sorted_activity(store)
     summary = ActivitySummary.compute(store)
     heading("Figure 2 — sessions per honeypot (sorted)",
             "top-10 pots see 14% of sessions; knee near rank 11; most "

@@ -5,9 +5,8 @@ from common import echo, heading, print_bands
 from repro.core.timeseries import bands_top_honeypots
 
 
-def test_fig03(benchmark, store):
-    bands = benchmark.pedantic(bands_top_honeypots, args=(store,),
-                               rounds=3, iterations=1)
+def test_fig03(store):
+    bands = bands_top_honeypots(store)
     heading("Figure 3 — daily sessions, top-5% honeypots",
             "median / IQR / 5-95% bands across the 11 most-popular pots; "
             "activity spikes (e.g. 2022-09-05) visible in the upper bands")

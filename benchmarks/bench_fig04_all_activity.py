@@ -5,9 +5,8 @@ from common import echo, heading, print_bands
 from repro.core.timeseries import bands_all_honeypots, bands_top_honeypots
 
 
-def test_fig04(benchmark, store):
-    bands = benchmark.pedantic(bands_all_honeypots, args=(store,),
-                               rounds=3, iterations=1)
+def test_fig04(store):
+    bands = bands_all_honeypots(store)
     heading("Figure 4 — daily sessions, all honeypots",
             "median tracks the 75%/95% lines; lower percentiles smoother")
     print_bands("all pots", bands)

@@ -5,9 +5,8 @@ from common import echo, heading
 from repro.core.classify import CATEGORIES, classify_store, category_shares
 
 
-def test_fig05(benchmark, store):
-    codes = benchmark.pedantic(classify_store, args=(store,),
-                               rounds=3, iterations=1)
+def test_fig05(store):
+    codes = classify_store(store)
     heading("Figure 5 — session classification flow",
             "credentials? -> NO_CRED; success? -> FAIL_LOG; commands? -> "
             "NO_CMD; URI? -> CMD / CMD+URI")

@@ -6,9 +6,8 @@ from common import heading, print_series
 from repro.core.timeseries import category_fractions_over_time
 
 
-def test_fig06(benchmark, store):
-    fractions = benchmark.pedantic(category_fractions_over_time, args=(store,),
-                                   rounds=3, iterations=1)
+def test_fig06(store):
+    fractions = category_fractions_over_time(store)
     heading("Figure 6 — category fractions over time",
             "NO_CRED fraction grows over time; NO_CMD >20% at the window "
             "edges (Russian datacenter prefix); CMD fraction fairly flat")

@@ -5,9 +5,8 @@ from common import echo, heading, print_ecdf
 from repro.core.durations import duration_ecdfs
 
 
-def test_fig07(benchmark, store):
-    report = benchmark.pedantic(duration_ecdfs, args=(store,),
-                                rounds=3, iterations=1)
+def test_fig07(store):
+    report = duration_ecdfs(store)
     heading("Figure 7 — session-duration ECDFs",
             "durations grow with interaction depth; >90% of NO_CMD end at "
             "the 3-minute timeout; some CMD+URI cross 3 minutes")

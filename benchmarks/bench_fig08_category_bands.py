@@ -5,9 +5,8 @@ from common import heading, print_bands
 from repro.core.timeseries import category_bands
 
 
-def test_fig08(benchmark, store):
-    bands = benchmark.pedantic(category_bands, args=(store,),
-                               rounds=1, iterations=1)
+def test_fig08(store):
+    bands = category_bands(store)
     heading("Figure 8 — per-category daily bands (all honeypots)",
             "NO_CRED has a constant scanning baseline; FAIL_LOG mirrors "
             "the overall shape; CMD/CMD+URI are spiky")

@@ -5,9 +5,8 @@ from common import echo, heading, print_bands
 from repro.core.timeseries import category_bands
 
 
-def test_fig09(benchmark, store):
-    bands = benchmark.pedantic(category_bands, args=(store, 0.05),
-                               rounds=1, iterations=1)
+def test_fig09(store):
+    bands = category_bands(store, 0.05)
     heading("Figure 9 — per-category daily bands (top-5% honeypots)",
             "the popular pots see elevated activity in every category; "
             "CMD intense Dec 2021-Jul 2022, dip, then a rise in early 2023")

@@ -7,9 +7,8 @@ from repro.core.classify import classify_store
 from repro.core.clients import clients_per_country
 
 
-def test_fig10(benchmark, store):
-    counts = benchmark.pedantic(clients_per_country, args=(store,),
-                                rounds=3, iterations=1)
+def test_fig10(store):
+    counts = clients_per_country(store)
     heading("Figure 10 — client IPs per country",
             "CN 31%, IN 9%, US 8%, RU/BR/TW 5%, MX/IR 3%; CMD sessions led "
             "by US/CN/JP/IN/BR")

@@ -6,9 +6,8 @@ from common import heading, print_series
 from repro.core.clients import daily_unique_ips
 
 
-def test_fig11(benchmark, store):
-    daily = benchmark.pedantic(daily_unique_ips, args=(store,),
-                               rounds=1, iterations=1)
+def test_fig11(store):
+    daily = daily_unique_ips(store)
     heading("Figure 11 — daily unique client IPs per category",
             "scanning IPs jump after ~2 months (discovery); NO_CRED > "
             "FAIL_LOG ~ CMD >> NO_CMD > CMD_URI; NO_CMD rises after Dec 2022")

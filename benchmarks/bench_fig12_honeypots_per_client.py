@@ -5,9 +5,8 @@ from common import echo, heading, print_ecdf
 from repro.core.clients import honeypots_per_client_ecdfs
 
 
-def test_fig12(benchmark, store):
-    ecdfs = benchmark.pedantic(honeypots_per_client_ecdfs, args=(store,),
-                               rounds=1, iterations=1)
+def test_fig12(store):
+    ecdfs = honeypots_per_client_ecdfs(store)
     heading("Figure 12 — honeypots contacted per client",
             ">40% of IPs contact a single pot; 18% contact >10; 2% contact "
             ">110; FAIL_LOG clients sweep the most pots")

@@ -5,9 +5,8 @@ from common import echo, heading, print_ecdf
 from repro.core.clients import days_per_client, days_per_client_ecdfs
 
 
-def test_fig13(benchmark, store):
-    ecdfs = benchmark.pedantic(days_per_client_ecdfs, args=(store,),
-                               rounds=1, iterations=1)
+def test_fig13(store):
+    ecdfs = days_per_client_ecdfs(store)
     heading("Figure 13 — active days per client IP",
             "most IPs seen a single day; a handful active >90% of days; "
             "CMD+URI clients have the shortest presence")

@@ -6,9 +6,8 @@ from common import echo, heading
 from repro.core.clients import clients_per_honeypot_report
 
 
-def test_fig14(benchmark, store):
-    report = benchmark.pedantic(clients_per_honeypot_report, args=(store,),
-                                rounds=1, iterations=1)
+def test_fig14(store):
+    report = clients_per_honeypot_report(store)
     heading("Figure 14 — clients per honeypot",
             "a few pots attract far more clients; these are NOT the pots "
             "with the most sessions; scanning clients outnumber the rest")

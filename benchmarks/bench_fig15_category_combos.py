@@ -5,9 +5,8 @@ from common import heading, print_series
 from repro.core.clients import daily_category_combinations
 
 
-def test_fig15(benchmark, store):
-    combos = benchmark.pedantic(daily_category_combinations, args=(store,),
-                                rounds=1, iterations=1)
+def test_fig15(store):
+    combos = daily_category_combinations(store)
     heading("Figure 15 — daily clients per category combination",
             "scanning-only dominates (>700k IPs); FAIL_LOG+CMD common on "
             "the same day; NO_CRED+CMD same-day is rare")

@@ -10,10 +10,8 @@ from repro.core.diversity import (
 )
 
 
-def test_fig16(benchmark, store, pot_countries):
-    report = benchmark.pedantic(regional_diversity,
-                                args=(store, pot_countries),
-                                rounds=1, iterations=1)
+def test_fig16(store, pot_countries):
+    report = regional_diversity(store, pot_countries)
     heading("Figure 16 — regional diversity (all sessions, and CMD+URI)",
             ">50% of daily client interactions stay entirely out of the "
             "client's continent; CMD+URI shows much more locality")

@@ -6,9 +6,8 @@ from common import echo, heading, print_series
 from repro.core.freshness import freshness_report
 
 
-def test_fig17(benchmark, occurrences):
-    report = benchmark.pedantic(freshness_report, args=(occurrences,),
-                                rounds=1, iterations=1)
+def test_fig17(occurrences):
+    report = freshness_report(occurrences)
     heading("Figure 17 — hash freshness",
             "daily unique hashes vary tens..3000; fresh share 2-60%; "
             "shrinking memory (all -> 30d -> 7d) raises the fresh share")

@@ -8,9 +8,8 @@ from repro.core.freshness import fresh_hashes_per_honeypot
 from repro.core.hashes import hashes_per_honeypot
 
 
-def test_fig18(benchmark, occurrences, store):
-    per_pot = benchmark.pedantic(hashes_per_honeypot, args=(occurrences,),
-                                 rounds=1, iterations=1)
+def test_fig18(occurrences, store):
+    per_pot = hashes_per_honeypot(occurrences)
     heading("Figure 18 — unique hashes per honeypot (vs clients)",
             "top-10 hash collectors see ~20x the tail; the top pot still "
             "holds <5% of all hashes; collectors != client magnets")

@@ -7,9 +7,8 @@ from repro.core.activity import sessions_per_honeypot
 from repro.core.hashes import hashes_per_honeypot
 
 
-def test_fig19(benchmark, occurrences, store):
-    per_pot = benchmark.pedantic(hashes_per_honeypot, args=(occurrences,),
-                                 rounds=1, iterations=1)
+def test_fig19(occurrences, store):
+    per_pot = hashes_per_honeypot(occurrences)
     heading("Figure 19 — unique hashes per honeypot (vs sessions)",
             "the pots with the most unique hashes are not the pots with "
             "the most sessions")

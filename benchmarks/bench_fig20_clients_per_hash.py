@@ -6,9 +6,8 @@ from common import echo, heading
 from repro.core.hashes import clients_per_hash_curve
 
 
-def test_fig20(benchmark, hash_stats):
-    curve = benchmark.pedantic(clients_per_hash_curve, args=(hash_stats,),
-                               rounds=3, iterations=1)
+def test_fig20(hash_stats):
+    curve = clients_per_hash_curve(hash_stats)
     heading("Figure 20 — client IPs per hash",
             "long-tailed: a few hashes involve 10k+ IPs, most involve a "
             "handful; heavy head = botnets, tail = blockable campaigns")

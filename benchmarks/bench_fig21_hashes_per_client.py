@@ -6,9 +6,8 @@ from common import echo, heading
 from repro.core.hashes import hashes_per_client
 
 
-def test_fig21(benchmark, occurrences):
-    curve = benchmark.pedantic(hashes_per_client, args=(occurrences,),
-                               rounds=1, iterations=1)
+def test_fig21(occurrences):
+    curve = hashes_per_client(occurrences)
     heading("Figure 21 — hashes per client IP",
             "long-tailed: some clients drop many distinct files (campaign "
             "overlap / families), most drop exactly one")

@@ -5,10 +5,8 @@ from common import heading, print_ecdf
 from repro.core.hashes import campaign_length_ecdfs
 
 
-def test_fig22(benchmark, hash_stats, store, dataset):
-    ecdfs = benchmark.pedantic(
-        campaign_length_ecdfs, args=(hash_stats, store, dataset.intel),
-        rounds=1, iterations=1)
+def test_fig22(hash_stats, store, dataset):
+    ecdfs = campaign_length_ecdfs(hash_stats, store, dataset.intel)
     heading("Figure 22 — campaign length by attack type",
             "most hashes active a single day; trojans linger longest; "
             "mirai-tagged hashes typically <30 days")

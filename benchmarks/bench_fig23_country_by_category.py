@@ -5,9 +5,8 @@ from common import heading, print_top
 from repro.core.clients import clients_per_country_by_category
 
 
-def test_fig23(benchmark, store):
-    by_cat = benchmark.pedantic(clients_per_country_by_category, args=(store,),
-                                rounds=1, iterations=1)
+def test_fig23(store):
+    by_cat = clients_per_country_by_category(store)
     heading("Figure 23 — client countries per category",
             "NO_CRED/CMD led by CN; FAIL_LOG tilts to US/JP/VN/SG; NO_CMD "
             "led by RU/DE (the datacenter prefix); CMD+URI led by US/EU")

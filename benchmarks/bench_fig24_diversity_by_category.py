@@ -5,10 +5,8 @@ from common import echo, heading
 from repro.core.diversity import diversity_by_category
 
 
-def test_fig24(benchmark, store, pot_countries):
-    by_cat = benchmark.pedantic(diversity_by_category,
-                                args=(store, pot_countries),
-                                rounds=1, iterations=1)
+def test_fig24(store, pot_countries):
+    by_cat = diversity_by_category(store, pot_countries)
     heading("Figure 24 — regional diversity per category",
             "every category is dominated by cross-continent interactions "
             "except CMD+URI, which is substantially more local")

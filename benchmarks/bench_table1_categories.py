@@ -10,9 +10,8 @@ PAPER_SSH = {"NO_CRED": 0.2182, "FAIL_LOG": 0.9924, "NO_CMD": 0.9830,
              "CMD": 0.9369, "CMD_URI": 0.6245}
 
 
-def test_table1(benchmark, store):
-    t1 = benchmark.pedantic(table1_categories, args=(store,),
-                            rounds=3, iterations=1)
+def test_table1(store):
+    t1 = table1_categories(store)
     heading("Table 1 — session categories",
             "NO_CRED 27.7% / FAIL_LOG 42% / NO_CMD 11.6% / CMD 18% / "
             "CMD+URI 0.7%; SSH 75.83% overall")

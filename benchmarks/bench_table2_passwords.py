@@ -9,9 +9,8 @@ PAPER_TOP10 = ["admin", "1234", "3245gs5662d34", "dreambox",
                "passw0rd", "GM8182"]
 
 
-def test_table2(benchmark, store):
-    rows = benchmark.pedantic(table2_passwords, args=(store, 10),
-                              rounds=3, iterations=1)
+def test_table2(store):
+    rows = table2_passwords(store, 10)
     heading("Table 2 — top successful passwords", ", ".join(PAPER_TOP10))
     measured = [p for p, _ in rows]
     for rank, (password, count) in enumerate(rows, start=1):

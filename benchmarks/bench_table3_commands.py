@@ -5,9 +5,8 @@ from common import echo, heading
 from repro.core.tables import table3_commands
 
 
-def test_table3(benchmark, store):
-    rows = benchmark.pedantic(table3_commands, args=(store, 20),
-                              rounds=3, iterations=1)
+def test_table3(store):
+    rows = table3_commands(store, 20)
     heading("Table 3 — most popular commands",
             "information gathering (uname/free/w/cat /proc/cpuinfo), "
             "script execution, remote file access, SSH-key and "

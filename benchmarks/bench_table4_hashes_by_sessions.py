@@ -5,11 +5,9 @@ from common import echo, heading
 from repro.core.hashes import top_hash_table
 
 
-def test_table4(benchmark, store, dataset, hash_stats, campaign_labels):
-    rows = benchmark.pedantic(
-        top_hash_table, args=(hash_stats, store, dataset.intel, "sessions",
-                              20, campaign_labels),
-        rounds=3, iterations=1)
+def test_table4(store, dataset, hash_stats, campaign_labels):
+    rows = top_hash_table(hash_stats, store, dataset.intel, "sessions", 20,
+                          campaign_labels)
     heading("Table 4 — top-20 hashes by #sessions",
             "H1 (trojan) dominates with 25.7M sessions, >20x the next; "
             "mix of 6 mirai / 5 malicious / 4 trojan / 3 unknown / 2 miners")

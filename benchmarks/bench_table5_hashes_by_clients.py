@@ -5,11 +5,9 @@ from common import echo, heading
 from repro.core.hashes import top_hash_table
 
 
-def test_table5(benchmark, store, dataset, hash_stats, campaign_labels):
-    rows = benchmark.pedantic(
-        top_hash_table, args=(hash_stats, store, dataset.intel, "clients",
-                              20, campaign_labels),
-        rounds=3, iterations=1)
+def test_table5(store, dataset, hash_stats, campaign_labels):
+    rows = top_hash_table(hash_stats, store, dataset.intel, "clients", 20,
+                          campaign_labels)
     heading("Table 5 — top-20 hashes by #client IPs",
             "H1 leads with 118,924 IPs, then H3 (12,698), H21 (5,897), "
             "H22 (2,213); Mirai-family variants populate the mid-ranks")

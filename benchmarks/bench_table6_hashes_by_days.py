@@ -5,11 +5,9 @@ from common import echo, heading
 from repro.core.hashes import top_hash_table
 
 
-def test_table6(benchmark, store, dataset, hash_stats, campaign_labels):
-    rows = benchmark.pedantic(
-        top_hash_table, args=(hash_stats, store, dataset.intel, "days",
-                              20, campaign_labels),
-        rounds=3, iterations=1)
+def test_table6(store, dataset, hash_stats, campaign_labels):
+    rows = top_hash_table(hash_stats, store, dataset.intel, "days", 20,
+                          campaign_labels)
     heading("Table 6 — top-20 hashes by #active days",
             "H1 active 484/486 days; long-lived mirai variants and "
             "few-IP trojans (H38/H40/H41 run by 3-5 IPs for months)")

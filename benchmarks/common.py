@@ -7,19 +7,10 @@ output can be compared to the paper by eye.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-
-def workers_from_env() -> Optional[int]:
-    """Worker count for dataset generation, from ``REPRO_WORKERS``.
-
-    Unset or empty means None, leaving the count to the caller.
-    """
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    return int(raw) if raw else None
 
 #: Narration collected during the run; the benchmarks' conftest flushes it
 #: through the terminal reporter at session end, because pytest's capture

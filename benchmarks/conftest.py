@@ -1,10 +1,13 @@
-"""Shared benchmark fixtures.
+"""Shared fixtures of the paper benches.
 
-One scaled trace is generated per pytest session and shared by every
-benchmark.  Scale is controlled by ``REPRO_BENCH_SCALE`` (the downscale
-denominator vs the paper's 402M sessions; default 1000 -> ~402k sessions,
-all 221 honeypots, all 486 days).  Set ``REPRO_WORKERS=N`` to generate the
-trace with N worker processes (the trace is the same for every N).
+Each ``bench_*.py`` file regenerates one of the paper's tables or figures
+and asserts its shape; nothing here times anything (``benchmarks/perf``
+is the one place that does).  One scaled trace is generated per pytest
+session and shared by every bench.  Scale is controlled by
+``REPRO_BENCH_SCALE`` (the downscale denominator vs the paper's 402M
+sessions; default 1000 -> ~402k sessions, all 221 honeypots, all 486
+days).  Set ``REPRO_WORKERS=N`` to generate the trace with N worker
+processes (the trace is the same for every N).
 """
 
 from __future__ import annotations
@@ -28,66 +31,20 @@ def bench_config() -> ScenarioConfig:
     )
 
 
-@pytest.fixture(autouse=True)
-def _bench_stage_metrics(request):
-    """Attach a per-test ``stages`` breakdown to benchmark JSON output.
-
-    Snapshots the current metrics registry around each test; whatever
-    counters and span timings moved land in the benchmark fixture's
-    ``extra_info`` (and hence in ``--benchmark-json`` artefacts) as a
-    ``stages`` field.
-    """
-    from repro.obs import get_metrics
-
-    benchmark = (request.getfixturevalue("benchmark")
-                 if "benchmark" in request.fixturenames else None)
-    snapshot = get_metrics().to_dict()
-    yield
-    if benchmark is None:
-        return
-    delta = get_metrics().delta_since(snapshot)
-    if delta["counters"] or delta["spans"]:
-        benchmark.extra_info["stages"] = delta
-
-
 def pytest_sessionfinish(session, exitstatus):
-    """Dump the registry (``REPRO_METRICS``) and/or append the benchmark
-    trajectory (``REPRO_BENCH_TRAJECTORY``) after a benchmark run."""
+    """Dump the metrics registry to ``REPRO_METRICS`` after a bench run."""
     target = os.environ.get("REPRO_METRICS")
     if target and target not in ("-", "1", "stderr"):
         from repro.obs import dump_json, get_metrics
 
         dump_json(get_metrics(), target)
 
-    trajectory = os.environ.get("REPRO_BENCH_TRAJECTORY")
-    if trajectory:
-        from repro.obs import get_metrics
-        from repro.obs.trajectory import append_record
-
-        record = append_record(
-            trajectory,
-            get_metrics().to_dict(),
-            context={
-                "source": "benchmarks",
-                "scale": os.environ.get("REPRO_BENCH_SCALE",
-                                        str(DEFAULT_DENOMINATOR)),
-                "workers": os.environ.get("REPRO_WORKERS", "1"),
-                # One emitter since the scalar path was deleted; the
-                # literal keeps the gate's comparison series continuous.
-                "emit_path": "block",
-            },
-        )
-        sps = record["sessions_per_second"]
-        shown = f"{sps:,.0f} sessions/sec" if sps else "no generation"
-        print(f"\nbenchmark trajectory += {record['commit']} ({shown}) "
-              f"-> {trajectory}")
-
 
 def pytest_terminal_summary(terminalreporter):
-    """Flush the paper-vs-measured narration after the benchmark table.
+    """Flush the paper-vs-measured narration at the end of the run.
 
     pytest captures the stdout of passing tests, so the comparisons each
-    benchmark prints would otherwise never reach the operator.
+    bench prints would otherwise never reach the operator.
     """
     import common
 

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the full unit/integration suite plus a sharded-generation
-# calibration smoke test (2 workers, 1/40000 scale — a few seconds).
+# Tier-1 gate: the full unit/integration suite, lint, the generation,
+# ledger, monitor, cache and report smokes, and a paired benchmarks/perf
+# run of the working tree against the commit it changes (HEAD, or HEAD~1
+# when the tree is clean, so it needs a git checkout with that commit).
+# Writes only under a temporary directory.
 #
 # Run from the repository root:  bash scripts/ci.sh
 set -euo pipefail
@@ -197,15 +200,6 @@ for path in ["generate/plan"] + [f"generate/plan/{s}" for s in stages]:
     print(f"  {path:28s} {spans[path]['wall'] * 1000:8.1f}")
 PY
 
-echo "== benchmark trajectory (append + 20% throughput regression gate) =="
-# workers=2 routes through the scheduler's pool backend, so this entry
-# tracks the scheduled path; the gate compares against the previous run.
-# emit_path stays the literal "block" so the comparison series continues.
-python -m repro.obs.trajectory --metrics "$SCRATCH/ci_metrics.json" \
-    --out BENCH_trajectory.json --fail-threshold 0.2 \
-    --context scale=40000 --context workers=2 --context backend=pool \
-    --context emit_path=block --context source=ci
-
 echo "== flight-recorder smoke (schema-validate the traced run's JSONL) =="
 python -m repro monitor --input "$SCRATCH/ci_trace.jsonl" --validate \
     --interval 86400 > /dev/null
@@ -281,5 +275,56 @@ print(f"report metamorphic ok (sha256 {digests['store'][:16]}... x3; "
                   for name, t in tables.items()) + ")")
 PY
 
-echo "== generation benchmark (quick) =="
-REPRO_BENCH_GEN_SCALE=40000 python -m pytest benchmarks/bench_generation.py -q
+echo "== paper benches need no timing plugin (fixture plan only, no data) =="
+python -m pytest benchmarks --setup-plan -p no:benchmark \
+    --ignore=benchmarks/perf -q > "$SCRATCH/setup_plan.txt" \
+    || { cat "$SCRATCH/setup_plan.txt"; exit 1; }
+echo "fixture plan ok ($(grep -c '::test_' "$SCRATCH/setup_plan.txt")" \
+    "paper benches, every fixture resolved)"
+
+echo "== paired perf gate (working tree vs its parent commit: gen-10k-w1 x3, gen-100k-pool1 x2) =="
+# Head is the working tree's files.  Base is the commit they change: HEAD
+# while the tree has uncommitted or untracked files, HEAD~1 once it is
+# clean.  Both are fresh copies under $SCRATCH without bytecode caches,
+# and each runs its own benchmarks/perf/run.py, base and head
+# alternating.  gen-10k-w1 is where fixed per-run costs show;
+# gen-100k-pool1 keeps the scheduler's pool backend gated.  Head's
+# --compare decides: a metric worse than its BENCHMARK.json bound, or a
+# higher error rate, fails the stage.
+if git diff --quiet HEAD -- 2> /dev/null \
+        && [ -z "$(git ls-files --others --exclude-standard)" ]; then
+    BASE_REV='HEAD~1'
+else
+    BASE_REV='HEAD'
+fi
+git rev-parse --verify --quiet "$BASE_REV^{commit}" > /dev/null \
+    || { echo "paired perf gate FAILED: $BASE_REV does not exist, so" \
+              "there is no base to compare against"; exit 1; }
+PERF="$SCRATCH/perf"
+mkdir -p "$PERF/base" "$PERF/head"
+git archive "$BASE_REV" | tar -x -C "$PERF/base"
+git ls-files -z --cached --others --exclude-standard \
+    | while IFS= read -r -d '' path; do
+          if [ -f "$path" ]; then printf '%s\0' "$path"; fi
+      done \
+    | tar --null -T - -cf - | tar -x -C "$PERF/head"
+if find "$PERF" -name __pycache__ | grep -q .; then
+    echo "paired perf gate FAILED: a copy carries __pycache__"; exit 1
+fi
+runs=0
+for workload in gen-10k-w1 gen-10k-w1 gen-10k-w1 \
+                gen-100k-pool1 gen-100k-pool1; do
+    runs=$((runs + 1))
+    for side in base head; do
+        (cd "$PERF/$side" && python benchmarks/perf/run.py \
+            --workload "$workload" --seconds 4 \
+            --out "$PERF/$side$runs.json" > "$PERF/$side$runs.log" 2>&1) \
+            || { cat "$PERF/$side$runs.log"
+                 echo "paired perf gate FAILED: $side run $runs"; exit 1; }
+    done
+done
+python "$PERF/head/benchmarks/perf/run.py" \
+    --compare "$(seq -s, -f "$PERF/base%g.json" "$runs")" \
+    "$(seq -s, -f "$PERF/head%g.json" "$runs")" \
+    || { echo "paired perf gate FAILED: head is worse than $BASE_REV"
+         exit 1; }

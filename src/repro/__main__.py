@@ -56,6 +56,18 @@ def _workers(value: str) -> int:
     return count
 
 
+def _sim_seconds(value: str) -> float:
+    """Parse a ``monitor`` span of simulated seconds, a finite number > 0."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = math.nan
+    if not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"takes simulated seconds, a finite number > 0, not {value!r}")
+    return seconds
+
+
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=_scale, default=4000.0,
                         help="downscale denominator vs the paper's 402M "
@@ -624,13 +636,14 @@ def main(argv=None) -> int:
                            help="schema-validate the consumed events; "
                                 "exit 1 on problems")
     p_monitor.add_argument("--seed", type=int, default=7)
-    p_monitor.add_argument("--duration", type=float, default=3600.0,
+    p_monitor.add_argument("--duration", type=_sim_seconds, default=3600.0,
                            help="demo scenario length in simulated seconds")
     p_monitor.add_argument("--pots", type=int, default=8,
                            help="honeypots in the demo farm")
-    p_monitor.add_argument("--interval", type=float, default=60.0,
+    p_monitor.add_argument("--interval", type=_sim_seconds, default=60.0,
                            help="drift-statistics interval (sim seconds)")
-    p_monitor.add_argument("--liveness-timeout", type=float, default=900.0)
+    p_monitor.add_argument("--liveness-timeout", type=_sim_seconds,
+                           default=900.0)
     p_monitor.add_argument("--z-threshold", type=float, default=3.0)
     p_monitor.add_argument("--prometheus", default=None, metavar="PATH",
                            help="write the metrics registry in Prometheus "

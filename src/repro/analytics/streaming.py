@@ -189,12 +189,6 @@ class StreamingAnalytics:
             count += 1
         return count
 
-    def ingest_events(self, events: Iterable[Dict[str, Any]]) -> int:
-        """:meth:`feed_many` under the ``sketch/ingest`` span (throughput
-        accounting — the benchmark/trajectory entry point)."""
-        with get_metrics().span("sketch/ingest"):
-            return self.feed_many(events)
-
     def _consume(
         self, kind: str, ts: float, session: str, data: Dict[str, Any]
     ) -> None:

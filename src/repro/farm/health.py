@@ -64,6 +64,12 @@ class HealthConfig:
     #: Keep at most this many alerts (oldest dropped first).
     max_alerts: int = 1000
 
+    def __post_init__(self) -> None:
+        # interval <= 0 never closes, so _advance_to would spin forever.
+        for name in ("liveness_timeout", "interval"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+
 
 @dataclass
 class Alert:

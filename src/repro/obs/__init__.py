@@ -18,8 +18,7 @@ The flight recorder (:mod:`repro.obs.trace`) is the registry's
 event-stream counterpart: ring-buffered structured trace events with
 sim-time + wall-time stamps and per-session/per-block trace ids, off by
 default (a single ``None`` check on the hot paths), folded across workers
-in shard order exactly like ``Metrics.merge``.  ``repro.obs.trajectory``
-persists a benchmark record per CI run.
+in shard order exactly like ``Metrics.merge``.
 """
 
 from repro.obs.export import (

@@ -344,30 +344,6 @@ class Metrics:
             mine["wall"] += cell.get("wall", 0.0)
             mine["cpu"] += cell.get("cpu", 0.0)
 
-    def delta_since(self, snapshot: Dict) -> Dict:
-        """Counters/spans accumulated since ``snapshot`` (a to_dict form).
-
-        Used by the benchmark harness to attach a per-test ``stages``
-        breakdown: only instruments that moved are reported.
-        """
-        base_counters = snapshot.get("counters", {})
-        counters = {
-            name: value - base_counters.get(name, 0)
-            for name, value in self.counters.items()
-            if value != base_counters.get(name, 0)
-        }
-        base_spans = snapshot.get("spans", {})
-        spans = {}
-        for path, cell in self.spans.items():
-            base = base_spans.get(path, _new_span_cell())
-            if cell["count"] != base.get("count", 0):
-                spans[path] = {
-                    "count": cell["count"] - base.get("count", 0),
-                    "wall": cell["wall"] - base.get("wall", 0.0),
-                    "cpu": cell["cpu"] - base.get("cpu", 0.0),
-                }
-        return {"counters": counters, "spans": spans}
-
 
 # -- the current registry ------------------------------------------------------
 

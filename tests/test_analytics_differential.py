@@ -150,7 +150,7 @@ class TestEventPathVsStorePath:
 
     def test_event_replay_equals_store_ingest(self, streaming, store):
         replayed = StreamingAnalytics()
-        n = replayed.ingest_events(replay_store_events(store))
+        n = replayed.feed_many(replay_store_events(store))
         assert n == replayed.events_seen > len(store)
         assert replayed == streaming
 

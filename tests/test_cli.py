@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from tests.metrics_delta import delta_since
 
 
 class TestCli:
@@ -60,7 +61,7 @@ class TestCli:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert first == second
-        delta = get_metrics().delta_since(snapshot)
+        delta = delta_since(get_metrics(), snapshot)
         assert delta["counters"].get("cache.hits") == 1
 
     def test_report_cache_env_var(self, tmp_path, monkeypatch, capsys):
@@ -73,7 +74,7 @@ class TestCli:
         snapshot = get_metrics().to_dict()
         assert main(args) == 0
         capsys.readouterr()
-        assert get_metrics().delta_since(snapshot)["counters"].get(
+        assert delta_since(get_metrics(), snapshot)["counters"].get(
             "cache.hits") == 1
 
     def test_report_load_npz(self, tmp_path, capsys):
@@ -169,3 +170,28 @@ class TestScaleFlag:
         err = capsys.readouterr().err
         assert "--workers takes a worker-process count" in err
         assert "Traceback" not in err
+
+
+class TestMonitorSecondsFlags:
+    @pytest.mark.parametrize("flag", [
+        "--interval", "--duration", "--liveness-timeout",
+    ])
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "x"])
+    def test_rejects_anything_but_positive_finite_seconds(self, flag, value,
+                                                          capsys):
+        # --interval 0 would spin the monitor forever and a negative
+        # --duration would schedule the demo's sessions in the past.
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: takes simulated seconds" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value, seconds", [
+        ("60", 60.0), ("0.5", 0.5), ("1e3", 1000.0),
+    ])
+    def test_accepts_positive_finite_seconds(self, value, seconds):
+        from repro.__main__ import _sim_seconds
+
+        assert _sim_seconds(value) == seconds

@@ -16,6 +16,7 @@ from repro.workload.cache import (
     dataset_fingerprint,
     resolve_cache_dir,
 )
+from tests.metrics_delta import delta_since
 
 
 @pytest.fixture()
@@ -24,7 +25,7 @@ def tiny_config() -> ScenarioConfig:
 
 
 def _cache_counters(snapshot):
-    delta = get_metrics().delta_since(snapshot)
+    delta = delta_since(get_metrics(), snapshot)
     return {k: v for k, v in delta["counters"].items() if k.startswith("cache.")}
 
 

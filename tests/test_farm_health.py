@@ -60,6 +60,17 @@ class TestEwma:
         assert e.zscore(100.0) > 10.0
 
 
+class TestHealthConfig:
+    @pytest.mark.parametrize("field", ["interval", "liveness_timeout"])
+    @pytest.mark.parametrize("value", [0.0, -60.0, float("nan"),
+                                       float("inf")])
+    def test_rejects_non_positive_or_non_finite_spans(self, field, value):
+        # interval=0 would spin _advance_to forever on the first
+        # timestamp after the anchor.
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            HealthConfig(**{field: value})
+
+
 class TestLiveness:
     def _monitor(self, **kw):
         kw.setdefault("liveness_timeout", 100.0)

@@ -20,6 +20,7 @@ from repro.obs import (
     render,
     use_metrics,
 )
+from tests.metrics_delta import delta_since
 
 
 class TestCounters:
@@ -377,7 +378,7 @@ class TestMerge:
         m.inc("fresh", 1)
         with m.span("new"):
             pass
-        delta = m.delta_since(snapshot)
+        delta = delta_since(m, snapshot)
         assert delta["counters"] == {"before": 2, "fresh": 1}
         assert set(delta["spans"]) == {"new"}
         assert delta["spans"]["new"]["count"] == 1

@@ -1,10 +1,10 @@
 """Tests for the flight recorder (``repro.obs.trace``) and its exporters.
 
 Covers the tracer itself (ring buffer, context stack, folding), schema
-validation, the JSONL / timeline / Chrome exporters, the benchmark
-trajectory, and the multiprocess contract: with tracing on, the sharded
-generator's per-trace event sequences are identical for every worker
-count (modulo shard provenance and run metadata).
+validation, the JSONL / timeline / Chrome / Prometheus exporters, and the
+multiprocess contract: with tracing on, the sharded generator's
+per-trace event sequences are identical for every worker count (modulo
+shard provenance and run metadata).
 """
 
 from __future__ import annotations
@@ -521,176 +521,3 @@ class TestWorkerCountInvariance:
             for e in with_shard:
                 assert set(e["shard"]) >= {"index", "kind", "key"}
 
-
-class TestTrajectory:
-    def _metrics(self, sessions=1000, wall=2.0):
-        return {
-            "counters": {"store.sessions_appended": sessions},
-            "spans": {
-                "generate": {"count": 1, "wall": wall, "cpu": wall},
-                "generate/emit": {"count": 1, "wall": wall * 0.8,
-                                  "cpu": wall * 0.8},
-                "generate/emit/shard/bg_cmd": {"count": 5, "wall": 0.5,
-                                               "cpu": 0.5},
-                "report": {"count": 1, "wall": 0.1, "cpu": 0.1},
-            },
-        }
-
-    def test_append_and_load_round_trip(self, tmp_path):
-        from repro.obs.trajectory import append_record, load_trajectory
-
-        path = tmp_path / "traj.json"
-        record = append_record(path, self._metrics(), commit="abc1234",
-                               context={"scale": "40000"})
-        assert record["sessions_per_second"] == pytest.approx(500.0)
-        assert record["commit"] == "abc1234"
-        assert record["context"] == {"scale": "40000"}
-        # depth<=2 stage spans only: the shard leaf is excluded.
-        assert "generate/emit" in record["stage_seconds"]
-        assert "generate/emit/shard/bg_cmd" not in record["stage_seconds"]
-        [loaded] = load_trajectory(path)
-        assert loaded == json.loads(json.dumps(record))
-
-    def test_regression_detected_beyond_threshold(self, tmp_path):
-        from repro.obs.trajectory import (
-            append_record,
-            check_regression,
-            load_trajectory,
-        )
-
-        path = tmp_path / "traj.json"
-        append_record(path, self._metrics(sessions=1000, wall=1.0), commit="a")
-        append_record(path, self._metrics(sessions=1000, wall=2.0), commit="b")
-        message = check_regression(load_trajectory(path), threshold=0.2)
-        assert message is not None and "regressed" in message
-
-    def test_small_slowdown_passes(self, tmp_path):
-        from repro.obs.trajectory import (
-            append_record,
-            check_regression,
-            load_trajectory,
-        )
-
-        path = tmp_path / "traj.json"
-        append_record(path, self._metrics(wall=1.0), commit="a")
-        append_record(path, self._metrics(wall=1.1), commit="b")
-        assert check_regression(load_trajectory(path), threshold=0.2) is None
-
-    def test_non_generation_runs_never_compare(self, tmp_path):
-        from repro.obs.trajectory import (
-            append_record,
-            check_regression,
-            load_trajectory,
-        )
-
-        path = tmp_path / "traj.json"
-        append_record(path, self._metrics(wall=1.0), commit="a")
-        append_record(path, {"counters": {}, "spans": {}}, commit="b")
-        records = load_trajectory(path)
-        assert records[-1]["sessions_per_second"] is None
-        assert check_regression(records, threshold=0.2) is None
-
-    def test_cli_appends_and_gates(self, tmp_path, capsys):
-        from repro.obs import dump_json
-        from repro.obs.trajectory import main
-
-        metrics_path = tmp_path / "m.json"
-        out_path = tmp_path / "traj.json"
-        m = Metrics()
-        m.inc("store.sessions_appended", 100)
-        with m.span("generate"):
-            pass
-        m.spans["generate"]["wall"] = 0.5
-        dump_json(m, str(metrics_path))
-        assert main(["--metrics", str(metrics_path), "--out", str(out_path),
-                     "--commit", "c1", "--context", "scale=40000",
-                     "--fail-threshold", "0.2"]) == 0
-        # A second run 10x slower under the same context trips the gate.
-        m.spans["generate"]["wall"] = 5.0
-        dump_json(m, str(metrics_path))
-        assert main(["--metrics", str(metrics_path), "--out", str(out_path),
-                     "--commit", "c2", "--context", "scale=40000",
-                     "--fail-threshold", "0.2"]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_records_label_what_they_measure(self, tmp_path):
-        from repro.obs.trajectory import append_record
-
-        path = tmp_path / "traj.json"
-        record = append_record(path, self._metrics(), commit="a")
-        assert record["measures"] == ["sessions_per_second"]
-        streaming = self._metrics()
-        streaming["counters"]["sketch.events_consumed"] = 5000
-        streaming["spans"]["sketch/ingest"] = {"count": 1, "wall": 0.5,
-                                               "cpu": 0.5}
-        record = append_record(path, streaming, commit="b")
-        assert record["measures"] == ["sessions_per_second",
-                                      "streaming_events_per_second"]
-        sketch_only = {
-            "counters": {"sketch.events_consumed": 5000},
-            "spans": {"sketch/ingest": {"count": 1, "wall": 0.5, "cpu": 0.5}},
-        }
-        record = append_record(path, sketch_only, commit="c")
-        assert record["measures"] == ["streaming_events_per_second"]
-        assert record["sessions_per_second"] is None
-
-    def test_regression_gate_is_context_aware(self, tmp_path):
-        from repro.obs.trajectory import (
-            append_record,
-            check_regression,
-            load_trajectory,
-        )
-
-        path = tmp_path / "traj.json"
-        scalar = {"scale": "4000", "workers": "1", "backend": "inline",
-                  "emit_path": "scalar"}
-        block = dict(scalar, emit_path="block")
-        append_record(path, self._metrics(wall=1.0), commit="a",
-                      context=scalar)
-        # A 10x-slower run under a DIFFERENT context starts its own
-        # series: the scalar reference must never gate the block path.
-        append_record(path, self._metrics(wall=10.0), commit="b",
-                      context=block)
-        assert check_regression(load_trajectory(path), threshold=0.2) is None
-        # ... but the same context does compare.
-        append_record(path, self._metrics(wall=100.0), commit="c",
-                      context=block)
-        message = check_regression(load_trajectory(path), threshold=0.2)
-        assert message is not None and "regressed" in message
-        assert "block" in message
-
-    def test_missing_emit_path_reads_as_scalar(self, tmp_path):
-        from repro.obs.trajectory import (
-            append_record,
-            check_regression,
-            load_trajectory,
-        )
-
-        path = tmp_path / "traj.json"
-        ctx = {"scale": "40000", "workers": "2", "backend": "pool"}
-        # Records written before the block engine existed carry no
-        # emit_path; an explicit emit_path=scalar row continues their
-        # series.
-        append_record(path, self._metrics(wall=1.0), commit="old",
-                      context=ctx)
-        append_record(path, self._metrics(wall=10.0), commit="new",
-                      context=dict(ctx, emit_path="scalar"))
-        message = check_regression(load_trajectory(path), threshold=0.2)
-        assert message is not None and "regressed" in message
-
-    def test_interrupted_write_keeps_the_old_file(self, tmp_path, monkeypatch):
-        from repro.obs import trajectory
-
-        path = tmp_path / "traj.json"
-        trajectory.append_record(path, self._metrics(), commit="a")
-        before = path.read_bytes()
-
-        def dump_then_fail(obj, fh, **kwargs):
-            fh.write('[{"commit": "half-written"')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(trajectory.json, "dump", dump_then_fail)
-        with pytest.raises(OSError, match="disk full"):
-            trajectory.append_record(path, self._metrics(), commit="b")
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["traj.json"]
