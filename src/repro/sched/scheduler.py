@@ -305,6 +305,21 @@ class Scheduler:
 # -- scheduled generation ------------------------------------------------------
 
 
+def _adopt_and_release(builder, outcomes: List[TaskOutcome], metrics) -> None:
+    """Adopt every outcome's store in index order, dropping each once merged.
+
+    The builder keeps the adopted column arrays as chunks and ``build()``
+    frees each column's chunks as it concatenates them, so with no shard
+    store left alive the rows exist once, not twice, while the merged
+    columns form (DESIGN §6c).
+    """
+    for outcome in outcomes:
+        store, outcome.store = outcome.store, None
+        merge_watch = stopwatch()
+        builder.adopt_store(store)
+        metrics.observe("sched.task_merge_seconds", merge_watch.elapsed())
+
+
 def generate_scheduled(
     config=None,
     *,
@@ -380,11 +395,7 @@ def generate_scheduled(
         with metrics.span("merge"):
             # Merge into a rows-free fork so the cached plan stays reusable.
             builder = plan.gen.builder.fork_tables()
-            for outcome in outcomes:
-                merge_watch = stopwatch()
-                builder.adopt_store(outcome.store)
-                metrics.observe("sched.task_merge_seconds",
-                                merge_watch.elapsed())
+            _adopt_and_release(builder, outcomes, metrics)
             merged = builder.build()
         _trace.emit("generate.merged", shards=len(shards),
                     workers=workers, sessions=len(merged))

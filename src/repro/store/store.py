@@ -515,6 +515,9 @@ class StoreBuilder:
         out._scripts_fork_mark = (len(self.scripts), self._scripts_chain)
         self._scripts_marks[len(self.scripts)] = self._scripts_chain
         out._scripts_marks = dict(self._scripts_marks)
+        # Extend the script-derived columns here, once, so every fork's
+        # build() starts from them instead of re-deriving the whole table.
+        self._script_columns()
         out._script_cols = self._script_cols
         return out
 

