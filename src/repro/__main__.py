@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 
@@ -181,12 +182,20 @@ def cmd_generate(args) -> int:
     from repro.obs import get_ledger, sha256_file
     from repro.store.io import write_jsonl
     from repro.store.npz import save_npz
+    from repro.workload.io import save_dataset
 
     config = _config(args)
     print(f"generating {config.total_sessions:,} sessions "
           f"(seed {config.seed}) ...", file=sys.stderr)
     dataset = generate(config, options=_run_options(args))
-    if args.out.endswith((".jsonl", ".jsonl.gz")):
+    store_path = args.out
+    if args.out.endswith(("/", os.sep)) or os.path.isdir(args.out):
+        # A directory gets the whole bundle, so `--load DIR` keeps the
+        # deployment, campaigns and intel a bare store leaves behind.
+        store_path = save_dataset(dataset, args.out)
+        print(f"wrote {len(dataset.store):,} sessions and the dataset "
+              f"metadata to {args.out}")
+    elif args.out.endswith((".jsonl", ".jsonl.gz")):
         count = write_jsonl(iter(dataset.store), args.out)
         print(f"wrote {count:,} records to {args.out}")
     else:
@@ -194,7 +203,7 @@ def cmd_generate(args) -> int:
         print(f"wrote {len(dataset.store):,} sessions to {args.out}")
     ledger = get_ledger()
     if ledger is not None:
-        ledger.record_artifact("store", args.out, sha256_file(args.out))
+        ledger.record_artifact("store", store_path, sha256_file(store_path))
     return 0
 
 
@@ -590,7 +599,9 @@ def main(argv=None) -> int:
     p_generate = sub.add_parser("generate", help="generate and save a trace")
     _add_scenario_args(p_generate)
     p_generate.add_argument("--out", default="trace.npz",
-                            help=".npz (fast) or .jsonl/.jsonl.gz output")
+                            help=".npz (fast) or .jsonl/.jsonl.gz output; "
+                                 "a directory (existing, or a path ending "
+                                 "in /) gets the full dataset bundle")
     p_generate.set_defaults(func=cmd_generate)
 
     p_report = sub.add_parser("report", help="print paper-vs-measured summary")

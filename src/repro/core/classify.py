@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
-from repro.store.records import SessionRecord
 from repro.store.store import SessionStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,19 +44,6 @@ BEHAVIOR_OF = {
     Category.CMD: "intrusion",
     Category.CMD_URI: "intrusion",
 }
-
-
-def classify_record(record: SessionRecord) -> Category:
-    """Classify a single row-shaped record."""
-    if record.n_login_attempts == 0:
-        return Category.NO_CRED
-    if not record.login_success:
-        return Category.FAIL_LOG
-    if not record.commands:
-        return Category.NO_CMD
-    if record.uris:
-        return Category.CMD_URI
-    return Category.CMD
 
 
 def classify_store(store: SessionStore) -> np.ndarray:
@@ -99,16 +85,4 @@ def category_shares(store: "StoreOrContext") -> Dict[Category, float]:
         return {cat: 0.0 for cat in CATEGORIES}
     return {
         cat: float((codes == i).sum()) / n for i, cat in enumerate(CATEGORIES)
-    }
-
-
-def behavior_masks(store: "StoreOrContext") -> Dict[str, np.ndarray]:
-    """Masks for the scanning / scouting / intrusion behaviours."""
-    masks = category_masks(store)
-    return {
-        "scanning": masks[Category.NO_CRED],
-        "scouting": masks[Category.FAIL_LOG],
-        "intrusion": (
-            masks[Category.NO_CMD] | masks[Category.CMD] | masks[Category.CMD_URI]
-        ),
     }

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-import numpy as np
-
 from repro.core.classify import CATEGORIES
 from repro.core.context import StoreOrContext, as_context
 from repro.core.ecdf import Ecdf
@@ -51,14 +49,3 @@ def duration_ecdfs(store: StoreOrContext) -> DurationReport:
         no_login_timeout=NO_LOGIN_TIMEOUT,
         idle_timeout=IDLE_TIMEOUT,
     )
-
-
-def share_over(store: StoreOrContext, seconds: float) -> Dict[str, float]:
-    """Fraction of sessions per category lasting longer than ``seconds``."""
-    ctx = as_context(store)
-    store = ctx.store
-    out: Dict[str, float] = {}
-    for i, cat in enumerate(CATEGORIES):
-        durations = store.duration[ctx.category_mask(i)]
-        out[cat.value] = float((durations > seconds).mean()) if len(durations) else 0.0
-    return out

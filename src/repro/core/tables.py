@@ -54,33 +54,14 @@ def table1_categories(store: StoreOrContext) -> CategoryTable:
 
 
 def table2_passwords(store: StoreOrContext, k: int = 10) -> List[Tuple[str, int]]:
-    """Table 2: top successful passwords by login count."""
+    """Table 2: top successful passwords by login count (ties by password,
+    so the ranking does not depend on the order ids were interned in)."""
     store = as_store(store)
     mask = store.login_success & (store.password_id >= 0)
     counts = np.bincount(store.password_id[mask], minlength=len(store.passwords))
-    order = np.argsort(counts)[::-1]
-    out: List[Tuple[str, int]] = []
-    for idx in order[:k]:
-        if counts[idx] == 0:
-            break
-        out.append((store.passwords.value_of(int(idx)), int(counts[idx])))
-    return out
-
-
-def failed_usernames(store: StoreOrContext, k: int = 10) -> List[Tuple[str, int]]:
-    """Most used usernames on failing sessions (Section 6 mentions
-    "nproc", "admin" and "user" at the top)."""
-    ctx = as_context(store)
-    store = ctx.store
-    mask = ctx.category_mask(1) & (store.username_id >= 0)
-    counts = np.bincount(store.username_id[mask], minlength=len(store.usernames))
-    order = np.argsort(counts)[::-1]
-    out: List[Tuple[str, int]] = []
-    for idx in order[:k]:
-        if counts[idx] == 0:
-            break
-        out.append((store.usernames.value_of(int(idx)), int(counts[idx])))
-    return out
+    rows = [(store.passwords.value_of(int(i)), int(counts[i]))
+            for i in np.flatnonzero(counts)]
+    return sorted(rows, key=lambda row: (-row[1], row[0]))[:k]
 
 
 def table3_commands(store: StoreOrContext, k: int = 20) -> List[Tuple[str, int]]:

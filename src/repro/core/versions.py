@@ -3,59 +3,26 @@
 The honeypot records the client's SSH version string when one is offered
 during the handshake (Section 4).  Related work (Ghiëtte et al., RAID'19)
 fingerprints attack tooling from exactly these strings; this module
-provides the farm-side counterpart: version popularity overall and per
-session category.
+provides the farm-side counterpart: version popularity.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.classify import CATEGORIES
-from repro.core.context import StoreOrContext, as_context, as_store
+from repro.core.context import StoreOrContext, as_store
 
 
 def version_counts(
     store: StoreOrContext, mask: Optional[np.ndarray] = None
 ) -> List[Tuple[str, int]]:
-    """(version, session count) sorted by popularity."""
+    """(version, session count) sorted by popularity, ties by version."""
     store = as_store(store)
     versions = store.version_id if mask is None else store.version_id[mask]
     versions = versions[versions >= 0]
     counts = np.bincount(versions, minlength=len(store.versions))
-    order = np.argsort(counts)[::-1]
-    return [
-        (store.versions.value_of(int(i)), int(counts[i]))
-        for i in order
-        if counts[i] > 0
-    ]
-
-
-def versions_by_category(store: StoreOrContext) -> Dict[str, List[Tuple[str, int]]]:
-    ctx = as_context(store)
-    return {
-        cat.value: version_counts(ctx.store, ctx.category_mask(i))
-        for i, cat in enumerate(CATEGORIES)
-    }
-
-
-def version_offer_rate(store: StoreOrContext) -> float:
-    """Fraction of SSH sessions that offered a client version string."""
-    store = as_store(store)
-    ssh = store.is_ssh
-    if not ssh.any():
-        return 0.0
-    return float((store.version_id[ssh] >= 0).mean())
-
-
-def distinct_tools(store: StoreOrContext) -> int:
-    """Number of distinct client version strings observed.
-
-    Ghiëtte et al. identified 49 distinct SSH tools in a month of data;
-    the count here plays the same role for the synthetic trace.
-    """
-    store = as_store(store)
-    observed = np.unique(store.version_id[store.version_id >= 0])
-    return len(observed)
+    rows = [(store.versions.value_of(int(i)), int(counts[i]))
+            for i in np.flatnonzero(counts)]
+    return sorted(rows, key=lambda row: (-row[1], row[0]))

@@ -29,14 +29,8 @@ from repro.honeypot.session import (
 from repro.honeypot.honeypot import Honeypot, HoneypotConfig
 from repro.honeypot.protocol import Protocol, SSH_BANNER, TELNET_BANNER
 from repro.honeypot.uri import extract_uris
-from repro.honeypot.artifacts import Artifact, ArtifactStore
-from repro.honeypot.ttylog import TtyLog, attach_ttylog
 
 __all__ = [
-    "Artifact",
-    "ArtifactStore",
-    "TtyLog",
-    "attach_ttylog",
     "AuthPolicy",
     "AuthResult",
     "EventType",

@@ -12,21 +12,13 @@ generated:
 >>> result.clean
 True
 
-CLI: ``python -m repro lint [paths] [--format text|json] [--baseline F]``.
-Suppress one site with ``# repro: lint-ok[rule-id]``; grandfathered
-findings live in a checked-in baseline file.  See DESIGN section 6e for
-the rule-by-rule rationale.
+CLI: ``python -m repro lint [paths] [--format text|json] [--rules IDS]``.
+Suppress one site with ``# repro: lint-ok[rule-id]``.  See DESIGN
+section 6e for the rule-by-rule rationale.
 """
 
-from repro.lint.baseline import (
-    BaselineRatchetError,
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.dataflow import DataflowAnalysis, Evidence, TaintFinding
-from repro.lint.engine import LintResult, iter_python_files, lint_file, run_lint
+from repro.lint.engine import LintResult, iter_python_files, run_lint
 from repro.lint.findings import Finding, render_text, to_json
 from repro.lint.graph import ProjectGraph
 from repro.lint.rules import (
@@ -38,13 +30,10 @@ from repro.lint.rules import (
     rules_by_id,
     select_rules,
 )
-from repro.lint.sarif import to_sarif, validate_sarif
 from repro.lint.suppressions import collect_suppressions, is_suppressed
 
 __all__ = [
     "ALL_RULES",
-    "BaselineRatchetError",
-    "DEFAULT_BASELINE",
     "DataflowAnalysis",
     "Evidence",
     "FileContext",
@@ -54,19 +43,13 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "TaintFinding",
-    "apply_baseline",
     "collect_suppressions",
     "default_rules",
     "is_suppressed",
     "iter_python_files",
-    "lint_file",
-    "load_baseline",
     "render_text",
     "rules_by_id",
     "run_lint",
     "select_rules",
     "to_json",
-    "to_sarif",
-    "validate_sarif",
-    "write_baseline",
 ]

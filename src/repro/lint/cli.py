@@ -1,6 +1,6 @@
 """The lint CLI: ``python -m repro lint [paths...]``.
 
-Exit status 0 means zero unsuppressed, un-baselined findings; 1 means the
+Exit status 0 means zero unsuppressed findings; 1 means the
 gate fails (findings were printed); 2 means usage error.  ``--format
 json`` emits the versioned machine envelope instead of the text report.
 """
@@ -12,12 +12,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.baseline import BaselineRatchetError, DEFAULT_BASELINE, \
-    write_baseline
 from repro.lint.engine import run_lint
 from repro.lint.findings import render_text, to_json
-from repro.lint.rules import ALL_RULES, default_rules, select_rules
-from repro.lint.sarif import to_sarif
+from repro.lint.rules import ALL_RULES, select_rules
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -28,27 +25,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "else the current directory)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (default: text); sarif emits a SARIF 2.1.0 "
-             "log for CI code-scanning annotations",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline file of grandfathered findings (default: "
-             f"{DEFAULT_BASELINE} when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file (report every finding)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept the current findings as the new baseline and exit 0 "
-             "(refuses to grow existing counts without --force)",
-    )
-    parser.add_argument(
-        "--force", action="store_true",
-        help="allow --write-baseline to grow finding counts (new debt)",
+        "--format", choices=("text", "json"), default="text",
+        help="report format (default: text)",
     )
     parser.add_argument(
         "--rules", default=None, metavar="ID[,ID...]",
@@ -85,40 +63,14 @@ def cmd_lint(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.no_baseline:
-        baseline = None
-    elif args.baseline is not None:
-        baseline = args.baseline
-    else:
-        baseline = DEFAULT_BASELINE if Path(DEFAULT_BASELINE).exists() else None
-
-    if args.write_baseline:
-        # Baseline what a no-baseline run reports (suppressions still apply).
-        result = run_lint(paths, rules=rules, baseline=None)
-        target = args.baseline or DEFAULT_BASELINE
-        try:
-            write_baseline(target, result.findings, force=args.force)
-        except BaselineRatchetError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"baseline of {len(result.findings)} finding(s) "
-              f"written to {target}")
-        return 0
-
-    result = run_lint(paths, rules=rules, baseline=baseline)
+    result = run_lint(paths, rules=rules)
     if args.format == "json":
-        sys.stdout.write(to_json(result.findings, baselined=result.baselined))
-    elif args.format == "sarif":
-        sys.stdout.write(to_sarif(result.findings,
-                                  rules if rules is not None
-                                  else default_rules()))
+        sys.stdout.write(to_json(result.findings))
     else:
         print(render_text(result.findings))
         notes = [f"{result.files} file(s) linted"]
         if result.suppressed:
             notes.append(f"{result.suppressed} suppressed inline")
-        if result.baselined:
-            notes.append(f"{result.baselined} absorbed by baseline")
         print("-- " + ", ".join(notes))
     return 0 if result.clean else 1
 

@@ -1,10 +1,10 @@
-"""The lint engine: walk files, run rules, honour suppressions + baseline.
+"""The lint engine: walk files, run rules, honour inline suppressions.
 
 :func:`run_lint` is the library entry point (the CLI and the pytest gate
 are thin wrappers): collect ``*.py`` files under the given paths, parse
 each once, run every rule's visitor over the shared tree, drop findings
-suppressed inline (``# repro: lint-ok[rule]``), then absorb grandfathered
-findings into the baseline.  What remains is what fails CI.
+suppressed inline (``# repro: lint-ok[rule]``).  What remains is what
+fails CI.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, \
     Tuple, Union
 
-from repro.lint.baseline import apply_baseline, load_baseline
 from repro.lint.findings import Finding
 from repro.lint.graph import ProjectGraph
 from repro.lint.rules import FileContext, ProjectRule, Rule, default_rules
@@ -31,9 +30,8 @@ _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 class LintResult:
     """Outcome of one lint run."""
 
-    findings: List[Finding] = field(default_factory=list)  # post-everything
+    findings: List[Finding] = field(default_factory=list)  # unsuppressed
     suppressed: int = 0   # dropped by inline lint-ok comments
-    baselined: int = 0    # absorbed by the baseline file
     files: int = 0        # files linted
 
     @property
@@ -102,64 +100,29 @@ def _load_context(
     ), []
 
 
-def lint_file(
-    path: Path, rules: Sequence[Rule]
-) -> Tuple[List[Finding], int]:
-    """Lint one file with the *per-file* rules -> (findings, suppressed).
-
-    Graph-aware rules (:class:`~repro.lint.rules.ProjectRule`) need the
-    whole project and are skipped here; :func:`run_lint` runs them.
-    """
-    ctx, errors = _load_context(path)
-    if ctx is None:
-        return errors, 0
-    suppressions = collect_suppressions(ctx.source)
-    kept: List[Finding] = []
-    suppressed = 0
-    for rule in rules:
-        if isinstance(rule, ProjectRule):
-            continue
-        for finding in rule.check(ctx):
-            if is_suppressed(suppressions, finding.line, finding.rule):
-                suppressed += 1
-            else:
-                kept.append(finding)
-    return kept, suppressed
-
-
 def run_lint(
     paths: Sequence[PathLike],
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Union[None, PathLike, Dict[str, int]] = None,
 ) -> LintResult:
-    """Lint ``paths`` with ``rules`` (default: all) against ``baseline``.
+    """Lint ``paths`` with ``rules`` (default: all).
 
     Each file is parsed once; per-file rules run over its tree, then the
     graph-aware rules run once over the whole-program
     :class:`~repro.lint.graph.ProjectGraph` built from every parsed file.
     Inline suppressions apply to graph findings through the file owning
-    the flagged line, exactly as for per-file findings.  ``baseline`` may
-    be a mapping (``{"path::rule": count}``), a path to a baseline JSON
-    file, or None for no baseline.
+    the flagged line, exactly as for per-file findings.
     """
     active: Sequence[Rule] = default_rules() if rules is None else rules
     file_rules = [r for r in active if not isinstance(r, ProjectRule)]
     project_rules = [r for r in active if isinstance(r, ProjectRule)]
-    if baseline is None:
-        counts: Dict[str, int] = {}
-    elif isinstance(baseline, dict):
-        counts = baseline
-    else:
-        counts = load_baseline(baseline)
     result = LintResult()
-    all_findings: List[Finding] = []
     contexts: List[FileContext] = []
     suppressions_by_path: Dict[str, Dict[int, FrozenSet[str]]] = {}
     for path in iter_python_files(paths):
         ctx, errors = _load_context(path)
         result.files += 1
         if ctx is None:
-            all_findings.extend(errors)
+            result.findings.extend(errors)
             continue
         contexts.append(ctx)
         suppressions = collect_suppressions(ctx.source)
@@ -169,7 +132,7 @@ def run_lint(
                 if is_suppressed(suppressions, finding.line, finding.rule):
                     result.suppressed += 1
                 else:
-                    all_findings.append(finding)
+                    result.findings.append(finding)
     if project_rules and contexts:
         graph = ProjectGraph.build(contexts)
         for rule in project_rules:
@@ -178,7 +141,6 @@ def run_lint(
                 if is_suppressed(suppressions, finding.line, finding.rule):
                     result.suppressed += 1
                 else:
-                    all_findings.append(finding)
-    result.findings, result.baselined = apply_baseline(all_findings, counts)
+                    result.findings.append(finding)
     result.findings.sort()
     return result

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 #: Bump only on breaking changes to the JSON envelope below.
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True, order=True)
@@ -26,11 +26,6 @@ class Finding:
     rule: str  # rule id, e.g. "wall-clock"
     message: str
     hint: str = field(default="", compare=False)
-
-    @property
-    def key(self) -> str:
-        """The baseline grouping key: location-independent identity."""
-        return f"{self.path}::{self.rule}"
 
     def render(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
@@ -73,7 +68,7 @@ def render_text(findings: List[Finding]) -> str:
     return "\n".join(lines)
 
 
-def to_json(findings: List[Finding], baselined: int = 0) -> str:
+def to_json(findings: List[Finding]) -> str:
     """The stable machine form (versioned envelope, findings sorted)."""
     counts: Dict[str, int] = {}
     for f in findings:
@@ -84,6 +79,5 @@ def to_json(findings: List[Finding], baselined: int = 0) -> str:
                      for f in sorted(findings, key=location_order)],
         "counts": {rule: counts[rule] for rule in sorted(counts)},
         "total": len(findings),
-        "baselined": baselined,
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"

@@ -379,21 +379,3 @@ class ProjectGraph:
                     continue
                 stack.extend(t for t in call.targets if t not in seen)
         return seen
-
-    def import_graph(self) -> Dict[str, Set[str]]:
-        """module name -> project modules it imports (direct edges)."""
-        out: Dict[str, Set[str]] = {}
-        names = set(self.modules)
-        for module in self.modules.values():
-            edges: Set[str] = set()
-            for dotted in list(module.imports.values()) \
-                    + list(module.from_imports.values()):
-                probe = dotted
-                while probe:
-                    if probe in names:
-                        edges.add(probe)
-                        break
-                    probe = probe.rpartition(".")[0]
-            edges.discard(module.name)
-            out[module.name] = edges
-        return out

@@ -19,7 +19,7 @@ carry a fix hint pointing at the sanctioned idiom:
 
 Rules see a :class:`FileContext` (path + parsed tree) and yield
 :class:`~repro.lint.findings.Finding` objects; the engine handles
-suppressions and the baseline.
+inline suppressions.
 """
 
 from __future__ import annotations
@@ -512,7 +512,7 @@ class ProjectRule(Rule):
     Per-file :meth:`check` is a no-op; the engine builds the graph once
     per run and calls :meth:`check_project`.  Findings anchor at real
     source locations, so inline ``# repro: lint-ok[rule-id]`` comments
-    and the baseline apply exactly as they do for per-file rules.
+    apply exactly as they do for per-file rules.
     """
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

@@ -1,49 +1,17 @@
 """Address-pool allocation for placing simulated hosts in IPv4 space.
 
 The synthetic geo database (:mod:`repro.geo`) carves the documentation-safe
-ranges of IPv4 space into per-country, per-AS prefixes.  These allocators
-hand out prefixes and individual addresses deterministically.
+ranges of IPv4 space into per-country, per-AS prefixes.  An
+:class:`AddressPool` hands out addresses from those prefixes
+deterministically.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import List
 
 from repro.net.ip import IPv4Prefix
 from repro.simulation.rng import RngStream
-
-
-class PrefixAllocator:
-    """Splits a parent prefix into equally sized child prefixes on demand."""
-
-    def __init__(self, parent: IPv4Prefix, child_length: int):
-        if child_length < parent.length:
-            raise ValueError(
-                f"child /{child_length} larger than parent /{parent.length}"
-            )
-        self.parent = parent
-        self.child_length = child_length
-        self._iter: Iterator[IPv4Prefix] = parent.subnets(child_length)
-        self._allocated: List[IPv4Prefix] = []
-
-    @property
-    def capacity(self) -> int:
-        return 1 << (self.child_length - self.parent.length)
-
-    @property
-    def allocated(self) -> List[IPv4Prefix]:
-        return list(self._allocated)
-
-    def allocate(self) -> IPv4Prefix:
-        try:
-            prefix = next(self._iter)
-        except StopIteration:
-            raise RuntimeError(
-                f"prefix allocator for {self.parent} exhausted "
-                f"({self.capacity} x /{self.child_length})"
-            ) from None
-        self._allocated.append(prefix)
-        return prefix
 
 
 class AddressPool:
@@ -114,26 +82,3 @@ class AddressPool:
     def contains(self, address: int) -> bool:
         return any(p.contains(address) for p in self.prefixes)
 
-
-class PoolRegistry:
-    """Named address pools (one per simulated AS)."""
-
-    def __init__(self) -> None:
-        self._pools: Dict[str, AddressPool] = {}
-
-    def register(self, name: str, pool: AddressPool) -> None:
-        if name in self._pools:
-            raise ValueError(f"pool {name!r} already registered")
-        self._pools[name] = pool
-
-    def get(self, name: str) -> Optional[AddressPool]:
-        return self._pools.get(name)
-
-    def __getitem__(self, name: str) -> AddressPool:
-        return self._pools[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._pools
-
-    def names(self) -> List[str]:
-        return list(self._pools)

@@ -2,30 +2,18 @@
 
 Each honeyfarm session starts with a completed TCP three-way handshake on
 port 22 (SSH) or 23 (Telnet) — this is what lets the paper treat client
-addresses as non-spoofed.  We model only what the dataset records: handshake
-completion (with RTT-dependent latency), the established state, and the two
-ways a session ends (client FIN/RST vs. honeypot timeout).
+addresses as non-spoofed.  We model only the handshake: whether it
+completes, and its RTT-dependent latency.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.simulation.rng import RngStream
 
 SSH_PORT = 22
 TELNET_PORT = 23
-
-
-class TcpState(enum.Enum):
-    CLOSED = "closed"
-    SYN_SENT = "syn_sent"
-    ESTABLISHED = "established"
-    CLOSED_BY_CLIENT = "closed_by_client"
-    CLOSED_BY_SERVER = "closed_by_server"
-    RESET = "reset"
 
 
 @dataclass
@@ -35,50 +23,6 @@ class HandshakeResult:
     success: bool
     rtt: float
     elapsed: float
-
-
-@dataclass
-class TcpConnection:
-    """State of one client↔honeypot TCP connection."""
-
-    client_ip: int
-    client_port: int
-    server_ip: int
-    server_port: int
-    established_at: Optional[float] = None
-    closed_at: Optional[float] = None
-    state: TcpState = field(default=TcpState.CLOSED)
-
-    def establish(self, now: float) -> None:
-        if self.state is not TcpState.CLOSED:
-            raise RuntimeError(f"cannot establish from state {self.state}")
-        self.state = TcpState.ESTABLISHED
-        self.established_at = now
-
-    def close_by_client(self, now: float) -> None:
-        self._close(now, TcpState.CLOSED_BY_CLIENT)
-
-    def close_by_server(self, now: float) -> None:
-        self._close(now, TcpState.CLOSED_BY_SERVER)
-
-    def reset(self, now: float) -> None:
-        self._close(now, TcpState.RESET)
-
-    def _close(self, now: float, state: TcpState) -> None:
-        if self.state is not TcpState.ESTABLISHED:
-            raise RuntimeError(f"cannot close from state {self.state}")
-        self.state = state
-        self.closed_at = now
-
-    @property
-    def is_open(self) -> bool:
-        return self.state is TcpState.ESTABLISHED
-
-    @property
-    def duration(self) -> Optional[float]:
-        if self.established_at is None or self.closed_at is None:
-            return None
-        return self.closed_at - self.established_at
 
 
 class TcpModel:

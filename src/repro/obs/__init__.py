@@ -25,7 +25,6 @@ from repro.obs.export import (
     chrome_trace_events,
     dump_chrome_trace,
     dump_json,
-    load_json,
     read_trace_jsonl,
     render,
     render_prometheus,
@@ -48,7 +47,6 @@ from repro.obs.metrics import (
     Stopwatch,
     get_metrics,
     inc,
-    reset_metrics,
     set_metrics,
     stopwatch,
     use_metrics,
@@ -63,7 +61,6 @@ from repro.obs.trace import (
     Tracer,
     get_tracer,
     is_volatile_kind,
-    set_tracer,
     strip_volatile_events,
     use_tracer,
     validate_trace,
@@ -85,17 +82,14 @@ __all__ = [
     "get_tracer",
     "inc",
     "is_volatile_kind",
-    "load_json",
     "peak_rss_kb",
     "read_ledger_jsonl",
     "read_trace_jsonl",
     "render",
     "render_prometheus",
     "render_timeline",
-    "reset_metrics",
     "set_ledger",
     "set_metrics",
-    "set_tracer",
     "sha256_file",
     "stopwatch",
     "strip_volatile_events",

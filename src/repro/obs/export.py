@@ -14,7 +14,7 @@ JSON that ``about://tracing`` / Perfetto load (``dump_chrome_trace``).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.obs.metrics import Metrics
 
@@ -113,12 +113,6 @@ def dump_json(metrics: Metrics, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_json(path: str) -> Metrics:
-    """Read a registry previously written by :func:`dump_json`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return Metrics.from_dict(json.load(fh))
 
 
 # -- Prometheus text format ----------------------------------------------------

@@ -362,11 +362,6 @@ def set_metrics(metrics: Metrics) -> Metrics:
     return metrics
 
 
-def reset_metrics() -> Metrics:
-    """Install and return a fresh empty registry."""
-    return set_metrics(Metrics())
-
-
 @contextmanager
 def use_metrics(metrics: Optional[Metrics] = None) -> Iterator[Metrics]:
     """Swap ``metrics`` (default: a fresh registry) in for the scope.

@@ -199,13 +199,6 @@ def get_tracer() -> Optional[Tracer]:
     return _TRACER
 
 
-def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Install ``tracer`` (or disable tracing with None). Returns it."""
-    global _TRACER
-    _TRACER = tracer
-    return tracer
-
-
 @contextmanager
 def use_tracer(tracer: Optional[Tracer]):
     """Swap ``tracer`` in for the scope (None silences tracing).

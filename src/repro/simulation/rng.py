@@ -188,9 +188,6 @@ class RngStream:
 
     # -- vector draws -----------------------------------------------------
 
-    def poisson_array(self, lam, size: int) -> np.ndarray:
-        return self._rng.poisson(lam, size=size)
-
     def multinomial(self, n: int, pvals) -> np.ndarray:
         """Multinomial counts for ``n`` trials over ``pvals`` (normalised)."""
         p = np.asarray(pvals, dtype=np.float64)

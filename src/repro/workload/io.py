@@ -31,12 +31,12 @@ _STORE_FILE = "store.npz"
 _META_FILE = "dataset.json"
 
 
-def save_dataset(dataset: HoneyfarmDataset, directory: PathLike) -> None:
+def save_dataset(dataset: HoneyfarmDataset, directory: PathLike) -> Path:
     """Save a dataset bundle into ``directory`` (created if needed).
 
     Each file is staged beside its target and renamed into place, the
     store first, then the metadata; a failure part way leaves the previous
-    bundle untouched and no staging file behind.
+    bundle untouched and no staging file behind.  Returns the store's path.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -82,6 +82,7 @@ def save_dataset(dataset: HoneyfarmDataset, directory: PathLike) -> None:
         # One dumps call: json.dump encodes in many small chunks.
         fh.write(json.dumps(meta, separators=(",", ":")))
         save_npz(dataset.store, directory / _STORE_FILE)
+    return directory / _STORE_FILE
 
 
 def load_dataset(directory: PathLike) -> HoneyfarmDataset:

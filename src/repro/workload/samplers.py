@@ -20,7 +20,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.honeypot.session import CloseReason
+from repro.honeypot.auth import MAX_ATTEMPTS
+from repro.honeypot.session import CloseReason, SessionConfig
 from repro.store.store import _CLOSE_REASON_IDS
 from repro.simulation.rng import RngStream, weight_cdf
 
@@ -30,8 +31,10 @@ CLOSE_IDLE_TIMEOUT = _CLOSE_REASON_IDS[CloseReason.IDLE_TIMEOUT.value]
 CLOSE_TOO_MANY = _CLOSE_REASON_IDS[CloseReason.TOO_MANY_ATTEMPTS.value]
 CLOSE_EXIT = _CLOSE_REASON_IDS[CloseReason.CLIENT_EXIT.value]
 
-NO_LOGIN_TIMEOUT = 120.0
-IDLE_TIMEOUT = 180.0
+# The session state machine owns the timing contract; the samplers read
+# its defaults so a trace row times out exactly where a live session would.
+NO_LOGIN_TIMEOUT = SessionConfig().no_login_timeout
+IDLE_TIMEOUT = SessionConfig().interaction_timeout
 
 
 class TransitionTable:
@@ -81,7 +84,7 @@ def fail_log_fields(
     attempts = FAIL_LOG_ATTEMPTS.sample(rng, n).astype(np.uint16) + 1
     per_try = rng.uniform_array(1.5, 6.0, n)
     duration = attempts * per_try + rng.uniform_array(0.4, 2.5, n)
-    server_closed = (attempts == 3) & is_ssh & (rng.random_array(n) < 0.35)
+    server_closed = (attempts == MAX_ATTEMPTS) & is_ssh & (rng.random_array(n) < 0.35)
     close = np.where(server_closed, CLOSE_TOO_MANY, CLOSE_CLIENT).astype(np.uint8)
     return duration, close, attempts
 

@@ -11,8 +11,8 @@ is bit-for-bit the same.
 every ``full_report`` artifact, the ``print_summary`` text and every
 ``validate`` check.  ``report_digest`` hashes it.  The golden-digest tests,
 the metamorphic tests and the CI smoke all compare through these;
-``take_rows`` and ``split_and_merge`` build the re-ordered stores they
-compare against.
+``take_rows``, ``split_and_merge`` and ``reintern_rows`` build the
+re-ordered stores they compare against.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.report import full_report, print_summary
 from repro.store.records import STORE_COLUMN_DTYPES
-from repro.store.store import SessionStore
+from repro.store.store import SessionStore, StoreBuilder
 from repro.workload.validation import validate
 
 
@@ -94,3 +94,19 @@ def split_and_merge(store: SessionStore) -> SessionStore:
     back in the order 2, 0, 1: the same sessions, re-ordered."""
     part = np.arange(len(store)) % 3
     return SessionStore.merge([store.filter(part == k) for k in (2, 0, 1)])
+
+
+def reintern_rows(store: SessionStore, rows: np.ndarray) -> SessionStore:
+    """``store`` rebuilt record by record in the order ``rows``.
+
+    Every side table but the honeypots is interned afresh, so its ids
+    follow first appearance in the new order.  Honeypot ids stay put:
+    they index the deployment's sites, so moving them would describe a
+    different farm, not the same sessions re-ordered.
+    """
+    builder = StoreBuilder()
+    for name in store.honeypots.values():
+        builder.honeypots.intern(name)
+    for row in rows:
+        builder.append(store.record(int(row)))
+    return builder.build()

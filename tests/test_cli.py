@@ -100,6 +100,31 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Table 1" in out
 
+    @pytest.mark.parametrize("existing", [True, False],
+                             ids=["existing-dir", "trailing-slash"])
+    def test_generate_into_directory_writes_the_bundle(self, tmp_path,
+                                                       capsys, existing):
+        # A directory --out gets the save_dataset bundle, so a later
+        # --load keeps the intel DB a bare store cannot carry.
+        from repro.workload.io import load_dataset
+
+        bundle = tmp_path / "bundle"
+        if existing:
+            bundle.mkdir()
+        out = str(bundle) if existing else str(bundle) + "/"
+        assert main(["generate", "--scale", "80000", "--seed", "3",
+                     "--hash-scale", "0.005", "--out", out]) == 0
+        capsys.readouterr()
+        assert bundle.is_dir()
+        dataset = load_dataset(bundle)
+        assert len(dataset.store) > 500
+        assert len(dataset.intel) > 0
+        assert main(["validate", "--scale", "80000", "--seed", "3",
+                     "--load", str(bundle)]) in (0, 1)
+        out = capsys.readouterr().out
+        assert "threat-intel hash coverage" in out
+        assert "[n/a]" not in out
+
     def test_load_rejects_unknown_format(self, tmp_path):
         bogus = tmp_path / "trace.csv"
         bogus.write_text("nope")

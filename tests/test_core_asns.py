@@ -1,17 +1,6 @@
 """Tests for AS-level analyses."""
 
-import numpy as np
-import pytest
-
-from repro.core.asns import (
-    as_counts_by_category,
-    hashes_per_as,
-    ips_per_as,
-    network_type_breakdown,
-    top_ases,
-)
-from repro.core.hashes import HashOccurrences
-from repro.geo.registry import GeoRegistry, NetworkType
+from repro.core.asns import as_counts_by_category, ips_per_as
 from repro.store.records import SessionRecord
 from repro.store.store import StoreBuilder
 
@@ -46,15 +35,6 @@ class TestAsCounts:
         per_as = ips_per_as(tiny_store())
         assert per_as == {100: 2, 200: 1}
 
-    def test_top_ases(self):
-        ranked = top_ases(tiny_store(), k=1)
-        assert ranked == [(100, 2)]
-
-    def test_hashes_per_as(self):
-        occ = HashOccurrences.build(tiny_store())
-        per_as = hashes_per_as(occ)
-        assert per_as == {200: 1}
-
     def test_negative_asn_ignored(self):
         builder = StoreBuilder()
         builder.append(SessionRecord(
@@ -66,21 +46,6 @@ class TestAsCounts:
 
 
 class TestNetworkTypes:
-    def test_breakdown(self):
-        registry = GeoRegistry()
-        res = registry.register_as("DE", NetworkType.RESIDENTIAL)
-        dc = registry.register_as("US", NetworkType.DATACENTER)
-        builder = StoreBuilder()
-        for asn, ip in ((res.asn, 1), (res.asn, 2), (dc.asn, 3)):
-            builder.append(SessionRecord(
-                start_time=0.0, duration=1.0, honeypot_id="p0", protocol="ssh",
-                client_ip=ip, client_asn=asn, client_country="DE",
-                n_login_attempts=0, login_success=False,
-            ))
-        breakdown = network_type_breakdown(builder.build(), registry)
-        assert breakdown.ips == {"residential": 2, "datacenter": 1}
-        assert breakdown.ip_share(NetworkType.RESIDENTIAL) == pytest.approx(2 / 3)
-
     def test_generated_category_ordering(self, small_dataset):
         # Paper: AS diversity shrinks with interaction depth
         # (NO_CRED 14k > FAIL_LOG 11.7k ~ CMD 10.6k > NO_CMD 8.5k > URI 1.3k).
@@ -88,9 +53,3 @@ class TestNetworkTypes:
         assert counts["NO_CRED"] > counts["NO_CMD"]
         assert counts["NO_CRED"] > counts["CMD_URI"]
         assert counts["CMD"] > counts["CMD_URI"]
-
-    def test_generated_network_mix(self, small_dataset):
-        breakdown = network_type_breakdown(small_dataset.store,
-                                           small_dataset.registry)
-        assert breakdown.ip_share(NetworkType.RESIDENTIAL) > 0.2
-        assert sum(breakdown.sessions.values()) == len(small_dataset.store)

@@ -7,10 +7,8 @@ from repro.core.classify import (
     BEHAVIOR_OF,
     CATEGORIES,
     Category,
-    behavior_masks,
     category_masks,
     category_shares,
-    classify_record,
     classify_store,
 )
 from repro.store.records import SessionRecord
@@ -24,24 +22,6 @@ def record_for(n_attempts, success, commands=(), uris=()):
         n_login_attempts=n_attempts, login_success=success,
         commands=tuple(commands), uris=tuple(uris),
     )
-
-
-class TestClassifyRecord:
-    def test_no_cred(self):
-        assert classify_record(record_for(0, False)) is Category.NO_CRED
-
-    def test_fail_log(self):
-        assert classify_record(record_for(3, False)) is Category.FAIL_LOG
-
-    def test_no_cmd(self):
-        assert classify_record(record_for(1, True)) is Category.NO_CMD
-
-    def test_cmd(self):
-        assert classify_record(record_for(1, True, ["uname"])) is Category.CMD
-
-    def test_cmd_uri(self):
-        record = record_for(1, True, ["wget http://x/y"], ["http://x/y"])
-        assert classify_record(record) is Category.CMD_URI
 
 
 class TestClassifyStore:
@@ -67,17 +47,6 @@ class TestClassifyStore:
     def test_shares_sum_to_one(self, store):
         shares = category_shares(store)
         assert sum(shares.values()) == pytest.approx(1.0)
-
-    def test_vector_matches_scalar(self, store):
-        codes = classify_store(store)
-        for i in range(len(store)):
-            assert CATEGORIES[codes[i]] is classify_record(store.record(i))
-
-    def test_behavior_masks(self, store):
-        behaviors = behavior_masks(store)
-        assert behaviors["scanning"].sum() == 1
-        assert behaviors["scouting"].sum() == 1
-        assert behaviors["intrusion"].sum() == 3
 
     def test_behavior_mapping(self):
         assert BEHAVIOR_OF[Category.NO_CRED] == "scanning"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.durations import duration_ecdfs, share_over
+from repro.core.durations import duration_ecdfs
 
 
 class TestDurationReport:
@@ -33,8 +33,3 @@ class TestDurationReport:
         # Paper: some CMD+URI sessions exceed three minutes (download
         # resets the timer).
         assert report.ecdfs["CMD_URI"].survival(180.0) > 0.05
-
-    def test_share_over(self, small_store):
-        shares = share_over(small_store, 180.0)
-        assert shares["NO_CRED"] < 0.05
-        assert shares["NO_CMD"] > 0.8

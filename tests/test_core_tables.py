@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.tables import (
-    failed_usernames,
     format_table,
     table1_categories,
     table2_passwords,
@@ -53,13 +52,6 @@ class TestTable2:
         # The pinned Mirai family logs in with root/1234 everywhere.
         passwords = dict(table2_passwords(small_store, 10))
         assert "1234" in passwords
-
-
-class TestFailedUsernames:
-    def test_non_root_usernames_lead(self, small_store):
-        rows = failed_usernames(small_store, 10)
-        names = [u for u, _ in rows]
-        assert set(names[:6]) & {"nproc", "admin", "user", "root"}
 
 
 class TestTable3:

@@ -1,14 +1,6 @@
 """Tests for SSH client-version analysis."""
 
-import numpy as np
-import pytest
-
-from repro.core.versions import (
-    distinct_tools,
-    version_counts,
-    version_offer_rate,
-    versions_by_category,
-)
+from repro.core.versions import version_counts
 from repro.store.records import SessionRecord
 from repro.store.store import StoreBuilder
 
@@ -43,17 +35,9 @@ class TestVersionCounts:
         counts = version_counts(store, store.n_attempts > 0)
         assert counts == [("SSH-2.0-libssh2_1.4.3", 1)]
 
-    def test_offer_rate(self):
-        # 3 of 4 SSH sessions offered a version.
-        assert version_offer_rate(build_store()) == pytest.approx(0.75)
-
-    def test_distinct_tools(self):
-        assert distinct_tools(build_store()) == 2
-
     def test_empty(self):
         store = StoreBuilder().build()
         assert version_counts(store) == []
-        assert version_offer_rate(store) == 0.0
 
 
 class TestGenerated:
@@ -62,16 +46,3 @@ class TestGenerated:
         # The common bot stacks appear in the trace.
         assert any(v.startswith("SSH-2.0-libssh") for v in counts)
         assert any("Go" in v for v in counts)
-
-    def test_by_category(self, small_store):
-        by_cat = versions_by_category(small_store)
-        assert set(by_cat) == {"NO_CRED", "FAIL_LOG", "NO_CMD", "CMD", "CMD_URI"}
-        # FAIL_LOG is SSH-heavy, so it carries plenty of version strings.
-        assert sum(c for _, c in by_cat["FAIL_LOG"]) > 0
-
-    def test_offer_rate_bounds(self, small_store):
-        rate = version_offer_rate(small_store)
-        assert 0.4 < rate < 1.0
-
-    def test_tool_diversity(self, small_store):
-        assert distinct_tools(small_store) >= 5

@@ -4,8 +4,7 @@ Every rule family is driven through its fixture triple under
 ``tests/lint_fixtures/``: the *bad* snippet must trigger, the
 *suppressed* snippet must be silenced by inline ``# repro: lint-ok``
 comments, and the *clean* snippet (the sanctioned idiom) must pass.  On
-top of that: suppression placement semantics, baseline round-trips, the
-JSON output schema, layer allowlists, registry-name checking (literal and
+top of that: suppression placement semantics, the JSON output schema, layer allowlists, registry-name checking (literal and
 dynamic), and the CLI surface.
 """
 
@@ -18,20 +17,14 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    BaselineRatchetError,
     DataflowAnalysis,
     FileContext,
     Finding,
     ProjectGraph,
-    apply_baseline,
     collect_suppressions,
-    load_baseline,
     run_lint,
     select_rules,
     to_json,
-    to_sarif,
-    validate_sarif,
-    write_baseline,
 )
 from repro.lint.cli import main as lint_main
 from repro.lint.findings import JSON_SCHEMA_VERSION
@@ -69,7 +62,7 @@ EXPECTED_BAD = {
 
 
 def _lint_fixture(name: str):
-    return run_lint([FIXTURES / f"{name}.py"], baseline=None)
+    return run_lint([FIXTURES / f"{name}.py"])
 
 
 # -- per-rule fixture triples --------------------------------------------------
@@ -130,7 +123,7 @@ def test_suppression_bare_covers_all_rules_and_lists_split():
 def test_suppression_only_silences_named_rule(tmp_path):
     bad = tmp_path / "wrong_rule.py"
     bad.write_text("import time  # repro: lint-ok[bare-except]\n")
-    result = run_lint([bad], baseline=None)
+    result = run_lint([bad])
     assert [f.rule for f in result.findings] == ["wall-clock"]
 
 
@@ -141,14 +134,14 @@ def test_obs_layer_may_read_time(tmp_path):
     obs = tmp_path / "src" / "repro" / "obs"
     obs.mkdir(parents=True)
     (obs / "timing.py").write_text("import time\n")
-    assert run_lint([obs], baseline=None).findings == []
+    assert run_lint([obs]).findings == []
 
 
 def test_store_layer_may_not_read_time(tmp_path):
     store = tmp_path / "src" / "repro" / "store"
     store.mkdir(parents=True)
     (store / "fastpath.py").write_text("import time\n")
-    findings = run_lint([store], baseline=None).findings
+    findings = run_lint([store]).findings
     assert [f.rule for f in findings] == ["wall-clock"]
 
 
@@ -159,49 +152,7 @@ def test_rng_module_may_use_numpy_random(tmp_path):
         "import numpy as np\n"
         "gen = np.random.Generator(np.random.PCG64(7))\n"
     )
-    assert run_lint([sim], baseline=None).findings == []
-
-
-# -- baseline ------------------------------------------------------------------
-
-
-def test_baseline_roundtrip_absorbs_known_findings(tmp_path):
-    bad = FIXTURES / "mutable_default_bad.py"
-    fresh = run_lint([bad], baseline=None)
-    assert len(fresh.findings) == 2
-
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, fresh.findings)
-    loaded = load_baseline(baseline_file)
-    assert sum(loaded.values()) == 2
-
-    absorbed = run_lint([bad], baseline=baseline_file)
-    assert absorbed.findings == []
-    assert absorbed.baselined == 2
-
-
-def test_baseline_reports_only_new_findings():
-    old = Finding("pkg/x.py", 3, 0, "bare-except", "bare `except:`")
-    new = Finding("pkg/x.py", 9, 0, "bare-except", "bare `except:`")
-    other = Finding("pkg/y.py", 1, 0, "wall-clock", "import of `time`")
-    fresh, absorbed = apply_baseline(
-        [new, old, other], {"pkg/x.py::bare-except": 1}
-    )
-    # One x.py finding absorbed (first in source order), the rest survive.
-    assert absorbed == 1
-    assert fresh == [Finding("pkg/x.py", 9, 0, "bare-except", "bare `except:`"),
-                     other]
-
-
-def test_missing_baseline_file_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == {}
-
-
-def test_bad_baseline_version_rejected(tmp_path):
-    p = tmp_path / "bad.json"
-    p.write_text('{"version": 99, "findings": {}}')
-    with pytest.raises(ValueError):
-        load_baseline(p)
+    assert run_lint([sim]).findings == []
 
 
 # -- JSON output schema --------------------------------------------------------
@@ -209,10 +160,9 @@ def test_bad_baseline_version_rejected(tmp_path):
 
 def test_json_output_schema_is_stable():
     result = _lint_fixture("bare_except_bad")
-    payload = json.loads(to_json(result.findings, baselined=result.baselined))
-    assert set(payload) == {"version", "findings", "counts", "total",
-                            "baselined"}
-    assert payload["version"] == JSON_SCHEMA_VERSION == 1
+    payload = json.loads(to_json(result.findings))
+    assert set(payload) == {"version", "findings", "counts", "total"}
+    assert payload["version"] == JSON_SCHEMA_VERSION == 2
     assert payload["total"] == 1
     assert payload["counts"] == {"bare-except": 1}
     (finding,) = payload["findings"]
@@ -299,8 +249,7 @@ def test_undeclared_block_engine_counter_fails_lint(tmp_path):
         "def f():\n"
         "    get_metrics().inc('emit.block.bogus')\n"
     )
-    result = run_lint([p], rules=select_rules(["registry-names"]),
-                      baseline=None)
+    result = run_lint([p], rules=select_rules(["registry-names"]))
     assert [f.rule for f in result.findings] == ["registry-names"]
     assert "emit.block.bogus" in result.findings[0].message
 
@@ -314,8 +263,7 @@ def test_undeclared_sketch_family_member_fails_lint(tmp_path):
         "def f():\n"
         "    get_metrics().inc('sketch.bogus_family')\n"
     )
-    result = run_lint([p], rules=select_rules(["registry-names"]),
-                      baseline=None)
+    result = run_lint([p], rules=select_rules(["registry-names"]))
     assert [f.rule for f in result.findings] == ["registry-names"]
     assert "sketch.bogus_family" in result.findings[0].message
 
@@ -361,8 +309,7 @@ def test_undeclared_ledger_family_member_fails_lint(tmp_path):
         "def f():\n"
         "    get_metrics().inc('ledger.bogus')\n"
     )
-    result = run_lint([p], rules=select_rules(["registry-names"]),
-                      baseline=None)
+    result = run_lint([p], rules=select_rules(["registry-names"]))
     # ledger.* is a declared wildcard family: any member passes.
     assert result.findings == []
     p2 = tmp_path / "ledger_bad.py"
@@ -371,8 +318,7 @@ def test_undeclared_ledger_family_member_fails_lint(tmp_path):
         "def f():\n"
         "    get_metrics().inc('ledgerz.bogus')\n"
     )
-    result = run_lint([p2], rules=select_rules(["registry-names"]),
-                      baseline=None)
+    result = run_lint([p2], rules=select_rules(["registry-names"]))
     assert [f.rule for f in result.findings] == ["registry-names"]
     assert "ledgerz.bogus" in result.findings[0].message
 
@@ -387,8 +333,7 @@ def test_registry_rule_ignores_non_instrument_calls(tmp_path):
         "    hist.observe(0.5)\n"       # float arg: not a name
         "    return q\n"
     )
-    result = run_lint([p], rules=select_rules(["registry-names"]),
-                      baseline=None)
+    result = run_lint([p], rules=select_rules(["registry-names"]))
     assert result.findings == []
 
 
@@ -529,91 +474,6 @@ def test_taint_sorted_strips_fs_order(tmp_path):
     assert DataflowAnalysis(graph).run() == []
 
 
-# -- baseline ratchet ----------------------------------------------------------
-
-
-def test_write_baseline_ratchet_refuses_growth(tmp_path):
-    first = Finding("pkg/x.py", 3, 0, "bare-except", "m")
-    second = Finding("pkg/x.py", 9, 0, "bare-except", "m")
-    p = tmp_path / "baseline.json"
-    write_baseline(p, [first])                      # fresh file: allowed
-    with pytest.raises(BaselineRatchetError) as excinfo:
-        write_baseline(p, [first, second])
-    assert excinfo.value.grown == {"pkg/x.py::bare-except": (1, 2)}
-    write_baseline(p, [first, second], force=True)  # explicit new debt
-    assert sum(load_baseline(p).values()) == 2
-    write_baseline(p, [first])                      # shrinking: always fine
-    assert sum(load_baseline(p).values()) == 1
-    write_baseline(p, [])                           # dropping keys too
-    assert load_baseline(p) == {}
-
-
-def test_cli_write_baseline_ratchet(tmp_path, capsys):
-    clean = str(FIXTURES / "bare_except_clean.py")
-    bad = str(FIXTURES / "bare_except_bad.py")
-    baseline = str(tmp_path / "baseline.json")
-    assert lint_main([clean, "--baseline", baseline,
-                      "--write-baseline"]) == 0
-    capsys.readouterr()
-    assert lint_main([bad, "--baseline", baseline, "--write-baseline"]) == 2
-    assert "ratchet" in capsys.readouterr().err
-    assert lint_main([bad, "--baseline", baseline, "--write-baseline",
-                      "--force"]) == 0
-
-
-# -- SARIF output --------------------------------------------------------------
-
-
-def test_sarif_output_validates_and_crossreferences(capsys):
-    bad = str(FIXTURES / "determinism_flow_bad.py")
-    assert lint_main([bad, "--no-baseline", "--format", "sarif"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert validate_sarif(payload) == []
-    (run,) = payload["runs"]
-    declared = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert "determinism-flow" in declared
-    results = run["results"]
-    assert len(results) == 2
-    for result in results:
-        assert result["ruleId"] == "determinism-flow"
-        assert declared[result["ruleIndex"]] == "determinism-flow"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
-        assert " -> " in result["message"]["text"]
-
-
-def test_sarif_handles_pseudo_rules(tmp_path):
-    p = tmp_path / "broken.py"
-    p.write_text("def f(:\n")
-    result = run_lint([p], baseline=None)
-    payload = json.loads(to_sarif(result.findings, select_rules([])))
-    assert validate_sarif(payload) == []
-    assert payload["runs"][0]["results"][0]["ruleId"] == "syntax-error"
-
-
-def test_sarif_validator_catches_problems():
-    assert validate_sarif({"version": "2.1.0"})  # missing runs/$schema
-    payload = {
-        "$schema": "x", "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {"name": "t", "rules": [{"id": "a"}]}},
-            "results": [{
-                "ruleId": "b", "ruleIndex": 0, "level": "fatal",
-                "message": {},
-                "locations": [{"physicalLocation": {
-                    "artifactLocation": {"uri": "f.py"},
-                    "region": {"startLine": 0},
-                }}],
-            }],
-        }],
-    }
-    problems = "\n".join(validate_sarif(payload))
-    assert "not declared" in problems
-    assert "level" in problems
-    assert "message.text" in problems
-    assert "startLine" in problems
-
-
 # -- rule selection ------------------------------------------------------------
 
 
@@ -624,8 +484,7 @@ def test_select_rules_unknown_id_raises():
 
 def test_rules_filter_limits_findings():
     bad = FIXTURES / "global_random_bad.py"
-    only_wall = run_lint([bad], rules=select_rules(["wall-clock"]),
-                         baseline=None)
+    only_wall = run_lint([bad], rules=select_rules(["wall-clock"]))
     assert only_wall.findings == []
 
 
@@ -635,7 +494,7 @@ def test_rules_filter_limits_findings():
 def test_syntax_error_is_reported_as_finding(tmp_path):
     p = tmp_path / "broken.py"
     p.write_text("def f(:\n")
-    result = run_lint([p], baseline=None)
+    result = run_lint([p])
     assert [f.rule for f in result.findings] == ["syntax-error"]
 
 
@@ -646,10 +505,10 @@ def test_cli_exit_codes_and_json(capsys):
     bad = str(FIXTURES / "bare_except_bad.py")
     clean = str(FIXTURES / "bare_except_clean.py")
 
-    assert lint_main([clean, "--no-baseline"]) == 0
+    assert lint_main([clean]) == 0
     capsys.readouterr()
 
-    assert lint_main([bad, "--no-baseline", "--format", "json"]) == 1
+    assert lint_main([bad, "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["total"] == 1
 
@@ -661,19 +520,10 @@ def test_cli_exit_codes_and_json(capsys):
     assert lint_main([bad, "--rules", "no-such-rule"]) == 2
 
 
-def test_cli_write_baseline_roundtrip(tmp_path, capsys):
-    bad = str(FIXTURES / "unsorted_listing_bad.py")
-    baseline = str(tmp_path / "baseline.json")
-    assert lint_main([bad, "--baseline", baseline, "--write-baseline"]) == 0
-    capsys.readouterr()
-    assert lint_main([bad, "--baseline", baseline]) == 0
-    assert lint_main([bad, "--no-baseline"]) == 1
-
-
 def test_repro_cli_lint_subcommand():
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "lint",
-         str(FIXTURES / "wall_clock_bad.py"), "--no-baseline"],
+         str(FIXTURES / "wall_clock_bad.py")],
         capture_output=True, text=True, cwd=REPO_ROOT,
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
     )

@@ -1,8 +1,7 @@
 """CI gate: the tree itself must satisfy every lint invariant.
 
 This is the test the determinism linter exists for — ``src/`` carries
-zero unsuppressed findings against the checked-in (empty) baseline, and
-a lint run is a pure read: it must not create, change or delete any
+zero unsuppressed findings, and a lint run is a pure read: it must not create, change or delete any
 file in the repository.
 """
 
@@ -12,11 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import load_baseline, render_text, run_lint
+from repro.lint import render_text, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
-BASELINE = REPO_ROOT / "lint_baseline.json"
 #: Directories a digest of the tree skips: version control and the caches
 #: and work directories that Python, pytest, hypothesis and
 #: ``benchmarks/perf/run.py`` write while the suite runs.
@@ -46,7 +44,7 @@ def lint_run():
     """One whole-program lint of ``src/``, shared by the tests below,
     with the tree digest taken before and after it."""
     before = _tree_digest()
-    result = run_lint([SRC], baseline=BASELINE)
+    result = run_lint([SRC])
     return result, before, _tree_digest()
 
 
@@ -54,12 +52,6 @@ def test_src_tree_is_lint_clean(lint_run):
     result, _, _ = lint_run
     assert result.files > 0
     assert result.findings == [], "\n" + render_text(result.findings)
-
-
-def test_checked_in_baseline_is_empty():
-    # The baseline exists for emergencies (adopting a legacy tree), but
-    # this repo holds itself to zero debt: nothing may hide behind it.
-    assert load_baseline(BASELINE) == {}
 
 
 def test_lint_run_does_not_touch_benchmark_trajectory(lint_run):

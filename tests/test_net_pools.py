@@ -1,40 +1,10 @@
-"""Tests for address pools and prefix allocators."""
+"""Tests for address pools."""
 
 import pytest
 
 from repro.net.ip import IPv4Prefix, format_ip
-from repro.net.pools import AddressPool, PoolRegistry, PrefixAllocator
+from repro.net.pools import AddressPool
 from repro.simulation.rng import RngStream
-
-
-class TestPrefixAllocator:
-    def test_allocates_disjoint_children(self):
-        alloc = PrefixAllocator(IPv4Prefix.parse("10.0.0.0/16"), 24)
-        a = alloc.allocate()
-        b = alloc.allocate()
-        assert a != b
-        assert not a.contains(b.network)
-
-    def test_capacity(self):
-        alloc = PrefixAllocator(IPv4Prefix.parse("10.0.0.0/16"), 24)
-        assert alloc.capacity == 256
-
-    def test_exhaustion(self):
-        alloc = PrefixAllocator(IPv4Prefix.parse("10.0.0.0/30"), 31)
-        alloc.allocate()
-        alloc.allocate()
-        with pytest.raises(RuntimeError):
-            alloc.allocate()
-
-    def test_child_smaller_than_parent_rejected(self):
-        with pytest.raises(ValueError):
-            PrefixAllocator(IPv4Prefix.parse("10.0.0.0/24"), 16)
-
-    def test_allocated_tracking(self):
-        alloc = PrefixAllocator(IPv4Prefix.parse("10.0.0.0/16"), 24)
-        alloc.allocate()
-        alloc.allocate()
-        assert len(alloc.allocated) == 2
 
 
 class TestAddressPool:
@@ -98,22 +68,3 @@ class TestAddressPool:
         assert pool.contains(parse_ip("10.0.0.5"))
         assert not pool.contains(parse_ip("10.0.1.5"))
 
-
-class TestPoolRegistry:
-    def test_register_and_get(self):
-        registry = PoolRegistry()
-        pool = AddressPool([IPv4Prefix.parse("10.0.0.0/24")])
-        registry.register("as1", pool)
-        assert registry.get("as1") is pool
-        assert registry["as1"] is pool
-        assert "as1" in registry
-
-    def test_duplicate_rejected(self):
-        registry = PoolRegistry()
-        pool = AddressPool([IPv4Prefix.parse("10.0.0.0/24")])
-        registry.register("as1", pool)
-        with pytest.raises(ValueError):
-            registry.register("as1", pool)
-
-    def test_get_missing(self):
-        assert PoolRegistry().get("nope") is None

@@ -1,64 +1,9 @@
-"""Tests for the TCP connection model."""
+"""Tests for the TCP handshake model."""
 
 import pytest
 
-from repro.net.tcp import (
-    SSH_PORT,
-    TELNET_PORT,
-    TcpConnection,
-    TcpModel,
-    TcpState,
-)
+from repro.net.tcp import SSH_PORT, TELNET_PORT, TcpModel
 from repro.simulation.rng import RngStream
-
-
-class TestTcpConnection:
-    def _conn(self):
-        return TcpConnection(client_ip=1, client_port=40000, server_ip=2,
-                             server_port=SSH_PORT)
-
-    def test_initial_state(self):
-        assert self._conn().state is TcpState.CLOSED
-
-    def test_establish(self):
-        conn = self._conn()
-        conn.establish(now=1.0)
-        assert conn.is_open
-        assert conn.established_at == 1.0
-
-    def test_double_establish_rejected(self):
-        conn = self._conn()
-        conn.establish(1.0)
-        with pytest.raises(RuntimeError):
-            conn.establish(2.0)
-
-    def test_close_by_client(self):
-        conn = self._conn()
-        conn.establish(1.0)
-        conn.close_by_client(5.0)
-        assert conn.state is TcpState.CLOSED_BY_CLIENT
-        assert conn.duration == 4.0
-
-    def test_close_by_server(self):
-        conn = self._conn()
-        conn.establish(1.0)
-        conn.close_by_server(181.0)
-        assert conn.state is TcpState.CLOSED_BY_SERVER
-
-    def test_reset(self):
-        conn = self._conn()
-        conn.establish(1.0)
-        conn.reset(2.0)
-        assert conn.state is TcpState.RESET
-
-    def test_close_without_establish_rejected(self):
-        with pytest.raises(RuntimeError):
-            self._conn().close_by_client(1.0)
-
-    def test_duration_none_while_open(self):
-        conn = self._conn()
-        conn.establish(1.0)
-        assert conn.duration is None
 
 
 class TestTcpModel:

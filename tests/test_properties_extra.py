@@ -1,16 +1,9 @@
 """Additional property-based tests for the newer subsystems."""
 
-import string
-
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.campaign_detect import UnionFind, jaccard
-from repro.honeypot.artifacts import ArtifactStore
-from repro.honeypot.protocol import Protocol
-from repro.honeypot.session import HoneypotSession
-from repro.honeypot.telnet import TelnetFrontend, TelnetPhase
-from repro.honeypot.ttylog import TtyLog
 
 
 class TestUnionFindProperties:
@@ -51,59 +44,3 @@ class TestJaccardProperties:
     @given(sets)
     def test_identity(self, a):
         assert jaccard(a, a) == 1.0
-
-
-class TestArtifactProperties:
-    @given(st.lists(st.binary(min_size=1, max_size=32), min_size=1,
-                    max_size=40))
-    def test_unique_count_matches_contents(self, payloads):
-        store = ArtifactStore()
-        for i, payload in enumerate(payloads):
-            store.submit(payload, now=float(i))
-        assert len(store) == len(set(payloads))
-        assert store.total_submissions == len(payloads)
-        assert sum(a.times_seen for a in store.artifacts()) == len(payloads)
-
-
-class TestTtyLogProperties:
-    entries = st.lists(
-        st.tuples(st.floats(min_value=0, max_value=1e6, allow_nan=False),
-                  st.text(alphabet=string.printable.replace("\r", ""),
-                          min_size=1, max_size=30)),
-        max_size=20,
-    )
-
-    @given(entries)
-    @settings(max_examples=30)
-    def test_dump_load_roundtrip(self, raw):
-        import tempfile
-        from pathlib import Path
-
-        log = TtyLog("s")
-        for t, data in sorted(raw):
-            log.record_input(t, data)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "log.jsonl"
-            log.dump(path)
-            assert TtyLog.load(path).entries == log.entries
-
-
-class TestTelnetProperties:
-    lines = st.lists(st.text(alphabet=string.ascii_letters + string.digits,
-                             min_size=1, max_size=12), min_size=1, max_size=8)
-
-    @given(lines)
-    @settings(max_examples=40)
-    def test_dialogue_never_crashes(self, inputs):
-        session = HoneypotSession(
-            honeypot_id="h", honeypot_ip=1, protocol=Protocol.TELNET,
-            client_ip=2, client_port=3, start_time=0.0,
-        )
-        frontend = TelnetFrontend(session=session)
-        now = 1.0
-        for line in inputs:
-            frontend.client_says(line, now)
-            now += 1.0
-        frontend.hang_up(now)
-        assert frontend.phase is TelnetPhase.CLOSED
-        assert session.is_closed
