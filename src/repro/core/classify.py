@@ -67,14 +67,6 @@ def classify_store(store: SessionStore) -> np.ndarray:
     return codes
 
 
-def category_masks(store: "StoreOrContext") -> Dict[Category, np.ndarray]:
-    """Boolean mask per category."""
-    from repro.core.context import as_context
-
-    ctx = as_context(store)
-    return {cat: ctx.category_mask(i) for i, cat in enumerate(CATEGORIES)}
-
-
 def category_shares(store: "StoreOrContext") -> Dict[Category, float]:
     """Fraction of all sessions in each category (Table 1 top row)."""
     from repro.core.context import as_context

@@ -12,7 +12,9 @@ stderr summary tree plus an optional JSON dump.
 Workers in the sharded generator record into their own registry and ship
 its dict form back with each shard; the parent merges them in shard
 order, so counters from a ``--workers N`` run sum to the one-worker
-totals.
+totals, except those that count per-process cache work (the
+``engine.``/``honeypot.`` profiling counters and ``script.shell_runs``/
+``script.shape_hits``: each worker fills its own script-profile cache).
 
 The flight recorder (:mod:`repro.obs.trace`) is the registry's
 event-stream counterpart: ring-buffered structured trace events with

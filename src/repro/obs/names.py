@@ -55,6 +55,10 @@ COUNTERS: Tuple[str, ...] = (
     "generator.campaigns_realized",
     "generator.campaign_days",
     "generator.campaign_sessions",
+    # Script profiling (repro.workload.script_runner).  Per-process like
+    # the profile caches they count: a second worker runs a shape again.
+    "script.shell_runs",
+    "script.shape_hits",
     "shards.emitted",
     "shards.sessions.*",  # per shard kind
     "context.*",          # per-value hit/miss (incl. tables) + aggregate hits/misses
@@ -221,6 +225,9 @@ DESCRIPTIONS = {
         "generator.campaigns_realized": "campaigns realised after scaling",
         "generator.campaign_days": "campaign active days generated",
         "generator.campaign_sessions": "sessions attributed to campaigns",
+        "script.shell_runs": "scripts run through the emulated shell",
+        "script.shape_hits": "script profiles filled in from a shape "
+                             "already run",
         "shards.emitted": "shard tasks emitted by workers",
         "shards.sessions.*": "sessions emitted, per shard kind",
         "context.*": "analysis context cache property hits and misses",

@@ -83,6 +83,11 @@ class CalibrationReport:
     def failures(self) -> List[CalibrationCheck]:
         return [c for c in self.checks if c.hard and not c.passed]
 
+    @property
+    def not_applicable(self) -> List[CalibrationCheck]:
+        """Checks whose input the dataset lacks (``measured`` is NaN)."""
+        return [c for c in self.checks if not c.applicable]
+
     def render(self) -> str:
         return "\n".join(str(c) for c in self.checks)
 

