@@ -142,16 +142,19 @@ class EmulatedShell:
                 text=simple.text, name=name, known=False, output=output, uris=uris
             )
 
-        output = func(self.context, simple)
-
-        if simple.redirect_path:
-            content = (output + "\n").encode("utf-8") if output else b""
-            if name == "echo" and not output:
-                content = b"\n"
-            self.context.record_write(
-                simple.redirect_path, content, append=simple.redirect_append
-            )
-            output = ""
+        try:
+            output = func(self.context, simple)
+            if simple.redirect_path:
+                content = (output + "\n").encode("utf-8") if output else b""
+                if name == "echo" and not output:
+                    content = b"\n"
+                self.context.record_write(
+                    simple.redirect_path, content, append=simple.redirect_append
+                )
+                output = ""
+        except IsADirectoryError as exc:
+            # A write onto a directory fails this command, not the shell.
+            output = f"-sh: {exc}: Is a directory"
 
         return CommandRecord(
             text=simple.text, name=name, known=True, output=output, uris=uris

@@ -56,7 +56,7 @@ COUNTERS: Tuple[str, ...] = (
     "generator.campaign_days",
     "generator.campaign_sessions",
     # Script profiling (repro.workload.script_runner).  Per-process like
-    # the profile caches they count: a second worker runs a shape again.
+    # the shape recipes they count: a second worker runs a shape again.
     "script.shell_runs",
     "script.shape_hits",
     "shards.emitted",

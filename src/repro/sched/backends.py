@@ -63,8 +63,10 @@ class ShardTask:
 class TaskOutcome:
     """What came back for one task attempt.
 
-    Either a payload (``store`` + worker-side ``metrics``/``events``) or
-    an ``error`` string — never both.  ``run_seconds`` is the worker-side
+    Either a result (``store``: the shard's
+    :class:`~repro.store.store.ShardPayload`, rows plus table tails, with
+    worker-side ``metrics``/``events``) or an ``error`` string — never
+    both.  ``run_seconds`` is the worker-side
     execution wall; the scheduler derives queueing from it.
     ``telemetry`` is the worker's per-task resource sample
     (:class:`repro.obs.resources.ResourceSampler` dict form) — physical
@@ -150,11 +152,11 @@ def _emit_task(config, index: int, want_trace: bool):
 
 
 def _run_task(config, index: int, want_trace: bool):
-    """One shard task under a resource sampler: (store, metrics, events,
+    """One shard task under a resource sampler: (payload, metrics, events,
     telemetry).  The shared executor body of both backends."""
     with ResourceSampler() as sampler:
-        store, metrics, events = _emit_task(config, index, want_trace)
-    return store, metrics, events, sampler.to_dict()
+        payload, metrics, events = _emit_task(config, index, want_trace)
+    return payload, metrics, events, sampler.to_dict()
 
 
 def _maybe_fail_once(index: int) -> None:
@@ -206,14 +208,14 @@ class InlineBackend(Backend):
             return []
         task, attempt = self._pending.pop(0)
         watch = stopwatch()
-        store, metrics, events, telemetry = _run_task(
+        payload, metrics, events, telemetry = _run_task(
             self._config, task.index, self._want_trace
         )
         self._done += 1
-        self._sessions_done += len(store)
+        self._sessions_done += len(payload)
         self._last_index = task.index
         return [TaskOutcome(
-            task=task, attempt=attempt, worker="inline", store=store,
+            task=task, attempt=attempt, worker="inline", store=payload,
             metrics=metrics, events=events, run_seconds=watch.elapsed(),
             telemetry=telemetry,
         )]
@@ -255,10 +257,14 @@ def _pool_worker_main(worker_id, config, want_trace, task_queue,
     task pickup — the existing result pipe doubles as the liveness
     channel, so a stuck worker is one the parent stops hearing from,
     with its last-known task on record.  Each
-    outcome in a batch is ``("done", index, attempt, payload)`` or
-    ``("error", index, attempt, message)``; a done payload is ``(store,
-    metrics, events, run_seconds, telemetry)`` with the telemetry dict
-    sampled by :class:`repro.obs.resources.ResourceSampler`.
+    outcome in a batch is ``("done", index, attempt, result)`` or
+    ``("error", index, attempt, message)``; a done result is ``(payload,
+    metrics, events, run_seconds, telemetry)``.  The payload is the
+    shard's rows plus, per side table, its fork mark and the entries it
+    interned after it (:class:`~repro.store.store.ShardPayload`): the
+    parent holds everything below the marks, so no table copy crosses the
+    pipe.  The telemetry dict is sampled by
+    :class:`repro.obs.resources.ResourceSampler`.
     Results buffer locally while more tasks wait in the private queue and
     flush the moment the worker would otherwise idle — so message count
     scales with scheduling round-trips, not task count, and ``put`` hands
@@ -291,7 +297,7 @@ def _pool_worker_main(worker_id, config, want_trace, task_queue,
         )))
         watch = stopwatch()
         try:
-            store, metrics, events, telemetry = _run_task(
+            payload, metrics, events, telemetry = _run_task(
                 config, index, want_trace
             )
         except Exception as exc:  # ships back as a retryable task error
@@ -299,9 +305,9 @@ def _pool_worker_main(worker_id, config, want_trace, task_queue,
                         f"{type(exc).__name__}: {exc}"))
         else:
             done += 1
-            sessions_done += len(store)
+            sessions_done += len(payload)
             out.append(("done", index, attempt,
-                        (store, metrics, events, watch.elapsed(),
+                        (payload, metrics, events, watch.elapsed(),
                          telemetry)))
         if (not local and task_queue.empty()) or len(out) >= _BATCH:
             result_queue.put(("batch", worker_id, out))
@@ -453,20 +459,20 @@ class PoolBackend(Backend):
             return []
         outcomes: List[TaskOutcome] = []
         worker = self._workers.get(worker_id)
-        for kind, index, attempt, payload in batch:
+        for kind, index, attempt, result in batch:
             if worker is not None:
                 worker.assigned.pop(index, None)
             task = self._tasks[index]
             if kind == "error":
                 outcomes.append(TaskOutcome(
                     task=task, attempt=attempt,
-                    worker=f"pool-{worker_id}", error=payload,
+                    worker=f"pool-{worker_id}", error=result,
                 ))
                 continue
-            store, metrics, events, run_seconds, telemetry = payload
+            payload, metrics, events, run_seconds, telemetry = result
             outcomes.append(TaskOutcome(
                 task=task, attempt=attempt, worker=f"pool-{worker_id}",
-                store=store, metrics=metrics, events=events,
+                store=payload, metrics=metrics, events=events,
                 run_seconds=run_seconds, telemetry=telemetry,
             ))
         return outcomes

@@ -306,17 +306,18 @@ class Scheduler:
 
 
 def _adopt_and_release(builder, outcomes: List[TaskOutcome], metrics) -> None:
-    """Adopt every outcome's store in index order, dropping each once merged.
+    """Adopt every outcome's shard payload in index order, dropping each
+    once merged.
 
     The builder keeps the adopted column arrays as chunks and ``build()``
     frees each column's chunks as it concatenates them, so with no shard
-    store left alive the rows exist once, not twice, while the merged
+    payload left alive the rows exist once, not twice, while the merged
     columns form (DESIGN §6c).
     """
     for outcome in outcomes:
-        store, outcome.store = outcome.store, None
+        payload, outcome.store = outcome.store, None
         merge_watch = stopwatch()
-        builder.adopt_store(store)
+        builder.adopt_store(payload)
         metrics.observe("sched.task_merge_seconds", merge_watch.elapsed())
 
 

@@ -8,6 +8,23 @@ from typing import Dict, Iterable, List, Optional, Tuple
 #: Rolling-digest seed for an empty table.
 _EMPTY_CHAIN = b"\x00" * 16
 
+#: The fork mark of a table built from scratch: the empty prefix.
+EMPTY_MARK: Tuple[int, bytes] = (0, _EMPTY_CHAIN)
+
+
+def mark_proven(mark: Tuple[int, bytes], marks: Dict[int, bytes], n: int,
+                chain: bytes) -> bool:
+    """Whether ``mark`` names a prefix of a table of ``n`` entries whose
+    rolling digest is ``chain`` and whose trusted snapshots are ``marks``.
+
+    The empty prefix always holds.  Otherwise the mark must match a
+    snapshot or the table's current state: never a wrong answer, since the
+    rolling 128-bit digest makes a false match cryptographically
+    implausible and append-only tables keep a recorded mark valid.
+    """
+    length, at = mark
+    return length == 0 or marks.get(length) == at or (n == length and chain == at)
+
 
 def _chain_step(chain: bytes, value: str) -> bytes:
     """One step of the rolling content digest: H(prev || value)."""
@@ -27,7 +44,8 @@ class StringTable:
     A mark ``(length, chain)`` proves what the first ``length`` entries
     were when the fork happened; since tables are append-only, a copied
     table whose mark matches one of ours remaps its shared prefix to the
-    identity without comparing a single string — the shard-merge fast path.
+    identity without comparing a single string — the shard-merge fast path
+    (:meth:`repro.store.store.StoreBuilder.adopt_store`).
     """
 
     def __init__(self, initial: Optional[Iterable[str]] = None):
@@ -38,9 +56,9 @@ class StringTable:
         #: lengths at which a fork was taken are recorded, so the dict
         #: stays tiny.
         self._marks: Dict[int, bytes] = {}
-        #: The (length, chain) this table was forked at, or None for a
-        #: table built from scratch.
-        self._fork_mark: Optional[Tuple[int, bytes]] = None
+        #: The (length, chain) this table was forked at; the empty mark
+        #: for a table built from scratch.
+        self._fork_mark: Tuple[int, bytes] = EMPTY_MARK
         if initial:
             for s in initial:
                 self.intern(s)
@@ -79,9 +97,9 @@ class StringTable:
         """An independent table with the same contents and ids.
 
         Both sides record the fork point: the copy carries it as its
-        ``_fork_mark`` (pickled along if the copy crosses a process
-        boundary), the parent adds it to its trusted ``_marks`` so a later
-        :meth:`shares_prefix` check is one dict lookup.
+        ``_fork_mark`` (shipped with its :meth:`tail`), the parent adds it
+        to its trusted ``_marks`` so a later :meth:`proves` check is one
+        dict lookup.
         """
         out = StringTable()
         out._strings = list(self._strings)
@@ -95,24 +113,11 @@ class StringTable:
         out._marks = dict(self._marks)
         return out
 
-    def shares_prefix(self, other: "StringTable") -> int:
-        """Length of ``other``'s prefix provably equal to ours (0 if unknown).
+    def tail(self) -> Tuple[Tuple[int, bytes], List[str]]:
+        """``(fork mark, the entries interned after it)``."""
+        return self._fork_mark, self._strings[self._fork_mark[0]:]
 
-        Non-zero only when ``other`` was forked (possibly in another
-        process) from a table whose state this table has a trusted mark
-        for — the common shard-merge shape.  Falls back to 0, never to a
-        wrong answer: the rolling 128-bit digest makes a false match
-        cryptographically implausible and append-only tables make a
-        recorded mark permanently valid.
-        """
-        mark = other._fork_mark
-        if mark is None:
-            return 0
-        length, chain = mark
-        if length > len(self._strings):
-            return 0
-        if self._marks.get(length) == chain:
-            return length
-        if len(self._strings) == length and self._chain == chain:
-            return length
-        return 0
+    def proves(self, mark: Tuple[int, bytes]) -> bool:
+        """Whether ``mark`` (another table's fork mark, possibly from
+        another process) names a prefix of this table."""
+        return mark_proven(mark, self._marks, len(self._strings), self._chain)

@@ -13,13 +13,14 @@ tuples on the hot path.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.honeypot.session import CloseReason
 from repro.obs import get_metrics, inc as _metric_inc, stopwatch
-from repro.store.interning import StringTable
+from repro.store.interning import EMPTY_MARK, StringTable, mark_proven
 from repro.store.records import STORE_COLUMN_DTYPES, CommandScript, SessionRecord
 
 SECONDS_PER_DAY = 86_400
@@ -286,6 +287,41 @@ _ID_COLUMNS_WITH_SENTINEL = {
 }
 
 
+#: Payload table name -> the builder/store attribute holding the table.
+_STRING_TABLES = {
+    "honeypot": "honeypots",
+    "country": "countries",
+    "password": "passwords",
+    "username": "usernames",
+    "hash": "hashes",
+    "version": "versions",
+}
+
+#: ``(fork mark, entries interned after it)`` of one side table.
+TableTail = Tuple[Tuple[int, bytes], list]
+
+
+@dataclass
+class ShardPayload:
+    """A shard's result: its rows plus, for each side table, the fork mark
+    and only the entries interned after that mark (DESIGN §6a).
+
+    The merge builder already holds every entry below the marks, so this
+    is all a worker ships: ``columns`` are the :data:`STORE_COLUMN_DTYPES`
+    arrays, the hash column is CSR values + per-row lengths, and ``tails``
+    maps ``honeypot`` ... ``version`` and ``script`` to a
+    :data:`TableTail` (scripts as :class:`CommandScript`).
+    """
+
+    columns: Dict[str, np.ndarray]
+    hash_values: np.ndarray
+    hash_lengths: np.ndarray
+    tails: Dict[str, TableTail]
+
+    def __len__(self) -> int:
+        return len(self.hash_lengths)
+
+
 def _remap_ids(remap: Union[Sequence[int], np.ndarray], ids: np.ndarray,
                sentinel: bool) -> np.ndarray:
     """Vectorised id remap; with ``sentinel`` the value -1 maps to itself."""
@@ -313,14 +349,9 @@ class StoreBuilder:
         # Rolling script-list digest + fork marks, mirroring StringTable's
         # prefix-mark machinery so script remaps get the same adopt fast
         # path the string tables do.
-        self._scripts_chain: bytes = b"\x00" * 16
+        self._scripts_chain: bytes = EMPTY_MARK[1]
         self._scripts_marks: Dict[int, bytes] = {}
-        self._scripts_fork_mark: Optional[Tuple[int, bytes]] = None
-        # Incrementally extended script-derived columns; build() only
-        # computes entries for scripts interned since the last build/fork.
-        self._script_cols: Tuple[int, np.ndarray, np.ndarray] = (
-            0, np.zeros(0, np.uint16), np.zeros(0, bool)
-        )
+        self._scripts_fork_mark: Tuple[int, bytes] = EMPTY_MARK
 
         self._cols: Dict[str, _ColumnChunks] = {
             name: _ColumnChunks(dtype)
@@ -500,7 +531,7 @@ class StoreBuilder:
         here resolves to the same string there) but accumulates its own
         rows and its own new table entries.  This is the shard-generation
         primitive: workers fork the base tables, emit rows, and the parent
-        :meth:`adopt`\\ s the results back in a deterministic order.
+        adopts their :meth:`payload`\\ s back in a deterministic order.
         """
         out = StoreBuilder()
         out.honeypots = self.honeypots.copy()
@@ -515,84 +546,56 @@ class StoreBuilder:
         out._scripts_fork_mark = (len(self.scripts), self._scripts_chain)
         self._scripts_marks[len(self.scripts)] = self._scripts_chain
         out._scripts_marks = dict(self._scripts_marks)
-        # Extend the script-derived columns here, once, so every fork's
-        # build() starts from them instead of re-deriving the whole table.
-        self._script_columns()
-        out._script_cols = self._script_cols
         return out
 
-    def _scripts_shared_prefix(self, other) -> int:
-        """Provably shared script-list prefix length with ``other`` (0 if unknown).
+    def payload(self) -> ShardPayload:
+        """This builder's rows plus each table's fork mark and tail.
 
-        Mirrors :meth:`StringTable.shares_prefix`: ``other`` (a builder, or
-        a frozen store built by one) carries the fork mark of the script
-        list it started from; if we hold a trusted chain snapshot at that
-        length, the first ``length`` scripts are identical on both sides.
+        A builder from :meth:`fork_tables` ships only what it interned
+        after the fork; one built from scratch has the empty mark and
+        ships every entry.
         """
-        mark = getattr(other, "_scripts_fork_mark", None)
-        if mark is None:
-            return 0
-        length, chain = mark
-        if length > len(self.scripts):
-            return 0
-        if self._scripts_marks.get(length) == chain:
-            return length
-        if len(self.scripts) == length and self._scripts_chain == chain:
-            return length
-        return 0
+        tails: Dict[str, TableTail] = {
+            name: getattr(self, attr).tail()
+            for name, attr in _STRING_TABLES.items()
+        }
+        mark = self._scripts_fork_mark
+        tails["script"] = (mark, self.scripts[mark[0]:])
+        values, lengths = self._hash_arrays()
+        return ShardPayload(self._column_arrays(), values, lengths, tails)
 
-    @staticmethod
-    def _prefix_remap(shared: int, n_other: int, intern_tail) -> Tuple[np.ndarray, bool]:
-        """(remap array, is_identity) given a proven shared prefix length.
+    def _tail_remaps(self, tails: Dict[str, TableTail]
+                     ) -> Dict[str, Tuple[np.ndarray, bool]]:
+        """Id remaps from a payload's tables into this builder's.
 
-        ``intern_tail`` interns the entries past the shared prefix and
-        returns their ids.  The remap is the identity when every entry maps
-        to its own index — the overwhelmingly common shard-merge case,
+        Each marked prefix maps to itself and each tail entry is interned
+        here, in order.  Every mark is proven before anything is interned,
+        so a refused payload leaves this builder as it was.  Each value is
+        ``(remap_array, is_identity)``; the remap is the identity when
+        every entry keeps its own index — the common shard-merge case,
         where the whole ``np.take`` gather can be skipped.
         """
-        if shared == n_other:
-            return np.arange(n_other, dtype=np.int32), True
-        tail = np.asarray(intern_tail(shared), dtype=np.int32)
-        remap = np.concatenate((np.arange(shared, dtype=np.int32), tail))
-        is_identity = bool(
-            np.array_equal(tail, np.arange(shared, n_other, dtype=np.int32))
-        )
-        return remap, is_identity
-
-    def _table_remaps(self, other) -> Dict[str, Tuple[np.ndarray, bool]]:
-        """Id remaps from ``other``'s tables into this builder's.
-
-        ``other`` is a builder or a frozen store (both expose the same
-        table attributes).  Shared prefixes (e.g. after
-        :meth:`fork_tables`) remap to themselves; new entries are interned
-        here, in ``other``'s order.  Each value is ``(remap_array,
-        is_identity)`` — prefix marks prove shared prefixes in O(1), so
-        the typical shard adopt never re-interns the base tables.
-        """
+        for name, (mark, _) in tails.items():
+            if name == "script":
+                proven = mark_proven(mark, self._scripts_marks,
+                                     len(self.scripts), self._scripts_chain)
+            else:
+                proven = getattr(self, _STRING_TABLES[name]).proves(mark)
+            if not proven:
+                raise ValueError(
+                    f"cannot prove the {name} table's fork mark at "
+                    f"{mark[0]} entries: refusing to adopt a partial table")
         out: Dict[str, Tuple[np.ndarray, bool]] = {}
-        pairs = (
-            ("honeypot", self.honeypots, other.honeypots),
-            ("country", self.countries, other.countries),
-            ("password", self.passwords, other.passwords),
-            ("username", self.usernames, other.usernames),
-            ("hash", self.hashes, other.hashes),
-            ("version", self.versions, other.versions),
-        )
-        for name, mine, theirs in pairs:
-            def intern_tail(shared, mine=mine, theirs=theirs):
-                return [mine.intern(v) for v in theirs.values()[shared:]]
-
-            out[name] = self._prefix_remap(
-                mine.shares_prefix(theirs), len(theirs), intern_tail
-            )
-        scripts = other.scripts
-        out["script"] = self._prefix_remap(
-            self._scripts_shared_prefix(other),
-            len(scripts),
-            lambda shared: [
-                self.intern_script(s.commands, s.uris) for s in scripts[shared:]
-            ],
-        )
+        for name, ((shared, _), tail) in tails.items():
+            if name == "script":
+                ids = [self.intern_script(s.commands, s.uris) for s in tail]
+            else:
+                table = getattr(self, _STRING_TABLES[name])
+                ids = [table.intern(v) for v in tail]
+            tail_ids = np.asarray(ids, dtype=np.int32)
+            head = np.arange(shared + len(tail_ids), dtype=np.int32)
+            out[name] = (np.concatenate((head[:shared], tail_ids)),
+                         bool(np.array_equal(tail_ids, head[shared:])))
         return out
 
     def _column_arrays(self) -> Dict[str, np.ndarray]:
@@ -653,27 +656,32 @@ class StoreBuilder:
             metrics.inc("store.adopts_fastpath")
 
     def adopt(self, other: "StoreBuilder") -> None:
-        """Append all of ``other``'s rows, remapping its interned ids.
+        """Append all of ``other``'s rows (its :meth:`payload`)."""
+        self.adopt_store(other.payload())
 
-        ``other`` may share a table prefix with this builder (the
-        fork/adopt shard path, where the remap is mostly the identity) or
-        be entirely unrelated (merging independently collected stores).
-        Remaps are vectorised ``np.take`` gathers over whole columns.
+    def adopt_store(self, shard: Union[ShardPayload, "SessionStore"]) -> None:
+        """Append a shard payload's rows, remapping its interned ids.
+
+        Only the payload's table tails are interned; its marks must name
+        prefixes this builder holds (as it does after forking the shard's
+        base with :meth:`fork_tables`), or ``ValueError`` names the first
+        table it cannot prove.  A frozen store is adopted from the empty
+        mark: every table is re-interned in full, which merges stores that
+        share no tables.
         """
         watch = stopwatch()
-        remap = self._table_remaps(other)
-        values, lengths = other._hash_arrays()
-        self._adopt_arrays(remap, other._column_arrays(), values, lengths)
-        get_metrics().observe("store.adopt_seconds", watch.elapsed())
-
-    def adopt_store(self, store: "SessionStore") -> None:
-        """Append a frozen store's rows, remapping its interned ids."""
-        watch = stopwatch()
-        remap = self._table_remaps(store)
-        columns = {name: getattr(store, name) for name in STORE_COLUMN_DTYPES}
-        self._adopt_arrays(
-            remap, columns, store.hash_ids.values, store.hash_ids.lengths
-        )
+        if isinstance(shard, SessionStore):
+            tails: Dict[str, TableTail] = {
+                name: (EMPTY_MARK, getattr(shard, attr).values())
+                for name, attr in _STRING_TABLES.items()
+            }
+            tails["script"] = (EMPTY_MARK, shard.scripts)
+            shard = ShardPayload(
+                {name: getattr(shard, name) for name in STORE_COLUMN_DTYPES},
+                shard.hash_ids.values, shard.hash_ids.lengths, tails,
+            )
+        self._adopt_arrays(self._tail_remaps(shard.tails), shard.columns,
+                           shard.hash_values, shard.hash_lengths)
         get_metrics().observe("store.adopt_seconds", watch.elapsed())
 
     def build(self) -> "SessionStore":
@@ -688,7 +696,11 @@ class StoreBuilder:
         n_commands = np.zeros(self._n_rows, dtype=np.uint16)
         has_uri = np.zeros(self._n_rows, dtype=bool)
         if len(self.scripts):
-            script_lengths, script_has_uri = self._script_columns()
+            script_lengths = np.array(
+                [min(len(s.commands), 65535) for s in self.scripts],
+                dtype=np.uint16)
+            script_has_uri = np.array([s.has_uri for s in self.scripts],
+                                      dtype=bool)
             mask = script_id >= 0
             n_commands[mask] = script_lengths[script_id[mask]]
             has_uri[mask] = script_has_uri[script_id[mask]]
@@ -708,32 +720,10 @@ class StoreBuilder:
             scripts=list(self.scripts),
             **columns,
         )
-        # Scripts provenance for the adopt fast path: the frozen store
-        # carries the builder's fork mark so a parent that holds the
-        # matching chain snapshot skips re-interning the shared prefix.
-        # (Lost through an npz round trip — loads fall back to the slow,
-        # always-correct remap.)
-        store._scripts_fork_mark = self._scripts_fork_mark
         metrics = get_metrics()
         metrics.inc("store.freezes")
         metrics.observe("store.freeze_seconds", watch.elapsed())
         return store
-
-    def _script_columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-script (command count, has_uri) arrays, extended incrementally."""
-        count, lengths_arr, uri_arr = self._script_cols
-        if count != len(self.scripts):
-            new = self.scripts[count:]
-            lengths_arr = np.concatenate((
-                lengths_arr,
-                np.array([min(len(s.commands), 65535) for s in new],
-                         dtype=np.uint16),
-            ))
-            uri_arr = np.concatenate((
-                uri_arr, np.array([s.has_uri for s in new], dtype=bool)
-            ))
-            self._script_cols = (len(self.scripts), lengths_arr, uri_arr)
-        return lengths_arr, uri_arr
 
 
 class SessionStore:

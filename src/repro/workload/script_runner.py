@@ -107,26 +107,21 @@ class ScriptRunner:
     """
 
     def __init__(self) -> None:
-        self._cache: Dict[Tuple, ScriptProfile] = {}
         #: shape -> recipe, or None where the shape runs in full.
         self._recipes: Dict[Tuple, Optional[_Recipe]] = {}
 
     def profile(self, template: ScriptTemplate) -> ScriptProfile:
-        """Profile ``template`` (cached) and return its profile.
+        """Profile ``template`` and return its profile.
 
+        Profiles are not kept: nearly every script is profiled once, and a
+        repeat of a substitutable one costs a fill, not a shell run.
         Profiling runs with the flight recorder silenced: the profiling run
-        is a per-process measurement detail (cached, so a second worker
-        legitimately re-profiles), and its events would make the workload
-        trace worker-count-variant.
+        is a per-process measurement detail (each worker keeps its own
+        recipes, so a second worker legitimately re-runs a shape), and its
+        events would make the workload trace worker-count-variant.
         """
-        key = (template.kind, template.token, tuple(template.lines))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         with use_tracer(None):
-            profile = self._profile(template)
-        self._cache[key] = profile
-        return profile
+            return self._profile(template)
 
     def _profile(self, template: ScriptTemplate) -> ScriptProfile:
         values = dict(template.fills)

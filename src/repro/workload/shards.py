@@ -11,10 +11,12 @@ column once over the whole shard, so a shard's output depends only on its
 key — never on which worker runs it or in what order.  The shard list is a
 pure function of the config; see DESIGN §6h for the stream layout.
 Workers emit into builders forked from the plan's base tables
-(:meth:`StoreBuilder.fork_tables`) and return frozen stores; the parent
-adopts them back in shard order (:meth:`StoreBuilder.adopt_store`),
-remapping any ids a shard interned beyond the shared prefix. The merged
-store is therefore bit-identical for every worker count.
+(:meth:`StoreBuilder.fork_tables`) and return rows plus table tails
+(:class:`ShardPayload`: each table's fork mark and only the entries the
+shard interned after it), never a copy of the tables the parent holds.
+The parent adopts them back in shard order
+(:meth:`StoreBuilder.adopt_store`), interning the tails and remapping
+their ids, so the merged store is bit-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from repro.obs import get_metrics, use_metrics
 from repro.obs import trace as _trace
-from repro.store.store import SessionStore
+from repro.store.store import ShardPayload
 from repro.workload.config import ScenarioConfig
 from repro.workload.emit import SessionEmitter
 from repro.workload.generator import BACKGROUND, TraceGenerator
@@ -230,18 +232,19 @@ def plan_digest(plan: ShardPlan) -> str:
     return h.hexdigest()
 
 
-def emit_shard(plan: ShardPlan, shard: Shard) -> SessionStore:
-    """Emit one shard into a frozen store with tables forked from the plan."""
+def emit_shard(plan: ShardPlan, shard: Shard) -> ShardPayload:
+    """Emit one shard into a builder forked from the plan's tables; return
+    its rows plus table tails."""
     metrics = get_metrics()
     with metrics.span(f"shard/{shard.kind}"):
-        store = _emit_shard_body(plan, shard)
+        payload = _emit_shard_body(plan, shard)
     metrics.inc("shards.emitted")
-    metrics.inc(f"shards.sessions.{shard.kind}", len(store))
-    metrics.observe("shards.sessions_per_shard", len(store))
-    return store
+    metrics.inc(f"shards.sessions.{shard.kind}", len(payload))
+    metrics.observe("shards.sessions_per_shard", len(payload))
+    return payload
 
 
-def _emit_shard_body(plan: ShardPlan, shard: Shard) -> SessionStore:
+def _emit_shard_body(plan: ShardPlan, shard: Shard) -> ShardPayload:
     gen = plan.gen
     builder = gen.builder.fork_tables()
     emitter = SessionEmitter(builder)
@@ -269,7 +272,7 @@ def _emit_shard_body(plan: ShardPlan, shard: Shard) -> SessionStore:
     else:
         raise ValueError(f"unknown shard kind: {kind}")
     emitter.flush()
-    return builder.build()
+    return builder.payload()
 
 
 # One plan per process, keyed by config. Set in the parent before the pool
@@ -290,7 +293,7 @@ def _emit_indexed(task: Tuple[ScenarioConfig, int, bool]):
 
     The shard is emitted under a fresh registry (plan construction, which a
     spawn-started worker redoes once, stays outside it), whose dict form
-    travels back with the store so the parent can merge worker-side
+    travels back with the payload so the parent can merge worker-side
     counters and stage timings in shard order.  With ``want_trace`` the
     shard also records under a fresh flight recorder whose event list
     travels back the same way — the ``want_trace`` flag rides in the task
@@ -308,9 +311,9 @@ def _emit_indexed(task: Tuple[ScenarioConfig, int, bool]):
                     shard_kind=shard.kind, key=shard.key,
                     start=shard.start, stop=shard.stop,
                 )
-                store = emit_shard(plan, shard)
+                payload = emit_shard(plan, shard)
             events = tracer.to_list()
         else:
-            store = emit_shard(plan, shard)
+            payload = emit_shard(plan, shard)
             events = None
-    return store, metrics.to_dict(), events
+    return payload, metrics.to_dict(), events

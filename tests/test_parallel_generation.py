@@ -191,3 +191,72 @@ def test_collector_merge_combines_counters():
     assert len(store) == 3
     pots = [store.honeypots.value_of(int(p)) for p in store.honeypot]
     assert pots == ["pot-a", "pot-b", "pot-a"]
+
+
+# -- the shard payload: rows plus the table entries a shard added ---------------
+
+
+_TABLES = {"honeypot": "honeypots", "country": "countries",
+           "password": "passwords", "username": "usernames",
+           "hash": "hashes", "version": "versions"}
+
+
+def test_shard_payloads_ship_only_the_tables_tails():
+    """At 1/4000 seed 2023 no payload holds a table entry below its fork
+    mark, and all of them pickle to at most 7 MB (the rows are ~5.9 MB;
+    whole shard stores were 12.3 MB)."""
+    import pickle
+
+    from repro.workload.generator import TraceGenerator
+    from repro.workload.shards import emit_shard
+
+    plan = ShardPlan(TraceGenerator(
+        ScenarioConfig.from_denominator(4000, seed=2023)))
+    base = plan.gen.builder
+    pickled = 0
+    for shard in plan.shards:
+        payload = emit_shard(plan, shard)
+        pickled += len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        assert set(payload.tails) == set(_TABLES) | {"script"}
+        for name, (mark, tail) in payload.tails.items():
+            if name == "script":
+                below = {s.key() for s in base.scripts[:mark[0]]}
+                tail = [s.key() for s in tail]
+            else:
+                table = getattr(base, _TABLES[name])
+                assert table.proves(mark), (shard, name)
+                below = set(table.values()[:mark[0]])
+            assert below.isdisjoint(tail), (shard, name)
+    assert pickled <= 7_000_000
+
+
+def test_adopting_an_unproven_mark_raises_and_changes_nothing():
+    base = StoreBuilder()
+    base.append(_record(0, "pot-a", "US", password="alpha"))
+    fork = base.fork_tables()
+    fork.append(_record(1, "pot-b", "DE", password="beta"))
+    payload = fork.payload()
+
+    stranger = StoreBuilder()
+    stranger.append(_record(2, "pot-z", "FR", password="zeta"))
+    with pytest.raises(ValueError, match="honeypot table"):
+        stranger.adopt_store(payload)
+    assert len(stranger) == 1
+    assert stranger.honeypots.values() == ["pot-z"]
+    assert stranger.passwords.values() == ["zeta"]
+
+    base.adopt_store(payload)  # the builder that forked proves every mark
+    assert base.build().honeypots.values() == ["pot-a", "pot-b"]
+
+
+def test_a_payload_from_scratch_adopts_anywhere():
+    """The empty mark proves against any builder: every entry is a tail."""
+    scratch = StoreBuilder()
+    scratch.append(_record(0, "pot-b", "DE", commands=("ls",)))
+    other = StoreBuilder()
+    other.append(_record(1, "pot-a", "US", commands=("ls",)))
+    other.adopt_store(scratch.payload())
+    merged = other.build()
+    pots = [merged.honeypots.value_of(int(p)) for p in merged.honeypot]
+    assert pots == ["pot-a", "pot-b"]
+    assert int(merged.script_id[0]) == int(merged.script_id[1])

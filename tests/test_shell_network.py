@@ -70,6 +70,22 @@ class TestTftpFtpget:
         assert result.downloads[0].uri == "ftp://203.0.113.5/remote.bin"
 
 
+class TestWriteOntoADirectory:
+    """A write onto an existing directory fails that command, as in a
+    shell: the error is printed, nothing is written, the line goes on."""
+
+    @pytest.mark.parametrize("line, target", [
+        ("echo x > /tmp; echo ok", "/tmp"),
+        ("tftp -g -l /tmp/. -r payload 203.0.113.5; echo ok", "/tmp/."),
+    ])
+    def test_prints_is_a_directory_and_continues(self, shell, line, target):
+        result = shell.execute(line)
+        assert result.commands[0].output == f"-sh: {target}: Is a directory"
+        assert result.commands[1].output == "ok"
+        assert not result.file_changes
+        assert shell.context.fs.is_dir("/tmp")
+
+
 class TestDeterministicResolver:
     def test_same_uri_same_payload(self):
         resolver = UriResolver()

@@ -77,9 +77,14 @@ class TestProfiles:
         assert profile.uris
         assert profile.hashes
 
-    def test_cache_returns_same_object(self, runner):
-        t = build_script(ScriptKind.RECON, token="cache-me")
-        assert runner.profile(t) is runner.profile(t)
+    def test_repeat_profile_equals_the_first_without_a_shell_run(self):
+        runner = ScriptRunner()
+        t = build_script(ScriptKind.RECON, token="again")
+        first = runner.profile(t)
+        with use_metrics() as metrics:
+            assert runner.profile(t) == first
+        assert metrics.counter("script.shell_runs") == 0
+        assert metrics.counter("script.shape_hits") == 1
 
     def test_deterministic_across_runners(self):
         a = ScriptRunner().profile(build_script(ScriptKind.KEY_INJECT, token="DET"))
@@ -193,13 +198,10 @@ def _hand_built(token, host):
 
 
 def _outcome(profile, template):
-    """What ``profile(template)`` gives: the profile's fields, or the error
-    it raised (junk such as `> /tmp` makes the shell write into a
-    directory, which it does not survive on either path)."""
-    try:
-        p = profile(template)
-    except OSError as exc:
-        return type(exc)
+    """The fields of ``profile(template)`` that a session row uses (junk
+    such as `> /tmp` makes the shell write onto a directory, which fails
+    that command alone on either path)."""
+    p = profile(template)
     return (p.commands, p.uris, p.hashes, p.exec_seconds, p.download_seconds)
 
 
