@@ -18,11 +18,14 @@ and pins the contract:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import repro
 from repro.analytics import StreamingAnalytics, replay_store_events
+from repro.obs import get_metrics, use_metrics
 from repro.core.classify import CATEGORIES, classify_store, category_shares
 from repro.core.clients import unique_client_count
 from repro.core.hashes import HashOccurrences, compute_hash_stats
@@ -334,6 +337,82 @@ class TestStreamingIntakeUnit:
         analytics.feed_many(events)
         assert analytics.category_counts()["CMD_URI"] == 1
         assert analytics.unique_hashes() == 0.0
+
+
+def intake_state_digest(analytics):
+    """sha256 over every accumulator of ``analytics`` and ``events_seen``."""
+    h = hashlib.sha256()
+    for hll in (analytics.hll_clients, analytics.hll_hashes):
+        h.update(hll.registers.tobytes())
+    cms = analytics.cms_hashes
+    h.update(cms.table.astype("<i8").tobytes())
+    h.update(f"|{cms.total}|".encode())
+    for top in (analytics.topk_hashes, analytics.topk_clients,
+                analytics.topk_asns):
+        counts = sorted(top.counts.items())
+        h.update(f"{counts!r}|{top.n}|{top.decremented}|".encode())
+    for exact in (analytics.mix, analytics.days):
+        h.update(f"{exact.items()!r}|".encode())
+    h.update(str(analytics.events_seen).encode())
+    return h.hexdigest()
+
+
+SKETCH_COUNTERS = ("sketch.sessions_observed", "sketch.events_consumed",
+                   "sketch.store_sessions_ingested")
+
+#: 1/40000, seed 2023: the input of the ``stream-10k`` perf workload.
+STREAM_10K = repro.ScenarioConfig.from_denominator(40000, seed=2023)
+
+#: (config, intake path) -> (state digest, the three sketch.* counters).
+#: Pinned from the per-event if/elif intake; any intake rewrite must
+#: reproduce every register, cell and counter.
+INTAKE_GOLDEN = {
+    ("CONFIG", "ingest_store"): (
+        "7236236ddc012919773de63a3541ef5af0564c5e0957fd005fee26ef870c453f",
+        (5198, 0, 5198)),
+    ("CONFIG", "feed_many"): (
+        "4638b7eadcfc4af592ad1097787db25e6350729296b079a570a8fcf303c0aac6",
+        (5198, 23875, 0)),
+    ("STREAM_10K", "ingest_store"): (
+        "91a373fba988709e78817a0f3b67a83b22dde45726def1255a6756fd1d01ba4e",
+        (10057, 0, 10057)),
+    ("STREAM_10K", "feed_many"): (
+        "27f374a5ac77e1f927ac5dba4d2c4e177ab25b5402a0514ef443855d66681f6b",
+        (10057, 45416, 0)),
+}
+
+
+def _intake(store, path):
+    """Run one intake path on a fresh registry: (analytics, counters)."""
+    analytics = StreamingAnalytics()
+    events = replay_store_events(store) if path == "feed_many" else None
+    with use_metrics():
+        if events is None:
+            analytics.ingest_store(store)
+        else:
+            analytics.feed_many(events)
+        counters = get_metrics().counters
+        pinned = tuple(int(counters.get(name, 0)) for name in SKETCH_COUNTERS)
+    return analytics, pinned
+
+
+class TestPinnedIntakeState:
+    """Full intake state and counters pinned for both intake paths."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, store):
+        return {
+            "CONFIG": store,
+            "STREAM_10K": repro.generate(
+                STREAM_10K, backend="inline", workers=1).store,
+        }
+
+    @pytest.mark.parametrize("key", sorted(INTAKE_GOLDEN))
+    def test_intake_state_pinned(self, stores, key):
+        name, path = key
+        analytics, counters = _intake(stores[name], path)
+        assert (intake_state_digest(analytics), counters) == \
+            INTAKE_GOLDEN[key]
 
 
 class TestCliSurface:
