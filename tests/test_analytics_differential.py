@@ -382,6 +382,47 @@ INTAKE_GOLDEN = {
 }
 
 
+#: Hashes to register 7 of ``hll_clients`` (default config) with all 52
+#: tail bits zero, so its rank is the cap, ``65 - p``.
+EDGE_IP = 2542010557125171115
+
+
+def _edge_events():
+    """Event kinds and values the replayed stores never produce."""
+    def event(kind, ts, session, **data):
+        return {"kind": kind, "ts": ts, "data": {"session": session, **data}}
+
+    return [
+        event("honeypot.session.connect", 90_000.0, "e1", src_ip=EDGE_IP,
+              src_asn=64500),
+        event("honeypot.session.connect", 90_001.0, "e2", src_ip=7,
+              src_asn=-1),
+        event("honeypot.login.failed", 90_002.0, "e1"),
+        event("honeypot.login.success", 90_003.0, "e1"),
+        event("honeypot.command.input", 90_004.0, "e1"),
+        event("honeypot.session.file_modified", 90_005.0, "e1",
+              shasum="edge-mod"),
+        event("honeypot.session.file_modified", 90_006.0, "e2",
+              shasum="edge-e2"),
+        event("honeypot.session.file_created", 90_007.0, "e1",
+              shasum="edge-new"),
+        event("honeypot.session.file_download", 90_008.0, "e1",
+              shasum="edge-mod"),
+        event("honeypot.session.params", 90_009.0, "e1"),
+        event("honeypot.command.input", None, "e2"),
+        {"kind": "generator.block", "ts": 200_000.0,
+         "data": {"category": "bg_cmd", "sessions": 3}},
+        event("honeypot.session.closed", 90_010.0, "e2"),
+        event("honeypot.session.closed", 90_011.0, "e1"),
+        event("honeypot.session.closed", 90_012.0, "e1"),
+    ]
+
+
+EDGE_GOLDEN = (
+    "037f7d0aba62e99b2c3b6d4a732cf48126f5367c09e17929a6cae37916be5398",
+    (5, 14, 0))
+
+
 def _intake(store, path):
     """Run one intake path on a fresh registry: (analytics, counters)."""
     analytics = StreamingAnalytics()
@@ -413,6 +454,17 @@ class TestPinnedIntakeState:
         analytics, counters = _intake(stores[name], path)
         assert (intake_state_digest(analytics), counters) == \
             INTAKE_GOLDEN[key]
+
+    def test_edge_stream_pinned(self):
+        # The rank cap and the file_modified step, which the replayed
+        # stores never reach.
+        analytics = StreamingAnalytics()
+        with use_metrics():
+            analytics.feed_many(_edge_events())
+            counters = get_metrics().counters
+            pinned = tuple(int(counters.get(n, 0)) for n in SKETCH_COUNTERS)
+        assert analytics.hll_clients.registers[7] == 65 - analytics.hll_clients.p
+        assert (intake_state_digest(analytics), pinned) == EDGE_GOLDEN
 
 
 class TestCliSurface:
