@@ -78,6 +78,9 @@ _MIX_1 = np.uint64(_MIX_1_INT)
 _MIX_2 = np.uint64(_MIX_2_INT)
 _GOLDEN = np.uint64(_GOLDEN_INT)
 
+#: Most keys one sketch remembers the cells of; the memo is cleared when full.
+CELL_CACHE_MAX = 1 << 16
+
 
 def _mix64(values: np.ndarray, seed: int) -> np.ndarray:
     """SplitMix64 finalizer over a uint64 array, offset by ``seed``.
@@ -166,6 +169,15 @@ def _require_compatible(a, b) -> None:
         )
 
 
+def _remember(cache: Dict[KeyLike, tuple], key: KeyLike, cells: tuple) -> tuple:
+    """Cache ``key``'s cells, which follow from the key and the sketch's
+    seeds alone: not sketch state, so equality, merge and copy ignore it."""
+    if len(cache) >= CELL_CACHE_MAX:
+        cache.clear()
+    cache[key] = cells
+    return cells
+
+
 class HyperLogLog:
     """HyperLogLog cardinality sketch over a seeded 64-bit hash space.
 
@@ -184,6 +196,7 @@ class HyperLogLog:
         self.m = 1 << p
         self.seed = derive_stream_seed(seed, name)
         self.registers = np.zeros(self.m, dtype=np.uint8)
+        self._cells: Dict[KeyLike, tuple] = {}
 
     def signature(self) -> Tuple:
         return (self.name, self.p, self.seed)
@@ -194,17 +207,20 @@ class HyperLogLog:
         return 1.04 / math.sqrt(self.m)
 
     def add(self, value: KeyLike) -> None:
-        self.add_hash(hash_key(value, self.seed))
+        idx, rank = self._cells.get(value) or _remember(
+            self._cells, value, self._cell(hash_key(value, self.seed)))
+        if rank > self.registers[idx]:
+            self.registers[idx] = rank
+
+    def _cell(self, h: int) -> Tuple[int, int]:
+        """(register index, capped rank) of one hash, in plain ints: the
+        same cell as :meth:`add_hashes`, bit for bit."""
+        p = self.p
+        return h >> (64 - p), min(65 - ((h << p) & _MASK64).bit_length(), 65 - p)
 
     def add_hash(self, h: int) -> None:
-        """Fold one pre-hashed value (from :func:`hash_key`) in.
-
-        The scalar twin of :meth:`add_hashes`, in plain ints: the same
-        register index and the same capped rank, bit for bit.
-        """
-        p = self.p
-        idx = h >> (64 - p)
-        rank = min(65 - ((h << p) & _MASK64).bit_length(), 65 - p)
+        """Fold one pre-hashed value (from :func:`hash_key`) in."""
+        idx, rank = self._cell(h)
         if rank > self.registers[idx]:
             self.registers[idx] = rank
 
@@ -258,6 +274,7 @@ class HyperLogLog:
         clone.m = self.m
         clone.seed = self.seed
         clone.registers = self.registers.copy()
+        clone._cells = {}
         return clone
 
     def __eq__(self, other: object) -> bool:
@@ -292,6 +309,7 @@ class CountMinSketch:
         )
         self.table = np.zeros((depth, width), dtype=np.int64)
         self.total = 0
+        self._cells: Dict[KeyLike, tuple] = {}
 
     def signature(self) -> Tuple:
         return (self.name, self.width, self.depth, self.seed)
@@ -315,9 +333,11 @@ class CountMinSketch:
     def add(self, value: KeyLike, count: int = 1) -> None:
         """Add ``count`` to one key; same cells as :meth:`add_many`."""
         count = int(count)
-        width = self.width
-        for row, row_seed in enumerate(self.row_seeds):
-            self.table[row, hash_key(value, row_seed) % width] += count
+        cells = self._cells.get(value) or _remember(self._cells, value, tuple(
+            (row, hash_key(value, row_seed) % self.width)
+            for row, row_seed in enumerate(self.row_seeds)))
+        for cell in cells:
+            self.table[cell] += count
         self.total += count
 
     def add_many(
@@ -361,6 +381,7 @@ class CountMinSketch:
         clone.row_seeds = self.row_seeds
         clone.table = self.table.copy()
         clone.total = self.total
+        clone._cells = {}
         return clone
 
     def __eq__(self, other: object) -> bool:

@@ -32,8 +32,9 @@ the health monitor applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +51,8 @@ from repro.store.store import SessionStore
 
 #: Category order matches ``classify.CATEGORIES`` (codes 0..4).
 CATEGORY_NAMES = ("NO_CRED", "FAIL_LOG", "NO_CMD", "CMD", "CMD_URI")
+
+_Data = Dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -74,14 +77,34 @@ class AnalyticsConfig:
 class _StreamScratch:
     """Per-open-session state, finalised into the sketches at close."""
 
+    __slots__ = ("day", "client_ip", "asn", "attempted", "success",
+                 "commands", "uris", "hashes")
     day: int
-    client_ip: Optional[int] = None
-    asn: Optional[int] = None
-    attempted: bool = False
-    success: bool = False
-    commands: int = 0
-    uris: int = 0
-    hashes: List[str] = field(default_factory=list)
+    client_ip: Optional[int]
+    asn: Optional[int]
+    attempted: bool
+    success: bool
+    commands: int
+    uris: int
+    hashes: List[str]
+
+    def login_failed(self, data: _Data) -> None:
+        self.attempted = True
+
+    def login_success(self, data: _Data) -> None:
+        self.attempted = self.success = True
+
+    def command(self, data: _Data) -> None:
+        self.commands += 1
+
+    def file(self, data: _Data) -> None:
+        sha = data.get("shasum")
+        if sha:
+            self.hashes.append(str(sha))
+
+    def download(self, data: _Data) -> None:
+        self.uris += 1
+        self.file(data)
 
     def category(self) -> str:
         if not self.attempted:
@@ -166,90 +189,49 @@ class StreamingAnalytics:
 
     def on_event(self, event: HoneypotEvent) -> None:
         """Honeypot event-sink entry (``LiveFarm(event_tap=...)``)."""
-        self._consume(
-            event.event_type.value, event.timestamp, event.session_id, event.data
-        )
+        before = self.events_seen
+        try:
+            self._consume(event.event_type.value, event.timestamp,
+                          event.session_id, event.data)
+        finally:
+            self._count_consumed(before)
 
     def feed(self, event: Dict[str, Any]) -> None:
         """One flight-recorder event dict (tailed JSONL or Tracer buffer)."""
-        data = event.get("data") or {}
-        kind = event.get("kind", "")
-        ts = event.get("ts")
-        if kind == "generator.block":
-            self._consume_block(ts, data)
-            return
-        session = data.get("session", "")
-        if ts is not None:
-            self._consume(kind, float(ts), session, data)
+        self._feed((event,))
 
     def feed_many(self, events: Iterable[Dict[str, Any]]) -> int:
+        """Event dicts in order; returns how many were read."""
+        return self._feed(events)
+
+    def _feed(self, events: Iterable[Dict[str, Any]]) -> int:
+        """Consume event dicts; one with no ``ts`` is skipped unless a block."""
+        before = self.events_seen
         count = 0
-        for event in events:
-            self.feed(event)
-            count += 1
+        try:
+            for event in events:
+                count += 1
+                kind = event.get("kind", "")
+                ts = event.get("ts")
+                if ts is not None or kind == "generator.block":
+                    data = event.get("data") or {}
+                    self._consume(kind, ts, data.get("session", ""), data)
+        finally:
+            self._count_consumed(before)
         return count
 
     def _consume(
-        self, kind: str, ts: float, session: str, data: Dict[str, Any]
+        self, kind: str, ts: Any, session: str, data: Dict[str, Any]
     ) -> None:
+        """Count one event and apply its kind's step (none for unknown kinds)."""
         self.events_seen += 1
-        get_metrics().inc("sketch.events_consumed")
-        if kind == "honeypot.session.connect":
-            if session:
-                src_ip = data.get("src_ip")
-                src_asn = data.get("src_asn")
-                self._sessions[session] = _StreamScratch(
-                    day=int(ts // 86_400),
-                    client_ip=None if src_ip is None else int(src_ip),
-                    asn=None if src_asn is None else int(src_asn),
-                )
-            return
-        scratch = self._sessions.get(session)
-        if scratch is None:
-            return
-        if kind in ("honeypot.login.success", "honeypot.login.failed"):
-            scratch.attempted = True
-            if kind == "honeypot.login.success":
-                scratch.success = True
-        elif kind == "honeypot.command.input":
-            scratch.commands += 1
-        elif kind == "honeypot.session.file_download":
-            scratch.uris += 1
-            sha = data.get("shasum")
-            if sha:
-                scratch.hashes.append(str(sha))
-        elif kind in (
-            "honeypot.session.file_created",
-            "honeypot.session.file_modified",
-        ):
-            sha = data.get("shasum")
-            if sha:
-                scratch.hashes.append(str(sha))
-        elif kind == "honeypot.session.closed":
-            self._sessions.pop(session, None)
-            self.observe_session(
-                category=scratch.category(),
-                day=scratch.day,
-                client_ip=scratch.client_ip,
-                asn=scratch.asn,
-                hashes=scratch.hashes,
-            )
+        step = _STEPS.get(kind)
+        if step is not None:
+            step(self, ts, session, data)
 
-    def _consume_block(self, ts: Optional[float], data: Dict[str, Any]) -> None:
-        """Bulk-path block: exact counts only (no client/hash detail)."""
-        self.events_seen += 1
-        get_metrics().inc("sketch.events_consumed")
-        sessions = int(data.get("sessions", 0))
-        if sessions <= 0 or ts is None:
-            return
-        category = BLOCK_CATEGORY.get(str(data.get("category", "")))
-        if category is None and data.get("campaign"):
-            category = str(data.get("session_kind", "CMD"))
-        if category not in CATEGORY_NAMES:
-            category = "CMD"
-        self.mix.add(category, sessions)
-        self.days.add(int(float(ts) // 86_400), sessions)
-        get_metrics().inc("sketch.sessions_observed", sessions)
+    def _count_consumed(self, before: int) -> None:
+        if self.events_seen > before:
+            get_metrics().inc("sketch.events_consumed", self.events_seen - before)
 
     # -- frozen-store intake ----------------------------------------------
 
@@ -431,6 +413,68 @@ class StreamingAnalytics:
         )
 
     __hash__ = None  # type: ignore[assignment]
+
+
+_Step = Callable[[StreamingAnalytics, Any, str, _Data], None]
+
+
+def _open(analytics: StreamingAnalytics, ts: Any, session: str, data: _Data) -> None:
+    if session:
+        src_ip = data.get("src_ip")
+        src_asn = data.get("src_asn")
+        analytics._sessions[session] = _StreamScratch(
+            day=int(float(ts) // 86_400),
+            client_ip=None if src_ip is None else int(src_ip),
+            asn=None if src_asn is None else int(src_asn),
+            attempted=False, success=False, commands=0, uris=0, hashes=[],
+        )
+
+
+def _on_open(update: Callable[[_StreamScratch, _Data], None]) -> _Step:
+    """The step that applies ``update`` to the event's open session."""
+    def step(analytics: StreamingAnalytics, ts: Any, session: str, data: _Data) -> None:
+        scratch = analytics._sessions.get(session)
+        if scratch is not None:
+            update(scratch, data)
+    return step
+
+
+def _close(analytics: StreamingAnalytics, ts: Any, session: str, data: _Data) -> None:
+    scratch = analytics._sessions.pop(session, None)
+    if scratch is not None:
+        analytics.observe_session(
+            category=scratch.category(), day=scratch.day,
+            client_ip=scratch.client_ip, asn=scratch.asn, hashes=scratch.hashes)
+
+
+def _block(analytics: StreamingAnalytics, ts: Any, session: str, data: _Data) -> None:
+    """Bulk-path block: exact counts only (no client/hash detail)."""
+    sessions = int(data.get("sessions", 0))
+    if sessions <= 0 or ts is None:
+        return
+    category = BLOCK_CATEGORY.get(str(data.get("category", "")))
+    if category is None and data.get("campaign"):
+        category = str(data.get("session_kind", "CMD"))
+    if category not in CATEGORY_NAMES:
+        category = "CMD"
+    analytics.mix.add(category, sessions)
+    analytics.days.add(int(float(ts) // 86_400), sessions)
+    get_metrics().inc("sketch.sessions_observed", sessions)
+
+
+#: The one dispatch of every intake path: event kind -> step.  Other kinds
+#: count in ``events_seen`` and change nothing else.
+_STEPS: Dict[str, _Step] = {
+    "generator.block": _block,
+    "honeypot.session.connect": _open,
+    "honeypot.login.failed": _on_open(_StreamScratch.login_failed),
+    "honeypot.login.success": _on_open(_StreamScratch.login_success),
+    "honeypot.command.input": _on_open(_StreamScratch.command),
+    "honeypot.session.file_download": _on_open(_StreamScratch.download),
+    "honeypot.session.file_created": _on_open(_StreamScratch.file),
+    "honeypot.session.file_modified": _on_open(_StreamScratch.file),
+    "honeypot.session.closed": _close,
+}
 
 
 def iter_session_events(store: SessionStore) -> Iterator[Dict[str, Any]]:

@@ -119,9 +119,21 @@ def staged_file(path: PathLike, mode: str = "wb") -> Iterator[IO]:
     """Open a sibling staging file that replaces ``path`` on a clean exit.
 
     If the block raises, the staging file is removed and whatever was at
-    ``path`` before is left untouched.
+    ``path`` before is left untouched.  A writer killed outright cannot
+    remove its file, so each write first removes the staging files of
+    ``path`` whose writer's pid is no longer alive on this host.
     """
     path = Path(path)
+    prefix = f".{path.name}."
+    for name in sorted(os.listdir(path.parent)):
+        pid = name[len(prefix):-len(".tmp")]
+        if name.startswith(prefix) and name.endswith(".tmp") and pid.isdigit():
+            try:
+                os.kill(int(pid), 0)
+            except ProcessLookupError:
+                path.with_name(name).unlink(missing_ok=True)
+            except PermissionError:  # alive, owned by another user
+                pass
     staging = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(staging, mode,

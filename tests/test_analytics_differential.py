@@ -20,11 +20,17 @@ from __future__ import annotations
 
 import hashlib
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.analytics import StreamingAnalytics, replay_store_events
+from repro.analytics import sketches
+from repro.honeypot.events import EventType, HoneypotEvent
 from repro.obs import get_metrics, use_metrics
 from repro.core.classify import CATEGORIES, classify_store, category_shares
 from repro.core.clients import unique_client_count
@@ -465,6 +471,122 @@ class TestPinnedIntakeState:
             pinned = tuple(int(counters.get(n, 0)) for n in SKETCH_COUNTERS)
         assert analytics.hll_clients.registers[7] == 65 - analytics.hll_clients.p
         assert (intake_state_digest(analytics), pinned) == EDGE_GOLDEN
+
+
+_SESSION_KINDS = [
+    "honeypot.session.connect", "honeypot.login.failed",
+    "honeypot.login.success", "honeypot.command.input",
+    "honeypot.session.file_download", "honeypot.session.file_created",
+    "honeypot.session.file_modified", "honeypot.session.closed",
+    "honeypot.client.version", "honeypot.command.failed",
+]
+
+
+@st.composite
+def honeypot_events(draw):
+    """One honeypot-shaped event dict: it has a ts, a data dict and a
+    session, so it also converts to a :class:`HoneypotEvent`."""
+    kind = draw(st.sampled_from(_SESSION_KINDS))
+    data = {"session": draw(st.sampled_from(["s0", "s1", "s2", "s3", ""]))}
+    if kind == "honeypot.session.connect":
+        data["src_ip"] = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+        data["src_asn"] = draw(st.one_of(st.none(), st.integers(-1, 9)))
+    elif "file_" in kind and draw(st.booleans()):
+        data["shasum"] = draw(st.sampled_from(["h0", "h1", "h2", ""]))
+    ts = draw(st.floats(0.0, 4 * 86_400.0))
+    return {"kind": kind, "ts": ts, "data": data}
+
+
+@st.composite
+def feed_only_events(draw):
+    """Event dicts only the dict intake sees: no ts, no data, no session,
+    an unknown kind or a ``generator.block``."""
+    shape = draw(st.sampled_from(["no_ts", "no_data", "no_session",
+                                  "unknown", "block"]))
+    event = draw(honeypot_events())
+    if shape == "no_ts":
+        event["ts"] = None
+    elif shape == "no_data":
+        del event["data"]
+    elif shape == "no_session":
+        del event["data"]["session"]
+    elif shape == "unknown":
+        event["kind"] = "generator.heartbeat"
+    else:
+        event = {"kind": "generator.block", "ts": draw(st.one_of(
+            st.none(), st.floats(0.0, 4 * 86_400.0))), "data": {
+                "category": draw(st.sampled_from(["bg_uri", "no_cred", "?"])),
+                "sessions": draw(st.integers(-1, 5))}}
+    return event
+
+
+def _fold(intake, events):
+    """(state digest, open sessions, sketch.* counters) after ``intake``."""
+    analytics = StreamingAnalytics()
+    with use_metrics():
+        intake(analytics, events)
+        counters = get_metrics().counters
+        pinned = tuple(int(counters.get(n, 0)) for n in SKETCH_COUNTERS)
+    return (intake_state_digest(analytics), dict(analytics._sessions), pinned)
+
+
+def _feed_each(analytics, events):
+    for event in events:
+        analytics.feed(event)
+
+
+def _on_event_each(analytics, events):
+    for event in events:
+        analytics.on_event(HoneypotEvent(
+            event_type=EventType(event["kind"]), timestamp=event["ts"],
+            session_id=event["data"]["session"], honeypot_id="pot",
+            data=event["data"]))
+
+
+class TestSingleStepPath:
+    """``feed_many``, ``feed`` and ``on_event`` share one step per kind."""
+
+    @given(events=st.lists(st.one_of(honeypot_events(), feed_only_events()),
+                           max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_feed_many_equals_feed_per_event(self, events):
+        assert _fold(lambda a, e: a.feed_many(e), events) == \
+            _fold(_feed_each, events)
+
+    @given(events=st.lists(honeypot_events(), max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_feed_many_equals_on_event(self, events):
+        assert _fold(lambda a, e: a.feed_many(e), events) == \
+            _fold(_on_event_each, events)
+
+    def test_live_farm_events_equal_recorded_trace(self, demo_farm_events,
+                                                   recorded_trace):
+        assert len(demo_farm_events) == 61
+        live = _fold(lambda a, e: [a.on_event(x) for x in e], demo_farm_events)
+        replayed = _fold(lambda a, e: a.feed_many(e), recorded_trace)
+        assert live == replayed
+        assert live[2][:2] == (18, 61)
+
+    @given(keys=st.lists(st.one_of(st.integers(0, 40), st.sampled_from(
+        ["a", "b", "c", "d", "e", "f"])), max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_cell_cache_overflow_keeps_sketches_exact(self, keys):
+        ints = [k for k in keys if isinstance(k, int)]
+        strs = [k for k in keys if isinstance(k, str)]
+        with mock.patch.object(sketches, "CELL_CACHE_MAX", 4):
+            hll = sketches.HyperLogLog(2023, "cache.hll", 6)
+            cms = sketches.CountMinSketch(2023, "cache.cms", 16, 3)
+            for key in keys:
+                hll.add(key)
+                cms.add(key)
+                assert len(hll._cells) <= 4 and len(cms._cells) <= 4
+        want_hll = sketches.HyperLogLog(2023, "cache.hll", 6)
+        want_cms = sketches.CountMinSketch(2023, "cache.cms", 16, 3)
+        for part in (ints, strs):
+            want_hll.add_many(part)
+            want_cms.add_many(part)
+        assert hll == want_hll
+        assert cms == want_cms
 
 
 class TestCliSurface:

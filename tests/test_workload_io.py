@@ -1,10 +1,17 @@
 """Tests for whole-dataset persistence."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.workload.io import load_dataset, save_dataset
 
 
@@ -86,3 +93,52 @@ class TestAtomicSaveDataset:
             save_dataset(small_dataset, tmp_path)
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert after == before  # same files, same bytes, no staging left
+
+
+#: Loads the bundle in argv[1] and saves it back over itself, dying by
+#: SIGKILL right after the first npz member is written.
+_KILLED_WRITER = textwrap.dedent("""
+    import os, signal, sys
+    import numpy as np
+    from repro.workload.io import load_dataset, save_dataset
+
+    dataset = load_dataset(sys.argv[1])
+    write_array = np.lib.format.write_array
+
+    def write_then_die(fp, array, **kwargs):
+        write_array(fp, array, **kwargs)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    np.lib.format.write_array = write_then_die
+    save_dataset(dataset, sys.argv[1])
+""")
+
+
+class TestKilledWriter:
+    def test_next_save_removes_dead_writers_staging_only(self, small_dataset,
+                                                         tmp_path):
+        save_dataset(small_dataset, tmp_path)
+        digest = small_dataset.content_digest()
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        child = subprocess.Popen([sys.executable, "-c", _KILLED_WRITER,
+                                  str(tmp_path)], env=env)
+        assert child.wait(timeout=300) == -signal.SIGKILL
+        left = sorted(p.name for p in tmp_path.glob(".*.tmp"))
+        assert left == [f".dataset.json.{child.pid}.tmp",
+                        f".store.npz.{child.pid}.tmp"]
+        assert load_dataset(tmp_path).content_digest() == digest
+
+        live = subprocess.Popen([sys.executable, "-c",
+                                 "import time; time.sleep(120)"])
+        try:
+            kept = [tmp_path / f".store.npz.{live.pid}.tmp",
+                    tmp_path / ".store.npz.draft.tmp"]
+            for path in kept:
+                path.write_bytes(b"in progress")
+            save_dataset(small_dataset, tmp_path)
+            assert sorted(tmp_path.glob(".*.tmp")) == sorted(kept)
+        finally:
+            live.kill()
+            live.wait()
+        assert load_dataset(tmp_path).content_digest() == digest
