@@ -107,10 +107,16 @@ print(f"streaming-vs-batch ok ({analytics.session_count():,} sessions, "
       f"mix + daily totals exact, store intake == event intake)")
 PY
 
+# Every stage that starts a pool runs under coreutils timeout, so a
+# wedged pool fails its stage in minutes rather than waiting out the
+# scheduler's ~10 min stall guard.  On a 2-vCPU host each command takes
+# 1-2 s (bound 60 s) and the memory smoke ~9 s (bound 300 s): 30x or
+# more headroom for a loaded runner.
 echo "== backend matrix smoke (CLI default / inline w=1 / pool w=1 / w=2 / w=4 byte-identical) =="
-env -u REPRO_WORKERS python -m repro generate --scale 80000 --hash-scale 0.004 \
-    --seed 7 --out "$SCRATCH/cli_default.npz" > /dev/null 2> /dev/null
-python - "$SCRATCH/cli_default.npz" <<'PY'
+timeout 60 env -u REPRO_WORKERS python -m repro generate --scale 80000 \
+    --hash-scale 0.004 --seed 7 --out "$SCRATCH/cli_default.npz" \
+    > /dev/null 2> /dev/null
+timeout 60 python - "$SCRATCH/cli_default.npz" <<'PY'
 import sys
 
 import repro
@@ -130,10 +136,10 @@ print(f"backend matrix ok (sha256 {next(iter(digests.values()))[:16]}... "
 PY
 
 echo "== run-ledger determinism (inline w=1 vs pool w=2, strip-identical) =="
-python -m repro generate --scale 80000 --hash-scale 0.004 --seed 7 \
+timeout 60 python -m repro generate --scale 80000 --hash-scale 0.004 --seed 7 \
     --workers 1 --backend inline --out "$SCRATCH/ledger_a.npz" \
     --ledger "$SCRATCH/ledger_a.jsonl" > /dev/null 2> /dev/null
-python -m repro generate --scale 80000 --hash-scale 0.004 --seed 7 \
+timeout 60 python -m repro generate --scale 80000 --hash-scale 0.004 --seed 7 \
     --workers 2 --backend pool --out "$SCRATCH/ledger_b.npz" \
     --ledger "$SCRATCH/ledger_b.jsonl" --trace "$SCRATCH/top_trace.jsonl" \
     > /dev/null 2> /dev/null
@@ -174,7 +180,7 @@ echo "$TOP_FRAME" | grep -q "pool-" \
 echo "repro top smoke ok (pool worker rows rendered)"
 
 echo "== sharded generation smoke (validate, 2 workers, with metrics + trace) =="
-python -m repro validate --scale 40000 --workers 2 \
+timeout 60 python -m repro validate --scale 40000 --workers 2 \
     --metrics "$SCRATCH/ci_metrics.json" --trace "$SCRATCH/ci_trace.jsonl" \
     2> /dev/null
 python - "$SCRATCH/ci_metrics.json" <<'PY'
@@ -239,7 +245,7 @@ PY
 python -m repro report --scale 40000 --load "$SCRATCH/v2.npz" > /dev/null
 
 echo "== generate memory smoke (1/400 peak RSS, inline and pool w=2; DESIGN §6c) =="
-python - "$SCRATCH/mem400.npz" <<'PY'
+timeout 300 python - "$SCRATCH/mem400.npz" <<'PY'
 import resource
 import subprocess
 import sys

@@ -5,10 +5,11 @@ Two conformance-tested implementations of one contract:
 * :class:`InlineBackend` — in-process, synchronous.  The debugging and
   golden path: the pool must produce byte-identical stores.
 * :class:`PoolBackend` — a self-healing multiprocess pool of a fixed
-  ``workers`` processes.  Workers are long-lived processes fed from a
-  task queue; the pool detects worker death and respawns a replacement,
-  and resubmission is the scheduler's call (the dead worker's task comes
-  back as an error outcome).
+  ``workers`` processes.  Workers are long-lived processes, each talking
+  to the parent over one duplex pipe of its own (tasks in; heartbeats
+  and results out); the pool detects worker death and respawns a
+  replacement, and resubmission is the scheduler's call (the tasks the
+  dead worker had started come back as error outcomes).
 
 The contract is deliberately narrow — ``open`` / ``submit`` / ``collect``
 / ``close`` — so the :class:`~repro.sched.scheduler.Scheduler` owns every
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue
+import signal
 from abc import ABC, abstractmethod
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.obs import stopwatch
 from repro.obs.resources import ResourceSampler, worker_heartbeat
@@ -240,78 +241,67 @@ class InlineBackend(Backend):
 # -- multiprocess pool ---------------------------------------------------------
 
 
-#: Tasks per pipe message and results per flush.  A worker holds at most
-#: one message's tasks in memory, so half of a full dispatch depth stays
-#: recoverable from the pipe if it dies; flushing every ``_BATCH``
-#: results lets the parent refill while the worker chews the rest.
+#: Tasks per pipe message and results per flush.  Flushing every
+#: ``_BATCH`` results lets the parent refill while the worker chews the
+#: rest.
 _BATCH = 4
 
 
-def _pool_worker_main(worker_id, config, want_trace, task_queue,
-                      result_queue) -> None:
-    """Worker loop: pull task indexes off a private queue, emit shards,
-    ship result batches back on the shared (buffered) result queue.
+def _pool_worker_main(worker_id, config, want_trace, conn) -> None:
+    """Worker loop: read task batches off the worker's own duplex pipe,
+    emit shards, send heartbeats and result batches back on it.
 
-    Messages are ``("batch", worker_id, [outcome, ...])`` and
-    ``("heartbeat", worker_id, payload)`` liveness beats sent on each
-    task pickup — the existing result pipe doubles as the liveness
-    channel, so a stuck worker is one the parent stops hearing from,
-    with its last-known task on record.  Each
-    outcome in a batch is ``("done", index, attempt, result)`` or
+    Messages are ``("heartbeat", payload)``, sent as each task is picked
+    up — a stuck worker is one the parent stops hearing from, and a task
+    the parent holds a beat for has started — and ``("batch", [outcome,
+    ...])``.  Each outcome is ``("done", index, attempt, result)`` or
     ``("error", index, attempt, message)``; a done result is ``(payload,
-    metrics, events, run_seconds, telemetry)``.  The payload is the
-    shard's rows plus, per side table, its fork mark and the entries it
-    interned after it (:class:`~repro.store.store.ShardPayload`): the
-    parent holds everything below the marks, so no table copy crosses the
-    pipe.  The telemetry dict is sampled by
-    :class:`repro.obs.resources.ResourceSampler`.
-    Results buffer locally while more tasks wait in the private queue and
-    flush the moment the worker would otherwise idle — so message count
-    scales with scheduling round-trips, not task count, and ``put`` hands
-    off to a feeder thread (the worker never blocks on the parent
-    draining the pipe).  Task accounting lives entirely in the parent (it
-    knows what it dispatched to whom), so no per-task "start" message is
-    needed.
+    metrics, events, run_seconds, telemetry)``, where the payload is the
+    shard's rows plus the side-table entries it interned past its fork
+    marks (:class:`~repro.store.store.ShardPayload`), so no table copy
+    crosses the pipe.  Results buffer while more tasks wait and flush the
+    moment the worker would otherwise idle, so message count scales with
+    scheduling round-trips, not task count.  The pipe is the worker's
+    only tie to the parent: it exits on EOF (the parent closed its end,
+    or died) or a broken pipe, and ignores SIGINT, so the parent alone
+    decides when the pool stops.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    name = f"pool-{worker_id}"
     out: list = []
     local: deque = deque()
-    beat = 0
-    done = 0
-    sessions_done = 0
-    while True:
-        if not local:
-            item = task_queue.get()
-            if item is None:  # the close sentinel
-                return
-            local.extend(item)
-            continue
-        index, attempt = local.popleft()
-        # Crash before this task's heartbeat is queued: a process that
-        # exits while its feeder thread holds the shared result-queue
-        # lock wedges every other worker's put.
-        _maybe_fail_once(index)
-        beat += 1
-        result_queue.put(("heartbeat", worker_id, worker_heartbeat(
-            f"pool-{worker_id}", beat=beat, state="run", last_index=index,
-            tasks_done=done, sessions_done=sessions_done,
-        )))
-        watch = stopwatch()
-        try:
-            payload, metrics, events, telemetry = _run_task(
-                config, index, want_trace
-            )
-        except Exception as exc:  # ships back as a retryable task error
-            out.append(("error", index, attempt,
-                        f"{type(exc).__name__}: {exc}"))
-        else:
-            done += 1
-            sessions_done += len(payload)
-            out.append(("done", index, attempt,
-                        (payload, metrics, events, watch.elapsed(),
-                         telemetry)))
-        if (not local and task_queue.empty()) or len(out) >= _BATCH:
-            result_queue.put(("batch", worker_id, out))
-            out = []
+    beat = done = sessions_done = 0
+    try:
+        while True:
+            if not local:
+                local.extend(conn.recv())
+                continue
+            index, attempt = local.popleft()
+            beat += 1
+            conn.send(("heartbeat", worker_heartbeat(
+                name, beat=beat, state="run", last_index=index,
+                tasks_done=done, sessions_done=sessions_done,
+            )))
+            _maybe_fail_once(index)
+            watch = stopwatch()
+            try:
+                payload, metrics, events, telemetry = _run_task(
+                    config, index, want_trace
+                )
+            except Exception as exc:  # ships back as a retryable task error
+                out.append(("error", index, attempt,
+                            f"{type(exc).__name__}: {exc}"))
+            else:
+                done += 1
+                sessions_done += len(payload)
+                out.append(("done", index, attempt,
+                            (payload, metrics, events, watch.elapsed(),
+                             telemetry)))
+            if len(out) >= _BATCH or (not local and not conn.poll()):
+                conn.send(("batch", out))
+                out = []
+    except (EOFError, OSError):
+        return  # the parent closed the pool or is gone
 
 
 @dataclass
@@ -319,23 +309,26 @@ class _Worker:
     """Parent-side view of one pool process."""
 
     proc: multiprocessing.Process
-    task_queue: Any                     # private SimpleQueue, parent -> worker
+    conn: Any                           # parent end of the worker's pipe
     assigned: "OrderedDict[int, int]"   # index -> attempt, dispatch order
+    started: Set[int]                   # indexes it sent a pickup beat for
 
 
 class PoolBackend(Backend):
     """A self-healing pool of a fixed number of worker processes.
 
     Workers inherit the parent's shard plan copy-on-write under the fork
-    start method (spawn-started workers rebuild it, identically, on their
-    first task).  Each worker owns a private task pipe and the parent
-    dispatches least-loaded up to :attr:`depth` tasks ahead, so the
-    parent always knows exactly which tasks a worker holds.  A worker
-    that dies is detected by liveness polling: tasks still sitting
-    unread in its pipe are silently recovered and re-dispatched (they
-    never started), the task it was actually executing comes back as an
-    error outcome (the scheduler decides on retry), and a replacement
-    worker is spawned so capacity stays at ``workers`` until ``close``.
+    start method (spawn, the only choice where fork is missing, makes
+    workers rebuild it, identically, on their first task).  Each worker
+    owns one duplex pipe; the parent dispatches least-loaded up to
+    :attr:`depth` tasks ahead and waits on every pipe plus every process
+    sentinel, so it always knows which tasks a worker holds and which
+    it has started.  A worker that dies is drained to EOF first — every
+    beat and batch it sent is handled — then the tasks it had started
+    come back as error outcomes (the scheduler decides on retry), the
+    ones it never picked up return to the backlog without spending an
+    attempt, and a replacement worker is spawned so capacity stays at
+    ``workers`` until ``close``.
     """
 
     name = "pool"
@@ -343,58 +336,53 @@ class PoolBackend(Backend):
     #: Tasks dispatched ahead to one worker, in pipe messages of at most
     #: ``_BATCH``.  Deep enough that a worker flushing results mid-batch
     #: keeps computing while the parent refills — it never waits on a
-    #: parent round-trip for its next task.  Tasks still unread in the
-    #: pipe are recoverable if the worker dies; only what it had already
-    #: picked up (at most ``_BATCH`` plus unflushed results) is lost.
+    #: parent round-trip for its next task.  A dead worker's tasks that
+    #: never started are re-dispatched for free; only what it had picked
+    #: up (at most ``_BATCH`` plus unflushed results) is retried.
     depth = 8
 
-    def __init__(self, workers: int = 1, start_method: Optional[str] = None):
+    def __init__(self, workers: int = 1):
         self._size = max(1, int(workers))
-        self._start_method = start_method
         self._workers: Dict[int, _Worker] = {}
         self._backlog: deque = deque()  # (index, attempt) not yet dispatched
         self._tasks: Dict[int, ShardTask] = {}
         self._next_worker_id = 0
-        self._ctx = None
-        self._results = None
+        self._ctx: Any = None
         self._config = None
         self._want_trace = False
         self._heartbeats: List[Dict] = []
         self.deaths = 0
 
-    def _context(self):
-        if self._ctx is None:
-            method = self._start_method
-            if method is None:
-                try:
-                    multiprocessing.get_context("fork")
-                    method = "fork"
-                except ValueError:
-                    method = "spawn"
-            self._ctx = multiprocessing.get_context(method)
-        return self._ctx
-
     def open(self, config, want_trace: bool) -> None:
         self._config = config
         self._want_trace = want_trace
-        self._results = self._context().Queue()
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:  # no fork on this platform
+            self._ctx = multiprocessing.get_context("spawn")
         for _ in range(self._size):
             self._spawn()
 
     def _spawn(self) -> None:
+        # Imported here, not at module level: inline runs never need them.
+        from multiprocessing.util import register_after_fork
+
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        ctx = self._context()
-        task_queue = ctx.SimpleQueue()
-        proc = ctx.Process(
+        conn, child_conn = self._ctx.Pipe()
+        # A forked child inherits this end; close it there, or the copy
+        # keeps the pipe open after the parent dies and the worker never
+        # reads EOF.
+        register_after_fork(conn, type(conn).close)
+        proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(worker_id, self._config, self._want_trace,
-                  task_queue, self._results),
+            args=(worker_id, self._config, self._want_trace, child_conn),
             daemon=True,
         )
         proc.start()
+        child_conn.close()
         self._workers[worker_id] = _Worker(
-            proc=proc, task_queue=task_queue, assigned=OrderedDict()
+            proc=proc, conn=conn, assigned=OrderedDict(), started=set()
         )
 
     @property
@@ -402,7 +390,7 @@ class PoolBackend(Backend):
         return len(self._workers)
 
     def submit(self, task: ShardTask, attempt: int = 1) -> None:
-        if self._results is None:
+        if self._ctx is None:
             raise BackendError("submit before open()")
         self._tasks[task.index] = task
         self._backlog.append((task.index, attempt))
@@ -428,23 +416,30 @@ class PoolBackend(Backend):
             sends.setdefault(worker_id, []).append((index, attempt))
         for worker_id in sorted(sends):
             batch = sends[worker_id]
-            q = self._workers[worker_id].task_queue
-            for lo in range(0, len(batch), _BATCH):
-                q.put(batch[lo:lo + _BATCH])
+            try:
+                for lo in range(0, len(batch), _BATCH):
+                    self._workers[worker_id].conn.send(batch[lo:lo + _BATCH])
+            except OSError:
+                pass  # dead: reaping returns the unstarted tasks to the backlog
 
     def collect(self, timeout: float = 0.25) -> List[TaskOutcome]:
+        from multiprocessing.connection import wait
+
         outcomes: List[TaskOutcome] = []
         self._dispatch()  # ship anything submitted since the last round
-        wait = timeout
-        while True:
-            try:
-                message = (self._results.get(timeout=wait) if wait
-                           else self._results.get_nowait())
-            except queue.Empty:
-                break
-            wait = 0  # drain whatever else already arrived, don't re-block
-            outcomes.extend(self._handle(message))
-        outcomes.extend(self._reap_dead())
+        ready = set(wait(
+            [w.conn for w in self._workers.values()]
+            + [w.proc.sentinel for w in self._workers.values()],
+            timeout,
+        ))
+        for worker_id in sorted(self._workers):
+            worker = self._workers[worker_id]
+            dead = worker.proc.sentinel in ready
+            if dead or worker.conn in ready:
+                # A dead worker is read to EOF before its tasks are
+                # settled, so nothing it sent is counted after the fact.
+                if self._read(worker_id, worker, outcomes, to_eof=dead):
+                    outcomes.extend(self._reap(worker_id))
         self._dispatch()
         return outcomes
 
@@ -452,16 +447,29 @@ class PoolBackend(Backend):
         beats, self._heartbeats = self._heartbeats, []
         return beats
 
-    def _handle(self, message) -> List[TaskOutcome]:
-        tag, worker_id, batch = message
+    def _read(self, worker_id: int, worker: _Worker,
+              outcomes: List[TaskOutcome], to_eof: bool) -> bool:
+        """Handle the messages waiting on a worker's pipe (all of them up
+        to EOF with ``to_eof``); True once the pipe reached EOF."""
+        try:
+            while to_eof or worker.conn.poll():
+                outcomes.extend(self._handle(worker_id, worker,
+                                             worker.conn.recv()))
+        except (EOFError, OSError):  # OSError: cut off mid-message
+            return True
+        return False
+
+    def _handle(self, worker_id: int, worker: _Worker,
+                message) -> List[TaskOutcome]:
+        tag, body = message
         if tag == "heartbeat":
-            self._heartbeats.append(batch)
+            worker.started.add(body["last_index"])
+            self._heartbeats.append(body)
             return []
         outcomes: List[TaskOutcome] = []
-        worker = self._workers.get(worker_id)
-        for kind, index, attempt, result in batch:
-            if worker is not None:
-                worker.assigned.pop(index, None)
+        for kind, index, attempt, result in body:
+            worker.assigned.pop(index, None)
+            worker.started.discard(index)
             task = self._tasks[index]
             if kind == "error":
                 outcomes.append(TaskOutcome(
@@ -477,56 +485,38 @@ class PoolBackend(Backend):
             ))
         return outcomes
 
-    def _reap_dead(self) -> List[TaskOutcome]:
-        """Recover a dead worker's tasks: re-dispatch what never started,
-        error out what it was executing."""
+    def _reap(self, worker_id: int) -> List[TaskOutcome]:
+        """Settle a dead worker's tasks: error out what it had started,
+        return what it never picked up to the backlog, respawn."""
+        worker = self._workers.pop(worker_id)
+        worker.conn.close()
+        proc = worker.proc
+        proc.join(timeout=1.0)
+        self.deaths += 1
         outcomes: List[TaskOutcome] = []
-        for worker_id in sorted(self._workers):
-            worker = self._workers[worker_id]
-            if worker.proc.is_alive():
+        unstarted: List[Tuple[int, int]] = []
+        for index, attempt in worker.assigned.items():
+            if index not in worker.started:
+                unstarted.append((index, attempt))
                 continue
-            proc = worker.proc
-            proc.join(timeout=1.0)
-            del self._workers[worker_id]
-            self.deaths += 1
-            # Tasks still unread in the dead worker's pipe never started;
-            # pull them back and hand them to a living worker — no retry
-            # burned.  Whatever it had actually picked up is lost work.
-            recovered: List[Tuple[int, int]] = []
-            try:
-                while not worker.task_queue.empty():
-                    item = worker.task_queue.get()
-                    for pair in item or ():
-                        worker.assigned.pop(pair[0], None)
-                        recovered.append(pair)
-            except (OSError, EOFError):
-                # The dead worker's pipe end is broken mid-drain; whatever
-                # could not be read back errors out below as lost work.
-                pass
-            self._backlog.extendleft(reversed(recovered))
-            for index, attempt in worker.assigned.items():
-                outcomes.append(TaskOutcome(
-                    task=self._tasks[index], attempt=attempt,
-                    worker=f"pool-{worker_id}",
-                    error=f"worker {worker_id} died "
-                          f"(exitcode {proc.exitcode})",
-                ))
-            self._spawn()  # heal: keep capacity at the requested size
+            outcomes.append(TaskOutcome(
+                task=self._tasks[index], attempt=attempt,
+                worker=f"pool-{worker_id}",
+                error=f"worker {worker_id} died (exitcode {proc.exitcode})",
+            ))
+        self._backlog.extendleft(reversed(unstarted))
+        self._spawn()  # heal: keep capacity at the requested size
         return outcomes
 
     def close(self) -> None:
         for worker in self._workers.values():
-            worker.task_queue.put(None)
+            worker.conn.close()
+            worker.proc.terminate()  # nothing a worker still holds is wanted
         for worker in self._workers.values():
-            worker.proc.join(timeout=5.0)
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(timeout=1.0)
+            worker.proc.join(timeout=1.0)
         self._workers.clear()
         self._backlog.clear()
-        if self._results is not None:
-            self._results.close()
-            self._results = None
+        self._ctx = None
 
 
 # -- factory -------------------------------------------------------------------

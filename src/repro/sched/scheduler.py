@@ -3,15 +3,19 @@
 The :class:`Scheduler` owns every policy decision the backends do not:
 
 * **feeding** — tasks are submitted in the order given (plan index
-  order from :func:`generate_scheduled`), windowed so the backend queue
+  order from :func:`generate_scheduled`), at most
+  :data:`FEED_PER_WORKER` per worker in flight, so the backend queue
   stays short enough to react to;
 * **retry** — a task that comes back as an error (a task exception or a
   worker death) is re-queued with attempt+1 after a backoff measured in
-  collect cycles, up to ``max_attempts``;
+  collect cycles, up to :data:`MAX_TASK_ATTEMPTS`;
 * **liveness** — worker heartbeats are folded in every round, a worker
-  silent past ``heartbeat_stale_seconds`` raises a stale-worker alert,
-  and the stall guard fails the run after ``stall_collects`` empty
-  rounds with work outstanding.
+  silent past :data:`HEARTBEAT_STALE_SECONDS` raises a stale-worker
+  alert, and the stall guard fails the run after :data:`STALL_COLLECTS`
+  empty rounds with work outstanding.
+
+These policies are module constants; :class:`SchedulerConfig` carries
+only what varies between runs, the worker count.
 
 None of this can change the output: every task's payload is a pure
 function of (config, shard key) via named rng streams, and the merge in
@@ -41,36 +45,32 @@ class SchedulerError(RuntimeError):
     """The tasks could not be drained (exhausted retries or a stall)."""
 
 
+#: Attempts per task before the run fails (1 = no retry).
+MAX_TASK_ATTEMPTS = 3
+#: Collect cycles to wait before re-queuing attempt ``n`` (doubles per
+#: failed attempt — the bounded backoff).
+RETRY_BACKOFF_COLLECTS = 2
+#: Longest single wait for results (seconds, passed to collect()).
+COLLECT_TIMEOUT = 0.25
+#: In-flight tasks per worker: enough to keep every pool worker's
+#: dispatch pipe full (``PoolBackend.depth``).
+FEED_PER_WORKER = 8
+#: Abort after this many consecutive empty collects with work
+#: outstanding (a dead backend; ~10 min at ``COLLECT_TIMEOUT``).
+STALL_COLLECTS = 2400
+#: Surface a worker as stale after this many seconds without a heartbeat
+#: while work is in flight.  This fires long before the stall guard: one
+#: silent worker in a healthy pool never empties ``collect``, so only the
+#: heartbeat channel can name it.
+HEARTBEAT_STALE_SECONDS = 30.0
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Policy knobs for one scheduler run (all output-neutral)."""
+    """The run's shape: the one setting that varies between runs."""
 
     #: Worker-pool size; the pool keeps it from ``open`` to ``close``.
     workers: int = 1
-    #: Attempts per task before the run fails (1 = no retry).
-    max_attempts: int = 3
-    #: Collect cycles to wait before re-queuing attempt ``n`` (doubles
-    #: per failed attempt — the bounded backoff).
-    retry_backoff_collects: int = 2
-    #: Longest single wait for results (seconds, passed to collect()).
-    collect_timeout: float = 0.25
-    #: In-flight ceiling; 0 derives ``8 * workers`` — enough to keep
-    #: every pool worker's dispatch pipe full.
-    feed_window: int = 0
-    #: Abort after this many consecutive empty collects with work
-    #: outstanding (a dead backend; ~10 min at the default timeout).
-    stall_collects: int = 2400
-    #: Surface a worker as stale after this many seconds without a
-    #: heartbeat while work is in flight (0 = stale detection off).
-    #: This fires long before the stall guard: one silent worker in a
-    #: healthy pool never empties ``collect``, so only the heartbeat
-    #: channel can name it.
-    heartbeat_stale_seconds: float = 30.0
-
-    def resolved_feed_window(self) -> int:
-        if self.feed_window > 0:
-            return self.feed_window
-        return 8 * self.workers
 
 
 class _HeartbeatMonitor:
@@ -79,14 +79,13 @@ class _HeartbeatMonitor:
     Dedupes on each worker's monotonic ``beat`` counter (a backend may
     report the same beat twice), keeps the freshest payload per
     worker, and tracks silence: a worker unheard from for longer than
-    ``stale_after`` while work is in flight is reported exactly once per
-    silent episode (a fresh beat re-arms it).  Everything here is
-    physical telemetry — counters, trace events and ledger records it
-    produces are all declared volatile.
+    :data:`HEARTBEAT_STALE_SECONDS` while work is in flight is reported
+    exactly once per silent episode (a fresh beat re-arms it).
+    Everything here is physical telemetry — counters, trace events and
+    ledger records it produces are all declared volatile.
     """
 
-    def __init__(self, stale_after: float):
-        self.stale_after = float(stale_after)
+    def __init__(self) -> None:
         self._seen: Dict[str, int] = {}       # worker -> highest beat
         self._last: Dict[str, object] = {}    # worker -> Stopwatch
         self._latest: Dict[str, Dict] = {}    # worker -> freshest payload
@@ -113,13 +112,13 @@ class _HeartbeatMonitor:
 
     def newly_stale(self, inflight: int) -> List[str]:
         """Workers crossing the silence threshold since the last check."""
-        if self.stale_after <= 0 or inflight <= 0:
+        if inflight <= 0:
             return []
         out = []
         for worker in sorted(self._last):
             if worker in self._stale:
                 continue
-            if self._last[worker].elapsed() > self.stale_after:
+            if self._last[worker].elapsed() > HEARTBEAT_STALE_SECONDS:
                 self._stale.add(worker)
                 out.append(worker)
         return out
@@ -160,7 +159,6 @@ class Scheduler:
 
     def _drain(self, tasks: Sequence[ShardTask],
                metrics) -> List[TaskOutcome]:
-        cfg = self.config
         backend = self.backend
         pending: Deque[Tuple[ShardTask, int]] = deque(
             (task, 1) for task in tasks
@@ -172,8 +170,8 @@ class Scheduler:
         cycle = 0
         idle_collects = 0
         n_tasks = len(tasks)
-        feed_window = cfg.resolved_feed_window()
-        heartbeats = _HeartbeatMonitor(cfg.heartbeat_stale_seconds)
+        feed_window = FEED_PER_WORKER * self.config.workers
+        heartbeats = _HeartbeatMonitor()
         ledger = get_ledger()
 
         while len(results) < n_tasks:
@@ -192,14 +190,14 @@ class Scheduler:
                 self._submit(task, attempt, metrics, watches)
                 inflight += 1
 
-            outcomes = backend.collect(timeout=cfg.collect_timeout)
+            outcomes = backend.collect(timeout=COLLECT_TIMEOUT)
             # Liveness first, completions second: a stuck worker must be
             # surfaced even on (especially on) rounds that return nothing.
             self._pulse(heartbeats, inflight, metrics, ledger)
             if not outcomes:
                 if inflight or delayed or pending:
                     idle_collects += 1
-                    if idle_collects >= cfg.stall_collects:
+                    if idle_collects >= STALL_COLLECTS:
                         raise SchedulerError(
                             f"backend {backend.name!r} stalled with "
                             f"{n_tasks - len(results)} task(s) outstanding"
@@ -287,14 +285,13 @@ class Scheduler:
 
     def _retry(self, outcome: TaskOutcome, cycle: int, delayed: List,
                metrics) -> List:
-        cfg = self.config
         task, attempt = outcome.task, outcome.attempt
-        if attempt >= cfg.max_attempts:
+        if attempt >= MAX_TASK_ATTEMPTS:
             raise SchedulerError(
                 f"task {task.index} ({task.kind}:{task.key}:{task.start}) "
                 f"failed {attempt} attempt(s); last error: {outcome.error}"
             )
-        backoff = cfg.retry_backoff_collects * (2 ** (attempt - 1))
+        backoff = RETRY_BACKOFF_COLLECTS * (2 ** (attempt - 1))
         metrics.inc("sched.tasks_retried")
         _trace.emit(
             "sched.task.retry", trace_id=task.trace_id,
@@ -326,7 +323,6 @@ def generate_scheduled(
     *,
     backend: Union[str, Backend, None] = None,
     workers: int = 1,
-    sched: Optional[SchedulerConfig] = None,
 ):
     """Generate the sharded trace by draining the plan's shards through a
     backend.
@@ -343,7 +339,6 @@ def generate_scheduled(
     workers = max(1, int(workers))
     backend_obj = backend if isinstance(backend, Backend) \
         else make_backend(backend or default_backend(workers), workers=workers)
-    sched_cfg = sched or SchedulerConfig(workers=workers)
 
     metrics = get_metrics()
     with metrics.span("generate"):
@@ -368,7 +363,7 @@ def generate_scheduled(
         want_trace = tracer is not None
         emit_watch = stopwatch()
         with metrics.span("emit"):
-            outcomes = Scheduler(backend_obj, sched_cfg).run(
+            outcomes = Scheduler(backend_obj, SchedulerConfig(workers)).run(
                 tasks, config, want_trace
             )
         emit_wall = emit_watch.elapsed()

@@ -7,18 +7,20 @@ byte-identical to the in-process golden path (sha256 over the persisted
 npz content, the same identity PRs 3/5 checked for worker counts).
 """
 
+import time
 import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.sched.scheduler as scheduler
 import repro.workload.shards as shards
+from repro.obs.resources import worker_heartbeat
 from repro.sched import (
     InlineBackend,
     PoolBackend,
     Scheduler,
-    SchedulerConfig,
     SchedulerError,
     ShardTask,
     TaskOutcome,
@@ -109,23 +111,24 @@ class FlakyBackend(InlineBackend):
 
 
 class TestSchedulerPolicy:
-    def test_retry_recovers_from_task_error(self, reference_digest):
+    def test_retry_recovers_from_task_error(self, monkeypatch,
+                                            reference_digest):
         from repro.obs import use_metrics
 
-        sched = SchedulerConfig(max_attempts=3, retry_backoff_collects=1)
+        monkeypatch.setattr(scheduler, "RETRY_BACKOFF_COLLECTS", 1)
         with use_metrics() as metrics:
             dataset = generate_scheduled(
-                CONFIG, backend=FlakyBackend(fail_index=2), sched=sched,
+                CONFIG, backend=FlakyBackend(fail_index=2),
             )
         assert dataset.store.content_digest() == reference_digest
         assert metrics.counter("sched.tasks_retried") == 1
 
-    def test_bounded_retry_exhaustion_raises(self):
-        sched = SchedulerConfig(max_attempts=2, retry_backoff_collects=1)
+    def test_bounded_retry_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "MAX_TASK_ATTEMPTS", 2)
+        monkeypatch.setattr(scheduler, "RETRY_BACKOFF_COLLECTS", 1)
         with pytest.raises(SchedulerError, match="failed 2 attempt"):
             generate_scheduled(
                 CONFIG, backend=FlakyBackend(fail_index=2, fail_times=99),
-                sched=sched,
             )
 
     def test_pool_worker_death_is_retried(self, tmp_path, monkeypatch,
@@ -158,6 +161,65 @@ class TestSchedulerPolicy:
         n = len(plan.shards)
         assert metrics.counter("sched.tasks_submitted") == n
         assert metrics.counter("sched.tasks_completed") == n
+
+
+class ScriptedBeats(InlineBackend):
+    """Runs no shard: each collect sleeps, then reports one scripted round
+    (``(sleep_s, beat or None, finish a task)``) for worker ``pool-0``."""
+
+    name = "scripted"
+
+    def __init__(self, rounds):
+        super().__init__()
+        self.rounds = list(rounds)
+        self.beats = []
+
+    def collect(self, timeout: float = 0.25):
+        sleep_s, beat, finish = self.rounds.pop(0)
+        time.sleep(sleep_s)
+        self.beats = [] if beat is None else [
+            worker_heartbeat("pool-0", beat=beat, last_index=0)]
+        if not finish:
+            return []
+        task, attempt = self._pending.pop(0)
+        return [TaskOutcome(task=task, attempt=attempt, worker="pool-0",
+                            store=[])]
+
+    def heartbeats(self):
+        beats, self.beats = self.beats, []
+        return beats
+
+
+class TestStaleWorkerAlerts:
+    def test_one_alert_per_silent_episode_and_rearm(self, monkeypatch):
+        from repro.obs import (RunLedger, Tracer, use_ledger, use_metrics,
+                               use_tracer)
+
+        monkeypatch.setattr(scheduler, "HEARTBEAT_STALE_SECONDS", 0.05)
+        silent = 0.1
+        rounds = [
+            (0, 1, True),           # a fresh beat, one task done
+            (silent, None, False),  # silent past the threshold: alert 1
+            (silent, None, False),  # same episode: no second alert
+            (0, 2, True),           # a fresh beat re-arms the worker
+            (silent, 2, False),     # a replayed beat is not fresh: alert 2
+            (0, 3, True),
+        ]
+        tasks = [ShardTask(index=i, kind="k", key="k", start=i, stop=i + 1)
+                 for i in range(3)]
+        ledger, tracer = RunLedger(), Tracer()
+        with use_metrics() as metrics, use_tracer(tracer), \
+                use_ledger(ledger):
+            outcomes = Scheduler(ScriptedBeats(rounds)).run(tasks, CONFIG)
+        assert [o.task.index for o in outcomes] == [0, 1, 2]
+        assert metrics.counter("sched.heartbeat.stale") == 2
+        events = [e for e in tracer.to_list()
+                  if e["kind"] == "sched.heartbeat.stale"]
+        assert [e["data"]["worker"] for e in events] == ["pool-0"] * 2
+        alerts = [r for r in ledger.to_records()
+                  if r["record"] == "alert"]
+        assert [a["kind"] for a in alerts] == ["stale-worker"] * 2
+        assert all(a["data"]["worker"] == "pool-0" for a in alerts)
 
 
 # -- memory contract: one copy of the rows at merge time -------------------------
