@@ -71,7 +71,7 @@ else
     echo "pytest-cov not installed; skipping (pip install -e '.[dev]' to enable)"
 fi
 
-echo "== streaming-vs-batch smoke (exact aggregates bit for bit; store == event intake) =="
+echo "== streaming-vs-batch smoke (exact aggregates bit for bit; store == batched == per-event intake) =="
 python - <<'PY'
 import numpy as np
 
@@ -98,13 +98,26 @@ batch_daily = daily_totals(store)
 if not np.array_equal(analytics.sessions_per_day(len(batch_daily)), batch_daily):
     raise SystemExit("sessions-per-day diverged between streaming and batch")
 # __eq__ compares every sketch: HLL registers, count-min tables, top-k.
+# The top-k clients table must evict, so the fold order is under test.
+if analytics.topk_clients.error() <= 0:
+    raise SystemExit("top-k clients never evicted: the smoke no longer "
+                     "covers eviction order")
+events = replay_store_events(store)
 by_events = StreamingAnalytics()
-by_events.feed_many(replay_store_events(store))
+by_events.feed_many(events)
 if by_events != analytics:
     raise SystemExit("ingest_store and feed_many(replay_store_events) "
                      "left different StreamingAnalytics state")
+per_event = StreamingAnalytics()
+for event in events:
+    per_event.feed(event)
+if per_event != by_events:
+    raise SystemExit("a feed() per event and one feed_many left different "
+                     "StreamingAnalytics state")
 print(f"streaming-vs-batch ok ({analytics.session_count():,} sessions, "
-      f"mix + daily totals exact, store intake == event intake)")
+      f"mix + daily totals exact, top-k error "
+      f"{analytics.topk_clients.error()}, store intake == feed_many == "
+      f"feed per event)")
 PY
 
 # Every stage that starts a pool runs under coreutils timeout, so a

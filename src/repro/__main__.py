@@ -349,9 +349,11 @@ def _monitor_tail(args, monitor, analytics=None) -> int:
     import json
     import time
 
+    from repro.analytics.streaming import FOLD_BATCH
     from repro.obs.trace import validate_trace
 
     events = []
+    unfed = []  # parsed events the analytics have not seen yet
     consumed = 0
     bad_lines = 0
     with open(args.input, "r", encoding="utf-8") as fh:
@@ -359,6 +361,9 @@ def _monitor_tail(args, monitor, analytics=None) -> int:
         while True:
             line = fh.readline()
             if not line:
+                if analytics is not None and unfed:
+                    analytics.feed_many(unfed)
+                    unfed = []
                 if not args.follow or idle >= args.idle_exit:
                     break
                 time.sleep(0.2)
@@ -375,7 +380,10 @@ def _monitor_tail(args, monitor, analytics=None) -> int:
                 continue
             monitor.feed(event)
             if analytics is not None:
-                analytics.feed(event)
+                unfed.append(event)
+                if len(unfed) >= FOLD_BATCH:
+                    analytics.feed_many(unfed)
+                    unfed = []
             consumed += 1
             if args.validate:
                 events.append(event)
@@ -576,19 +584,24 @@ def _run_ledgered(args, target: str, runner) -> int:
     :func:`repro.api.generate` enriches the same record with the config
     fingerprint and backend once it resolves them.  The manifest is
     written even when the command fails — a failed run's ledger is the
-    artefact you want most.
+    artefact you want most — and a Ctrl-C ends it with the final status
+    ``interrupted`` before the interrupt propagates.
     """
     from repro.obs import RunLedger, get_metrics, use_ledger
 
     ledger = RunLedger()
     ledger.begin_run(args.command)
-    status = 1
+    final = "exit-1"
     try:
         with use_ledger(ledger):
             status = runner()
+        final = "ok" if status == 0 else f"exit-{status}"
+    except KeyboardInterrupt:
+        final = "interrupted"
+        raise
     finally:
         ledger.record_stages(get_metrics())
-        ledger.finish("ok" if status == 0 else f"exit-{status}")
+        ledger.finish(final)
         count = ledger.write_jsonl(target)
         print(f"run ledger: {count} records written to {target}",
               file=sys.stderr)
@@ -704,10 +717,14 @@ def main(argv=None) -> int:
     ledger_flag = getattr(args, "ledger", None)
     ledger_target = (ledger_flag if ledger_flag is not None
                      else os.environ.get("REPRO_LEDGER"))
-    if ledger_target:
-        status = _run_ledgered(args, ledger_target, runner)
-    else:
-        status = runner()
+    try:
+        if ledger_target:
+            status = _run_ledgered(args, ledger_target, runner)
+        else:
+            status = runner()
+    except KeyboardInterrupt:
+        print("repro: interrupted", file=sys.stderr)
+        return 130
     _emit_metrics(getattr(args, "metrics", None))
     return status
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -435,9 +435,16 @@ class SpaceSaving:
         if len(self.counts) > self.capacity:
             self._reduce()
 
-    def add_many(self, keys: Iterable[KeyLike]) -> None:
+    def add_many(self, keys: Sequence[KeyLike]) -> None:
+        """``add`` each key once, in order (eviction depends on the order)."""
+        counts = self.counts
+        capacity = self.capacity
         for key in keys:
-            self.add(key)
+            counts[key] = counts.get(key, 0) + 1
+            if len(counts) > capacity:
+                self._reduce()
+                counts = self.counts
+        self.n += len(keys)
 
     def _reduce(self) -> None:
         # Subtract the (capacity+1)-th largest counter from everything;
@@ -522,6 +529,13 @@ class ExactCounter:
     def add(self, key: KeyLike, count: int = 1) -> None:
         self.counts[key] = self.counts.get(key, 0) + count
         self.total += count
+
+    def add_many(self, keys: Sequence[KeyLike]) -> None:
+        """``add`` each key once, in one loop."""
+        counts = self.counts
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+        self.total += len(keys)
 
     def get(self, key: KeyLike) -> int:
         return self.counts.get(key, 0)

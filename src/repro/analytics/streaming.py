@@ -52,7 +52,16 @@ from repro.store.store import SessionStore
 #: Category order matches ``classify.CATEGORIES`` (codes 0..4).
 CATEGORY_NAMES = ("NO_CRED", "FAIL_LOG", "NO_CMD", "CMD", "CMD_URI")
 
+#: Sessions per fold: ``ingest_store`` reads a store this many rows at a
+#: time, and the event path folds its pending sessions when this many
+#: have closed.
+FOLD_BATCH = 4096
+
 _Data = Dict[str, Any]
+#: The columns of a batch of finished sessions, in session order: one
+#: category and one day per session, then the known client IPs, the known
+#: ASNs (>= 0) and each session's distinct hashes back to back.
+_Columns = Tuple[List[str], List[int], List[int], List[int], List[str]]
 
 
 @dataclass(frozen=True)
@@ -134,6 +143,11 @@ class StreamingAnalytics:
         self.days = ExactCounter("analytics.days")
         self.events_seen = 0
         self._sessions: Dict[str, _StreamScratch] = {}
+        #: Sessions closed but not yet folded; empty between public calls.
+        self._pending: _Columns = ([], [], [], [], [])
+        #: Pending sessions that trigger a fold: 1, or ``FOLD_BATCH``
+        #: inside :meth:`feed_many`, which folds the rest on return.
+        self._fold_at = 1
 
     # -- canonical per-session intake -------------------------------------
 
@@ -149,21 +163,58 @@ class StreamingAnalytics:
         """Fold one finished session in (the canonical intake).
 
         ``hashes`` are deduplicated here, matching the batch
-        ``HashOccurrences.build`` per-session dedup.
+        ``HashOccurrences.build`` per-session dedup.  Inside
+        :meth:`feed_many` the session joins a pending batch, folded when
+        it holds :data:`FOLD_BATCH` sessions and before ``feed_many``
+        returns; otherwise it is folded at once.
         """
-        get_metrics().inc("sketch.sessions_observed")
-        self.mix.add(category)
-        self.days.add(int(day))
-        if client_ip is not None:
-            ip = int(client_ip)
+        # Check before appending, so a bad session raises here, whole,
+        # rather than in a later fold.
+        day = int(day)
+        ip = None if client_ip is None else int(client_ip)
+        if ip is not None and not 0 <= ip < 1 << 64:
+            raise OverflowError(f"client IP {ip} out of bounds for uint64")
+        asn = None if asn is None else int(asn)
+        distinct = dict.fromkeys(hashes) if hashes else ()
+        categories, days, ips, asns, shas = self._pending
+        categories.append(category)
+        days.append(day)
+        if ip is not None:
+            ips.append(ip)
+        if asn is not None and asn >= 0:
+            asns.append(asn)
+        shas.extend(distinct)
+        if len(categories) >= self._fold_at:
+            self._fold_pending()
+
+    def _fold_pending(self) -> None:
+        pending = self._pending
+        if pending[0]:
+            self._pending = ([], [], [], [], [])
+            self._fold(*pending)
+
+    def _fold(self, categories: Sequence[str], days: Sequence[int],
+              ips: Sequence[int], asns: Sequence[int],
+              hashes: Sequence[str]) -> None:
+        """Fold the columns of a batch of finished sessions (``_Columns``).
+
+        The HLLs take each distinct key once and the count-min each
+        distinct hash once, with its count.  The exact counters count the
+        batch in one loop each, and the top-k tables walk it in order,
+        because Misra–Gries eviction depends on it.
+        """
+        get_metrics().inc("sketch.sessions_observed", len(categories))
+        self.mix.add_many(categories)
+        self.days.add_many(days)
+        for ip in dict.fromkeys(ips):
             self.hll_clients.add(ip)
-            self.topk_clients.add(ip)
-        if asn is not None and int(asn) >= 0:
-            self.topk_asns.add(int(asn))
-        for sha in dict.fromkeys(hashes):
-            self.hll_hashes.add(sha)
-            self.cms_hashes.add(sha)
-            self.topk_hashes.add(sha)
+        self.topk_clients.add_many(ips)
+        self.topk_asns.add_many(asns)
+        if hashes:
+            for sha, count in _tally(hashes).items():
+                self.hll_hashes.add(sha)
+                self.cms_hashes.add(sha, count)
+            self.topk_hashes.add_many(hashes)
 
     def observe_record(self, record) -> None:
         """Fold one row-shaped :class:`SessionRecord` in."""
@@ -189,23 +240,31 @@ class StreamingAnalytics:
 
     def on_event(self, event: HoneypotEvent) -> None:
         """Honeypot event-sink entry (``LiveFarm(event_tap=...)``)."""
-        before = self.events_seen
-        try:
-            self._consume(event.event_type.value, event.timestamp,
-                          event.session_id, event.data)
-        finally:
-            self._count_consumed(before)
+        self.events_seen += 1
+        get_metrics().inc("sketch.events_consumed")
+        step = _STEPS.get(event.event_type.value)
+        if step is not None:
+            step(self, event.timestamp, event.session_id, event.data)
 
     def feed(self, event: Dict[str, Any]) -> None:
         """One flight-recorder event dict (tailed JSONL or Tracer buffer)."""
         self._feed((event,))
 
     def feed_many(self, events: Iterable[Dict[str, Any]]) -> int:
-        """Event dicts in order; returns how many were read."""
-        return self._feed(events)
+        """Event dicts in order; returns how many were read.
+
+        The sessions they close are folded :data:`FOLD_BATCH` at a time.
+        """
+        self._fold_at = FOLD_BATCH
+        try:
+            return self._feed(events)
+        finally:
+            self._fold_at = 1
+            self._fold_pending()
 
     def _feed(self, events: Iterable[Dict[str, Any]]) -> int:
-        """Consume event dicts; one with no ``ts`` is skipped unless a block."""
+        """Count each event and apply its kind's step (none for unknown
+        kinds); one with no ``ts`` is skipped unless a block."""
         before = self.events_seen
         count = 0
         try:
@@ -215,64 +274,43 @@ class StreamingAnalytics:
                 ts = event.get("ts")
                 if ts is not None or kind == "generator.block":
                     data = event.get("data") or {}
-                    self._consume(kind, ts, data.get("session", ""), data)
+                    self.events_seen += 1
+                    step = _STEPS.get(kind)
+                    if step is not None:
+                        step(self, ts, data.get("session", ""), data)
         finally:
-            self._count_consumed(before)
+            if self.events_seen > before:
+                get_metrics().inc("sketch.events_consumed", self.events_seen - before)
         return count
-
-    def _consume(
-        self, kind: str, ts: Any, session: str, data: Dict[str, Any]
-    ) -> None:
-        """Count one event and apply its kind's step (none for unknown kinds)."""
-        self.events_seen += 1
-        step = _STEPS.get(kind)
-        if step is not None:
-            step(self, ts, session, data)
-
-    def _count_consumed(self, before: int) -> None:
-        if self.events_seen > before:
-            get_metrics().inc("sketch.events_consumed", self.events_seen - before)
 
     # -- frozen-store intake ----------------------------------------------
 
     def ingest_store(self, store: SessionStore) -> int:
-        """Replay a frozen store through the per-session intake.
+        """Fold a frozen store in, :data:`FOLD_BATCH` rows at a time.
 
-        Runs the same online decision procedure per row as the event
-        path (no columnar shortcuts), so the differential tests compare
-        two genuinely independent implementations.
+        Each chunk becomes the columns the event path batches, with the
+        category derived by the same rules, so both intakes end in one
+        fold.
         """
         metrics = get_metrics()
         with metrics.span("sketch/ingest"):
             n = len(store)
-            days = (store.start_time // 86_400).astype(np.int64).tolist()
-            ips = store.client_ip.tolist()
-            asns = store.client_asn.tolist()
-            attempts = store.n_attempts.tolist()
-            success = store.login_success.tolist()
-            commands = store.n_commands.tolist()
-            has_uri = store.has_uri.tolist()
-            offsets = store.hash_ids.offsets.tolist()
-            values = store.hash_ids.values.tolist()
-            sha_of = [store.hashes.value_of(i) for i in range(len(store.hashes))]
-            for i in range(n):
-                if attempts[i] == 0:
-                    category = "NO_CRED"
-                elif not success[i]:
-                    category = "FAIL_LOG"
-                elif commands[i] == 0:
-                    category = "NO_CMD"
-                elif has_uri[i]:
-                    category = "CMD_URI"
-                else:
-                    category = "CMD"
-                lo, hi = offsets[i], offsets[i + 1]
-                self.observe_session(
-                    category=category,
-                    day=days[i],
-                    client_ip=ips[i],
-                    asn=asns[i],
-                    hashes=[sha_of[h] for h in values[lo:hi]],
+            sha_of = np.array(store.hashes.values(), dtype=object)
+            offsets = store.hash_ids.offsets
+            for lo in range(0, n, FOLD_BATCH):
+                hi = min(lo + FOLD_BATCH, n)
+                codes = _category_codes(
+                    store.n_attempts[lo:hi], store.login_success[lo:hi],
+                    store.n_commands[lo:hi], store.has_uri[lo:hi])
+                asns = store.client_asn[lo:hi]
+                self._fold(
+                    [CATEGORY_NAMES[c] for c in codes.tolist()],
+                    (store.start_time[lo:hi] // 86_400).astype(np.int64).tolist(),
+                    store.client_ip[lo:hi].tolist(),
+                    asns[asns >= 0].tolist(),
+                    sha_of[_distinct_per_row(
+                        store.hash_ids.values[offsets[lo]:offsets[hi]],
+                        offsets[lo:hi + 1])].tolist(),
                 )
             metrics.inc("sketch.store_sessions_ingested", n)
         return n
@@ -415,6 +453,38 @@ class StreamingAnalytics:
     __hash__ = None  # type: ignore[assignment]
 
 
+def _tally(keys: Iterable[Any]) -> Dict[Any, int]:
+    """How often each key occurs, in first-occurrence order."""
+    counts: Dict[Any, int] = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _category_codes(attempts: np.ndarray, success: np.ndarray,
+                    commands: np.ndarray, has_uri: np.ndarray) -> np.ndarray:
+    """``CATEGORY_NAMES`` index of each row, by ``_StreamScratch.category``'s
+    rules (later assignments take precedence)."""
+    codes = np.where(has_uri, 4, 3)
+    codes[commands == 0] = 2
+    codes[~success] = 1
+    codes[attempts == 0] = 0
+    return codes
+
+
+def _distinct_per_row(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``values`` without repeats within a CSR row, first occurrences in
+    order (the ``dict.fromkeys`` of each row, back to back)."""
+    if len(values) == 0:
+        return values
+    rows = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    pairs = rows * (int(values.max()) + 1) + values
+    _, first = np.unique(pairs, return_index=True)
+    if len(first) == len(values):
+        return values
+    return values[np.sort(first)]
+
+
 _Step = Callable[[StreamingAnalytics, Any, str, _Data], None]
 
 
@@ -422,11 +492,12 @@ def _open(analytics: StreamingAnalytics, ts: Any, session: str, data: _Data) -> 
     if session:
         src_ip = data.get("src_ip")
         src_asn = data.get("src_asn")
+        # Positional: a keyword call costs three times as much per session.
         analytics._sessions[session] = _StreamScratch(
-            day=int(float(ts) // 86_400),
-            client_ip=None if src_ip is None else int(src_ip),
-            asn=None if src_asn is None else int(src_asn),
-            attempted=False, success=False, commands=0, uris=0, hashes=[],
+            int(float(ts) // 86_400),                   # day
+            None if src_ip is None else int(src_ip),    # client_ip
+            None if src_asn is None else int(src_asn),  # asn
+            False, False, 0, 0, [],  # attempted, success, commands, uris, hashes
         )
 
 

@@ -19,6 +19,7 @@ and pins the contract:
 from __future__ import annotations
 
 import hashlib
+import json
 
 from unittest import mock
 
@@ -28,8 +29,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.analytics import StreamingAnalytics, replay_store_events
+from repro.analytics import (
+    CATEGORY_NAMES,
+    AnalyticsConfig,
+    StreamingAnalytics,
+    replay_store_events,
+)
 from repro.analytics import sketches
+from repro.analytics import streaming as streaming_module
+from repro.analytics.streaming import FOLD_BATCH
 from repro.honeypot.events import EventType, HoneypotEvent
 from repro.obs import get_metrics, use_metrics
 from repro.core.classify import CATEGORIES, classify_store, category_shares
@@ -324,6 +332,58 @@ class TestStreamingIntakeUnit:
         assert analytics.sessions_per_day().tolist() == []
         assert analytics != object()
 
+    def test_repeated_hashes_in_a_row_count_once_on_every_path(self):
+        from repro.store.records import SessionRecord
+        from repro.store.store import StoreBuilder
+
+        records = [SessionRecord(
+            start_time=86_400.0 * i, duration=8.0, honeypot_id="pot-a",
+            protocol="ssh", client_ip=1 + i % 2, client_asn=i - 1,
+            client_country="US", n_login_attempts=1, login_success=True,
+            commands=("wget",), uris=("http://x/a",), file_hashes=hashes)
+            for i, hashes in enumerate([("h1", "h2", "h1"), ("h2", "h2"),
+                                        (), ("h3", "h1", "h3", "h1")])]
+        builder = StoreBuilder()
+        for record in records:
+            builder.append(record)
+        store = builder.build()
+        assert len(store.hash_ids.values) == 9  # the store keeps repeats
+        by_store = StreamingAnalytics()
+        by_store.ingest_store(store)
+        by_records = StreamingAnalytics()
+        for record in records:
+            by_records.observe_record(record)
+        by_events = StreamingAnalytics()
+        by_events.feed_many(replay_store_events(store))
+        assert by_store == by_records == by_events
+        assert by_store.cms_hashes.total == 5
+        assert by_store.top_hashes() == [
+            ("h1", 2, 2), ("h2", 2, 2), ("h3", 1, 1)]
+
+    def test_bad_client_ip_raises_at_its_own_session(self):
+        def event(kind, session, **data):
+            return {"kind": kind, "ts": 10.0,
+                    "data": {"session": session, **data}}
+
+        events = [event(kind, session, **({"src_ip": ip} if "connect" in kind
+                                          else {}))
+                  for session, ip in (("a", 5), ("b", -1), ("c", 6))
+                  for kind in ("honeypot.session.connect",
+                               "honeypot.session.closed")]
+        analytics = StreamingAnalytics()
+        with pytest.raises(OverflowError):
+            analytics.feed_many(events)
+        # "a" is folded on the way out; "b" is refused whole, "c" unread.
+        assert analytics.events_seen == 4
+        assert analytics.session_count() == 1
+        assert analytics.top_clients() == [(5, 1, 1)]
+
+    def test_distinct_per_row_keeps_first_occurrences_in_order(self):
+        values = np.array([5, 5, 3, 3, 5, 1, 7], dtype=np.int64)
+        offsets = np.array([0, 3, 3, 6, 7], dtype=np.int64)
+        assert streaming_module._distinct_per_row(
+            values, offsets).tolist() == [5, 3, 3, 5, 1, 7]
+
     def test_replay_emits_bare_download_for_hashless_uri_session(self):
         from repro.store.records import SessionRecord
         from repro.store.store import StoreBuilder
@@ -589,6 +649,103 @@ class TestSingleStepPath:
         assert cms == want_cms
 
 
+@st.composite
+def finished_sessions(draw):
+    """``observe_session`` keywords of one finished session: few distinct
+    clients, ASNs and hashes, so keys repeat within and across sessions."""
+    return {
+        "category": draw(st.sampled_from(CATEGORY_NAMES)),
+        "day": draw(st.integers(0, 5)),
+        "client_ip": draw(st.one_of(st.none(), st.integers(0, 12))),
+        "asn": draw(st.one_of(st.none(), st.integers(-3, 6))),
+        "hashes": draw(st.lists(st.sampled_from(["h0", "h1", "h2", "h3"]),
+                                max_size=5)),
+    }
+
+
+#: The login and command events that give a session its category.
+_CATEGORY_EVENTS = {
+    "NO_CRED": [],
+    "FAIL_LOG": ["honeypot.login.failed"],
+    "NO_CMD": ["honeypot.login.success"],
+    "CMD": ["honeypot.login.success", "honeypot.command.input"],
+    "CMD_URI": ["honeypot.login.success", "honeypot.command.input"],
+}
+
+
+def _session_events(index, session):
+    """The event dicts of one session, which close into ``session``."""
+    def event(kind, **data):
+        return {"kind": kind, "ts": session["day"] * 86_400.0 + index,
+                "data": {"session": f"s{index}", **data}}
+
+    category, hashes = session["category"], session["hashes"]
+    file_kind = ("honeypot.session.file_download" if category == "CMD_URI"
+                 else "honeypot.session.file_created")
+    events = [event("honeypot.session.connect", src_ip=session["client_ip"],
+                    src_asn=session["asn"])]
+    events += [event(kind) for kind in _CATEGORY_EVENTS[category]]
+    events += [event(file_kind, shasum=sha) for sha in hashes]
+    if category == "CMD_URI" and not hashes:
+        events.append(event(file_kind))
+    events.append(event("honeypot.session.closed"))
+    return events
+
+
+def _counted(config, intake):
+    """(analytics, sketch.* counters) after ``intake`` on a fresh registry."""
+    analytics = StreamingAnalytics(config)
+    with use_metrics():
+        intake(analytics)
+        counters = get_metrics().counters
+        pinned = tuple(int(counters.get(n, 0)) for n in SKETCH_COUNTERS)
+    return analytics, pinned
+
+
+class TestBatchBoundaries:
+    """Where the folds cut a session sequence changes no accumulator."""
+
+    @given(sessions=st.lists(finished_sessions(), max_size=40),
+           capacity=st.integers(1, 4), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_boundaries_do_not_matter(self, sessions, capacity, data):
+        # A capacity of 1-4 makes the top-k tables evict, where the order
+        # of adds decides the state.
+        config = AnalyticsConfig(topk_capacity=capacity)
+        events = [event for i, session in enumerate(sessions)
+                  for event in _session_events(i, session)]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(events)),
+                                         max_size=4)))
+        fold_batch = data.draw(st.integers(1, 6))
+
+        def one_at_a_time(analytics):
+            for session in sessions:
+                analytics.observe_session(**session)
+
+        def split(analytics):
+            with mock.patch.object(streaming_module, "FOLD_BATCH", fold_batch):
+                for lo, hi in zip([0] + cuts, cuts + [len(events)]):
+                    analytics.feed_many(events[lo:hi])
+
+        observed, observed_counters = _counted(config, one_at_a_time)
+        whole, whole_counters = _counted(
+            config, lambda analytics: analytics.feed_many(events))
+        cut, cut_counters = _counted(config, split)
+        assert observed == whole
+        assert observed_counters[0] == whole_counters[0] == len(sessions)
+        assert (intake_state_digest(cut), cut_counters) == \
+            (intake_state_digest(whole), whole_counters)
+
+    @pytest.mark.parametrize("path", ["ingest_store", "feed_many"])
+    def test_small_batches_keep_the_pinned_state(self, store, path):
+        # 5198 sessions in 54 folds; top-k clients evict at this scale.
+        with mock.patch.object(streaming_module, "FOLD_BATCH", 97):
+            analytics, counters = _intake(store, path)
+        assert analytics.topk_clients.error() > 0
+        assert (intake_state_digest(analytics), counters) == \
+            INTAKE_GOLDEN[("CONFIG", path)]
+
+
 class TestCliSurface:
     """Smoke: the panels reach the report and monitor CLIs."""
 
@@ -616,6 +773,22 @@ class TestCliSurface:
         assert rc == 0
         assert "streaming analytics" in out
         assert "unique clients ~" in out
+
+    def test_monitor_input_panels_equal_one_feed_many(self, store, tmp_path,
+                                                      capsys):
+        # Enough events for several feed_many chunks.
+        from repro.__main__ import main
+
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(
+            json.dumps(event) + "\n" for event in replay_store_events(store)))
+        want = StreamingAnalytics()
+        want.feed_many(json.loads(line)
+                       for line in trace.read_text().splitlines())
+        assert want.events_seen > 4 * FOLD_BATCH
+
+        assert main(["monitor", "--input", str(trace)]) == 0
+        assert want.render_panels() in capsys.readouterr().out
 
     def test_render_panels_deterministic(self, streaming):
         assert streaming.render_panels() == streaming.render_panels()

@@ -389,6 +389,16 @@ class TestSpaceSaving:
             if count > s.error():
                 assert key in s.counts
 
+    @given(a=key_lists, b=key_lists, capacity=st.integers(1, 6))
+    def test_add_many_equals_add_in_order(self, a, b, capacity):
+        one_by_one = SpaceSaving(capacity)
+        for key in a + b:
+            one_by_one.add(key)
+        batched = SpaceSaving(capacity)
+        batched.add_many(a)
+        batched.add_many(b)
+        assert batched == one_by_one
+
     @given(a=key_lists)
     def test_capacity_respected_and_error_bounded(self, a):
         s = build_ss(a)
@@ -468,6 +478,9 @@ class TestExactCounter:
             e.add(key)
         assert dict(e.items()) == dict(Counter(a))
         assert e.total == len(a)
+        batched = ExactCounter()
+        batched.add_many(a)
+        assert batched == e
 
     @given(a=key_lists, b=key_lists)
     def test_merge_commutative_and_exact(self, a, b):

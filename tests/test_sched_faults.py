@@ -5,8 +5,9 @@ Three ways a pool can fail its parent, each driven for real:
 * a worker SIGKILLed while blocked sending a result batch larger than
   its pipe buffer (the run must finish byte-identical to inline);
 * the parent SIGKILLed mid-run (its workers must exit, not linger);
-* SIGINT to the parent mid-run (a prompt exit, a valid ledger with a
-  failed status, no artifact, no worker left).
+* SIGINT to the parent mid-run (a prompt exit with status 130 and one
+  stderr line, a valid ledger ending ``interrupted``, no artifact, no
+  worker left).
 
 A reparented worker that has exited stays a zombie until something
 reaps it, which a container's init may never do, so "gone" here means
@@ -153,11 +154,12 @@ def test_parent_sigkill_leaves_no_orphan_workers(tmp_path):
 
 def test_sigint_mid_generate_exits_promptly_and_cleanly(tmp_path):
     ledger, out = tmp_path / "L.jsonl", tmp_path / "X.npz"
-    proc = subprocess.Popen(
-        GENERATE + ["--ledger", str(ledger), "--out", str(out)],
-        env=ENV, cwd=tmp_path, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    stderr = tmp_path / "stderr.txt"
+    with open(stderr, "wb") as err:
+        proc = subprocess.Popen(
+            GENERATE + ["--ledger", str(ledger), "--out", str(out)],
+            env=ENV, cwd=tmp_path, stdout=subprocess.DEVNULL, stderr=err,
+        )
     workers = []
     try:
         workers = _workers_of(proc, 2)
@@ -166,11 +168,14 @@ def test_sigint_mid_generate_exits_promptly_and_cleanly(tmp_path):
         proc.wait(timeout=30)
         elapsed = time.monotonic() - start
         assert elapsed <= 2.0, f"SIGINT exit took {elapsed:.2f} s"
-        assert proc.returncode != 0
+        assert proc.returncode == 130
         records = read_ledger_jsonl(ledger)
         assert validate_ledger(records) == []
         assert records[-1]["record"] == "final"
-        assert records[-1]["status"] != "ok"
+        assert records[-1]["status"] == "interrupted"
+        text = stderr.read_text()
+        assert "Traceback" not in text
+        assert text.count("repro: interrupted") == 1
         assert not out.exists()
         assert sorted(tmp_path.glob(".X.npz.*.tmp")) == []
         assert not any(_running(pid) for pid in workers)
