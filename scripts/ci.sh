@@ -215,6 +215,27 @@ echo "== flight-recorder smoke (schema-validate the traced run's JSONL) =="
 python -m repro monitor --input "$SCRATCH/ci_trace.jsonl" --validate \
     --interval 86400 > /dev/null
 
+echo "== monitor --input smoke (header sessions == generate.merged; | head -1 exits 0) =="
+MONITOR_HEAD="$(python -m repro monitor --input "$SCRATCH/ci_trace.jsonl" \
+    --interval 86400 | head -1)" \
+    || { echo "monitor --input | head -1 exited non-zero"; exit 1; }
+python - "$SCRATCH/ci_trace.jsonl" "$MONITOR_HEAD" <<'PY'
+import json
+import re
+import sys
+
+path, header = sys.argv[1:]
+with open(path, encoding="utf-8") as fh:
+    merged = [event["data"]["sessions"] for event in map(json.loads, fh)
+              if event["kind"] == "generate.merged"]
+shown = re.search(r"([\d,]+) sessions", header)
+if len(merged) != 1 or shown is None \
+        or int(shown.group(1).replace(",", "")) != merged[0]:
+    raise SystemExit(f"monitor header {header!r} vs generate.merged "
+                     f"sessions {merged}")
+print(f"monitor --input ok ({merged[0]:,} sessions = generate.merged)")
+PY
+
 echo "== farm-health monitor smoke (live demo must raise a fresh-hash alert) =="
 MONITOR_OUT="$(python -m repro monitor --duration 3600 --pots 6)"
 echo "$MONITOR_OUT" | grep -q "FRESH-HASH" \

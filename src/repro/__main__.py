@@ -292,8 +292,6 @@ def _emit_metrics(flag) -> None:
     anything else is treated as a JSON path.  Collection is always on
     (it is just dict increments); this only controls reporting.
     """
-    import os
-
     target = flag if flag is not None else os.environ.get("REPRO_METRICS")
     if not target:
         return
@@ -323,8 +321,9 @@ def cmd_monitor(args) -> int:
         status = _monitor_demo(args, monitor, analytics)
     if args.prometheus:
         from repro.obs import get_metrics, render_prometheus
+        from repro.obs.atomic import staged_file
 
-        with open(args.prometheus, "w", encoding="utf-8") as fh:
+        with staged_file(args.prometheus, "w") as fh:
             fh.write(render_prometheus(get_metrics()))
         print(f"prometheus metrics written to {args.prometheus}",
               file=sys.stderr)
@@ -344,53 +343,64 @@ def _monitor_report(monitor, analytics=None) -> None:
             print()
 
 
-def _monitor_tail(args, monitor, analytics=None) -> int:
-    """Consume a flight-recorder JSONL stream (optionally following it)."""
+def _tail_jsonl(args):
+    """Yield the JSON events of the ``--input`` stream, in order.
+
+    Reads to the end of the file; with ``--follow`` (and no ``--once``)
+    polls every 0.2 s, yielding ``None`` after each wait, until
+    ``--idle-exit`` seconds pass without a new line.  Lines that are not
+    a JSON object are skipped, with one warning once the stream ends.
+    """
     import json
     import time
 
+    follow = args.follow and not getattr(args, "once", False)
+    bad_lines = 0
+    idle = 0.0
+    with open(args.input, "r", encoding="utf-8") as fh:
+        while True:
+            line = fh.readline()
+            if not line:
+                if not follow or idle >= args.idle_exit:
+                    break
+                time.sleep(0.2)
+                idle += 0.2
+                yield None
+                continue
+            idle = 0.0
+            if not line.strip():
+                continue
+            try:
+                event = json.loads(line)
+            except ValueError:
+                event = None
+            if not isinstance(event, dict):
+                bad_lines += 1
+                continue
+            yield event
+    if bad_lines:
+        print(f"warning: {bad_lines} unparseable lines skipped",
+              file=sys.stderr)
+
+
+def _monitor_tail(args, monitor, analytics) -> int:
+    """Consume a flight-recorder JSONL stream (optionally following it)."""
     from repro.analytics.streaming import FOLD_BATCH
     from repro.obs.trace import validate_trace
 
     events = []
     unfed = []  # parsed events the analytics have not seen yet
-    consumed = 0
-    bad_lines = 0
-    with open(args.input, "r", encoding="utf-8") as fh:
-        idle = 0.0
-        while True:
-            line = fh.readline()
-            if not line:
-                if analytics is not None and unfed:
-                    analytics.feed_many(unfed)
-                    unfed = []
-                if not args.follow or idle >= args.idle_exit:
-                    break
-                time.sleep(0.2)
-                idle += 0.2
-                continue
-            idle = 0.0
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                bad_lines += 1
-                continue
+    for event in _tail_jsonl(args):
+        if event is not None:
             monitor.feed(event)
-            if analytics is not None:
-                unfed.append(event)
-                if len(unfed) >= FOLD_BATCH:
-                    analytics.feed_many(unfed)
-                    unfed = []
-            consumed += 1
+            unfed.append(event)
             if args.validate:
                 events.append(event)
+        if unfed and (event is None or len(unfed) >= FOLD_BATCH):
+            analytics.feed_many(unfed)
+            unfed = []
+    analytics.feed_many(unfed)
     _monitor_report(monitor, analytics)
-    if bad_lines:
-        print(f"warning: {bad_lines} unparseable lines skipped",
-              file=sys.stderr)
     if args.validate:
         problems = validate_trace(events)
         if problems:
@@ -399,7 +409,7 @@ def _monitor_tail(args, monitor, analytics=None) -> int:
             for problem in problems[:20]:
                 print(f"  {problem}", file=sys.stderr)
             return 1
-        print(f"trace valid: {consumed} events", file=sys.stderr)
+        print(f"trace valid: {len(events)} events", file=sys.stderr)
     return 0
 
 
@@ -466,20 +476,12 @@ def _monitor_demo(args, monitor, analytics=None) -> int:
 
 def cmd_top(args) -> int:
     """Scheduler dashboard: replay/tail a trace, or run a demo generate."""
-    import os
-
     from repro.sched.dashboard import TopDashboard
 
     dash = TopDashboard()
-    try:
-        if args.input:
-            return _top_tail(args, dash)
-        return _top_demo(args, dash)
-    except BrokenPipeError:
-        # Downstream reader (head, grep -q) closed the pipe mid-frame;
-        # park stdout on devnull so the interpreter's exit flush is quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    if args.input:
+        return _top_tail(args, dash)
+    return _top_demo(args, dash)
 
 
 def _top_tail(args, dash) -> int:
@@ -489,36 +491,17 @@ def _top_tail(args, dash) -> int:
     ``--follow`` keeps tailing, repainting every ``--interval`` seconds
     until the stream goes idle for ``--idle-exit`` seconds.
     """
-    import json
     import time
 
-    bad_lines = 0
     last_render = time.monotonic()
-    with open(args.input, "r", encoding="utf-8") as fh:
-        idle = 0.0
-        while True:
-            line = fh.readline()
-            if not line:
-                if args.once or not args.follow or idle >= args.idle_exit:
-                    break
-                time.sleep(0.2)
-                idle += 0.2
-            else:
-                idle = 0.0
-                line = line.strip()
-                if line:
-                    try:
-                        dash.feed(json.loads(line))
-                    except ValueError:
-                        bad_lines += 1
-            if args.follow and not args.once and \
-                    time.monotonic() - last_render >= args.interval:
-                _top_frame(dash)
-                last_render = time.monotonic()
+    for event in _tail_jsonl(args):
+        if event is not None:
+            dash.feed(event)
+        if args.follow and not args.once and \
+                time.monotonic() - last_render >= args.interval:
+            _top_frame(dash)
+            last_render = time.monotonic()
     _top_frame(dash, final=True)
-    if bad_lines:
-        print(f"warning: {bad_lines} unparseable lines skipped",
-              file=sys.stderr)
     return 0
 
 
@@ -705,8 +688,6 @@ def main(argv=None) -> int:
     p_top.set_defaults(func=cmd_top)
 
     args = parser.parse_args(argv)
-    import os
-
     trace_flag = getattr(args, "trace", None)
     trace_target = (trace_flag if trace_flag is not None
                     else os.environ.get("REPRO_TRACE"))
@@ -722,9 +703,15 @@ def main(argv=None) -> int:
             status = _run_ledgered(args, ledger_target, runner)
         else:
             status = runner()
+        sys.stdout.flush()
     except KeyboardInterrupt:
         print("repro: interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:
+        # A downstream reader (head, grep -q) closed the pipe; park stdout
+        # on devnull so the interpreter's exit flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     _emit_metrics(getattr(args, "metrics", None))
     return status
 

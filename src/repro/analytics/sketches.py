@@ -57,6 +57,7 @@ no global RNG or wall clock is touched anywhere in this module.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import operator
 from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
@@ -448,9 +449,11 @@ class SpaceSaving:
 
     def _reduce(self) -> None:
         # Subtract the (capacity+1)-th largest counter from everything;
-        # at most ``capacity`` strictly larger counters can survive.
-        ranked = sorted(self.counts.values(), reverse=True)
-        pivot = ranked[self.capacity]
+        # at most ``capacity`` strictly larger counters can survive.  It
+        # is the (len - capacity)-th smallest: the minimum when one key
+        # overflows, as on every add.
+        pivot = heapq.nsmallest(len(self.counts) - self.capacity,
+                                self.counts.values())[-1]
         self.counts = {
             key: count - pivot
             for key, count in self.counts.items()

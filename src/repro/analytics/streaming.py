@@ -33,7 +33,7 @@ the health monitor applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -44,13 +44,18 @@ from repro.analytics.sketches import (
     HyperLogLog,
     SpaceSaving,
 )
-from repro.farm.health import BLOCK_CATEGORY
-from repro.honeypot.events import HoneypotEvent
+from repro.honeypot.events import (
+    CATEGORY_NAMES,
+    SESSION_STEPS,
+    HoneypotEvent,
+    OpenSession,
+    Step,
+    block_category,
+    category_codes,
+    session_category,
+)
 from repro.obs import get_metrics
 from repro.store.store import SessionStore
-
-#: Category order matches ``classify.CATEGORIES`` (codes 0..4).
-CATEGORY_NAMES = ("NO_CRED", "FAIL_LOG", "NO_CMD", "CMD", "CMD_URI")
 
 #: Sessions per fold: ``ingest_store`` reads a store this many rows at a
 #: time, and the event path folds its pending sessions when this many
@@ -82,49 +87,6 @@ class AnalyticsConfig:
     topk_capacity: int = 512
 
 
-@dataclass
-class _StreamScratch:
-    """Per-open-session state, finalised into the sketches at close."""
-
-    __slots__ = ("day", "client_ip", "asn", "attempted", "success",
-                 "commands", "uris", "hashes")
-    day: int
-    client_ip: Optional[int]
-    asn: Optional[int]
-    attempted: bool
-    success: bool
-    commands: int
-    uris: int
-    hashes: List[str]
-
-    def login_failed(self, data: _Data) -> None:
-        self.attempted = True
-
-    def login_success(self, data: _Data) -> None:
-        self.attempted = self.success = True
-
-    def command(self, data: _Data) -> None:
-        self.commands += 1
-
-    def file(self, data: _Data) -> None:
-        sha = data.get("shasum")
-        if sha:
-            self.hashes.append(str(sha))
-
-    def download(self, data: _Data) -> None:
-        self.uris += 1
-        self.file(data)
-
-    def category(self) -> str:
-        if not self.attempted:
-            return "NO_CRED"
-        if not self.success:
-            return "FAIL_LOG"
-        if not self.commands:
-            return "NO_CMD"
-        return "CMD_URI" if self.uris else "CMD"
-
-
 class StreamingAnalytics:
     """Mergeable streaming counterpart of the batch aggregate queries."""
 
@@ -142,7 +104,7 @@ class StreamingAnalytics:
         self.mix = ExactCounter("analytics.mix")
         self.days = ExactCounter("analytics.days")
         self.events_seen = 0
-        self._sessions: Dict[str, _StreamScratch] = {}
+        self._sessions: Dict[str, OpenSession] = {}
         #: Sessions closed but not yet folded; empty between public calls.
         self._pending: _Columns = ([], [], [], [], [])
         #: Pending sessions that trigger a fold: 1, or ``FOLD_BATCH``
@@ -216,25 +178,13 @@ class StreamingAnalytics:
                 self.cms_hashes.add(sha, count)
             self.topk_hashes.add_many(hashes)
 
-    def observe_record(self, record) -> None:
-        """Fold one row-shaped :class:`SessionRecord` in."""
-        if record.n_login_attempts == 0:
-            category = "NO_CRED"
-        elif not record.login_success:
-            category = "FAIL_LOG"
-        elif not record.commands:
-            category = "NO_CMD"
-        elif record.uris:
-            category = "CMD_URI"
-        else:
-            category = "CMD"
+    def _closed(self, record: OpenSession) -> None:
+        """The lifecycle's close: the session goes to :meth:`observe_session`."""
         self.observe_session(
-            category=category,
-            day=record.day,
-            client_ip=record.client_ip,
-            asn=record.client_asn,
-            hashes=record.file_hashes,
-        )
+            category=session_category(record.attempted, record.success,
+                                      record.commands, record.uris),
+            day=int(record.start // 86_400), client_ip=record.client_ip,
+            asn=record.asn, hashes=record.hashes)
 
     # -- event-stream intake (health-monitor shaped) -----------------------
 
@@ -299,7 +249,7 @@ class StreamingAnalytics:
             offsets = store.hash_ids.offsets
             for lo in range(0, n, FOLD_BATCH):
                 hi = min(lo + FOLD_BATCH, n)
-                codes = _category_codes(
+                codes = category_codes(
                     store.n_attempts[lo:hi], store.login_success[lo:hi],
                     store.n_commands[lo:hi], store.has_uri[lo:hi])
                 asns = store.client_asn[lo:hi]
@@ -461,17 +411,6 @@ def _tally(keys: Iterable[Any]) -> Dict[Any, int]:
     return counts
 
 
-def _category_codes(attempts: np.ndarray, success: np.ndarray,
-                    commands: np.ndarray, has_uri: np.ndarray) -> np.ndarray:
-    """``CATEGORY_NAMES`` index of each row, by ``_StreamScratch.category``'s
-    rules (later assignments take precedence)."""
-    codes = np.where(has_uri, 4, 3)
-    codes[commands == 0] = 2
-    codes[~success] = 1
-    codes[attempts == 0] = 0
-    return codes
-
-
 def _distinct_per_row(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """``values`` without repeats within a CSR row, first occurrences in
     order (the ``dict.fromkeys`` of each row, back to back)."""
@@ -485,67 +424,20 @@ def _distinct_per_row(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return values[np.sort(first)]
 
 
-_Step = Callable[[StreamingAnalytics, Any, str, _Data], None]
-
-
-def _open(analytics: StreamingAnalytics, ts: Any, session: str, data: _Data) -> None:
-    if session:
-        src_ip = data.get("src_ip")
-        src_asn = data.get("src_asn")
-        # Positional: a keyword call costs three times as much per session.
-        analytics._sessions[session] = _StreamScratch(
-            int(float(ts) // 86_400),                   # day
-            None if src_ip is None else int(src_ip),    # client_ip
-            None if src_asn is None else int(src_asn),  # asn
-            False, False, 0, 0, [],  # attempted, success, commands, uris, hashes
-        )
-
-
-def _on_open(update: Callable[[_StreamScratch, _Data], None]) -> _Step:
-    """The step that applies ``update`` to the event's open session."""
-    def step(analytics: StreamingAnalytics, ts: Any, session: str, data: _Data) -> None:
-        scratch = analytics._sessions.get(session)
-        if scratch is not None:
-            update(scratch, data)
-    return step
-
-
-def _close(analytics: StreamingAnalytics, ts: Any, session: str, data: _Data) -> None:
-    scratch = analytics._sessions.pop(session, None)
-    if scratch is not None:
-        analytics.observe_session(
-            category=scratch.category(), day=scratch.day,
-            client_ip=scratch.client_ip, asn=scratch.asn, hashes=scratch.hashes)
-
-
 def _block(analytics: StreamingAnalytics, ts: Any, session: str, data: _Data) -> None:
     """Bulk-path block: exact counts only (no client/hash detail)."""
     sessions = int(data.get("sessions", 0))
     if sessions <= 0 or ts is None:
         return
-    category = BLOCK_CATEGORY.get(str(data.get("category", "")))
-    if category is None and data.get("campaign"):
-        category = str(data.get("session_kind", "CMD"))
-    if category not in CATEGORY_NAMES:
-        category = "CMD"
+    category = block_category(data) or "CMD"
     analytics.mix.add(category, sessions)
     analytics.days.add(int(float(ts) // 86_400), sessions)
     get_metrics().inc("sketch.sessions_observed", sessions)
 
 
-#: The one dispatch of every intake path: event kind -> step.  Other kinds
-#: count in ``events_seen`` and change nothing else.
-_STEPS: Dict[str, _Step] = {
-    "generator.block": _block,
-    "honeypot.session.connect": _open,
-    "honeypot.login.failed": _on_open(_StreamScratch.login_failed),
-    "honeypot.login.success": _on_open(_StreamScratch.login_success),
-    "honeypot.command.input": _on_open(_StreamScratch.command),
-    "honeypot.session.file_download": _on_open(_StreamScratch.download),
-    "honeypot.session.file_created": _on_open(_StreamScratch.file),
-    "honeypot.session.file_modified": _on_open(_StreamScratch.file),
-    "honeypot.session.closed": _close,
-}
+#: The one dispatch of every intake path: the session lifecycle plus the
+#: bulk block.  Other kinds count in ``events_seen`` and change nothing else.
+_STEPS: Dict[str, Step] = {"generator.block": _block, **SESSION_STEPS}
 
 
 def iter_session_events(store: SessionStore) -> Iterator[Dict[str, Any]]:

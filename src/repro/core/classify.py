@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
+from repro.honeypot.events import category_codes
 from repro.store.store import SessionStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,22 +50,11 @@ BEHAVIOR_OF = {
 def classify_store(store: SessionStore) -> np.ndarray:
     """Vectorised classification: one int8 code per session.
 
-    Codes index into :data:`CATEGORIES`.
+    Codes index into :data:`CATEGORIES` (the rule is
+    :func:`repro.honeypot.events.category_codes`).
     """
-    n = len(store)
-    codes = np.empty(n, dtype=np.int8)
-    no_cred = store.n_attempts == 0
-    fail = (~no_cred) & (~store.login_success)
-    success = store.login_success
-    no_cmd = success & (store.n_commands == 0)
-    cmd_uri = success & (store.n_commands > 0) & store.has_uri
-    cmd = success & (store.n_commands > 0) & (~store.has_uri)
-    codes[no_cred] = 0
-    codes[fail] = 1
-    codes[no_cmd] = 2
-    codes[cmd] = 3
-    codes[cmd_uri] = 4
-    return codes
+    return category_codes(store.n_attempts, store.login_success,
+                          store.n_commands, store.has_uri)
 
 
 def category_shares(store: "StoreOrContext") -> Dict[Category, float]:

@@ -30,19 +30,22 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.notify import FreshHashNotice
-from repro.honeypot.events import HoneypotEvent
+from repro.honeypot.events import (
+    CATEGORY_NAMES,
+    SESSION_STEPS,
+    HoneypotEvent,
+    OpenSession,
+    block_category,
+    session_category,
+)
 from repro.obs import get_ledger, get_metrics
 
 #: Session categories the mix-drift baseline tracks (the paper's taxonomy).
-CATEGORIES = ("NO_CRED", "FAIL_LOG", "NO_CMD", "CMD", "CMD_URI")
+CATEGORIES = CATEGORY_NAMES
 
-#: Bulk-path block categories mapped onto the taxonomy (shared with the
-#: streaming analytics consumer, which classifies block events the same way).
-BLOCK_CATEGORY = {
-    "no_cred": "NO_CRED", "fail_log": "FAIL_LOG", "no_cmd": "NO_CMD",
-    "bg_cmd": "CMD", "bg_uri": "CMD_URI", "singletons": "CMD",
-}
-_BLOCK_CATEGORY = BLOCK_CATEGORY
+_FILE_KINDS = frozenset({"honeypot.session.file_download",
+                         "honeypot.session.file_created",
+                         "honeypot.session.file_modified"})
 
 
 @dataclass
@@ -144,27 +147,6 @@ class _Ewma:
         self.n += 1
 
 
-@dataclass
-class _SessionScratch:
-    """Per-open-session state needed to categorise it at close time."""
-
-    honeypot_id: str
-    client_ip: int = 0
-    attempted: bool = False
-    success: bool = False
-    commands: int = 0
-    uris: int = 0
-
-    def category(self) -> str:
-        if not self.attempted:
-            return "NO_CRED"
-        if not self.success:
-            return "FAIL_LOG"
-        if not self.commands:
-            return "NO_CMD"
-        return "CMD_URI" if self.uris else "CMD"
-
-
 class FarmHealthMonitor:
     """Consumes the live event stream and maintains farm health state.
 
@@ -190,7 +172,7 @@ class FarmHealthMonitor:
         self.now = float("-inf")
         self.events_seen = 0
         self.sessions_seen = 0
-        self._sessions: Dict[str, _SessionScratch] = {}
+        self._sessions: Dict[str, OpenSession] = {}
         self._t0: Optional[float] = None  # first stamped event (liveness ref)
         self._interval_start: Optional[float] = None
         self._interval_sessions = 0
@@ -234,9 +216,8 @@ class FarmHealthMonitor:
 
     def feed_many(self, events: Iterable[Dict[str, Any]]) -> int:
         count = 0
-        for event in events:
+        for count, event in enumerate(events, 1):
             self.feed(event)
-            count += 1
         return count
 
     # -- consumption ----------------------------------------------------------
@@ -254,51 +235,34 @@ class FarmHealthMonitor:
         else:
             pot = None
 
+        step = SESSION_STEPS.get(kind)
+        if step is not None:
+            step(self, ts, session, data)
         if kind == "honeypot.session.connect":
             self.sessions_seen += 1
             self._interval_sessions += 1
             if pot is not None:
                 pot.sessions += 1
                 pot.live += 1
-            if session:
-                self._sessions[session] = _SessionScratch(
-                    honeypot_id=sensor,
-                    client_ip=int(data.get("src_ip", 0)),
-                )
-        elif kind in ("honeypot.login.success", "honeypot.login.failed"):
-            scratch = self._sessions.get(session)
-            if scratch is not None:
-                scratch.attempted = True
-                if kind == "honeypot.login.success":
-                    scratch.success = True
-            if pot is not None and kind == "honeypot.login.success":
-                pot.logins += 1
-        elif kind == "honeypot.command.input":
-            scratch = self._sessions.get(session)
-            if scratch is not None:
-                scratch.commands += 1
+        elif kind == "honeypot.session.closed":
             if pot is not None:
-                pot.commands += 1
-        elif kind == "honeypot.session.file_download":
-            scratch = self._sessions.get(session)
-            if scratch is not None:
-                scratch.uris += 1
+                pot.live = max(0, pot.live - 1)
+        elif kind in _FILE_KINDS:
             sha = data.get("shasum")
             if sha:
                 self._fresh_hash(sha, ts, sensor, session,
                                  uri=data.get("url", ""))
-        elif kind in ("honeypot.session.file_created",
-                      "honeypot.session.file_modified"):
-            sha = data.get("shasum")
-            if sha:
-                self._fresh_hash(sha, ts, sensor, session)
-        elif kind == "honeypot.session.closed":
-            scratch = self._sessions.pop(session, None)
-            if pot is not None:
-                pot.live = max(0, pot.live - 1)
-            if scratch is not None:
-                self._interval_mix[scratch.category()] += 1
+        elif pot is not None:
+            if kind == "honeypot.login.success":
+                pot.logins += 1
+            elif kind == "honeypot.command.input":
+                pot.commands += 1
         self._advance_to(ts)
+
+    def _closed(self, record: OpenSession) -> None:
+        """The lifecycle's close: the session joins the interval mix."""
+        self._interval_mix[session_category(
+            record.attempted, record.success, record.commands, record.uris)] += 1
 
     def _consume_block(self, ts: Optional[float], data: Dict[str, Any]) -> None:
         """A bulk-path block event: rate/mix counts without pot attribution."""
@@ -306,10 +270,8 @@ class FarmHealthMonitor:
         sessions = int(data.get("sessions", 0))
         self.sessions_seen += sessions
         self._interval_sessions += sessions
-        category = _BLOCK_CATEGORY.get(str(data.get("category", "")))
-        if category is None and data.get("campaign"):
-            category = str(data.get("session_kind", "CMD"))
-        if category in self._interval_mix:
+        category = block_category(data)
+        if category is not None:
             self._interval_mix[category] += sessions
         if ts is not None:
             self._advance_to(float(ts))
@@ -324,7 +286,7 @@ class FarmHealthMonitor:
         if sha in self.known_hashes:
             return
         self.known_hashes.add(sha)
-        scratch = self._sessions.get(session)
+        record = self._sessions.get(session)
         tag = "unknown"
         if self.intel is not None:
             # The monitor accepts any duck-typed intel source; a missing
@@ -338,7 +300,7 @@ class FarmHealthMonitor:
             sha256=sha,
             first_seen=ts,
             honeypot_id=sensor,
-            client_ip=scratch.client_ip if scratch else 0,
+            client_ip=(record.client_ip if record is not None else None) or 0,
             session_id=session,
             uri=uri,
             tag=tag,

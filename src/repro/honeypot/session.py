@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.honeypot.auth import AuthPolicy, AuthResult
-from repro.honeypot.events import EventType, HoneypotEvent
+from repro.honeypot.events import EventType, HoneypotEvent, session_category
 from repro.obs import inc as _metric_inc
 from repro.obs import trace as _trace
 from repro.honeypot.filesystem import FakeFilesystem
@@ -300,21 +300,13 @@ class HoneypotSession:
         self.state = SessionState.CLOSED
         self.close_reason = reason
         self.end_time = now
-        _metric_inc(f"honeypot.sessions.{self._category()}")
+        category = session_category(self.credentials, self.login_success,
+                                    self.commands, self.uris)
+        _metric_inc(f"honeypot.sessions.{category}")
         self._emit(EventType.SESSION_CLOSED, now, {
             "reason": reason.value,
             "duration": now - self.start_time,
         })
-
-    def _category(self) -> str:
-        """The paper's session taxonomy, derived from this session's record."""
-        if not self.credentials:
-            return "NO_CRED"
-        if not self.login_success:
-            return "FAIL_LOG"
-        if not self.commands:
-            return "NO_CMD"
-        return "CMD_URI" if self.uris else "CMD"
 
     # -- results ---------------------------------------------------------------
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Tuple
 
+from repro.obs.atomic import staged_file
 from repro.obs.metrics import Metrics
 
 
@@ -109,8 +110,8 @@ def render(metrics: Metrics, title: str = "metrics") -> str:
 
 
 def dump_json(metrics: Metrics, path: str) -> None:
-    """Write the registry's dict form as indented JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the registry's dict form as indented JSON (atomically)."""
+    with staged_file(path, "w") as fh:
         json.dump(metrics.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -239,9 +240,10 @@ def render_prometheus(metrics: Metrics) -> str:
 
 
 def write_trace_jsonl(events: Iterable[Dict[str, Any]], path: str) -> int:
-    """Write flight-recorder events as JSON lines; returns the count."""
+    """Write flight-recorder events as JSON lines (atomically); returns
+    the count."""
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with staged_file(path, "w") as fh:
         for event in events:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
             count += 1
@@ -369,8 +371,9 @@ def chrome_trace_events(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 
 def dump_chrome_trace(events: List[Dict[str, Any]], path: str) -> None:
-    """Write the Chrome ``trace_event`` JSON for about://tracing."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the Chrome ``trace_event`` JSON for about://tracing
+    (atomically)."""
+    with staged_file(path, "w") as fh:
         json.dump({"traceEvents": chrome_trace_events(events),
                    "displayTimeUnit": "ms"}, fh)
         fh.write("\n")

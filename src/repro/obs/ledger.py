@@ -44,6 +44,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
+from repro.obs.atomic import staged_file
 from repro.obs.metrics import get_metrics
 
 #: Ledger schema version (the header record pins it).
@@ -82,7 +83,7 @@ VOLATILE_FIELDS: Dict[str, frozenset] = {
         "attempt", "worker", "run_seconds", "queue_seconds",
         "telemetry_version", "wall_seconds", "cpu_seconds",
         "cpu_user_seconds", "cpu_system_seconds", "max_rss_kb",
-        "gc_collections", "gc_pause_seconds", "tracemalloc_peak_kb",
+        "gc_collections", "gc_pause_seconds",
     }),
     "alert": frozenset(),
     "artifact": frozenset({"path"}),
@@ -323,24 +324,16 @@ class RunLedger:
     def write_jsonl(self, path) -> int:
         """Write the manifest as JSON lines; returns the record count.
 
-        The write is atomic: records go to a sibling staging file that
-        replaces ``path`` only once complete, so a failure mid-write
-        leaves any previous ledger at ``path`` untouched and no staging
-        file behind.
+        The write is atomic (:func:`~repro.obs.atomic.staged_file`): a
+        failure mid-write leaves any previous ledger at ``path`` untouched
+        and no staging file behind.  Missing parent directories are made.
         """
         records = self.to_records()
         target = Path(path)
-        if target.parent != Path(""):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        staging = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-        try:
-            with open(staging, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-            os.replace(staging, target)
-        finally:
-            if staging.exists():
-                staging.unlink()
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with staged_file(target, "w") as fh:
+            for record in records:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
         get_metrics().inc("ledger.writes")
         get_metrics().inc("ledger.records", len(records))
         return len(records)

@@ -8,11 +8,10 @@ This module is the in-process half of that story, stdlib-only:
 * :class:`ResourceSampler` — a context manager each scheduler worker
   wraps around one :class:`~repro.sched.backends.ShardTask`: CPU time
   (``resource.getrusage`` deltas), peak RSS, GC collections and the
-  wall time spent inside them (``gc.callbacks``), and optionally
-  ``tracemalloc`` peaks.  The resulting dict rides home on
-  :class:`~repro.sched.backends.TaskOutcome.telemetry` and lands in the
-  run ledger (:mod:`repro.obs.ledger`) and the ``resource.*``
-  histograms.
+  wall time spent inside them (``gc.callbacks``).  The resulting dict
+  rides home on :class:`~repro.sched.backends.TaskOutcome.telemetry` and
+  lands in the run ledger (:mod:`repro.obs.ledger`) and the
+  ``resource.*`` histograms.
 * :func:`worker_heartbeat` — the periodic liveness payload a worker
   ships through its existing result pipe (a pool queue message) so the
   scheduler can surface a stuck worker *before* the stall
@@ -40,8 +39,7 @@ except ImportError:  # pragma: no cover
 #: Schema version stamped into every telemetry dict.
 TELEMETRY_VERSION = 1
 
-#: Fields a completed sampler reports (plus ``tracemalloc_peak_kb`` when
-#: tracemalloc sampling was requested).  All are per-task deltas except
+#: Fields a completed sampler reports.  All are per-task deltas except
 #: ``max_rss_kb``, a process-lifetime high-water mark (``ru_maxrss`` does
 #: not reset between tasks — a ceiling, not an exact per-task figure).
 TELEMETRY_FIELDS = (
@@ -116,22 +114,15 @@ class ResourceSampler:
     sampler's lifetime: the "start" phase opens a stopwatch, "stop"
     closes it and accumulates.  Samplers nest safely (each hook only
     accounts its own window) and the hook is always removed on exit.
-
-    ``trace_malloc=True`` additionally runs :mod:`tracemalloc` across the
-    window and reports the traced peak — allocation-exact but expensive,
-    so it is opt-in and never on the default task path.
     """
 
-    def __init__(self, trace_malloc: bool = False) -> None:
-        self.trace_malloc = bool(trace_malloc)
+    def __init__(self) -> None:
         self.gc_collections = 0
         self.gc_pause_seconds = 0.0
         self._watch: Optional[Stopwatch] = None
         self._gc_watch: Optional[Stopwatch] = None
         self._ru0: Any = None
         self._ru1: Any = None
-        self._tracemalloc_peak_kb: Optional[int] = None
-        self._started_tracemalloc = False
 
     # -- gc hook ---------------------------------------------------------------
 
@@ -150,12 +141,6 @@ class ResourceSampler:
         if _resource is not None:
             self._ru0 = _resource.getrusage(_resource.RUSAGE_SELF)
         gc.callbacks.append(self._on_gc)
-        if self.trace_malloc:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracemalloc = True
         return self
 
     def __exit__(self, *exc: Any) -> None:
@@ -165,14 +150,6 @@ class ResourceSampler:
             pass
         if _resource is not None:
             self._ru1 = _resource.getrusage(_resource.RUSAGE_SELF)
-        if self.trace_malloc:
-            import tracemalloc
-
-            if tracemalloc.is_tracing():
-                _, peak = tracemalloc.get_traced_memory()
-                self._tracemalloc_peak_kb = int(peak) // 1024
-                if self._started_tracemalloc:
-                    tracemalloc.stop()
 
     # -- results ---------------------------------------------------------------
 
@@ -186,7 +163,7 @@ class ResourceSampler:
         if self._ru0 is not None and self._ru1 is not None:
             user = max(0.0, self._ru1.ru_utime - self._ru0.ru_utime)
             system = max(0.0, self._ru1.ru_stime - self._ru0.ru_stime)
-        out: Dict[str, Any] = {
+        return {
             "telemetry_version": TELEMETRY_VERSION,
             "wall_seconds": self.wall_seconds,
             "cpu_user_seconds": user,
@@ -196,9 +173,6 @@ class ResourceSampler:
             "gc_collections": self.gc_collections,
             "gc_pause_seconds": self.gc_pause_seconds,
         }
-        if self._tracemalloc_peak_kb is not None:
-            out["tracemalloc_peak_kb"] = self._tracemalloc_peak_kb
-        return out
 
 
 def worker_heartbeat(

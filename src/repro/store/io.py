@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-from repro.store.npz import staged_file
+from repro.obs.atomic import staged_file
 from repro.store.records import SessionRecord
 from repro.store.store import SessionStore, StoreBuilder
 

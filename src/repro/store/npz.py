@@ -24,16 +24,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import zipfile
 import zlib
-from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Tuple, Union
+from typing import Iterator, Tuple, Union
 
 import numpy as np
 
 from repro.obs import get_metrics, stopwatch
+from repro.obs.atomic import staged_file
 from repro.store.interning import StringTable
 from repro.store.records import STORE_COLUMN_DTYPES, CommandScript
 from repro.store.store import HashIdColumn, SessionStore
@@ -112,37 +111,6 @@ def store_digest(store: SessionStore) -> str:
             digest.update(str(value.dtype).encode("utf-8"))
             digest.update(np.ascontiguousarray(value).tobytes())
     return digest.hexdigest()
-
-
-@contextmanager
-def staged_file(path: PathLike, mode: str = "wb") -> Iterator[IO]:
-    """Open a sibling staging file that replaces ``path`` on a clean exit.
-
-    If the block raises, the staging file is removed and whatever was at
-    ``path`` before is left untouched.  A writer killed outright cannot
-    remove its file, so each write first removes the staging files of
-    ``path`` whose writer's pid is no longer alive on this host.
-    """
-    path = Path(path)
-    prefix = f".{path.name}."
-    for name in sorted(os.listdir(path.parent)):
-        pid = name[len(prefix):-len(".tmp")]
-        if name.startswith(prefix) and name.endswith(".tmp") and pid.isdigit():
-            try:
-                os.kill(int(pid), 0)
-            except ProcessLookupError:
-                path.with_name(name).unlink(missing_ok=True)
-            except PermissionError:  # alive, owned by another user
-                pass
-    staging = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(staging, mode,
-                  encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
-        os.replace(staging, path)
-    finally:
-        if staging.exists():
-            staging.unlink()
 
 
 # -- encoding ------------------------------------------------------------------

@@ -21,7 +21,8 @@ from repro.farm.deployment import DeploymentPlan, HoneypotSite
 from repro.geo.registry import GeoRegistry, NetworkType
 from repro.intel.database import IntelDatabase
 from repro.intel.tags import ThreatTag
-from repro.store.npz import load_npz, save_npz, staged_file
+from repro.obs.atomic import staged_file
+from repro.store.npz import load_npz, save_npz
 from repro.workload.config import ScenarioConfig
 from repro.workload.dataset import CampaignRuntime, HoneyfarmDataset
 

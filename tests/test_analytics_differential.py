@@ -38,7 +38,7 @@ from repro.analytics import (
 from repro.analytics import sketches
 from repro.analytics import streaming as streaming_module
 from repro.analytics.streaming import FOLD_BATCH
-from repro.honeypot.events import EventType, HoneypotEvent
+from repro.honeypot.events import EventType, HoneypotEvent, session_category
 from repro.obs import get_metrics, use_metrics
 from repro.core.classify import CATEGORIES, classify_store, category_shares
 from repro.core.clients import unique_client_count
@@ -264,31 +264,6 @@ class TestBackendMatrix:
 class TestStreamingIntakeUnit:
     """Intake edge paths that the generated dataset never exercises."""
 
-    def test_observe_record_classifies_like_the_batch_rules(self):
-        from repro.store.records import SessionRecord
-
-        cases = [
-            (dict(n_login_attempts=0, login_success=False), "NO_CRED"),
-            (dict(n_login_attempts=2, login_success=False), "FAIL_LOG"),
-            (dict(n_login_attempts=1, login_success=True), "NO_CMD"),
-            (dict(n_login_attempts=1, login_success=True,
-                  commands=("ls",)), "CMD"),
-            (dict(n_login_attempts=1, login_success=True,
-                  commands=("wget",), uris=("http://x/a",),
-                  file_hashes=("h1",)), "CMD_URI"),
-        ]
-        analytics = StreamingAnalytics()
-        for i, (kw, _) in enumerate(cases):
-            analytics.observe_record(SessionRecord(
-                start_time=86_400.0 * i, duration=5.0, honeypot_id="pot-a",
-                protocol="ssh", client_ip=1000 + i, client_asn=i,
-                client_country="US", **kw))
-        assert analytics.category_counts() == {
-            cat: 1 for cat in ("NO_CRED", "FAIL_LOG", "NO_CMD",
-                               "CMD", "CMD_URI")
-        }
-        assert analytics.top_hashes(1)[0][0] == "h1"
-
     def test_generator_block_events_update_exact_accumulators_only(self):
         analytics = StreamingAnalytics()
         analytics.feed_many([
@@ -352,7 +327,12 @@ class TestStreamingIntakeUnit:
         by_store.ingest_store(store)
         by_records = StreamingAnalytics()
         for record in records:
-            by_records.observe_record(record)
+            by_records.observe_session(
+                category=session_category(
+                    record.n_login_attempts, record.login_success,
+                    record.commands, record.uris),
+                day=record.day, client_ip=record.client_ip,
+                asn=record.client_asn, hashes=record.file_hashes)
         by_events = StreamingAnalytics()
         by_events.feed_many(replay_store_events(store))
         assert by_store == by_records == by_events

@@ -240,3 +240,50 @@ class TestMonitorSecondsFlags:
         from repro.__main__ import _sim_seconds
 
         assert _sim_seconds(value) == seconds
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early (``| head -1``) is not an error."""
+
+    @pytest.mark.parametrize("command", [["monitor", "--input"],
+                                         ["top", "--once", "--input"]])
+    def test_closed_stdout_exits_zero_and_quiet(self, tmp_path, command):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.obs import write_trace_jsonl
+        from repro.obs.trace import Tracer
+
+        tracer = Tracer()
+        for i in range(40):
+            tracer.emit("honeypot.session.connect", trace_id=f"session:s{i}",
+                        sim_time=float(i), sensor=f"hp-{i}", session=f"s{i}",
+                        src_ip=i)
+        trace = tmp_path / "trace.jsonl"
+        write_trace_jsonl(tracer.to_list(), str(trace))
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *command, str(trace)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # before the child has written a byte
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+
+
+@pytest.mark.parametrize("command", [["monitor", "--input"],
+                                     ["top", "--once", "--input"]])
+def test_tail_skips_lines_that_are_not_event_objects(tmp_path, capsys,
+                                                     command):
+    from repro.obs import use_metrics
+
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('3\n[1, 2]\nnot json\n\n'
+                     '{"seq": 0, "wall": 0.0, "kind": "x"}\n')
+    with use_metrics():
+        assert main([*command, str(trace)]) == 0
+    assert "warning: 3 unparseable lines skipped" in capsys.readouterr().err

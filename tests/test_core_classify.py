@@ -50,3 +50,31 @@ class TestClassifyStore:
         assert len(classify_store(store)) == 0
         shares = category_shares(store)
         assert all(v == 0.0 for v in shares.values())
+
+
+class TestOneRule:
+    """The scalar and the column form of the Figure 5 rule agree."""
+
+    def test_scalar_and_column_rules_agree_on_every_combination(self):
+        import itertools
+
+        import numpy as np
+
+        from repro.honeypot.events import (
+            CATEGORY_NAMES,
+            category_codes,
+            session_category,
+        )
+
+        rows = list(itertools.product((0, 2), (False, True), (0, 3),
+                                      (False, True)))
+        attempts, success, commands, has_uri = (np.array(col)
+                                                for col in zip(*rows))
+        codes = category_codes(attempts, success, commands, has_uri)
+        assert codes.dtype == np.int8
+        assert [CATEGORY_NAMES[c] for c in codes] == \
+            [session_category(*row) for row in rows]
+        # No attempt is NO_CRED, whatever else the row says.
+        assert session_category(0, True, 3, True) == "NO_CRED"
+        assert [CATEGORY_NAMES[c] for c in (0, 1, 2, 3, 4)] == \
+            [cat.value for cat in Category]

@@ -8,6 +8,8 @@ the end-to-end demo scenario behind ``python -m repro monitor``.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.farm.health import (
@@ -435,3 +437,113 @@ class TestMonitorCli:
 
 def test_categories_cover_the_paper_taxonomy():
     assert CATEGORIES == ("NO_CRED", "FAIL_LOG", "NO_CMD", "CMD", "CMD_URI")
+
+
+def monitor_digest(monitor, metrics):
+    """sha256 over the monitor's alerts, notices, table, counts and the
+    ``farm.*`` histograms of ``metrics``."""
+    h = hashlib.sha256()
+    for alert in monitor.alerts:
+        h.update(f"{alert.kind}|{alert.time!r}|{alert.honeypot_id}|"
+                 f"{alert.message}\n".encode())
+    for n in monitor.notices:
+        # Not the session id: it counts every session the process opened.
+        h.update(f"{n.sha256}|{n.first_seen!r}|{n.honeypot_id}|{n.client_ip}|"
+                 f"{n.uri}|{n.tag}\n".encode())
+    h.update(monitor.render_table().encode())
+    h.update(f"|{monitor.sessions_seen}|{monitor.events_seen}|".encode())
+    for name in sorted(metrics.histograms):
+        if name.startswith("farm."):
+            hist = metrics.histograms[name]
+            h.update(f"{name}|{hist.count}|{hist.total!r}|{hist.max!r}|"
+                     f"{hist.values!r}\n".encode())
+    return h.hexdigest()
+
+
+#: input -> (digest, (sessions_seen, events_seen, alerts, notices)).
+#: Pinned from the monitor before it shared the session lifecycle with
+#: the streaming analytics; any intake rewrite must reproduce it.
+MONITOR_GOLDEN = {
+    "demo/on_event": (
+        "7db7e9e239c73c9fd1aca78ba2bbc91f21004ea0f6b7bc809192e0c8e4650b16",
+        (246, 577, 10, 2)),
+    "demo/feed": (
+        "3f691ff57af87905e967a913d8cecf5def62b1e77b2321463d340d23a009c218",
+        (246, 1396, 16, 2)),
+    "replay_store_events": (
+        "b0bae0143e9eeb61e7d36b9c5fc92233b809346e5f84c76d760d606cc44a11de",
+        (5175, 23696, 1000, 342)),
+    "pool_trace": (
+        "89ca8dd6f896426a7e35202a66e4071598c62eb024577b3daa8c39b41233f627",
+        (5175, 2140, 27, 0)),
+}
+
+
+def _pinned(monitor, metrics):
+    return (monitor_digest(monitor, metrics),
+            (monitor.sessions_seen, monitor.events_seen,
+             len(monitor.alerts), len(monitor.notices)))
+
+
+class TestPinnedMonitorState:
+    """Whole monitor state pinned over a live, a replayed and a bulk stream."""
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        """``repro monitor``'s demo run: its monitor, metrics and trace."""
+        import argparse
+        import contextlib
+        import io
+
+        from repro.__main__ import _monitor_demo
+        from repro.obs.trace import Tracer, use_tracer
+
+        monitor = FarmHealthMonitor()
+        tracer = Tracer()
+        with use_metrics() as metrics, use_tracer(tracer), \
+                contextlib.redirect_stdout(io.StringIO()):
+            _monitor_demo(argparse.Namespace(seed=7, pots=6,
+                                             duration=3600.0), monitor)
+        return monitor, metrics, tracer.to_list()
+
+    def test_demo_on_event_pinned(self, demo):
+        monitor, metrics, _ = demo
+        assert _pinned(monitor, metrics) == MONITOR_GOLDEN["demo/on_event"]
+
+    def test_demo_feed_pinned(self, demo):
+        live, _, events = demo
+        with use_metrics() as metrics:
+            monitor = FarmHealthMonitor()
+            monitor.watch(sorted(live.pots))
+            monitor.feed_many(events)
+            monitor.advance(3600.0)
+        assert _pinned(monitor, metrics) == MONITOR_GOLDEN["demo/feed"]
+
+    def test_replayed_store_pinned(self):
+        import repro
+        from repro.analytics import replay_store_events
+
+        store = repro.generate(repro.ScenarioConfig(
+            scale=1 / 80000, seed=7, hash_scale=0.004)).store
+        with use_metrics() as metrics:
+            monitor = FarmHealthMonitor(HealthConfig(interval=86400.0))
+            monitor.feed_many(replay_store_events(store))
+        assert _pinned(monitor, metrics) == \
+            MONITOR_GOLDEN["replay_store_events"]
+
+    def test_pool_trace_with_blocks_pinned(self):
+        import repro
+        from repro.obs.trace import Tracer, strip_volatile_events, use_tracer
+        from repro.sched.scheduler import generate_scheduled
+
+        tracer = Tracer()
+        with use_metrics(), use_tracer(tracer):
+            generate_scheduled(repro.ScenarioConfig(
+                scale=1 / 80000, seed=7, hash_scale=0.004),
+                backend="pool", workers=2)
+        events = strip_volatile_events(tracer.to_list())
+        assert any(e["kind"] == "generator.block" for e in events)
+        with use_metrics() as metrics:
+            monitor = FarmHealthMonitor(HealthConfig(interval=86400.0))
+            monitor.feed_many(events)
+        assert _pinned(monitor, metrics) == MONITOR_GOLDEN["pool_trace"]

@@ -513,3 +513,61 @@ class TestStopwatch:
         drained = watch.elapsed()
         watch.restart()
         assert watch.elapsed() <= drained + 1.0
+
+
+class TestAtomicWrites:
+    """Every post-run artefact replaces its target whole or not at all."""
+
+    @staticmethod
+    def _fail_midway(monkeypatch, module, name):
+        """Make ``module.name`` write a partial payload, then raise."""
+        def partial(obj, fh=None, *args, **kwargs):
+            if fh is not None:
+                fh.write('{"partial": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(module, name, partial)
+
+    @pytest.mark.parametrize("writer", ["dump_json", "dump_chrome_trace",
+                                        "write_trace_jsonl", "prometheus"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch,
+                                              writer):
+        import repro.obs as obs
+        from repro.__main__ import main
+        from repro.obs import export
+
+        target = tmp_path / "out.json"
+        target.write_bytes(b"previous run\n")
+        if writer == "prometheus":
+            monkeypatch.setattr(obs, "render_prometheus",
+                                lambda metrics: 1 / 0)
+            with use_metrics(), pytest.raises(ZeroDivisionError):
+                main(["monitor", "--duration", "600", "--pots", "2",
+                      "--prometheus", str(target)])
+        else:
+            self._fail_midway(monkeypatch, export.json,
+                              "dumps" if writer == "write_trace_jsonl"
+                              else "dump")
+            with use_metrics() as metrics, pytest.raises(OSError):
+                if writer == "dump_json":
+                    export.dump_json(metrics, str(target))
+                else:
+                    getattr(export, writer)([{"seq": 0, "kind": "x"}],
+                                            str(target))
+        assert target.read_bytes() == b"previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    def test_next_ledger_write_removes_a_dead_writers_staging(self, tmp_path):
+        import subprocess
+        import sys
+
+        from repro.obs import RunLedger, read_ledger_jsonl
+
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        stale = tmp_path / f".ledger.jsonl.{dead.pid}.tmp"
+        stale.write_text('{"record": "ledger"')
+        with use_metrics():
+            count = RunLedger().write_jsonl(tmp_path / "ledger.jsonl")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.jsonl"]
+        assert len(read_ledger_jsonl(tmp_path / "ledger.jsonl")) == count

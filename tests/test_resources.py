@@ -79,13 +79,6 @@ class TestResourceSampler:
         assert inner.gc_collections >= 1
         assert outer.gc_collections >= 2
 
-    def test_tracemalloc_opt_in(self):
-        with ResourceSampler(trace_malloc=True) as sampler:
-            blob = [bytearray(1 << 16) for _ in range(8)]
-            del blob
-        out = sampler.to_dict()
-        assert out["tracemalloc_peak_kb"] > 0
-
     def test_tracemalloc_absent_by_default(self):
         with ResourceSampler() as sampler:
             pass
