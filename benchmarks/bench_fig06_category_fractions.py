@@ -1,6 +1,5 @@
 """Figure 6: category fractions over time + total daily activity."""
 
-import numpy as np
 from common import heading, print_series
 
 from repro.core.timeseries import category_fractions_over_time

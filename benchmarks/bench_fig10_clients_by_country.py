@@ -1,6 +1,5 @@
 """Figure 10: honeypot client IPs per country (all, and CMD sessions)."""
 
-import numpy as np
 from common import echo, heading, print_top
 
 from repro.core.classify import classify_store

@@ -1,6 +1,5 @@
 """Figure 11: number of unique client IPs per day per category."""
 
-import numpy as np
 from common import heading, print_series
 
 from repro.core.clients import daily_unique_ips

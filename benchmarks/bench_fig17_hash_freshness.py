@@ -1,6 +1,5 @@
 """Figure 17: unique hashes per day and the fresh-hash fraction."""
 
-import numpy as np
 from common import echo, heading, print_series
 
 from repro.core.freshness import freshness_report

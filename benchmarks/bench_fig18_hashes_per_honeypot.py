@@ -1,14 +1,14 @@
 """Figure 18: unique (fresh) hashes per honeypot vs. client counts."""
 
 import numpy as np
-from common import echo, heading
+from common import assert_claim, echo, heading
 
 from repro.core.clients import clients_per_honeypot
 from repro.core.freshness import fresh_hashes_per_honeypot
 from repro.core.hashes import hashes_per_honeypot
 
 
-def test_fig18(occurrences, store):
+def test_fig18(dataset, occurrences, store):
     per_pot = hashes_per_honeypot(occurrences)
     heading("Figure 18 — unique hashes per honeypot (vs clients)",
             "top-10 hash collectors see ~20x the tail; the top pot still "
@@ -18,9 +18,6 @@ def test_fig18(occurrences, store):
     echo("  sorted hash curve: " + ", ".join(
         f"r{int(i) + 1}={per_pot[order[i]]}" for i in idx))
 
-    n_hashes = occurrences.n_hashes
-    echo(f"  top pot: {per_pot[order[0]] / n_hashes:.1%} of {n_hashes:,} "
-          "hashes (paper <5%)")
     clients = clients_per_honeypot(store)
     top_hashes = set(order[:10].tolist())
     top_clients = set(np.argsort(clients)[::-1][:10].tolist())
@@ -31,7 +28,7 @@ def test_fig18(occurrences, store):
     top_fresh = set(np.argsort(fresh)[::-1][:10].tolist())
     echo(f"  top-10 by hashes vs by first-seen overlap: "
           f"{len(top_hashes & top_fresh)}/10 (paper: nearly identical)")
-    assert per_pot[order[0]] / n_hashes < 0.10
+    assert_claim(dataset, "top pot hash share")
     assert len(top_hashes & top_fresh) >= 4
     head = per_pot[order[:10]].mean()
     tail = per_pot[order[-50:]].mean()

@@ -11,6 +11,8 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.workload.validation import paper_claim, validate
+
 
 #: Narration collected during the run; the benchmarks' conftest flushes it
 #: through the terminal reporter at session end, because pytest's capture
@@ -27,6 +29,16 @@ def echo(line: str = "") -> None:
 def heading(name: str, paper_note: str) -> None:
     echo(f"\n=== {name} ===")
     echo(f"paper: {paper_note}")
+
+
+def assert_claim(dataset, name: str) -> None:
+    """Print and assert the paper claim ``name`` on ``dataset`` with
+    ``validate``'s measure and bound (tighter on a bench-volume trace)."""
+    claim = paper_claim(name)
+    check = next(c for c in validate(dataset).checks if c.name == name)
+    value = check.measured * (100 if claim.unit == "%" else 1)
+    echo(f"  {name}: paper {claim.text} | measured {value:,.4g}{claim.unit}")
+    assert check.passed, str(check)
 
 
 def print_series(name: str, values: np.ndarray, points: int = 8) -> None:

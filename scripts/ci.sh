@@ -215,9 +215,9 @@ echo "== flight-recorder smoke (schema-validate the traced run's JSONL) =="
 python -m repro monitor --input "$SCRATCH/ci_trace.jsonl" --validate \
     --interval 86400 > /dev/null
 
-echo "== monitor --input smoke (header sessions == generate.merged; | head -1 exits 0) =="
-MONITOR_HEAD="$(python -m repro monitor --input "$SCRATCH/ci_trace.jsonl" \
-    --interval 86400 | head -1)" \
+echo "== monitor --input smoke (default interval; header sessions == generate.merged; | head -1 exits 0) =="
+MONITOR_HEAD="$(timeout 60 python -m repro monitor \
+    --input "$SCRATCH/ci_trace.jsonl" | head -1)" \
     || { echo "monitor --input | head -1 exited non-zero"; exit 1; }
 python - "$SCRATCH/ci_trace.jsonl" "$MONITOR_HEAD" <<'PY'
 import json
@@ -235,6 +235,12 @@ if len(merged) != 1 or shown is None \
                      f"sessions {merged}")
 print(f"monitor --input ok ({merged[0]:,} sessions = generate.merged)")
 PY
+
+echo "== EXPERIMENTS.md is current (regenerated from the paper-claims table) =="
+python scripts/make_experiments.py --out "$SCRATCH/EXPERIMENTS.md" > /dev/null
+diff -u EXPERIMENTS.md "$SCRATCH/EXPERIMENTS.md" \
+    || { echo "EXPERIMENTS.md is stale: run python scripts/make_experiments.py"; exit 1; }
+echo "EXPERIMENTS.md matches a fresh regeneration"
 
 echo "== farm-health monitor smoke (live demo must raise a fresh-hash alert) =="
 MONITOR_OUT="$(python -m repro monitor --duration 3600 --pots 6)"

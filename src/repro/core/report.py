@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.core import (
     activity,
     asns,
@@ -24,7 +22,7 @@ from repro.core import (
     versions,
 )
 from repro.core.blocking import blocklist_impact
-from repro.core.classify import category_shares
+from repro.core.classify import CATEGORIES, category_shares
 from repro.core.context import AnalysisContext
 from repro.core.federation import federation_report
 from repro.core.hashes import (
@@ -37,27 +35,7 @@ from repro.core.hashes import (
 from repro.obs import get_metrics
 from repro.simulation.rng import RngStream
 from repro.workload.dataset import HoneyfarmDataset
-
-#: Paper-published values used for side-by-side reporting.
-PAPER_VALUES = {
-    "category_shares": {
-        "NO_CRED": 0.277, "FAIL_LOG": 0.42, "NO_CMD": 0.116,
-        "CMD": 0.18, "CMD_URI": 0.007,
-    },
-    "ssh_total_share": 0.7584,
-    "top10_session_share": 0.14,
-    "knee_rank": 11,
-    "max_min_ratio_min": 30.0,
-    "share_single_pot_min": 0.40,
-    "share_over_10_pots": 0.18,
-    "share_over_half_pots": 0.02,
-    "share_single_day_min": 0.50,
-    "hash_share_single_pot_min": 0.60,
-    "hash_share_over_10_pots": 0.068,
-    "top_pot_hash_share_max": 0.05,
-    "top10_pot_hash_share_max": 0.15,
-    "out_of_continent_share_min": 0.50,
-}
+from repro.workload.validation import paper_claim
 
 
 def full_report(
@@ -158,30 +136,48 @@ def print_summary(dataset: HoneyfarmDataset, report: Optional[Dict] = None) -> s
     cs = report["clients_summary"]
     hc = report["hash_coverage"]
     div = report["fig16_diversity"]
+
+    def paper(name: str) -> str:
+        return paper_claim(name).text
+
     lines = [
         "=== Honeyfarm reproduction summary (paper vs measured) ===",
-        f"sessions: {len(dataset.store):,} (paper: 402M, scale {dataset.config.scale:g})",
-        f"SSH share: paper 75.8% | measured {t1.protocol_totals['ssh']:.1%}",
+        f"sessions: {len(dataset.store):,} (paper: "
+        f"{paper_claim('sessions').paper / 1e6:g}M, scale {dataset.config.scale:g})",
+        f"SSH share: paper {paper_claim('SSH share').paper:.1%} | "
+        f"measured {t1.protocol_totals['ssh']:.1%}",
     ]
-    for cat, share in PAPER_VALUES["category_shares"].items():
-        lines.append(
-            f"  {cat:<9} paper {share:6.1%} | measured {t1.overall[cat]:6.1%}"
-        )
+    lines += [f"  {cat.value:<9} paper {paper_claim(f'{cat.value} share').paper:6.1%}"
+              f" | measured {t1.overall[cat.value]:6.1%}" for cat in CATEGORIES]
     lines += [
-        f"top-10 pot session share: paper 14% | measured {act.top10_share:.1%}",
-        f"activity knee rank: paper ~11 | measured {act.knee_rank}",
-        f"max/min pot sessions: paper >30x | measured {act.max_min_ratio:.1f}x",
+        f"top-10 pot session share: paper {paper('top-10 session share')} | "
+        f"measured {act.top10_share:.1%}",
+        f"activity knee rank: paper {paper('knee rank')} | "
+        f"measured {act.knee_rank}",
+        f"max/min pot sessions: paper {paper('max/min pot sessions')} | "
+        f"measured {act.max_min_ratio:.1f}x",
         f"clients: {cs['unique_ips']:,} IPs in {cs['unique_ases']:,} ASes",
-        f"single-pot clients: paper >40% | measured {cs['share_single_pot']:.1%}",
-        f">10-pot clients: paper 18% | measured {cs['share_over_10_pots']:.1%}",
-        f">half-farm clients: paper 2% | measured {cs['share_over_half_pots']:.1%}",
-        f"single-day clients: paper >50% | measured {cs['share_single_day']:.1%}",
-        f"multi-category clients: paper >40% | measured {cs['multi_category_share']:.1%}",
-        f"hashes: {hc['n_hashes']:,} unique (paper 64,004)",
-        f"single-pot hashes: paper >60% | measured {hc['share_single_pot']:.1%}",
-        f"top pot hash share: paper <5% | measured {hc['top_pot_hash_share']:.1%}",
-        f"top-10 pot hash share: paper <15% | measured {hc['top10_pot_hash_share']:.1%}",
-        f"out-of-continent-only client-days: paper >50% | measured {div.out_only_share:.1%}",
-        f"intel coverage: paper <2% | measured {report['intel_coverage']:.1%}",
+        f"single-pot clients: paper {paper('single-pot client share')} | "
+        f"measured {cs['share_single_pot']:.1%}",
+        f">10-pot clients: paper {paper('>10-pot client share')} | "
+        f"measured {cs['share_over_10_pots']:.1%}",
+        f">half-farm clients: paper {paper('>half-farm client share')} | "
+        f"measured {cs['share_over_half_pots']:.1%}",
+        f"single-day clients: paper {paper('single-day client share')} | "
+        f"measured {cs['share_single_day']:.1%}",
+        f"multi-category clients: paper {paper('multi-category client share')}"
+        f" | measured {cs['multi_category_share']:.1%}",
+        f"hashes: {hc['n_hashes']:,} unique (paper {paper('unique hashes')})",
+        f"single-pot hashes: paper {paper('single-pot hash share')} | "
+        f"measured {hc['share_single_pot']:.1%}",
+        f"top pot hash share: paper {paper('top pot hash share')} | "
+        f"measured {hc['top_pot_hash_share']:.1%}",
+        f"top-10 pot hash share: paper {paper('top-10 pot hash share')} | "
+        f"measured {hc['top10_pot_hash_share']:.1%}",
+        "out-of-continent-only client-days: paper "
+        f"{paper('out-of-continent-only client-days')} | "
+        f"measured {div.out_only_share:.1%}",
+        f"intel coverage: paper {paper('threat-intel hash coverage')} | "
+        f"measured {report['intel_coverage']:.1%}",
     ]
     return "\n".join(lines)

@@ -43,6 +43,11 @@ from repro.obs import get_ledger, get_metrics
 #: Session categories the mix-drift baseline tracks (the paper's taxonomy).
 CATEGORIES = CATEGORY_NAMES
 
+#: A rate baseline below this is as good as zero: it is under half an ulp
+#: of 0.3, so the next busy interval updates it exactly as it would a zero
+#: baseline, and until then its variance is far below the z-score floor.
+_NEGLIGIBLE = 1e-17
+
 _FILE_KINDS = frozenset({"honeypot.session.file_download",
                          "honeypot.session.file_created",
                          "honeypot.session.file_modified"})
@@ -145,6 +150,26 @@ class _Ewma:
             self.mean += self.alpha * delta
             self.var = (1 - self.alpha) * (self.var + self.alpha * delta * delta)
         self.n += 1
+
+
+def _quiet_steps(start: float, step: float, now: float, oldest: float,
+                 timeout: float) -> int:
+    """How often ``start += step`` may repeat with the sum at or before
+    ``now`` and within ``timeout`` of ``oldest``.
+
+    Counted only where the additions are exact, on integral floats below
+    2**53 (the k-th sum is then ``start + k * step``); elsewhere 0.
+    """
+    if not (float(start).is_integer() and float(step).is_integer()
+            and abs(start) + abs(now) + 2 * step < 2 ** 53):
+        return 0
+    lo, hi = 0, int((now - start) // step) + 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        end = start + mid * step
+        lo, hi = (mid, hi) if end <= now and end - oldest <= timeout \
+            else (lo, mid)
+    return lo
 
 
 class FarmHealthMonitor:
@@ -331,7 +356,55 @@ class FarmHealthMonitor:
         # Liveness is re-checked at interval closes (and explicit advance()
         # calls), keeping the per-event cost O(1) rather than O(pots).
         while now >= self._interval_start + cfg.interval:
-            self._close_interval(self._interval_start + cfg.interval)
+            if self._interval_sessions or any(self._interval_mix.values()):
+                self._close_interval(self._interval_start + cfg.interval)
+            else:
+                self._close_empty(now)
+
+    def _close_empty(self, now: float) -> None:
+        """Close the run of empty intervals ending at or before ``now``,
+        with the alerts and counts of one :meth:`_close_interval` each.
+
+        An empty interval only decays the rate baseline; once that is
+        negligible, only the clock moves (by exact float additions) until
+        ``now`` or the next liveness deadline.  An interval whose z-score
+        raises a drift alert closes the long way.
+        """
+        cfg, rate = self.config, self._rate
+        step, timeout = cfg.interval, cfg.liveness_timeout
+        start, zeros, oldest = self._interval_start, 0, self._oldest_up()
+        hist = get_metrics().histogram("farm.sessions_per_interval",
+                                       cap=cfg.histogram_cap)
+        while now >= start + step:
+            if rate.n and rate.mean < _NEGLIGIBLE and rate.var < _NEGLIGIBLE:
+                quiet = _quiet_steps(start, step, now, oldest, timeout)
+                start += quiet * step
+                zeros, rate.n = zeros + quiet, rate.n + quiet
+                self._intervals_closed += quiet
+                if now < start + step:
+                    break
+            end = start + step
+            z = rate.zscore(0.0)
+            if (z is not None and abs(z) > cfg.z_threshold
+                    and self._intervals_closed >= cfg.warmup_intervals):
+                hist.observe_repeated(0.0, zeros)
+                zeros, self._interval_start = 0, start
+                self._close_interval(end)
+                start, oldest = end, self._oldest_up()
+                continue
+            rate.update(0.0)
+            zeros, start = zeros + 1, end
+            self._intervals_closed += 1
+            if end - oldest > timeout:
+                self._check_liveness(end)
+                oldest = self._oldest_up()
+        hist.observe_repeated(0.0, zeros)
+        self._interval_start = start
+
+    def _oldest_up(self) -> float:
+        """The earliest liveness reference of a pot still up (inf: none)."""
+        return min((p.last_seen if p.last_seen != float("-inf") else self._t0
+                    for p in self.pots.values() if p.up), default=math.inf)
 
     def _close_interval(self, end: float) -> None:
         cfg = self.config

@@ -100,6 +100,7 @@ class Honeypot:
             config=self.config.session_config,
             resolver=resolver if resolver is not None else self._resolver,
             event_sink=self._event_sink,
+            session_id=f"{self.honeypot_id}-s{self.sessions_accepted + 1:06x}",
         )
         self._live[session.session_id] = session
         self.sessions_accepted += 1

@@ -104,8 +104,10 @@ class HoneypotSession:
         resolver: Optional[UriResolver] = None,
         registry: Optional[CommandRegistry] = None,
         event_sink: Optional[Callable[[HoneypotEvent], None]] = None,
+        session_id: Optional[str] = None,
     ):
-        self.session_id = f"s{next(_session_counter):010x}"
+        # Honeypots number their own sessions; the counter serves the rest.
+        self.session_id = session_id or f"s{next(_session_counter):010x}"
         #: Flight-recorder identity for this connection: every event the
         #: session emits carries it, so a trace groups per session.
         self.trace_id = f"session:{self.session_id}"

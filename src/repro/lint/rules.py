@@ -77,18 +77,6 @@ class Rule:
         )
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _func_name(call: ast.Call) -> Optional[str]:
     """The terminal name of a call's function (``x.y.inc`` -> ``inc``)."""
     func = call.func
@@ -208,7 +196,7 @@ class WallClockRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if not dotted or "." not in dotted:
                 continue
             root = dotted.partition(".")[0]
@@ -287,7 +275,7 @@ class UnorderedIterRule(Rule):
                     )
 
     def _message(self, node: ast.AST) -> str:
-        dotted = _dotted(node)
+        dotted = dotted_name(node)
         what = f"`{dotted}`" if dotted else "a set expression"
         return f"iteration over {what} (unordered)"
 
@@ -421,7 +409,7 @@ class UnsortedListingRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call) or id(node) in sorted_wrapped:
                 continue
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             listing = None
             if dotted in self._OS_FUNCS or dotted in self._GLOB_FUNCS:
                 listing = dotted

@@ -35,7 +35,6 @@ nothing.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import platform
 import sys
@@ -44,7 +43,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
-from repro.obs.atomic import staged_file
+from repro.obs.export import read_trace_jsonl, write_trace_jsonl
 from repro.obs.metrics import get_metrics
 
 #: Ledger schema version (the header record pins it).
@@ -328,26 +327,16 @@ class RunLedger:
         failure mid-write leaves any previous ledger at ``path`` untouched
         and no staging file behind.  Missing parent directories are made.
         """
-        records = self.to_records()
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with staged_file(target, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        count = write_trace_jsonl(self.to_records(), path)
         get_metrics().inc("ledger.writes")
-        get_metrics().inc("ledger.records", len(records))
-        return len(records)
+        get_metrics().inc("ledger.records", count)
+        return count
 
 
 def read_ledger_jsonl(path) -> List[Dict[str, Any]]:
     """Read a ledger previously written by :meth:`RunLedger.write_jsonl`."""
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    return read_trace_jsonl(path)
 
 
 def strip_volatile_records(

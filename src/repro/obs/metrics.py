@@ -82,6 +82,30 @@ class Histogram:
             if j < cap:
                 self.values[j] = value
 
+    def observe_repeated(self, value: float, n: int) -> None:
+        """``observe(value)`` ``n`` times, without ``n`` reservoir draws.
+
+        ``count`` and ``max`` stay exact, and so does ``total`` whenever
+        ``value * n`` is (always for zero).  Past the cap, the repeats make
+        Algorithm R's expected number of replacements, ``cap * ln(count /
+        (count - n))`` stochastically rounded, each at a uniform slot.
+        """
+        value = float(value)
+        fill = n if self.cap is None else min(n, self.cap - len(self.values))
+        for _ in range(fill):
+            self.observe(value)
+        rest = n - fill
+        if rest <= 0:
+            return
+        self._count += rest
+        self._total += value * rest
+        self._max = max(self._max, value)
+        rng, cap = self._rng, self.cap
+        assert rng is not None and cap is not None  # only a capped list fills
+        events = cap * math.log(self._count / (self._count - rest))
+        for _ in range(int(events) + (rng.random() < events - int(events))):
+            self.values[int(rng.random() * cap)] = value
+
     @property
     def count(self) -> int:
         return self._count

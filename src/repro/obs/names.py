@@ -12,8 +12,9 @@ a trailing ``.*`` (or embedded ``*``) declares a dynamic family whose
 suffix is computed at runtime (``farm.alerts.<kind>``).
 
 Adding an instrument is therefore a two-line change: the call site and
-the declaration.  The declaration doubles as documentation — this module
-is the one answer to "what can appear in a metrics dump?".
+the declaration, which is the name with its one-line help text.  The
+declarations double as documentation — this module is the one answer to
+"what can appear in a metrics dump?".
 """
 
 from __future__ import annotations
@@ -21,176 +22,12 @@ from __future__ import annotations
 from fnmatch import fnmatchcase
 from typing import Tuple
 
-#: Monotonic counters (``Metrics.inc`` / ``repro.obs.inc``).
-COUNTERS: Tuple[str, ...] = (
-    "rng.streams_created",
-    "rng.draws",
-    "engine.events_scheduled",
-    "engine.events_dispatched",
-    "engine.events_cancelled",
-    "honeypot.sessions_accepted",
-    "honeypot.sessions_refused",
-    "honeypot.auth_attempts",
-    "honeypot.hashes_recorded",
-    "honeypot.sessions.*",   # per session category
-    "honeypot.timeouts.*",   # per timeout reason
-    "store.sessions_appended",
-    "store.blocks_appended",
-    "store.adopts",
-    "store.adopts_fastpath",
-    "store.sessions_adopted",
-    "store.freezes",
-    "store.npz_saves",
-    "store.npz_saved_sessions",
-    "store.npz_loads",
-    "store.npz_loaded_sessions",
-    "cache.hits",
-    "cache.misses",
-    "cache.stores",
-    "cache.corrupt_entries",
-    "cache.loaded_sessions",
-    "generator.sessions.*",       # per category / "singletons"
-    "generator.days.*",           # per category
-    "generator.spike_sessions.*",  # per category
-    "generator.campaigns_realized",
-    "generator.campaign_days",
-    "generator.campaign_sessions",
-    # Script profiling (repro.workload.script_runner).  Per-process like
-    # the shape recipes they count: a second worker runs a shape again.
-    "script.shell_runs",
-    "script.shape_hits",
-    "shards.emitted",
-    "shards.sessions.*",  # per shard kind
-    "context.*",          # per-value hit/miss (incl. tables) + aggregate hits/misses
-    "farm.alerts.*",      # per alert kind
-    # Scheduler accounting (repro.sched).  Physical-scheduling counters:
-    # retries legitimately vary with the backend and worker count — only
-    # task totals are invariant.
-    "sched.tasks_submitted",
-    "sched.tasks_completed",
-    "sched.tasks_retried",
-    # Streaming sketch analytics (repro.analytics).
-    "sketch.sessions_observed",
-    "sketch.events_consumed",
-    "sketch.store_sessions_ingested",
-    "sketch.merges",
-    # Buffered session emitter (repro.workload.emit).
-    "emit.block.buffered_blocks",
-    "emit.block.flushes",
-    "emit.block.rows",
-    # Worker heartbeats (repro.sched + repro.obs.resources).  Heartbeat
-    # counts are physical liveness — they vary with backend and worker
-    # count by construction, like the other sched.* physical counters.
-    "sched.heartbeat.*",
-    # Run-ledger accounting (repro.obs.ledger).
-    "ledger.*",
-)
-
-#: Gauges (``gauge_set`` — last value; ``gauge_max`` — high-water mark).
-GAUGES: Tuple[str, ...] = (
-    "engine.heap_depth_max",
-    "shards.count",
-    "shards.workers",
-    "shards.queue_wait_seconds",
-    "store.npz_save_bytes_per_second",
-    "store.npz_load_bytes_per_second",
-    "sched.backlog_peak",
-    "sched.heartbeat.rss_kb_peak",
-    "sketch.unique.*",  # streaming cardinality estimates (clients, hashes)
-)
-
-#: Histograms (``observe`` / ``histogram`` / ``timer``).
-HISTOGRAMS: Tuple[str, ...] = (
-    "store.adopt_seconds",
-    "store.freeze_seconds",
-    "store.npz_save_seconds",
-    "store.npz_load_seconds",
-    "shards.sessions_per_shard",
-    "farm.sessions_per_interval",
-    "farm.mix.*",  # per session category share
-    "sched.task_queue_seconds",
-    "sched.task_run_seconds",
-    "sched.task_merge_seconds",
-    # Per-task resource telemetry (repro.obs.resources samplers).
-    "resource.*",
-)
-
-#: Span path components as written at ``Metrics.span`` call sites.  Nested
-#: spans build slash-joined paths at runtime ("generate/emit/shard/bg_cmd");
-#: what is declared here is the literal each call site passes.
-SPANS: Tuple[str, ...] = (
-    "generate",
-    "plan",
-    # Plan stages: generate/plan/<stage> (TraceGenerator init, ShardPlan).
-    "population",
-    "targets",
-    "calendar",
-    "campaigns",
-    "writers",
-    "emit",
-    "merge",
-    "shard/*",  # per shard kind (worker-side)
-    "cache/load",
-    "cache/save",
-    "store/save_npz",
-    "store/load_npz",
-    "store/merge",
-    "validate",
-    "report",
-    "intermediates",
-    "tables_4_5_6",
-    "sketch/ingest",
-    "emit.block.flush",
-    # Analysis-context distinct-tuple table builds (repro.core.context).
-    "core/ctx/client_table",
-    "core/ctx/client_pot",
-    "core/ctx/client_day",
-)
-
-#: Flight-recorder event kinds (``repro.obs.trace.emit`` and
-#: :class:`Tracer`.emit).  The honeypot session kinds mirror
-#: :class:`repro.honeypot.events.EventType` values one-for-one — a unit
-#: test keeps the two in sync.
-TRACE_KINDS: Tuple[str, ...] = (
-    "generator.block",
-    "generate.merged",
-    "shard.emit",
-    "sched.trace.built",
-    "sched.task.submit",
-    "sched.task.done",
-    "sched.task.retry",
-    "sched.heartbeat.*",  # worker liveness (declared volatile, see obs.trace)
-    "engine.dispatch",
-    "engine.cancel",
-    "collector.summary",
-    "collector.merge",
-    "honeypot.refused",
-    "honeypot.session.connect",
-    "honeypot.client.version",
-    "honeypot.login.success",
-    "honeypot.login.failed",
-    "honeypot.command.input",
-    "honeypot.command.failed",
-    "honeypot.session.file_download",
-    "honeypot.session.file_upload",
-    "honeypot.session.file_created",
-    "honeypot.session.file_modified",
-    "honeypot.session.closed",
-)
-
-#: Instrument family -> declared name tuple (the lint rule's lookup table).
-FAMILIES = {
-    "counter": COUNTERS,
-    "gauge": GAUGES,
-    "histogram": HISTOGRAMS,
-    "span": SPANS,
-    "trace": TRACE_KINDS,
-}
-
-#: One-line help text per declared pattern, keyed by family then pattern.
-#: This is what ``render_prometheus`` emits as ``# HELP`` lines, and a
-#: registry-sync test keeps it total: every declaration above must carry
-#: a description here (and vice versa), so documentation cannot drift.
+#: Every declared pattern with its one-line help text, keyed by family:
+#: counters (``Metrics.inc`` / ``repro.obs.inc``), gauges (``gauge_set`` /
+#: ``gauge_max``), histograms (``observe`` / ``histogram`` / ``timer``),
+#: span path components as written at ``Metrics.span`` call sites (nested
+#: spans join them with slashes at runtime), and flight-recorder event
+#: kinds.  The help text is what ``render_prometheus`` emits as ``# HELP``.
 DESCRIPTIONS = {
     "counter": {
         "rng.streams_created": "named deterministic rng streams minted",
@@ -225,6 +62,8 @@ DESCRIPTIONS = {
         "generator.campaigns_realized": "campaigns realised after scaling",
         "generator.campaign_days": "campaign active days generated",
         "generator.campaign_sessions": "sessions attributed to campaigns",
+        # Per-process like the shape recipes they count: a second worker
+        # runs a shape again.
         "script.shell_runs": "scripts run through the emulated shell",
         "script.shape_hits": "script profiles filled in from a shape "
                              "already run",
@@ -232,6 +71,8 @@ DESCRIPTIONS = {
         "shards.sessions.*": "sessions emitted, per shard kind",
         "context.*": "analysis context cache property hits and misses",
         "farm.alerts.*": "farm-health alerts raised, per alert kind",
+        # Physical-scheduling counters: retries vary with the backend and
+        # worker count; only task totals are invariant.
         "sched.tasks_submitted": "task attempts submitted to a backend",
         "sched.tasks_completed": "task attempts completed successfully",
         "sched.tasks_retried": "task attempts re-queued after an error",
@@ -242,6 +83,7 @@ DESCRIPTIONS = {
         "emit.block.buffered_blocks": "session blocks buffered before flush",
         "emit.block.flushes": "session-emitter flushes to the store",
         "emit.block.rows": "session rows written by the session emitter",
+        # Physical liveness: varies with backend and worker count.
         "sched.heartbeat.*": "worker heartbeats received / stale episodes",
         "ledger.*": "run-ledger rows, alerts and files recorded",
     },
@@ -295,6 +137,8 @@ DESCRIPTIONS = {
         "core/ctx/client_pot": "distinct (client, pot, category) table build",
         "core/ctx/client_day": "distinct (client, day, relation, category) build",
     },
+    # The honeypot session kinds mirror repro.honeypot.events.EventType
+    # one-for-one; a unit test keeps the two in sync.
     "trace": {
         "generator.block": "bulk emission block boundary",
         "generate.merged": "final store merge completed",
@@ -322,6 +166,16 @@ DESCRIPTIONS = {
         "honeypot.session.closed": "session closed",
     },
 }
+
+
+COUNTERS: Tuple[str, ...] = tuple(DESCRIPTIONS["counter"])
+GAUGES: Tuple[str, ...] = tuple(DESCRIPTIONS["gauge"])
+HISTOGRAMS: Tuple[str, ...] = tuple(DESCRIPTIONS["histogram"])
+SPANS: Tuple[str, ...] = tuple(DESCRIPTIONS["span"])
+TRACE_KINDS: Tuple[str, ...] = tuple(DESCRIPTIONS["trace"])
+
+#: Instrument family -> declared name tuple (the lint rule's lookup table).
+FAMILIES = {family: tuple(table) for family, table in DESCRIPTIONS.items()}
 
 
 def describe(family: str, name: str) -> str:

@@ -917,12 +917,6 @@ class SessionStore:
             scripts=self.scripts,
         )
 
-    def honeypot_name(self, honeypot_index: int) -> str:
-        return self.honeypots.value_of(honeypot_index)
-
-    def hash_name(self, hash_id: int) -> str:
-        return self.hashes.value_of(hash_id)
-
     @property
     def is_ssh(self) -> np.ndarray:
         return self.protocol == PROTOCOL_SSH

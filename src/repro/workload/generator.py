@@ -349,19 +349,25 @@ class TraceGenerator:
     # sessions to clients (and emits the per-day trace event and counter);
     # every other column is drawn once over the whole range.
 
-    def _no_cred_range(
-        self, emitter: SessionEmitter, rng: RngStream, start: int, stop: int,
-        budgets: np.ndarray,
-    ) -> None:
+    def _day_runs(self, category: str, kind: str, rng: RngStream, start: int,
+                  stop: int, budgets: np.ndarray) -> _DayRuns:
+        """Each day's ``category`` sessions over a range with no special runs."""
         runs = _DayRuns()
         for day in range(start, stop):
             n = int(budgets[day])
             if n <= 0:
                 continue
-            idx = self._day_sessions("NO_CRED", rng, day, n)
+            idx = self._day_sessions(category, rng, day, n)
             if runs.add(day, idx):
-                _metric_inc("generator.days.NO_CRED")
-                _trace_block("no_cred", day, len(idx))
+                _metric_inc(f"generator.days.{category}")
+                _trace_block(kind, day, len(idx))
+        return runs
+
+    def _no_cred_range(
+        self, emitter: SessionEmitter, rng: RngStream, start: int, stop: int,
+        budgets: np.ndarray,
+    ) -> None:
+        runs = self._day_runs("NO_CRED", "no_cred", rng, start, stop, budgets)
         if not runs:
             return
         idx, day_of = runs.arrays()
@@ -711,15 +717,7 @@ class TraceGenerator:
         self, emitter: SessionEmitter, rng: RngStream, start: int, stop: int,
         budgets: np.ndarray,
     ) -> None:
-        runs = _DayRuns()
-        for day in range(start, stop):
-            n = int(budgets[day])
-            if n <= 0:
-                continue
-            idx = self._day_sessions("CMD", rng, day, n)
-            if runs.add(day, idx):
-                _metric_inc("generator.days.CMD")
-                _trace_block("bg_cmd", day, len(idx))
+        runs = self._day_runs("CMD", "bg_cmd", rng, start, stop, budgets)
         if not runs:
             return
         n_profiles, script_ids, exec_secs = self._bg_cmd_profiles(emitter.builder)
@@ -792,15 +790,7 @@ class TraceGenerator:
         self, emitter: SessionEmitter, rng: RngStream, start: int, stop: int,
         budgets: np.ndarray,
     ) -> None:
-        runs = _DayRuns()
-        for day in range(start, stop):
-            n = int(budgets[day])
-            if n <= 0:
-                continue
-            idx = self._day_sessions("CMD_URI", rng, day, n)
-            if runs.add(day, idx):
-                _metric_inc("generator.days.CMD_URI")
-                _trace_block("bg_uri", day, len(idx))
+        runs = self._day_runs("CMD_URI", "bg_uri", rng, start, stop, budgets)
         if not runs:
             return
         n_profiles, script_ids, hashes, exec_secs = self._bg_uri_profiles(

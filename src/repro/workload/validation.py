@@ -1,10 +1,16 @@
-"""Structured calibration validation.
+"""The paper's published claims, and calibration validation against them.
 
-Checks a generated dataset against the paper's published targets and
-returns a machine-readable report: one :class:`CalibrationCheck` per
-published claim with the paper value, the measured value, the tolerance
-semantics, and a pass flag.  `print_summary` gives the human view; this is
-the programmatic one (used by tests and CI-style gates).
+:data:`PAPER_CLAIMS` is the one table of the paper's numbers: each
+:class:`PaperClaim` holds the value, its source, a measure over a trace
+and the bound the trace must meet.  :func:`validate` checks every bounded
+claim into a machine-readable :class:`CalibrationReport`;
+``print_summary``, ``scripts/make_experiments.py`` and the paper benches
+(``benchmarks/common.py:assert_claim``) read the same entries.
+
+A bound may tighten once, for traces of at least
+:data:`FULL_BAND_SESSIONS` sessions (the 1/1000 bench volume).  The band
+follows the trace's session count, not its config: a bare ``.npz``
+loaded without a config gets the default one whatever its size.
 """
 
 from __future__ import annotations
@@ -12,16 +18,21 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
-
-import numpy as np
+from functools import cached_property
+from typing import Callable, List, Optional, Tuple
 
 from repro.core import activity, clients, diversity
 from repro.core.classify import CATEGORIES, category_shares
 from repro.core.context import AnalysisContext
 from repro.core.hashes import pot_coverage_summary
 from repro.obs import get_metrics
-from repro.workload.config import CATEGORY_MIX, SSH_SHARE
+from repro.workload.config import (
+    CATEGORY_MIX,
+    FULL_SCALE_CLIENTS,
+    FULL_SCALE_HASHES,
+    FULL_SCALE_SESSIONS,
+    SSH_SHARE,
+)
 from repro.workload.dataset import HoneyfarmDataset
 
 
@@ -92,84 +103,151 @@ class CalibrationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def validate(dataset: HoneyfarmDataset) -> CalibrationReport:
-    """Run every calibration check against a generated dataset."""
-    with get_metrics().span("validate"):
-        return _run_checks(dataset)
+class TraceSummaries:
+    """The analyses the claims measure, each run at most once per trace."""
+
+    def __init__(self, ctx: AnalysisContext, dataset: HoneyfarmDataset):
+        self.ctx, self.dataset = ctx, dataset
+
+    mix = cached_property(lambda self: category_shares(self.ctx))
+    skew = cached_property(
+        lambda self: activity.ActivitySummary.compute(self.ctx.store))
+    per_client = cached_property(
+        lambda self: clients.clients_overall_summary(self.ctx))
+    coverage = cached_property(lambda self: pot_coverage_summary(
+        self.ctx.hash_occurrences, self.ctx.hash_stats))
+    regional = cached_property(lambda self: diversity.regional_diversity(
+        self.ctx, [site.country for site in self.dataset.deployment.sites]))
+
+    def intel_coverage(self) -> float:
+        # A bare store loads with an empty intel DB: nothing to measure.
+        intel = self.dataset.intel
+        return intel.coverage(self.ctx.store.hashes.values()) if intel else math.nan
 
 
-def _run_checks(dataset: HoneyfarmDataset) -> CalibrationReport:
-    ctx = AnalysisContext.from_dataset(dataset)
-    store = ctx.store
-    checks: List[CalibrationCheck] = []
+#: Traces at least this long (the 1/1000 bench volume) meet ``full_bound``.
+FULL_BAND_SESSIONS = FULL_SCALE_SESSIONS // 1000
 
-    # Farm shape.
-    checks.append(CalibrationCheck(
-        "honeypots", 221, dataset.deployment.n_honeypots, CheckKind.APPROX))
-    checks.append(CalibrationCheck(
-        "countries", 55, len(dataset.deployment.countries), CheckKind.APPROX))
-    checks.append(CalibrationCheck(
-        "honeypot ASes", 65, len(dataset.deployment.honeypot_asns),
-        CheckKind.APPROX))
 
+@dataclass(frozen=True)
+class PaperClaim:
+    """One number the paper publishes, and the bound a trace must meet.
+
+    ``paper`` is the value as published, qualified by ``says`` (``>``,
+    ``<`` or ``~``); ``unit`` is ``%`` for shares, ``x`` for ratios, empty
+    for counts.  A claim with a ``kind`` is checked against ``bound`` (the
+    paper value when unset), or ``full_bound`` on bench-volume traces; a
+    claim without one is printed, never checked.
+    """
+
+    name: str
+    source: str
+    paper: float
+    says: str = ""
+    unit: str = "%"
+    kind: Optional[CheckKind] = None
+    bound: Optional[float] = None
+    tolerance: float = 0.0
+    hard: bool = True
+    full_bound: Optional[float] = None
+    measure: Optional[Callable[[TraceSummaries], float]] = None
+
+    @property
+    def text(self) -> str:
+        """The paper's value as published, e.g. ``>40%`` or ``~11``."""
+        value = (f"{self.paper * 100:g}%" if self.unit == "%"
+                 else f"{self.paper:,g}{self.unit}")
+        return self.says + value
+
+    def bound_for(self, sessions: int) -> float:
+        """The bound a trace of ``sessions`` sessions must meet."""
+        if self.full_bound is not None and sessions >= FULL_BAND_SESSIONS:
+            return self.full_bound
+        return self.paper if self.bound is None else self.bound
+
+    def check(self, summaries: TraceSummaries) -> CalibrationCheck:
+        assert self.kind is not None and self.measure is not None, self.name
+        return CalibrationCheck(
+            self.name, self.bound_for(len(summaries.ctx.store)),
+            self.measure(summaries), self.kind, self.tolerance, self.hard)
+
+
+_APPROX, _AT_LEAST, _AT_MOST = CheckKind.APPROX, CheckKind.AT_LEAST, CheckKind.AT_MOST
+
+PAPER_CLAIMS: Tuple[PaperClaim, ...] = (
+    # Farm shape (Fig 1).
+    PaperClaim("honeypots", "Fig. 1", 221, unit="", kind=_APPROX,
+               measure=lambda s: s.dataset.deployment.n_honeypots),
+    PaperClaim("countries", "Fig. 1", 55, unit="", kind=_APPROX,
+               measure=lambda s: len(s.dataset.deployment.countries)),
+    PaperClaim("honeypot ASes", "Fig. 1", 65, unit="", kind=_APPROX,
+               measure=lambda s: len(s.dataset.deployment.honeypot_asns)),
     # Category / protocol mix (Table 1).
-    shares = category_shares(ctx)
-    for i, cat in enumerate(CATEGORIES):
-        checks.append(CalibrationCheck(
-            f"{cat.value} share", CATEGORY_MIX[cat.value],
-            shares[cat], CheckKind.APPROX, tolerance=0.03))
-    checks.append(CalibrationCheck(
-        "SSH share", 0.7584, float(store.is_ssh.mean()),
-        CheckKind.APPROX, tolerance=0.03))
-
+    *(PaperClaim(f"{cat.value} share", "Table 1", CATEGORY_MIX[cat.value],
+                 kind=_APPROX, tolerance=0.03,
+                 measure=lambda s, cat=cat: s.mix[cat])
+      for cat in CATEGORIES),
+    PaperClaim("SSH share", "Table 1", 0.7584, kind=_APPROX, tolerance=0.03,
+               measure=lambda s: float(s.ctx.store.is_ssh.mean())),
     # Honeypot activity skew (Fig 2).
-    summary = activity.ActivitySummary.compute(store)
-    checks.append(CalibrationCheck(
-        "top-10 session share", 0.14, summary.top10_share,
-        CheckKind.APPROX, tolerance=0.06))
-    checks.append(CalibrationCheck(
-        "max/min pot sessions", 8.0, summary.max_min_ratio,
-        CheckKind.AT_LEAST))
-
+    PaperClaim("top-10 session share", "Fig. 2", 0.14, kind=_APPROX,
+               tolerance=0.06, measure=lambda s: s.skew.top10_share),
+    PaperClaim("max/min pot sessions", "Fig. 2", 30, ">", "x",
+               kind=_AT_LEAST, bound=8.0,
+               measure=lambda s: s.skew.max_min_ratio),
     # Client behaviour (Figs 12/13, Section 7).
-    cs = clients.clients_overall_summary(ctx)
-    checks.append(CalibrationCheck(
-        "single-pot client share", 0.30, cs["share_single_pot"],
-        CheckKind.AT_LEAST))
-    checks.append(CalibrationCheck(
-        ">10-pot client share", 0.18, cs["share_over_10_pots"],
-        CheckKind.APPROX, tolerance=0.10))
-    # Paper: >50%; the bound here is relaxed because tiny traces reuse
-    # their small client population across more days.
-    checks.append(CalibrationCheck(
-        "single-day client share", 0.38, cs["share_single_day"],
-        CheckKind.AT_LEAST))
-    checks.append(CalibrationCheck(
-        "multi-category client share", 0.25, cs["multi_category_share"],
-        CheckKind.AT_LEAST))
-
+    PaperClaim("single-pot client share", "Fig. 12", 0.40, ">",
+               kind=_AT_LEAST, bound=0.30,
+               measure=lambda s: s.per_client["share_single_pot"]),
+    PaperClaim(">10-pot client share", "Fig. 12", 0.18, kind=_APPROX,
+               tolerance=0.10,
+               measure=lambda s: s.per_client["share_over_10_pots"]),
+    # Relaxed below the bench volume: tiny traces reuse their small
+    # client population across more days.
+    PaperClaim("single-day client share", "Fig. 13", 0.50, ">",
+               kind=_AT_LEAST, bound=0.38, full_bound=0.45,
+               measure=lambda s: s.per_client["share_single_day"]),
+    PaperClaim("multi-category client share", "§7", 0.40, ">",
+               kind=_AT_LEAST, bound=0.25,
+               measure=lambda s: s.per_client["multi_category_share"]),
     # Hash/pot coverage (Fig 18, Section 8.4).
-    coverage = pot_coverage_summary(ctx.hash_occurrences, ctx.hash_stats)
-    checks.append(CalibrationCheck(
-        "single-pot hash share", 0.60, coverage["share_single_pot"],
-        CheckKind.AT_LEAST))
-    checks.append(CalibrationCheck(
-        "top pot hash share", 0.12, coverage["top_pot_hash_share"],
-        CheckKind.AT_MOST))
-
+    PaperClaim("single-pot hash share", "§8.4", 0.60, ">", kind=_AT_LEAST,
+               measure=lambda s: s.coverage["share_single_pot"]),
+    PaperClaim("top pot hash share", "Fig. 18", 0.05, "<", kind=_AT_MOST,
+               bound=0.12, full_bound=0.10,
+               measure=lambda s: s.coverage["top_pot_hash_share"]),
     # Regional diversity (Fig 16).
-    pot_countries = [site.country for site in dataset.deployment.sites]
-    div = diversity.regional_diversity(ctx, pot_countries)
-    checks.append(CalibrationCheck(
-        "out-of-continent-only client-days", 0.40, div.out_only_share,
-        CheckKind.AT_LEAST))
+    PaperClaim("out-of-continent-only client-days", "Fig. 16", 0.50, ">",
+               kind=_AT_LEAST, bound=0.40,
+               measure=lambda s: s.regional.out_only_share),
+    # Intel coverage: scale-dependent, so informational only.
+    PaperClaim("threat-intel hash coverage", "§8", 0.02, "<", kind=_AT_MOST,
+               bound=0.10, hard=False, measure=TraceSummaries.intel_coverage),
+    # Printed next to their measured values, never checked.
+    PaperClaim("sessions", "§1", FULL_SCALE_SESSIONS, unit=""),
+    *(PaperClaim(f"{cat} SSH share", "Table 1", share)
+      for cat, share in SSH_SHARE.items()),
+    PaperClaim("knee rank", "Fig. 2", 11, "~", ""),
+    PaperClaim(">half-farm client share", "Fig. 12", 0.02),
+    PaperClaim("client IPs", "§7", FULL_SCALE_CLIENTS, unit=""),
+    PaperClaim("client ASes", "§7", 17_700, unit=""),
+    PaperClaim("unique hashes", "§8", FULL_SCALE_HASHES, unit=""),
+    PaperClaim(">10-pot hash share", "§8.4", 0.068),
+    PaperClaim("top-10 pot hash share", "§8.4", 0.15, "<"),
+    PaperClaim("hash head/tail pot ratio", "Fig. 18", 20, "~", "x"),
+)
 
-    # Intel coverage (<2% of hashes known, scale-dependent: soft).  A
-    # bare store loads with an empty intel DB: nothing to measure.
-    checks.append(CalibrationCheck(
-        "threat-intel hash coverage", 0.10,
-        dataset.intel.coverage(store.hashes.values()) if len(dataset.intel)
-        else math.nan,
-        CheckKind.AT_MOST, hard=False))
 
-    return CalibrationReport(checks=checks)
+def paper_claim(name: str) -> PaperClaim:
+    """The entry of :data:`PAPER_CLAIMS` called ``name``."""
+    return next(claim for claim in PAPER_CLAIMS if claim.name == name)
+
+
+def validate(dataset: HoneyfarmDataset) -> CalibrationReport:
+    """Check every bounded paper claim against a generated dataset."""
+    with get_metrics().span("validate"):
+        summaries = TraceSummaries(AnalysisContext.from_dataset(dataset),
+                                   dataset)
+        return CalibrationReport(checks=[
+            claim.check(summaries) for claim in PAPER_CLAIMS
+            if claim.kind is not None])

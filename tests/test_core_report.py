@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.report import PAPER_VALUES, full_report, print_summary
+from repro.core.report import full_report, print_summary
+from repro.workload.validation import paper_claim
 
 
 @pytest.fixture(scope="module")
@@ -69,4 +70,4 @@ class TestFullReport:
         assert "%" in text
 
     def test_paper_values_table(self):
-        assert PAPER_VALUES["category_shares"]["FAIL_LOG"] == 0.42
+        assert paper_claim("FAIL_LOG share").paper == 0.42

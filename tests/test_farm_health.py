@@ -547,3 +547,97 @@ class TestPinnedMonitorState:
             monitor = FarmHealthMonitor(HealthConfig(interval=86400.0))
             monitor.feed_many(events)
         assert _pinned(monitor, metrics) == MONITOR_GOLDEN["pool_trace"]
+
+
+class _PerInterval(FarmHealthMonitor):
+    """The monitor closing every empty interval one at a time."""
+
+    def _close_empty(self, now):
+        self._close_interval(self._interval_start + self.config.interval)
+
+
+def _gappy_stream(t0):
+    """Busy stretches on three pots, a burst, and idle gaps of days."""
+    events, n = [], 0
+
+    def session(ts, sensor):
+        nonlocal n
+        n += 1
+        events.append(_connect(ts, sensor, f"g{n}"))
+        events.append(_closed(ts + 1.0, sensor, f"g{n}"))
+
+    for i in range(60):
+        for sensor in ("a", "b", "c"):
+            session(t0 + 10.0 * i, sensor)
+    for i in range(40):
+        session(t0 + 700.0 + 25.0 * i, "a" if i % 2 else "b")
+    for k in range(30):  # a burst after a two-day gap: rate drift
+        session(t0 + 200_000.0 + k, "a")
+    for i in range(20):
+        session(t0 + 200_100.0 + 60.0 * i, "c")
+    session(t0 + 900_000.0, "b")
+    return events
+
+
+class TestEmptyIntervalRuns:
+    """Runs of empty intervals close in bulk, with the same outcome as
+    one close per interval."""
+
+    @pytest.mark.parametrize("t0, interval", [
+        (0.0, 60.0), (0.5, 60.0), (3.0, 7.3), (0.0, 1.0)])
+    def test_same_alerts_counts_and_histograms(self, t0, interval):
+        results = []
+        for cls in (_PerInterval, FarmHealthMonitor):
+            with use_metrics() as metrics:
+                monitor = cls(HealthConfig(interval=interval,
+                                           histogram_cap=10 ** 7))
+                monitor.watch(["a", "b", "c", "d"])
+                monitor.feed_many(_gappy_stream(t0))
+                monitor.advance(t0 + 1_000_000.0)
+            hist = metrics.histograms["farm.sessions_per_interval"]
+            results.append((
+                [(a.kind, a.time, a.honeypot_id, a.message)
+                 for a in monitor.alerts],
+                monitor.render_table(), monitor._intervals_closed,
+                monitor._interval_start, monitor._rate.n,
+                hist.count, hist.total, hist.max, hist.values))
+        assert results[0] == results[1]
+        kinds = {alert[0] for alert in results[1][0]}
+        assert {"liveness-down", "liveness-recovered", "rate-drift"} <= kinds
+
+    def test_a_long_gap_costs_a_few_closes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            FarmHealthMonitor, "_close_interval",
+            lambda self, end, close=FarmHealthMonitor._close_interval:
+            calls.append(end) or close(self, end))
+        with use_metrics() as metrics:
+            monitor = FarmHealthMonitor(HealthConfig(interval=1.0))
+            monitor.watch(["a"])
+            monitor.feed(_connect(0.0, "a", "s1"))
+            monitor.advance(10_000_000.0)
+        assert monitor._intervals_closed == 10_000_000
+        assert monitor._interval_start == 10_000_000.0
+        assert len(calls) <= 1
+        hist = metrics.histograms["farm.sessions_per_interval"]
+        assert (hist.count, hist.total) == (10_000_000, 1.0)
+        assert len(hist.values) == HealthConfig().histogram_cap
+        assert monitor.pots_down() == ["a"]
+        assert monitor.alerts[-1].time == 901.0
+
+
+def test_monitor_demo_prints_the_same_twice_in_one_process(capsys):
+    """Sessions are numbered per honeypot, not per process."""
+    import argparse
+
+    from repro.__main__ import _monitor_demo
+    from repro.analytics import StreamingAnalytics
+
+    outputs = []
+    for _ in range(2):
+        with use_metrics():
+            _monitor_demo(argparse.Namespace(seed=7, pots=6, duration=3600.0),
+                          FarmHealthMonitor(), StreamingAnalytics())
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "(session hp-001-s" in outputs[0]

@@ -197,6 +197,33 @@ class TestHistogramReservoirCap:
         assert clone.histograms["h"].cap is None
 
 
+class TestObserveRepeated:
+    """``observe_repeated``: ``observe`` n times, without n reservoir draws."""
+
+    def test_below_the_cap_it_is_n_observes(self):
+        bulk, single = Histogram(cap=64), Histogram(cap=64)
+        for h in (bulk, single):
+            h.observe(3.0)
+        bulk.observe_repeated(0.0, 40)
+        for _ in range(40):
+            single.observe(0.0)
+        assert (bulk.count, bulk.total, bulk.max, bulk.values) == \
+            (single.count, single.total, single.max, single.values)
+        uncapped = Histogram()
+        uncapped.observe_repeated(2.0, 5)
+        assert uncapped.values == [2.0] * 5 and uncapped.total == 10.0
+
+    def test_past_the_cap_scalars_stay_exact_and_the_share_holds(self):
+        h = Histogram(cap=1000)
+        for _ in range(1000):
+            h.observe(1.0)
+        h.observe_repeated(0.0, 9000)
+        assert (h.count, h.total, h.max) == (10_000, 1000.0, 1.0)
+        assert len(h.values) == 1000
+        # A uniform sample of 1,000 ones then 9,000 zeros is ~90% zeros.
+        assert 0.85 < h.values.count(0.0) / 1000 < 0.95
+
+
 class TestSpans:
     def test_nesting_builds_slash_paths(self):
         m = Metrics()
