@@ -14,7 +14,7 @@ generator scales them down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.agents.scripts import ScriptKind

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geo.continents import COUNTRY_CONTINENT
 from repro.geo.registry import GeoRegistry, NetworkType
 from repro.net.pools import AddressPool
 from repro.simulation.clock import OBSERVATION_DAYS

@@ -191,10 +191,10 @@ def load(path: PathLike, config=None):
 
     registry = GeoRegistry()
     deployment = build_default_deployment(
-        # Intentional name reuse: loading a dataset replays the exact
-        # stream the generator used, so the rebuilt deployment matches
-        # the one the stored sessions were drawn against.
-        RngStream(config.seed, "workload.deployment"),  # repro: lint-ok[rng-lineage]
+        # The generator's own deployment stream, replayed: a loaded store
+        # carries no deployment, and rebuilding it from the stream its
+        # sessions were drawn against gives back the same 221 pots.
+        RngStream(config.seed, "workload.deployment"),
         registry,
     )
     return HoneyfarmDataset(

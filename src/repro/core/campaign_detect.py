@@ -11,8 +11,8 @@ validated against the hash-based ground truth.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 import numpy as np
 

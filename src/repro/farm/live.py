@@ -9,7 +9,7 @@ wants to watch individual sessions unfold rather than analyse millions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.agents.credentials import CredentialDictionary
@@ -17,7 +17,7 @@ from repro.farm.collector import FarmCollector
 from repro.farm.deployment import DeploymentPlan, build_default_deployment
 from repro.geo.registry import GeoRegistry
 from repro.honeypot.honeypot import Honeypot
-from repro.net.tcp import SSH_PORT, TELNET_PORT, TcpModel
+from repro.net.tcp import SSH_PORT, TcpModel
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.rng import RngStream
 from repro.store.store import SessionStore

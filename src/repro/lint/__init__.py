@@ -12,19 +12,16 @@ generated:
 >>> result.clean
 True
 
-CLI: ``python -m repro lint [paths] [--format text|json] [--rules IDS]``.
+CLI: ``python -m repro lint [paths] [--rules IDS]``.
 Suppress one site with ``# repro: lint-ok[rule-id]``.  See DESIGN
 section 6e for the rule-by-rule rationale.
 """
 
-from repro.lint.dataflow import DataflowAnalysis, Evidence, TaintFinding
 from repro.lint.engine import LintResult, iter_python_files, run_lint
-from repro.lint.findings import Finding, render_text, to_json
-from repro.lint.graph import ProjectGraph
+from repro.lint.findings import Finding, render_text
 from repro.lint.rules import (
     ALL_RULES,
     FileContext,
-    ProjectRule,
     Rule,
     default_rules,
     rules_by_id,
@@ -34,15 +31,10 @@ from repro.lint.suppressions import collect_suppressions, is_suppressed
 
 __all__ = [
     "ALL_RULES",
-    "DataflowAnalysis",
-    "Evidence",
     "FileContext",
     "Finding",
     "LintResult",
-    "ProjectGraph",
-    "ProjectRule",
     "Rule",
-    "TaintFinding",
     "collect_suppressions",
     "default_rules",
     "is_suppressed",
@@ -51,5 +43,4 @@ __all__ = [
     "rules_by_id",
     "run_lint",
     "select_rules",
-    "to_json",
 ]

@@ -1,8 +1,7 @@
 """The lint CLI: ``python -m repro lint [paths...]``.
 
 Exit status 0 means zero unsuppressed findings; 1 means the
-gate fails (findings were printed); 2 means usage error.  ``--format
-json`` emits the versioned machine envelope instead of the text report.
+gate fails (findings were printed); 2 means usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.lint.engine import run_lint
-from repro.lint.findings import render_text, to_json
+from repro.lint.findings import render_text
 from repro.lint.rules import ALL_RULES, select_rules
 
 
@@ -23,10 +22,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "paths", nargs="*", default=None, metavar="PATH",
         help="files or directories to lint (default: src/ if present, "
              "else the current directory)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
     )
     parser.add_argument(
         "--rules", default=None, metavar="ID[,ID...]",
@@ -64,14 +59,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
         return 2
 
     result = run_lint(paths, rules=rules)
-    if args.format == "json":
-        sys.stdout.write(to_json(result.findings))
-    else:
-        print(render_text(result.findings))
-        notes = [f"{result.files} file(s) linted"]
-        if result.suppressed:
-            notes.append(f"{result.suppressed} suppressed inline")
-        print("-- " + ", ".join(notes))
+    print(render_text(result.findings))
+    notes = [f"{result.files} file(s) linted"]
+    if result.suppressed:
+        notes.append(f"{result.suppressed} suppressed inline")
+    print("-- " + ", ".join(notes))
     return 0 if result.clean else 1
 
 

@@ -12,12 +12,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, \
-    Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.lint.findings import Finding
-from repro.lint.graph import ProjectGraph
-from repro.lint.rules import FileContext, ProjectRule, Rule, default_rules
+from repro.lint.rules import FileContext, Rule, default_rules
 from repro.lint.suppressions import collect_suppressions, is_suppressed
 
 PathLike = Union[str, Path]
@@ -104,40 +102,18 @@ def run_lint(
     paths: Sequence[PathLike],
     rules: Optional[Sequence[Rule]] = None,
 ) -> LintResult:
-    """Lint ``paths`` with ``rules`` (default: all).
-
-    Each file is parsed once; per-file rules run over its tree, then the
-    graph-aware rules run once over the whole-program
-    :class:`~repro.lint.graph.ProjectGraph` built from every parsed file.
-    Inline suppressions apply to graph findings through the file owning
-    the flagged line, exactly as for per-file findings.
-    """
+    """Lint ``paths`` with ``rules`` (default: all), parsing each file once."""
     active: Sequence[Rule] = default_rules() if rules is None else rules
-    file_rules = [r for r in active if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in active if isinstance(r, ProjectRule)]
     result = LintResult()
-    contexts: List[FileContext] = []
-    suppressions_by_path: Dict[str, Dict[int, FrozenSet[str]]] = {}
     for path in iter_python_files(paths):
         ctx, errors = _load_context(path)
         result.files += 1
         if ctx is None:
             result.findings.extend(errors)
             continue
-        contexts.append(ctx)
         suppressions = collect_suppressions(ctx.source)
-        suppressions_by_path[ctx.path] = suppressions
-        for rule in file_rules:
+        for rule in active:
             for finding in rule.check(ctx):
-                if is_suppressed(suppressions, finding.line, finding.rule):
-                    result.suppressed += 1
-                else:
-                    result.findings.append(finding)
-    if project_rules and contexts:
-        graph = ProjectGraph.build(contexts)
-        for rule in project_rules:
-            for finding in rule.check_project(graph):
-                suppressions = suppressions_by_path.get(finding.path, {})
                 if is_suppressed(suppressions, finding.line, finding.rule):
                     result.suppressed += 1
                 else:

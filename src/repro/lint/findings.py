@@ -1,19 +1,13 @@
-"""The findings model: what a lint rule reports and how it serialises.
+"""The findings model: what a lint rule reports and how it renders.
 
 A :class:`Finding` is one rule violation at one source location, carrying
-the rule id, a human message, and a fix hint.  The JSON form (one object
-per finding, under a versioned envelope — :func:`to_json`) is the stable
-machine interface the CI gate and editor integrations consume.
+the rule id, a human message, and a fix hint.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List
-
-#: Bump only on breaking changes to the JSON envelope below.
-JSON_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True, order=True)
@@ -33,22 +27,12 @@ class Finding:
             text += f"  [hint: {self.hint}]"
         return text
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-            "hint": self.hint,
-        }
-
 
 def location_order(finding: Finding):
     """The report sort key: (path, line, col, rule).
 
     Explicit — not dataclass ordering, which would tie-break on message
-    text — so text and JSON output are diff-stable across filesystems and
+    text — so the report is diff-stable across filesystems and
     directory-walk orders.
     """
     return (finding.path, finding.line, finding.col, finding.rule)
@@ -66,18 +50,3 @@ def render_text(findings: List[Finding]) -> str:
     else:
         lines.append("-- no findings")
     return "\n".join(lines)
-
-
-def to_json(findings: List[Finding]) -> str:
-    """The stable machine form (versioned envelope, findings sorted)."""
-    counts: Dict[str, int] = {}
-    for f in findings:
-        counts[f.rule] = counts.get(f.rule, 0) + 1
-    payload = {
-        "version": JSON_SCHEMA_VERSION,
-        "findings": [f.to_dict()
-                     for f in sorted(findings, key=location_order)],
-        "counts": {rule: counts[rule] for rule in sorted(counts)},
-        "total": len(findings),
-    }
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"

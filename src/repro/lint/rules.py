@@ -28,10 +28,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.dataflow import DataflowAnalysis
 from repro.lint.findings import Finding
-from repro.lint.graph import FunctionInfo, ModuleInfo, ProjectGraph, \
-    dotted_name
 from repro.obs import names as _names
 
 
@@ -84,6 +81,18 @@ def _func_name(call: ast.Call) -> Optional[str]:
         return func.attr
     if isinstance(func, ast.Name):
         return func.id
+    return None
+
+
+def _dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
     return None
 
 
@@ -196,7 +205,7 @@ class WallClockRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = dotted_name(node.func)
+            dotted = _dotted_name(node.func)
             if not dotted or "." not in dotted:
                 continue
             root = dotted.partition(".")[0]
@@ -275,7 +284,7 @@ class UnorderedIterRule(Rule):
                     )
 
     def _message(self, node: ast.AST) -> str:
-        dotted = dotted_name(node)
+        dotted = _dotted_name(node)
         what = f"`{dotted}`" if dotted else "a set expression"
         return f"iteration over {what} (unordered)"
 
@@ -409,7 +418,7 @@ class UnsortedListingRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call) or id(node) in sorted_wrapped:
                 continue
-            dotted = dotted_name(node.func)
+            dotted = _dotted_name(node.func)
             listing = None
             if dotted in self._OS_FUNCS or dotted in self._GLOB_FUNCS:
                 listing = dotted
@@ -491,688 +500,6 @@ class RegistryNamesRule(Rule):
                     )
 
 
-# -- graph-aware (whole-program) rules -----------------------------------------
-
-
-class ProjectRule(Rule):
-    """A rule that sees the whole :class:`~repro.lint.graph.ProjectGraph`.
-
-    Per-file :meth:`check` is a no-op; the engine builds the graph once
-    per run and calls :meth:`check_project`.  Findings anchor at real
-    source locations, so inline ``# repro: lint-ok[rule-id]`` comments
-    apply exactly as they do for per-file rules.
-    """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def project_finding(
-        self, path: str, node: ast.AST, message: str,
-    ) -> Finding:
-        return Finding(
-            path=path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule=self.id,
-            message=message,
-            hint=self.hint,
-        )
-
-
-class DeterminismFlowRule(ProjectRule):
-    """Nondeterministic values must not reach deterministic output.
-
-    The interprocedural taint engine (:mod:`repro.lint.dataflow`) seeds
-    taint at wall-clock reads, env reads, ``id()``/``hash()`` identity,
-    process identity and unsorted listings, and propagates it along the
-    call graph into store appends, trace payloads and hashed output.
-    Each finding anchors at the sink and carries the full source→sink
-    call path.  The obs/lint layers are sanitizers: values they return
-    are trusted clean (their own clock reads are audited by the per-file
-    ``wall-clock`` rule and the volatile-fields contracts).
-    """
-
-    id = "determinism-flow"
-    summary = "nondeterministic value flows into deterministic output"
-    hint = ("derive the value from (config, seed), or route the "
-            "measurement through the obs layer (the sanctioned clock "
-            "boundary); sort listings at the source")
-
-    def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        for flow in DataflowAnalysis(graph).run():
-            yield Finding(
-                path=flow.path, line=flow.line, col=flow.col,
-                rule=self.id, message=flow.message, hint=self.hint,
-            )
-
-
-@dataclass(frozen=True)
-class _StreamSite:
-    """One statically-resolved RNG stream construction/derivation."""
-
-    name: str                 # resolved stream name; families end with "*"
-    exact: bool               # False for f-string families
-    module: str
-    package: str
-    scope: Tuple[str, str]    # (module, class name or function qualname)
-    path: str
-    line: int
-    col: int
-    fid: str
-    var: Optional[str]        # local variable the stream was bound to
-
-
-class RngLineageRule(ProjectRule):
-    """The named-stream derivation tree must stay collision-free.
-
-    Statically resolves every stream name reaching ``RngStream`` /
-    ``derive_stream_seed`` / ``.child`` — literals, f-string heads, and
-    chains through locals and ``self.<attr>`` bindings — then flags:
-
-    * **collisions** — the same exact name constructed in two unrelated
-      scopes (two modules, or two top-level scopes of one module).  Two
-      constructions of one name draw the *same* underlying sequence, so
-      a consumer added to either silently re-deals the other;
-    * **orphans** — a stream bound to a local that is never used (a dead
-      derivation that still shifts nothing today but documents intent
-      that no code implements);
-    * **headless dynamic names** — f-string names with no literal head
-      (unauditable: the derivation tree can't place them);
-    * **multi-module draws** — one stream object drawn from in two or
-      more modules (the worker-count-invariance hazard: shard boundaries
-      split the draw sequence between processes).
-    """
-
-    id = "rng-lineage"
-    summary = "RNG stream lineage violation (collision/orphan/dynamic)"
-    hint = ("give every stream one owning construction site; derive "
-            "variants with .child(); keep each stream's draws in one "
-            "module")
-
-    _CTOR_NAMES = ("RngStream", "derive_stream_seed")
-
-    #: The stream implementation itself derives names dynamically.
-    ALLOWED = ("simulation/rng.py",)
-
-    def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        sites: List[_StreamSite] = []
-        headless: List[Tuple[str, ast.AST]] = []
-        draws: Dict[str, Dict[str, Tuple[str, int]]] = {}
-        class_attrs: Dict[Tuple[str, str, str], str] = {}
-        param_streams: Dict[str, Dict[str, str]] = {}
-
-        # Two passes: the first fills class-attribute and callee-parameter
-        # stream bindings, the second resolves chains through them.
-        for final in (False, True):
-            sites.clear()
-            headless.clear()
-            draws.clear()
-            for fid in sorted(graph.functions):
-                fn = graph.functions[fid]
-                self._scan_function(
-                    graph, fn, sites, headless, draws,
-                    class_attrs, param_streams, final,
-                )
-
-        flagged: Set[Tuple[str, int, int]] = set()
-
-        # Headless dynamic names.
-        for path, node in headless:
-            yield self.project_finding(
-                path, node,
-                "dynamic stream name with no literal head (the derivation "
-                "tree cannot place it)",
-            )
-
-        # Collisions: one exact name, several unrelated scopes.
-        by_name: Dict[str, List[_StreamSite]] = {}
-        for site in sites:
-            if site.exact:
-                by_name.setdefault(site.name, []).append(site)
-        for name in sorted(by_name):
-            group = sorted(by_name[name],
-                           key=lambda s: (s.module, s.line, s.col))
-            scopes = {s.scope for s in group}
-            if len(scopes) < 2:
-                continue
-            owner = self._owner(name, group)
-            for site in group:
-                if site.scope == owner.scope:
-                    continue
-                key = (site.path, site.line, site.col)
-                if key in flagged:
-                    continue
-                flagged.add(key)
-                yield Finding(
-                    path=site.path, line=site.line, col=site.col,
-                    rule=self.id,
-                    message=(
-                        f"stream name {name!r} collides with its owning "
-                        f"construction in {owner.path}:{owner.line} — two "
-                        f"constructions share one draw sequence"
-                    ),
-                    hint=self.hint,
-                )
-
-        # Orphans: bound to a local that is never read.
-        for site in sites:
-            if site.var is None:
-                continue
-            fn = graph.functions[site.fid]
-            if self._loads_of(fn.node, site.var) > 0:
-                continue
-            key = (site.path, site.line, site.col)
-            if key in flagged:
-                continue
-            flagged.add(key)
-            yield Finding(
-                path=site.path, line=site.line, col=site.col,
-                rule=self.id,
-                message=(
-                    f"orphan stream {site.name!r}: bound to "
-                    f"`{site.var}` but never drawn, derived or passed on"
-                ),
-                hint=self.hint,
-            )
-
-        # Multi-module draws.
-        for name in sorted(draws):
-            modules = draws[name]
-            if len(modules) < 2:
-                continue
-            group = sorted((s for s in sites if s.name == name),
-                           key=lambda s: (s.module, s.line, s.col))
-            anchor = group[0] if group else None
-            if anchor is None:
-                continue
-            key = (anchor.path, anchor.line, anchor.col)
-            if key in flagged:
-                continue
-            flagged.add(key)
-            where = ", ".join(
-                f"{mod} ({loc[0]}:{loc[1]})"
-                for mod, loc in sorted(modules.items())
-            )
-            yield Finding(
-                path=anchor.path, line=anchor.line, col=anchor.col,
-                rule=self.id,
-                message=(
-                    f"stream {name!r} is drawn from in "
-                    f"{len(modules)} modules: {where} — one draw sequence "
-                    f"split across shard boundaries"
-                ),
-                hint=self.hint,
-            )
-
-    # -- scanning ----------------------------------------------------------
-
-    def _scan_function(
-        self, graph: ProjectGraph, fn: FunctionInfo,
-        sites: List[_StreamSite], headless: List[Tuple[str, ast.AST]],
-        draws: Dict[str, Dict[str, Tuple[str, int]]],
-        class_attrs: Dict[Tuple[str, str, str], str],
-        param_streams: Dict[str, Dict[str, str]],
-        final: bool,
-    ) -> None:
-        if fn.rel in self.ALLOWED:
-            return
-        module = graph.modules[fn.module]
-        env: Dict[str, str] = dict(param_streams.get(fn.fid, {}))
-
-        def resolve_stream(expr: ast.expr) -> Optional[str]:
-            """The stream name an expression evaluates to, if resolvable."""
-            if isinstance(expr, ast.Name):
-                return env.get(expr.id)
-            if isinstance(expr, ast.Attribute) \
-                    and isinstance(expr.value, ast.Name) \
-                    and expr.value.id == "self" and fn.class_name:
-                return class_attrs.get(
-                    (fn.module, fn.class_name, expr.attr))
-            if isinstance(expr, ast.Call):
-                resolved = self._resolve_ctor(expr, resolve_stream, module)
-                if resolved is not None:
-                    return resolved[0]
-            return None
-
-        def record(call: ast.Call, var: Optional[str]) -> Optional[str]:
-            resolved = self._resolve_ctor(call, resolve_stream, module)
-            if resolved is None:
-                if final and self._is_headless(call, resolve_stream):
-                    headless.append((fn.path, call))
-                return None
-            name, exact = resolved
-            if final:
-                scope = (fn.module, fn.class_name or fn.qualname)
-                sites.append(_StreamSite(
-                    name=name, exact=exact, module=fn.module,
-                    package=module.package, scope=scope, path=fn.path,
-                    line=call.lineno, col=call.col_offset, fid=fn.fid,
-                    var=var,
-                ))
-            return name
-
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                value = node.value
-                if isinstance(value, ast.BoolOp):
-                    # ``rng = rng or RngStream(...)`` default idiom.
-                    calls = [v for v in value.values
-                             if isinstance(v, ast.Call)]
-                    value = calls[0] if len(calls) == 1 else value
-                if not isinstance(value, ast.Call):
-                    continue
-                if isinstance(target, ast.Name):
-                    name = record(value, target.id)
-                    if name is not None:
-                        env[target.id] = name
-                elif isinstance(target, ast.Attribute) \
-                        and isinstance(target.value, ast.Name) \
-                        and target.value.id == "self" and fn.class_name:
-                    name = record(value, None)
-                    if name is not None:
-                        class_attrs[(fn.module, fn.class_name,
-                                     target.attr)] = name
-            elif isinstance(node, ast.Call):
-                if not self._is_assigned_call(node, fn.node):
-                    record(node, None)
-
-        # Draw sites + one level of stream propagation into callees.
-        for call in ast.walk(fn.node):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            if isinstance(func, ast.Attribute) and func.attr not in (
-                    "child",) + self._CTOR_NAMES:
-                receiver = resolve_stream(func.value)
-                if receiver is not None:
-                    draws.setdefault(receiver, {}).setdefault(
-                        fn.module, (fn.path, call.lineno))
-        for site in fn.calls:
-            if len(site.targets) != 1:
-                continue
-            target = graph.functions[site.targets[0]]
-            offset = 1 if target.class_name is not None \
-                and isinstance(site.node.func, ast.Attribute) else 0
-            for pos, arg in enumerate(site.node.args):
-                name = resolve_stream(arg)
-                if name is None:
-                    continue
-                index = pos + offset
-                if index >= len(target.params):
-                    continue
-                bound = param_streams.setdefault(target.fid, {})
-                param = target.params[index]
-                if bound.get(param, name) != name:
-                    bound[param] = ""   # ambiguous: two caller streams
-                elif name:
-                    bound[param] = name
-            for kw in site.node.keywords:
-                if kw.arg is None or kw.arg not in target.params:
-                    continue
-                name = resolve_stream(kw.value)
-                if name is None:
-                    continue
-                bound = param_streams.setdefault(target.fid, {})
-                if bound.get(kw.arg, name) != name:
-                    bound[kw.arg] = ""
-                elif name:
-                    bound[kw.arg] = name
-
-    def _resolve_ctor(
-        self, call: ast.Call, resolve_stream, module: ModuleInfo,
-    ) -> Optional[Tuple[str, bool]]:
-        """(resolved name, exact) for a stream construction, else None."""
-        func = call.func
-        terminal = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None)
-        if terminal in self._CTOR_NAMES:
-            name_arg: Optional[ast.expr] = None
-            if len(call.args) >= 2:
-                name_arg = call.args[1]
-            else:
-                for kw in call.keywords:
-                    if kw.arg == "name":
-                        name_arg = kw.value
-            if name_arg is None:
-                return None
-            return self._resolve_name_expr(name_arg, resolve_stream)
-        if isinstance(func, ast.Attribute) and func.attr == "child" \
-                and call.args:
-            parent = resolve_stream(func.value)
-            suffix = call.args[0]
-            if parent is None or parent.endswith("*"):
-                return None
-            resolved = self._resolve_name_expr(suffix, resolve_stream)
-            if resolved is None:
-                return None
-            suffix_name, exact = resolved
-            return f"{parent}.{suffix_name}", exact
-        return None
-
-    def _resolve_name_expr(
-        self, expr: ast.expr, resolve_stream,
-    ) -> Optional[Tuple[str, bool]]:
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-            return expr.value, True
-        if isinstance(expr, ast.JoinedStr) and expr.values:
-            first = expr.values[0]
-            if isinstance(first, ast.Constant):
-                head = str(first.value)
-                return (head + "*", False) if head else None
-            if isinstance(first, ast.FormattedValue) \
-                    and isinstance(first.value, ast.Attribute) \
-                    and first.value.attr == "name":
-                # ``f"{stream.name}.suffix..."``: resolvable prefix.
-                parent = resolve_stream(first.value.value)
-                if parent is not None and not parent.endswith("*"):
-                    tail = "".join(
-                        str(v.value) for v in expr.values[1:]
-                        if isinstance(v, ast.Constant)
-                    )
-                    return f"{parent}{tail}*", False
-        return None
-
-    def _is_headless(self, call: ast.Call, resolve_stream) -> bool:
-        """True for a stream ctor whose f-string name has no usable head."""
-        func = call.func
-        terminal = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None)
-        if terminal not in self._CTOR_NAMES:
-            return False
-        name_arg: Optional[ast.expr] = None
-        if len(call.args) >= 2:
-            name_arg = call.args[1]
-        else:
-            for kw in call.keywords:
-                if kw.arg == "name":
-                    name_arg = kw.value
-        if not isinstance(name_arg, ast.JoinedStr):
-            return False
-        return self._resolve_name_expr(name_arg, resolve_stream) is None
-
-    @staticmethod
-    def _is_assigned_call(call: ast.Call, fn_node: ast.AST) -> bool:
-        """True when ``call`` is the RHS (or or-default) of an Assign."""
-        for node in ast.walk(fn_node):
-            if isinstance(node, ast.Assign):
-                value = node.value
-                if value is call:
-                    return True
-                if isinstance(value, ast.BoolOp) \
-                        and any(v is call for v in value.values):
-                    return True
-        return False
-
-    @staticmethod
-    def _loads_of(fn_node: ast.AST, var: str) -> int:
-        return sum(
-            1 for node in ast.walk(fn_node)
-            if isinstance(node, ast.Name) and node.id == var
-            and isinstance(node.ctx, ast.Load)
-        )
-
-    @staticmethod
-    def _owner(name: str, group: List[_StreamSite]) -> _StreamSite:
-        """The site that legitimately owns ``name``.
-
-        The head component of a dotted stream name doubles as the owning
-        package (``"workload.deployment"`` belongs to ``workload``);
-        fall back to the first site in (module, line) order.
-        """
-        head = name.split(".")[0]
-        for site in group:
-            if site.package == head:
-                return site
-        return group[0]
-
-
-class WorkerBoundaryRule(ProjectRule):
-    """What crosses a scheduler worker boundary must be safe to ship.
-
-    Worker entry points are the targets of ``Process(target=...)``.
-    Everything reachable from them executes in a worker, where:
-
-    * module-level mutable state diverges per process — mutations there
-      are lost or doubled depending on worker count.  Names ending in
-      ``_CACHE``/``_MEMO`` are sanctioned per-process memo caches (the
-      naming convention is the audit trail);
-    * payloads shipped across the boundary (``Process`` args, queue
-      ``put``, backend ``submit``) must pickle — lambdas, nested
-      functions, generators and open file handles do not;
-    * blocking calls reachable from ``async def`` entry points would
-      stall the event loop the always-on farm service plans to run
-      (ROADMAP item 1).
-
-    The obs/lint layers are exempt from the mutation check: their
-    per-process state (metrics registries) merges through explicit
-    telemetry channels audited by the scheduler contract.
-    """
-
-    id = "worker-boundary"
-    summary = "unsafe state or payload at a worker boundary"
-    hint = ("ship plain picklable data; keep per-worker state inside the "
-            "worker function (or a *_CACHE per-process memo); never "
-            "block an async path")
-
-    EXEMPT_LAYERS: Tuple[str, ...] = ("obs/", "lint/")
-    CACHE_SUFFIXES: Tuple[str, ...] = ("_CACHE", "_MEMO")
-
-    _SHIP_METHODS = ("put", "put_nowait", "submit")
-    _BLOCKING_DOTTED = ("time.sleep", "subprocess.run", "subprocess.call",
-                        "subprocess.check_output", "subprocess.check_call")
-
-    def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        entries = self._worker_entries(graph)
-        reachable = graph.reachable(entries)
-        for fid in sorted(reachable):
-            fn = graph.functions[fid]
-            if any(fn.rel == p or fn.rel.startswith(p)
-                   for p in self.EXEMPT_LAYERS):
-                continue
-            yield from self._check_mutations(graph, fn)
-        for fid in sorted(graph.functions):
-            yield from self._check_payloads(graph, graph.functions[fid])
-        yield from self._check_async_blocking(graph)
-
-    # -- worker entries ----------------------------------------------------
-
-    def _worker_entries(self, graph: ProjectGraph) -> List[str]:
-        entries: List[str] = []
-        for fn in graph.functions.values():
-            module = graph.modules[fn.module]
-            for call in ast.walk(fn.node):
-                if not isinstance(call, ast.Call):
-                    continue
-                terminal = call.func.attr \
-                    if isinstance(call.func, ast.Attribute) else (
-                        call.func.id if isinstance(call.func, ast.Name)
-                        else None)
-                if terminal != "Process":
-                    continue
-                for kw in call.keywords:
-                    if kw.arg == "target" and isinstance(kw.value, ast.Name):
-                        fid = self._function_named(
-                            graph, module, kw.value.id)
-                        if fid is not None:
-                            entries.append(fid)
-        return sorted(set(entries))
-
-    @staticmethod
-    def _function_named(graph: ProjectGraph, module: ModuleInfo,
-                        name: str) -> Optional[str]:
-        if name in module.functions:
-            return module.functions[name]
-        dotted = module.from_imports.get(name)
-        if dotted is not None:
-            mod, _, attr = dotted.rpartition(".")
-            info = graph.modules.get(mod)
-            if info is not None and attr in info.functions:
-                return info.functions[attr]
-        return None
-
-    # -- module-level mutable state ----------------------------------------
-
-    def _check_mutations(
-        self, graph: ProjectGraph, fn: FunctionInfo,
-    ) -> Iterator[Finding]:
-        module = graph.modules[fn.module]
-        watched = {
-            name for name in module.module_mutables
-            if not name.endswith(self.CACHE_SUFFIXES)
-        }
-        if not watched:
-            return
-        local: Set[str] = set(fn.params)
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        local.add(target.id)
-        globals_declared: Set[str] = set()
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Global):
-                globals_declared.update(node.names)
-        watched -= (local - globals_declared)
-
-        def flag(node: ast.AST, name: str, how: str) -> Finding:
-            return self.project_finding(
-                fn.path, node,
-                f"module-level mutable `{name}` {how} in worker-executed "
-                f"`{fn.qualname}` — per-process state diverges with "
-                f"worker count",
-            )
-
-        for node in ast.walk(fn.node):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) \
-                    else [node.target]
-                for target in targets:
-                    root = target
-                    while isinstance(root, (ast.Subscript, ast.Attribute)):
-                        root = root.value
-                    if isinstance(root, ast.Name) and root.id in watched \
-                            and root is not target:
-                        yield flag(node, root.id, "mutated")
-                    elif isinstance(target, ast.Name) \
-                            and target.id in watched \
-                            and target.id in globals_declared:
-                        yield flag(node, target.id, "rebound")
-            elif isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in _MUTATING_METHODS \
-                    and isinstance(node.func.value, ast.Name) \
-                    and node.func.value.id in watched:
-                yield flag(node, node.func.value.id,
-                           f"mutated via `.{node.func.attr}(...)`")
-
-    # -- unpicklable payloads ----------------------------------------------
-
-    def _check_payloads(
-        self, graph: ProjectGraph, fn: FunctionInfo,
-    ) -> Iterator[Finding]:
-        module = graph.modules[fn.module]
-        nested = {
-            qual.rsplit(".", 1)[-1]
-            for qual in module.functions
-            if qual.startswith(f"{fn.qualname}.")
-        }
-        for call in ast.walk(fn.node):
-            if not isinstance(call, ast.Call):
-                continue
-            payloads: List[ast.expr] = []
-            func = call.func
-            terminal = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else None)
-            if terminal == "Process":
-                for kw in call.keywords:
-                    if kw.arg in ("args", "kwargs"):
-                        payloads.append(kw.value)
-            elif isinstance(func, ast.Attribute) \
-                    and terminal in self._SHIP_METHODS:
-                payloads.extend(call.args)
-                payloads.extend(kw.value for kw in call.keywords
-                                if kw.arg is not None)
-            for payload in payloads:
-                for problem, node in self._unpicklable(payload, nested):
-                    yield self.project_finding(
-                        fn.path, node,
-                        f"{problem} crosses a worker boundary in "
-                        f"`{fn.qualname}` — it cannot pickle",
-                    )
-
-    @staticmethod
-    def _unpicklable(
-        payload: ast.expr, nested: Set[str],
-    ) -> Iterator[Tuple[str, ast.AST]]:
-        for node in ast.walk(payload):
-            if isinstance(node, ast.Lambda):
-                yield "a lambda", node
-            elif isinstance(node, ast.GeneratorExp):
-                yield "a generator expression", node
-            elif isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Name) \
-                    and node.func.id == "open":
-                yield "an open file handle", node
-            elif isinstance(node, ast.Name) and node.id in nested \
-                    and isinstance(node.ctx, ast.Load):
-                yield f"nested function `{node.id}`", node
-
-    # -- blocking calls on async paths -------------------------------------
-
-    def _check_async_blocking(
-        self, graph: ProjectGraph,
-    ) -> Iterator[Finding]:
-        async_entries = [fid for fid, fn in graph.functions.items()
-                         if fn.is_async]
-        if not async_entries:
-            return
-        reachable = graph.reachable(async_entries, include_dynamic=False)
-        for fid in sorted(reachable):
-            fn = graph.functions[fid]
-            module = graph.modules[fn.module]
-            for call in ast.walk(fn.node):
-                if not isinstance(call, ast.Call):
-                    continue
-                blocking = self._blocking_desc(call, module)
-                if blocking is not None:
-                    origin = "" if fn.is_async else (
-                        " (reachable from an async entry point)")
-                    yield self.project_finding(
-                        fn.path, call,
-                        f"blocking call {blocking} on an async path in "
-                        f"`{fn.qualname}`{origin} — it stalls the event "
-                        f"loop",
-                    )
-
-    def _blocking_desc(
-        self, call: ast.Call, module: ModuleInfo,
-    ) -> Optional[str]:
-        func = call.func
-        if isinstance(func, ast.Name) and func.id == "input":
-            return "`input()`"
-        dotted = dotted_name(func)
-        if dotted is None:
-            return None
-        root, _, rest = dotted.partition(".")
-        base = module.imports.get(root) or module.from_imports.get(root)
-        resolved = f"{base}.{rest}" if base and rest else (
-            base if base else dotted)
-        if resolved in self._BLOCKING_DOTTED:
-            return f"`{resolved}(...)`"
-        return None
-
-
-#: Mutating container methods the worker-boundary rule watches for.
-_MUTATING_METHODS = frozenset({
-    "append", "add", "update", "pop", "popitem", "extend", "setdefault",
-    "clear", "remove", "discard", "insert", "appendleft", "extendleft",
-})
-
-
 #: Every rule, in reporting order.  The engine instantiates from here.
 ALL_RULES: Tuple[type, ...] = (
     GlobalRandomRule,
@@ -1182,9 +509,6 @@ ALL_RULES: Tuple[type, ...] = (
     BareExceptRule,
     UnsortedListingRule,
     RegistryNamesRule,
-    DeterminismFlowRule,
-    RngLineageRule,
-    WorkerBoundaryRule,
 )
 
 

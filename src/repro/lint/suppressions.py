@@ -36,6 +36,8 @@ def collect_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
     suppressions (the engine reports the syntax error separately).
     """
     suppressed: Dict[int, FrozenSet[str]] = {}
+    if "lint-ok" not in source:  # no marker: skip tokenizing the file
+        return suppressed
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):

@@ -14,7 +14,7 @@ multiplies them by the category's total session budget.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

@@ -41,7 +41,7 @@ def _tree_digest() -> str:
 
 @pytest.fixture(scope="module")
 def lint_run():
-    """One whole-program lint of ``src/``, shared by the tests below,
+    """One lint of ``src/``, shared by the tests below,
     with the tree digest taken before and after it."""
     before = _tree_digest()
     result = run_lint([SRC])
