@@ -134,7 +134,7 @@ print(f"backend matrix ok (sha256 {next(iter(digests.values()))[:16]}... "
       f"x{len(digests)})")
 PY
 
-echo "== run-ledger determinism (inline w=1 vs pool w=2, strip-identical) =="
+echo "== run-ledger determinism (inline w=1 vs pool w=2, strip-identical; pool ledger == fold of its trace) =="
 timeout 60 python -m repro generate --scale 80000 --hash-scale 0.004 --seed 7 \
     --workers 1 --backend inline --out "$SCRATCH/ledger_a.npz" \
     --ledger "$SCRATCH/ledger_a.jsonl" > /dev/null 2> /dev/null
@@ -146,8 +146,8 @@ python - "$SCRATCH" <<'PY'
 import json
 import sys
 
-from repro.obs import read_ledger_jsonl, strip_volatile_records, \
-    validate_ledger
+from repro.obs import SchedFold, read_ledger_jsonl, read_trace_jsonl, \
+    strip_volatile_records, validate_ledger
 
 scratch = sys.argv[1]
 ledgers = {name: read_ledger_jsonl(f"{scratch}/ledger_{name[0]}.jsonl")
@@ -164,12 +164,24 @@ finals = [next(r for r in records if r["record"] == "final")
           for records in ledgers.values()]
 if finals[0]["store_sha256"] != finals[1]["store_sha256"]:
     raise SystemExit("final store sha256 differs between worker counts")
+# ledger_b and top_trace.jsonl come from the same pool run: its sched,
+# task and heartbeat records must be the fold of the trace's events.
+fold = SchedFold()
+for event in read_trace_jsonl(f"{scratch}/top_trace.jsonl"):
+    fold.feed(event)
+kinds = ("sched", "task", "heartbeat")
+rebuilt = [r for r in fold.records() if r["record"] in kinds]
+written = [r for r in ledgers["b_pool_w2"] if r["record"] in kinds]
+if json.dumps(rebuilt, sort_keys=True) != json.dumps(written, sort_keys=True):
+    raise SystemExit("pool ledger's sched/task/heartbeat records differ "
+                     "from the fold of its trace")
 a = ledgers["a_inline_w1"]
 beats = sum(1 for r in a if r["record"] == "heartbeat")
 tasks = sum(1 for r in a if r["record"] == "task")
 print(f"run-ledger ok ({len(a)} records, {tasks} task rows, "
       f"{beats} heartbeats, store sha256 "
-      f"{finals[0]['store_sha256'][:16]}..., stripped identical)")
+      f"{finals[0]['store_sha256'][:16]}..., stripped identical; "
+      f"{len(written)} pool records == fold of its trace)")
 PY
 
 echo "== repro top smoke (--once over the recorded pool trace) =="

@@ -476,16 +476,16 @@ def _monitor_demo(args, monitor, analytics=None) -> int:
 
 def cmd_top(args) -> int:
     """Scheduler dashboard: replay/tail a trace, or run a demo generate."""
-    from repro.sched.dashboard import TopDashboard
+    from repro.obs.ledger import SchedFold
 
-    dash = TopDashboard()
+    fold = SchedFold()
     if args.input:
-        return _top_tail(args, dash)
-    return _top_demo(args, dash)
+        return _top_tail(args, fold)
+    return _top_demo(args, fold)
 
 
-def _top_tail(args, dash) -> int:
-    """Feed a flight-recorder JSONL stream into the dashboard.
+def _top_tail(args, fold) -> int:
+    """Fold a flight-recorder JSONL stream and render it.
 
     ``--once`` reads what is there and renders one frame (the CI mode);
     ``--follow`` keeps tailing, repainting every ``--interval`` seconds
@@ -496,26 +496,28 @@ def _top_tail(args, dash) -> int:
     last_render = time.monotonic()
     for event in _tail_jsonl(args):
         if event is not None:
-            dash.feed(event)
+            fold.feed(event)
         if args.follow and not args.once and \
                 time.monotonic() - last_render >= args.interval:
-            _top_frame(dash)
+            _top_frame(fold)
             last_render = time.monotonic()
-    _top_frame(dash, final=True)
+    _top_frame(fold, final=True)
     return 0
 
 
-def _top_frame(dash, final: bool = False) -> None:
+def _top_frame(fold, final: bool = False) -> None:
+    from repro.sched.dashboard import render_top
+
     if not final and sys.stdout.isatty():
         print("\x1b[2J\x1b[H", end="")
-    print(dash.render())
+    print(render_top(fold))
     if not final:
         print(flush=True)
 
 
-def _top_demo(args, dash) -> int:
+def _top_demo(args, fold) -> int:
     """A small pool-backed scheduled generate, rendered as a final frame."""
-    from repro.obs.trace import Tracer, use_tracer
+    from repro.obs.trace import use_fold
     from repro.sched.scheduler import generate_scheduled
     from repro.workload.config import ScenarioConfig
 
@@ -523,11 +525,9 @@ def _top_demo(args, dash) -> int:
                             hash_scale=0.004)
     print(f"demo: scheduled generate, pool x{args.workers} "
           f"({config.total_sessions:,} sessions) ...", file=sys.stderr)
-    tracer = Tracer()
-    with use_tracer(tracer):
+    with use_fold(fold.feed):
         generate_scheduled(config, backend="pool", workers=args.workers)
-    dash.feed_all(tracer.to_list())
-    print(dash.render())
+    _top_frame(fold, final=True)
     return 0
 
 

@@ -20,7 +20,13 @@ The flight recorder (:mod:`repro.obs.trace`) is the registry's
 event-stream counterpart: ring-buffered structured trace events with
 sim-time + wall-time stamps and per-session/per-block trace ids, off by
 default (a single ``None`` check on the hot paths), folded across workers
-in shard order exactly like ``Metrics.merge``.
+in shard order exactly like ``Metrics.merge``.  What varies from run to
+run is declared once per event kind (``trace.VOLATILE_BY_KIND``).
+
+The run ledger (:mod:`repro.obs.ledger`) is the run's manifest.  The
+scheduler states each operational fact once, as a ``sched.*`` event; the
+ledger folds those events (:class:`SchedFold`) whether or not a tracer
+records them, and ``repro top`` renders the same fold.
 """
 
 from repro.obs.export import (
@@ -35,9 +41,9 @@ from repro.obs.export import (
 )
 from repro.obs.ledger import (
     RunLedger,
+    SchedFold,
     get_ledger,
     read_ledger_jsonl,
-    set_ledger,
     sha256_file,
     strip_volatile_records,
     use_ledger,
@@ -49,7 +55,6 @@ from repro.obs.metrics import (
     Stopwatch,
     get_metrics,
     inc,
-    set_metrics,
     stopwatch,
     use_metrics,
 )
@@ -62,7 +67,6 @@ from repro.obs.resources import (
 from repro.obs.trace import (
     Tracer,
     get_tracer,
-    is_volatile_kind,
     strip_volatile_events,
     use_tracer,
     validate_trace,
@@ -73,6 +77,7 @@ __all__ = [
     "Metrics",
     "ResourceSampler",
     "RunLedger",
+    "SchedFold",
     "Stopwatch",
     "Tracer",
     "chrome_trace_events",
@@ -83,15 +88,12 @@ __all__ = [
     "get_metrics",
     "get_tracer",
     "inc",
-    "is_volatile_kind",
     "peak_rss_kb",
     "read_ledger_jsonl",
     "read_trace_jsonl",
     "render",
     "render_prometheus",
     "render_timeline",
-    "set_ledger",
-    "set_metrics",
     "sha256_file",
     "stopwatch",
     "strip_volatile_events",

@@ -17,19 +17,18 @@ is one JSON object per line, in canonical record order::
     {"record": "artifact", "sha256": ...}          # written files
     {"record": "final", "store_sha256": ...}       # always last
 
-**Fold discipline** mirrors ``Metrics.merge``: task rows are keyed by
-task index (a retry overwrites its earlier attempt's row) and written in
-index order, stage rollups sort by span path — so a workers=1 ledger and
-a workers=2 ledger of the same config are *identical* modulo the
-declared-volatile fields (:data:`VOLATILE_FIELDS`: who ran it, physical
-timings, pids) and the heartbeat trail (:data:`VOLATILE_RECORDS`).
-:func:`strip_volatile_records` applies the declaration;
-:func:`validate_ledger` checks the schema.  CI asserts both.
-
-The module-global seam (:func:`get_ledger` / :func:`use_ledger`) follows
-:mod:`repro.obs.metrics`: ``None`` means no ledger, and every hook in
-the pipeline is a single ``None`` check — the steady state costs
-nothing.
+The scheduler states each operational fact once, as a ``sched.*``
+flight-recorder event.  :class:`SchedFold` folds those events through
+one step table (:data:`SCHED_STEPS`) into the ``sched``, ``task``,
+``heartbeat`` and ``stale-worker`` alert records; :func:`use_ledger`
+feeds a ledger's fold every event, traced or not, and ``repro top``
+renders the same fold of a trace.  Task rows are keyed by index (a retry
+overwrites its earlier row) and written in index order, stages sort by
+path — so a workers=1 and a workers=2 ledger of one config are
+*identical* modulo what varies from run to run, declared once per event
+kind (:data:`repro.obs.trace.VOLATILE_BY_KIND`) and, for the ledger's
+own records, in :data:`VOLATILE_FIELDS`.  :func:`strip_volatile_records`
+applies both; :func:`validate_ledger` checks the schema.
 """
 
 from __future__ import annotations
@@ -39,12 +38,20 @@ import os
 import platform
 import sys
 import time
+from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, \
+    Sequence
 
 from repro.obs.export import read_trace_jsonl, write_trace_jsonl
 from repro.obs.metrics import get_metrics
+from repro.obs.trace import (
+    VOLATILE_BY_KIND,
+    WHOLE_EVENT,
+    field_problems,
+    use_fold,
+)
 
 #: Ledger schema version (the header record pins it).
 LEDGER_VERSION = 1
@@ -63,28 +70,23 @@ RECORD_TYPES = (
     "final",
 )
 
-#: Record types dropped wholesale by :func:`strip_volatile_records`:
-#: the heartbeat trail is pure physical liveness — its length and
-#: content depend on worker count and timing by construction.
-VOLATILE_RECORDS = frozenset({"heartbeat"})
+#: The event kind each folded record type is made from, and so takes its
+#: run-variance from (:data:`~repro.obs.trace.VOLATILE_BY_KIND`).
+RECORD_EVENT_KIND: Dict[str, str] = {
+    "sched": "sched.trace.built",
+    "task": "sched.task.done",
+    "heartbeat": "sched.heartbeat.worker",
+}
 
-#: Per-record-type fields that legitimately vary between two runs of the
-#: same config (who ran it, physical timings, process identity).  What
-#: remains after stripping is the run's *logical* identity and must be
-#: byte-identical across backends and worker counts.
+#: Fields of the ledger's own records that legitimately vary between two
+#: runs of the same config (who ran it, physical timings, process
+#: identity).  What remains after stripping is the run's *logical*
+#: identity and must be byte-identical across backends and worker counts.
 VOLATILE_FIELDS: Dict[str, frozenset] = {
     "ledger": frozenset({"created_wall"}),
     "run": frozenset({"backend", "workers"}),
     "env": frozenset({"pid", "cwd", "argv", "hostname"}),
-    "sched": frozenset({"backend", "workers"}),
     "stage": frozenset({"wall", "cpu"}),
-    "task": frozenset({
-        "attempt", "worker", "run_seconds", "queue_seconds",
-        "telemetry_version", "wall_seconds", "cpu_seconds",
-        "cpu_user_seconds", "cpu_system_seconds", "max_rss_kb",
-        "gc_collections", "gc_pause_seconds",
-    }),
-    "alert": frozenset(),
     "artifact": frozenset({"path"}),
     "final": frozenset({"wall_seconds", "alerts", "heartbeats",
                         "cache_hit"}),
@@ -103,6 +105,122 @@ _REQUIRED: Dict[str, Dict[str, tuple]] = {
     "alert": {"kind": (str,), "message": (str,)},
     "artifact": {"name": (str,), "sha256": (str,)},
     "final": {"status": (str,)},
+}
+
+_RANK = {rtype: i for i, rtype in enumerate(RECORD_TYPES)}
+
+#: How many recent retry / stale-worker events ``repro top`` keeps.
+ALERT_TAIL = 8
+
+#: Minimum wall-clock span (seconds) a sessions/s rate is derived over.
+#: Batched result drains deliver several beats within microseconds of
+#: each other; a rate across such a sliver is display noise.
+RATE_WINDOW = 0.05
+
+
+# -- the one fold --------------------------------------------------------------
+
+
+class SchedFold:
+    """One run's scheduler events, folded.
+
+    For the ledger: the ``sched`` record, task rows by index, the
+    heartbeat trail and the alerts (shared with
+    :meth:`RunLedger.record_alert`).  For ``repro top`` only: each
+    worker's latest beat fields with its sessions/s ``rate`` and the
+    ``anchor`` (wall, sessions) the rate runs from, the retry count, the
+    recent retry/stale tail and the merged session count.
+    """
+
+    def __init__(self) -> None:
+        self.sched: Optional[Dict[str, Any]] = None
+        self.tasks: Dict[int, Dict[str, Any]] = {}
+        self.heartbeats: List[Dict[str, Any]] = []
+        self.alerts: List[Dict[str, Any]] = []
+        self.workers: Dict[str, Dict[str, Any]] = {}
+        self.retries = 0
+        self.tail: Deque[Dict[str, Any]] = deque(maxlen=ALERT_TAIL)
+        self.merged_sessions: Optional[int] = None
+
+    def feed(self, event: Dict[str, Any]) -> None:
+        """Fold one flight-recorder event dict."""
+        step = SCHED_STEPS.get(event.get("kind"))
+        if step is not None:
+            step(self, event, event.get("data") or {})
+
+    def records(self) -> List[Dict[str, Any]]:
+        """The ledger records this fold holds, in canonical order."""
+        return ([] if self.sched is None else [self.sched]) \
+            + [self.tasks[i] for i in sorted(self.tasks)] \
+            + self.heartbeats + self.alerts
+
+
+#: ``step(fold, event, data)``.
+Step = Callable[[SchedFold, Dict[str, Any], Dict[str, Any]], None]
+
+
+def _built(fold: SchedFold, event: Dict, data: Dict) -> None:
+    fold.sched = dict(data, record="sched")
+
+
+def _done(fold: SchedFold, event: Dict, data: Dict) -> None:
+    # Keyed by task index: a retry overwrites the earlier row.
+    row = dict(data, record="task", kind=data.get("shard_kind"))
+    row.pop("shard_kind", None)
+    fold.tasks[row.get("index")] = row
+
+
+def _retry(fold: SchedFold, event: Dict, data: Dict) -> None:
+    fold.retries += 1
+    fold.tail.append(event)
+
+
+def _beat(fold: SchedFold, event: Dict, data: Dict) -> None:
+    fold.heartbeats.append(dict(data, record="heartbeat"))
+    worker = str(data.get("worker", "?"))
+    row = fold.workers.setdefault(worker, {"beat": 0, "rate": None,
+                                           "anchor": None})
+    if data.get("beat", 0) <= row["beat"] and row["beat"]:
+        return  # replayed heartbeat
+    row.update(data)  # a field the beat lacks keeps its last value
+    wall, sessions = event.get("wall"), row.get("sessions_done", 0)
+    if wall is None:
+        return
+    if row["anchor"] is None:
+        row["anchor"] = (wall, sessions)
+    elif wall - row["anchor"][0] >= RATE_WINDOW:
+        row["rate"] = max(0.0, (sessions - row["anchor"][1])
+                          / (wall - row["anchor"][0]))
+        row["anchor"] = (wall, sessions)
+
+
+def _stale(fold: SchedFold, event: Dict, data: Dict) -> None:
+    worker = str(data.get("worker", "?"))
+    silent = data.get("silent_seconds", 0.0)
+    fold.alerts.append({
+        "record": "alert",
+        "kind": "stale-worker",
+        "message": f"worker {worker} silent for {silent:.1f}s "
+                   f"(last task {data.get('last_index')})",
+        "data": {"worker": worker, "silent_seconds": silent},
+    })
+    if worker in fold.workers:
+        fold.workers[worker]["state"] = "STALE"
+    fold.tail.append(event)
+
+
+def _merged(fold: SchedFold, event: Dict, data: Dict) -> None:
+    fold.merged_sessions = data.get("sessions")
+
+
+#: Event kind -> fold step.
+SCHED_STEPS: Dict[str, Step] = {
+    "sched.trace.built": _built,
+    "sched.task.done": _done,
+    "sched.task.retry": _retry,
+    "sched.heartbeat.worker": _beat,
+    "sched.heartbeat.stale": _stale,
+    "generate.merged": _merged,
 }
 
 
@@ -140,20 +258,18 @@ def _numpy_version() -> Optional[str]:
 class RunLedger:
     """Accumulates one run's manifest; writes it in canonical order.
 
-    Hooks throughout the pipeline call the ``record_*`` / ``begin_run``
-    methods (through :func:`get_ledger`, so a run without a ledger pays
-    one ``None`` check); :meth:`write_jsonl` assembles and persists the
-    file.  Assembly, not arrival, defines the order — which is what
-    makes the output worker-count-invariant modulo declared-volatile
-    fields.
+    The pipeline opens the run (:meth:`begin_run`), the scheduler's
+    events reach :attr:`fold` while the ledger is installed
+    (:func:`use_ledger`), and the ``record_*`` methods add alerts, stages,
+    artifacts and the store digest; :meth:`write_jsonl` assembles and
+    persists the file.  Assembly, not arrival, defines the order — which
+    is what makes the output worker-count-invariant modulo
+    declared-volatile fields.
     """
 
     def __init__(self) -> None:
         self._run: Optional[Dict[str, Any]] = None
-        self._sched: Optional[Dict[str, Any]] = None
-        self._tasks: Dict[int, Dict[str, Any]] = {}
-        self._heartbeats: List[Dict[str, Any]] = []
-        self._alerts: List[Dict[str, Any]] = []
+        self.fold = SchedFold()
         self._artifacts: List[Dict[str, Any]] = []
         self._stages: List[Dict[str, Any]] = []
         self._store: Optional[Dict[str, Any]] = None
@@ -194,47 +310,6 @@ class RunLedger:
 
     # -- recording -------------------------------------------------------------
 
-    def record_sched(self, *, backend: str, workers: int,
-                     tasks: int) -> None:
-        """The scheduler context: task count + executor."""
-        self._sched = {
-            "record": "sched",
-            "tasks": int(tasks),
-            "backend": str(backend),
-            "workers": int(workers),
-        }
-
-    def record_task(self, task, *, sessions: int, attempt: int, worker: str,
-                    run_seconds: float, queue_seconds: float,
-                    telemetry: Optional[Dict[str, Any]] = None) -> None:
-        """One completed :class:`~repro.sched.backends.ShardTask` attempt.
-
-        Keyed by task index — a retry overwrites the earlier row, so
-        exactly one row per task survives and rows assemble in index
-        order regardless of completion order.
-        """
-        row: Dict[str, Any] = {
-            "record": "task",
-            "index": int(task.index),
-            "kind": str(task.kind),
-            "key": str(task.key),
-            "start": int(task.start),
-            "stop": int(task.stop),
-            "sessions": int(sessions),
-            "attempt": int(attempt),
-            "worker": str(worker),
-            "run_seconds": float(run_seconds),
-            "queue_seconds": float(queue_seconds),
-        }
-        if telemetry:
-            for key, value in telemetry.items():
-                row.setdefault(key, value)
-        self._tasks[row["index"]] = row
-        get_metrics().inc("ledger.tasks")
-
-    def record_heartbeat(self, payload: Dict[str, Any]) -> None:
-        self._heartbeats.append(dict(payload, record="heartbeat"))
-
     def record_alert(self, kind: str, message: str, *,
                      time: Optional[float] = None,
                      honeypot_id: Optional[str] = None,
@@ -251,8 +326,7 @@ class RunLedger:
             record["honeypot_id"] = honeypot_id
         if data:
             record["data"] = data
-        self._alerts.append(record)
-        get_metrics().inc("ledger.alerts")
+        self.fold.alerts.append(record)
 
     def record_artifact(self, name: str, path, sha256: str) -> None:
         """A file the run wrote, with its content digest."""
@@ -286,14 +360,17 @@ class RunLedger:
 
     def finish(self, status: str = "ok") -> None:
         """Close the ledger with the final summary record."""
+        fold = self.fold
         self._final = {
             "record": "final",
             "status": str(status),
-            "tasks": len(self._tasks),
-            "alerts": len(self._alerts),
-            "heartbeats": len(self._heartbeats),
+            "tasks": len(fold.tasks),
+            "alerts": len(fold.alerts),
+            "heartbeats": len(fold.heartbeats),
             "wall_seconds": time.perf_counter() - self._start,
         }
+        get_metrics().inc("ledger.tasks", len(fold.tasks))
+        get_metrics().inc("ledger.alerts", len(fold.alerts))
         if self._store:
             self._final.update(self._store)
 
@@ -309,16 +386,12 @@ class RunLedger:
         if self._run is not None:
             records.append(self._run)
         records.append(_environment_snapshot())
-        if self._sched is not None:
-            records.append(self._sched)
-        records.extend(self._stages)
-        records.extend(self._tasks[i] for i in sorted(self._tasks))
-        records.extend(self._heartbeats)
-        records.extend(self._alerts)
-        records.extend(self._artifacts)
+        records += self._stages + self.fold.records() + self._artifacts
         if self._final is not None:
             records.append(self._final)
-        return records
+        # A stable sort: each type keeps its own order (stages by path,
+        # tasks by index, the rest by arrival).
+        return sorted(records, key=lambda r: _RANK[r["record"]])
 
     def write_jsonl(self, path) -> int:
         """Write the manifest as JSON lines; returns the record count.
@@ -342,7 +415,7 @@ def read_ledger_jsonl(path) -> List[Dict[str, Any]]:
 def strip_volatile_records(
     records: Sequence[Dict[str, Any]],
 ) -> List[Dict[str, Any]]:
-    """Records minus volatile record types and fields.
+    """Records minus what varies from run to run.
 
     What remains is the run's logical identity: two runs of the same
     config must strip to byte-identical lists whatever backend, worker
@@ -352,9 +425,10 @@ def strip_volatile_records(
     out: List[Dict[str, Any]] = []
     for record in records:
         rtype = record.get("record")
-        if rtype in VOLATILE_RECORDS:
+        drop = VOLATILE_BY_KIND.get(RECORD_EVENT_KIND.get(rtype),
+                                    VOLATILE_FIELDS.get(rtype, frozenset()))
+        if drop == WHOLE_EVENT:
             continue
-        drop = VOLATILE_FIELDS.get(rtype, frozenset())
         out.append({k: v for k, v in record.items() if k not in drop})
     return out
 
@@ -391,14 +465,8 @@ def validate_ledger(records: Sequence[Dict[str, Any]]) -> List[str]:
             continue
         if rtype in singletons:
             singletons[rtype] += 1
-        for field, types in _REQUIRED[rtype].items():
-            value = record.get(field)
-            if value is None or isinstance(value, bool) \
-                    or not isinstance(value, types):
-                problems.append(
-                    f"{where}: {rtype} field {field!r} missing or not "
-                    f"{'/'.join(t.__name__ for t in types)}"
-                )
+        problems += field_problems(record, _REQUIRED[rtype],
+                                   f"{where}: {rtype} ")
         if rtype == "task":
             index = record.get("index")
             if isinstance(index, int):
@@ -422,7 +490,8 @@ def validate_ledger(records: Sequence[Dict[str, Any]]) -> List[str]:
 #
 # ``None`` means no ledger is being kept — the steady state.  Pipeline
 # hooks call :func:`get_ledger` and test for None, mirroring the tracer's
-# module-global seam.
+# module-global seam; the scheduler's events reach the ledger through
+# the trace seam's fold instead.
 
 _LEDGER: Optional[RunLedger] = None
 
@@ -432,21 +501,18 @@ def get_ledger() -> Optional[RunLedger]:
     return _LEDGER
 
 
-def set_ledger(ledger: Optional[RunLedger]) -> Optional[RunLedger]:
-    """Install ``ledger`` (or disable recording with None). Returns it."""
-    global _LEDGER
-    _LEDGER = ledger
-    return ledger
-
-
 @contextmanager
 def use_ledger(ledger: Optional[RunLedger]) -> Iterator[Optional[RunLedger]]:
-    """Swap ``ledger`` in for the scope (None silences recording)."""
+    """Swap ``ledger`` in for the scope (None silences recording).
+
+    Its fold hears every event emitted in the scope, traced or not.
+    """
     global _LEDGER
     previous = _LEDGER
     _LEDGER = ledger
     try:
-        yield ledger
+        with use_fold(None if ledger is None else ledger.fold.feed):
+            yield ledger
     finally:
         _LEDGER = previous
 
@@ -454,12 +520,12 @@ def use_ledger(ledger: Optional[RunLedger]) -> Iterator[Optional[RunLedger]]:
 __all__ = [
     "LEDGER_VERSION",
     "RECORD_TYPES",
+    "SCHED_STEPS",
     "VOLATILE_FIELDS",
-    "VOLATILE_RECORDS",
     "RunLedger",
+    "SchedFold",
     "get_ledger",
     "read_ledger_jsonl",
-    "set_ledger",
     "sha256_file",
     "strip_volatile_records",
     "use_ledger",

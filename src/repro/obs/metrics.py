@@ -379,13 +379,6 @@ def get_metrics() -> Metrics:
     return _CURRENT
 
 
-def set_metrics(metrics: Metrics) -> Metrics:
-    """Replace the current registry (returns it, for chaining)."""
-    global _CURRENT
-    _CURRENT = metrics
-    return metrics
-
-
 @contextmanager
 def use_metrics(metrics: Optional[Metrics] = None) -> Iterator[Metrics]:
     """Swap ``metrics`` (default: a fresh registry) in for the scope.

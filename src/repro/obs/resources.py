@@ -52,18 +52,18 @@ TELEMETRY_FIELDS = (
     "gc_pause_seconds",
 )
 
-#: Keys of a :func:`worker_heartbeat` payload.  ``beat`` is a per-worker
-#: monotonic counter — receivers dedupe on it, so a repeated payload
-#: never double-counts.
-HEARTBEAT_FIELDS = (
-    "worker",
-    "beat",
-    "state",
-    "last_index",
-    "tasks_done",
-    "sessions_done",
-    "rss_kb",
-)
+#: Keys of a :func:`worker_heartbeat` payload and their types.  ``beat``
+#: is a per-worker monotonic counter — receivers dedupe on it, so a
+#: repeated payload never double-counts.
+HEARTBEAT_FIELDS: Dict[str, tuple] = {
+    "worker": (str,),
+    "beat": (int,),
+    "state": (str,),
+    "last_index": (int, type(None)),
+    "tasks_done": (int,),
+    "sessions_done": (int,),
+    "rss_kb": (int,),
+}
 
 
 def _page_size() -> int:
@@ -202,19 +202,11 @@ def worker_heartbeat(
 
 def validate_heartbeat(payload: Dict[str, Any]) -> List[str]:
     """Check one heartbeat payload; returns problem strings (empty = ok)."""
-    problems: List[str] = []
+    from repro.obs.trace import field_problems  # trace imports this module
+
     if not isinstance(payload, dict):
         return ["heartbeat is not an object"]
-    for field in HEARTBEAT_FIELDS:
-        if field not in payload:
-            problems.append(f"heartbeat missing field {field!r}")
-    if not isinstance(payload.get("worker"), str):
-        problems.append("heartbeat field 'worker' not a string")
-    for field in ("beat", "tasks_done", "sessions_done", "rss_kb"):
-        value = payload.get(field)
-        if isinstance(value, bool) or not isinstance(value, int):
-            problems.append(f"heartbeat field {field!r} not an int")
-    return problems
+    return field_problems(payload, HEARTBEAT_FIELDS, "heartbeat ")
 
 
 __all__ = [

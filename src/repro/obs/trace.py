@@ -11,6 +11,8 @@ to a JSONL sink as they happen, which is what ``repro monitor`` tails.
 Tracing is **off by default** and the disabled hot path is a single
 module-global ``None`` check (:func:`emit` returns immediately), so the
 instrumented code paths stay inside the pipeline's 3 % overhead budget.
+A fold installed with :func:`use_fold` (the run ledger's) hears every
+:func:`emit` too, whether or not a tracer records it.
 
 Event schema (:data:`EVENT_SCHEMA`, enforced by :func:`validate_trace`)::
 
@@ -29,7 +31,8 @@ under its own tracer (:func:`use_tracer`), ships the event list back with
 the shard, and the parent folds the lists **in shard order**
 (:meth:`Tracer.fold`), re-stamping ``seq`` and attaching shard provenance.
 Per-trace event sequences are therefore identical for every worker count,
-modulo the ``shard`` and ``wall`` fields.
+modulo ``seq``/``wall``/``shard`` and the data fields
+:data:`VOLATILE_BY_KIND` declares run-variant.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ import json
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+
+from repro.obs.resources import TELEMETRY_FIELDS
 
 #: Default ring-buffer capacity (events kept in memory per tracer).
 DEFAULT_CAPACITY = 65536
@@ -184,9 +189,30 @@ class Tracer:
 #
 # ``None`` means tracing is disabled — the steady state.  Hot paths call the
 # module-level :func:`emit` (or check :func:`enabled` before building event
-# payloads), which costs one global load and a ``None`` test when off.
+# payloads), which costs one global load and a ``None`` test while neither
+# a tracer nor a fold is installed.
 
 _TRACER: Optional[Tracer] = None
+#: Fed every event :func:`emit` sees, traced or not (:func:`use_fold`).
+_FOLD: Optional[Callable[[Dict[str, Any]], None]] = None
+#: What :func:`emit` calls; None while neither is installed.
+_SINK: Optional[Callable[..., Any]] = None
+
+
+def _set(tracer: Optional[Tracer], fold) -> None:
+    global _TRACER, _FOLD, _SINK
+    _TRACER, _FOLD = tracer, fold
+    _SINK = _emit_and_fold if fold is not None \
+        else getattr(tracer, "emit", None)
+
+
+def _emit_and_fold(kind: str, trace_id: Optional[str] = None,
+                   sim_time: Optional[float] = None, **data: Any) -> None:
+    if _TRACER is not None:
+        event = _TRACER.emit(kind, trace_id, sim_time, **data)
+    else:
+        event = {"wall": time.time(), "kind": kind, "data": data}
+    _FOLD(event)
 
 
 def enabled() -> bool:
@@ -209,13 +235,25 @@ def use_tracer(tracer: Optional[Tracer]):
     workload trace — the same reason worker-count-variant counters are
     excluded from the metrics invariance contract.
     """
-    global _TRACER
     previous = _TRACER
-    _TRACER = tracer
+    _set(tracer, _FOLD)
     try:
         yield tracer
     finally:
-        _TRACER = previous
+        _set(previous, _FOLD)
+
+
+@contextmanager
+def use_fold(fold: Optional[Callable[[Dict[str, Any]], None]]):
+    """Hand every :func:`emit` in the scope to ``fold``, traced or not
+    (an untraced event carries only ``wall``, ``kind`` and ``data``).
+    Worker events the parent adds with :meth:`Tracer.fold` skip it."""
+    previous = _FOLD
+    _set(_TRACER, fold)
+    try:
+        yield fold
+    finally:
+        _set(_TRACER, previous)
 
 
 def emit(
@@ -224,10 +262,10 @@ def emit(
     sim_time: Optional[float] = None,
     **data: Any,
 ) -> None:
-    """Record one event on the current tracer; no-op when disabled."""
-    t = _TRACER
-    if t is not None:
-        t.emit(kind, trace_id=trace_id, sim_time=sim_time, **data)
+    """Record one event on the current tracer and fold; no-op when off."""
+    sink = _SINK
+    if sink is not None:
+        sink(kind, trace_id, sim_time, **data)
 
 
 def emit_block(category: str, day: int, sessions: int, **data: Any) -> None:
@@ -259,6 +297,20 @@ def current_trace_id() -> Optional[str]:
 # -- validation ---------------------------------------------------------------
 
 
+def field_problems(record: Dict[str, Any], schema: Dict[str, tuple],
+                   prefix: str) -> List[str]:
+    """``<prefix>field 'x' missing or not <type>`` for each field of
+    ``schema`` that ``record`` lacks or mistypes (a bool is not an int,
+    and None only counts where ``type(None)`` is listed)."""
+    return [
+        f"{prefix}field {field!r} missing or not "
+        f"{'/'.join(t.__name__ for t in types)}"
+        for field, types in schema.items()
+        if field not in record or isinstance(record[field], bool)
+        or not isinstance(record[field], types)
+    ]
+
+
 def validate_trace(events: Sequence[Dict[str, Any]]) -> List[str]:
     """Check events against :data:`EVENT_SCHEMA`; returns problem strings.
 
@@ -272,49 +324,27 @@ def validate_trace(events: Sequence[Dict[str, Any]]) -> List[str]:
     last_seq: Optional[int] = None
     last_ts_by_trace: Dict[Optional[str], float] = {}
     for i, event in enumerate(events):
-        where = f"event {i}"
+        where = f"event {i}: "
         if not isinstance(event, dict):
-            problems.append(f"{where}: not an object")
+            problems.append(f"{where}not an object")
             continue
-        for field, types in EVENT_SCHEMA.items():
-            value = event.get(field)
-            if value is None or isinstance(value, bool) \
-                    or not isinstance(value, types):
-                problems.append(
-                    f"{where}: field {field!r} missing or not "
-                    f"{'/'.join(t.__name__ for t in types)}"
-                )
-        for field, types in EVENT_OPTIONAL.items():
-            if field not in event:
-                continue
-            value = event[field]
-            if field == "trace_id" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, types):
-                problems.append(
-                    f"{where}: field {field!r} not "
-                    f"{'/'.join(t.__name__ for t in types)}"
-                )
+        present = {field: types for field, types in EVENT_OPTIONAL.items()
+                   if field in event
+                   and not (field == "trace_id" and event[field] is None)}
+        problems += field_problems(event, {**EVENT_SCHEMA, **present}, where)
         shard = event.get("shard")
         if isinstance(shard, dict):
-            for field, types in SHARD_SCHEMA.items():
-                value = shard.get(field)
-                if value is None or isinstance(value, bool) \
-                        or not isinstance(value, types):
-                    problems.append(
-                        f"{where}: shard field {field!r} missing or not "
-                        f"{'/'.join(t.__name__ for t in types)}"
-                    )
+            problems += field_problems(shard, SHARD_SCHEMA, f"{where}shard ")
         if "data" in event and isinstance(event["data"], dict):
             try:
                 json.dumps(event["data"])
             except (TypeError, ValueError):
-                problems.append(f"{where}: data is not JSON-serialisable")
+                problems.append(f"{where}data is not JSON-serialisable")
         seq = event.get("seq")
         if isinstance(seq, int) and not isinstance(seq, bool):
             if last_seq is not None and seq <= last_seq:
                 problems.append(
-                    f"{where}: seq {seq} not greater than previous {last_seq}"
+                    f"{where}seq {seq} not greater than previous {last_seq}"
                 )
             last_seq = seq
         ts = event.get("ts")
@@ -323,7 +353,7 @@ def validate_trace(events: Sequence[Dict[str, Any]]) -> List[str]:
             previous = last_ts_by_trace.get(trace_id)
             if previous is not None and ts < previous:
                 problems.append(
-                    f"{where}: ts {ts} moves backwards within trace "
+                    f"{where}ts {ts} moves backwards within trace "
                     f"{trace_id!r} (previous {previous})"
                 )
             last_ts_by_trace[trace_id] = float(ts)
@@ -340,36 +370,47 @@ def group_by_trace(
     return groups
 
 
+#: Marks an event kind whose every field varies from run to run.
+WHOLE_EVENT = "whole event"
+
+#: Run-variance, declared once per fact: event kind -> the data fields
+#: that vary between two runs of the same config (who ran it, physical
+#: timings, resource telemetry), or :data:`WHOLE_EVENT` for physical
+#: telemetry whose presence and count depend on the backend, worker count
+#: and wall clock (worker heartbeats, stale-worker episodes).  Trace
+#: comparisons and the run ledger's folded records read it.
+VOLATILE_BY_KIND: Dict[str, Any] = {
+    "sched.heartbeat.worker": WHOLE_EVENT,
+    "sched.heartbeat.stale": WHOLE_EVENT,
+    "sched.task.done": frozenset({
+        "attempt", "worker", "run_seconds", "queue_seconds",
+        "telemetry_version", *TELEMETRY_FIELDS,
+    }),
+    "sched.trace.built": frozenset({"backend", "workers"}),
+    "generate.merged": frozenset({"workers"}),
+}
+
+
 def strip_volatile(event: Dict[str, Any]) -> Dict[str, Any]:
-    """An event minus run-variant fields (``seq``/``wall``/``shard``).
+    """An event minus run-variant fields: ``seq``/``wall``/``shard`` and
+    the data fields :data:`VOLATILE_BY_KIND` declares for its kind.
 
     What remains — kind, trace_id, sim time, payload — is the part of the
     trace that must be identical for every worker count; the invariance
     tests compare per-trace sequences of this form.
     """
-    return {k: v for k, v in event.items()
-            if k not in ("seq", "wall", "shard")}
-
-
-#: Event-kind prefixes that are volatile *as whole events*: physical
-#: telemetry (worker heartbeats, stale-worker episodes) whose presence
-#: and count legitimately depend on the backend, worker count and wall
-#: clock.  The field-level contract (:func:`strip_volatile`) does not
-#: cover them — no subset of a heartbeat's fields is run-invariant — so
-#: invariance comparisons drop these events entirely, the event-stream
-#: analogue of the worker-count-variant ``sched.*`` counters excluded
-#: from the metrics invariance contract.
-VOLATILE_KIND_PREFIXES: tuple = ("sched.heartbeat.",)
-
-
-def is_volatile_kind(kind: str) -> bool:
-    """True when events of ``kind`` are declared run-variant wholesale."""
-    return kind.startswith(VOLATILE_KIND_PREFIXES)
+    out = {k: v for k, v in event.items()
+           if k not in ("seq", "wall", "shard")}
+    drop = VOLATILE_BY_KIND.get(event.get("kind"))
+    if isinstance(drop, frozenset) and isinstance(out.get("data"), dict):
+        out["data"] = {k: v for k, v in out["data"].items()
+                       if k not in drop}
+    return out
 
 
 def strip_volatile_events(
     events: Iterable[Dict[str, Any]],
 ) -> List[Dict[str, Any]]:
-    """Events minus those of a volatile kind (heartbeats and kin)."""
+    """Events minus those volatile as a whole (heartbeats and kin)."""
     return [e for e in events
-            if not is_volatile_kind(str(e.get("kind", "")))]
+            if VOLATILE_BY_KIND.get(e.get("kind")) != WHOLE_EVENT]

@@ -11,7 +11,9 @@ splits the work into two seams:
 * :mod:`repro.sched.scheduler` — the :class:`Scheduler` policy loop
   (index-order submission, bounded retry with backoff, heartbeats with
   stale-worker alerts, the stall guard) and :func:`generate_scheduled`,
-  the backend-parametrised generation entry point.
+  the backend-parametrised generation entry point;
+* :mod:`repro.sched.dashboard` — ``repro top``'s rendering of the run
+  ledger's fold of the scheduler's events.
 
 Scheduling never changes the output: stores are byte-identical across
 backends, worker counts and submission orders (``tests/test_sched.py``).
@@ -28,7 +30,7 @@ from repro.sched.backends import (
     default_backend,
     make_backend,
 )
-from repro.sched.dashboard import TopDashboard, WorkerRow
+from repro.sched.dashboard import render_top
 from repro.sched.scheduler import (
     Scheduler,
     SchedulerConfig,
@@ -47,9 +49,8 @@ __all__ = [
     "SchedulerError",
     "ShardTask",
     "TaskOutcome",
-    "TopDashboard",
-    "WorkerRow",
     "default_backend",
     "generate_scheduled",
     "make_backend",
+    "render_top",
 ]

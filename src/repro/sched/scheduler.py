@@ -31,7 +31,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import get_metrics, stopwatch
 from repro.obs import trace as _trace
-from repro.obs.ledger import get_ledger
 from repro.sched.backends import (
     Backend,
     ShardTask,
@@ -77,21 +76,21 @@ class _HeartbeatMonitor:
     """Parent-side view of worker liveness, fed from backend heartbeats.
 
     Dedupes on each worker's monotonic ``beat`` counter (a backend may
-    report the same beat twice), keeps the freshest payload per
-    worker, and tracks silence: a worker unheard from for longer than
-    :data:`HEARTBEAT_STALE_SECONDS` while work is in flight is reported
-    exactly once per silent episode (a fresh beat re-arms it).
-    Everything here is physical telemetry — counters, trace events and
-    ledger records it produces are all declared volatile.
+    report the same beat twice) and tracks silence: a worker unheard
+    from for longer than :data:`HEARTBEAT_STALE_SECONDS` while work is
+    in flight is reported exactly once per silent episode (a fresh beat
+    re-arms it).  Everything here is physical telemetry — the counters
+    and events it produces are all declared volatile.
     """
 
     def __init__(self) -> None:
         self._seen: Dict[str, int] = {}       # worker -> highest beat
         self._last: Dict[str, object] = {}    # worker -> Stopwatch
-        self._latest: Dict[str, Dict] = {}    # worker -> freshest payload
+        self._last_index: Dict[str, object] = {}  # worker -> its last task
         self._stale: set = set()              # workers already reported
 
-    def observe(self, beats: List[Dict], metrics, ledger) -> None:
+    def observe(self, beats: List[Dict], inflight: int, metrics) -> None:
+        """Fold fresh beats in, then name each worker gone silent."""
         for beat in beats:
             worker = str(beat.get("worker", "?"))
             seq = int(beat.get("beat", 0))
@@ -99,7 +98,7 @@ class _HeartbeatMonitor:
                 continue  # replayed or stale payload
             self._seen[worker] = seq
             self._last[worker] = stopwatch()
-            self._latest[worker] = beat
+            self._last_index[worker] = beat.get("last_index")
             self._stale.discard(worker)
             metrics.inc("sched.heartbeat.received")
             rss = beat.get("rss_kb")
@@ -107,28 +106,19 @@ class _HeartbeatMonitor:
                 metrics.gauge_max("sched.heartbeat.rss_kb_peak", rss)
             _trace.emit("sched.heartbeat.worker",
                         trace_id=f"sched.worker:{worker}", **beat)
-            if ledger is not None:
-                ledger.record_heartbeat(beat)
-
-    def newly_stale(self, inflight: int) -> List[str]:
-        """Workers crossing the silence threshold since the last check."""
         if inflight <= 0:
-            return []
-        out = []
+            return
         for worker in sorted(self._last):
-            if worker in self._stale:
+            silent = self._last[worker].elapsed()
+            if worker in self._stale or silent <= HEARTBEAT_STALE_SECONDS:
                 continue
-            if self._last[worker].elapsed() > HEARTBEAT_STALE_SECONDS:
-                self._stale.add(worker)
-                out.append(worker)
-        return out
-
-    def latest(self, worker: str) -> Dict:
-        return self._latest.get(worker, {})
-
-    def silent_seconds(self, worker: str) -> float:
-        watch = self._last.get(worker)
-        return watch.elapsed() if watch is not None else 0.0
+            self._stale.add(worker)
+            metrics.inc("sched.heartbeat.stale")
+            _trace.emit(
+                "sched.heartbeat.stale", trace_id=f"sched.worker:{worker}",
+                worker=worker, silent_seconds=round(silent, 3),
+                last_index=self._last_index[worker],
+            )
 
 
 class Scheduler:
@@ -172,7 +162,6 @@ class Scheduler:
         n_tasks = len(tasks)
         feed_window = FEED_PER_WORKER * self.config.workers
         heartbeats = _HeartbeatMonitor()
-        ledger = get_ledger()
 
         while len(results) < n_tasks:
             cycle += 1
@@ -193,7 +182,7 @@ class Scheduler:
             outcomes = backend.collect(timeout=COLLECT_TIMEOUT)
             # Liveness first, completions second: a stuck worker must be
             # surfaced even on (especially on) rounds that return nothing.
-            self._pulse(heartbeats, inflight, metrics, ledger)
+            heartbeats.observe(backend.heartbeats(), inflight, metrics)
             if not outcomes:
                 if inflight or delayed or pending:
                     idle_collects += 1
@@ -219,27 +208,6 @@ class Scheduler:
         return [results[index] for index in sorted(results)]
 
     # -- steps -----------------------------------------------------------------
-
-    def _pulse(self, heartbeats: _HeartbeatMonitor, inflight: int,
-               metrics, ledger) -> None:
-        """Fold fresh worker heartbeats in; name workers gone silent."""
-        heartbeats.observe(self.backend.heartbeats(), metrics, ledger)
-        for worker in heartbeats.newly_stale(inflight):
-            beat = heartbeats.latest(worker)
-            silent = round(heartbeats.silent_seconds(worker), 3)
-            metrics.inc("sched.heartbeat.stale")
-            _trace.emit(
-                "sched.heartbeat.stale",
-                trace_id=f"sched.worker:{worker}", worker=worker,
-                silent_seconds=silent, last_index=beat.get("last_index"),
-            )
-            if ledger is not None:
-                ledger.record_alert(
-                    "stale-worker",
-                    f"worker {worker} silent for {silent:.1f}s "
-                    f"(last task {beat.get('last_index')})",
-                    worker=worker, silent_seconds=silent,
-                )
 
     def _submit(self, task: ShardTask, attempt: int, metrics,
                 watches: Dict) -> None:
@@ -270,17 +238,13 @@ class Scheduler:
                             telemetry.get("gc_pause_seconds", 0.0))
             metrics.observe("resource.task_gc_collections",
                             telemetry.get("gc_collections", 0))
-        ledger = get_ledger()
-        if ledger is not None:
-            ledger.record_task(
-                task, sessions=len(outcome.store), attempt=outcome.attempt,
-                worker=outcome.worker, run_seconds=outcome.run_seconds,
-                queue_seconds=queue_seconds, telemetry=telemetry,
-            )
         _trace.emit(
             "sched.task.done", trace_id=task.trace_id,
-            index=task.index, shard_kind=task.kind, attempt=outcome.attempt,
-            sessions=len(outcome.store),
+            index=task.index, shard_kind=task.kind, key=task.key,
+            start=task.start, stop=task.stop, attempt=outcome.attempt,
+            sessions=len(outcome.store), worker=outcome.worker,
+            run_seconds=outcome.run_seconds, queue_seconds=queue_seconds,
+            **(telemetry or {}),
         )
 
     def _retry(self, outcome: TaskOutcome, cycle: int, delayed: List,
@@ -352,13 +316,8 @@ def generate_scheduled(
         ]
         metrics.gauge_set("shards.count", len(shards))
         metrics.gauge_set("shards.workers", workers)
-        # No backend name in the event data: the combined trace must be
-        # identical whichever backend (and worker count) executed it.
-        _trace.emit("sched.trace.built", tasks=len(tasks))
-        ledger = get_ledger()
-        if ledger is not None:
-            ledger.record_sched(backend=backend_obj.name, workers=workers,
-                                tasks=len(tasks))
+        _trace.emit("sched.trace.built", tasks=len(tasks),
+                    backend=backend_obj.name, workers=workers)
         tracer = _trace.get_tracer()
         want_trace = tracer is not None
         emit_watch = stopwatch()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.agents.population import (
-    ClientPopulation,
     ClientRole,
     OVERALL_COUNTRY_MIX,
     PopulationConfig,

@@ -1,7 +1,5 @@
 """Tests for the interaction-script library."""
 
-import pytest
-
 from repro.agents.scripts import ScriptKind, build_script
 
 

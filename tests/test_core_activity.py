@@ -1,7 +1,6 @@
 """Tests for per-honeypot activity analysis (Figure 2)."""
 
 import numpy as np
-import pytest
 
 from repro.core.activity import (
     ActivitySummary,

@@ -1,6 +1,5 @@
 """Tests for the blocking / takedown analysis (Section 9)."""
 
-import numpy as np
 import pytest
 
 from repro.core.blocking import (

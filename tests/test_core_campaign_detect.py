@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.campaign_detect import (
-    DetectedCampaign,
     UnionFind,
     cluster_scripts,
     detect_campaigns,

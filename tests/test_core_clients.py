@@ -1,6 +1,5 @@
 """Tests for client-IP analyses (Figures 10-15)."""
 
-import numpy as np
 import pytest
 
 from repro.core import clients

@@ -1,7 +1,6 @@
 """Tests for hash-freshness metrics (Figure 17)."""
 
 import numpy as np
-import pytest
 
 from repro.core.freshness import (
     fresh_hashes_per_honeypot,

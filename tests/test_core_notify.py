@@ -1,7 +1,5 @@
 """Tests for abuse-notification reports."""
 
-import pytest
-
 from repro.core.notify import build_abuse_reports
 from repro.intel.database import IntelDatabase
 from repro.intel.tags import ThreatTag

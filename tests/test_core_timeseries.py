@@ -1,7 +1,6 @@
 """Tests for daily time-series analyses (Figures 3/4/6/8/9)."""
 
 import numpy as np
-import pytest
 
 from repro.core.classify import CATEGORIES
 from repro.core.timeseries import (

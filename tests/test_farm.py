@@ -1,6 +1,5 @@
 """Tests for the farm deployment plan and collector."""
 
-import numpy as np
 import pytest
 
 from repro.farm.collector import FarmCollector
@@ -10,7 +9,6 @@ from repro.farm.deployment import (
     build_default_deployment,
 )
 from repro.geo.registry import GeoRegistry, NetworkType
-from repro.honeypot.protocol import Protocol
 from repro.net.tcp import SSH_PORT
 
 

@@ -1,6 +1,5 @@
 """Tests for the live farm driver."""
 
-import numpy as np
 import pytest
 
 from repro.core.classify import Category, category_shares
@@ -10,7 +9,7 @@ from repro.farm.live import (
     ScanBehavior,
     ScoutBehavior,
 )
-from repro.geo.registry import GeoRegistry, NetworkType
+from repro.geo.registry import NetworkType
 from repro.net.tcp import TELNET_PORT
 
 

@@ -4,7 +4,8 @@ The contract under test (DESIGN 6i): a ledger is a versioned JSONL
 manifest whose canonical assembly order plus declared-volatile fields
 make a workers=1 run and a workers=2 run of the same config strip to
 byte-identical records — the same invariance bar the stores themselves
-meet.
+meet.  Its scheduler records are the fold of the run's ``sched.*``
+events, so the tests here make them by emitting those events.
 """
 
 from __future__ import annotations
@@ -16,28 +17,38 @@ import pytest
 from repro.obs import (
     Metrics,
     RunLedger,
+    SchedFold,
     get_ledger,
     read_ledger_jsonl,
-    set_ledger,
+    read_trace_jsonl,
     sha256_file,
     strip_volatile_records,
     use_ledger,
     use_metrics,
     validate_ledger,
 )
-from repro.obs.ledger import LEDGER_VERSION, RECORD_TYPES, VOLATILE_FIELDS
-from repro.sched.backends import ShardTask
+from repro.obs.ledger import (
+    LEDGER_VERSION,
+    RECORD_EVENT_KIND,
+    RECORD_TYPES,
+    VOLATILE_FIELDS,
+)
+from repro.obs.trace import VOLATILE_BY_KIND, emit
 
 
-def _task(index: int, key: str = "k") -> ShardTask:
-    return ShardTask(index=index, kind="bg", key=key, start=0, stop=10)
+def _emit(ledger: RunLedger, kind: str, **data) -> None:
+    """Emit one event the way the scheduler does, with ``ledger`` on."""
+    with use_ledger(ledger):
+        emit(kind, **data)
 
 
-def _record_task(ledger: RunLedger, index: int, **kw) -> None:
-    defaults = dict(sessions=5, attempt=1, worker="w", run_seconds=0.1,
-                    queue_seconds=0.0)
-    defaults.update(kw)
-    ledger.record_task(_task(index), **defaults)
+def _record_task(ledger: RunLedger, index: int, telemetry=None,
+                 **kw) -> None:
+    data = dict(index=index, shard_kind="bg", key="k", start=0, stop=10,
+                sessions=5, attempt=1, worker="w", run_seconds=0.1,
+                queue_seconds=0.0)
+    data.update(kw)
+    _emit(ledger, "sched.task.done", **data, **(telemetry or {}))
 
 
 class TestAssembly:
@@ -50,10 +61,11 @@ class TestAssembly:
         with use_metrics():
             ledger = RunLedger()
             ledger.begin_run("generate")
-            ledger.record_sched(backend="pool", workers=2, tasks=2)
+            _emit(ledger, "sched.trace.built", tasks=2, backend="pool",
+                  workers=2)
             _record_task(ledger, 1)
             _record_task(ledger, 0)
-            ledger.record_heartbeat({"worker": "w", "beat": 1})
+            _emit(ledger, "sched.heartbeat.worker", worker="w", beat=1)
             ledger.record_alert("stale-worker", "w silent")
             ledger.record_artifact("store", "out.npz", "ab" * 32)
             metrics = Metrics()
@@ -138,7 +150,7 @@ class TestBeginRun:
 class TestStripVolatile:
     def test_heartbeats_dropped_wholesale(self):
         ledger = RunLedger()
-        ledger.record_heartbeat({"worker": "w", "beat": 1})
+        _emit(ledger, "sched.heartbeat.worker", worker="w", beat=1)
         stripped = strip_volatile_records(ledger.to_records())
         assert all(r["record"] != "heartbeat" for r in stripped)
 
@@ -160,12 +172,15 @@ class TestStripVolatile:
         assert "python" in env
 
     def test_volatile_declaration_covers_every_record_type(self):
-        # Every type is either wholesale-volatile or has a field
-        # declaration (possibly empty) — no accidental fall-through.
-        from repro.obs.ledger import VOLATILE_RECORDS
-
-        for rtype in RECORD_TYPES:
-            assert rtype in VOLATILE_RECORDS or rtype in VOLATILE_FIELDS
+        # Each type's variance is declared in exactly one place: the
+        # ledger's own records in VOLATILE_FIELDS, the folded ones by
+        # their event kind.  Only alerts vary in nothing.
+        for rtype, kind in RECORD_EVENT_KIND.items():
+            assert rtype not in VOLATILE_FIELDS
+            assert kind in VOLATILE_BY_KIND
+        undeclared = set(RECORD_TYPES) - set(VOLATILE_FIELDS) \
+            - set(RECORD_EVENT_KIND)
+        assert undeclared == {"alert"}
 
 
 class TestValidate:
@@ -236,11 +251,6 @@ class TestSeam:
                 assert get_ledger() is None
             assert get_ledger() is ledger
         assert get_ledger() is None
-
-    def test_set_ledger_returns_it(self):
-        ledger = RunLedger()
-        assert set_ledger(ledger) is ledger
-        assert set_ledger(None) is None
 
 
 class TestRoundTrip:
@@ -366,6 +376,61 @@ class TestWorkerCountInvariance:
             expected = {"inline"} if backend == "inline" \
                 else {"pool-0", "pool-1"}
             assert workers <= expected
+
+
+class TestOneFold:
+    """The ledger's scheduler records are the fold of the run's events."""
+
+    CONFIG_ARGS = dict(scale=1 / 80000, seed=7, hash_scale=0.004)
+
+    def _run(self, backend, workers, tracer):
+        import repro.workload.shards as shards
+        from repro.obs import use_tracer
+        from repro.sched import generate_scheduled
+        from repro.workload import ScenarioConfig
+
+        shards._PLAN = None
+        ledger = RunLedger()
+        with use_metrics(), use_tracer(tracer), use_ledger(ledger):
+            generate_scheduled(ScenarioConfig(**self.CONFIG_ARGS),
+                               backend=backend, workers=workers)
+            ledger.finish("ok")
+        return ledger
+
+    def test_trace_folds_to_the_ledgers_sched_records(self, tmp_path):
+        from repro.obs import Tracer
+
+        target = tmp_path / "trace.jsonl"
+        with open(target, "w", encoding="utf-8") as sink:
+            records = self._run("pool", 2, Tracer(sink=sink)).to_records()
+        fold = SchedFold()
+        for event in read_trace_jsonl(target):
+            fold.feed(event)
+        kinds = ("sched", "task", "heartbeat")
+        want = [r for r in records if r["record"] in kinds]
+        got = [r for r in fold.records() if r["record"] in kinds]
+        assert [r["record"] for r in want].count("task") > 1
+        assert any(r["record"] == "heartbeat" for r in want)
+        assert json.dumps(got, sort_keys=True) \
+            == json.dumps(want, sort_keys=True)
+
+    def test_untraced_run_writes_one_task_row_per_shard(self, tmp_path):
+        from repro.workload import ScenarioConfig
+        from repro.workload.shards import _plan_for
+
+        target = tmp_path / "ledger.jsonl"
+        with use_metrics():
+            self._run("inline", 1, None).write_jsonl(target)
+        records = read_ledger_jsonl(target)
+        shards = _plan_for(ScenarioConfig(**self.CONFIG_ARGS)).shards
+        rows = [r for r in records if r["record"] == "task"]
+        assert [(r["index"], r["kind"], r["key"], r["start"], r["stop"])
+                for r in rows] == [(i, s.kind, s.key, s.start, s.stop)
+                                   for i, s in enumerate(shards)]
+        sched = [r for r in records if r["record"] == "sched"]
+        assert sched == [{"record": "sched", "tasks": len(shards),
+                          "backend": "inline", "workers": 1}]
+        assert validate_ledger(records) == []
 
 
 class TestHealthAlertHandOff:

@@ -2,7 +2,6 @@
 
 import string
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """Tests for the columnar session store (interning, builder, round trips)."""
 
-import numpy as np
 import pytest
 
 from repro.store.interning import StringTable

@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.api import load
 from repro.store.npz import save_npz
 from repro.workload.validation import (
