@@ -281,6 +281,28 @@ print(f"npz v2 ok ({len(members)} members, none pickled, "
       f"sha256 {loaded[:16]}... generated == loaded)")
 PY
 python -m repro report --scale 40000 --load "$SCRATCH/v2.npz" > /dev/null
+# JSONL round trip at generated scale: read_jsonl (StoreBuilder.append, row
+# by row) and write_jsonl must give back the same text and the same store.
+python -m repro generate --scale 80000 --seed 7 --out "$SCRATCH/trace.jsonl.gz" \
+    > /dev/null 2> /dev/null
+python - "$SCRATCH/trace.jsonl.gz" "$SCRATCH/again.jsonl.gz" <<'PY'
+import gzip
+import sys
+
+from repro.store.io import read_jsonl, write_jsonl
+
+first, again = sys.argv[1:]
+store = read_jsonl(first)
+write_jsonl(store, again)
+text = [gzip.open(path, "rt", encoding="utf-8").read() for path in (first, again)]
+if text[0] != text[1]:
+    raise SystemExit(f"{first}: read_jsonl + write_jsonl changed the text")
+digests = {store.content_digest(), read_jsonl(again).content_digest()}
+if len(digests) != 1:
+    raise SystemExit(f"{first}: the two reads give digests {sorted(digests)}")
+print(f"jsonl round trip ok ({len(store)} records, equal text, "
+      f"sha256 {digests.pop()[:16]}...)")
+PY
 
 echo "== generate memory smoke (1/400 peak RSS, inline and pool w=2; DESIGN §6c) =="
 timeout 300 python - "$SCRATCH/mem400.npz" <<'PY'

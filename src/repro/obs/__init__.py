@@ -104,4 +104,5 @@ __all__ = [
     "validate_ledger",
     "validate_trace",
     "worker_heartbeat",
+    "write_trace_jsonl",
 ]

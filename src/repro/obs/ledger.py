@@ -26,9 +26,11 @@ renders the same fold of a trace.  Task rows are keyed by index (a retry
 overwrites its earlier row) and written in index order, stages sort by
 path — so a workers=1 and a workers=2 ledger of one config are
 *identical* modulo what varies from run to run, declared once per event
-kind (:data:`repro.obs.trace.VOLATILE_BY_KIND`) and, for the ledger's
-own records, in :data:`VOLATILE_FIELDS`.  :func:`strip_volatile_records`
-applies both; :func:`validate_ledger` checks the schema.
+kind (:data:`repro.obs.trace.VOLATILE_BY_KIND`, which a folded record
+reaches through :data:`RECORD_EVENT_KIND` or :data:`ALERT_EVENT_KIND`)
+and, for the ledger's own records, in :data:`VOLATILE_FIELDS`.
+:func:`strip_volatile_records` applies both; :func:`validate_ledger`
+checks the schema.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ RECORD_EVENT_KIND: Dict[str, str] = {
     "sched": "sched.trace.built",
     "task": "sched.task.done",
     "heartbeat": "sched.heartbeat.worker",
+}
+
+#: The same for alert records, by their ``kind``: a stale-worker alert is
+#: made from ``sched.heartbeat.stale`` and varies with it; any other alert
+#: (the farm-health monitor's, via :meth:`RunLedger.record_alert`) is
+#: logical and varies in nothing.
+ALERT_EVENT_KIND: Dict[str, str] = {
+    "stale-worker": "sched.heartbeat.stale",
 }
 
 #: Fields of the ledger's own records that legitimately vary between two
@@ -425,7 +435,9 @@ def strip_volatile_records(
     out: List[Dict[str, Any]] = []
     for record in records:
         rtype = record.get("record")
-        drop = VOLATILE_BY_KIND.get(RECORD_EVENT_KIND.get(rtype),
+        source = (ALERT_EVENT_KIND.get(record.get("kind")) if rtype == "alert"
+                  else RECORD_EVENT_KIND.get(rtype))
+        drop = VOLATILE_BY_KIND.get(source,
                                     VOLATILE_FIELDS.get(rtype, frozenset()))
         if drop == WHOLE_EVENT:
             continue

@@ -80,9 +80,6 @@ DESCRIPTIONS = {
         "sketch.events_consumed": "trace events consumed by the sketches",
         "sketch.store_sessions_ingested": "store rows ingested by the sketches",
         "sketch.merges": "sketch registries merged",
-        "emit.block.buffered_blocks": "session blocks buffered before flush",
-        "emit.block.flushes": "session-emitter flushes to the store",
-        "emit.block.rows": "session rows written by the session emitter",
         # Physical liveness: varies with backend and worker count.
         "sched.heartbeat.*": "worker heartbeats received / stale episodes",
         "ledger.*": "run-ledger rows, alerts and files recorded",
@@ -132,7 +129,6 @@ DESCRIPTIONS = {
         "intermediates": "intermediate table stage",
         "tables_4_5_6": "hash table computation stage",
         "sketch/ingest": "streaming sketch ingest stage",
-        "emit.block.flush": "session-emitter flush stage",
         "core/ctx/client_table": "analysis context client-IP table build",
         "core/ctx/client_pot": "distinct (client, pot, category) table build",
         "core/ctx/client_day": "distinct (client, day, relation, category) build",

@@ -270,8 +270,8 @@ def _adopt_and_release(builder, outcomes: List[TaskOutcome], metrics) -> None:
     """Adopt every outcome's shard payload in index order, dropping each
     once merged.
 
-    The builder keeps the adopted column arrays as chunks and ``build()``
-    frees each column's chunks as it concatenates them, so with no shard
+    The builder keeps the adopted column arrays as parts and ``build()``
+    frees each column's parts as it concatenates them, so with no shard
     payload left alive the rows exist once, not twice, while the merged
     columns form (DESIGN §6c).
     """

@@ -17,7 +17,7 @@ import numpy as np
 from repro.honeypot.session import CloseReason, SessionSummary
 
 #: Canonical fixed-dtype store columns, in builder/persistence order.
-#: One place defines the on-disk and in-memory layout; the chunked
+#: One place defines the on-disk and in-memory layout; the
 #: :class:`~repro.store.store.StoreBuilder` accumulates exactly these and
 #: ``repro.store.npz`` persists them (plus the derived ``n_commands`` /
 #: ``has_uri`` script columns and the CSR hash column), narrowed on disk

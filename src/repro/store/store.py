@@ -1,20 +1,22 @@
 """Columnar session store and its builder.
 
-The builder is columnar end-to-end: every fixed-dtype column accumulates
-fixed-size numpy chunks (:class:`_ColumnChunks`), block appends adopt the
-caller's arrays with zero per-element Python work, and ``build()`` is a
-single concatenate per column.  Variable-length per-session hash lists are
-CSR-shaped (values + offsets) all the way through — in the builder, in the
-frozen :class:`SessionStore` (:class:`HashIdColumn`) and on disk
-(``repro.store.npz``), so nothing ever round-trips through per-row Python
-tuples on the hot path.
+The builder keeps, per column, the list of parts appended to it: a block
+append or an adopted payload adds the caller's arrays as they are, and
+row appends wait as tuples until they move in as one part per column.
+Each column is concatenated once, with its dtype coerced there, when
+``payload()`` or ``build()`` asks.  Variable-length per-session hash
+lists are CSR-shaped (values + offsets) all the way through — in the
+builder, in the frozen :class:`SessionStore` (:class:`HashIdColumn`) and
+on disk (``repro.store.npz``), so nothing ever round-trips through
+per-row Python tuples on the hot path.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -32,97 +34,10 @@ _PROTOCOL_NAMES = ("ssh", "telnet")
 _CLOSE_REASONS = tuple(reason.value for reason in CloseReason)
 _CLOSE_REASON_IDS = {name: i for i, name in enumerate(_CLOSE_REASONS)}
 
-#: Rows per scalar-append chunk.  Large enough that chunk bookkeeping is
-#: invisible next to the per-row work, small enough that a freshly sealed
-#: partial chunk wastes little memory.
-CHUNK_ROWS = 65_536
-
-#: Blocks at least this long are adopted as chunks of their own (zero
-#: copy); shorter blocks are copied into the open chunk so thousands of
-#: small day-blocks don't degenerate into thousands of tiny chunks.
-ADOPT_ROWS = 4_096
-
-
-class _ColumnChunks:
-    """Fixed-dtype column accumulator: a list of sealed numpy chunks.
-
-    Scalar appends fill a preallocated fixed-size chunk; array extends seal
-    the open chunk and adopt the (dtype-coerced) array as a chunk of its
-    own, so a block append costs one vectorised conversion at most and no
-    per-element Python work.  ``concatenate`` closes the column into one
-    contiguous array.
-    """
-
-    __slots__ = ("dtype", "_chunks", "_cur", "_fill")
-
-    def __init__(self, dtype) -> None:
-        self.dtype = np.dtype(dtype)
-        self._chunks: List[np.ndarray] = []
-        self._cur: Optional[np.ndarray] = None
-        self._fill = 0
-
-    def append(self, value) -> None:
-        cur = self._cur
-        if cur is None:
-            cur = self._cur = np.empty(CHUNK_ROWS, self.dtype)
-            self._fill = 0
-        cur[self._fill] = value
-        self._fill += 1
-        if self._fill == CHUNK_ROWS:
-            self._chunks.append(cur)
-            self._cur = None
-
-    def _seal(self) -> None:
-        """Close the open scalar chunk (if any) at its current fill."""
-        if self._cur is not None:
-            self._chunks.append(self._cur[: self._fill].copy())
-            self._cur = None
-
-    def extend(self, values) -> None:
-        """Append a whole array (or sequence) of values.
-
-        The hot path is one vectorised dtype coercion plus one slice
-        assignment into the open fixed-size chunk, so thousands of small
-        day-blocks cost one numpy op each instead of one chunk each.
-        Blocks that don't fit the open chunk — including anything of
-        :data:`ADOPT_ROWS` or more — seal it and are adopted as chunks of
-        their own; the caller hands over ownership, so an ndarray of the
-        column dtype is taken without a copy.
-        """
-        arr = np.asarray(values, dtype=self.dtype)
-        if arr.ndim != 1:
-            raise ValueError("column blocks must be one-dimensional")
-        n = arr.shape[0]
-        if not n:
-            return
-        cur = self._cur
-        fill = self._fill
-        if cur is not None and n < ADOPT_ROWS and fill + n <= CHUNK_ROWS:
-            cur[fill:fill + n] = arr
-            self._fill = fill + n
-            return
-        if cur is None and n < ADOPT_ROWS:
-            cur = self._cur = np.empty(CHUNK_ROWS, self.dtype)
-            cur[:n] = arr
-            self._fill = n
-            return
-        self._seal()
-        self._chunks.append(arr)
-
-    def __len__(self) -> int:
-        return sum(len(c) for c in self._chunks) + self._fill
-
-    def concatenate(self) -> np.ndarray:
-        self._seal()
-        if not self._chunks:
-            return np.zeros(0, self.dtype)
-        if len(self._chunks) == 1:
-            return self._chunks[0]
-        out = np.concatenate(self._chunks)
-        # Keep the column usable (and cheap) after a freeze: future
-        # appends extend the already-concatenated single chunk.
-        self._chunks = [out]
-        return out
+#: Row appends wait as tuples and move into the columns as one part at
+#: least every this many rows, so reading a large file through
+#: ``append`` holds at most one batch of row tuples.
+ROW_BATCH = 65_536
 
 
 class HashIdColumn:
@@ -287,6 +202,11 @@ _ID_COLUMNS_WITH_SENTINEL = {
 }
 
 
+#: dtype of each list of parts the builder keeps: the store columns plus
+#: the CSR hash column's flat values and per-row lengths.
+_PART_DTYPES = {**STORE_COLUMN_DTYPES, "hash_values": np.int64,
+                "hash_lengths": np.int64}
+
 #: Payload table name -> the builder/store attribute holding the table.
 _STRING_TABLES = {
     "honeypot": "honeypots",
@@ -353,12 +273,10 @@ class StoreBuilder:
         self._scripts_marks: Dict[int, bytes] = {}
         self._scripts_fork_mark: Tuple[int, bytes] = EMPTY_MARK
 
-        self._cols: Dict[str, _ColumnChunks] = {
-            name: _ColumnChunks(dtype)
-            for name, dtype in STORE_COLUMN_DTYPES.items()
-        }
-        self._hash_values = _ColumnChunks(np.int64)
-        self._hash_lengths = _ColumnChunks(np.int64)
+        # Each column's parts in row order, and the row tuples that have
+        # not moved into them yet (``_move_rows``).
+        self._parts: Dict[str, list] = {name: [] for name in _PART_DTYPES}
+        self._rows: List[tuple] = []
         self._n_rows = 0
 
     def __len__(self) -> int:
@@ -395,76 +313,29 @@ class StoreBuilder:
     def append(self, record: SessionRecord) -> int:
         """Append a row-shaped record. Returns its index."""
         script_id = self.intern_script(record.commands, record.uris)
-        return self.append_interned(
-            start_time=record.start_time,
-            duration=record.duration,
-            honeypot_id=self.honeypots.intern(record.honeypot_id),
-            protocol=(
-                PROTOCOL_SSH if record.protocol == "ssh" else PROTOCOL_TELNET
-            ),
-            client_ip=record.client_ip,
-            client_asn=record.client_asn,
-            client_country_id=self.countries.intern(record.client_country),
-            n_attempts=record.n_login_attempts,
-            login_success=record.login_success,
-            script_id=script_id,
-            password_id=(
-                self.passwords.intern(record.password) if record.password else -1
-            ),
-            username_id=(
-                self.usernames.intern(record.username) if record.username else -1
-            ),
-            hash_ids=tuple(self.hashes.intern(h) for h in record.file_hashes),
-            close_reason_id=_CLOSE_REASON_IDS.get(record.close_reason, 0),
-            version_id=(
-                self.versions.intern(record.client_version)
-                if record.client_version
-                else -1
-            ),
-        )
-
-    def append_interned(
-        self,
-        start_time: float,
-        duration: float,
-        honeypot_id: int,
-        protocol: int,
-        client_ip: int,
-        client_asn: int,
-        client_country_id: int,
-        n_attempts: int,
-        login_success: bool,
-        script_id: int = -1,
-        password_id: int = -1,
-        username_id: int = -1,
-        hash_ids: Tuple[int, ...] = (),
-        close_reason_id: int = 0,
-        version_id: int = -1,
-    ) -> int:
-        """Fast path for bulk generation: all ids pre-interned.
-
-        Scalars fill the current per-column chunk directly.
-        """
-        cols = self._cols
-        cols["start_time"].append(start_time)
-        cols["duration"].append(duration)
-        cols["honeypot"].append(honeypot_id)
-        cols["protocol"].append(protocol)
-        cols["client_ip"].append(client_ip)
-        cols["client_asn"].append(client_asn)
-        cols["client_country"].append(client_country_id)
-        cols["n_attempts"].append(n_attempts)
-        cols["login_success"].append(login_success)
-        cols["script_id"].append(script_id)
-        cols["password_id"].append(password_id)
-        cols["username_id"].append(username_id)
-        cols["close_reason"].append(close_reason_id)
-        cols["version_id"].append(version_id)
-        self._hash_lengths.append(len(hash_ids))
-        for h in hash_ids:
-            self._hash_values.append(h)
+        # STORE_COLUMN_DTYPES order, then the hash ids (``_move_rows``).
+        self._rows.append((
+            record.start_time,
+            record.duration,
+            self.honeypots.intern(record.honeypot_id),
+            PROTOCOL_SSH if record.protocol == "ssh" else PROTOCOL_TELNET,
+            record.client_ip,
+            record.client_asn,
+            self.countries.intern(record.client_country),
+            record.n_login_attempts,
+            record.login_success,
+            script_id,
+            self.passwords.intern(record.password) if record.password else -1,
+            self.usernames.intern(record.username) if record.username else -1,
+            _CLOSE_REASON_IDS.get(record.close_reason, 0),
+            (self.versions.intern(record.client_version)
+             if record.client_version else -1),
+            tuple(self.hashes.intern(h) for h in record.file_hashes),
+        ))
         self._n_rows += 1
         _metric_inc("store.sessions_appended")
+        if len(self._rows) >= ROW_BATCH:
+            self._move_rows()
         return self._n_rows - 1
 
     def append_block(
@@ -487,40 +358,69 @@ class StoreBuilder:
     ) -> None:
         """Bulk append: all sequences must share one length.
 
-        This is the generator's hot path — ndarray inputs are adopted as
-        column chunks after a single vectorised dtype coercion, with zero
-        per-element Python work.  ``hash_ids`` is ``None`` when no row in
-        the block carries hashes, a single tuple shared by every row
-        (campaign blocks), or a per-row sequence of tuples.
+        This is the generator's hot path: each sequence becomes a part of
+        its column as it is, and is coerced to the column dtype only when
+        the column is concatenated, so the caller hands over its arrays
+        and must not change them afterwards.  ``hash_ids`` is ``None``
+        when no row in the block carries hashes, a single tuple shared by
+        every row (campaign blocks), a per-row sequence of tuples, or a
+        :class:`HashBlockCsr`.
         """
+        # STORE_COLUMN_DTYPES order.
+        columns = (start_time, duration, honeypot_id, protocol, client_ip,
+                   client_asn, client_country_id, n_attempts, login_success,
+                   script_id, password_id, username_id, close_reason_id,
+                   version_id)
         n = len(start_time)
-        for seq in (duration, honeypot_id, protocol, client_ip, client_asn,
-                    client_country_id, n_attempts, login_success, script_id,
-                    password_id, username_id, close_reason_id, version_id):
-            if len(seq) != n:
-                raise ValueError("append_block sequences must share one length")
-        cols = self._cols
-        cols["start_time"].extend(start_time)
-        cols["duration"].extend(duration)
-        cols["honeypot"].extend(honeypot_id)
-        cols["protocol"].extend(protocol)
-        cols["client_ip"].extend(client_ip)
-        cols["client_asn"].extend(client_asn)
-        cols["client_country"].extend(client_country_id)
-        cols["n_attempts"].extend(n_attempts)
-        cols["login_success"].extend(login_success)
-        cols["script_id"].extend(script_id)
-        cols["password_id"].extend(password_id)
-        cols["username_id"].extend(username_id)
-        cols["close_reason"].extend(close_reason_id)
-        cols["version_id"].extend(version_id)
+        if any(len(seq) != n for seq in columns):
+            raise ValueError("append_block sequences must share one length")
         lengths, values = hash_csr(hash_ids, n)
-        self._hash_lengths.extend(lengths)
-        if values is not None:
-            self._hash_values.extend(values)
+        if not n:
+            return
+        self._add_parts(zip(STORE_COLUMN_DTYPES, columns), lengths, values)
         self._n_rows += n
         _metric_inc("store.sessions_appended", n)
         _metric_inc("store.blocks_appended")
+
+    def _add_parts(self, columns: Iterable[Tuple[str, Sequence]],
+                   hash_lengths: np.ndarray,
+                   hash_values: Optional[np.ndarray]) -> None:
+        """Append one part to every column, after any waiting rows."""
+        self._move_rows()
+        parts = self._parts
+        for name, values in columns:
+            parts[name].append(values)
+        parts["hash_lengths"].append(hash_lengths)
+        if hash_values is not None and len(hash_values):
+            parts["hash_values"].append(hash_values)
+
+    def _move_rows(self) -> None:
+        """Move the waiting row tuples into the columns as one part each."""
+        rows = self._rows
+        if not rows:
+            return
+        self._rows = []
+        *columns, hashes = zip(*rows)
+        self._add_parts(
+            ((name, np.array(values, dtype=dtype)) for (name, dtype), values
+             in zip(STORE_COLUMN_DTYPES.items(), columns)),
+            *hash_csr(list(hashes), len(rows)),
+        )
+
+    def _column(self, name: str) -> np.ndarray:
+        """Column ``name`` (or ``hash_values`` / ``hash_lengths``) as one
+        array, which becomes its only part so later appends still work."""
+        self._move_rows()
+        parts = self._parts[name]
+        dtype = _PART_DTYPES[name]
+        if not parts:
+            return np.zeros(0, dtype)
+        if len(parts) == 1:
+            column = np.asarray(parts[0], dtype=dtype)
+        else:
+            column = np.concatenate(parts, dtype=dtype, casting="unsafe")
+        parts[:] = [column]
+        return column
 
     # -- shard / merge support -------------------------------------------------
 
@@ -600,11 +500,11 @@ class StoreBuilder:
 
     def _column_arrays(self) -> Dict[str, np.ndarray]:
         """The accumulated fixed-dtype columns, concatenated."""
-        return {name: col.concatenate() for name, col in self._cols.items()}
+        return {name: self._column(name) for name in STORE_COLUMN_DTYPES}
 
     def _hash_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """(values, lengths) of the accumulated CSR hash column."""
-        return self._hash_values.concatenate(), self._hash_lengths.concatenate()
+        return self._column("hash_values"), self._column("hash_lengths")
 
     def _adopt_arrays(
         self,
@@ -615,39 +515,30 @@ class StoreBuilder:
     ) -> None:
         """Append whole remapped columns (the vectorised adopt core).
 
-        Columns whose remap is the identity are adopted as-is — with
+        Columns whose remap is the identity are appended as-is — with
         prefix-marked tables (the shard-merge shape) that is every column,
-        so the adopt degenerates to plain chunk extends.
+        so the adopt only adds the payload's arrays as parts.
         """
         n = len(columns["start_time"])
-        cols = self._cols
         _REMAP_KEYS = {"honeypot": "honeypot", "client_country": "country"}
         all_identity = True
+        parts: Dict[str, np.ndarray] = {}
         for name in STORE_COLUMN_DTYPES:
-            if name in _REMAP_KEYS:
-                table, identity = remap[_REMAP_KEYS[name]]
-                sentinel = False
-            elif name in _ID_COLUMNS_WITH_SENTINEL:
-                table, identity = remap[_ID_COLUMNS_WITH_SENTINEL[name]]
-                sentinel = True
-            else:
-                cols[name].extend(columns[name])
-                continue
-            if identity:
-                cols[name].extend(columns[name])
-            else:
-                all_identity = False
-                cols[name].extend(_remap_ids(table, columns[name], sentinel))
-        self._hash_lengths.extend(hash_lengths)
+            column = columns[name]
+            key = _REMAP_KEYS.get(name) or _ID_COLUMNS_WITH_SENTINEL.get(name)
+            if key is not None:
+                table, identity = remap[key]
+                if not identity:
+                    all_identity = False
+                    column = _remap_ids(table, column,
+                                        name in _ID_COLUMNS_WITH_SENTINEL)
+            parts[name] = column
         if len(hash_values):
             hash_table, hash_identity = remap["hash"]
-            if hash_identity:
-                self._hash_values.extend(hash_values)
-            else:
+            if not hash_identity:
                 all_identity = False
-                self._hash_values.extend(
-                    np.take(hash_table.astype(np.int64), hash_values)
-                )
+                hash_values = np.take(hash_table.astype(np.int64), hash_values)
+        self._add_parts(parts.items(), hash_lengths, hash_values)
         self._n_rows += n
         metrics = get_metrics()
         metrics.inc("store.adopts")

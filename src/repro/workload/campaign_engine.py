@@ -360,21 +360,21 @@ class CampaignEngine:
             password = emitter.success_passwords(rng, m)
         versions = emitter.client_versions(rng, m, protocol)
 
-        emitter.append_block(
+        emitter.builder.append_block(
             start_time=start,
             duration=duration,
-            honeypot=pots,
+            honeypot_id=pots,
             protocol=protocol,
             client_ip=pop.ip[clients],
             client_asn=pop.asn[clients],
-            client_country=pop.country[clients].astype(np.int32),
+            client_country_id=pop.country[clients].astype(np.int32),
             n_attempts=attempts,
             login_success=np.ones(m, dtype=bool),
             script_id=np.full(m, campaign.script_id, dtype=np.int32),
             password_id=password,
             username_id=np.full(m, emitter.root_id, dtype=np.int32),
             hash_ids=campaign.hash_ids,
-            close_reason=close,
+            close_reason_id=close,
             version_id=versions,
         )
         _metric_inc(f"generator.sessions.{campaign.category}", m)

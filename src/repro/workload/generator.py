@@ -333,11 +333,11 @@ class TraceGenerator:
         """Append population clients ``idx``' sessions with start times
         drawn in their days; ``columns`` carry the remaining fields."""
         pop = self.population
-        emitter.append_block(
+        emitter.builder.append_block(
             start_time=self._start_times(rng, day_of),
             client_ip=pop.ip[idx],
             client_asn=pop.asn[idx],
-            client_country=pop.country[idx].astype(np.int32),
+            client_country_id=pop.country[idx].astype(np.int32),
             **columns,
         )
 
@@ -378,7 +378,7 @@ class TraceGenerator:
         self._population_block(
             emitter, idx, day_of, rng,
             duration=duration,
-            honeypot=self._pots_for(rng, idx),
+            honeypot_id=self._pots_for(rng, idx),
             protocol=protocol,
             n_attempts=np.zeros(m, dtype=np.uint16),
             login_success=np.zeros(m, dtype=bool),
@@ -386,7 +386,7 @@ class TraceGenerator:
             password_id=neg,
             username_id=neg,
             hash_ids=None,
-            close_reason=close,
+            close_reason_id=close,
             version_id=emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.NO_CRED", m)
@@ -459,7 +459,7 @@ class TraceGenerator:
         self._population_block(
             emitter, idx, day_of, rng,
             duration=duration,
-            honeypot=pots,
+            honeypot_id=pots,
             protocol=protocol,
             n_attempts=attempts,
             login_success=np.zeros(m, dtype=bool),
@@ -467,7 +467,7 @@ class TraceGenerator:
             password_id=passwords,
             username_id=users,
             hash_ids=None,
-            close_reason=close,
+            close_reason_id=close,
             version_id=emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.FAIL_LOG", m)
@@ -526,21 +526,21 @@ class TraceGenerator:
         client_asn[regular] = pop.asn[idx[regular]]
         client_country = np.full(m, ru.country_index, dtype=np.int32)
         client_country[regular] = pop.country[idx[regular]]
-        emitter.append_block(
+        emitter.builder.append_block(
             start_time=self._start_times(rng, day_of),
             duration=duration,
-            honeypot=pots,
+            honeypot_id=pots,
             protocol=protocol,
             client_ip=client_ip,
             client_asn=client_asn,
-            client_country=client_country,
+            client_country_id=client_country,
             n_attempts=attempts,
             login_success=np.ones(m, dtype=bool),
             script_id=np.full(m, -1, dtype=np.int32),
             password_id=emitter.success_passwords(rng, m),
             username_id=np.full(m, emitter.root_id, dtype=np.int32),
             hash_ids=None,
-            close_reason=close,
+            close_reason_id=close,
             version_id=emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.NO_CMD", m)
@@ -642,7 +642,7 @@ class TraceGenerator:
         self._population_block(
             emitter, idx, day_of.astype(np.float64), rng,
             duration=duration,
-            honeypot=pots[row],
+            honeypot_id=pots[row],
             protocol=protocol,
             n_attempts=attempts,
             login_success=np.ones(m, dtype=bool),
@@ -650,7 +650,7 @@ class TraceGenerator:
             password_id=emitter.success_passwords(rng, m),
             username_id=np.full(m, emitter.root_id, dtype=np.int32),
             hash_ids=HashBlockCsr(hash_values, hash_lengths).take(row),
-            close_reason=close,
+            close_reason_id=close,
             version_id=np.full(m, -1, dtype=np.int32),
         )
         _metric_inc("generator.sessions.singletons", m)
@@ -731,7 +731,7 @@ class TraceGenerator:
         self._population_block(
             emitter, idx, day_of, rng,
             duration=duration,
-            honeypot=self._pots_for(rng, idx),
+            honeypot_id=self._pots_for(rng, idx),
             protocol=protocol,
             n_attempts=attempts,
             login_success=np.ones(m, dtype=bool),
@@ -739,7 +739,7 @@ class TraceGenerator:
             password_id=emitter.success_passwords(rng, m),
             username_id=np.full(m, emitter.root_id, dtype=np.int32),
             hash_ids=None,
-            close_reason=close,
+            close_reason_id=close,
             version_id=emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.CMD", m)
@@ -807,7 +807,7 @@ class TraceGenerator:
         self._population_block(
             emitter, idx, day_of, rng,
             duration=duration,
-            honeypot=pots,
+            honeypot_id=pots,
             protocol=protocol,
             n_attempts=attempts,
             login_success=np.ones(m, dtype=bool),
@@ -815,7 +815,7 @@ class TraceGenerator:
             password_id=emitter.success_passwords(rng, m),
             username_id=np.full(m, emitter.root_id, dtype=np.int32),
             hash_ids=hashes.take(prof_idx),
-            close_reason=close,
+            close_reason_id=close,
             version_id=emitter.client_versions(rng, m, protocol),
         )
         _metric_inc("generator.sessions.CMD_URI", m)

@@ -271,7 +271,6 @@ def _emit_shard_body(plan: ShardPlan, shard: Shard) -> ShardPayload:
                               gen.rng.child(f"{kind}.r{start}"), start, stop)
     else:
         raise ValueError(f"unknown shard kind: {kind}")
-    emitter.flush()
     return builder.payload()
 
 

@@ -28,6 +28,7 @@ from repro.obs import (
     validate_ledger,
 )
 from repro.obs.ledger import (
+    ALERT_EVENT_KIND,
     LEDGER_VERSION,
     RECORD_EVENT_KIND,
     RECORD_TYPES,
@@ -171,13 +172,51 @@ class TestStripVolatile:
         assert "pid" not in env and "hostname" not in env
         assert "python" in env
 
+    @staticmethod
+    def _stripped_run(stale_workers=(), farm_alert=False) -> list:
+        with use_metrics():
+            ledger = RunLedger()
+            ledger.begin_run("generate")
+            _emit(ledger, "sched.trace.built", tasks=2, backend="pool",
+                  workers=2)
+            _emit(ledger, "sched.heartbeat.worker", worker="w", beat=1)
+            for worker in stale_workers:
+                _emit(ledger, "sched.heartbeat.stale", worker=worker,
+                      silent_seconds=9.0, last_index=0)
+            if farm_alert:
+                ledger.record_alert("liveness-down", "silent for 900s",
+                                    time=5.0, honeypot_id="hp-001")
+            ledger.finish("ok")
+            return strip_volatile_records(ledger.to_records())
+
+    def test_stale_worker_alerts_strip_with_their_event(self):
+        # A stale-worker alert is made from sched.heartbeat.stale, which
+        # is volatile as a whole, so a run that had a silent worker
+        # strips like one that had none.
+        quiet = self._stripped_run()
+        assert [r["record"] for r in quiet] == [
+            "ledger", "run", "env", "sched", "final"]
+        assert self._stripped_run(stale_workers=("w",)) == quiet
+
+    def test_farm_health_alerts_survive_the_strip(self):
+        stripped = self._stripped_run(stale_workers=("w",), farm_alert=True)
+        alerts = [r for r in stripped if r["record"] == "alert"]
+        assert alerts == [{
+            "record": "alert", "kind": "liveness-down",
+            "message": "silent for 900s", "time": 5.0,
+            "honeypot_id": "hp-001",
+        }]
+
     def test_volatile_declaration_covers_every_record_type(self):
         # Each type's variance is declared in exactly one place: the
         # ledger's own records in VOLATILE_FIELDS, the folded ones by
-        # their event kind.  Only alerts vary in nothing.
+        # their event kind.  Alerts take theirs from their kind: a
+        # stale-worker alert from its event, the others vary in nothing.
         for rtype, kind in RECORD_EVENT_KIND.items():
             assert rtype not in VOLATILE_FIELDS
             assert kind in VOLATILE_BY_KIND
+        assert all(kind in VOLATILE_BY_KIND
+                   for kind in ALERT_EVENT_KIND.values())
         undeclared = set(RECORD_TYPES) - set(VOLATILE_FIELDS) \
             - set(RECORD_EVENT_KIND)
         assert undeclared == {"alert"}

@@ -174,13 +174,15 @@ def test_every_sketch_instrument_is_declared():
 
 
 def test_every_block_engine_instrument_is_declared():
-    # The session emitter's buffered-block instrument names
-    # (repro.workload.emit) must stay in sync with the obs.names registry,
-    # same contract as the sketch families above.
-    for name in ("emit.block.buffered_blocks", "emit.block.flushes",
-                 "emit.block.rows"):
+    # The block write path's instrument names (StoreBuilder.append_block
+    # and the merge's adopts) must stay in sync with the obs.names
+    # registry, same contract as the sketch families above.
+    for name in ("store.sessions_appended", "store.blocks_appended",
+                 "store.sessions_adopted", "generator.sessions.CMD"):
         assert obs_names.is_declared(name, obs_names.COUNTERS), name
-    assert obs_names.is_declared("emit.block.flush", obs_names.SPANS)
+    assert obs_names.is_declared("store.adopt_seconds",
+                                 obs_names.HISTOGRAMS)
+    assert obs_names.is_declared("store/merge", obs_names.SPANS)
 
 
 def test_undeclared_block_engine_counter_fails_lint(tmp_path):

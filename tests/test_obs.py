@@ -500,7 +500,7 @@ class TestWorkerMetricsMerge:
     def test_shard_spans_arrive_under_parent_tree(self, runs):
         for _, metrics in runs.values():
             prefix = "generate/emit/shard/"
-            # Direct shard spans only: the block emitter's flush span
+            # Direct shard spans only: a span opened inside a shard
             # nests one level below (generate/emit/shard/<kind>/...).
             shard_paths = [p for p in metrics.spans
                            if p.startswith(prefix)

@@ -1,12 +1,15 @@
-"""Chunked-builder equivalence and CSR hash-column properties.
+"""Builder append-path equivalence and CSR hash-column properties.
 
-The chunked :class:`StoreBuilder` must be a pure refactor of the old
-row-wise builder: whatever mix of scalar appends and block appends
-produces the rows, the frozen store — and its saved .npz bytes — depend
-only on the row contents and order.
+:class:`StoreBuilder` keeps one list of parts per column, whichever path
+added them: whatever mix of row appends, block appends (every
+``hash_ids`` form) and adopted payloads produces the rows, the frozen
+store — and its saved .npz bytes — depend only on the row contents and
+order.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +18,14 @@ from hypothesis import strategies as st
 
 import repro.store.store as store_module
 from repro.store.npz import save_npz
-from repro.store.store import HashIdColumn, StoreBuilder
+from repro.store.records import SessionRecord
+from repro.store.store import (
+    _CLOSE_REASONS,
+    HashBlockCsr,
+    HashIdColumn,
+    StoreBuilder,
+    hash_csr,
+)
 
 
 def _rows(n: int, seed: int = 5):
@@ -66,28 +76,44 @@ def _new_builder() -> StoreBuilder:
     return builder
 
 
-def _append_scalar(builder: StoreBuilder, rows: dict, lo: int, hi: int) -> None:
+def _append_rows(builder: StoreBuilder, rows: dict, lo: int, hi: int) -> None:
+    """Append rows ``lo:hi`` one :class:`SessionRecord` at a time.
+
+    Every id in :func:`_rows` names an entry :func:`_new_builder` already
+    interned, so ``append`` resolves each string back to the same id.
+    """
+    def value(table, column, i):
+        index = int(rows[column][i])
+        return table.value_of(index) if index >= 0 else ""
+
     for i in range(lo, hi):
-        builder.append_interned(
+        script_id = int(rows["script_id"][i])
+        script = builder.scripts[script_id] if script_id >= 0 else None
+        builder.append(SessionRecord(
             start_time=float(rows["start_time"][i]),
             duration=float(rows["duration"][i]),
-            honeypot_id=int(rows["honeypot_id"][i]),
-            protocol=int(rows["protocol"][i]),
+            honeypot_id=value(builder.honeypots, "honeypot_id", i),
+            protocol=("ssh", "telnet")[int(rows["protocol"][i])],
             client_ip=int(rows["client_ip"][i]),
             client_asn=int(rows["client_asn"][i]),
-            client_country_id=int(rows["client_country_id"][i]),
-            n_attempts=int(rows["n_attempts"][i]),
+            client_country=value(builder.countries, "client_country_id", i),
+            n_login_attempts=int(rows["n_attempts"][i]),
             login_success=bool(rows["login_success"][i]),
-            script_id=int(rows["script_id"][i]),
-            password_id=int(rows["password_id"][i]),
-            username_id=int(rows["username_id"][i]),
-            hash_ids=rows["hash_ids"][i],
-            close_reason_id=int(rows["close_reason_id"][i]),
-            version_id=int(rows["version_id"][i]),
-        )
+            username=value(builder.usernames, "username_id", i),
+            password=value(builder.passwords, "password_id", i),
+            commands=script.commands if script else (),
+            uris=script.uris if script else (),
+            file_hashes=tuple(builder.hashes.value_of(h)
+                              for h in rows["hash_ids"][i]),
+            close_reason=_CLOSE_REASONS[int(rows["close_reason_id"][i])],
+            client_version=value(builder.versions, "version_id", i),
+        ))
 
 
-def _append_block(builder: StoreBuilder, rows: dict, lo: int, hi: int) -> None:
+def _append_block(builder: StoreBuilder, rows: dict, lo: int, hi: int,
+                  hash_ids=None) -> None:
+    """Append rows ``lo:hi`` as one block; ``hash_ids`` overrides the
+    per-row tuples with another :data:`HashIdsArg` form of the same rows."""
     builder.append_block(
         start_time=rows["start_time"][lo:hi],
         duration=rows["duration"][lo:hi],
@@ -101,7 +127,8 @@ def _append_block(builder: StoreBuilder, rows: dict, lo: int, hi: int) -> None:
         script_id=rows["script_id"][lo:hi],
         password_id=rows["password_id"][lo:hi],
         username_id=rows["username_id"][lo:hi],
-        hash_ids=rows["hash_ids"][lo:hi],
+        hash_ids=(rows["hash_ids"][lo:hi] if hash_ids is None
+                  else hash_ids),
         close_reason_id=rows["close_reason_id"][lo:hi],
         version_id=rows["version_id"][lo:hi],
     )
@@ -118,53 +145,35 @@ class TestAppendPathEquivalence:
 
     def test_block_matches_scalar_byte_identical(self, tmp_path):
         rows = _rows(self.N)
-        scalar = _new_builder()
-        _append_scalar(scalar, rows, 0, self.N)
+        rowwise = _new_builder()
+        _append_rows(rowwise, rows, 0, self.N)
         block = _new_builder()
         for lo in range(0, self.N, 97):  # uneven block sizes
             _append_block(block, rows, lo, min(lo + 97, self.N))
-        a = _npz_bytes(scalar.build(), tmp_path, "scalar.npz")
+        a = _npz_bytes(rowwise.build(), tmp_path, "rows.npz")
         b = _npz_bytes(block.build(), tmp_path, "block.npz")
         assert a == b
 
     def test_interleaved_paths_byte_identical(self, tmp_path):
         rows = _rows(self.N, seed=11)
         reference = _new_builder()
-        _append_scalar(reference, rows, 0, self.N)
+        _append_rows(reference, rows, 0, self.N)
         mixed = _new_builder()
         cuts = [0, 3, 120, 121, 250, 333, self.N]
         for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
             if j % 2:
-                _append_scalar(mixed, rows, lo, hi)
+                _append_rows(mixed, rows, lo, hi)
             else:
                 _append_block(mixed, rows, lo, hi)
         a = _npz_bytes(reference.build(), tmp_path, "ref.npz")
         b = _npz_bytes(mixed.build(), tmp_path, "mixed.npz")
         assert a == b
 
-    def test_tiny_chunks_cross_boundaries(self, tmp_path, monkeypatch):
-        """Shrunken chunk constants force every seal/adopt/spill branch."""
-        rows = _rows(120, seed=23)
-        reference = _new_builder()
-        _append_scalar(reference, rows, 0, 120)
-        expected = _npz_bytes(reference.build(), tmp_path, "full.npz")
-
-        monkeypatch.setattr(store_module, "CHUNK_ROWS", 7)
-        monkeypatch.setattr(store_module, "ADOPT_ROWS", 4)
-        tiny = _new_builder()
-        cuts = [0, 1, 8, 15, 15, 40, 47, 120]
-        for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            if j % 2:
-                _append_scalar(tiny, rows, lo, hi)
-            else:
-                _append_block(tiny, rows, lo, hi)
-        assert _npz_bytes(tiny.build(), tmp_path, "tiny.npz") == expected
-
     def test_adopted_builder_byte_identical(self, tmp_path):
         """adopt() of a forked shard equals appending the rows directly."""
         rows = _rows(self.N, seed=31)
         reference = _new_builder()
-        _append_scalar(reference, rows, 0, self.N)
+        _append_rows(reference, rows, 0, self.N)
 
         trunk = _new_builder()
         _append_block(trunk, rows, 0, 200)
@@ -221,6 +230,72 @@ class TestAppendPathEquivalence:
                 close_reason_id=rows["close_reason_id"],
                 version_id=rows["version_id"],
             )
+
+
+#: Ways :func:`test_any_split_freezes_identically` appends one segment:
+#: row by row, or as a block in each :data:`HashIdsArg` form.
+_SEGMENT_FORMS = ("rows", "none", "shared", "tuples", "csr")
+
+
+class TestAnySplit:
+    @given(
+        segments=st.lists(
+            st.tuples(st.sampled_from(_SEGMENT_FORMS),
+                      st.integers(min_value=0, max_value=9)),
+            max_size=10,
+        ),
+        batch=st.sampled_from([2, 5, store_module.ROW_BATCH]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_split_freezes_identically(self, segments, batch, seed):
+        """Any split of one set of rows into row appends and blocks
+        (empty ones included) gives the same payload and store as one
+        block of every row, whatever the row batch."""
+        total = sum(n for _, n in segments)
+        rows = _rows(total, seed=seed)
+        lo = 0
+        for form, n in segments:
+            # A block's hash form must describe its rows: None is no
+            # hashes, a shared tuple is one list for all of them.
+            if form == "none":
+                rows["hash_ids"][lo:lo + n] = [()] * n
+            elif form == "shared":
+                rows["hash_ids"][lo:lo + n] = [(3, 1, 4)] * n
+            lo += n
+
+        reference = _new_builder()
+        _append_block(reference, rows, 0, total)
+        split = _new_builder()
+        with mock.patch.object(store_module, "ROW_BATCH", batch):
+            lo = 0
+            for form, n in segments:
+                hi = lo + n
+                if form == "rows":
+                    _append_rows(split, rows, lo, hi)
+                    assert len(split._rows) < batch
+                else:
+                    lengths, values = hash_csr(rows["hash_ids"][lo:hi], n)
+                    _append_block(split, rows, lo, hi, hash_ids={
+                        "none": None,
+                        "shared": (3, 1, 4),
+                        "tuples": rows["hash_ids"][lo:hi],
+                        "csr": HashBlockCsr(
+                            np.zeros(0, np.int64) if values is None
+                            else values, lengths),
+                    }[form])
+                lo = hi
+            assert len(split) == total
+
+            want, got = reference.payload(), split.payload()
+            assert want.columns.keys() == got.columns.keys()
+            for name, column in want.columns.items():
+                assert got.columns[name].dtype == column.dtype
+                assert np.array_equal(got.columns[name], column), name
+            assert np.array_equal(got.hash_values, want.hash_values)
+            assert np.array_equal(got.hash_lengths, want.hash_lengths)
+            assert (split.build().content_digest()
+                    == reference.build().content_digest())
 
 
 hash_lists = st.lists(
