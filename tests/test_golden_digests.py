@@ -98,3 +98,51 @@ def profile_digest() -> str:
 
 def test_script_profile_digest_is_pinned():
     assert profile_digest() == PROFILE_GOLDEN
+
+
+#: The traced 1/80000 seed-7 generate (``GOLDEN``'s first config): sha256
+#: of its ``generator.block`` events, volatile fields stripped, in trace
+#: order, and the emission counters beside them.  Emission may change how
+#: it draws and assembles a shard only if these stay put.
+TRACE_KEY = (80000, 7, 0.004)
+TRACE_BLOCKS_GOLDEN = (
+    "eaeabeaafb3cf44b590b66dbac68ea9bc4b4b507da3652d930091b0e75973066"
+)
+TRACE_COUNTERS_GOLDEN = {
+    "generator.campaign_days": 608,
+    "generator.campaign_sessions": 727,
+    "generator.sessions.CMD": 676,
+    "generator.sessions.CMD_URI": 51,
+    "generator.sessions.singletons": 365,
+    "generator.sessions.NO_CRED": 1391,
+    "generator.sessions.FAIL_LOG": 2110,
+    "generator.sessions.NO_CMD": 582,
+}
+
+
+def _traced_generate(backend: str, workers: int):
+    from repro.obs import use_metrics
+    from repro.obs.trace import Tracer, strip_volatile, use_tracer
+
+    denominator, seed, hash_scale = TRACE_KEY
+    config = ScenarioConfig.from_denominator(
+        denominator, seed=seed, hash_scale=hash_scale)
+    tracer = Tracer(capacity=1 << 20)
+    with use_metrics() as metrics, use_tracer(tracer):
+        repro.generate(config, backend=backend, workers=workers)
+    blocks = [strip_volatile(e) for e in tracer.to_list()
+              if e["kind"] == "generator.block"]
+    blob = json.dumps(blocks, separators=(",", ":"), sort_keys=True)
+    counters = {
+        name: value for name, value in metrics.counters.items()
+        if name in ("generator.campaign_days", "generator.campaign_sessions")
+        or name.startswith("generator.sessions.")
+    }
+    return hashlib.sha256(blob.encode()).hexdigest(), counters
+
+
+@pytest.mark.parametrize("backend,workers", [("inline", 1), ("pool", 2)])
+def test_block_trace_is_pinned(backend, workers):
+    digest, counters = _traced_generate(backend, workers)
+    assert counters == TRACE_COUNTERS_GOLDEN
+    assert digest == TRACE_BLOCKS_GOLDEN
