@@ -366,14 +366,16 @@ python -m pytest benchmarks --setup-plan -p no:benchmark \
 echo "fixture plan ok ($(grep -c '::test_' "$SCRATCH/setup_plan.txt")" \
     "paper benches, every fixture resolved)"
 
-echo "== paired perf gate (working tree vs its parent commit: gen-10k-w1 x3, gen-100k-pool1 x2, stream-10k x1) =="
+echo "== paired perf gate (working tree vs its parent commit: gen-10k-w1 x3, gen-100k-pool1 x2, stream-10k x3) =="
 # Head is the working tree's files.  Base is the commit they change: HEAD
 # while the tree has uncommitted or untracked files, HEAD~1 once it is
 # clean.  Both are fresh copies under $SCRATCH without bytecode caches,
 # and each runs its own benchmarks/perf/run.py, base and head
 # alternating.  gen-10k-w1 is where fixed per-run costs show;
 # gen-100k-pool1 keeps the scheduler's pool backend gated; stream-10k
-# gates the streaming analytics intake (repro.analytics).  Head's
+# gates the streaming analytics intake (repro.analytics).  Its jobs take
+# ~0.05 s, so one pair cannot tell its bound from noise: it runs in three
+# pairs, like gen-10k-w1.  Head's
 # --compare decides: a metric worse than its BENCHMARK.json bound, or a
 # higher error rate, fails the stage.
 if git diff --quiet HEAD -- 2> /dev/null \
@@ -398,7 +400,8 @@ if find "$PERF" -name __pycache__ | grep -q .; then
 fi
 runs=0
 for workload in gen-10k-w1 gen-10k-w1 gen-10k-w1 \
-                gen-100k-pool1 gen-100k-pool1 stream-10k; do
+                gen-100k-pool1 gen-100k-pool1 \
+                stream-10k stream-10k stream-10k; do
     runs=$((runs + 1))
     for side in base head; do
         (cd "$PERF/$side" && python benchmarks/perf/run.py \

@@ -22,6 +22,7 @@ shape and fills in the rest.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,7 +52,15 @@ FULL_RUN_KINDS = frozenset({ScriptKind.CHPASSWD})
 #: Each starts with ``_MARK``, so text without it needs no filling.
 _MARK = "qq"
 TOKEN, HOST, SLOT = "qqTOKENqq", "qqHOSTqq", "qqSLOTqq"
-_PLACEHOLDER_RE = re.compile(f"{TOKEN}|{HOST}|{SLOT}")
+_PLACEHOLDER_RE = re.compile(f"({TOKEN}|{HOST}|{SLOT})")
+
+
+@functools.lru_cache(maxsize=4096)
+def _split(text: str) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
+    """``text`` split at its placeholders, once per text: the literal
+    before the first, then (placeholder, literal after it) pairs."""
+    parts = _PLACEHOLDER_RE.split(text)
+    return parts[0], tuple(zip(parts[1::2], parts[2::2]))
 
 
 def fill(text: str, values: Dict[str, str]) -> str:
@@ -59,8 +68,8 @@ def fill(text: str, values: Dict[str, str]) -> str:
     (one pass: an inserted value is never itself filled)."""
     if not values or _MARK not in text:
         return text
-    return _PLACEHOLDER_RE.sub(
-        lambda m: values.get(m.group(), m.group()), text)
+    head, rest = _split(text)
+    return head + "".join([values.get(mark, mark) + tail for mark, tail in rest])
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ DESCRIPTIONS = {
         "honeypot.sessions.*": "sessions finished, per session category",
         "honeypot.timeouts.*": "sessions timed out, per timeout reason",
         "store.sessions_appended": "session rows appended to a store",
-        "store.blocks_appended": "column blocks appended to a store",
+        "store.blocks_appended": "column blocks appended (one per emitting shard)",
         "store.adopts": "whole-store adoptions during merges",
         "store.adopts_fastpath": "adoptions served by the frozen fast path",
         "store.sessions_adopted": "session rows adopted during merges",

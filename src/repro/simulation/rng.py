@@ -10,7 +10,7 @@ property that keeps calibrated traces stable as the codebase grows.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Sequence, TypeVar
+from typing import List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -190,11 +190,23 @@ class RngStream:
 
     def multinomial(self, n: int, pvals) -> np.ndarray:
         """Multinomial counts for ``n`` trials over ``pvals`` (normalised)."""
+        return self._rng.multinomial(n, self.multinomial_p(pvals))
+
+    @staticmethod
+    def multinomial_p(pvals) -> np.ndarray:
+        """``pvals`` normalised the way :meth:`multinomial` normalises them."""
         p = np.asarray(pvals, dtype=np.float64)
         total = p.sum()
         if total <= 0:
             raise ValueError("multinomial weights must sum to a positive value")
-        return self._rng.multinomial(n, p / total)
+        return p / total
+
+    def multinomials(self, trials: Sequence[int],
+                     ps: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """:meth:`multinomial` per ``(n, p)`` pair in order, for ``p`` already
+        :meth:`multinomial_p`-normalised (hoisted where ``p`` repeats)."""
+        draw = self._rng.multinomial
+        return [draw(n, p) for n, p in zip(trials, ps)]
 
     def lognormal_array(self, mean: float, sigma: float, size: int) -> np.ndarray:
         return self._rng.lognormal(mean, sigma, size=size)

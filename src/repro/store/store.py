@@ -156,11 +156,8 @@ class HashBlockCsr:
 
 
 #: Per-row hash ids accepted by the block-append path: ``None`` (no row has
-#: hashes), one tuple (every row shares it), a per-row sequence, or a
-#: pre-flattened :class:`HashBlockCsr`.
-HashIdsArg = Union[
-    None, Tuple[int, ...], Sequence[Tuple[int, ...]], HashBlockCsr
-]
+#: hashes), a per-row sequence, or a pre-flattened :class:`HashBlockCsr`.
+HashIdsArg = Union[None, Sequence[Tuple[int, ...]], HashBlockCsr]
 
 
 def hash_csr(
@@ -177,12 +174,6 @@ def hash_csr(
         if len(hash_ids.lengths) != n:
             raise ValueError("append_block sequences must share one length")
         return hash_ids.lengths, (hash_ids.values if len(hash_ids.values) else None)
-    if isinstance(hash_ids, tuple):
-        # One tuple shared by every row of the block.
-        k = len(hash_ids)
-        if not k:
-            return np.zeros(n, np.int64), None
-        return np.full(n, k, np.int64), np.tile(np.asarray(hash_ids, np.int64), n)
     if len(hash_ids) != n:
         raise ValueError("append_block sequences must share one length")
     if not any(hash_ids):
@@ -362,9 +353,8 @@ class StoreBuilder:
         its column as it is, and is coerced to the column dtype only when
         the column is concatenated, so the caller hands over its arrays
         and must not change them afterwards.  ``hash_ids`` is ``None``
-        when no row in the block carries hashes, a single tuple shared by
-        every row (campaign blocks), a per-row sequence of tuples, or a
-        :class:`HashBlockCsr`.
+        when no row in the block carries hashes, a per-row sequence of
+        tuples, or a :class:`HashBlockCsr`.
         """
         # STORE_COLUMN_DTYPES order.
         columns = (start_time, duration, honeypot_id, protocol, client_ip,

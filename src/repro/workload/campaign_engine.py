@@ -19,12 +19,12 @@ from repro.agents.population import ClientPopulation, ClientRole
 from repro.agents.scripts import ScriptKind, build_script
 from repro.intel.database import IntelDatabase
 from repro.obs import inc as _metric_inc
-from repro.obs.trace import emit_block as _trace_block
+from repro.obs import trace as _trace
 from repro.simulation.rng import RngStream
-from repro.store.store import StoreBuilder
+from repro.store.store import HashBlockCsr, StoreBuilder
 from repro.workload.config import ScenarioConfig
 from repro.workload.emit import SessionEmitter
-from repro.workload.samplers import cmd_fields, protocol_array
+from repro.workload.samplers import cmd_columns, cmd_draws, protocol_array
 from repro.workload.script_runner import ScriptProfile, ScriptRunner
 from repro.workload.targets import (
     TargetSet,
@@ -305,63 +305,72 @@ class CampaignEngine:
             name += f".p{start}"
         return self.rng.child(name)
 
-    def emit(self, campaign: RealizedCampaign, emitter: SessionEmitter) -> None:
-        """Emit all sessions for one realised campaign."""
-        self.emit_range(campaign, sorted(campaign.schedule),
-                        self.stream_for(campaign), emitter)
-
-    def emit_range(
-        self, campaign: RealizedCampaign, days: Sequence[int], rng: RngStream,
+    def emit_units(
+        self,
+        units: Sequence[Tuple[RealizedCampaign, Sequence[int], RngStream]],
         emitter: SessionEmitter,
     ) -> None:
-        """Emit ``days`` of a campaign as one block through ``emitter``.
+        """Emit one shard's units (campaign, days, stream) as one block.
 
-        Each day's sessions are spread over that day's active members (one
-        multinomial per day); every other column is one draw over the whole
-        range.  Rows stay in day order, then client runs.
+        Draw phase: each unit draws from its own stream, in order: one
+        multinomial per day over the day's members, start times, protocol,
+        ``cmd_draws``, pots, passwords, client versions.  Assembly phase:
+        what draws nothing runs once over the shard's rows, which stay in
+        unit, then day, then client-run order.  Each scheduled day holds at
+        least one session and one ``generator.block`` event (under a tracer).
         """
-        pool = campaign.pool
-        weights_all = campaign.pool_weights
-        runs: List[np.ndarray] = []
-        run_days: List[int] = []
-        counts: List[int] = []
-        cid = campaign.spec.campaign_id
-        for day in days:
-            members = campaign.members_by_day.get(day)
-            if members is None or len(members) == 0:
-                members = np.arange(len(pool))
-            per_member = rng.multinomial(campaign.schedule[day],
-                                         weights_all[members])
-            active = np.nonzero(per_member)[0]
-            clients = np.repeat(pool[members[active]], per_member[active])
-            if not len(clients):
-                continue
-            runs.append(clients)
-            run_days.append(day)
-            counts.append(len(clients))
-            _metric_inc("generator.campaign_days")
-            _trace_block(f"emit.{cid}", day, len(clients), campaign=cid,
-                         session_kind=campaign.category)
-        if not runs:
-            return
-        clients = np.concatenate(runs)
-        day_of = np.repeat(np.asarray(run_days, dtype=np.float64), counts)
+        drawn, drawn_passwords, days_of, per_day, sessions = [], [], [], [], []
+        for campaign, days, rng in units:
+            # Per distinct members array: its weights, normalised as
+            # RngStream.multinomial normalises them, and its clients.
+            ps, candidates, hoisted = [], [], {}
+            for day in days:
+                members = campaign.members_by_day[day]
+                pair = hoisted.get(id(members))
+                if pair is None:
+                    pair = hoisted[id(members)] = (
+                        RngStream.multinomial_p(campaign.pool_weights[members]),
+                        campaign.pool[members])
+                ps.append(pair[0])
+                candidates.append(pair[1])
+            ns = [campaign.schedule[day] for day in days]
+            clients = np.repeat(np.concatenate(candidates),
+                                np.concatenate(rng.multinomials(ns, ps)))
+            m = len(clients)
+            start = rng.uniform_array(0, SECONDS_PER_DAY, m)
+            protocol = protocol_array(rng, m, campaign.spec.ssh_share)
+            fields = cmd_draws(rng, m)
+            pots = self._choose_pots(rng, campaign, clients,
+                                     campaign.spec.kind in URI_KINDS)
+            if campaign.password_id < 0:
+                drawn_passwords.append(emitter.success_passwords(rng, m))
+            drawn.append((clients, start, protocol, pots,
+                          emitter.client_versions(rng, m, protocol), *fields))
+            days_of.extend(days)
+            per_day.extend(ns)
+            sessions.append(m)
+            _metric_inc("generator.campaign_days", len(days))
+            _metric_inc(f"generator.sessions.{campaign.category}", m)
+        clients, start, protocol, pots, versions, *fields = (
+            np.concatenate(column) for column in zip(*drawn))
+        campaigns = [campaign for campaign, _, _ in units]
+
+        def per_unit(values, dtype=None) -> np.ndarray:
+            return np.repeat(np.array(values, dtype=dtype), sessions)
+
         m = len(clients)
+        duration, close, attempts = cmd_columns(
+            fields, per_unit([c.profile.exec_seconds for c in campaigns]))
+        password = per_unit([c.password_id for c in campaigns], np.int32)
+        if drawn_passwords:
+            password[password < 0] = np.concatenate(drawn_passwords)
+        hash_ids = HashBlockCsr(
+            [h for c in campaigns for h in c.hash_ids],
+            [len(c.hash_ids) for c in campaigns]).take(per_unit(range(len(units))))
         pop = self.population
-
-        start = day_of * SECONDS_PER_DAY + rng.uniform_array(0, SECONDS_PER_DAY, m)
-        protocol = protocol_array(rng, m, campaign.spec.ssh_share)
-        exec_seconds = np.full(m, campaign.profile.exec_seconds)
-        duration, close, attempts = cmd_fields(rng, m, exec_seconds)
-        pots = self._choose_pots(rng, campaign, clients, campaign.spec.kind in URI_KINDS)
-        if campaign.password_id >= 0:
-            password = np.full(m, campaign.password_id, dtype=np.int32)
-        else:
-            password = emitter.success_passwords(rng, m)
-        versions = emitter.client_versions(rng, m, protocol)
-
         emitter.builder.append_block(
-            start_time=start,
+            start_time=(np.repeat(np.array(days_of, dtype=np.float64), per_day)
+                        * SECONDS_PER_DAY + start),
             duration=duration,
             honeypot_id=pots,
             protocol=protocol,
@@ -370,15 +379,20 @@ class CampaignEngine:
             client_country_id=pop.country[clients].astype(np.int32),
             n_attempts=attempts,
             login_success=np.ones(m, dtype=bool),
-            script_id=np.full(m, campaign.script_id, dtype=np.int32),
+            script_id=per_unit([c.script_id for c in campaigns], np.int32),
             password_id=password,
             username_id=np.full(m, emitter.root_id, dtype=np.int32),
-            hash_ids=campaign.hash_ids,
+            hash_ids=hash_ids,
             close_reason_id=close,
             version_id=versions,
         )
-        _metric_inc(f"generator.sessions.{campaign.category}", m)
         _metric_inc("generator.campaign_sessions", m)
+        if _trace.enabled():
+            for campaign, days, _ in units:
+                cid = campaign.spec.campaign_id
+                for day in days:
+                    _trace.emit_block(f"emit.{cid}", day, campaign.schedule[day],
+                                      campaign=cid, session_kind=campaign.category)
 
     def locality_pools(self, subset: np.ndarray) -> Tuple[np.ndarray, ...]:
         """:func:`~repro.workload.targets.locality_pools` of a pot subset,

@@ -615,21 +615,20 @@ class TraceGenerator:
         sessions) through ``emitter``."""
         pop = self.population
         builder = emitter.builder
-        script_ids = np.empty(len(writers), dtype=np.int32)
-        exec_secs = np.empty(len(writers))
-        hash_values: List[int] = []
-        hash_lengths = np.empty(len(writers), dtype=np.int64)
-        for k, w in enumerate(writers.tolist()):
-            token = f"bg-{w}-{int(pop.ip[w])}"
-            profile = self.runner.profile(build_script(ScriptKind.FILE_TOKEN, token=token))
-            script_ids[k] = builder.intern_script(profile.commands, profile.uris)
-            hash_values.extend(builder.hashes.intern(h) for h in profile.hashes)
-            hash_lengths[k] = len(profile.hashes)
-            exec_secs[k] = profile.exec_seconds
-            _trace.emit("generator.block", trace_id=f"singletons.w{w}",
-                        sim_time=int(pop.first_day[w]) * 86400.0,
-                        category="singletons", writer=w,
-                        sessions=int(n_sessions[k]))
+        profiles = self.runner.profile_many(
+            build_script(ScriptKind.FILE_TOKEN, token=f"bg-{w}-{ip}")
+            for w, ip in zip(writers.tolist(), pop.ip[writers].tolist()))
+        script_ids = np.array([builder.intern_script(p.commands, p.uris)
+                               for p in profiles], dtype=np.int32)
+        hash_ids = HashBlockCsr(
+            [builder.hashes.intern(h) for p in profiles for h in p.hashes],
+            [len(p.hashes) for p in profiles])
+        exec_secs = np.array([p.exec_seconds for p in profiles])
+        if _trace.enabled():
+            for w, n in zip(writers.tolist(), n_sessions.tolist()):
+                _trace.emit("generator.block", trace_id=f"singletons.w{w}",
+                            sim_time=int(pop.first_day[w]) * 86400.0,
+                            category="singletons", writer=w, sessions=n)
         m = int(n_sessions.sum())
         if m == 0:
             return
@@ -649,7 +648,7 @@ class TraceGenerator:
             script_id=script_ids[row],
             password_id=emitter.success_passwords(rng, m),
             username_id=np.full(m, emitter.root_id, dtype=np.int32),
-            hash_ids=HashBlockCsr(hash_values, hash_lengths).take(row),
+            hash_ids=hash_ids.take(row),
             close_reason_id=close,
             version_id=np.full(m, -1, dtype=np.int32),
         )

@@ -111,10 +111,22 @@ def cmd_fields(
     ``exec_seconds`` is each session's script execution time (think time
     plus any download transfer time from the profiled script run).
     """
-    attempts = CMD_ATTEMPTS.sample(rng, n).astype(np.uint16) + 1
-    jitter = rng.lognormal_array(0.0, 0.35, n)
-    base = rng.uniform_array(2.0, 12.0, n) + exec_seconds * jitter
-    u = rng.random_array(n)
+    return cmd_columns(cmd_draws(rng, n), exec_seconds)
+
+
+def cmd_draws(rng: RngStream, n: int) -> Tuple[np.ndarray, ...]:
+    """:func:`cmd_fields`' draws, in its order; several streams' draws,
+    concatenated field by field, assemble in one :func:`cmd_columns`."""
+    return (CMD_ATTEMPTS.sample(rng, n), rng.lognormal_array(0.0, 0.35, n),
+            rng.uniform_array(2.0, 12.0, n), rng.random_array(n))
+
+
+def cmd_columns(draws: Sequence[np.ndarray], exec_seconds: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`cmd_fields`' columns from its :func:`cmd_draws`."""
+    attempt_index, jitter, base, u = draws
+    attempts = attempt_index.astype(np.uint16) + 1
+    base = base + exec_seconds * jitter
     # 62% client disconnect right after the script; 30% idle out afterwards;
     # 8% explicit exit.
     duration = np.where(u < 0.62, base, np.where(u < 0.92, base + IDLE_TIMEOUT, base))

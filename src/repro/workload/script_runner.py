@@ -13,7 +13,7 @@ reused for every session of that campaign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.agents.scripts import (
     FULL_RUN_KINDS,
@@ -111,7 +111,11 @@ class ScriptRunner:
         self._recipes: Dict[Tuple, Optional[_Recipe]] = {}
 
     def profile(self, template: ScriptTemplate) -> ScriptProfile:
-        """Profile ``template`` and return its profile.
+        """Profile ``template`` and return its profile."""
+        return self.profile_many((template,))[0]
+
+    def profile_many(self, templates: Iterable[ScriptTemplate]) -> List[ScriptProfile]:
+        """Profile each of ``templates``, in order, in one pass.
 
         Profiles are not kept: nearly every script is profiled once, and a
         repeat of a substitutable one costs a fill, not a shell run.
@@ -121,7 +125,7 @@ class ScriptRunner:
         events would make the workload trace worker-count-variant.
         """
         with use_tracer(None):
-            return self._profile(template)
+            return [self._profile(template) for template in templates]
 
     def _profile(self, template: ScriptTemplate) -> ScriptProfile:
         values = dict(template.fills)

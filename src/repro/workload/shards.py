@@ -250,14 +250,12 @@ def _emit_shard_body(plan: ShardPlan, shard: Shard) -> ShardPayload:
     emitter = SessionEmitter(builder)
     kind, start, stop = shard.kind, shard.start, shard.stop
     if kind == "campaign":
-        campaign = plan.campaigns_by_id[shard.key]
-        gen.engine.emit_range(
-            campaign, sorted(campaign.schedule)[start:stop],
-            gen.engine.stream_for(campaign, start), emitter,
-        )
+        r = plan.campaigns_by_id[shard.key]
+        gen.engine.emit_units([(r, sorted(r.schedule)[start:stop],
+                                gen.engine.stream_for(r, start))], emitter)
     elif kind == "campaign_group":
-        for r in gen.realized[start:stop]:
-            gen.engine.emit(r, emitter)
+        gen.engine.emit_units([(r, sorted(r.schedule), gen.engine.stream_for(r))
+                               for r in gen.realized[start:stop]], emitter)
     elif kind == "singletons":
         gen._singletons_range(
             emitter,

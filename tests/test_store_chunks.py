@@ -185,30 +185,6 @@ class TestAppendPathEquivalence:
         b = _npz_bytes(trunk.build(), tmp_path, "adopted.npz")
         assert a == b
 
-    def test_shared_tuple_block(self):
-        rows = _rows(64, seed=41)
-        shared = (3, 1, 4)
-        builder = _new_builder()
-        builder.append_block(
-            start_time=rows["start_time"],
-            duration=rows["duration"],
-            honeypot_id=rows["honeypot_id"],
-            protocol=rows["protocol"],
-            client_ip=rows["client_ip"],
-            client_asn=rows["client_asn"],
-            client_country_id=rows["client_country_id"],
-            n_attempts=rows["n_attempts"],
-            login_success=rows["login_success"],
-            script_id=rows["script_id"],
-            password_id=rows["password_id"],
-            username_id=rows["username_id"],
-            hash_ids=shared,
-            close_reason_id=rows["close_reason_id"],
-            version_id=rows["version_id"],
-        )
-        store = builder.build()
-        assert all(store.hash_ids[i] == shared for i in range(64))
-
     def test_length_mismatch_rejected(self):
         rows = _rows(8)
         builder = _new_builder()
@@ -234,7 +210,7 @@ class TestAppendPathEquivalence:
 
 #: Ways :func:`test_any_split_freezes_identically` appends one segment:
 #: row by row, or as a block in each :data:`HashIdsArg` form.
-_SEGMENT_FORMS = ("rows", "none", "shared", "tuples", "csr")
+_SEGMENT_FORMS = ("rows", "none", "tuples", "csr")
 
 
 class TestAnySplit:
@@ -257,11 +233,9 @@ class TestAnySplit:
         lo = 0
         for form, n in segments:
             # A block's hash form must describe its rows: None is no
-            # hashes, a shared tuple is one list for all of them.
+            # hashes.
             if form == "none":
                 rows["hash_ids"][lo:lo + n] = [()] * n
-            elif form == "shared":
-                rows["hash_ids"][lo:lo + n] = [(3, 1, 4)] * n
             lo += n
 
         reference = _new_builder()
@@ -278,7 +252,6 @@ class TestAnySplit:
                     lengths, values = hash_csr(rows["hash_ids"][lo:hi], n)
                     _append_block(split, rows, lo, hi, hash_ids={
                         "none": None,
-                        "shared": (3, 1, 4),
                         "tuples": rows["hash_ids"][lo:hi],
                         "csr": HashBlockCsr(
                             np.zeros(0, np.int64) if values is None
