@@ -320,6 +320,7 @@ class CampaignEngine:
         least one session and one ``generator.block`` event (under a tracer).
         """
         drawn, drawn_passwords, days_of, per_day, sessions = [], [], [], [], []
+        self._cache_locality([campaign for campaign, _, _ in units])
         for campaign, days, rng in units:
             # Per distinct members array: its weights, normalised as
             # RngStream.multinomial normalises them, and its clients.
@@ -394,19 +395,19 @@ class CampaignEngine:
                     _trace.emit_block(f"emit.{cid}", day, campaign.schedule[day],
                                       campaign=cid, session_kind=campaign.category)
 
-    def locality_pools(self, subset: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """:func:`~repro.workload.targets.locality_pools` of a pot subset,
+    def locality_pools(self, subsets: Sequence[np.ndarray]
+                       ) -> List[Tuple[np.ndarray, ...]]:
+        """:func:`~repro.workload.targets.locality_pools` of pot subsets,
         keyed by *population* country index."""
-        return locality_pools(subset, *self._locality_codes)
+        return locality_pools(subsets, *self._locality_codes)
 
-    def _campaign_locality(self, campaign: RealizedCampaign) -> Tuple[np.ndarray, ...]:
-        """The campaign subset's locality pools (cached per campaign)."""
-        cid = campaign.spec.campaign_id
-        cached = self._locality_csr.get(cid)
-        if cached is None:
-            cached = self._locality_csr[cid] = self.locality_pools(
-                campaign.pot_subset)
-        return cached
+    def _cache_locality(self, campaigns: Sequence[RealizedCampaign]) -> None:
+        """Build, in one pass, the locality pools of the URI campaigns among
+        ``campaigns`` that have none yet (cached per campaign)."""
+        todo = [c for c in campaigns if c.spec.kind in URI_KINDS
+                and c.spec.campaign_id not in self._locality_csr]
+        pools = self.locality_pools([c.pot_subset for c in todo])
+        self._locality_csr.update(zip((c.spec.campaign_id for c in todo), pools))
 
     def _choose_pots(
         self,
@@ -428,5 +429,5 @@ class CampaignEngine:
         if locality_bias:
             redirect_local(rng, pots, self.population.country[clients],
                            self.config.uri_locality_bias,
-                           self._campaign_locality(campaign))
+                           self._locality_csr[campaign.spec.campaign_id])
         return pots

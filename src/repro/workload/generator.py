@@ -824,7 +824,7 @@ class TraceGenerator:
         :func:`~repro.workload.targets.locality_pools`), built once."""
         if self._locality_cache is None:
             self._locality_cache = self.engine.locality_pools(
-                np.arange(self.n_pots, dtype=np.int32))
+                [np.arange(self.n_pots, dtype=np.int32)])[0]
         return self._locality_cache
 
     # -- dataset assembly ------------------------------------------------------------

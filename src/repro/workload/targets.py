@@ -104,38 +104,43 @@ def locality_codes(
 
 
 def locality_pools(
-    subset: np.ndarray,
+    subsets: Sequence[np.ndarray],
     pot_country: np.ndarray,
     pot_continent: np.ndarray,
     client_country: np.ndarray,
     client_continent: np.ndarray,
-) -> Tuple[np.ndarray, ...]:
-    """CSR same-country / same-continent pools of ``subset`` per client country.
+) -> List[Tuple[np.ndarray, ...]]:
+    """CSR same-country / same-continent pools of each subset per client country.
 
     ``pot_country``/``pot_continent`` code each honeypot, and
     ``client_country``/``client_continent`` each population country index,
-    in the same code spaces (:func:`locality_codes`).  Returns ``(flat, c_off, c_len, k_off, k_len)``:
-    country ``i``'s same-country pots are ``flat[c_off[i]:c_off[i]+c_len[i]]``
-    and its same-continent pots ``flat[k_off[i]:k_off[i]+k_len[i]]``, both
-    in ``subset`` order.  Pure grouping — consumes no RNG.
+    in the same code spaces (:func:`locality_codes`).  Returns, per subset,
+    ``(flat, c_off, c_len, k_off, k_len)``: country ``i``'s same-country
+    pots are ``flat[c_off[i]:c_off[i]+c_len[i]]`` and its same-continent
+    pots ``flat[k_off[i]:k_off[i]+k_len[i]]``, both in subset order.  The
+    subsets are grouped in one pass and share ``flat``.  Pure grouping —
+    consumes no RNG.
     """
-    subset = np.asarray(subset, dtype=np.int32)
+    flat_subsets = np.concatenate([np.zeros(0, np.int32), *subsets]).astype(np.int32)
+    unit = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
     parts = []
     offs_lens = []
     pos = 0
     for pot_code, client_code in ((pot_country, client_country),
                                   (pot_continent, client_continent)):
-        codes = pot_code[subset]
-        order = np.argsort(codes, kind="stable")
-        parts.append(subset[order])
         n_codes = int(max(pot_code.max(initial=-1),
                           client_code.max(initial=-1))) + 1
-        counts = np.bincount(codes, minlength=n_codes)
-        starts = pos + np.concatenate(([0], np.cumsum(counts)[:-1]))
-        offs_lens.append((starts[client_code], counts[client_code]))
-        pos += len(subset)
+        key = unit * n_codes + pot_code[flat_subsets]
+        parts.append(flat_subsets[np.argsort(key, kind="stable")])
+        counts = np.bincount(key, minlength=len(subsets) * n_codes)
+        starts = (pos + np.cumsum(counts) - counts).reshape(-1, n_codes)
+        counts = counts.reshape(-1, n_codes)
+        offs_lens.append((starts[:, client_code], counts[:, client_code]))
+        pos += len(flat_subsets)
+    flat = np.concatenate(parts)
     (c_off, c_len), (k_off, k_len) = offs_lens
-    return np.concatenate(parts), c_off, c_len, k_off, k_len
+    return [(flat, c_off[j], c_len[j], k_off[j], k_len[j])
+            for j in range(len(subsets))]
 
 
 def redirect_local(

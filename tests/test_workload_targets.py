@@ -136,7 +136,7 @@ class TestLocalityPools:
     ])
     def test_matches_brute_force(self, subset):
         codes = locality_codes(self.POTS, self.CLIENTS)
-        flat, c_off, c_len, k_off, k_len = locality_pools(subset, *codes)
+        flat, c_off, c_len, k_off, k_len = locality_pools([subset], *codes)[0]
         want = _brute_force_pools(subset, self.POTS, self.CLIENTS)
         for i, (country, continent) in enumerate(want):
             assert flat[c_off[i]:c_off[i] + c_len[i]].tolist() == country
@@ -145,8 +145,11 @@ class TestLocalityPools:
     def test_generated_campaigns_match_brute_force(self, small_generator):
         engine = small_generator.engine
         codes = engine.population.country_codes
-        for r in small_generator.realized[:40]:
-            flat, c_off, c_len, k_off, k_len = engine.locality_pools(r.pot_subset)
+        # One pass over 40 subsets: each keeps its own offsets into the
+        # shared flat array.
+        realized = small_generator.realized[:40]
+        pools = engine.locality_pools([r.pot_subset for r in realized])
+        for r, (flat, c_off, c_len, k_off, k_len) in zip(realized, pools):
             want = _brute_force_pools(r.pot_subset, engine.pot_countries, codes)
             for i, (country, continent) in enumerate(want):
                 assert flat[c_off[i]:c_off[i] + c_len[i]].tolist() == country
