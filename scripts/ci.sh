@@ -366,6 +366,31 @@ python -m pytest benchmarks --setup-plan -p no:benchmark \
 echo "fixture plan ok ($(grep -c '::test_' "$SCRATCH/setup_plan.txt")" \
     "paper benches, every fixture resolved)"
 
+echo "== traced perf smoke (gen-10k-w1 --trace 1: the harness's plan and finalize hooks resolve) =="
+# The paired gate below runs untraced, so only this stage notices when a
+# name benchmarks/perf/tracing.py wraps (shards._plan_for,
+# TraceGenerator._build_day_buckets / _realize_campaigns / _finalize) or
+# reads (plan.gen.realized) stops resolving: the run fails or the layer
+# reads 0.
+python benchmarks/perf/run.py --workload gen-10k-w1 --seconds 1 --trace 1 \
+    > "$SCRATCH/traced.out" 2> "$SCRATCH/traced.err" \
+    || { cat "$SCRATCH/traced.out" "$SCRATCH/traced.err"
+         echo "traced perf smoke FAILED: run.py exited non-zero"; exit 1; }
+python - "$SCRATCH/traced.out" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1], encoding="utf-8") as fh:
+    metrics = json.loads(fh.read().splitlines()[-1])["metrics"]
+need = ("workload.plan_s", "workload.plan.day_buckets_s",
+        "workload.plan.realize_campaigns_s", "workload.finalize_s")
+zero = [m for m in need if not metrics.get(m, {}).get("value", 0) > 0]
+if zero:
+    raise SystemExit(f"traced perf smoke FAILED: not > 0: {zero}")
+print("traced perf smoke ok ("
+      + ", ".join(f"{m} {metrics[m]['value']:.3f} s" for m in need) + ")")
+PY
+
 echo "== paired perf gate (working tree vs its parent commit: gen-10k-w1 x3, gen-100k-pool1 x2, stream-10k x3) =="
 # Head is the working tree's files.  Base is the commit they change: HEAD
 # while the tree has uncommitted or untracked files, HEAD~1 once it is

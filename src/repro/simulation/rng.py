@@ -150,35 +150,12 @@ class RngStream:
         """Uniform integer in ``[low, high)``."""
         return int(self._rng.integers(low, high))
 
-    def exponential(self, mean: float) -> float:
-        return float(self._rng.exponential(mean))
-
     def lognormal(self, mean: float, sigma: float) -> float:
         return float(self._rng.lognormal(mean, sigma))
 
     def pareto(self, alpha: float, scale: float = 1.0) -> float:
         """Pareto draw with minimum ``scale`` and tail exponent ``alpha``."""
         return float(scale * (1.0 + self._rng.pareto(alpha)))
-
-    def poisson(self, lam: float) -> int:
-        if lam <= 0:
-            return 0
-        return int(self._rng.poisson(lam))
-
-    def binomial(self, n: int, p: float) -> int:
-        if n <= 0 or p <= 0:
-            return 0
-        return int(self._rng.binomial(n, min(p, 1.0)))
-
-    def normal(self, mean: float = 0.0, std: float = 1.0) -> float:
-        return float(self._rng.normal(mean, std))
-
-    def zipf(self, alpha: float, max_value: Optional[int] = None) -> int:
-        """Zipf draw (>= 1), optionally truncated at ``max_value``."""
-        while True:
-            value = int(self._rng.zipf(alpha))
-            if max_value is None or value <= max_value:
-                return value
 
     def geometric(self, p: float) -> int:
         return int(self._rng.geometric(p))

@@ -45,8 +45,8 @@ class HashIdColumn:
 
     Row ``i`` is ``values[offsets[i]:offsets[i+1]]``; indexing returns the
     row as a tuple (the historical list-of-tuples interface), while the
-    vectorised accessors (``values``, ``offsets``, ``lengths``, ``take``,
-    ``remap``) are what persistence, filtering and the analyses use.
+    vectorised accessors (``values``, ``offsets``, ``lengths``, ``take``)
+    are what persistence, filtering and the analyses use.
     """
 
     __slots__ = ("values", "offsets", "_lengths")
@@ -119,15 +119,6 @@ class HashIdColumn:
         starts = self.offsets[idx]
         flat = np.repeat(starts - offsets[:-1], lens) + np.arange(total)
         return HashIdColumn(self.values[flat], offsets)
-
-    def remap(self, mapping: np.ndarray) -> "HashIdColumn":
-        """A new column with every value replaced by ``mapping[value]``."""
-        if not len(self.values):
-            return HashIdColumn(self.values, self.offsets)
-        return HashIdColumn(
-            np.take(np.asarray(mapping, dtype=np.int64), self.values),
-            self.offsets,
-        )
 
 
 class HashBlockCsr:

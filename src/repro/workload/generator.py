@@ -1,23 +1,30 @@
 """The 15-month trace generator.
 
 Plans the scenario behind one :class:`~repro.workload.dataset.HoneyfarmDataset`
-and emits it range by range:
+and emits it range by range.  The constructor owns the plan: it runs steps
+1-4 in order and leaves each result in a public attribute.
 
 1. build the farm (221 pots / 55 countries / 65 ASes) and the synthetic geo
    registry;
 2. build the client population (roles, lifetimes, breadth, country mix) and
-   per-client honeypot target sets;
-3. realise the attack campaigns (marquee + mid-tail), profiling each script
+   per-client honeypot target sets (``population``, ``target_table``);
+3. draw the activity calendar (``day_buckets``) and realise the attack
+   campaigns (``realized``: marquee + mid-tail), profiling each script
    through the real honeypot shell;
-4. plan the singleton writers and the daily budgets of the background
-   categories (scanning, scouting, NO_CMD including the Russian-datacenter
-   prefix, recon-only CMD, uncatalogued CMD+URI droppers);
-5. emit any range of campaign days, writers or background days through a
-   caller's emitter.
+4. plan the singleton writers (``writers``, ``writer_pots``,
+   ``writer_sessions``) and the background categories' daily ``budgets``
+   and setups (``fail_log_spike``, ``ru``, ``ru_pots``): scanning,
+   scouting, NO_CMD including the Russian-datacenter prefix, recon-only
+   CMD, uncatalogued CMD+URI droppers;
+5. emit any range of campaign days (``engine.emit_units``), writers
+   (:meth:`TraceGenerator.emit_singletons`) or background days
+   (:meth:`TraceGenerator.emit_background`) through a caller's emitter;
+   each entry point derives the stream its range draws from.
 
 The sharded pipeline (:mod:`repro.workload.shards`, driven by
-:mod:`repro.sched`) plans once, emits per shard and wraps the merged store
-with :meth:`TraceGenerator._finalize`.
+:mod:`repro.sched`) lays the finished plan out in shards, emits per shard
+and wraps the merged store with :meth:`TraceGenerator._finalize`, the
+scheduler's one private call.
 """
 
 from __future__ import annotations
@@ -176,7 +183,8 @@ class _RuPrefixClients:
 
 
 class TraceGenerator:
-    """Stateful generator for one scenario run."""
+    """One scenario run's plan, built whole by the constructor, and the
+    emitters that draw its sessions range by range."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -244,15 +252,22 @@ class TraceGenerator:
             pot_countries=self.pot_countries,
         )
 
-        self._day_buckets: Dict[str, List[np.ndarray]] = {}
-        #: Background daily budgets and setups (:meth:`_plan_background`).
-        self.budgets: Dict[str, np.ndarray] = {}
-        self.realized: List[RealizedCampaign] = []
         self._locality_cache: Optional[Tuple[np.ndarray, ...]] = None
+
+        with metrics.span("calendar"):
+            self.day_buckets = self._build_day_buckets()
+        with metrics.span("campaigns"):
+            self.realized = self._realize_campaigns()
+        with metrics.span("writers"):
+            self.writers, self.writer_pots, self.writer_sessions = (
+                self._plan_writers())
+        self.budgets = self._background_budgets()
+        self.fail_log_spike = self._fail_log_setup()
+        self.ru, self.ru_pots = self._no_cmd_setup()
 
     # -- client activity calendar --------------------------------------------
 
-    def _build_day_buckets(self) -> None:
+    def _build_day_buckets(self) -> Dict[str, List[np.ndarray]]:
         """Per category and day, the active clients holding its role.
 
         Each client's active days (:func:`sample_active_days`, drawn in
@@ -288,10 +303,10 @@ class TraceGenerator:
             bounds = np.searchsorted(day[holds], every_day).tolist()
             buckets[cat] = [cat_clients[bounds[d]:bounds[d + 1]]
                             for d in range(n_days)]
-        self._day_buckets = buckets
+        return buckets
 
     def _active_clients(self, category: str, day: int, rng: RngStream) -> np.ndarray:
-        bucket = self._day_buckets[category][day]
+        bucket = self.day_buckets[category][day]
         if len(bucket):
             return bucket
         role = next(r for r, cat in _ROLE_CATEGORY if cat == category)
@@ -344,10 +359,11 @@ class TraceGenerator:
     # -- category emitters ---------------------------------------------------------
     #
     # Each ``_*_range`` emits the days ``[start, stop)`` of one category as
-    # ONE block from one stream (``<category>.r<start>``, one per shard)
-    # through the shard's emitter: the per-day loop only assigns the day's
-    # sessions to clients (and emits the per-day trace event and counter);
-    # every other column is drawn once over the whole range.
+    # ONE block from one stream (``<category>.r<start>``, one per shard,
+    # derived by :meth:`emit_background`) through the shard's emitter: the
+    # per-day loop only assigns the day's sessions to clients (and emits
+    # the per-day trace event and counter); every other column is drawn
+    # once over the whole range.
 
     def _day_runs(self, category: str, kind: str, rng: RngStream, start: int,
                   stop: int, budgets: np.ndarray) -> _DayRuns:
@@ -545,14 +561,13 @@ class TraceGenerator:
         )
         _metric_inc("generator.sessions.NO_CMD", m)
 
-    def _realize_campaigns(self) -> None:
+    def _realize_campaigns(self) -> List[RealizedCampaign]:
         """Realise and rescale all campaigns without emitting any sessions."""
         rng = self.rng.child("midtail")
         specs = marquee_campaigns() + midtail_campaigns(
             self.config.n_midtail_campaigns, rng, self.config.intel_coverage
         )
-        realized = [self.engine.realize(spec) for spec in specs]
-        self.realized = [r for r in realized if r is not None]
+        realized = [r for r in map(self.engine.realize, specs) if r is not None]
 
         # Clamp total campaign volume per category so background traffic
         # retains its budget share. Rescaling trims a campaign's schedule
@@ -561,13 +576,14 @@ class TraceGenerator:
         for category, cap_share in (("CMD", 0.72), ("CMD_URI", 0.70)):
             cap = int(self.config.sessions_for(category) * cap_share)
             total = sum(
-                r.total_sessions for r in self.realized if r.category == category
+                r.total_sessions for r in realized if r.category == category
             )
             if total > cap > 0:
                 factor = cap / total
-                for r in self.realized:
+                for r in realized:
                     if r.category == category:
                         r.schedule = _rescale_schedule(r.schedule, factor)
+        return realized
 
     # -- singleton writers ---------------------------------------------------------
     #
@@ -577,42 +593,41 @@ class TraceGenerator:
     # honeypot.  Selection and the per-writer plan happen once in the plan;
     # shards emit the per-session columns for slices of the writers.
 
-    def _singleton_writers(self, rng: RngStream) -> np.ndarray:
-        """Singleton-writer selection (population indices)."""
+    def _plan_writers(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(population index, target pot, session count) per writer.
+
+        The selection draws from ``singletons``, the pots and counts (two
+        vector draws) from ``singletons.plan``.  A singleton file surfaces
+        wherever its writer happened to intrude; spreading them uniformly
+        over the writer's targets keeps the top pots' unique-hash coverage
+        small (the paper's strongest diversity argument: the best pot sees
+        <5%).
+        """
+        rng = self.rng.child("singletons")
         cmd_clients = self.population.with_role(ClientRole.CMD)
         n_writers = min(self.config.n_singleton_hashes, len(cmd_clients))
-        if n_writers == 0:
-            return np.zeros(0, dtype=np.int64)
-        picked = rng.choice_indices(len(cmd_clients), size=n_writers, replace=False)
-        return cmd_clients[np.asarray(picked)]
-
-    def _singleton_plan(
-        self, rng: RngStream, writers: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(target pot, session count) per writer: two vector draws.
-
-        A singleton file surfaces wherever its writer happened to intrude;
-        spreading them uniformly over the writer's targets keeps the top
-        pots' unique-hash coverage small (the paper's strongest diversity
-        argument: the best pot sees <5%).
-        """
+        writers = np.zeros(0, dtype=np.int64)
+        if n_writers:
+            picked = rng.choice_indices(len(cmd_clients), size=n_writers,
+                                        replace=False)
+            writers = cmd_clients[np.asarray(picked)]
+        rng = self.rng.child("singletons.plan")
         table = self.target_table
         lo = table.offsets[writers]
         pick = rng.randint_array(0, table.offsets[writers + 1] - lo)
         pots = table.pots[lo + pick]
         n_sessions = 1 + rng.randint_array(0, np.full(len(writers), 3))
-        return pots, n_sessions
+        return writers, pots, n_sessions
 
-    def _singletons_range(
-        self,
-        emitter: SessionEmitter,
-        rng: RngStream,
-        writers: np.ndarray,
-        pots: np.ndarray,
-        n_sessions: np.ndarray,
-    ) -> None:
-        """Emit the writers' sessions as one block (writer order, then
-        sessions) through ``emitter``."""
+    def emit_singletons(self, emitter: SessionEmitter, start: int,
+                        stop: int) -> None:
+        """Emit writer slots ``[start, stop)`` as one block (writer order,
+        then sessions) through ``emitter``, drawing from stream
+        ``singletons.r<start>``."""
+        rng = self.rng.child(f"singletons.r{start}")
+        writers = self.writers[start:stop]
+        pots = self.writer_pots[start:stop]
+        n_sessions = self.writer_sessions[start:stop]
         pop = self.population
         builder = emitter.builder
         profiles = self.runner.profile_many(
@@ -656,18 +671,18 @@ class TraceGenerator:
 
     # -- background planning ---------------------------------------------------------
 
-    def _plan_background(self, singleton_sessions: int) -> None:
-        """Daily budgets and fixed setups of the background categories.
+    def _background_budgets(self) -> Dict[str, np.ndarray]:
+        """Daily budgets of the background categories; draws nothing.
 
         CMD and CMD+URI background traffic fills what the realised
-        campaigns (and, for CMD, the ``singleton_sessions``) leave of each
-        category's share.  Draws only from the setups' own named streams.
+        campaigns (and, for CMD, the singleton writers' sessions) leave of
+        each category's share.
         """
         cfg = self.config
-        planned = {"CMD": singleton_sessions, "CMD_URI": 0}
+        planned = {"CMD": int(self.writer_sessions.sum()), "CMD_URI": 0}
         for r in self.realized:
             planned[r.category] += r.total_sessions
-        self.budgets = {
+        budgets = {
             "bg_cmd": _daily_budgets(
                 max(0, cfg.sessions_for("CMD") - planned["CMD"]),
                 self.envelopes["CMD"]),
@@ -676,16 +691,14 @@ class TraceGenerator:
         }
         for kind, category in (("no_cred", "NO_CRED"), ("fail_log", "FAIL_LOG"),
                                ("no_cmd", "NO_CMD")):
-            self.budgets[kind] = _daily_budgets(
+            budgets[kind] = _daily_budgets(
                 cfg.sessions_for(category), self.envelopes[category])
-        self.fail_log_spike = self._fail_log_setup()
-        self.ru, self.ru_pots = self._no_cmd_setup()
+        return budgets
 
-    def _background_range(
-        self, kind: str, emitter: SessionEmitter, rng: RngStream, start: int,
-        stop: int,
-    ) -> None:
-        """Emit days ``[start, stop)`` of background category ``kind``."""
+    def emit_background(self, kind: str, emitter: SessionEmitter, start: int,
+                        stop: int) -> None:
+        """Emit days ``[start, stop)`` of background category ``kind``
+        through ``emitter``, drawing from stream ``<kind>.r<start>``."""
         emit = {
             "bg_cmd": self._bg_cmd_range,
             "bg_uri": self._bg_uri_range,
@@ -693,7 +706,8 @@ class TraceGenerator:
             "fail_log": self._fail_log_range,
             "no_cmd": self._no_cmd_range,
         }[kind]
-        emit(emitter, rng, start, stop, self.budgets[kind])
+        emit(emitter, self.rng.child(f"{kind}.r{start}"), start, stop,
+             self.budgets[kind])
 
     # -- background CMD / CMD+URI ----------------------------------------------------
 
@@ -778,7 +792,7 @@ class TraceGenerator:
         # naturally active: the paper's CMD+URI activity is bursty and its
         # client IPs are short-lived (Figs 11/13).
         bucket_sizes = np.array(
-            [len(self._day_buckets["CMD_URI"][d]) for d in range(self.config.n_days)],
+            [len(self.day_buckets["CMD_URI"][d]) for d in range(self.config.n_days)],
             dtype=float,
         )
         envelope = self.envelopes["CMD_URI"] * np.where(bucket_sizes > 0, 1.0, 0.02)

@@ -1,9 +1,11 @@
 """Sharded, multiprocess trace generation.
 
-The scenario is partitioned into shards keyed by (traffic unit, range):
-realised campaigns (grouped when small, split at day positions when large),
-slices of the singleton-writer pool, and day ranges of every background
-category.  Each shard draws from ONE named
+:class:`~repro.workload.generator.TraceGenerator` builds the whole plan;
+:class:`ShardPlan` only lays it out.  The scenario is partitioned into
+shards keyed by (traffic unit, range): realised campaigns (grouped when
+small, split at day positions when large), slices of the singleton-writer
+pool, and day ranges of every background category.  Each shard draws from
+ONE named
 :class:`~repro.simulation.rng.RngStream` derived from its key
 (``no_cred.r17``, ``campaigns.emit.<cid>`` per campaign of a group,
 ``campaigns.emit.<cid>.p<start>``, ``singletons.r<start>``), drawing each
@@ -61,28 +63,16 @@ class Shard:
 
 
 class ShardPlan:
-    """Everything shared by all shards: realised campaigns, the singleton
-    writers' plan and the generator's background budgets.
+    """The shard layout over a finished plan (``gen``), drawing nothing.
 
     Built once per config in the parent process; under a fork start method
     workers inherit it copy-on-write, under spawn each worker rebuilds it
-    (identically — construction only uses named rng streams).
+    (identically — the plan only uses named rng streams).
     """
 
     def __init__(self, gen: TraceGenerator):
         self.gen = gen
-        metrics = get_metrics()
-        with metrics.span("calendar"):
-            gen._build_day_buckets()
-        with metrics.span("campaigns"):
-            gen._realize_campaigns()
         self.campaigns_by_id = {r.spec.campaign_id: r for r in gen.realized}
-
-        with metrics.span("writers"):
-            self.writers = gen._singleton_writers(gen.rng.child("singletons"))
-            self.writer_pots, self.writer_sessions = gen._singleton_plan(
-                gen.rng.child("singletons.plan"), self.writers)
-        gen._plan_background(int(self.writer_sessions.sum()))
         self.shards = self._enumerate()
 
     def _shard_target(self) -> int:
@@ -92,7 +82,7 @@ class ShardPlan:
         process for a given config.
         """
         total = sum(r.total_sessions for r in self.gen.realized)
-        total += len(self.writers)  # one-session floor per writer
+        total += len(self.gen.writers)  # one-session floor per writer
         total += int(sum(int(b.sum()) for b in self.gen.budgets.values()))
         return min(max(total // _TARGET_SHARDS, _MIN_SHARD_SESSIONS),
                    _MAX_SHARD_SESSIONS)
@@ -153,11 +143,12 @@ class ShardPlan:
                 close_group(pos + 1)
         close_group(len(realized))
 
-        writer_chunk = max(1, min(len(self.writers), target))
-        for lo in range(0, len(self.writers), writer_chunk):
+        n_writers = len(self.gen.writers)
+        writer_chunk = max(1, min(n_writers, target))
+        for lo in range(0, n_writers, writer_chunk):
             shards.append(Shard(
                 "singletons", "singletons",
-                lo, min(lo + writer_chunk, len(self.writers)),
+                lo, min(lo + writer_chunk, n_writers),
             ))
 
         n_days = self.gen.config.n_days
@@ -209,8 +200,8 @@ def plan_digest(plan: ShardPlan) -> str:
     for record in gen.registry.records():
         h.update(repr((record.asn, record.country, record.network_type.value,
                        record.name, [str(p) for p in record.prefixes])).encode())
-    for cat in sorted(gen._day_buckets):
-        for day, bucket in enumerate(gen._day_buckets[cat]):
+    for cat in sorted(gen.day_buckets):
+        for day, bucket in enumerate(gen.day_buckets[cat]):
             put(f"day.{cat}.{day}", np.asarray(bucket, dtype=np.int64))
     for r in gen.realized:
         cid = r.spec.campaign_id
@@ -224,9 +215,9 @@ def plan_digest(plan: ShardPlan) -> str:
             put(f"c.{cid}.members.{day}",
                 np.asarray(r.members_by_day[day], dtype=np.int64))
         put(f"c.{cid}.script_id", np.int64(r.script_id))
-    put("writers", plan.writers)
-    put("writer_pots", plan.writer_pots)
-    put("writer_sessions", plan.writer_sessions)
+    put("writers", gen.writers)
+    put("writer_pots", gen.writer_pots)
+    put("writer_sessions", gen.writer_sessions)
     for kind in sorted(gen.budgets):
         put(f"budget.{kind}", gen.budgets[kind])
     return h.hexdigest()
@@ -257,16 +248,9 @@ def _emit_shard_body(plan: ShardPlan, shard: Shard) -> ShardPayload:
         gen.engine.emit_units([(r, sorted(r.schedule), gen.engine.stream_for(r))
                                for r in gen.realized[start:stop]], emitter)
     elif kind == "singletons":
-        gen._singletons_range(
-            emitter,
-            gen.rng.child(f"singletons.r{start}"),
-            plan.writers[start:stop],
-            plan.writer_pots[start:stop],
-            plan.writer_sessions[start:stop],
-        )
+        gen.emit_singletons(emitter, start, stop)
     elif kind in BACKGROUND:
-        gen._background_range(kind, emitter,
-                              gen.rng.child(f"{kind}.r{start}"), start, stop)
+        gen.emit_background(kind, emitter, start, stop)
     else:
         raise ValueError(f"unknown shard kind: {kind}")
     return builder.payload()

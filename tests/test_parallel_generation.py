@@ -114,8 +114,8 @@ def test_fresh_plans_enumerate_equal_shards(sharded_config):
     first = ShardPlan(TraceGenerator(sharded_config))
     second = ShardPlan(TraceGenerator(sharded_config))
     assert first.shards == second.shards
-    assert np.array_equal(first.writer_pots, second.writer_pots)
-    assert np.array_equal(first.writer_sessions, second.writer_sessions)
+    assert np.array_equal(first.gen.writer_pots, second.gen.writer_pots)
+    assert np.array_equal(first.gen.writer_sessions, second.gen.writer_sessions)
 
 
 def _record(i: int, honeypot: str, country: str, **kw) -> SessionRecord:

@@ -49,7 +49,6 @@ def test_day_buckets_match_per_client_appends():
     as appending each client's active days in client order did."""
     gen = TraceGenerator(ScenarioConfig.from_denominator(80000, seed=7,
                                                          hash_scale=0.004))
-    gen._build_day_buckets()
     n_days = gen.config.n_days
     pop = gen.population
     rng = gen.rng.child("calendar")
@@ -63,7 +62,7 @@ def test_day_buckets_match_per_client_appends():
                     if d < n_days:
                         want[cat][d].append(i)
     for cat, days in want.items():
-        got = gen._day_buckets[cat]
+        got = gen.day_buckets[cat]
         assert len(got) == n_days
         for day, clients in enumerate(days):
             assert got[day].tolist() == clients

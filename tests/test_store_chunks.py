@@ -305,16 +305,6 @@ class TestHashIdColumnProperties:
         taken = col.take(np.asarray(idx, dtype=np.int64))
         assert list(taken) == [lists[i] for i in idx]
 
-    @given(lists=hash_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_remap_matches_python_map(self, lists):
-        col = HashIdColumn.from_lists(lists)
-        mapping = np.arange(1_001, dtype=np.int64)[::-1]
-        remapped = col.remap(mapping)
-        assert list(remapped) == [
-            tuple(int(mapping[h]) for h in t) for t in lists
-        ]
-
     def test_negative_indexing_and_offsets(self):
         col = HashIdColumn.from_lists([(1,), (), (2, 3)])
         assert col[-1] == (2, 3)

@@ -108,10 +108,7 @@ def small_generator():
     from repro.workload.config import ScenarioConfig
     from repro.workload.generator import TraceGenerator
 
-    gen = TraceGenerator(ScenarioConfig(scale=1 / 80000, seed=7, hash_scale=0.004))
-    gen._build_day_buckets()
-    gen._realize_campaigns()
-    return gen
+    return TraceGenerator(ScenarioConfig(scale=1 / 80000, seed=7, hash_scale=0.004))
 
 
 def _brute_force_pools(subset, pot_countries, client_countries):
