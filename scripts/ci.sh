@@ -83,7 +83,7 @@ for code, category in enumerate(CATEGORIES):
 batch_daily = daily_totals(store)
 if not np.array_equal(analytics.sessions_per_day(len(batch_daily)), batch_daily):
     raise SystemExit("sessions-per-day diverged between streaming and batch")
-# __eq__ compares every sketch: HLL registers, count-min tables, top-k.
+# __eq__ compares every sketch: HLL registers, top-k tables, exact counters.
 # The top-k clients table must evict, so the fold order is under test.
 if analytics.topk_clients.error() <= 0:
     raise SystemExit("top-k clients never evicted: the smoke no longer "

@@ -476,9 +476,9 @@ def _monitor_demo(args, monitor, analytics=None) -> int:
 
 def cmd_top(args) -> int:
     """Scheduler dashboard: replay/tail a trace, or run a demo generate."""
-    from repro.obs.ledger import SchedFold
+    from repro.obs.ledger import TopFold
 
-    fold = SchedFold()
+    fold = TopFold()
     if args.input:
         return _top_tail(args, fold)
     return _top_demo(args, fold)

@@ -154,12 +154,6 @@ class ClientPopulation:
             self._by_role[key] = found
         return found
 
-    def country_code(self, client_index: int) -> str:
-        return self.country_codes[int(self.country[client_index])]
-
-    def role_count(self, role: ClientRole) -> int:
-        return int(((self.roles & int(role)) != 0).sum())
-
     def sample_intruders(
         self,
         rng: RngStream,

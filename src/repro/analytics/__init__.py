@@ -1,13 +1,12 @@
 """Streaming sketch analytics (``repro.analytics``).
 
-Mergeable sketches (:mod:`~repro.analytics.sketches`) and the
+Sketches (:mod:`~repro.analytics.sketches`) and the
 :class:`~repro.analytics.streaming.StreamingAnalytics` consumer that
 answers the batch :class:`~repro.core.context.AnalysisContext` headline
 queries over a live event stream — see DESIGN.md §6g.
 """
 
 from repro.analytics.sketches import (
-    CountMinSketch,
     ExactCounter,
     HyperLogLog,
     SpaceSaving,
@@ -25,7 +24,6 @@ from repro.analytics.streaming import (
 __all__ = [
     "AnalyticsConfig",
     "CATEGORY_NAMES",
-    "CountMinSketch",
     "ExactCounter",
     "HyperLogLog",
     "SpaceSaving",

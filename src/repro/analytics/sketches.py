@@ -1,46 +1,24 @@
-"""From-scratch mergeable sketches for streaming farm analytics.
+"""From-scratch sketches for streaming farm analytics.
 
-Four summaries cover the aggregate tables the batch :class:`AnalysisContext`
+Three summaries cover the aggregate tables the batch :class:`AnalysisContext`
 computes from a frozen store:
 
 * :class:`HyperLogLog` — unique client IPs / unique file hashes.
-* :class:`CountMinSketch` — per-key occurrence estimates (hash occurrence
-  counts) with a one-sided overestimate guarantee.
 * :class:`SpaceSaving` — top-k heavy hitters (hashes, clients, ASNs),
-  implemented as the mergeable Misra–Gries summary (the space-saving and
+  implemented as the Misra–Gries summary (the space-saving and
   Misra–Gries summaries are isomorphic: a space-saving counter equals the
   Misra–Gries counter plus the accumulated decrement).
 * :class:`ExactCounter` — exact online accumulator for low-cardinality
   keys (category mix, sessions per day) where no approximation is needed.
 
-Merge algebra
--------------
-Per-shard sketches fold with the same shard-ordered discipline as
-``Metrics.merge`` / ``Tracer.fold``:
-
-* HyperLogLog merge is a register-wise ``max`` — commutative, associative
-  and idempotent, so the fold result is independent of worker count and
-  arrival order.
-* Count-min merge is a cell-wise sum — commutative and associative (not
-  idempotent: merging a sketch with itself doubles counts, as it must).
-* ``SpaceSaving.merge`` sums counters key-wise, then performs one
-  Misra–Gries reduction (subtract the (capacity+1)-th largest counter,
-  drop non-positive).  The reduction depends only on the *multiset* of
-  counter values, so the merge is commutative; it is exactly associative
-  whenever capacity covers the distinct keys (no reduction fires), and
-  otherwise the documented error envelope below still holds for any fold
-  shape.
-* ``ExactCounter`` merge is a key-wise sum — commutative and associative.
+Each sketch has a scalar ``add`` and a batch ``add_many``; the batch path
+is the reference the tests hold the scalar path to, cell for cell.
 
 Error bounds (documented, pinned by tests)
 ------------------------------------------
 * HyperLogLog with ``m = 2**p`` registers: relative standard error
   ``1.04 / sqrt(m)`` (``rel_error``); small cardinalities fall back to
   linear counting, which is far tighter.
-* Count-min with width ``w`` and depth ``d``: for every key,
-  ``true <= estimate`` always, and ``estimate <= true + epsilon * total``
-  with probability at least ``1 - delta`` per query, where
-  ``epsilon = e / w`` and ``delta = exp(-d)``.
 * SpaceSaving with capacity ``k``: every stored counter is a lower bound
   on the true frequency, ``count <= true <= count + error()``; a key
   whose true frequency exceeds ``error()`` is always present.  ``error()``
@@ -161,18 +139,9 @@ def _leading_zeros64(x: np.ndarray) -> np.ndarray:
     return n
 
 
-def _require_compatible(a, b) -> None:
-    if type(a) is not type(b) or a.signature() != b.signature():
-        raise ValueError(
-            f"cannot merge incompatible sketches: "
-            f"{type(a).__name__}{a.signature()} vs "
-            f"{type(b).__name__}{b.signature()}"
-        )
-
-
 def _remember(cache: Dict[KeyLike, tuple], key: KeyLike, cells: tuple) -> tuple:
     """Cache ``key``'s cells, which follow from the key and the sketch's
-    seeds alone: not sketch state, so equality, merge and copy ignore it."""
+    seeds alone: not sketch state, so equality ignores it."""
     if len(cache) >= CELL_CACHE_MAX:
         cache.clear()
     cache[key] = cells
@@ -219,12 +188,6 @@ class HyperLogLog:
         p = self.p
         return h >> (64 - p), min(65 - ((h << p) & _MASK64).bit_length(), 65 - p)
 
-    def add_hash(self, h: int) -> None:
-        """Fold one pre-hashed value (from :func:`hash_key`) in."""
-        idx, rank = self._cell(h)
-        if rank > self.registers[idx]:
-            self.registers[idx] = rank
-
     def add_many(self, values: Sequence[KeyLike]) -> None:
         self.add_hashes(hash_keys(values, self.seed))
 
@@ -262,22 +225,6 @@ class HyperLogLog:
         spread = sigmas * self.rel_error * est
         return (max(0.0, est - spread), est + spread)
 
-    def merge(self, other: "HyperLogLog") -> "HyperLogLog":
-        """Fold ``other`` in (register-wise max).  Returns ``self``."""
-        _require_compatible(self, other)
-        np.maximum(self.registers, other.registers, out=self.registers)
-        return self
-
-    def copy(self) -> "HyperLogLog":
-        clone = HyperLogLog.__new__(HyperLogLog)
-        clone.name = self.name
-        clone.p = self.p
-        clone.m = self.m
-        clone.seed = self.seed
-        clone.registers = self.registers.copy()
-        clone._cells = {}
-        return clone
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HyperLogLog):
             return NotImplemented
@@ -288,117 +235,8 @@ class HyperLogLog:
     __hash__ = None  # type: ignore[assignment]
 
 
-class CountMinSketch:
-    """Count-min sketch: ``depth`` rows of ``width`` counters.
-
-    Each row hashes keys with an independently derived seed; a point
-    query is the minimum over rows, so estimates are one-sided:
-    ``true <= estimate`` always, and ``estimate <= true + epsilon * total``
-    with probability ``>= 1 - delta``, where ``epsilon = e / width`` and
-    ``delta = exp(-depth)``.
-    """
-
-    def __init__(self, seed: int, name: str, width: int = 2048, depth: int = 4):
-        if width < 1 or depth < 1:
-            raise ValueError("CountMinSketch width and depth must be >= 1")
-        self.name = name
-        self.width = width
-        self.depth = depth
-        self.seed = derive_stream_seed(seed, name)
-        self.row_seeds = tuple(
-            derive_stream_seed(self.seed, f"row.{row}") for row in range(depth)
-        )
-        self.table = np.zeros((depth, width), dtype=np.int64)
-        self.total = 0
-        self._cells: Dict[KeyLike, tuple] = {}
-
-    def signature(self) -> Tuple:
-        return (self.name, self.width, self.depth, self.seed)
-
-    @property
-    def epsilon(self) -> float:
-        """Documented additive-error factor: ``e / width``."""
-        return math.e / self.width
-
-    @property
-    def delta(self) -> float:
-        """Documented per-query failure probability: ``exp(-depth)``."""
-        return math.exp(-self.depth)
-
-    def _indices(self, values: Sequence[KeyLike]) -> List[np.ndarray]:
-        return [
-            (hash_keys(values, row_seed) % _U64(self.width)).astype(np.int64)
-            for row_seed in self.row_seeds
-        ]
-
-    def add(self, value: KeyLike, count: int = 1) -> None:
-        """Add ``count`` to one key; same cells as :meth:`add_many`."""
-        count = int(count)
-        cells = self._cells.get(value) or _remember(self._cells, value, tuple(
-            (row, hash_key(value, row_seed) % self.width)
-            for row, row_seed in enumerate(self.row_seeds)))
-        for cell in cells:
-            self.table[cell] += count
-        self.total += count
-
-    def add_many(
-        self, values: Sequence[KeyLike], counts: Optional[Sequence[int]] = None
-    ) -> None:
-        if len(values) == 0:
-            return
-        weights = (
-            np.ones(len(values), dtype=np.int64)
-            if counts is None
-            else np.asarray(counts, dtype=np.int64)
-        )
-        for row, idx in enumerate(self._indices(values)):
-            np.add.at(self.table[row], idx, weights)
-        self.total += int(weights.sum())
-
-    def estimate(self, value: KeyLike) -> int:
-        """Point estimate for one key (min over rows; overestimate)."""
-        return int(min(
-            self.table[row, hash_key(value, row_seed) % self.width]
-            for row, row_seed in enumerate(self.row_seeds)
-        ))
-
-    def error_bound(self) -> float:
-        """``epsilon * total``: the additive slack at confidence 1-delta."""
-        return self.epsilon * self.total
-
-    def merge(self, other: "CountMinSketch") -> "CountMinSketch":
-        """Fold ``other`` in (cell-wise sum).  Returns ``self``."""
-        _require_compatible(self, other)
-        self.table += other.table
-        self.total += other.total
-        return self
-
-    def copy(self) -> "CountMinSketch":
-        clone = CountMinSketch.__new__(CountMinSketch)
-        clone.name = self.name
-        clone.width = self.width
-        clone.depth = self.depth
-        clone.seed = self.seed
-        clone.row_seeds = self.row_seeds
-        clone.table = self.table.copy()
-        clone.total = self.total
-        clone._cells = {}
-        return clone
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CountMinSketch):
-            return NotImplemented
-        return (
-            self.signature() == other.signature()
-            and self.total == other.total
-            and bool(np.array_equal(self.table, other.table))
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-
 class SpaceSaving:
-    """Top-k heavy-hitter summary (mergeable Misra–Gries form).
+    """Top-k heavy-hitter summary (Misra–Gries form).
 
     Keeps at most ``capacity`` counters.  When an insert would exceed
     capacity, the (capacity+1)-th largest counter value is subtracted
@@ -409,11 +247,8 @@ class SpaceSaving:
         ``count(key) <= true(key) <= count(key) + error()``
 
     ``error()`` is the accumulated decrement; keys with true frequency
-    above it can never have been evicted.  Because the reduction depends
-    only on the multiset of counter values, ``merge`` (key-wise sum, one
-    reduction) is commutative; it is exactly associative while capacity
-    covers all distinct keys.  Ties in ``top()`` break on the key, so
-    rendered tables are deterministic.
+    above it can never have been evicted.  Ties in ``top()`` break on the
+    key, so rendered tables are deterministic.
     """
 
     def __init__(self, capacity: int, name: str = "spacesaving"):
@@ -481,24 +316,6 @@ class SpaceSaving:
             ranked = ranked[:k]
         return [(key, count, count + self.decremented) for key, count in ranked]
 
-    def merge(self, other: "SpaceSaving") -> "SpaceSaving":
-        """Fold ``other`` in (key-wise sum + one reduction).  Returns self."""
-        _require_compatible(self, other)
-        for key, count in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + count
-        self.n += other.n
-        self.decremented += other.decremented
-        if len(self.counts) > self.capacity:
-            self._reduce()
-        return self
-
-    def copy(self) -> "SpaceSaving":
-        clone = SpaceSaving(self.capacity, self.name)
-        clone.counts = dict(self.counts)
-        clone.n = self.n
-        clone.decremented = self.decremented
-        return clone
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpaceSaving):
             return NotImplemented
@@ -516,8 +333,7 @@ class ExactCounter:
     """Exact online accumulator for low-cardinality keyed counts.
 
     Used where approximation buys nothing: the five-way category mix and
-    sessions-per-day table.  ``merge`` is a key-wise sum, so the fold is
-    commutative and associative and streaming answers equal the batch
+    sessions-per-day table, where streaming answers equal the batch
     group-by exactly.
     """
 
@@ -546,20 +362,6 @@ class ExactCounter:
     def items(self) -> List[Tuple[KeyLike, int]]:
         """Key-sorted (key, count) pairs — deterministic output order."""
         return sorted(self.counts.items())
-
-    def merge(self, other: "ExactCounter") -> "ExactCounter":
-        """Fold ``other`` in (key-wise sum).  Returns ``self``."""
-        _require_compatible(self, other)
-        for key, count in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + count
-        self.total += other.total
-        return self
-
-    def copy(self) -> "ExactCounter":
-        clone = ExactCounter(self.name)
-        clone.counts = dict(self.counts)
-        clone.total = self.total
-        return clone
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactCounter):

@@ -11,16 +11,8 @@ dataset:
   mix, and sessions per day — streaming answers equal the batch
   group-bys bit for bit;
 * **approximate** (sketches, documented error bounds): unique client
-  IPs and unique file hashes (:class:`HyperLogLog`), per-hash occurrence
-  estimates (:class:`CountMinSketch`), and top-k hash / client / ASN
-  tables (:class:`SpaceSaving`).
-
-Shard discipline mirrors ``Metrics.merge`` / ``Tracer.fold``: run one
-consumer per shard, then fold with :meth:`merge` in shard order; the
-HyperLogLog / count-min / exact answers are identical for any worker
-count and arrival order, and the top-k tables stay within their
-documented error envelope (exact while capacity covers the distinct
-keys).
+  IPs and unique file hashes (:class:`HyperLogLog`), and top-k hash /
+  client / ASN tables (:class:`SpaceSaving`).
 
 Per-session semantics match the batch path: repeated hashes within one
 session count once (``HashOccurrences.build`` dedups the same way), and
@@ -38,12 +30,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.analytics.sketches import (
-    CountMinSketch,
-    ExactCounter,
-    HyperLogLog,
-    SpaceSaving,
-)
+from repro.analytics.sketches import ExactCounter, HyperLogLog, SpaceSaving
 from repro.honeypot.events import (
     CATEGORY_NAMES,
     SESSION_STEPS,
@@ -74,30 +61,24 @@ class AnalyticsConfig:
     """Sketch sizing and the determinism seed.
 
     Defaults target the paper-scale aggregates: ``hll_p=12`` gives a
-    1.6 % relative standard error on cardinalities, ``cms_width=2048`` /
-    ``cms_depth=4`` bound occurrence overestimates by ``e/2048`` of the
-    stream (98.2 % confidence), and ``topk_capacity=512`` keeps top-k
-    tables exact until a shard sees more than 512 distinct keys.
+    1.6 % relative standard error on cardinalities, and
+    ``topk_capacity=512`` keeps top-k tables exact until the stream holds
+    more than 512 distinct keys.
     """
 
     seed: int = 2023
     hll_p: int = 12
-    cms_width: int = 2048
-    cms_depth: int = 4
     topk_capacity: int = 512
 
 
 class StreamingAnalytics:
-    """Mergeable streaming counterpart of the batch aggregate queries."""
+    """Streaming counterpart of the batch aggregate queries."""
 
     def __init__(self, config: Optional[AnalyticsConfig] = None):
         cfg = config or AnalyticsConfig()
         self.config = cfg
         self.hll_clients = HyperLogLog(cfg.seed, "analytics.hll.clients", cfg.hll_p)
         self.hll_hashes = HyperLogLog(cfg.seed, "analytics.hll.hashes", cfg.hll_p)
-        self.cms_hashes = CountMinSketch(
-            cfg.seed, "analytics.cms.hashes", cfg.cms_width, cfg.cms_depth
-        )
         self.topk_hashes = SpaceSaving(cfg.topk_capacity, "analytics.topk.hashes")
         self.topk_clients = SpaceSaving(cfg.topk_capacity, "analytics.topk.clients")
         self.topk_asns = SpaceSaving(cfg.topk_capacity, "analytics.topk.asns")
@@ -160,9 +141,8 @@ class StreamingAnalytics:
               hashes: Sequence[str]) -> None:
         """Fold the columns of a batch of finished sessions (``_Columns``).
 
-        The HLLs take each distinct key once and the count-min each
-        distinct hash once, with its count.  The exact counters count the
-        batch in one loop each, and the top-k tables walk it in order,
+        The HLLs take each distinct key once.  The exact counters count
+        the batch in one loop each, and the top-k tables walk it in order,
         because Misra–Gries eviction depends on it.
         """
         get_metrics().inc("sketch.sessions_observed", len(categories))
@@ -173,9 +153,8 @@ class StreamingAnalytics:
         self.topk_clients.add_many(ips)
         self.topk_asns.add_many(asns)
         if hashes:
-            for sha, count in _tally(hashes).items():
+            for sha in dict.fromkeys(hashes):
                 self.hll_hashes.add(sha)
-                self.cms_hashes.add(sha, count)
             self.topk_hashes.add_many(hashes)
 
     def _closed(self, record: OpenSession) -> None:
@@ -265,33 +244,6 @@ class StreamingAnalytics:
             metrics.inc("sketch.store_sessions_ingested", n)
         return n
 
-    # -- merge -------------------------------------------------------------
-
-    def merge(self, other: "StreamingAnalytics") -> "StreamingAnalytics":
-        """Fold another shard's consumer in (call in shard order).
-
-        Exact accumulators, HLLs and the count-min fold exactly (any
-        order); top-k tables fold within their error envelope.  Open
-        sessions still in flight on either side are carried over.
-        """
-        if self.config != other.config:
-            raise ValueError(
-                f"cannot merge analytics with different configs: "
-                f"{self.config} vs {other.config}"
-            )
-        get_metrics().inc("sketch.merges")
-        self.hll_clients.merge(other.hll_clients)
-        self.hll_hashes.merge(other.hll_hashes)
-        self.cms_hashes.merge(other.cms_hashes)
-        self.topk_hashes.merge(other.topk_hashes)
-        self.topk_clients.merge(other.topk_clients)
-        self.topk_asns.merge(other.topk_asns)
-        self.mix.merge(other.mix)
-        self.days.merge(other.days)
-        self.events_seen += other.events_seen
-        self._sessions.update(other._sessions)
-        return self
-
     # -- query surface (the batch AnalysisContext counterparts) ------------
 
     def session_count(self) -> int:
@@ -326,14 +278,6 @@ class StreamingAnalytics:
     def unique_hashes(self) -> float:
         """Estimated unique file hashes observed (HLL)."""
         return self.hll_hashes.estimate()
-
-    def hash_sessions_estimate(self, sha: str) -> int:
-        """Count-min estimate of sessions that downloaded ``sha``.
-
-        One-sided: ``true <= estimate <= true + cms.error_bound()`` with
-        probability ``1 - cms.delta``.
-        """
-        return self.cms_hashes.estimate(sha)
 
     def top_hashes(self, k: int = 10) -> List[Tuple[str, int, int]]:
         """Top-k hashes by session count as ``(sha, lower, upper)``."""
@@ -392,7 +336,6 @@ class StreamingAnalytics:
             self.config == other.config
             and self.hll_clients == other.hll_clients
             and self.hll_hashes == other.hll_hashes
-            and self.cms_hashes == other.cms_hashes
             and self.topk_hashes == other.topk_hashes
             and self.topk_clients == other.topk_clients
             and self.topk_asns == other.topk_asns
@@ -401,14 +344,6 @@ class StreamingAnalytics:
         )
 
     __hash__ = None  # type: ignore[assignment]
-
-
-def _tally(keys: Iterable[Any]) -> Dict[Any, int]:
-    """How often each key occurs, in first-occurrence order."""
-    counts: Dict[Any, int] = {}
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def _distinct_per_row(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ with evaluation, quantile and summary helpers.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable
 
 import numpy as np
 
@@ -27,11 +27,6 @@ class Ecdf:
             return 0.0
         return float(np.searchsorted(self.values, x, side="right")) / self.n
 
-    def evaluate(self, xs: Sequence[float]) -> np.ndarray:
-        if self.n == 0:
-            return np.zeros(len(xs))
-        return np.searchsorted(self.values, xs, side="right") / self.n
-
     def quantile(self, q: float) -> float:
         """Inverse CDF (q in [0, 1])."""
         if self.n == 0:
@@ -49,13 +44,3 @@ class Ecdf:
         """P(X > x)."""
         return 1.0 - self(x)
 
-    def steps(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(x, F(x)) step coordinates for plotting / printing."""
-        if self.n == 0:
-            return np.zeros(0), np.zeros(0)
-        ys = np.arange(1, self.n + 1) / self.n
-        return self.values, ys
-
-    def summary(self, points: Sequence[float] = (0.05, 0.25, 0.5, 0.75, 0.95)) -> List[Tuple[float, float]]:
-        """[(q, value)] at the requested quantiles."""
-        return [(q, self.quantile(q)) for q in points]

@@ -36,12 +36,6 @@ class FederationReport:
     n_hashes_total: int
 
     @property
-    def mean_coverage(self) -> float:
-        if not self.sub_farms:
-            return 0.0
-        return float(np.mean([s.coverage for s in self.sub_farms]))
-
-    @property
     def best_coverage(self) -> float:
         if not self.sub_farms:
             return 0.0
@@ -52,12 +46,6 @@ class FederationReport:
         """Union coverage (=1.0) over the best single sub-farm's coverage."""
         best = self.best_coverage
         return 1.0 / best if best > 0 else float("inf")
-
-    @property
-    def mean_detection_lag(self) -> float:
-        if not self.sub_farms:
-            return 0.0
-        return float(np.mean([s.mean_detection_lag for s in self.sub_farms]))
 
 
 def split_farm(

@@ -28,12 +28,6 @@ class PercentileBands:
     p75: np.ndarray
     p95: np.ndarray
 
-    def as_dict(self) -> Dict[str, np.ndarray]:
-        return {
-            "days": self.days, "p5": self.p5, "p25": self.p25,
-            "median": self.median, "p75": self.p75, "p95": self.p95,
-        }
-
 
 def daily_sessions_matrix(
     store: StoreOrContext,

@@ -52,33 +52,7 @@ class FarmCollector:
                     sim_time=summary.end_time, sensor=summary.honeypot_id,
                     hashes=len(summary.file_hashes))
 
-    def add_record(self, record: SessionRecord) -> None:
-        """Store a pre-built record (bulk generation path)."""
-        self.builder.append(record)
-        self.sessions_total += 1
-        self.sessions_by_honeypot[record.honeypot_id] = (
-            self.sessions_by_honeypot.get(record.honeypot_id, 0) + 1
-        )
-
     # -- results ----------------------------------------------------------------
-
-    def merge(self, other: "FarmCollector") -> None:
-        """Fold another collector's sessions and counters into this one.
-
-        Lets several collectors run independently (one per worker, or one
-        per honeypot group) and be combined afterwards; interned string ids
-        are remapped by the store layer during adoption.
-        """
-        self.builder.adopt(other.builder)
-        self.sessions_total += other.sessions_total
-        for pot, count in other.sessions_by_honeypot.items():
-            self.sessions_by_honeypot[pot] = (
-                self.sessions_by_honeypot.get(pot, 0) + count
-            )
-        if self.keep_events:
-            self.events.extend(other.events)
-        _trace.emit("collector.merge", sessions=other.sessions_total,
-                    honeypots=len(other.sessions_by_honeypot))
 
     def build_store(self) -> SessionStore:
         return self.builder.build()

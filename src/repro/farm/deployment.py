@@ -73,12 +73,6 @@ class DeploymentPlan:
             counts[site.country] = counts.get(site.country, 0) + 1
         return counts
 
-    def site_by_id(self, honeypot_id: str) -> HoneypotSite:
-        for site in self.sites:
-            if site.honeypot_id == honeypot_id:
-                return site
-        raise KeyError(honeypot_id)
-
     def build_honeypots(self, **honeypot_kwargs) -> List[Honeypot]:
         """Instantiate a live :class:`Honeypot` per site."""
         return [

@@ -239,12 +239,6 @@ class FarmHealthMonitor:
         if ts is not None:
             self._consume(kind, float(ts), sensor, session, data)
 
-    def feed_many(self, events: Iterable[Dict[str, Any]]) -> int:
-        count = 0
-        for count, event in enumerate(events, 1):
-            self.feed(event)
-        return count
-
     # -- consumption ----------------------------------------------------------
 
     def _consume(self, kind: str, ts: float, sensor: str,
@@ -477,9 +471,6 @@ class FarmHealthMonitor:
                                 honeypot_id=honeypot_id, **data)
 
     # -- reporting ------------------------------------------------------------
-
-    def pots_down(self) -> List[str]:
-        return sorted(p.honeypot_id for p in self.pots.values() if not p.up)
 
     def render_table(self, max_pots: int = 30, tail_alerts: int = 12) -> str:
         """The operator's per-pot health table plus the recent alert tail."""

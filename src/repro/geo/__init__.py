@@ -8,14 +8,13 @@ resolve an integer address to ``(asn, country, continent)`` via binary
 search.  The API mirrors what the analysis layer needs from MaxMind.
 """
 
-from repro.geo.continents import Continent, COUNTRY_CONTINENT, continent_of, country_name
+from repro.geo.continents import Continent, COUNTRY_CONTINENT, continent_of
 from repro.geo.registry import AsRecord, NetworkType, GeoRegistry, GeoLookup
 
 __all__ = [
     "Continent",
     "COUNTRY_CONTINENT",
     "continent_of",
-    "country_name",
     "AsRecord",
     "NetworkType",
     "GeoRegistry",

@@ -24,7 +24,7 @@ class Continent(enum.Enum):
         return self.value
 
 
-#: ISO alpha-2 country code -> (continent, human-readable name)
+#: ISO alpha-2 country code -> (continent, human-readable name of the code)
 _COUNTRIES: Dict[str, tuple] = {
     # Asia
     "CN": (Continent.ASIA, "China"),
@@ -122,7 +122,6 @@ _COUNTRIES: Dict[str, tuple] = {
 }
 
 COUNTRY_CONTINENT: Dict[str, Continent] = {cc: v[0] for cc, v in _COUNTRIES.items()}
-COUNTRY_NAMES: Dict[str, str] = {cc: v[1] for cc, v in _COUNTRIES.items()}
 
 ALL_COUNTRIES = sorted(_COUNTRIES)
 
@@ -130,13 +129,3 @@ ALL_COUNTRIES = sorted(_COUNTRIES)
 def continent_of(country: str) -> Continent:
     """Continent of an ISO alpha-2 country code (raises KeyError if unknown)."""
     return COUNTRY_CONTINENT[country]
-
-
-def country_name(country: str) -> str:
-    """Human-readable name of an ISO alpha-2 country code."""
-    return COUNTRY_NAMES[country]
-
-
-def countries_in(continent: Continent) -> list:
-    """All modelled country codes on a continent (sorted)."""
-    return [cc for cc in ALL_COUNTRIES if COUNTRY_CONTINENT[cc] is continent]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.geo.continents import Continent, continent_of
 from repro.net.ip import IPv4Prefix
@@ -126,39 +126,8 @@ class GeoRegistry:
             network_type=record.network_type,
         )
 
-    def country_of(self, address: int) -> Optional[str]:
-        found = self.lookup(address)
-        return found.country if found else None
-
-    def asn_of(self, address: int) -> Optional[int]:
-        found = self.lookup(address)
-        return found.asn if found else None
-
-    def record(self, asn: int) -> AsRecord:
-        return self._records[asn]
-
     def records(self) -> List[AsRecord]:
         return list(self._records.values())
 
-    def ases_in_country(self, country: str) -> List[AsRecord]:
-        return [r for r in self._records.values() if r.country == country]
-
-    def countries(self) -> List[str]:
-        return sorted({r.country for r in self._records.values()})
-
     def __len__(self) -> int:
         return len(self._records)
-
-    # -- geo relations -------------------------------------------------------
-
-    def relation(self, addr_a: int, addr_b: int) -> Tuple[bool, bool]:
-        """(same_country, same_continent) for two addresses.
-
-        Unallocated addresses compare as neither same-country nor
-        same-continent.
-        """
-        a = self.lookup(addr_a)
-        b = self.lookup(addr_b)
-        if a is None or b is None:
-            return (False, False)
-        return (a.country == b.country, a.continent is b.continent)

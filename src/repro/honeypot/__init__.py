@@ -27,7 +27,7 @@ from repro.honeypot.session import (
     SessionSummary,
 )
 from repro.honeypot.honeypot import Honeypot, HoneypotConfig
-from repro.honeypot.protocol import Protocol, SSH_BANNER, TELNET_BANNER
+from repro.honeypot.protocol import Protocol
 from repro.honeypot.uri import extract_uris
 
 __all__ = [
@@ -45,7 +45,5 @@ __all__ = [
     "Honeypot",
     "HoneypotConfig",
     "Protocol",
-    "SSH_BANNER",
-    "TELNET_BANNER",
     "extract_uris",
 ]

@@ -26,7 +26,7 @@ class AuthResult:
 
 
 class AuthPolicy:
-    """Accepts (root, anything-but-"root"); rejects key auth outright."""
+    """Accepts (root, anything-but-"root") password logins."""
 
     def __init__(
         self,
@@ -46,7 +46,3 @@ class AuthPolicy:
         if password == "":
             return AuthResult(False, username, password, reason="empty-password")
         return AuthResult(True, username, password)
-
-    def check_publickey(self, username: str, key_fingerprint: str) -> AuthResult:
-        """Public-key auth is never accepted by the honeyfarm's config."""
-        return AuthResult(False, username, key_fingerprint, reason="publickey-unsupported")

@@ -11,7 +11,6 @@ from repro.obs import inc as _metric_inc
 from repro.obs import trace as _trace
 from repro.honeypot.session import HoneypotSession, SessionConfig, SessionSummary
 from repro.honeypot.shell.resolver import UriResolver
-from repro.net.tcp import SSH_PORT, TELNET_PORT
 
 
 @dataclass
@@ -61,10 +60,6 @@ class Honeypot:
     @property
     def asn(self) -> int:
         return self.config.asn
-
-    @property
-    def open_ports(self) -> List[int]:
-        return [SSH_PORT, TELNET_PORT]
 
     def accept(
         self,
@@ -120,7 +115,3 @@ class Honeypot:
                     self._summary_sink(summary)
                 del self._live[session_id]
         return summaries
-
-    @property
-    def live_session_count(self) -> int:
-        return len(self._live)

@@ -11,9 +11,6 @@ import enum
 
 from repro.net.tcp import SSH_PORT, TELNET_PORT
 
-SSH_BANNER = "SSH-2.0-OpenSSH_7.4p1 Debian-10+deb9u7"
-TELNET_BANNER = "login: "
-
 
 class Protocol(enum.Enum):
     SSH = "ssh"
@@ -22,10 +19,6 @@ class Protocol(enum.Enum):
     @property
     def port(self) -> int:
         return SSH_PORT if self is Protocol.SSH else TELNET_PORT
-
-    @property
-    def banner(self) -> str:
-        return SSH_BANNER if self is Protocol.SSH else TELNET_BANNER
 
     @classmethod
     def for_port(cls, port: int) -> "Protocol":

@@ -80,14 +80,6 @@ class SessionSummary:
     def duration(self) -> float:
         return self.end_time - self.start_time
 
-    @property
-    def attempted_login(self) -> bool:
-        return bool(self.credentials)
-
-    @property
-    def executed_commands(self) -> bool:
-        return bool(self.commands)
-
 
 class HoneypotSession:
     """State machine for one client connection."""
@@ -200,31 +192,6 @@ class HoneypotSession:
                 and len(self.credentials) >= self.config.auth_policy.max_attempts
             ):
                 self._close(now, CloseReason.TOO_MANY_ATTEMPTS)
-        return result
-
-    def try_publickey(self, username: str, key_fingerprint: str, now: float) -> AuthResult:
-        """A public-key authentication attempt (never accepted).
-
-        The deployment supports password auth only; key offers are logged
-        as failed attempts with the key fingerprint in the password slot,
-        which is how they surface in the recorded credential strings.
-        """
-        self._require_state(SessionState.CONNECTED)
-        self._check_not_past_deadline(now)
-        _metric_inc("honeypot.auth_attempts")
-        result = self.config.auth_policy.check_publickey(username, key_fingerprint)
-        self.credentials.append((username, f"ssh-key:{key_fingerprint}"))
-        self._emit(EventType.LOGIN_FAILED, now, {
-            "username": username,
-            "fingerprint": key_fingerprint,
-            "method": "publickey",
-            "reason": result.reason,
-        })
-        if (
-            self.protocol is Protocol.SSH
-            and len(self.credentials) >= self.config.auth_policy.max_attempts
-        ):
-            self._close(now, CloseReason.TOO_MANY_ATTEMPTS)
         return result
 
     def input_line(self, line: str, now: float) -> ExecutionResult:

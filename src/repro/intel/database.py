@@ -62,9 +62,6 @@ class IntelDatabase:
         entry = self._entries.get(sha256)
         return entry.tag if entry is not None else ThreatTag.UNKNOWN
 
-    def tags_for(self, hashes: Iterable[str]) -> Dict[str, ThreatTag]:
-        return {h: self.tag_of(h) for h in hashes}
-
     def coverage(self, hashes: Iterable[str]) -> float:
         """Fraction of ``hashes`` the database has entries for."""
         total = 0

@@ -8,12 +8,11 @@ honeypots and attackers into address space, and a small TCP handshake model
 used by the interactive simulation path.
 """
 
-from repro.net.ip import IPv4Address, IPv4Prefix, parse_ip, format_ip
+from repro.net.ip import IPv4Prefix, parse_ip, format_ip
 from repro.net.pools import AddressPool
 from repro.net.tcp import HandshakeResult, TcpModel, SSH_PORT, TELNET_PORT
 
 __all__ = [
-    "IPv4Address",
     "IPv4Prefix",
     "parse_ip",
     "format_ip",

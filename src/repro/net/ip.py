@@ -1,15 +1,13 @@
 """Integer-backed IPv4 addresses and prefixes.
 
 The trace contains millions of client addresses, so addresses are plain
-``int`` values wrapped in a frozen dataclass only at API boundaries; all bulk
-code paths pass integers.  This module provides parsing/formatting and CIDR
+``int`` values everywhere.  This module provides parsing/formatting and CIDR
 prefix arithmetic without pulling in :mod:`ipaddress` object overhead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 MAX_IPV4 = 0xFFFFFFFF
 
@@ -43,27 +41,6 @@ def format_ip(value: int) -> str:
     if not 0 <= value <= MAX_IPV4:
         raise ValueError(f"IPv4 integer out of range: {value!r}")
     return f"{(value >> 24) & 0xFF}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
-
-
-@dataclass(frozen=True, order=True)
-class IPv4Address:
-    """A single IPv4 address. Compact wrapper over an integer value."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value <= MAX_IPV4:
-            raise ValueError(f"IPv4 integer out of range: {self.value!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "IPv4Address":
-        return cls(parse_ip(text))
-
-    def __str__(self) -> str:
-        return format_ip(self.value)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 @dataclass(frozen=True, order=True)
@@ -101,10 +78,6 @@ class IPv4Prefix:
         return 1 << (32 - self.length)
 
     @property
-    def first(self) -> int:
-        return self.network
-
-    @property
     def last(self) -> int:
         return self.network + self.num_addresses - 1
 
@@ -119,14 +92,6 @@ class IPv4Prefix:
         if not 0 <= offset < self.num_addresses:
             raise IndexError(f"offset {offset} out of range for /{self.length}")
         return self.network + offset
-
-    def subnets(self, new_length: int) -> Iterator["IPv4Prefix"]:
-        """Iterate the /new_length subnets of this prefix."""
-        if new_length < self.length or new_length > 32:
-            raise ValueError(f"cannot split /{self.length} into /{new_length}")
-        step = 1 << (32 - new_length)
-        for net in range(self.network, self.network + self.num_addresses, step):
-            yield IPv4Prefix(net, new_length)
 
     def __str__(self) -> str:
         return f"{format_ip(self.network)}/{self.length}"

@@ -33,10 +33,6 @@ class AddressPool:
         self._used: set = set()
 
     @property
-    def capacity(self) -> int:
-        return self._total
-
-    @property
     def used_count(self) -> int:
         return len(self._used) + self._next_offset
 
@@ -75,10 +71,4 @@ class AddressPool:
                 self._used.add(addr)
                 return addr
         raise RuntimeError("address pool exhausted")
-
-    def sample_many(self, rng: RngStream, count: int) -> List[int]:
-        return [self.sample(rng) for _ in range(count)]
-
-    def contains(self, address: int) -> bool:
-        return any(p.contains(address) for p in self.prefixes)
 

@@ -26,7 +26,8 @@ run is declared once per event kind (``trace.VOLATILE_BY_KIND``).
 The run ledger (:mod:`repro.obs.ledger`) is the run's manifest.  The
 scheduler states each operational fact once, as a ``sched.*`` event; the
 ledger folds those events (:class:`SchedFold`) whether or not a tracer
-records them, and ``repro top`` renders the same fold.
+records them, and ``repro top`` renders its bounded part
+(:class:`repro.obs.ledger.TopFold`).
 """
 
 from repro.obs.export import (

@@ -21,10 +21,11 @@ The scheduler states each operational fact once, as a ``sched.*``
 flight-recorder event.  :class:`SchedFold` folds those events through
 one step table (:data:`SCHED_STEPS`) into the ``sched``, ``task``,
 ``heartbeat`` and ``stale-worker`` alert records; :func:`use_ledger`
-feeds a ledger's fold every event, traced or not, and ``repro top``
-renders the same fold of a trace.  Task rows are keyed by index (a retry
-overwrites its earlier row) and written in index order, stages sort by
-path — so a workers=1 and a workers=2 ledger of one config are
+feeds a ledger's fold every event, traced or not.  ``repro top``
+renders :class:`TopFold`, the part of the same fold that keeps no
+per-heartbeat record and one int per task.  Task rows are keyed by
+index (a retry overwrites its earlier row) and written in index order,
+stages sort by path — so a workers=1 and a workers=2 ledger of one config are
 *identical* modulo what varies from run to run, declared once per event
 kind (:data:`repro.obs.trace.VOLATILE_BY_KIND`, which a folded record
 reaches through :data:`RECORD_EVENT_KIND` or :data:`ALERT_EVENT_KIND`)
@@ -43,7 +44,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, \
+from typing import Any, Deque, Dict, Iterator, List, Optional, \
     Sequence
 
 from repro.obs.export import read_trace_jsonl, write_trace_jsonl
@@ -131,24 +132,22 @@ RATE_WINDOW = 0.05
 # -- the one fold --------------------------------------------------------------
 
 
-class SchedFold:
-    """One run's scheduler events, folded.
+class TopFold:
+    """What ``repro top`` renders of one run's scheduler events.
 
-    For the ledger: the ``sched`` record, task rows by index, the
-    heartbeat trail and the alerts (shared with
-    :meth:`RunLedger.record_alert`).  For ``repro top`` only: each
-    worker's latest beat fields with its sessions/s ``rate`` and the
-    ``anchor`` (wall, sessions) the rate runs from, the retry count, the
+    Bounded by the workers, not by the run: the task total, one session
+    count per task index (a retry overwrites it), each worker's latest
+    beat fields with its sessions/s ``rate`` and the ``anchor`` (wall,
+    sessions) the rate runs from, the retry and stale-worker counts, the
     recent retry/stale tail and the merged session count.
     """
 
     def __init__(self) -> None:
-        self.sched: Optional[Dict[str, Any]] = None
-        self.tasks: Dict[int, Dict[str, Any]] = {}
-        self.heartbeats: List[Dict[str, Any]] = []
-        self.alerts: List[Dict[str, Any]] = []
+        self.total_tasks: Optional[int] = None
+        self.task_sessions: Dict[Any, int] = {}
         self.workers: Dict[str, Dict[str, Any]] = {}
         self.retries = 0
+        self.stale = 0
         self.tail: Deque[Dict[str, Any]] = deque(maxlen=ALERT_TAIL)
         self.merged_sessions: Optional[int] = None
 
@@ -156,7 +155,57 @@ class SchedFold:
         """Fold one flight-recorder event dict."""
         step = SCHED_STEPS.get(event.get("kind"))
         if step is not None:
-            step(self, event, event.get("data") or {})
+            getattr(self, step)(event, event.get("data") or {})
+
+    def _built(self, event: Dict, data: Dict) -> None:
+        self.total_tasks = data.get("tasks")
+
+    def _done(self, event: Dict, data: Dict) -> None:
+        self.task_sessions[data.get("index")] = data.get("sessions", 0)
+
+    def _retry(self, event: Dict, data: Dict) -> None:
+        self.retries += 1
+        self.tail.append(event)
+
+    def _beat(self, event: Dict, data: Dict) -> None:
+        worker = str(data.get("worker", "?"))
+        row = self.workers.setdefault(worker, {"beat": 0, "rate": None,
+                                               "anchor": None})
+        if data.get("beat", 0) <= row["beat"] and row["beat"]:
+            return  # replayed heartbeat
+        row.update(data)  # a field the beat lacks keeps its last value
+        wall, sessions = event.get("wall"), row.get("sessions_done", 0)
+        if wall is None:
+            return
+        if row["anchor"] is None:
+            row["anchor"] = (wall, sessions)
+        elif wall - row["anchor"][0] >= RATE_WINDOW:
+            row["rate"] = max(0.0, (sessions - row["anchor"][1])
+                              / (wall - row["anchor"][0]))
+            row["anchor"] = (wall, sessions)
+
+    def _stale(self, event: Dict, data: Dict) -> None:
+        self.stale += 1
+        worker = str(data.get("worker", "?"))
+        if worker in self.workers:
+            self.workers[worker]["state"] = "STALE"
+        self.tail.append(event)
+
+    def _merged(self, event: Dict, data: Dict) -> None:
+        self.merged_sessions = data.get("sessions")
+
+
+class SchedFold(TopFold):
+    """:class:`TopFold` plus the ledger's full records: the ``sched``
+    record, task rows by index, the heartbeat trail and the alerts
+    (shared with :meth:`RunLedger.record_alert`)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sched: Optional[Dict[str, Any]] = None
+        self.tasks: Dict[int, Dict[str, Any]] = {}
+        self.heartbeats: List[Dict[str, Any]] = []
+        self.alerts: List[Dict[str, Any]] = []
 
     def records(self) -> List[Dict[str, Any]]:
         """The ledger records this fold holds, in canonical order."""
@@ -164,73 +213,43 @@ class SchedFold:
             + [self.tasks[i] for i in sorted(self.tasks)] \
             + self.heartbeats + self.alerts
 
+    def _built(self, event: Dict, data: Dict) -> None:
+        super()._built(event, data)
+        self.sched = dict(data, record="sched")
 
-#: ``step(fold, event, data)``.
-Step = Callable[[SchedFold, Dict[str, Any], Dict[str, Any]], None]
+    def _done(self, event: Dict, data: Dict) -> None:
+        super()._done(event, data)
+        # Keyed by task index: a retry overwrites the earlier row.
+        row = dict(data, record="task", kind=data.get("shard_kind"))
+        row.pop("shard_kind", None)
+        self.tasks[row.get("index")] = row
 
+    def _beat(self, event: Dict, data: Dict) -> None:
+        self.heartbeats.append(dict(data, record="heartbeat"))
+        super()._beat(event, data)
 
-def _built(fold: SchedFold, event: Dict, data: Dict) -> None:
-    fold.sched = dict(data, record="sched")
-
-
-def _done(fold: SchedFold, event: Dict, data: Dict) -> None:
-    # Keyed by task index: a retry overwrites the earlier row.
-    row = dict(data, record="task", kind=data.get("shard_kind"))
-    row.pop("shard_kind", None)
-    fold.tasks[row.get("index")] = row
-
-
-def _retry(fold: SchedFold, event: Dict, data: Dict) -> None:
-    fold.retries += 1
-    fold.tail.append(event)
-
-
-def _beat(fold: SchedFold, event: Dict, data: Dict) -> None:
-    fold.heartbeats.append(dict(data, record="heartbeat"))
-    worker = str(data.get("worker", "?"))
-    row = fold.workers.setdefault(worker, {"beat": 0, "rate": None,
-                                           "anchor": None})
-    if data.get("beat", 0) <= row["beat"] and row["beat"]:
-        return  # replayed heartbeat
-    row.update(data)  # a field the beat lacks keeps its last value
-    wall, sessions = event.get("wall"), row.get("sessions_done", 0)
-    if wall is None:
-        return
-    if row["anchor"] is None:
-        row["anchor"] = (wall, sessions)
-    elif wall - row["anchor"][0] >= RATE_WINDOW:
-        row["rate"] = max(0.0, (sessions - row["anchor"][1])
-                          / (wall - row["anchor"][0]))
-        row["anchor"] = (wall, sessions)
+    def _stale(self, event: Dict, data: Dict) -> None:
+        worker = str(data.get("worker", "?"))
+        silent = data.get("silent_seconds", 0.0)
+        self.alerts.append({
+            "record": "alert",
+            "kind": "stale-worker",
+            "message": f"worker {worker} silent for {silent:.1f}s "
+                       f"(last task {data.get('last_index')})",
+            "data": {"worker": worker, "silent_seconds": silent},
+        })
+        super()._stale(event, data)
 
 
-def _stale(fold: SchedFold, event: Dict, data: Dict) -> None:
-    worker = str(data.get("worker", "?"))
-    silent = data.get("silent_seconds", 0.0)
-    fold.alerts.append({
-        "record": "alert",
-        "kind": "stale-worker",
-        "message": f"worker {worker} silent for {silent:.1f}s "
-                   f"(last task {data.get('last_index')})",
-        "data": {"worker": worker, "silent_seconds": silent},
-    })
-    if worker in fold.workers:
-        fold.workers[worker]["state"] = "STALE"
-    fold.tail.append(event)
-
-
-def _merged(fold: SchedFold, event: Dict, data: Dict) -> None:
-    fold.merged_sessions = data.get("sessions")
-
-
-#: Event kind -> fold step.
-SCHED_STEPS: Dict[str, Step] = {
-    "sched.trace.built": _built,
-    "sched.task.done": _done,
-    "sched.task.retry": _retry,
-    "sched.heartbeat.worker": _beat,
-    "sched.heartbeat.stale": _stale,
-    "generate.merged": _merged,
+#: Event kind -> the name of the fold's step method,
+#: ``step(event, data)``.
+SCHED_STEPS: Dict[str, str] = {
+    "sched.trace.built": "_built",
+    "sched.task.done": "_done",
+    "sched.task.retry": "_retry",
+    "sched.heartbeat.worker": "_beat",
+    "sched.heartbeat.stale": "_stale",
+    "generate.merged": "_merged",
 }
 
 
@@ -536,6 +555,7 @@ __all__ = [
     "VOLATILE_FIELDS",
     "RunLedger",
     "SchedFold",
+    "TopFold",
     "get_ledger",
     "read_ledger_jsonl",
     "sha256_file",

@@ -10,7 +10,7 @@ instruments:
 * **spans** — hierarchical wall-clock / CPU stage timings (``span``).
 
 Everything is zero-dependency pure Python, serialises to plain dicts
-(:meth:`Metrics.to_dict` / :meth:`Metrics.from_dict`) and merges
+(:meth:`Metrics.to_dict`) and merges dicts or registries
 associatively (:meth:`Metrics.merge`), which is what makes the registry
 multiprocess-safe: each worker records into its own registry, ships the
 dict back with its shard, and the parent folds the dicts in shard order.
@@ -219,11 +219,8 @@ class Stopwatch:
         self._t0 = time.perf_counter()
 
     def elapsed(self) -> float:
-        """Seconds since construction (or the last :meth:`restart`)."""
+        """Seconds since construction."""
         return time.perf_counter() - self._t0
-
-    def restart(self) -> None:
-        self._t0 = time.perf_counter()
 
 
 def stopwatch() -> Stopwatch:
@@ -328,12 +325,6 @@ class Metrics:
             "histograms": {k: h.to_payload() for k, h in self.histograms.items()},
             "spans": {k: dict(v) for k, v in self.spans.items()},
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Metrics":
-        out = cls()
-        out.merge(data)
-        return out
 
     def merge(
         self,

@@ -34,7 +34,6 @@ DESCRIPTIONS = {
         "rng.draws": "random draws taken across all named streams",
         "engine.events_scheduled": "events pushed onto the simulation heap",
         "engine.events_dispatched": "events popped and dispatched in time order",
-        "engine.events_cancelled": "scheduled events cancelled before dispatch",
         "honeypot.sessions_accepted": "connections the honeypots accepted",
         "honeypot.sessions_refused": "connections refused at the listener",
         "honeypot.auth_attempts": "login attempts observed across sessions",
@@ -79,7 +78,6 @@ DESCRIPTIONS = {
         "sketch.sessions_observed": "sessions folded into the sketches",
         "sketch.events_consumed": "trace events consumed by the sketches",
         "sketch.store_sessions_ingested": "store rows ingested by the sketches",
-        "sketch.merges": "sketch registries merged",
         # Physical liveness: varies with backend and worker count.
         "sched.heartbeat.*": "worker heartbeats received / stale episodes",
         "ledger.*": "run-ledger rows, alerts and files recorded",
@@ -145,9 +143,7 @@ DESCRIPTIONS = {
         "sched.task.retry": "task attempt re-queued after an error",
         "sched.heartbeat.*": "worker heartbeat / stale-worker episode",
         "engine.dispatch": "simulation event dispatched",
-        "engine.cancel": "simulation event cancelled",
         "collector.summary": "collector interval summary",
-        "collector.merge": "collector results merged",
         "honeypot.refused": "connection refused at the listener",
         "honeypot.session.connect": "session connected",
         "honeypot.client.version": "client version exchanged",

@@ -27,7 +27,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs.metrics import Stopwatch
 
@@ -200,15 +200,6 @@ def worker_heartbeat(
     }
 
 
-def validate_heartbeat(payload: Dict[str, Any]) -> List[str]:
-    """Check one heartbeat payload; returns problem strings (empty = ok)."""
-    from repro.obs.trace import field_problems  # trace imports this module
-
-    if not isinstance(payload, dict):
-        return ["heartbeat is not an object"]
-    return field_problems(payload, HEARTBEAT_FIELDS, "heartbeat ")
-
-
 __all__ = [
     "HEARTBEAT_FIELDS",
     "TELEMETRY_FIELDS",
@@ -216,6 +207,5 @@ __all__ = [
     "ResourceSampler",
     "current_rss_kb",
     "peak_rss_kb",
-    "validate_heartbeat",
     "worker_heartbeat",
 ]

@@ -81,7 +81,7 @@ class Tracer:
     """
 
     __slots__ = ("events", "capacity", "dropped", "emitted",
-                 "_seq", "_sink", "_stack", "_mint_counts")
+                 "_seq", "_sink", "_stack")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, sink=None):
         self.capacity = int(capacity)
@@ -91,7 +91,6 @@ class Tracer:
         self._seq = 0
         self._sink = sink
         self._stack: List[str] = []
-        self._mint_counts: Dict[str, int] = {}
 
     # -- emission -------------------------------------------------------------
 
@@ -142,12 +141,6 @@ class Tracer:
     @property
     def current_trace_id(self) -> Optional[str]:
         return self._stack[-1] if self._stack else None
-
-    def mint(self, scope: str) -> str:
-        """A fresh trace id ``<scope>#<n>`` (per-tracer counter per scope)."""
-        n = self._mint_counts.get(scope, 0)
-        self._mint_counts[scope] = n + 1
-        return f"{scope}#{n}"
 
     # -- fold (multiprocess) ---------------------------------------------------
 

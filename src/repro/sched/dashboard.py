@@ -8,9 +8,10 @@ and the recent operational alert tail.  It consumes exactly the stream
 ``--trace`` file replays in CI (``--once``) and a live sink can be
 followed while a scheduled generate runs.
 
-The events are folded by the run ledger's fold
-(:class:`repro.obs.ledger.SchedFold`), the same one that writes a
-``--ledger`` file; this module only renders it.  Nothing here touches
+The events are folded by :class:`repro.obs.ledger.TopFold`, the bounded
+part of the fold that writes a ``--ledger`` file (a ledger's
+:class:`~repro.obs.ledger.SchedFold` renders too); this module only
+renders it.  Nothing here touches
 the scheduler, so it can run in a different process, on a different
 machine, or after the fact.
 """
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.obs.ledger import SchedFold
+from repro.obs.ledger import TopFold
 
 
-def render_top(fold: SchedFold, width: int = 34) -> str:
+def render_top(fold: TopFold, width: int = 34) -> str:
     """The dashboard frame as plain text (one terminal screen)."""
     lines = [_progress_line(fold, width), ""]
     lines.extend(_worker_table(fold))
@@ -35,29 +36,28 @@ def render_top(fold: SchedFold, width: int = 34) -> str:
     return "\n".join(lines)
 
 
-def _progress_line(fold: SchedFold, width: int) -> str:
-    done = len(fold.tasks)
-    total = None if fold.sched is None else fold.sched.get("tasks")
+def _progress_line(fold: TopFold, width: int) -> str:
+    done = len(fold.task_sessions)
+    total = fold.total_tasks
     if total:
         filled = int(width * min(done / total, 1.0))
         bar = "#" * filled + "." * (width - filled)
         progress = f"[{bar}] {done}/{total} ({done / total:4.0%})"
     else:
         progress = f"{done} task(s) done"
-    sessions = sum(row.get("sessions", 0) for row in fold.tasks.values())
+    sessions = sum(fold.task_sessions.values())
     extras = [f"sessions {sessions:,}"]
     if fold.merged_sessions is not None:
         extras.append(f"merged {fold.merged_sessions:,}")
     if fold.retries:
         extras.append(f"retries {fold.retries}")
-    stale = sum(alert["kind"] == "stale-worker" for alert in fold.alerts)
-    if stale:
-        extras.append(f"stale {stale}")
+    if fold.stale:
+        extras.append(f"stale {fold.stale}")
     return ("== repro top — scheduler dashboard ==\n"
             f"tasks {progress} · " + " · ".join(extras))
 
 
-def _worker_table(fold: SchedFold) -> List[str]:
+def _worker_table(fold: TopFold) -> List[str]:
     header = (f"{'worker':<14} {'state':<6} {'beat':>5} "
               f"{'last task':>9} {'done':>5} {'sess/s':>8} "
               f"{'rss':>9}")

@@ -7,13 +7,12 @@ streams (`RngStream`) so that every trace, test and benchmark is reproducible
 bit-for-bit from a single master seed.
 """
 
-from repro.simulation.clock import SimClock, Timestamp, OBSERVATION_START, OBSERVATION_END, SECONDS_PER_DAY
+from repro.simulation.clock import SimClock, OBSERVATION_START, OBSERVATION_END, SECONDS_PER_DAY
 from repro.simulation.rng import RngStream
 from repro.simulation.engine import Event, EventQueue, SimulationEngine
 
 __all__ = [
     "SimClock",
-    "Timestamp",
     "OBSERVATION_START",
     "OBSERVATION_END",
     "SECONDS_PER_DAY",

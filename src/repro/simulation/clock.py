@@ -2,15 +2,12 @@
 
 The paper's observation window runs from December 1, 2021 until March 31,
 2023 (486 days).  We anchor virtual time at the window start and measure it
-in seconds.  A :class:`Timestamp` is a thin wrapper over ``float`` seconds
-since the anchor that knows how to convert itself to days, calendar dates and
-ISO strings, which is all the analysis code ever needs.
+in seconds, as plain ``float`` seconds since the anchor.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass
 
 SECONDS_PER_DAY = 86_400
 
@@ -25,47 +22,6 @@ OBSERVATION_DAYS = 486
 
 #: Last virtual second of the observation window (exclusive).
 OBSERVATION_END = float(OBSERVATION_DAYS * SECONDS_PER_DAY)
-
-
-@dataclass(frozen=True, order=True)
-class Timestamp:
-    """A point in virtual time, in seconds since the observation start."""
-
-    seconds: float
-
-    @property
-    def day(self) -> int:
-        """Zero-based day index within the observation window."""
-        return int(self.seconds // SECONDS_PER_DAY)
-
-    @property
-    def second_of_day(self) -> float:
-        return self.seconds - self.day * SECONDS_PER_DAY
-
-    def date(self) -> _dt.date:
-        """Calendar date of this timestamp."""
-        return ANCHOR_DATE + _dt.timedelta(days=self.day)
-
-    def isoformat(self) -> str:
-        whole = int(self.seconds)
-        frac = self.seconds - whole
-        dt = _dt.datetime.combine(ANCHOR_DATE, _dt.time()) + _dt.timedelta(seconds=whole)
-        return (dt + _dt.timedelta(seconds=frac)).isoformat()
-
-    def __add__(self, other: float) -> "Timestamp":
-        return Timestamp(self.seconds + float(other))
-
-    def __sub__(self, other: "Timestamp") -> float:
-        return self.seconds - other.seconds
-
-    @classmethod
-    def from_day(cls, day: int, second_of_day: float = 0.0) -> "Timestamp":
-        return cls(day * SECONDS_PER_DAY + second_of_day)
-
-    @classmethod
-    def from_date(cls, date: _dt.date, second_of_day: float = 0.0) -> "Timestamp":
-        day = (date - ANCHOR_DATE).days
-        return cls.from_day(day, second_of_day)
 
 
 def day_to_date(day: int) -> _dt.date:
@@ -89,25 +45,13 @@ class SimClock:
         self._now = float(start)
 
     @property
-    def now(self) -> Timestamp:
-        return Timestamp(self._now)
-
-    @property
     def seconds(self) -> float:
         return self._now
 
-    def advance(self, delta: float) -> Timestamp:
-        """Advance the clock by ``delta`` seconds (must be non-negative)."""
-        if delta < 0:
-            raise ValueError(f"cannot advance clock by negative delta {delta!r}")
-        self._now += delta
-        return self.now
-
-    def advance_to(self, when: float) -> Timestamp:
+    def advance_to(self, when: float) -> None:
         """Advance the clock to absolute virtual second ``when``."""
         if when < self._now:
             raise ValueError(
                 f"cannot move clock backwards: now={self._now}, requested={when}"
             )
         self._now = float(when)
-        return self.now

@@ -15,7 +15,7 @@ from typing import Any, Callable, List, Optional
 
 from repro.obs import get_metrics, inc as _metric_inc
 from repro.obs import trace as _trace
-from repro.simulation.clock import SimClock, Timestamp
+from repro.simulation.clock import SimClock
 
 
 @dataclass(order=True)
@@ -26,18 +26,10 @@ class Event:
     seq: int
     action: Callable[[], Any] = field(compare=False)
     label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False)
     #: Flight-recorder trace id captured at schedule time; dispatch
     #: re-enters this context so work done by the action attributes to
     #: the session/connection that scheduled it.
     trace_id: Optional[str] = field(default=None, compare=False)
-
-    def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            _metric_inc("engine.events_cancelled")
-            _trace.emit("engine.cancel", trace_id=self.trace_id,
-                        sim_time=self.when, label=self.label)
 
 
 class EventQueue:
@@ -57,19 +49,13 @@ class EventQueue:
         return event
 
     def pop(self) -> Optional[Event]:
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                return event
-        return None
+        return heapq.heappop(self._heap) if self._heap else None
 
     def peek_time(self) -> Optional[float]:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
         return self._heap[0].when if self._heap else None
 
     def __len__(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
+        return len(self._heap)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None
@@ -82,10 +68,6 @@ class SimulationEngine:
         self.clock = clock or SimClock()
         self.queue = EventQueue()
         self.events_processed = 0
-
-    @property
-    def now(self) -> Timestamp:
-        return self.clock.now
 
     def schedule(self, delay: float, action: Callable[[], Any], label: str = "") -> Event:
         """Schedule ``action`` to run ``delay`` seconds from now."""

@@ -289,8 +289,3 @@ class RngStream:
         out = list(seq)
         self._rng.shuffle(out)
         return out
-
-    def weighted_indices(self, weights: Sequence[float], size: int) -> np.ndarray:
-        w = np.asarray(weights, dtype=float)
-        p = w / w.sum()
-        return self._rng.choice(len(w), size=size, p=p)

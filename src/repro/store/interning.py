@@ -78,9 +78,6 @@ class StringTable:
         """Id of an already-interned string (KeyError if unknown)."""
         return self._ids[value]
 
-    def get_id(self, value: str) -> Optional[int]:
-        return self._ids.get(value)
-
     def value_of(self, string_id: int) -> str:
         return self._strings[string_id]
 

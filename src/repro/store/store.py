@@ -527,10 +527,6 @@ class StoreBuilder:
         if all_identity:
             metrics.inc("store.adopts_fastpath")
 
-    def adopt(self, other: "StoreBuilder") -> None:
-        """Append all of ``other``'s rows (its :meth:`payload`)."""
-        self.adopt_store(other.payload())
-
     def adopt_store(self, shard: Union[ShardPayload, "SessionStore"]) -> None:
         """Append a shard payload's rows, remapping its interned ids.
 
@@ -792,7 +788,3 @@ class SessionStore:
     @property
     def is_ssh(self) -> np.ndarray:
         return self.protocol == PROTOCOL_SSH
-
-    @property
-    def is_telnet(self) -> np.ndarray:
-        return self.protocol == PROTOCOL_TELNET

@@ -61,10 +61,6 @@ class ScriptProfile:
     def primary_hash(self) -> Optional[str]:
         return self.hashes[0] if self.hashes else None
 
-    @property
-    def creates_files(self) -> bool:
-        return bool(self.hashes)
-
 
 class _Recipe(NamedTuple):
     """One shape's transcript with its placeholders unfilled.

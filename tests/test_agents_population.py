@@ -28,17 +28,17 @@ class TestRoleMix:
         assert all(w > 0 for _, w in ROLE_MIX)
 
     def test_scanning_dominates(self, population):
-        scan = population.role_count(ClientRole.SCAN)
+        scan = len(population.with_role(ClientRole.SCAN))
         assert scan / len(population) > 0.6
 
     def test_category_ip_ratios(self, population):
         # Paper ordering: NO_CRED >> CMD ~ FAIL_LOG > NO_CMD >> CMD_URI.
         n = len(population)
-        scan = population.role_count(ClientRole.SCAN) / n
-        scout = population.role_count(ClientRole.SCOUT) / n
-        cmd = population.role_count(ClientRole.CMD) / n
-        nocmd = population.role_count(ClientRole.NOCMD) / n
-        uri = population.role_count(ClientRole.CMDURI) / n
+        scan = len(population.with_role(ClientRole.SCAN)) / n
+        scout = len(population.with_role(ClientRole.SCOUT)) / n
+        cmd = len(population.with_role(ClientRole.CMD)) / n
+        nocmd = len(population.with_role(ClientRole.NOCMD)) / n
+        uri = len(population.with_role(ClientRole.CMDURI)) / n
         assert scan > cmd > nocmd > uri
         assert scan > scout > nocmd
         assert uri < 0.05
@@ -65,7 +65,7 @@ class TestGeography:
         for i in range(0, 200, 10):
             found = population.registry.lookup(int(population.ip[i]))
             assert found is not None
-            assert found.country == population.country_code(i)
+            assert found.country == population.country_codes[population.country[i]]
             assert found.asn == population.asn[i]
 
     def test_unique_ips(self, population):
@@ -132,7 +132,7 @@ class TestSampling:
         picked = population.sample_intruders(
             rng, 200, role=ClientRole.CMD, countries=[("CN", 50.0)]
         )
-        countries = [population.country_code(int(i)) for i in picked]
+        countries = [population.country_codes[population.country[i]] for i in picked]
         assert countries.count("CN") / len(countries) > 0.3
 
     def test_sample_clamps_to_pool(self, population):

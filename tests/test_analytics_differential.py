@@ -7,13 +7,11 @@ and pins the contract:
 
 * **exact** answers (category mix, shares, sessions/day, session count)
   must match the batch group-bys bit for bit;
-* **approximate** answers (HLL uniques, count-min occurrences, top-k
-  tables) must land inside their documented error envelopes;
-* the answers must be **independent of sharding**: per-shard consumers
-  folded in any order match the single-pass consumer (exactly for the
-  exact/HLL/count-min components, within the envelope for truncated
-  top-k), and inline/pool backends at workers 1/2/4 produce identical
-  stores and therefore identical analytics.
+* **approximate** answers (HLL uniques, top-k tables) must land inside
+  their documented error envelopes;
+* inline/pool backends at workers 1/2/4 produce identical stores and
+  therefore identical analytics, and every intake path (frozen store,
+  replayed events, live events) reaches the same state.
 """
 
 from __future__ import annotations
@@ -109,20 +107,6 @@ class TestApproximateAnswers:
         est = streaming.unique_hashes()
         assert abs(est - true) <= 3 * streaming.hll_hashes.rel_error * true
 
-    def test_hash_session_estimates_one_sided(self, streaming, store):
-        occ = HashOccurrences.build(store)
-        stats = compute_hash_stats(occ)
-        slack = streaming.cms_hashes.error_bound()
-        misses = 0
-        for hash_id, true in zip(stats.hash_id, stats.sessions):
-            sha = store.hashes.value_of(int(hash_id))
-            est = streaming.hash_sessions_estimate(sha)
-            assert est >= int(true)  # never an underestimate
-            if est > int(true) + slack:
-                misses += 1
-        # eps*N slack is per-query at confidence 1-delta, not uniform.
-        assert misses <= max(1, 2 * streaming.cms_hashes.delta * len(stats))
-
     def test_top_hashes_exact_below_capacity(self, streaming, store):
         # ~340 distinct hashes < 512 capacity: the summary never reduced,
         # so the streaming table IS the exact batch table.
@@ -175,74 +159,6 @@ class TestEventPathVsStorePath:
         first = replay_store_events(store)[:200]
         second = replay_store_events(store)[:200]
         assert first == second
-
-
-def _session_blocks(events):
-    """Chunk a replayed event list into per-session runs."""
-    blocks, current = [], []
-    for event in events:
-        if event["kind"] == "honeypot.session.connect" and current:
-            blocks.append(current)
-            current = []
-        current.append(event)
-    if current:
-        blocks.append(current)
-    return blocks
-
-
-def _shard_fold(store, n_shards, order=None):
-    """Per-shard consumers folded in ``order`` (default: shard order)."""
-    blocks = _session_blocks(replay_store_events(store))
-    shards = [StreamingAnalytics() for _ in range(n_shards)]
-    for i, block in enumerate(blocks):
-        shards[i % n_shards].feed_many(block)
-    merged = StreamingAnalytics()
-    for i in order if order is not None else range(n_shards):
-        merged.merge(shards[i])
-    return merged
-
-
-class TestShardMergeInvariance:
-    """Folded per-shard consumers match the single-pass consumer."""
-
-    @pytest.mark.parametrize("n_shards", [2, 4])
-    def test_fold_matches_single_pass_componentwise(
-        self, streaming, store, n_shards
-    ):
-        merged = _shard_fold(store, n_shards)
-        # Exact accumulators, HLLs and count-min fold exactly.
-        assert merged.mix == streaming.mix
-        assert merged.days == streaming.days
-        assert merged.hll_clients == streaming.hll_clients
-        assert merged.hll_hashes == streaming.hll_hashes
-        assert merged.cms_hashes == streaming.cms_hashes
-        # Top-k hashes never truncated at this scale: exact too.
-        assert merged.topk_hashes == streaming.topk_hashes
-        assert merged.topk_asns.n == streaming.topk_asns.n
-        # Top-k clients truncate (>512 distinct): envelope must hold.
-        ips, counts = np.unique(store.client_ip, return_counts=True)
-        true = dict(zip(ips.tolist(), counts.tolist()))
-        for ip, lower, upper in merged.top_clients(10):
-            assert lower <= true[ip] <= upper
-        assert merged.topk_clients.n == streaming.topk_clients.n
-
-    def test_fold_order_does_not_matter(self, store):
-        forward = _shard_fold(store, 4, order=(0, 1, 2, 3))
-        scrambled = _shard_fold(store, 4, order=(2, 0, 3, 1))
-        assert forward.mix == scrambled.mix
-        assert forward.days == scrambled.days
-        assert forward.hll_clients == scrambled.hll_clients
-        assert forward.hll_hashes == scrambled.hll_hashes
-        assert forward.cms_hashes == scrambled.cms_hashes
-        assert forward.topk_hashes == scrambled.topk_hashes
-
-    def test_merge_rejects_different_configs(self):
-        from repro.analytics import AnalyticsConfig
-
-        a = StreamingAnalytics()
-        b = StreamingAnalytics(AnalyticsConfig(hll_p=10))
-        with pytest.raises(ValueError):
-            a.merge(b)
 
 
 class TestBackendMatrix:
@@ -336,7 +252,6 @@ class TestStreamingIntakeUnit:
         by_events = StreamingAnalytics()
         by_events.feed_many(replay_store_events(store))
         assert by_store == by_records == by_events
-        assert by_store.cms_hashes.total == 5
         assert by_store.top_hashes() == [
             ("h1", 2, 2), ("h2", 2, 2), ("h3", 1, 1)]
 
@@ -390,9 +305,6 @@ def intake_state_digest(analytics):
     h = hashlib.sha256()
     for hll in (analytics.hll_clients, analytics.hll_hashes):
         h.update(hll.registers.tobytes())
-    cms = analytics.cms_hashes
-    h.update(cms.table.astype("<i8").tobytes())
-    h.update(f"|{cms.total}|".encode())
     for top in (analytics.topk_hashes, analytics.topk_clients,
                 analytics.topk_asns):
         counts = sorted(top.counts.items())
@@ -411,19 +323,19 @@ STREAM_10K = repro.ScenarioConfig.from_denominator(40000, seed=2023)
 
 #: (config, intake path) -> (state digest, the three sketch.* counters).
 #: Pinned from the per-event if/elif intake; any intake rewrite must
-#: reproduce every register, cell and counter.
+#: reproduce every register and counter.
 INTAKE_GOLDEN = {
     ("CONFIG", "ingest_store"): (
-        "7236236ddc012919773de63a3541ef5af0564c5e0957fd005fee26ef870c453f",
+        "5e21e8abeb55da63554ccdf45aa7d9e6d4d31ac55e25b6e837058fd30edbc670",
         (5198, 0, 5198)),
     ("CONFIG", "feed_many"): (
-        "4638b7eadcfc4af592ad1097787db25e6350729296b079a570a8fcf303c0aac6",
+        "61c61f5568226a778e83f87f2a0424d58854603a5d8835c369c7851c21bd73a7",
         (5198, 23875, 0)),
     ("STREAM_10K", "ingest_store"): (
-        "91a373fba988709e78817a0f3b67a83b22dde45726def1255a6756fd1d01ba4e",
+        "af1f7ef0fc136dac7342a206906b32b377175005b51cb960f316565d6f1e9b87",
         (10057, 0, 10057)),
     ("STREAM_10K", "feed_many"): (
-        "27f374a5ac77e1f927ac5dba4d2c4e177ab25b5402a0514ef443855d66681f6b",
+        "0bcadda71ee12f681c56664735b744ac583716d6658c03dec4de40c050b50372",
         (10057, 45416, 0)),
 }
 
@@ -465,7 +377,7 @@ def _edge_events():
 
 
 EDGE_GOLDEN = (
-    "037f7d0aba62e99b2c3b6d4a732cf48126f5367c09e17929a6cae37916be5398",
+    "8e582591d58d8f9d4250a87dc8a403af0f06f3da9b029bfda50d9936a2d6d685",
     (5, 14, 0))
 
 
@@ -615,18 +527,13 @@ class TestSingleStepPath:
         strs = [k for k in keys if isinstance(k, str)]
         with mock.patch.object(sketches, "CELL_CACHE_MAX", 4):
             hll = sketches.HyperLogLog(2023, "cache.hll", 6)
-            cms = sketches.CountMinSketch(2023, "cache.cms", 16, 3)
             for key in keys:
                 hll.add(key)
-                cms.add(key)
-                assert len(hll._cells) <= 4 and len(cms._cells) <= 4
+                assert len(hll._cells) <= 4
         want_hll = sketches.HyperLogLog(2023, "cache.hll", 6)
-        want_cms = sketches.CountMinSketch(2023, "cache.cms", 16, 3)
         for part in (ints, strs):
             want_hll.add_many(part)
-            want_cms.add_many(part)
         assert hll == want_hll
-        assert cms == want_cms
 
 
 @st.composite

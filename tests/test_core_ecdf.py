@@ -42,20 +42,5 @@ class TestEcdf:
         with pytest.raises(ValueError):
             ecdf.quantile(0.5)
 
-    def test_evaluate_vector(self):
-        ecdf = Ecdf([1, 2, 3, 4])
-        ys = ecdf.evaluate([0, 2, 5])
-        assert list(ys) == [0.0, 0.5, 1.0]
-
-    def test_steps_monotone(self):
-        xs, ys = Ecdf([5, 3, 9, 1]).steps()
-        assert np.all(np.diff(xs) >= 0)
-        assert np.all(np.diff(ys) > 0)
-        assert ys[-1] == 1.0
-
-    def test_summary(self):
-        summary = Ecdf(range(100)).summary(points=(0.5,))
-        assert summary == [(0.5, 49)]
-
     def test_numpy_input(self):
         assert Ecdf(np.array([1.0, 2.0]))(1.5) == 0.5

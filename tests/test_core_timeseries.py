@@ -68,10 +68,6 @@ class TestBands:
         # Top-5% pots see more daily sessions than the full-farm median.
         assert top.median.mean() >= everyone.median.mean()
 
-    def test_as_dict(self, small_store):
-        d = bands_all_honeypots(small_store).as_dict()
-        assert set(d) == {"days", "p5", "p25", "median", "p75", "p95"}
-
     def test_percentile_bands_tiny_matrix(self):
         bands = percentile_bands(np.array([[1, 2], [3, 4]]))
         assert bands.median.tolist() == [2.0, 3.0]

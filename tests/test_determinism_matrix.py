@@ -20,8 +20,15 @@ Each run computes the ``(80000, 7, 0.004)`` store on inline w=1 and pool
 w=2, the ``small_dataset`` store and its report + validate digest, and
 the monitor's pinned state over the demo farm and over the replayed
 store.  Every value must equal its golden, unedited, in both runs.
+
+A fault that reads the hash seed through a two-valued expression (say
+``hash("no_cmd") % 2``) agrees with the goldens under any one seed with
+probability 1/2, so two seeds miss it one time in four.  The cheap
+hash-sensitive values (:data:`HASH_KEYS`) are therefore also computed
+under each of :data:`EXTRA_HASH_SEEDS`, six seeds in all (2**-6).
+
 Run the probe by hand from the repository root with ``PYTHONPATH=src
-python -m tests.test_determinism_matrix [fork|spawn]``.
+python -m tests.test_determinism_matrix [fork|spawn|hash]``.
 """
 
 import json
@@ -39,10 +46,16 @@ STORE_KEY = (80000, 7, 0.004)
 #: ``tests/conftest.py:small_config`` as a GOLDEN key.
 SMALL_KEY = (20000, 99, 0.008)
 MONITOR_KEYS = ("demo/on_event", "replay_store_events")
+#: What the ``hash`` probe computes: the values a hash-seed fault in
+#: generation or analysis moves, at the least cost.
+HASH_KEYS = ("store/inline-w1", "report/small_dataset")
+#: Hash seeds besides 0 and 12345 that the ``hash`` probe runs under.
+EXTRA_HASH_SEEDS = ("1", "42", "2023", "65535")
 
 
 def probe(start_method: str) -> dict:
-    """Every pinned value the matrix checks, computed in this process."""
+    """Every pinned value the matrix checks, computed in this process;
+    only the :data:`HASH_KEYS` ones when ``start_method`` is ``hash``."""
     import argparse
     import contextlib
     import io
@@ -72,13 +85,17 @@ def probe(start_method: str) -> dict:
     denominator, seed, hash_scale = STORE_KEY
     config = ScenarioConfig.from_denominator(
         denominator, seed=seed, hash_scale=hash_scale)
-    for backend, workers in (("inline", 1), ("pool", 2)):
+    backends = (("inline", 1),) if start_method == "hash" \
+        else (("inline", 1), ("pool", 2))
+    for backend, workers in backends:
         dataset = repro.generate(config, backend=backend, workers=workers)
         out[f"store/{backend}-w{workers}"] = dataset.store.content_digest()
     small = repro.generate(ScenarioConfig(
         scale=1 / SMALL_KEY[0], seed=SMALL_KEY[1], hash_scale=SMALL_KEY[2]))
-    out["store/small_dataset"] = small.store.content_digest()
     out["report/small_dataset"] = report_digest(small)
+    if start_method == "hash":
+        return out
+    out["store/small_dataset"] = small.store.content_digest()
 
     monitor = FarmHealthMonitor()
     with use_metrics() as metrics, contextlib.redirect_stdout(io.StringIO()):
@@ -87,7 +104,8 @@ def probe(start_method: str) -> dict:
     out["monitor/demo/on_event"] = _pinned(monitor, metrics)
     with use_metrics() as metrics:
         monitor = FarmHealthMonitor(HealthConfig(interval=86400.0))
-        monitor.feed_many(replay_store_events(dataset.store))
+        for event in replay_store_events(dataset.store):
+            monitor.feed(event)
     out["monitor/replay_store_events"] = _pinned(monitor, metrics)
     return out
 
@@ -134,6 +152,13 @@ def _run_probe(tmp_path, hash_seed: str, scrubbed: bool, start_method: str):
 def test_pinned_digests_hold_in_a_fresh_interpreter(
         tmp_path, hash_seed, scrubbed, start_method):
     assert _run_probe(tmp_path, hash_seed, scrubbed, start_method) == pinned()
+
+
+@pytest.mark.parametrize("hash_seed", EXTRA_HASH_SEEDS)
+def test_hash_sensitive_digests_hold_under_more_hash_seeds(tmp_path,
+                                                           hash_seed):
+    want = {key: pinned()[key] for key in HASH_KEYS}
+    assert _run_probe(tmp_path, hash_seed, False, "hash") == want
 
 
 if __name__ == "__main__":

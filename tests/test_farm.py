@@ -49,12 +49,6 @@ class TestDeployment:
             assert found.country == site.country
             assert found.asn == site.asn
 
-    def test_site_by_id(self, plan):
-        site = plan.site_by_id("hp-001")
-        assert site.honeypot_id == "hp-001"
-        with pytest.raises(KeyError):
-            plan.site_by_id("hp-999")
-
     def test_residential_focus(self, plan):
         residential = sum(
             1 for s in plan.sites if s.network_type is NetworkType.RESIDENTIAL
@@ -113,11 +107,14 @@ class TestCollector:
 
     def test_per_honeypot_counter(self):
         collector = FarmCollector()
-        from repro.store.records import SessionRecord
-        for pot in ("a", "a", "b"):
-            collector.add_record(SessionRecord(
-                start_time=0.0, duration=1.0, honeypot_id=pot, protocol="ssh",
-                client_ip=1, client_asn=-1, client_country="",
-                n_login_attempts=0, login_success=False,
+        from repro.honeypot.protocol import Protocol
+        from repro.honeypot.session import CloseReason, SessionSummary
+        for i, pot in enumerate(("a", "a", "b")):
+            collector.on_summary(SessionSummary(
+                session_id=f"s{i}", honeypot_id=pot, protocol=Protocol.SSH,
+                client_ip=1, client_port=4000, honeypot_ip=2,
+                start_time=0.0, end_time=1.0,
+                close_reason=CloseReason.CLIENT_DISCONNECT,
             ))
         assert collector.sessions_by_honeypot == {"a": 2, "b": 1}
+        assert collector.sessions_total == 3

@@ -35,6 +35,11 @@ def _closed(ts, sensor, session):
                      "reason": "client-disconnect"}}
 
 
+def _pots_down(monitor):
+    """Sorted ids of the pots the monitor has marked down."""
+    return sorted(p.honeypot_id for p in monitor.pots.values() if not p.up)
+
+
 def _event(kind, ts, sensor, session, **data):
     return {"seq": 0, "wall": 0.0, "kind": kind,
             "trace_id": f"session:{session}", "ts": ts,
@@ -87,7 +92,7 @@ class TestLiveness:
             for t in range(1, 6):
                 m.feed(_connect(10.0 + 50.0 * t, "hp-a", f"sa{t}"))
             m.advance(300.0)
-        assert m.pots_down() == ["hp-b"]
+        assert _pots_down(m) == ["hp-b"]
         downs = [a for a in m.alerts if a.kind == "liveness-down"]
         assert len(downs) == 1 and downs[0].honeypot_id == "hp-b"
 
@@ -97,7 +102,7 @@ class TestLiveness:
             m.watch(["hp-ghost"])
             m.feed(_connect(0.0, "hp-a", "s1"))
             m.advance(500.0)
-        assert "hp-ghost" in m.pots_down()
+        assert "hp-ghost" in _pots_down(m)
 
     def test_recovery_raises_and_marks_up(self):
         with use_metrics():
@@ -106,9 +111,9 @@ class TestLiveness:
             m.feed(_connect(0.0, "hp-b", "s2"))
             m.feed(_connect(150.0, "hp-a", "s3"))
             m.advance(200.0)
-            assert m.pots_down() == ["hp-b"]
+            assert _pots_down(m) == ["hp-b"]
             m.feed(_connect(250.0, "hp-b", "s4"))
-        assert m.pots_down() == []
+        assert _pots_down(m) == []
         assert any(a.kind == "liveness-recovered" and a.honeypot_id == "hp-b"
                    for a in m.alerts)
 
@@ -336,7 +341,9 @@ class TestHoneypotEventIntake:
             for event in demo_farm_events:
                 a.on_event(event)
             b = FarmHealthMonitor(HealthConfig(liveness_timeout=1e9))
-            assert b.feed_many(recorded_trace) == len(demo_farm_events)
+            for event in recorded_trace:
+                b.feed(event)
+        assert len(recorded_trace) == len(demo_farm_events)
         assert b.sessions_seen == a.sessions_seen
         assert b.events_seen == a.events_seen
         assert sorted(b.pots) == sorted(a.pots)
@@ -515,7 +522,8 @@ class TestPinnedMonitorState:
         with use_metrics() as metrics:
             monitor = FarmHealthMonitor()
             monitor.watch(sorted(live.pots))
-            monitor.feed_many(events)
+            for event in events:
+                monitor.feed(event)
             monitor.advance(3600.0)
         assert _pinned(monitor, metrics) == MONITOR_GOLDEN["demo/feed"]
 
@@ -527,7 +535,8 @@ class TestPinnedMonitorState:
             scale=1 / 80000, seed=7, hash_scale=0.004)).store
         with use_metrics() as metrics:
             monitor = FarmHealthMonitor(HealthConfig(interval=86400.0))
-            monitor.feed_many(replay_store_events(store))
+            for event in replay_store_events(store):
+                monitor.feed(event)
         assert _pinned(monitor, metrics) == \
             MONITOR_GOLDEN["replay_store_events"]
 
@@ -545,7 +554,8 @@ class TestPinnedMonitorState:
         assert any(e["kind"] == "generator.block" for e in events)
         with use_metrics() as metrics:
             monitor = FarmHealthMonitor(HealthConfig(interval=86400.0))
-            monitor.feed_many(events)
+            for event in events:
+                monitor.feed(event)
         assert _pinned(monitor, metrics) == MONITOR_GOLDEN["pool_trace"]
 
 
@@ -592,7 +602,8 @@ class TestEmptyIntervalRuns:
                 monitor = cls(HealthConfig(interval=interval,
                                            histogram_cap=10 ** 7))
                 monitor.watch(["a", "b", "c", "d"])
-                monitor.feed_many(_gappy_stream(t0))
+                for event in _gappy_stream(t0):
+                    monitor.feed(event)
                 monitor.advance(t0 + 1_000_000.0)
             hist = metrics.histograms["farm.sessions_per_interval"]
             results.append((
@@ -622,7 +633,7 @@ class TestEmptyIntervalRuns:
         hist = metrics.histograms["farm.sessions_per_interval"]
         assert (hist.count, hist.total) == (10_000_000, 1.0)
         assert len(hist.values) == HealthConfig().histogram_cap
-        assert monitor.pots_down() == ["a"]
+        assert _pots_down(monitor) == ["a"]
         assert monitor.alerts[-1].time == 901.0
 
 

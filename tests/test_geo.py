@@ -7,8 +7,6 @@ from repro.geo.continents import (
     COUNTRY_CONTINENT,
     Continent,
     continent_of,
-    countries_in,
-    country_name,
 )
 from repro.geo.registry import GeoRegistry, NetworkType
 
@@ -26,18 +24,9 @@ class TestContinents:
         with pytest.raises(KeyError):
             continent_of("XX")
 
-    def test_country_names(self):
-        assert country_name("CN") == "China"
-        assert country_name("TW") == "Taiwan"
-
     def test_every_country_has_continent_and_name(self):
         for cc in ALL_COUNTRIES:
             assert continent_of(cc) in Continent
-            assert country_name(cc)
-
-    def test_countries_in_partition(self):
-        total = sum(len(countries_in(c)) for c in Continent)
-        assert total == len(ALL_COUNTRIES)
 
     def test_paper_client_countries_present(self):
         # The paper's headline client origins must all be modelled.
@@ -66,15 +55,15 @@ class TestGeoRegistry:
         registry = GeoRegistry()
         a = registry.register_as("DE", NetworkType.RESIDENTIAL)
         b = registry.register_as("FR", NetworkType.DATACENTER)
-        assert registry.country_of(a.prefixes[0].first) == "DE"
-        assert registry.country_of(b.prefixes[0].first) == "FR"
+        assert registry.lookup(a.prefixes[0].network).country == "DE"
+        assert registry.lookup(b.prefixes[0].network).country == "FR"
 
     def test_multi_prefix_as(self):
         registry = GeoRegistry()
         record = registry.register_as("US", NetworkType.CLOUD, n_prefixes=3)
         assert len(record.prefixes) == 3
         for prefix in record.prefixes:
-            assert registry.asn_of(prefix.first) == record.asn
+            assert registry.lookup(prefix.network).asn == record.asn
 
     def test_asn_uniqueness(self):
         registry = GeoRegistry()
@@ -92,30 +81,12 @@ class TestGeoRegistry:
         with pytest.raises(KeyError):
             GeoRegistry().register_as("XX", NetworkType.RESIDENTIAL)
 
-    def test_relation(self):
-        registry = GeoRegistry()
-        de = registry.register_as("DE", NetworkType.RESIDENTIAL)
-        fr = registry.register_as("FR", NetworkType.RESIDENTIAL)
-        cn = registry.register_as("CN", NetworkType.RESIDENTIAL)
-        de2 = registry.register_as("DE", NetworkType.DATACENTER)
-        a, b = de.prefixes[0].first, fr.prefixes[0].first
-        assert registry.relation(a, b) == (False, True)
-        assert registry.relation(a, cn.prefixes[0].first) == (False, False)
-        assert registry.relation(a, de2.prefixes[0].first) == (True, True)
-        assert registry.relation(a, a) == (True, True)
-
-    def test_relation_unallocated(self):
-        registry = GeoRegistry()
-        registry.register_as("DE", NetworkType.RESIDENTIAL)
-        assert registry.relation(0, 0) == (False, False)
-
     def test_ases_in_country(self):
         registry = GeoRegistry()
         registry.register_as("DE", NetworkType.RESIDENTIAL)
         registry.register_as("DE", NetworkType.DATACENTER)
         registry.register_as("FR", NetworkType.RESIDENTIAL)
-        assert len(registry.ases_in_country("DE")) == 2
-        assert registry.countries() == ["DE", "FR"]
+        assert [r.country for r in registry.records()].count("DE") == 2
 
     def test_len(self):
         registry = GeoRegistry()
@@ -127,4 +98,4 @@ class TestGeoRegistry:
         record = registry.register_as("DE", NetworkType.RESIDENTIAL)
         pool = record.pool()
         addr = pool.allocate_sequential()
-        assert registry.country_of(addr) == "DE"
+        assert registry.lookup(addr).country == "DE"

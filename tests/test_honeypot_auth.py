@@ -27,11 +27,6 @@ class TestAuthPolicy:
     def test_empty_password_rejected(self):
         assert not self.policy.check_password("root", "").success
 
-    def test_publickey_never_accepted(self):
-        result = self.policy.check_publickey("root", "SHA256:abcdef")
-        assert not result.success
-        assert result.reason == "publickey-unsupported"
-
     def test_result_carries_credentials(self):
         result = self.policy.check_password("root", "secret")
         assert result.username == "root"

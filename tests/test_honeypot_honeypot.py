@@ -16,7 +16,7 @@ class TestAccept:
         hp = make_honeypot()
         session = hp.accept(1, 40000, SSH_PORT, now=0.0)
         assert session.protocol is Protocol.SSH
-        assert hp.live_session_count == 1
+        assert len(hp._live) == 1
 
     def test_accept_telnet(self):
         hp = make_honeypot()
@@ -27,9 +27,6 @@ class TestAccept:
         hp = make_honeypot()
         with pytest.raises(ValueError):
             hp.accept(1, 40000, 80, now=0.0)
-
-    def test_open_ports(self):
-        assert make_honeypot().open_ports == [22, 23]
 
     def test_sessions_accepted_counter(self):
         hp = make_honeypot()
@@ -75,7 +72,7 @@ class TestConcurrencyCap:
         hp = make_honeypot()
         for i in range(50):
             hp.accept(i, i, SSH_PORT, 0.0)
-        assert hp.live_session_count == 50
+        assert len(hp._live) == 50
         assert hp.sessions_refused == 0
 
 
@@ -86,7 +83,7 @@ class TestReap:
         session.client_disconnect(5.0)
         summaries = hp.reap(6.0)
         assert len(summaries) == 1
-        assert hp.live_session_count == 0
+        assert len(hp._live) == 0
 
     def test_reap_times_out_overdue(self):
         hp = make_honeypot()
@@ -99,7 +96,7 @@ class TestReap:
         hp = make_honeypot()
         hp.accept(1, 1, SSH_PORT, 0.0)
         assert hp.reap(10.0) == []
-        assert hp.live_session_count == 1
+        assert len(hp._live) == 1
 
     def test_summary_sink_called(self):
         collected = []

@@ -12,19 +12,13 @@ class TestIntelDatabase:
         assert entry is not None
         assert entry.tag is ThreatTag.MIRAI
         assert entry.family == "H4"
+        assert db.tag_of("abc") is ThreatTag.MIRAI
 
     def test_lookup_miss(self):
         assert IntelDatabase().lookup("missing") is None
 
     def test_tag_of_unknown(self):
         assert IntelDatabase().tag_of("missing") is ThreatTag.UNKNOWN
-
-    def test_tags_for(self):
-        db = IntelDatabase()
-        db.register("a", ThreatTag.TROJAN)
-        tags = db.tags_for(["a", "b"])
-        assert tags["a"] is ThreatTag.TROJAN
-        assert tags["b"] is ThreatTag.UNKNOWN
 
     def test_coverage(self):
         db = IntelDatabase()

@@ -166,7 +166,7 @@ def test_every_sketch_instrument_is_declared():
     # sync with the obs.names registry (the lint gate enforces this for
     # literal call sites; this pins the contract at the API level too).
     for name in ("sketch.sessions_observed", "sketch.events_consumed",
-                 "sketch.store_sessions_ingested", "sketch.merges"):
+                 "sketch.store_sessions_ingested"):
         assert obs_names.is_declared(name, obs_names.COUNTERS), name
     for name in ("sketch.unique.clients", "sketch.unique.hashes"):
         assert obs_names.is_declared(name, obs_names.GAUGES), name

@@ -4,12 +4,14 @@ This is the test the determinism linter exists for — ``src/`` carries
 zero unsuppressed findings, and a lint run is a pure read: it must not create, change or delete any
 file in the repository.  ``src/`` and ``tests/`` also carry no unused
 module-level import (ruff's F401, checked here whether or not ruff is
-installed).
+installed), and every definition in ``src/`` has a caller outside
+``tests/``.
 """
 
 import ast
 import hashlib
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -169,3 +171,131 @@ def test_unused_import_check_flags_only_unused_names(tmp_path):
     )
     assert unused_imports(tmp_path, [path]) == [
         "mod.py:2: os", "mod.py:6: get_metrics", "mod.py:8: yaml"]
+
+
+#: Trees whose code counts as a caller of ``src/``: the package itself,
+#: the benchmarks, the examples and the scripts (``ci.sh``'s heredocs
+#: included).  ``tests/`` does not count.
+CALLER_TREES = ("src", "benchmarks", "examples", "scripts")
+
+#: Definitions kept without a caller outside ``tests/``: name -> reason.
+ALLOWED = {
+    "plan_digest": "test reference: tests/test_plan_digest.py pins the "
+                   "plan bytes through it",
+    "strip_volatile": "test reference: trace invariance tests compare "
+                      "events through it",
+    "strip_volatile_events": "test reference: trace and monitor tests "
+                             "drop whole-event telemetry through it",
+    "group_by_trace": "test reference: trace invariance tests group "
+                      "events per trace through it",
+    "filter": "SessionStore.filter: ci.sh's metamorphic smoke reaches it "
+              "through tests/report_digest.split_and_merge",
+}
+
+#: A string constant naming code (``"pkg.mod:Class.attr"``, ``"emit"``):
+#: how ``getattr`` and ``benchmarks/perf/tracing.py`` reach a definition.
+_DOTTED = re.compile(r"[A-Za-z_][\w.:]*")
+
+
+def _identifiers(tree: ast.AST) -> dict:
+    """How often each identifier is read in ``tree``: names, attributes
+    and the parts of dotted string constants.  Imports and ``__all__``
+    re-export a name without calling it, so they do not count."""
+    counts: dict = {}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)):
+            continue
+        names = []
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute) \
+                and not isinstance(node.ctx, ast.Store):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _DOTTED.fullmatch(node.value):
+            names = [part for part in re.split(r"[.:]", node.value) if part]
+        for name in names:
+            counts[name] = counts.get(name, 0) + 1
+        stack.extend(ast.iter_child_nodes(node))
+    return counts
+
+
+def _definitions(tree: ast.Module):
+    """Module-level defs and classes, and the defs and classes in their
+    class bodies."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (sub for sub in node.body if isinstance(sub, kinds))
+
+
+def _exempt(node) -> bool:
+    """Dunders run by the language; abstract methods are contracts."""
+    if node.name.startswith("__") and node.name.endswith("__"):
+        return True
+    return any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", ""))
+               == "abstractmethod" for d in node.decorator_list)
+
+
+def uncalled_definitions(root: Path) -> list:
+    """``path:line: name`` for each definition in ``root/src`` whose name
+    is read nowhere in :data:`CALLER_TREES` outside its own body."""
+    reads: dict = {}
+    defined = []
+    for top in CALLER_TREES:
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for name, n in _identifiers(tree).items():
+                reads[name] = reads.get(name, 0) + n
+            if top == "src":
+                defined += [(path, node) for node in _definitions(tree)]
+        for path in sorted((root / top).rglob("*.sh")):
+            for name in re.findall(r"[A-Za-z_]\w*", path.read_text()):
+                reads[name] = reads.get(name, 0) + 1
+    return sorted(
+        f"{path.relative_to(root)}:{node.lineno}: {node.name}"
+        for path, node in defined
+        if not _exempt(node) and node.name not in ALLOWED
+        and reads.get(node.name, 0) <= _identifiers(node).get(node.name, 0))
+
+
+def test_every_src_definition_has_a_caller():
+    assert uncalled_definitions(REPO_ROOT) == []
+
+
+def test_uncalled_definition_check_flags_only_uncalled_names(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        "import abc\n"
+        "__all__ = ['Sketch', 'orphan']\n"
+        "def orphan():\n"
+        "    return orphan()\n"
+        "def by_script():\n"
+        "    pass\n"
+        "def by_string():\n"
+        "    pass\n"
+        "class Sketch:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    @abc.abstractmethod\n"
+        "    def contract(self):\n"
+        "        pass\n"
+        "    def add(self):\n"
+        "        pass\n"
+        "    def add_hash(self):\n"
+        "        pass\n"
+        "TARGET = 'mod:Sketch.add'\n"
+        "getattr(Sketch, 'by_string')\n"
+    )
+    (tmp_path / "scripts" / "ci.sh").write_text(
+        "python - <<'PY'\nfrom mod import by_script\nby_script()\nPY\n")
+    assert uncalled_definitions(tmp_path) == [
+        "src/mod.py:17: add_hash", "src/mod.py:3: orphan"]

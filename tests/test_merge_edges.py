@@ -1,19 +1,17 @@
-"""Edge cases for the merge layers: stores, collectors, metrics, traces.
+"""Edge cases for the merge layers: stores, metrics, traces.
 
-``SessionStore.merge`` / ``StoreBuilder.adopt`` remap interned ids when
-combining stores whose string tables diverged; ``FarmCollector.merge``
-folds operator counters; ``Metrics.merge`` / ``Tracer.fold`` are the
-shard-fold discipline the streaming analytics sketches mirror.  These
-tests pin the degenerate shapes the happy path never exercises: empty
-inputs, single-shard identity, fully disjoint tables, overlapping
-post-fork tables, out-of-order folds, and multi-step associativity.
+``SessionStore.merge`` remaps interned ids when combining stores whose
+string tables diverged; ``Metrics.merge`` / ``Tracer.fold`` are the
+shard-fold discipline.  These tests pin the degenerate shapes the happy
+path never exercises: empty inputs, single-shard identity, fully
+disjoint tables, overlapping post-fork tables, out-of-order folds, and
+multi-step associativity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.farm.collector import FarmCollector
 from repro.obs.metrics import Metrics
 from repro.obs.trace import Tracer, group_by_trace, strip_volatile
 from repro.store.records import SessionRecord
@@ -135,78 +133,6 @@ class TestStoreMergeEdges:
         SessionStore.merge([a, b])
         assert fingerprint(a) == before_a
         assert fingerprint(b) == before_b
-
-
-class TestCollectorMergeEdges:
-    def test_merge_empty_into_empty(self):
-        one, two = FarmCollector(), FarmCollector()
-        one.merge(two)
-        assert one.sessions_total == 0
-        assert one.sessions_by_honeypot == {}
-        assert len(one.build_store()) == 0
-
-    def test_merge_populated_into_empty_and_back(self):
-        empty, full = FarmCollector(), FarmCollector()
-        full.add_record(_record(0, "pot-a", "US"))
-        full.add_record(_record(1, "pot-b", "DE"))
-
-        empty.merge(full)
-        assert empty.sessions_total == 2
-        assert empty.sessions_by_honeypot == {"pot-a": 1, "pot-b": 1}
-
-        # Merging an empty collector back is the identity on counters.
-        full.merge(FarmCollector())
-        assert full.sessions_total == 2
-        assert len(full.build_store()) == 2
-
-    def test_merge_sums_overlapping_honeypot_counters(self):
-        one, two = FarmCollector(), FarmCollector()
-        for i in range(3):
-            one.add_record(_record(i, "pot-a", "US"))
-        two.add_record(_record(3, "pot-a", "US"))
-        two.add_record(_record(4, "pot-b", "DE"))
-        one.merge(two)
-        assert one.sessions_total == 5
-        assert one.sessions_by_honeypot == {"pot-a": 4, "pot-b": 1}
-        store = one.build_store()
-        assert len(store) == 5
-        pots = [store.honeypots.value_of(int(p)) for p in store.honeypot]
-        assert pots == ["pot-a"] * 3 + ["pot-a", "pot-b"]
-
-    def test_merge_is_associative_on_the_store(self):
-        def collectors():
-            xs = [FarmCollector() for _ in range(3)]
-            xs[0].add_record(_record(0, "pot-a", "US", password="alpha"))
-            xs[1].add_record(_record(1, "pot-b", "DE", password="beta"))
-            xs[2].add_record(_record(2, "pot-a", "US", password="alpha"))
-            return xs
-
-        a, b, c = collectors()
-        a.merge(b)
-        a.merge(c)
-        flat = a.build_store()
-
-        x, y, z = collectors()
-        y.merge(z)
-        x.merge(y)
-        nested = x.build_store()
-        assert fingerprint(flat) == fingerprint(nested)
-
-    def test_keep_events_extends_on_merge(self):
-        one = FarmCollector(keep_events=True)
-        two = FarmCollector(keep_events=True)
-        one.events.append("e1")
-        two.events.append("e2")
-        two.events.append("e3")
-        one.merge(two)
-        assert one.events == ["e1", "e2", "e3"]
-
-    def test_events_dropped_when_not_kept(self):
-        one = FarmCollector(keep_events=False)
-        two = FarmCollector(keep_events=True)
-        two.events.append("e2")
-        one.merge(two)
-        assert one.events == []
 
 
 def _worker_trace(shard: int, n: int = 3) -> Tracer:

@@ -192,7 +192,8 @@ class TestHistogramReservoirCap:
         m.observe("h", 1.0)
         m.observe("h", 2.5)
         assert m.to_dict()["histograms"]["h"] == [1.0, 2.5]
-        clone = Metrics.from_dict(m.to_dict())
+        clone = Metrics()
+        clone.merge(m.to_dict())
         assert clone.histograms["h"].values == [1.0, 2.5]
         assert clone.histograms["h"].cap is None
 
@@ -262,13 +263,16 @@ class TestSerialisation:
 
     def test_round_trip(self):
         m = self._populated()
-        clone = Metrics.from_dict(m.to_dict())
+        clone = Metrics()
+        clone.merge(m.to_dict())
         assert clone.to_dict() == m.to_dict()
 
     def test_dict_form_is_json_serialisable(self):
         m = self._populated()
         restored = json.loads(json.dumps(m.to_dict()))
-        assert Metrics.from_dict(restored).to_dict() == m.to_dict()
+        clone = Metrics()
+        clone.merge(restored)
+        assert clone.to_dict() == m.to_dict()
 
     def test_render_mentions_every_section(self):
         text = render(self._populated())
@@ -530,16 +534,6 @@ class TestStopwatch:
         second = watch.elapsed()
         assert first >= 0.0
         assert second >= first
-
-    def test_restart_resets_origin(self):
-        from repro.obs import Stopwatch
-
-        watch = Stopwatch()
-        for _ in range(10_000):
-            pass
-        drained = watch.elapsed()
-        watch.restart()
-        assert watch.elapsed() <= drained + 1.0
 
 
 class TestAtomicWrites:

@@ -177,22 +177,6 @@ def test_adopt_into_forked_builder_extends_shared_prefix():
     assert merged.honeypots.values()[:2] == ["pot-a", "pot-b"]
 
 
-def test_collector_merge_combines_counters():
-    from repro.farm.collector import FarmCollector
-
-    one, two = FarmCollector(), FarmCollector()
-    one.add_record(_record(0, "pot-a", "US"))
-    two.add_record(_record(1, "pot-b", "DE"))
-    two.add_record(_record(2, "pot-a", "US"))
-    one.merge(two)
-    assert one.sessions_total == 3
-    assert one.sessions_by_honeypot == {"pot-a": 2, "pot-b": 1}
-    store = one.build_store()
-    assert len(store) == 3
-    pots = [store.honeypots.value_of(int(p)) for p in store.honeypot]
-    assert pots == ["pot-a", "pot-b", "pot-a"]
-
-
 # -- the shard payload: rows plus the table entries a shard added ---------------
 
 

@@ -29,7 +29,7 @@ class TestIpProperties:
     def test_prefix_contains_its_network(self, value, length):
         network = value & (((1 << length) - 1) << (32 - length) if length else 0)
         prefix = IPv4Prefix(network & 0xFFFFFFFF, length)
-        assert prefix.contains(prefix.first)
+        assert prefix.contains(prefix.network)
         assert prefix.contains(prefix.last)
 
     @given(ips, st.integers(min_value=8, max_value=32))

@@ -11,7 +11,6 @@ from repro.obs.resources import (
     ResourceSampler,
     current_rss_kb,
     peak_rss_kb,
-    validate_heartbeat,
     worker_heartbeat,
 )
 
@@ -102,24 +101,3 @@ class TestWorkerHeartbeat:
         assert beat["beat"] == 3
         assert beat["rss_kb"] > 0
 
-    def test_valid_payload_validates_clean(self):
-        beat = worker_heartbeat("w", beat=1)
-        assert validate_heartbeat(beat) == []
-
-    def test_missing_field_detected(self):
-        beat = worker_heartbeat("w", beat=1)
-        del beat["rss_kb"]
-        problems = validate_heartbeat(beat)
-        assert any("rss_kb" in p for p in problems)
-
-    def test_bad_types_detected(self):
-        beat = worker_heartbeat("w", beat=1)
-        beat["beat"] = "one"
-        beat["worker"] = 5
-        problems = validate_heartbeat(beat)
-        assert any("'beat'" in p for p in problems)
-        assert any("'worker'" in p for p in problems)
-
-    def test_non_dict_rejected(self):
-        assert validate_heartbeat(["not", "a", "dict"]) \
-            == ["heartbeat is not an object"]

@@ -77,34 +77,6 @@ class TestKnownStatus:
             assert registry.is_known(name), name
 
 
-class TestPublickey:
-    def test_key_offer_rejected_and_recorded(self):
-        from repro.honeypot.protocol import Protocol
-        from repro.honeypot.session import HoneypotSession
-        events = []
-        session = HoneypotSession(
-            honeypot_id="h", honeypot_ip=1, protocol=Protocol.SSH,
-            client_ip=2, client_port=3, start_time=0.0,
-            event_sink=events.append,
-        )
-        result = session.try_publickey("root", "SHA256:abc", 1.0)
-        assert not result.success
-        assert session.credentials == [("root", "ssh-key:SHA256:abc")]
-        assert any(e.data.get("method") == "publickey" for e in events)
-
-    def test_three_key_offers_close_ssh_session(self):
-        from repro.honeypot.protocol import Protocol
-        from repro.honeypot.session import CloseReason, HoneypotSession
-        session = HoneypotSession(
-            honeypot_id="h", honeypot_ip=1, protocol=Protocol.SSH,
-            client_ip=2, client_port=3, start_time=0.0,
-        )
-        for i in range(3):
-            session.try_publickey("root", f"SHA256:k{i}", float(i))
-        assert session.is_closed
-        assert session.close_reason is CloseReason.TOO_MANY_ATTEMPTS
-
-
 class TestStoreFilter:
     def test_filter_subset(self, small_store):
         import numpy as np

@@ -1,60 +1,17 @@
-"""Tests for the virtual clock and timestamps."""
+"""Tests for the virtual clock and the observation window."""
 
 import datetime
 
 import pytest
 
 from repro.simulation.clock import (
-    ANCHOR_DATE,
     OBSERVATION_DAYS,
     OBSERVATION_END,
     SECONDS_PER_DAY,
     SimClock,
-    Timestamp,
     date_to_day,
     day_to_date,
 )
-
-
-class TestTimestamp:
-    def test_day_of_zero(self):
-        assert Timestamp(0.0).day == 0
-
-    def test_day_boundary(self):
-        assert Timestamp(SECONDS_PER_DAY - 0.001).day == 0
-        assert Timestamp(SECONDS_PER_DAY).day == 1
-
-    def test_second_of_day(self):
-        ts = Timestamp(SECONDS_PER_DAY + 42.5)
-        assert ts.second_of_day == pytest.approx(42.5)
-
-    def test_date_anchor(self):
-        assert Timestamp(0.0).date() == ANCHOR_DATE
-
-    def test_date_advances(self):
-        assert Timestamp(3 * SECONDS_PER_DAY).date() == ANCHOR_DATE + datetime.timedelta(days=3)
-
-    def test_from_day_roundtrip(self):
-        ts = Timestamp.from_day(100, 3600.0)
-        assert ts.day == 100
-        assert ts.second_of_day == pytest.approx(3600.0)
-
-    def test_from_date(self):
-        date = datetime.date(2022, 9, 5)
-        ts = Timestamp.from_date(date)
-        assert ts.date() == date
-
-    def test_ordering(self):
-        assert Timestamp(1.0) < Timestamp(2.0)
-
-    def test_addition(self):
-        assert (Timestamp(10.0) + 5.0).seconds == 15.0
-
-    def test_subtraction_gives_seconds(self):
-        assert Timestamp(20.0) - Timestamp(5.0) == 15.0
-
-    def test_isoformat_contains_anchor_year(self):
-        assert Timestamp(0.0).isoformat().startswith("2021-12-01")
 
 
 class TestObservationWindow:
@@ -75,19 +32,10 @@ class TestSimClock:
     def test_starts_at_zero(self):
         assert SimClock().seconds == 0.0
 
-    def test_advance(self):
-        clock = SimClock()
-        clock.advance(10.0)
-        assert clock.seconds == 10.0
-
-    def test_advance_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock().advance(-1.0)
-
     def test_advance_to(self):
         clock = SimClock()
         clock.advance_to(100.0)
-        assert clock.now.seconds == 100.0
+        assert clock.seconds == 100.0
 
     def test_advance_to_backwards_rejected(self):
         clock = SimClock(start=50.0)

@@ -25,30 +25,10 @@ class TestEventQueue:
         q.pop().action()
         assert order == ["first", "second"]
 
-    def test_cancelled_events_skipped(self):
-        q = EventQueue()
-        event = q.push(1.0, lambda: None)
-        event.cancel()
-        assert q.pop() is None
-
-    def test_len_excludes_cancelled(self):
-        q = EventQueue()
-        e1 = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        e1.cancel()
-        assert len(q) == 1
-
     def test_peek_time(self):
         q = EventQueue()
         q.push(5.0, lambda: None)
         assert q.peek_time() == 5.0
-
-    def test_peek_skips_cancelled(self):
-        q = EventQueue()
-        e = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        e.cancel()
-        assert q.peek_time() == 2.0
 
     def test_bool_empty(self):
         assert not EventQueue()
@@ -67,7 +47,7 @@ class TestSimulationEngine:
 
     def test_schedule_at_past_rejected(self):
         engine = SimulationEngine()
-        engine.clock.advance(10.0)
+        engine.clock.advance_to(10.0)
         with pytest.raises(ValueError):
             engine.schedule_at(5.0, lambda: None)
 

@@ -93,10 +93,6 @@ class TestDraws:
         with pytest.raises(ValueError):
             rng.multinomial(10, [0.0, 0.0])
 
-    def test_weighted_indices_bias(self, rng):
-        idx = rng.weighted_indices([0.99, 0.01], size=500)
-        assert (idx == 0).mean() > 0.9
-
     def test_array_shapes(self, rng):
         assert rng.random_array(10).shape == (10,)
         assert rng.uniform_array(0, 1, 7).shape == (7,)

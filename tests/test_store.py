@@ -47,9 +47,6 @@ class TestStringTable:
         assert "y" not in table
         assert len(table) == 1
 
-    def test_get_id_missing(self):
-        assert StringTable().get_id("nope") is None
-
     def test_id_of_missing_raises(self):
         with pytest.raises(KeyError):
             StringTable().id_of("nope")
@@ -113,7 +110,7 @@ class TestBuilderRoundtrip:
         store = builder.build()
         assert store.protocol[0] == PROTOCOL_SSH
         assert store.protocol[1] == PROTOCOL_TELNET
-        assert store.is_ssh[0] and store.is_telnet[1]
+        assert store.is_ssh[0] and not store.is_ssh[1]
 
     def test_hash_interning(self):
         builder = StoreBuilder()

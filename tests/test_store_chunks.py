@@ -170,7 +170,8 @@ class TestAppendPathEquivalence:
         assert a == b
 
     def test_adopted_builder_byte_identical(self, tmp_path):
-        """adopt() of a forked shard equals appending the rows directly."""
+        """Adopting a forked shard's payload equals appending the rows
+        directly."""
         rows = _rows(self.N, seed=31)
         reference = _new_builder()
         _append_rows(reference, rows, 0, self.N)
@@ -179,7 +180,7 @@ class TestAppendPathEquivalence:
         _append_block(trunk, rows, 0, 200)
         shard = trunk.fork_tables()
         _append_block(shard, rows, 200, self.N)
-        trunk.adopt(shard)
+        trunk.adopt_store(shard.payload())
 
         a = _npz_bytes(reference.build(), tmp_path, "ref.npz")
         b = _npz_bytes(trunk.build(), tmp_path, "adopted.npz")

@@ -1,8 +1,9 @@
 """Tests for the ``repro top`` scheduler dashboard.
 
-``top`` renders the run ledger's fold (:class:`repro.obs.SchedFold`) of
-the scheduler's ``sched.*`` events; these tests feed it events and read
-the fold and the rendered frame.
+``top`` renders :class:`repro.obs.ledger.TopFold`, the bounded part of
+the run ledger's fold (:class:`repro.obs.SchedFold`) of the scheduler's
+``sched.*`` events; these tests feed them events and read the folds and
+the rendered frame.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 
 from repro.obs import SchedFold
+from repro.obs.ledger import ALERT_TAIL, TopFold
 from repro.sched import render_top
 
 
@@ -186,3 +188,34 @@ class TestAgainstRealTrace:
             assert row["rss_kb"] > 0
         text = render_top(fold)
         assert "100%" in text
+
+
+class TestTopFoldIsBounded:
+    def test_ten_thousand_beats_and_tasks_keep_one_int_per_task(self):
+        events = [{"kind": "sched.trace.built", "data": {"tasks": 10_000}}]
+        for i in range(10_000):
+            worker = f"pool-{i % 4}"
+            events.append(_hb(worker, beat=i // 4 + 1, wall=0.01 * i,
+                              sessions=3 * i, last_index=i,
+                              tasks_done=i // 4))
+            events.append(_done(i, 3))
+            if i % 1000 == 0:
+                events.append({"kind": "sched.task.retry", "data": {
+                    "index": i, "attempt": 2, "error": "boom"}})
+                events.append({"kind": "sched.heartbeat.stale", "data": {
+                    "worker": worker, "silent_seconds": 2.0,
+                    "last_index": i}})
+        top, ledger = TopFold(), SchedFold()
+        for event in events:
+            top.feed(event)
+            ledger.feed(event)
+        assert not hasattr(top, "heartbeats") and not hasattr(top, "tasks")
+        assert not any(isinstance(value, list) for value in vars(top).values())
+        assert len(top.task_sessions) == 10_000
+        assert all(type(n) is int for n in top.task_sessions.values())
+        assert sorted(top.workers) == ["pool-0", "pool-1", "pool-2", "pool-3"]
+        assert len(top.tail) == ALERT_TAIL
+        assert (top.retries, top.stale) == (10, 10)
+        # The ledger's fold keeps the full rows and renders the same frame.
+        assert len(ledger.heartbeats) == len(ledger.tasks) == 10_000
+        assert render_top(top) == render_top(ledger)

@@ -99,11 +99,6 @@ class TestProtocolConstants:
         with pytest.raises(ValueError):
             Protocol.for_port(80)
 
-    def test_banners(self):
-        from repro.honeypot.protocol import Protocol
-        assert Protocol.SSH.banner.startswith("SSH-2.0-")
-        assert "login" in Protocol.TELNET.banner
-
     def test_ports(self):
         from repro.honeypot.protocol import Protocol
         assert Protocol.SSH.port == 22

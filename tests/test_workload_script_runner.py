@@ -28,7 +28,6 @@ class TestProfiles:
         assert profile.commands
         assert profile.hashes == ()
         assert profile.uris == ()
-        assert not profile.creates_files
         assert profile.exec_seconds > 0
 
     def test_key_inject_one_hash(self, runner):
