@@ -146,11 +146,11 @@ python - "$SCRATCH" <<'PY'
 import json
 import sys
 
-from repro.obs import SchedFold, read_ledger_jsonl, read_trace_jsonl, \
-    strip_volatile_records, validate_ledger
+from repro.obs import SchedFold, read_trace_jsonl, strip_volatile_records, \
+    validate_ledger
 
 scratch = sys.argv[1]
-ledgers = {name: read_ledger_jsonl(f"{scratch}/ledger_{name[0]}.jsonl")
+ledgers = {name: read_trace_jsonl(f"{scratch}/ledger_{name[0]}.jsonl")
            for name in ("a_inline_w1", "b_pool_w2")}
 for name, records in ledgers.items():
     problems = validate_ledger(records)
@@ -165,23 +165,34 @@ finals = [next(r for r in records if r["record"] == "final")
 if finals[0]["store_sha256"] != finals[1]["store_sha256"]:
     raise SystemExit("final store sha256 differs between worker counts")
 # ledger_b and top_trace.jsonl come from the same pool run: its sched,
-# task and heartbeat records must be the fold of the trace's events.
+# task, heartbeat and artifact records, the run record's fingerprint and
+# config, and the final store digest must be the fold of the trace's events.
 fold = SchedFold()
 for event in read_trace_jsonl(f"{scratch}/top_trace.jsonl"):
     fold.feed(event)
-kinds = ("sched", "task", "heartbeat")
+kinds = ("sched", "task", "heartbeat", "artifact")
 rebuilt = [r for r in fold.records() if r["record"] in kinds]
 written = [r for r in ledgers["b_pool_w2"] if r["record"] in kinds]
 if json.dumps(rebuilt, sort_keys=True) != json.dumps(written, sort_keys=True):
-    raise SystemExit("pool ledger's sched/task/heartbeat records differ "
-                     "from the fold of its trace")
+    raise SystemExit("pool ledger's sched/task/heartbeat/artifact records "
+                     "differ from the fold of its trace")
+run = next(r for r in ledgers["b_pool_w2"] if r["record"] == "run")
+for field in ("fingerprint", "config"):
+    if fold.run is None or fold.run.get(field) != run[field]:
+        raise SystemExit(f"pool ledger's run {field} differs from the "
+                         "fold of its trace")
+if fold.store is None \
+        or fold.store["store_sha256"] != finals[1]["store_sha256"]:
+    raise SystemExit("pool ledger's store_sha256 differs from the fold of "
+                     "its trace")
 a = ledgers["a_inline_w1"]
 beats = sum(1 for r in a if r["record"] == "heartbeat")
 tasks = sum(1 for r in a if r["record"] == "task")
 print(f"run-ledger ok ({len(a)} records, {tasks} task rows, "
       f"{beats} heartbeats, store sha256 "
       f"{finals[0]['store_sha256'][:16]}..., stripped identical; "
-      f"{len(written)} pool records == fold of its trace)")
+      f"{len(written)} pool records, run identity and store digest == "
+      f"fold of its trace)")
 PY
 
 echo "== repro top smoke (--once over the recorded pool trace) =="
@@ -265,14 +276,14 @@ import sys
 import numpy as np
 
 import repro
-from repro.obs import read_ledger_jsonl
+from repro.obs import read_trace_jsonl
 
 path, ledger_path = sys.argv[1:]
 with np.load(path, allow_pickle=False) as data:
     members = {name: data[name] for name in data.files}
 if int(members["format_version"][0]) != 2:
     raise SystemExit(f"{path}: format_version {members['format_version']}")
-final = next(r for r in read_ledger_jsonl(ledger_path) if r["record"] == "final")
+final = next(r for r in read_trace_jsonl(ledger_path) if r["record"] == "final")
 loaded = repro.load(path).store.content_digest()
 if loaded != final["store_sha256"]:
     raise SystemExit(f"digest moved across save + load: generated "

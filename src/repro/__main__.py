@@ -179,7 +179,7 @@ def _dataset(args):
 
 def cmd_generate(args) -> int:
     from repro.api import generate
-    from repro.obs import get_ledger, sha256_file
+    from repro.obs import sha256_file, trace
     from repro.store.io import write_jsonl
     from repro.store.npz import save_npz
     from repro.workload.io import save_dataset
@@ -201,9 +201,9 @@ def cmd_generate(args) -> int:
     else:
         save_npz(dataset.store, args.out)
         print(f"wrote {len(dataset.store):,} sessions to {args.out}")
-    ledger = get_ledger()
-    if ledger is not None:
-        ledger.record_artifact("store", store_path, sha256_file(store_path))
+    if trace.listening():
+        trace.emit("run.artifact", name="store", path=str(store_path),
+                   sha256=sha256_file(store_path))
     return 0
 
 
@@ -570,13 +570,14 @@ def _run_ledgered(args, target: str, runner) -> int:
     artefact you want most — and a Ctrl-C ends it with the final status
     ``interrupted`` before the interrupt propagates.
     """
-    from repro.obs import RunLedger, get_metrics, use_ledger
+    from repro.obs import RunLedger, get_metrics
+    from repro.obs.trace import emit, use_fold
 
     ledger = RunLedger()
-    ledger.begin_run(args.command)
     final = "exit-1"
     try:
-        with use_ledger(ledger):
+        with use_fold(ledger.fold.feed):
+            emit("run.begin", command=args.command)
             status = runner()
         final = "ok" if status == 0 else f"exit-{status}"
     except KeyboardInterrupt:

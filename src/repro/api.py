@@ -95,21 +95,23 @@ def generate(config=None, *, backend: Optional[str] = None,
         raise TypeError("pass either options= or individual keywords, "
                         "not both")
 
-    from repro.obs.ledger import get_ledger
+    from repro.obs import trace as _trace
     from repro.workload.cache import dataset_fingerprint
 
-    # The run ledger (when armed via ``use_ledger`` / ``--ledger``) pins
-    # the run's logical identity here: the fingerprint keys the config
-    # alone, so workers=1 and workers=8 ledgers strip equal.
+    # The run's logical identity, for a run ledger or a trace: the
+    # fingerprint keys the config alone, so workers=1 and workers=8
+    # ledgers strip equal.
     backend = options.resolved_backend()
     workers = options.resolved_workers()
     fingerprint = dataset_fingerprint(config)
-    ledger = get_ledger()
-    if ledger is not None:
-        ledger.begin_run(
-            "generate", config=config, fingerprint=fingerprint,
-            backend=backend, workers=workers,
-        )
+    listening = _trace.listening()
+    if listening:
+        import dataclasses
+
+        _trace.emit("run.begin", command="generate",
+                    config=dataclasses.asdict(config),
+                    fingerprint=fingerprint, backend=backend,
+                    workers=int(workers))
 
     cache_obj = None
     if options.cache is not None:
@@ -120,9 +122,10 @@ def generate(config=None, *, backend: Optional[str] = None,
         # share entries.
         cached = cache_obj.load(fingerprint)
         if cached is not None:
-            if ledger is not None:
-                ledger.record_store(cached.content_digest(),
-                                    len(cached.store), cache_hit=True)
+            if listening:
+                _trace.emit("run.store",
+                            store_sha256=cached.content_digest(),
+                            sessions=len(cached.store), cache_hit=True)
             return cached
 
     from repro.sched.scheduler import generate_scheduled
@@ -131,8 +134,9 @@ def generate(config=None, *, backend: Optional[str] = None,
 
     if cache_obj is not None:
         cache_obj.store(fingerprint, dataset)
-    if ledger is not None:
-        ledger.record_store(dataset.content_digest(), len(dataset.store))
+    if listening:
+        _trace.emit("run.store", store_sha256=dataset.content_digest(),
+                    sessions=len(dataset.store))
     return dataset
 
 

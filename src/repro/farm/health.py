@@ -38,10 +38,17 @@ from repro.honeypot.events import (
     block_category,
     session_category,
 )
-from repro.obs import get_ledger, get_metrics
+from repro.obs import get_metrics
+from repro.obs import trace as _trace
 
 #: Session categories the mix-drift baseline tracks (the paper's taxonomy).
 CATEGORIES = CATEGORY_NAMES
+
+#: EWMA smoothing factor for the drift baselines.
+EWMA_ALPHA = 0.3
+
+#: Keep at most this many alerts (oldest dropped first).
+MAX_ALERTS = 1000
 
 #: A rate baseline below this is as good as zero: it is under half an ulp
 #: of 0.3, so the next busy interval updates it exactly as it would a zero
@@ -61,16 +68,12 @@ class HealthConfig:
     liveness_timeout: float = 900.0
     #: Width of one rate/mix statistics interval (simulation seconds).
     interval: float = 60.0
-    #: EWMA smoothing factor for the drift baselines.
-    ewma_alpha: float = 0.3
     #: |z| beyond which an interval raises a drift alert.
     z_threshold: float = 3.0
     #: Intervals observed before drift alerts may fire (baseline warm-up).
     warmup_intervals: int = 5
     #: Reservoir cap for the interval histograms kept in the registry.
     histogram_cap: int = 4096
-    #: Keep at most this many alerts (oldest dropped first).
-    max_alerts: int = 1000
 
     def __post_init__(self) -> None:
         # interval <= 0 never closes, so _advance_to would spin forever.
@@ -202,8 +205,8 @@ class FarmHealthMonitor:
         self._interval_start: Optional[float] = None
         self._interval_sessions = 0
         self._interval_mix = {cat: 0 for cat in CATEGORIES}
-        self._rate = _Ewma(self.config.ewma_alpha)
-        self._mix = {cat: _Ewma(self.config.ewma_alpha) for cat in CATEGORIES}
+        self._rate = _Ewma(EWMA_ALPHA)
+        self._mix = {cat: _Ewma(EWMA_ALPHA) for cat in CATEGORIES}
         self._intervals_closed = 0
 
     # -- wiring ---------------------------------------------------------------
@@ -462,13 +465,11 @@ class FarmHealthMonitor:
     def _alert(self, kind: str, ts: float, honeypot_id: Optional[str],
                message: str, **data: Any) -> None:
         self.alerts.append(Alert(kind, ts, honeypot_id, message, data))
-        if len(self.alerts) > self.config.max_alerts:
-            del self.alerts[: len(self.alerts) - self.config.max_alerts]
+        if len(self.alerts) > MAX_ALERTS:
+            del self.alerts[: len(self.alerts) - MAX_ALERTS]
         get_metrics().inc(f"farm.alerts.{kind}")
-        ledger = get_ledger()
-        if ledger is not None:
-            ledger.record_alert(kind, message, time=ts,
-                                honeypot_id=honeypot_id, **data)
+        _trace.emit("farm.alert", alert=kind, message=message,
+                    time=float(ts), honeypot_id=honeypot_id, data=data)
 
     # -- reporting ------------------------------------------------------------
 

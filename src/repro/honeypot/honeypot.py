@@ -53,14 +53,6 @@ class Honeypot:
     def ip(self) -> int:
         return self.config.ip
 
-    @property
-    def country(self) -> str:
-        return self.config.country
-
-    @property
-    def asn(self) -> int:
-        return self.config.asn
-
     def accept(
         self,
         client_ip: int,

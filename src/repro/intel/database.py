@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.intel.tags import ThreatTag
 
 
 @dataclass
 class IntelEntry:
-    """What a threat-intel lookup returns for one file hash."""
+    """The threat-intel record of one file hash."""
 
     sha256: str
     tag: ThreatTag
@@ -23,14 +23,12 @@ class IntelDatabase:
     """In-memory hash -> :class:`IntelEntry` map with coverage accounting.
 
     Real-world coverage is poor (the paper finds entries for <2% of its
-    hashes); lookups of unindexed hashes return None, and the analysis layer
-    treats those as :attr:`ThreatTag.UNKNOWN`, mirroring the paper.
+    hashes); an unindexed hash has no entry, and the analysis layer treats
+    it as :attr:`ThreatTag.UNKNOWN`, mirroring the paper.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[str, IntelEntry] = {}
-        self.lookups = 0
-        self.hits = 0
 
     def register(
         self,
@@ -48,13 +46,6 @@ class IntelDatabase:
             detections=detections,
         )
         self._entries[sha256] = entry
-        return entry
-
-    def lookup(self, sha256: str) -> Optional[IntelEntry]:
-        self.lookups += 1
-        entry = self._entries.get(sha256)
-        if entry is not None:
-            self.hits += 1
         return entry
 
     def tag_of(self, sha256: str) -> ThreatTag:

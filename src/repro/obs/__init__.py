@@ -23,11 +23,12 @@ default (a single ``None`` check on the hot paths), folded across workers
 in shard order exactly like ``Metrics.merge``.  What varies from run to
 run is declared once per event kind (``trace.VOLATILE_BY_KIND``).
 
-The run ledger (:mod:`repro.obs.ledger`) is the run's manifest.  The
-scheduler states each operational fact once, as a ``sched.*`` event; the
-ledger folds those events (:class:`SchedFold`) whether or not a tracer
-records them, and ``repro top`` renders its bounded part
-(:class:`repro.obs.ledger.TopFold`).
+The run ledger (:mod:`repro.obs.ledger`) is the run's manifest.  Every
+layer states each fact once, as an event on the flight recorder's one
+seam (:func:`repro.obs.trace.emit`); the ledger is a listener on it
+(``trace.use_fold``) and folds those events (:class:`SchedFold`)
+whether or not a tracer records them, and ``repro top`` renders its
+bounded part (:class:`repro.obs.ledger.TopFold`).
 """
 
 from repro.obs.export import (
@@ -43,11 +44,8 @@ from repro.obs.export import (
 from repro.obs.ledger import (
     RunLedger,
     SchedFold,
-    get_ledger,
-    read_ledger_jsonl,
     sha256_file,
     strip_volatile_records,
-    use_ledger,
     validate_ledger,
 )
 from repro.obs.metrics import (
@@ -85,12 +83,10 @@ __all__ = [
     "current_rss_kb",
     "dump_chrome_trace",
     "dump_json",
-    "get_ledger",
     "get_metrics",
     "get_tracer",
     "inc",
     "peak_rss_kb",
-    "read_ledger_jsonl",
     "read_trace_jsonl",
     "render",
     "render_prometheus",
@@ -99,7 +95,6 @@ __all__ = [
     "stopwatch",
     "strip_volatile_events",
     "strip_volatile_records",
-    "use_ledger",
     "use_metrics",
     "use_tracer",
     "validate_ledger",

@@ -17,19 +17,24 @@ is one JSON object per line, in canonical record order::
     {"record": "artifact", "sha256": ...}          # written files
     {"record": "final", "store_sha256": ...}       # always last
 
-The scheduler states each operational fact once, as a ``sched.*``
-flight-recorder event.  :class:`SchedFold` folds those events through
-one step table (:data:`SCHED_STEPS`) into the ``sched``, ``task``,
-``heartbeat`` and ``stale-worker`` alert records; :func:`use_ledger`
-feeds a ledger's fold every event, traced or not.  ``repro top``
-renders :class:`TopFold`, the part of the same fold that keeps no
-per-heartbeat record and one int per task.  Task rows are keyed by
-index (a retry overwrites its earlier row) and written in index order,
-stages sort by path — so a workers=1 and a workers=2 ledger of one config are
-*identical* modulo what varies from run to run, declared once per event
-kind (:data:`repro.obs.trace.VOLATILE_BY_KIND`, which a folded record
-reaches through :data:`RECORD_EVENT_KIND` or :data:`ALERT_EVENT_KIND`)
-and, for the ledger's own records, in :data:`VOLATILE_FIELDS`.
+Every layer states each fact once, as a flight-recorder event
+(:func:`repro.obs.trace.emit`): the scheduler its ``sched.*`` events,
+:func:`repro.api.generate` the run's identity and store (``run.begin``,
+``run.store``), the CLI the files it wrote (``run.artifact``) and the
+farm-health monitor its alerts (``farm.alert``).  :class:`SchedFold`
+folds them through one step table (:data:`STEPS`) into the ``run``,
+``sched``, ``task``, ``heartbeat``, ``alert`` and ``artifact`` records
+and the final store digest.  A ledger is one more listener on the
+trace seam (``use_fold(ledger.fold.feed)``), so it hears every event,
+traced or not.  ``repro top`` renders :class:`TopFold`, the part of the
+same fold that keeps no per-heartbeat record and one int per task.
+Task rows are keyed by index (a retry overwrites its earlier row) and
+written in index order, stages sort by path — so a workers=1 and a
+workers=2 ledger of one config are *identical* modulo what varies from
+run to run, declared once per event kind
+(:data:`repro.obs.trace.VOLATILE_BY_KIND`, which a folded record reaches
+through :data:`RECORD_EVENT_KIND`) and, for the ledger's own records,
+in :data:`VOLATILE_FIELDS`.
 :func:`strip_volatile_records` applies both; :func:`validate_ledger`
 checks the schema.
 """
@@ -42,19 +47,12 @@ import platform
 import sys
 import time
 from collections import deque
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterator, List, Optional, \
-    Sequence
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
-from repro.obs.export import read_trace_jsonl, write_trace_jsonl
+from repro.obs.export import write_trace_jsonl
 from repro.obs.metrics import get_metrics
-from repro.obs.trace import (
-    VOLATILE_BY_KIND,
-    WHOLE_EVENT,
-    field_problems,
-    use_fold,
-)
+from repro.obs.trace import VOLATILE_BY_KIND, WHOLE_EVENT, field_problems
 
 #: Ledger schema version (the header record pins it).
 LEDGER_VERSION = 1
@@ -73,32 +71,28 @@ RECORD_TYPES = (
     "final",
 )
 
-#: The event kind each folded record type is made from, and so takes its
-#: run-variance from (:data:`~repro.obs.trace.VOLATILE_BY_KIND`).
+#: The event kind each folded record is made from, and so takes its
+#: run-variance from (:data:`~repro.obs.trace.VOLATILE_BY_KIND`): by
+#: record type, except that an alert named by its ``kind`` here is made
+#: from that event (a stale-worker alert varies with its heartbeat).
 RECORD_EVENT_KIND: Dict[str, str] = {
+    "run": "run.begin",
     "sched": "sched.trace.built",
     "task": "sched.task.done",
     "heartbeat": "sched.heartbeat.worker",
-}
-
-#: The same for alert records, by their ``kind``: a stale-worker alert is
-#: made from ``sched.heartbeat.stale`` and varies with it; any other alert
-#: (the farm-health monitor's, via :meth:`RunLedger.record_alert`) is
-#: logical and varies in nothing.
-ALERT_EVENT_KIND: Dict[str, str] = {
+    "alert": "farm.alert",
     "stale-worker": "sched.heartbeat.stale",
+    "artifact": "run.artifact",
 }
 
 #: Fields of the ledger's own records that legitimately vary between two
-#: runs of the same config (who ran it, physical timings, process
-#: identity).  What remains after stripping is the run's *logical*
-#: identity and must be byte-identical across backends and worker counts.
+#: runs of the same config (physical timings, process identity).  What
+#: remains after stripping is the run's *logical* identity and must be
+#: byte-identical across backends and worker counts.
 VOLATILE_FIELDS: Dict[str, frozenset] = {
     "ledger": frozenset({"created_wall"}),
-    "run": frozenset({"backend", "workers"}),
     "env": frozenset({"pid", "cwd", "argv", "hostname"}),
     "stage": frozenset({"wall", "cpu"}),
-    "artifact": frozenset({"path"}),
     "final": frozenset({"wall_seconds", "alerts", "heartbeats",
                         "cache_hit"}),
 }
@@ -153,7 +147,7 @@ class TopFold:
 
     def feed(self, event: Dict[str, Any]) -> None:
         """Fold one flight-recorder event dict."""
-        step = SCHED_STEPS.get(event.get("kind"))
+        step = STEPS.get(event.get("kind"))
         if step is not None:
             getattr(self, step)(event, event.get("data") or {})
 
@@ -194,24 +188,59 @@ class TopFold:
     def _merged(self, event: Dict, data: Dict) -> None:
         self.merged_sessions = data.get("sessions")
 
+    def _ledger_only(self, event: Dict, data: Dict) -> None:
+        """The run, its store, artifacts and farm alerts: not shown."""
+
+    _run = _store = _artifact = _alert = _ledger_only
+
 
 class SchedFold(TopFold):
-    """:class:`TopFold` plus the ledger's full records: the ``sched``
-    record, task rows by index, the heartbeat trail and the alerts
-    (shared with :meth:`RunLedger.record_alert`)."""
+    """:class:`TopFold` plus the ledger's full records: the ``run``
+    record, the ``sched`` record, task rows by index, the heartbeat
+    trail, the alerts (stale-worker and farm, in arrival order), the
+    artifacts and the store digest the ``final`` record carries."""
 
     def __init__(self) -> None:
         super().__init__()
+        self.run: Optional[Dict[str, Any]] = None
         self.sched: Optional[Dict[str, Any]] = None
         self.tasks: Dict[int, Dict[str, Any]] = {}
         self.heartbeats: List[Dict[str, Any]] = []
         self.alerts: List[Dict[str, Any]] = []
+        self.artifacts: List[Dict[str, Any]] = []
+        self.store: Optional[Dict[str, Any]] = None
 
     def records(self) -> List[Dict[str, Any]]:
         """The ledger records this fold holds, in canonical order."""
-        return ([] if self.sched is None else [self.sched]) \
+        return ([] if self.run is None else [self.run]) \
+            + ([] if self.sched is None else [self.sched]) \
             + [self.tasks[i] for i in sorted(self.tasks)] \
-            + self.heartbeats + self.alerts
+            + self.heartbeats + self.alerts + self.artifacts
+
+    def _run(self, event: Dict, data: Dict) -> None:
+        # First wins per field: the CLI names the command before
+        # repro.api.generate fills in the config, fingerprint and
+        # backend, so `repro report` keeps kind "report".
+        if self.run is None:
+            self.run = {"record": "run", "kind": str(data.get("command"))}
+        for key, value in data.items():
+            if key != "command":
+                self.run.setdefault(key, value)
+
+    def _store(self, event: Dict, data: Dict) -> None:
+        self.store = dict(data)
+
+    def _artifact(self, event: Dict, data: Dict) -> None:
+        self.artifacts.append({"record": "artifact", **data})
+
+    def _alert(self, event: Dict, data: Dict) -> None:
+        record = {"record": "alert", "kind": data.get("alert"),
+                  "message": data.get("message")}
+        record.update((key, data[key]) for key in ("time", "honeypot_id")
+                      if data.get(key) is not None)
+        if data.get("data"):
+            record["data"] = data["data"]
+        self.alerts.append(record)
 
     def _built(self, event: Dict, data: Dict) -> None:
         super()._built(event, data)
@@ -243,13 +272,17 @@ class SchedFold(TopFold):
 
 #: Event kind -> the name of the fold's step method,
 #: ``step(event, data)``.
-SCHED_STEPS: Dict[str, str] = {
+STEPS: Dict[str, str] = {
+    "run.begin": "_run",
     "sched.trace.built": "_built",
     "sched.task.done": "_done",
     "sched.task.retry": "_retry",
     "sched.heartbeat.worker": "_beat",
     "sched.heartbeat.stale": "_stale",
+    "farm.alert": "_alert",
     "generate.merged": "_merged",
+    "run.store": "_store",
+    "run.artifact": "_artifact",
 }
 
 
@@ -287,92 +320,20 @@ def _numpy_version() -> Optional[str]:
 class RunLedger:
     """Accumulates one run's manifest; writes it in canonical order.
 
-    The pipeline opens the run (:meth:`begin_run`), the scheduler's
-    events reach :attr:`fold` while the ledger is installed
-    (:func:`use_ledger`), and the ``record_*`` methods add alerts, stages,
-    artifacts and the store digest; :meth:`write_jsonl` assembles and
-    persists the file.  Assembly, not arrival, defines the order — which
-    is what makes the output worker-count-invariant modulo
+    The run's events reach :attr:`fold` while it listens on the trace
+    seam (``use_fold(ledger.fold.feed)``); :meth:`record_stages` adds the
+    span rollups and :meth:`finish` the final record; :meth:`write_jsonl`
+    assembles and persists the file.  Assembly, not arrival, defines the
+    order — which is what makes the output worker-count-invariant modulo
     declared-volatile fields.
     """
 
     def __init__(self) -> None:
-        self._run: Optional[Dict[str, Any]] = None
         self.fold = SchedFold()
-        self._artifacts: List[Dict[str, Any]] = []
         self._stages: List[Dict[str, Any]] = []
-        self._store: Optional[Dict[str, Any]] = None
         self._final: Optional[Dict[str, Any]] = None
         self._created_wall = time.time()
         self._start = time.perf_counter()
-
-    # -- run identity ----------------------------------------------------------
-
-    def begin_run(self, kind: str, *, config=None,
-                  fingerprint: Optional[str] = None,
-                  backend: Optional[str] = None,
-                  workers: Optional[int] = None,
-                  **extra: Any) -> None:
-        """Open (or enrich) the run record.
-
-        The first call pins ``kind`` (the CLI wraps the whole command, so
-        its name wins over the library entry point's); later calls only
-        fill fields still absent — ``repro report`` generating a dataset
-        enriches the run record with the generate fingerprint rather than
-        forking a second record.
-        """
-        if self._run is None:
-            self._run = {"record": "run", "kind": str(kind)}
-        fields: Dict[str, Any] = dict(extra)
-        if config is not None:
-            import dataclasses
-
-            fields["config"] = dataclasses.asdict(config)
-        if fingerprint is not None:
-            fields["fingerprint"] = fingerprint
-        if backend is not None:
-            fields["backend"] = backend
-        if workers is not None:
-            fields["workers"] = int(workers)
-        for key, value in fields.items():
-            self._run.setdefault(key, value)
-
-    # -- recording -------------------------------------------------------------
-
-    def record_alert(self, kind: str, message: str, *,
-                     time: Optional[float] = None,
-                     honeypot_id: Optional[str] = None,
-                     **data: Any) -> None:
-        """One operational alert (farm health, stale worker, ...)."""
-        record: Dict[str, Any] = {
-            "record": "alert",
-            "kind": str(kind),
-            "message": str(message),
-        }
-        if time is not None:
-            record["time"] = float(time)
-        if honeypot_id is not None:
-            record["honeypot_id"] = honeypot_id
-        if data:
-            record["data"] = data
-        self.fold.alerts.append(record)
-
-    def record_artifact(self, name: str, path, sha256: str) -> None:
-        """A file the run wrote, with its content digest."""
-        self._artifacts.append({
-            "record": "artifact",
-            "name": str(name),
-            "path": str(path),
-            "sha256": str(sha256),
-        })
-
-    def record_store(self, sha256: str, sessions: int,
-                     cache_hit: bool = False) -> None:
-        """The final merged store's identity (digest + session count)."""
-        self._store = {"store_sha256": str(sha256),
-                       "sessions": int(sessions)}
-        if cache_hit:
-            self._store["cache_hit"] = True
 
     def record_stages(self, metrics) -> None:
         """Span rollups from a metrics registry, sorted by span path."""
@@ -400,8 +361,8 @@ class RunLedger:
         }
         get_metrics().inc("ledger.tasks", len(fold.tasks))
         get_metrics().inc("ledger.alerts", len(fold.alerts))
-        if self._store:
-            self._final.update(self._store)
+        if fold.store:
+            self._final.update(fold.store)
 
     # -- assembly --------------------------------------------------------------
 
@@ -412,10 +373,8 @@ class RunLedger:
             "version": LEDGER_VERSION,
             "created_wall": self._created_wall,
         }]
-        if self._run is not None:
-            records.append(self._run)
         records.append(_environment_snapshot())
-        records += self._stages + self.fold.records() + self._artifacts
+        records += self._stages + self.fold.records()
         if self._final is not None:
             records.append(self._final)
         # A stable sort: each type keeps its own order (stages by path,
@@ -436,11 +395,6 @@ class RunLedger:
         return count
 
 
-def read_ledger_jsonl(path) -> List[Dict[str, Any]]:
-    """Read a ledger previously written by :meth:`RunLedger.write_jsonl`."""
-    return read_trace_jsonl(path)
-
-
 def strip_volatile_records(
     records: Sequence[Dict[str, Any]],
 ) -> List[Dict[str, Any]]:
@@ -454,8 +408,9 @@ def strip_volatile_records(
     out: List[Dict[str, Any]] = []
     for record in records:
         rtype = record.get("record")
-        source = (ALERT_EVENT_KIND.get(record.get("kind")) if rtype == "alert"
-                  else RECORD_EVENT_KIND.get(rtype))
+        source = RECORD_EVENT_KIND.get(rtype)
+        if rtype == "alert":
+            source = RECORD_EVENT_KIND.get(record.get("kind"), source)
         drop = VOLATILE_BY_KIND.get(source,
                                     VOLATILE_FIELDS.get(rtype, frozenset()))
         if drop == WHOLE_EVENT:
@@ -517,49 +472,15 @@ def validate_ledger(records: Sequence[Dict[str, Any]]) -> List[str]:
     return problems
 
 
-# -- the current ledger --------------------------------------------------------
-#
-# ``None`` means no ledger is being kept — the steady state.  Pipeline
-# hooks call :func:`get_ledger` and test for None, mirroring the tracer's
-# module-global seam; the scheduler's events reach the ledger through
-# the trace seam's fold instead.
-
-_LEDGER: Optional[RunLedger] = None
-
-
-def get_ledger() -> Optional[RunLedger]:
-    """The ledger the current run records into (None = no ledger)."""
-    return _LEDGER
-
-
-@contextmanager
-def use_ledger(ledger: Optional[RunLedger]) -> Iterator[Optional[RunLedger]]:
-    """Swap ``ledger`` in for the scope (None silences recording).
-
-    Its fold hears every event emitted in the scope, traced or not.
-    """
-    global _LEDGER
-    previous = _LEDGER
-    _LEDGER = ledger
-    try:
-        with use_fold(None if ledger is None else ledger.fold.feed):
-            yield ledger
-    finally:
-        _LEDGER = previous
-
-
 __all__ = [
     "LEDGER_VERSION",
     "RECORD_TYPES",
-    "SCHED_STEPS",
+    "STEPS",
     "VOLATILE_FIELDS",
     "RunLedger",
     "SchedFold",
     "TopFold",
-    "get_ledger",
-    "read_ledger_jsonl",
     "sha256_file",
     "strip_volatile_records",
-    "use_ledger",
     "validate_ledger",
 ]

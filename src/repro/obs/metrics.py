@@ -46,9 +46,7 @@ class Histogram:
     run — cannot grow memory without bound.  ``count`` / ``total`` /
     ``mean`` / ``max`` stay exact (tracked as scalars alongside the
     reservoir); percentiles become reservoir estimates.  The tradeoff is
-    merge exactness: merging capped histograms re-subsamples the combined
-    reservoir, so percentiles of a merged capped histogram are an estimate
-    of (not identical to) observing both streams into one — which is why
+    the merge: a capped histogram's payload does not fold, which is why
     the multiprocess pipeline instruments keep the uncapped default.
     """
 
@@ -137,9 +135,6 @@ class Histogram:
             return xs[int(rank)]
         return xs[lo] + (xs[hi] - xs[lo]) * (rank - lo)
 
-    def merge(self, other: "Histogram") -> None:
-        self.merge_payload(other.to_payload())
-
     # -- serialisation ---------------------------------------------------------
 
     def to_payload(self):
@@ -155,44 +150,18 @@ class Histogram:
             "cap": self.cap,
         }
 
-    def merge_payload(self, payload) -> None:
-        """Fold a payload (bare list or capped dict form) into this one.
-
-        List-into-uncapped keeps exact semantics (plain concatenation).
-        Any capped participant makes the result capped (adopting the
-        payload's cap when this histogram has none) and the combined
-        sample set is re-admitted through the reservoir.
-        """
-        if isinstance(payload, dict):
-            incoming = payload.get("values", [])
-            count = int(payload.get("count", len(incoming)))
-            total = float(payload.get("total", sum(incoming)))
-            peak = float(payload.get("max", max(incoming) if incoming else 0.0))
-            cap = payload.get("cap")
-            if cap and self.cap is None:
-                self.cap = int(cap)
-                self._rng = random.Random(0x5EED)
-                if len(self.values) > self.cap:
-                    self.values = self._rng.sample(self.values, self.cap)
-        else:
-            incoming = payload
-            count = len(incoming)
-            total = float(sum(incoming))
-            peak = float(max(incoming)) if incoming else 0.0
-        if self.cap is None:
-            self.values.extend(float(v) for v in incoming)
-            self._count += count
-            self._total += total
-            if count and (peak > self._max or self._count == count):
-                self._max = peak
-            return
-        # Capped: admit the incoming samples through the reservoir, then
-        # restore the exact scalar accumulators (observe() re-counts).
-        saved = (self._count + count, self._total + total,
-                 max(self._max, peak) if self._count else peak)
-        for v in incoming:
-            self.observe(v)
-        self._count, self._total, self._max = saved
+    def merge_payload(self, values: List[float]) -> None:
+        """Fold an uncapped histogram's payload (its bare sample list) into
+        this uncapped one: plain concatenation, exactly as if both sample
+        sets had been observed into one.  Capped histograms live only in
+        the live monitor's registry, which nothing merges."""
+        count = len(values)
+        self.values.extend(float(v) for v in values)
+        self._count += count
+        self._total += float(sum(values))
+        peak = float(max(values)) if values else 0.0
+        if count and (peak > self._max or self._count == count):
+            self._max = peak
 
 
 def _new_span_cell() -> Dict[str, float]:

@@ -142,6 +142,10 @@ DESCRIPTIONS = {
         "sched.task.done": "task attempt completed",
         "sched.task.retry": "task attempt re-queued after an error",
         "sched.heartbeat.*": "worker heartbeat / stale-worker episode",
+        "run.begin": "run opened: command, config, fingerprint, backend",
+        "run.store": "final store digest and session count",
+        "run.artifact": "file the run wrote, with its sha256",
+        "farm.alert": "farm-health alert raised",
         "engine.dispatch": "simulation event dispatched",
         "collector.summary": "collector interval summary",
         "honeypot.refused": "connection refused at the listener",

@@ -11,8 +11,9 @@ to a JSONL sink as they happen, which is what ``repro monitor`` tails.
 Tracing is **off by default** and the disabled hot path is a single
 module-global ``None`` check (:func:`emit` returns immediately), so the
 instrumented code paths stay inside the pipeline's 3 % overhead budget.
-A fold installed with :func:`use_fold` (the run ledger's) hears every
-:func:`emit` too, whether or not a tracer records it.
+Every listener installed with :func:`use_fold` (the run ledger's fold,
+``repro top``'s) hears every :func:`emit` too, whether or not a tracer
+records it; listeners stack, and none evicts another.
 
 Event schema (:data:`EVENT_SCHEMA`, enforced by :func:`validate_trace`)::
 
@@ -41,7 +42,8 @@ import json
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
+    Tuple
 
 from repro.obs.resources import TELEMETRY_FIELDS
 
@@ -183,20 +185,19 @@ class Tracer:
 # ``None`` means tracing is disabled — the steady state.  Hot paths call the
 # module-level :func:`emit` (or check :func:`enabled` before building event
 # payloads), which costs one global load and a ``None`` test while neither
-# a tracer nor a fold is installed.
+# a tracer nor a listener is installed.
 
 _TRACER: Optional[Tracer] = None
 #: Fed every event :func:`emit` sees, traced or not (:func:`use_fold`).
-_FOLD: Optional[Callable[[Dict[str, Any]], None]] = None
+_FOLDS: Tuple[Callable[[Dict[str, Any]], None], ...] = ()
 #: What :func:`emit` calls; None while neither is installed.
 _SINK: Optional[Callable[..., Any]] = None
 
 
-def _set(tracer: Optional[Tracer], fold) -> None:
-    global _TRACER, _FOLD, _SINK
-    _TRACER, _FOLD = tracer, fold
-    _SINK = _emit_and_fold if fold is not None \
-        else getattr(tracer, "emit", None)
+def _set(tracer: Optional[Tracer], folds) -> None:
+    global _TRACER, _FOLDS, _SINK
+    _TRACER, _FOLDS = tracer, folds
+    _SINK = _emit_and_fold if folds else getattr(tracer, "emit", None)
 
 
 def _emit_and_fold(kind: str, trace_id: Optional[str] = None,
@@ -205,12 +206,19 @@ def _emit_and_fold(kind: str, trace_id: Optional[str] = None,
         event = _TRACER.emit(kind, trace_id, sim_time, **data)
     else:
         event = {"wall": time.time(), "kind": kind, "data": data}
-    _FOLD(event)
+    for fold in _FOLDS:
+        fold(event)
 
 
 def enabled() -> bool:
     """True when a tracer is installed (cheap hot-path guard)."""
     return _TRACER is not None
+
+
+def listening() -> bool:
+    """True when :func:`emit` reaches a tracer or a listener: the guard
+    for an event whose payload costs something to build."""
+    return _SINK is not None
 
 
 def get_tracer() -> Optional[Tracer]:
@@ -229,20 +237,21 @@ def use_tracer(tracer: Optional[Tracer]):
     excluded from the metrics invariance contract.
     """
     previous = _TRACER
-    _set(tracer, _FOLD)
+    _set(tracer, _FOLDS)
     try:
         yield tracer
     finally:
-        _set(previous, _FOLD)
+        _set(previous, _FOLDS)
 
 
 @contextmanager
-def use_fold(fold: Optional[Callable[[Dict[str, Any]], None]]):
-    """Hand every :func:`emit` in the scope to ``fold``, traced or not
-    (an untraced event carries only ``wall``, ``kind`` and ``data``).
+def use_fold(fold: Callable[[Dict[str, Any]], None]):
+    """Add ``fold`` to the listeners for the scope: it hears every
+    :func:`emit`, traced or not (an untraced event carries only ``wall``,
+    ``kind`` and ``data``), after the listeners installed before it.
     Worker events the parent adds with :meth:`Tracer.fold` skip it."""
-    previous = _FOLD
-    _set(_TRACER, fold)
+    previous = _FOLDS
+    _set(_TRACER, previous + (fold,))
     try:
         yield fold
     finally:
@@ -255,7 +264,8 @@ def emit(
     sim_time: Optional[float] = None,
     **data: Any,
 ) -> None:
-    """Record one event on the current tracer and fold; no-op when off."""
+    """Record one event on the current tracer and listeners; no-op when
+    neither is installed."""
     sink = _SINK
     if sink is not None:
         sink(kind, trace_id, sim_time, **data)
@@ -367,11 +377,12 @@ def group_by_trace(
 WHOLE_EVENT = "whole event"
 
 #: Run-variance, declared once per fact: event kind -> the data fields
-#: that vary between two runs of the same config (who ran it, physical
-#: timings, resource telemetry), or :data:`WHOLE_EVENT` for physical
-#: telemetry whose presence and count depend on the backend, worker count
-#: and wall clock (worker heartbeats, stale-worker episodes).  Trace
-#: comparisons and the run ledger's folded records read it.
+#: that vary between two runs of the same config (who ran it, where it
+#: wrote, whether the cache served it, physical timings, resource
+#: telemetry), or :data:`WHOLE_EVENT` for physical telemetry whose
+#: presence and count depend on the backend, worker count and wall clock
+#: (worker heartbeats, stale-worker episodes).  Trace comparisons and the
+#: run ledger's folded records read it.
 VOLATILE_BY_KIND: Dict[str, Any] = {
     "sched.heartbeat.worker": WHOLE_EVENT,
     "sched.heartbeat.stale": WHOLE_EVENT,
@@ -381,6 +392,10 @@ VOLATILE_BY_KIND: Dict[str, Any] = {
     }),
     "sched.trace.built": frozenset({"backend", "workers"}),
     "generate.merged": frozenset({"workers"}),
+    "run.begin": frozenset({"backend", "workers"}),
+    "run.store": frozenset({"cache_hit"}),
+    "run.artifact": frozenset({"path"}),
+    "farm.alert": frozenset(),
 }
 
 

@@ -76,14 +76,6 @@ class SessionRecord:
     close_reason: str = CloseReason.CLIENT_DISCONNECT.value
     client_version: str = ""
 
-    @property
-    def day(self) -> int:
-        return int(self.start_time // 86_400)
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
     @classmethod
     def from_summary(
         cls,

@@ -247,7 +247,8 @@ class TestStreamingIntakeUnit:
                 category=session_category(
                     record.n_login_attempts, record.login_success,
                     record.commands, record.uris),
-                day=record.day, client_ip=record.client_ip,
+                day=int(record.start_time // 86_400),
+                client_ip=record.client_ip,
                 asn=record.client_asn, hashes=record.file_hashes)
         by_events = StreamingAnalytics()
         by_events.feed_many(replay_store_events(store))

@@ -37,8 +37,6 @@ class TestAccept:
     def test_identity(self):
         hp = make_honeypot()
         assert hp.honeypot_id == "hp-007"
-        assert hp.country == "SG"
-        assert hp.asn == 64999
         assert hp.ip == 0x01020304
 
     def test_session_inherits_identity(self):

@@ -10,6 +10,7 @@ events, so the tests here make them by emitting those events.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -18,28 +19,24 @@ from repro.obs import (
     Metrics,
     RunLedger,
     SchedFold,
-    get_ledger,
-    read_ledger_jsonl,
     read_trace_jsonl,
     sha256_file,
     strip_volatile_records,
-    use_ledger,
     use_metrics,
     validate_ledger,
 )
 from repro.obs.ledger import (
-    ALERT_EVENT_KIND,
     LEDGER_VERSION,
     RECORD_EVENT_KIND,
     RECORD_TYPES,
     VOLATILE_FIELDS,
 )
-from repro.obs.trace import VOLATILE_BY_KIND, emit
+from repro.obs.trace import VOLATILE_BY_KIND, emit, listening, use_fold
 
 
 def _emit(ledger: RunLedger, kind: str, **data) -> None:
     """Emit one event the way the scheduler does, with ``ledger`` on."""
-    with use_ledger(ledger):
+    with use_fold(ledger.fold.feed):
         emit(kind, **data)
 
 
@@ -61,14 +58,16 @@ class TestAssembly:
     def test_canonical_record_order(self):
         with use_metrics():
             ledger = RunLedger()
-            ledger.begin_run("generate")
+            _emit(ledger, "run.begin", command="generate")
             _emit(ledger, "sched.trace.built", tasks=2, backend="pool",
                   workers=2)
             _record_task(ledger, 1)
             _record_task(ledger, 0)
             _emit(ledger, "sched.heartbeat.worker", worker="w", beat=1)
-            ledger.record_alert("stale-worker", "w silent")
-            ledger.record_artifact("store", "out.npz", "ab" * 32)
+            _emit(ledger, "farm.alert", alert="stale-worker",
+                  message="w silent")
+            _emit(ledger, "run.artifact", name="store", path="out.npz",
+                  sha256="ab" * 32)
             metrics = Metrics()
             with metrics.span("generate"):
                 pass
@@ -122,17 +121,18 @@ class TestAssembly:
 class TestBeginRun:
     def test_first_call_pins_kind(self):
         ledger = RunLedger()
-        ledger.begin_run("report")
-        ledger.begin_run("generate", fingerprint="abc")
+        _emit(ledger, "run.begin", command="report")
+        _emit(ledger, "run.begin", command="generate", fingerprint="abc")
         run = [r for r in ledger.to_records() if r["record"] == "run"][0]
         assert run["kind"] == "report"
         assert run["fingerprint"] == "abc"
 
     def test_later_calls_only_fill_absent_fields(self):
         ledger = RunLedger()
-        ledger.begin_run("generate", backend="inline", workers=1)
-        ledger.begin_run("generate", backend="pool", workers=8,
-                         fingerprint="abc")
+        _emit(ledger, "run.begin", command="generate", backend="inline",
+              workers=1)
+        _emit(ledger, "run.begin", command="generate", backend="pool",
+              workers=8, fingerprint="abc")
         run = [r for r in ledger.to_records() if r["record"] == "run"][0]
         assert run["backend"] == "inline"
         assert run["workers"] == 1
@@ -142,7 +142,8 @@ class TestBeginRun:
         from repro.workload import ScenarioConfig
 
         ledger = RunLedger()
-        ledger.begin_run("generate", config=ScenarioConfig(seed=11))
+        _emit(ledger, "run.begin", command="generate",
+              config=dataclasses.asdict(ScenarioConfig(seed=11)))
         run = [r for r in ledger.to_records() if r["record"] == "run"][0]
         assert run["config"]["seed"] == 11
         json.dumps(run)  # must already be JSON-ready
@@ -158,8 +159,8 @@ class TestStripVolatile:
     def test_declared_fields_dropped_others_kept(self):
         with use_metrics():
             ledger = RunLedger()
-            ledger.begin_run("generate", backend="pool", workers=2,
-                             fingerprint="abc")
+            _emit(ledger, "run.begin", command="generate", backend="pool",
+                  workers=2, fingerprint="abc")
             _record_task(ledger, 0, telemetry={"cpu_seconds": 0.5})
         stripped = strip_volatile_records(ledger.to_records())
         run = [r for r in stripped if r["record"] == "run"][0]
@@ -176,7 +177,7 @@ class TestStripVolatile:
     def _stripped_run(stale_workers=(), farm_alert=False) -> list:
         with use_metrics():
             ledger = RunLedger()
-            ledger.begin_run("generate")
+            _emit(ledger, "run.begin", command="generate")
             _emit(ledger, "sched.trace.built", tasks=2, backend="pool",
                   workers=2)
             _emit(ledger, "sched.heartbeat.worker", worker="w", beat=1)
@@ -184,8 +185,9 @@ class TestStripVolatile:
                 _emit(ledger, "sched.heartbeat.stale", worker=worker,
                       silent_seconds=9.0, last_index=0)
             if farm_alert:
-                ledger.record_alert("liveness-down", "silent for 900s",
-                                    time=5.0, honeypot_id="hp-001")
+                _emit(ledger, "farm.alert", alert="liveness-down",
+                      message="silent for 900s", time=5.0,
+                      honeypot_id="hp-001")
             ledger.finish("ok")
             return strip_volatile_records(ledger.to_records())
 
@@ -211,22 +213,20 @@ class TestStripVolatile:
         # Each type's variance is declared in exactly one place: the
         # ledger's own records in VOLATILE_FIELDS, the folded ones by
         # their event kind.  Alerts take theirs from their kind: a
-        # stale-worker alert from its event, the others vary in nothing.
+        # stale-worker alert from its event, the others from farm.alert.
         for rtype, kind in RECORD_EVENT_KIND.items():
             assert rtype not in VOLATILE_FIELDS
             assert kind in VOLATILE_BY_KIND
-        assert all(kind in VOLATILE_BY_KIND
-                   for kind in ALERT_EVENT_KIND.values())
         undeclared = set(RECORD_TYPES) - set(VOLATILE_FIELDS) \
             - set(RECORD_EVENT_KIND)
-        assert undeclared == {"alert"}
+        assert undeclared == set()
 
 
 class TestValidate:
     def _valid(self) -> list:
         with use_metrics():
             ledger = RunLedger()
-            ledger.begin_run("generate")
+            _emit(ledger, "run.begin", command="generate")
             _record_task(ledger, 0)
             ledger.finish("ok")
             return ledger.to_records()
@@ -280,28 +280,32 @@ class TestValidate:
 
 class TestSeam:
     def test_default_is_no_ledger(self):
-        assert get_ledger() is None
+        assert not listening()
 
-    def test_use_ledger_swaps_and_restores(self):
-        ledger = RunLedger()
-        with use_ledger(ledger):
-            assert get_ledger() is ledger
-            with use_ledger(None):
-                assert get_ledger() is None
-            assert get_ledger() is ledger
-        assert get_ledger() is None
+    def test_use_fold_stacks_and_restores(self):
+        # A second listener (repro top's fold) does not evict the
+        # ledger's: both hear the event, and each scope restores.
+        ledger, top = RunLedger(), SchedFold()
+        with use_fold(ledger.fold.feed):
+            assert listening()
+            with use_fold(top.feed):
+                emit("sched.trace.built", tasks=3)
+            emit("sched.trace.built", tasks=4)
+        assert not listening()
+        assert top.sched == {"tasks": 3, "record": "sched"}
+        assert ledger.fold.sched == {"tasks": 4, "record": "sched"}
 
 
 class TestRoundTrip:
     def test_write_read_round_trip(self, tmp_path):
         with use_metrics():
             ledger = RunLedger()
-            ledger.begin_run("generate", fingerprint="abc")
+            _emit(ledger, "run.begin", command="generate", fingerprint="abc")
             _record_task(ledger, 0)
             ledger.finish("ok")
             target = tmp_path / "sub" / "ledger.jsonl"
             count = ledger.write_jsonl(target)
-        records = read_ledger_jsonl(target)
+        records = read_trace_jsonl(target)
         assert len(records) == count
         assert records == ledger.to_records()
         assert validate_ledger(records) == []
@@ -321,13 +325,14 @@ class TestRoundTrip:
         target = tmp_path / "ledger.jsonl"
         with use_metrics():
             first = RunLedger()
-            first.begin_run("generate", fingerprint="old")
+            _emit(first, "run.begin", command="generate", fingerprint="old")
             first.finish("ok")
             first.write_jsonl(target)
             before = target.read_bytes()
 
             second = RunLedger()
-            second.begin_run("generate", fingerprint="new")
+            _emit(second, "run.begin", command="generate",
+                  fingerprint="new")
             _record_task(second, 0)
             second.finish("ok")
             assert len(second.to_records()) >= fail_at
@@ -371,13 +376,15 @@ class TestWorkerCountInvariance:
         for backend, workers in (("inline", 1), ("pool", 2)):
             shards._PLAN = None
             ledger = RunLedger()
-            with use_metrics(), use_tracer(Tracer()), use_ledger(ledger):
-                ledger.begin_run("generate", config=config,
-                                 backend=backend, workers=workers)
+            with use_metrics(), use_tracer(Tracer()), \
+                    use_fold(ledger.fold.feed):
+                emit("run.begin", command="generate",
+                     config=dataclasses.asdict(config), backend=backend,
+                     workers=workers)
                 dataset = generate_scheduled(config, backend=backend,
                                              workers=workers)
-                ledger.record_store(dataset.content_digest(),
-                                    len(dataset.store))
+                emit("run.store", store_sha256=dataset.content_digest(),
+                     sessions=len(dataset.store))
                 ledger.finish("ok")
             out[backend] = ledger.to_records()
         return out
@@ -430,7 +437,7 @@ class TestOneFold:
 
         shards._PLAN = None
         ledger = RunLedger()
-        with use_metrics(), use_tracer(tracer), use_ledger(ledger):
+        with use_metrics(), use_tracer(tracer), use_fold(ledger.fold.feed):
             generate_scheduled(ScenarioConfig(**self.CONFIG_ARGS),
                                backend=backend, workers=workers)
             ledger.finish("ok")
@@ -460,7 +467,7 @@ class TestOneFold:
         target = tmp_path / "ledger.jsonl"
         with use_metrics():
             self._run("inline", 1, None).write_jsonl(target)
-        records = read_ledger_jsonl(target)
+        records = read_trace_jsonl(target)
         shards = _plan_for(ScenarioConfig(**self.CONFIG_ARGS)).shards
         rows = [r for r in records if r["record"] == "task"]
         assert [(r["index"], r["kind"], r["key"], r["start"], r["stop"])
@@ -479,7 +486,7 @@ class TestHealthAlertHandOff:
         monitor = FarmHealthMonitor(HealthConfig(liveness_timeout=10.0))
         monitor.watch(["hp-1"])
         ledger = RunLedger()
-        with use_metrics(), use_ledger(ledger):
+        with use_metrics(), use_fold(ledger.fold.feed):
             monitor.advance(0.0)  # anchors the liveness reference
             monitor.advance(1000.0)  # hp-1 never spoke: liveness-down
         alerts = [r for r in ledger.to_records() if r["record"] == "alert"]
@@ -499,7 +506,7 @@ class TestCliLedger:
         with use_metrics():
             assert main(["generate", *self.ARGS, "--workers", "1",
                          "--out", str(out), "--ledger", str(target)]) == 0
-        records = read_ledger_jsonl(target)
+        records = read_trace_jsonl(target)
         assert validate_ledger(records) == []
         run = [r for r in records if r["record"] == "run"][0]
         assert run["kind"] == "generate"
@@ -518,10 +525,34 @@ class TestCliLedger:
         monkeypatch.setenv("REPRO_LEDGER", str(target))
         with use_metrics():
             assert main(["report", *self.ARGS]) == 0
-        records = read_ledger_jsonl(target)
+        records = read_trace_jsonl(target)
         assert validate_ledger(records) == []
         run = [r for r in records if r["record"] == "run"][0]
         assert run["kind"] == "report"
         # enrichment from api.generate: the fingerprint arrived even
         # though the CLI only knew the subcommand name
         assert run["fingerprint"]
+
+    def test_top_demo_ledger_keeps_the_schedulers_records(
+            self, tmp_path, monkeypatch, capsys):
+        # repro top's demo folds into its own TopFold; the armed ledger's
+        # fold must hear the same events beside it, not be evicted.
+        from repro.__main__ import main
+        from repro.workload import ScenarioConfig
+        from repro.workload.shards import _plan_for
+
+        target = tmp_path / "ledger.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(target))
+        with use_metrics():
+            assert main(["top", "--seed", "7", "--workers", "2"]) == 0
+        assert "pool-" in capsys.readouterr().out
+        records = read_trace_jsonl(target)
+        assert validate_ledger(records) == []
+        shards = _plan_for(ScenarioConfig(scale=1 / 80000, seed=7,
+                                          hash_scale=0.004)).shards
+        sched = [r for r in records if r["record"] == "sched"]
+        assert [r["tasks"] for r in sched] == [len(shards)]
+        rows = [r for r in records if r["record"] == "task"]
+        assert [(r["index"], r["key"]) for r in rows] \
+            == [(i, s.key) for i, s in enumerate(shards)]
+        assert any(r["record"] == "heartbeat" for r in records)

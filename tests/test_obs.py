@@ -76,9 +76,11 @@ class TestHistogram:
             0, 0.0, 0.0, 0.0, 0.0)
 
     def test_merge_is_observation_concat(self):
-        a, b = Histogram([1.0, 3.0]), Histogram([2.0])
+        a, b = Metrics(), Metrics()
+        a.histograms["h"], b.histograms["h"] = Histogram([1.0, 3.0]), \
+            Histogram([2.0])
         a.merge(b)
-        assert sorted(a.values) == [1.0, 2.0, 3.0]
+        assert sorted(a.histograms["h"].values) == [1.0, 2.0, 3.0]
 
     def test_timer_observes_seconds(self):
         m = Metrics()
@@ -155,28 +157,6 @@ class TestHistogramReservoirCap:
         assert payload["total"] == 55.0
         assert payload["max"] == 10.0
         assert len(payload["values"]) == 4
-
-    def test_merge_capped_into_uncapped_adopts_cap(self):
-        capped = Histogram(cap=8)
-        for v in range(100):
-            capped.observe(float(v))
-        plain = Histogram([1000.0, 2000.0])
-        plain.merge(capped)
-        assert plain.cap == 8
-        assert len(plain.values) <= 8
-        assert plain.count == 102
-        assert plain.total == pytest.approx(sum(range(100)) + 3000.0)
-        assert plain.max == 2000.0
-
-    def test_merge_list_into_capped_keeps_exact_scalars(self):
-        h = Histogram(cap=4)
-        for v in range(1, 6):
-            h.observe(float(v))
-        h.merge_payload([10.0, 20.0])
-        assert h.count == 7
-        assert h.total == 45.0
-        assert h.max == 20.0
-        assert len(h.values) <= 4
 
     def test_registry_histogram_accessor_applies_cap_once(self):
         m = Metrics()
@@ -582,7 +562,7 @@ class TestAtomicWrites:
         import subprocess
         import sys
 
-        from repro.obs import RunLedger, read_ledger_jsonl
+        from repro.obs import RunLedger, read_trace_jsonl
 
         dead = subprocess.Popen([sys.executable, "-c", "pass"])
         dead.wait()
@@ -591,4 +571,4 @@ class TestAtomicWrites:
         with use_metrics():
             count = RunLedger().write_jsonl(tmp_path / "ledger.jsonl")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.jsonl"]
-        assert len(read_ledger_jsonl(tmp_path / "ledger.jsonl")) == count
+        assert len(read_trace_jsonl(tmp_path / "ledger.jsonl")) == count

@@ -192,8 +192,8 @@ class ScriptedBeats(InlineBackend):
 
 class TestStaleWorkerAlerts:
     def test_one_alert_per_silent_episode_and_rearm(self, monkeypatch):
-        from repro.obs import (RunLedger, Tracer, use_ledger, use_metrics,
-                               use_tracer)
+        from repro.obs import RunLedger, Tracer, use_metrics, use_tracer
+        from repro.obs.trace import use_fold
 
         monkeypatch.setattr(scheduler, "HEARTBEAT_STALE_SECONDS", 0.05)
         silent = 0.1
@@ -209,7 +209,7 @@ class TestStaleWorkerAlerts:
                  for i in range(3)]
         ledger, tracer = RunLedger(), Tracer()
         with use_metrics() as metrics, use_tracer(tracer), \
-                use_ledger(ledger):
+                use_fold(ledger.fold.feed):
             outcomes = Scheduler(ScriptedBeats(rounds)).run(tasks, CONFIG)
         assert [o.task.index for o in outcomes] == [0, 1, 2]
         assert metrics.counter("sched.heartbeat.stale") == 2

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 
 import repro
-from repro.obs import read_ledger_jsonl, validate_ledger
+from repro.obs import read_trace_jsonl, validate_ledger
 
 ENV = dict(os.environ,
            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
@@ -169,7 +169,7 @@ def test_sigint_mid_generate_exits_promptly_and_cleanly(tmp_path):
         elapsed = time.monotonic() - start
         assert elapsed <= 2.0, f"SIGINT exit took {elapsed:.2f} s"
         assert proc.returncode == 130
-        records = read_ledger_jsonl(ledger)
+        records = read_trace_jsonl(ledger)
         assert validate_ledger(records) == []
         assert records[-1]["record"] == "final"
         assert records[-1]["status"] == "interrupted"

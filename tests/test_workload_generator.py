@@ -160,9 +160,7 @@ class TestGeneratedDataset:
 
     def test_campaign_hashes_in_intel(self, small_dataset):
         h1 = small_dataset.campaign("H1")
-        entry = small_dataset.intel.lookup(h1.primary_hash)
-        assert entry is not None
-        assert entry.tag.value == "trojan"
+        assert small_dataset.intel.tag_of(h1.primary_hash).value == "trojan"
 
     def test_campaign_hashes_present_in_store(self, small_dataset):
         store = small_dataset.store

@@ -48,9 +48,7 @@ class TestDatasetRoundtrip:
 
     def test_intel_preserved(self, small_dataset, reloaded):
         h1 = small_dataset.campaign("H1")
-        entry = reloaded.intel.lookup(h1.primary_hash)
-        assert entry is not None
-        assert entry.tag.value == "trojan"
+        assert reloaded.intel.tag_of(h1.primary_hash).value == "trojan"
         assert len(reloaded.intel) == len(small_dataset.intel)
 
     def test_envelopes_preserved(self, small_dataset, reloaded):
